@@ -23,6 +23,17 @@
 //! capacity is saturated so the sharder never picks it again, and the
 //! orphaned segments re-queue with linear backoff until the bounded
 //! retry budget surfaces a typed [`LeaseFailure`].
+//!
+//! The lease deadline is the detector of last resort, not the usual
+//! one. A node that holds a lease and delivers nothing while a live
+//! peer delivers `LAPS_TO_CONDEMN` (6) segments is condemned the same
+//! way at once. Peer progress is a clock that runs at the fleet's own
+//! speed: a loaded host slows every node alike and moves no verdict,
+//! and recovery costs a few segment times instead of a wall-clock
+//! timeout — a fixed timeout that the survivors sit out idle is a
+//! share of the run that grows as encoding gets faster. With no peer
+//! making progress (a single node, or every peer idle) only the
+//! deadline applies.
 
 use crate::lease::LeasePool;
 use crate::message::{Assignment, LeaseFailure, SegmentResult, WorkerCommand};
@@ -40,6 +51,14 @@ use std::time::{Duration, Instant};
 
 /// Load one outstanding lease places on its node, in reference cores.
 const LEASE_DEMAND: f64 = 1.0;
+
+/// Segments one live peer delivers, while a lease-holding node
+/// delivers none, before that node is presumed dead. Segments are
+/// equal GOP counts of one stream and nodes share the host's
+/// scheduler, so a live node is lapped once or twice at worst; a
+/// false verdict costs the node's capacity (its late results are still
+/// accepted), a late one only the wait.
+const LAPS_TO_CONDEMN: usize = 6;
 
 /// One worker node's identity in the fleet.
 #[derive(Debug, Clone)]
@@ -258,6 +277,12 @@ pub fn run_cluster_with<R: Recorder>(
     let mut duplicates = 0usize;
     let mut first_expiry: BTreeMap<usize, Instant> = BTreeMap::new();
     let mut recoveries: Vec<RecoveryRecord> = Vec::new();
+    // Peer progress, the silence detector's clock: `delivered[x]`
+    // counts node x's results and `seen[y]` is `delivered` as of node
+    // y's last sign of life (its own result, or the grant that ended
+    // an idle spell).
+    let mut delivered = vec![0usize; cfg.nodes.len()];
+    let mut seen = vec![delivered.clone(); cfg.nodes.len()];
 
     let (result_tx, result_rx) = mpsc::channel::<SegmentResult>();
 
@@ -287,21 +312,30 @@ pub fn run_cluster_with<R: Recorder>(
         let run = loop {
             let now = Instant::now();
 
-            // 1. Expiry scan. One expired lease condemns its holder:
-            // the node is declared dead, its remaining leases are
-            // revoked in the same sweep, and its capacity saturates so
-            // the sharder never offers it work again.
+            // 1. Expiry and silence scan. One expired lease condemns
+            // its holder, and so does being lapped `LAPS_TO_CONDEMN`
+            // times by a peer that is itself alive: the node is
+            // declared dead, its remaining leases are revoked in the
+            // same sweep, and its capacity saturates so the sharder
+            // never offers it work again.
             let mut condemned = pool.expired(now);
-            let mut i = 0;
-            while i < condemned.len() {
-                let node = condemned[i].node;
+            let mut doomed: Vec<usize> = condemned.iter().map(|l| l.node).collect();
+            let alive = |x: usize| !stats[x].declared_dead && !doomed.contains(&x);
+            let lapped: Vec<usize> = (0..seen.len())
+                .filter(|&y| {
+                    pool.holds_lease(y)
+                        && (0..seen.len())
+                            .any(|x| alive(x) && delivered[x] - seen[y][x] >= LAPS_TO_CONDEMN)
+                })
+                .collect();
+            doomed.extend(lapped);
+            for node in doomed {
                 if !stats[node].declared_dead {
                     stats[node].declared_dead = true;
                     live_nodes -= 1;
                     sharder.admit_load(node, capacities[node] + LEASE_DEMAND);
                     condemned.extend(pool.revoke_node(node));
                 }
-                i += 1;
             }
             let mut failure = None;
             for lease in &condemned {
@@ -342,6 +376,9 @@ pub fn run_cluster_with<R: Recorder>(
                     .pick_attached(LEASE_DEMAND, &class)
                     .expect("any_fits held");
                 sharder.admit_load(node, LEASE_DEMAND);
+                if !pool.holds_lease(node) {
+                    seen[node].clone_from(&delivered);
+                }
                 pool.grant(segment, attempt, node, now);
                 leases_granted += 1;
                 recorder.record(Event::new(
@@ -379,6 +416,8 @@ pub fn run_cluster_with<R: Recorder>(
                 Ok(result) => {
                     let now = Instant::now();
                     let segment = result.segment.index;
+                    delivered[result.node] += 1;
+                    seen[result.node].clone_from(&delivered);
                     match pool.complete(segment) {
                         Some(lease) => sharder.release_load(lease.node, LEASE_DEMAND),
                         // A late result after expiry: the bytes are

@@ -96,6 +96,11 @@ impl LeasePool {
         self.leases.len()
     }
 
+    /// Whether `node` holds at least one outstanding lease.
+    pub fn holds_lease(&self, node: usize) -> bool {
+        self.leases.values().any(|l| l.node == node)
+    }
+
     /// `true` once nothing is pending or leased.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty() && self.leases.is_empty()
@@ -301,8 +306,10 @@ mod tests {
             let (s, a) = pool.next_ready(now).expect("ready");
             pool.grant(s, a, node, now);
         }
+        assert!(pool.holds_lease(5));
         let revoked = pool.revoke_node(5);
         assert_eq!(revoked.len(), 2);
+        assert!(!pool.holds_lease(5));
         assert_eq!(pool.outstanding(), 1, "node 9's lease survives");
     }
 

@@ -14,7 +14,7 @@
 //! | node selection | [`Sharder`](medvt_admission::Sharder) over per-node capacities | admission's shard policies |
 //! | per-node serving | [`Node`](medvt_runtime::Node) command seam | runtime's server loop |
 //! | work unit | [`SegmentSpec`](medvt_encoder::SegmentSpec) (contiguous GOP range) | encoder's GOP structure |
-//! | fault model | [`LeasePool`] timeout/retry/backoff | new in this crate |
+//! | fault model | peer-progress silence verdict, then [`LeasePool`] timeout/retry/backoff | new in this crate |
 //! | output | [`Reassembler`] in-order stitch | encoder's open-loop determinism |
 //!
 //! Fault tolerance rests on one invariant inherited from

@@ -176,12 +176,20 @@ mod tests {
     #[test]
     fn host_speed_factor_scales_predicted_seconds_linearly() {
         let s = stats(1_800_000, 92_000, 8_000, 240);
-        let reference = CostModel::default().tile_seconds(&s, 3.6e9);
-        // A host measured 1.7x slower than the model predicts
+        // A host measured at rho times the modeled time
         // (live_bench.json's measured_over_modeled) yields a model
-        // predicting 1.7x the seconds on identical stats.
-        let host = CostModel::with_host_speed_factor(1.7).tile_seconds(&s, 3.6e9);
-        assert!((host / reference - 1.7).abs() < 1e-6);
+        // predicting rho times the cycles on identical stats, less
+        // the truncation to whole cycles: the reference sum is exact
+        // (integer constants and counts), so the error is under one
+        // cycle however small rho makes the total.
+        let reference = CostModel::default().tile_cycles(&s) as f64;
+        for rho in [1.7, 0.16, 0.003] {
+            let host = CostModel::with_host_speed_factor(rho).tile_cycles(&s) as f64;
+            assert!(
+                (host - rho * reference).abs() <= 1.0 + 1e-6,
+                "rho {rho}: host {host}, reference {reference}"
+            );
+        }
         // Composition: scaling twice multiplies.
         let twice = CostModel::default().scaled_by(2.0).scaled_by(0.5);
         assert_eq!(twice, CostModel::default().scaled_by(1.0));

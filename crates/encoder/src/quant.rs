@@ -10,6 +10,21 @@ use crate::config::Qp;
 /// Dead-zone rounding offset as a fraction of the step size.
 const DEAD_ZONE: f64 = 1.0 / 3.0;
 
+/// Relative margin kept below the dead-zone edge by
+/// [`zero_threshold`]: `2⁻²⁰`, some `10⁷` times the worst-case `f64`
+/// rounding of a transform coefficient and of the quantizer's own
+/// arithmetic (derivation in [`crate::block`]'s module docs).
+const ZERO_GUARD: f64 = 1.0 / (1u32 << 20) as f64;
+
+/// Magnitude below which a coefficient is certain to quantize to
+/// level 0 at step size `step`, rounding included: [`quantize`]
+/// yields 0 iff `|c| / step + DEAD_ZONE < 1`, i.e.
+/// `|c| < step * (1 - DEAD_ZONE)`, and the guard keeps callers that
+/// only bound `|c|` clear of that edge.
+pub(crate) fn zero_threshold(step: f64) -> f64 {
+    step * (1.0 - DEAD_ZONE) * (1.0 - ZERO_GUARD)
+}
+
 /// Quantizes coefficients to integer levels.
 pub fn quantize(coeffs: &[f64], qp: Qp) -> Vec<i32> {
     let mut out = Vec::new();
@@ -20,7 +35,13 @@ pub fn quantize(coeffs: &[f64], qp: Qp) -> Vec<i32> {
 /// Allocation-free [`quantize`]: writes the levels into `out`
 /// (cleared first). Bit-exact with [`quantize`].
 pub fn quantize_into(coeffs: &[f64], qp: Qp, out: &mut Vec<i32>) {
-    let step = qp.step_size();
+    quantize_with_step(coeffs, qp.step_size(), out);
+}
+
+/// [`quantize_into`] with the step size already evaluated, so a
+/// caller coding many blocks at one QP pays `Qp::step_size`'s `powf`
+/// once.
+pub(crate) fn quantize_with_step(coeffs: &[f64], step: f64, out: &mut Vec<i32>) {
     out.clear();
     out.extend(coeffs.iter().map(|&c| {
         let sign = if c < 0.0 { -1.0 } else { 1.0 };
@@ -38,7 +59,11 @@ pub fn dequantize(levels: &[i32], qp: Qp) -> Vec<f64> {
 /// Allocation-free [`dequantize`]: writes the coefficients into `out`
 /// (cleared first). Bit-exact with [`dequantize`].
 pub fn dequantize_into(levels: &[i32], qp: Qp, out: &mut Vec<f64>) {
-    let step = qp.step_size();
+    dequantize_with_step(levels, qp.step_size(), out);
+}
+
+/// [`dequantize_into`] with the step size already evaluated.
+pub(crate) fn dequantize_with_step(levels: &[i32], step: f64, out: &mut Vec<f64>) {
     out.clear();
     out.extend(levels.iter().map(|&l| l as f64 * step));
 }
@@ -134,6 +159,18 @@ mod tests {
         assert_eq!(levels, vec![0, 0]);
         let levels = quantize(&[step * 0.9, -step * 0.9], q);
         assert_eq!(levels, vec![1, -1]);
+    }
+
+    #[test]
+    fn zero_threshold_sits_just_inside_the_dead_zone() {
+        for v in 0..=51 {
+            let q = qp(v);
+            let t = zero_threshold(q.step_size());
+            assert_eq!(quantize(&[t, -t], q), vec![0, 0], "qp {v}");
+            // The guard gives away a millionth of the dead zone, no more.
+            let past = t * (1.0 + 1e-5);
+            assert_eq!(quantize(&[past, -past], q), vec![1, -1], "qp {v}");
+        }
     }
 
     #[test]

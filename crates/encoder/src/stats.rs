@@ -19,7 +19,8 @@ pub struct TileStats {
     /// Motion-search candidates evaluated x block samples — the number
     /// of SAD sample operations performed.
     pub sad_samples: u64,
-    /// Samples pushed through forward+inverse transform.
+    /// Samples presented to the residual coder (elided blocks
+    /// included) — the count `CostModel` prices.
     pub transform_samples: u64,
     /// Blocks coded in intra mode.
     pub intra_blocks: u32,

@@ -1,7 +1,9 @@
 //! Counting-allocator proof that the steady-state encode hot path is
 //! allocation-free.
 //!
-//! A wrapping global allocator counts every `alloc`/`realloc`. After a
+//! A wrapping global allocator counts every `alloc`/`realloc` of the
+//! calling thread (the harness runs tests on parallel threads, so a
+//! process-wide count would see the neighbours). After a
 //! warmup pass populates the scratch buffers (and the thread-local
 //! search-memo pool), one full per-block encode iteration — block
 //! gather, intra reference gather + mode decision, motion search,
@@ -11,26 +13,34 @@
 //! must not scale with the number of blocks in the tile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers anything.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates verbatim to `System`, only adding a counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
 
 use medvt_encoder::bits::BitWriter;
@@ -184,6 +194,70 @@ fn steady_state_block_iteration_allocates_nothing() {
         after - before,
         0,
         "steady-state block iteration must not allocate"
+    );
+}
+
+#[test]
+fn first_textured_block_after_elided_ones_allocates_nothing() {
+    // Four 8x8 blocks in a row. The warmup region predicts perfectly,
+    // so every block is elided and no transform stage ever runs; the
+    // measured region ends in a textured block that needs them all.
+    let qp = Qp::new(32).unwrap();
+    let prediction = vec![100u8; 32 * 8];
+    let mut textured = prediction.clone();
+    for row in 0..8 {
+        for col in 24..32 {
+            textured[row * 32 + col] = ((col * 37 + row * 91) % 256) as u8;
+        }
+    }
+    let mut writer = BitWriter::new();
+    let run =
+        |original: &[u8], writer: &mut BitWriter, rs: &mut ResidualScratch, recon: &mut Vec<u8>| {
+            writer.clear();
+            code_residual_into(
+                original,
+                &prediction,
+                32,
+                8,
+                8,
+                qp,
+                TxPath::F64,
+                writer,
+                rs,
+                recon,
+            )
+        };
+    // Process-wide lazy tables (DCT basis, zigzag scan) and the
+    // writer's buffer are grown through a throwaway scratch, so the
+    // scratch under test has still seen nothing but elided blocks.
+    run(
+        &textured,
+        &mut writer,
+        &mut ResidualScratch::default(),
+        &mut Vec::new(),
+    );
+    let mut rs = ResidualScratch::default();
+    let mut recon = Vec::new();
+
+    let warm = run(&prediction, &mut writer, &mut rs, &mut recon);
+    assert_eq!((warm.elided_blocks, warm.bits), (4, 4));
+
+    let before = alloc_events();
+    let out = run(&textured, &mut writer, &mut rs, &mut recon);
+    let after = alloc_events();
+    assert_eq!(
+        out.elided_blocks, 3,
+        "the flat blocks must take the fast path"
+    );
+    assert_eq!(
+        out.zero_level_blocks, 3,
+        "the textured block must carry levels"
+    );
+    assert!(out.bits > 64);
+    assert_eq!(
+        after - before,
+        0,
+        "the first non-elided block after a run of elided ones must not allocate"
     );
 }
 

@@ -1,6 +1,8 @@
 //! Allocation discipline for the recorder hot paths, following the
 //! counting-allocator harness from `crates/encoder/tests/zero_alloc.rs`:
-//! a `#[global_allocator]` counts every allocation event, and the
+//! a `#[global_allocator]` counts every allocation event of the calling
+//! thread (the harness runs tests on parallel threads, and a
+//! process-wide count sees the neighbours' set-up), and the
 //! steady-state recording paths must add exactly zero.
 //!
 //! Also pins the bounded-retention contract: a `FlightRecorder` ring
@@ -12,15 +14,23 @@ use medvt_telemetry::{
     CONTROL_TRACK,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers anything.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.alloc(layout)
     }
 
@@ -29,12 +39,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
 
 fn one_of_each(track: u16, slot: u32) -> [Event; 4] {

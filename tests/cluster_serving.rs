@@ -243,3 +243,40 @@ fn two_concurrent_worker_deaths_still_reassemble_bit_identically() {
     assert_eq!(requeued, outcome.leases_requeued);
     assert_eq!(reassembled, outcome.segments);
 }
+
+#[test]
+fn a_lapped_node_is_condemned_long_before_its_lease_deadline() {
+    let workload = stream();
+    let slots = 16 * 2 * GOP_SLOTS;
+    let mut nodes = mixed_fleet(2);
+    // Node 1 dies after one delivery, holding several leases, while
+    // node 0 has a dozen segments of its own to lap it with. The lease
+    // deadline is far beyond the whole run, so finishing at all proves
+    // the verdict came from peer progress.
+    nodes[1].kill_after_segments = Some(1);
+    let mut cfg = ClusterConfig::new(nodes, slots);
+    cfg.lease_timeout = Duration::from_secs(600);
+
+    let outcome = run_cluster(&cfg, &workload).expect("the survivor completes the stream");
+
+    assert!(outcome.wall_secs < cfg.lease_timeout.as_secs_f64() / 2.0);
+    assert!(outcome.nodes[1].declared_dead, "node 1 must be condemned");
+    assert!(
+        !outcome.nodes[0].declared_dead,
+        "the busy survivor is never suspected"
+    );
+    assert!(outcome.leases_expired > 0);
+    assert_eq!(outcome.leases_expired, outcome.leases_requeued);
+    assert_eq!(outcome.recoveries.len(), outcome.leases_expired);
+    assert_eq!(outcome.nodes[1].segments, 1);
+    assert_eq!(outcome.nodes[0].segments, outcome.segments - 1);
+
+    let mut reference = Vec::new();
+    for slot in 0..slots {
+        for thread in 0..medvt::admission::Workload::demand_at(&workload, slot).len() {
+            let tile = workload.encode_direct(slot, thread).expect("profiled tile");
+            reference.extend(tile.bytes);
+        }
+    }
+    assert_eq!(outcome.bitstream, reference);
+}

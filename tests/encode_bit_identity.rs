@@ -15,7 +15,10 @@
 //! `MEDVT_PRINT_HASHES=1` and updating the constants — but kernel
 //! PRs must never need that.
 
-use medvt::encoder::{encode_frame, EncoderConfig, FramePlan, Qp, SearchSpec, TileConfig, TxPath};
+use medvt::encoder::{
+    encode_frame, encode_tile, EncoderConfig, FramePlan, Qp, SearchSpec, TileConfig, TileStats,
+    TxPath,
+};
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt::frame::{Frame, FrameKind, Rect, Resolution};
 use medvt::motion::SearchWindow;
@@ -150,6 +153,89 @@ fn int_transform_encode_matches_its_own_golden() {
     );
 }
 
+/// Encodes one whole-frame tile of the pan clip at `qp` and returns
+/// `(bitstream_hash, stats)`. `Intra` codes frame 0; `BiPredicted`
+/// codes frame 1 against the reconstructions of an intra frame 0 and
+/// a predicted frame 2 (the shape of a random-access mini-GOP).
+fn encode_single_tile(kind: FrameKind, qp: u8) -> (u64, TileStats) {
+    let video = PhantomVideo::builder(BodyPart::Cardiac)
+        .resolution(Resolution::new(128, 96))
+        .motion(MotionPattern::Pan { dx: 1.3, dy: -0.6 })
+        .seed(77)
+        .build();
+    let tile = Rect::frame(128, 96);
+    let tcfg = TileConfig {
+        qp: Qp::new(qp).unwrap(),
+        search: SearchSpec::default(),
+        window: SearchWindow::W16,
+    };
+    let ecfg = EncoderConfig::default();
+    let plan = FramePlan {
+        tiles: vec![tile],
+        configs: vec![tcfg],
+    };
+    let outcome = match kind {
+        FrameKind::Intra => encode_tile(&video.render(0), &[], kind, tile, &tcfg, &ecfg),
+        _ => {
+            let past = encode_frame(
+                &video.render(0),
+                &[],
+                FrameKind::Intra,
+                0,
+                &plan,
+                &ecfg,
+                false,
+            )
+            .recon;
+            let future = encode_frame(
+                &video.render(2),
+                &[&past],
+                FrameKind::Predicted,
+                2,
+                &plan,
+                &ecfg,
+                false,
+            )
+            .recon;
+            encode_tile(
+                &video.render(1),
+                &[&past, &future],
+                kind,
+                tile,
+                &tcfg,
+                &ecfg,
+            )
+        }
+    };
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, &outcome.bytes);
+    (hash, outcome.stats)
+}
+
+/// QP 4 (step 1.0) on an intra tile: nearly every transform block
+/// carries levels, so the residual coder's full path is what is pinned.
+#[test]
+fn fine_qp_intra_tile_matches_golden() {
+    let (hash, stats) = encode_single_tile(FrameKind::Intra, 4);
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        println!("qp4_intra_hash = {hash:#018x}\n{stats:#?}");
+    }
+    assert_eq!(hash, GOLDEN_QP4_INTRA_HASH);
+    assert_eq!(stats, GOLDEN_QP4_INTRA_STATS);
+}
+
+/// QP 42 on a two-reference B tile: nearly every transform block
+/// quantizes to nothing, so the zero-block paths are what is pinned.
+#[test]
+fn coarse_qp_two_reference_b_tile_matches_golden() {
+    let (hash, stats) = encode_single_tile(FrameKind::BiPredicted, 42);
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        println!("qp42_b_hash = {hash:#018x}\n{stats:#?}");
+    }
+    assert_eq!(hash, GOLDEN_QP42_B_HASH);
+    assert_eq!(stats, GOLDEN_QP42_B_STATS);
+}
+
 // Captured from the seed kernels (per-pixel clamped SAD, HashMap memo,
 // mutexed DCT basis, allocating encode loop) before the fast paths
 // landed. The optimized kernels must reproduce them bit for bit.
@@ -161,3 +247,27 @@ const GOLDEN_LUMA_BYTES_HASH: u64 = 0x17244043249ef2f3;
 // the f64 goldens above stay frozen.
 const GOLDEN_INT_BYTES_HASH: u64 = 0xa173bac1c1ed705b;
 const GOLDEN_INT_MV_HASH: u64 = 0xbea857534a9b432c;
+// Captured on the commit before zero-block elision landed in the
+// residual coder (every block through DCT, quantizer and inverse DCT).
+const GOLDEN_QP4_INTRA_HASH: u64 = 0xb5b0e84546899399;
+const GOLDEN_QP4_INTRA_STATS: TileStats = TileStats {
+    rect: Rect::frame(128, 96),
+    bits: 47525,
+    luma_ssd: 1486,
+    luma_samples: 12288,
+    sad_samples: 0,
+    transform_samples: 18432,
+    intra_blocks: 48,
+    inter_blocks: 0,
+};
+const GOLDEN_QP42_B_HASH: u64 = 0xcf195751c513bd4d;
+const GOLDEN_QP42_B_STATS: TileStats = TileStats {
+    rect: Rect::frame(128, 96),
+    bits: 1040,
+    luma_ssd: 361042,
+    luma_samples: 12288,
+    sad_samples: 321536,
+    transform_samples: 18432,
+    intra_blocks: 39,
+    inter_blocks: 9,
+};

@@ -1,6 +1,6 @@
 //! Differential-fuzz harness for the dispatch-accelerated kernels.
 //!
-//! Two executable specifications anchor this suite:
+//! Two executable specifications anchor the kernel half of this suite:
 //!
 //! * `medvt_motion::cost::reference` — the textbook cost metrics. Every
 //!   dispatch tier (AVX2, SSE2, scalar) must produce *bit-identical*
@@ -11,6 +11,12 @@
 //!   Random mixed sequences of `write_bit` / `write_bits` / `write_ue`
 //!   / `write_se` / `byte_align` through the word-batched writer must
 //!   emit byte-for-byte the same stream.
+//!
+//! A third specification needs no reference module: the residual
+//! coder must equal the composition of the public stage functions
+//! (`transform::forward → quant::quantize → bits::code_block →
+//! quant::dequantize → transform::inverse`) run on every block,
+//! whatever blocks it proves all-zero and skips.
 //!
 //! Tiers are pinned with `cost::simd::with_tier`, so on an AVX2 host a
 //! single run exercises all three code paths; on an older host the
@@ -215,6 +221,133 @@ mod bitstream {
             new.byte_align();
             old.byte_align();
             prop_assert_eq!(new.into_bytes(), old.into_bytes());
+        }
+    }
+}
+
+mod residual {
+    use medvt_encoder::bits::{code_block, BitWriter};
+    use medvt_encoder::quant::{dequantize, quantize};
+    use medvt_encoder::transform::{forward, inverse, TRANSFORM_SIZES};
+    use medvt_encoder::{code_residual_into, Qp, ResidualScratch, TxPath};
+    use proptest::prelude::*;
+
+    /// What the composition of the public stages yields for a region.
+    struct Composed {
+        bytes: Vec<u8>,
+        recon: Vec<u8>,
+        bits: u64,
+        ssd: u64,
+        zero_level_blocks: u32,
+    }
+
+    /// Every `n x n` block through every stage, nothing skipped.
+    fn compose(
+        original: &[u8],
+        prediction: &[u8],
+        w: usize,
+        h: usize,
+        n: usize,
+        qp: Qp,
+    ) -> Composed {
+        let mut writer = BitWriter::new();
+        let mut recon = prediction.to_vec();
+        let (mut bits, mut zero_level_blocks) = (0, 0);
+        for ty in (0..h).step_by(n) {
+            for tx in (0..w).step_by(n) {
+                let at = |i: usize| (ty + i / n) * w + tx + i % n;
+                let residual: Vec<i32> = (0..n * n)
+                    .map(|i| original[at(i)] as i32 - prediction[at(i)] as i32)
+                    .collect();
+                let levels = quantize(&forward(n, &residual), qp);
+                bits += code_block(&levels, n, &mut writer);
+                zero_level_blocks += u32::from(levels.iter().all(|&l| l == 0));
+                for (i, r) in inverse(n, &dequantize(&levels, qp)).into_iter().enumerate() {
+                    recon[at(i)] = (prediction[at(i)] as f64 + r).round().clamp(0.0, 255.0) as u8;
+                }
+            }
+        }
+        let ssd = original
+            .iter()
+            .zip(&recon)
+            .map(|(&o, &r)| (o as i64 - r as i64).pow(2) as u64)
+            .sum();
+        Composed {
+            bytes: writer.into_bytes(),
+            recon,
+            bits,
+            ssd,
+            zero_level_blocks,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random 3x2-block regions whose blocks cycle through the
+        /// regimes the coder treats differently — perfect prediction,
+        /// ±1 noise, a flat offset near the dead-zone edge, heavy
+        /// noise, one spike, anything — at every QP and transform size.
+        #[test]
+        fn residual_coder_equals_the_composed_stages(
+            seed in 0u64..u64::MAX,
+            qp_val in 0u8..=51,
+            size in 0usize..4,
+        ) {
+            let n = TRANSFORM_SIZES[size];
+            let qp = Qp::new(qp_val).unwrap();
+            let (w, h) = (3 * n, 2 * n);
+            let mut state = seed | 1;
+            let mut next = move |m: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % m
+            };
+            let prediction: Vec<u8> = (0..w * h).map(|_| next(256) as u8).collect();
+            let edge = (qp.step_size() * 2.0 / 3.0 / n as f64) as i64;
+            let mut original = prediction.clone();
+            for (block, (by, bx)) in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)].into_iter().enumerate() {
+                let offset = edge + next(3) as i64 - 1;
+                let spike = next((n * n) as u64) as usize;
+                for i in 0..n * n {
+                    let delta = match block {
+                        0 => 0,
+                        1 => next(3) as i64 - 1,
+                        2 => offset,
+                        3 => next(129) as i64 - 64,
+                        4 => if i == spike { 255 } else { 0 },
+                        _ => next(511) as i64 - 255,
+                    };
+                    let idx = (by * n + i / n) * w + bx * n + i % n;
+                    original[idx] = (prediction[idx] as i64 + delta).clamp(0, 255) as u8;
+                }
+            }
+
+            let want = compose(&original, &prediction, w, h, n, qp);
+            let mut writer = BitWriter::new();
+            let mut recon = vec![7u8; 3]; // dirty buffer must be replaced
+            let got = code_residual_into(
+                &original,
+                &prediction,
+                w,
+                h,
+                n,
+                qp,
+                TxPath::F64,
+                &mut writer,
+                &mut ResidualScratch::default(),
+                &mut recon,
+            );
+            let case = format!("seed {seed} qp {qp_val} n {n}");
+            prop_assert_eq!(writer.into_bytes(), want.bytes, "bytes: {}", case);
+            prop_assert_eq!(recon, want.recon, "recon: {}", case);
+            prop_assert_eq!(got.bits, want.bits, "bits: {}", case);
+            prop_assert_eq!(got.ssd, want.ssd, "ssd: {}", case);
+            prop_assert_eq!(got.transform_samples, (w * h) as u64, "samples: {}", case);
+            prop_assert_eq!(got.zero_level_blocks, want.zero_level_blocks, "zero blocks: {}", case);
+            prop_assert!(got.elided_blocks >= 1, "perfect prediction must elide: {}", case);
+            prop_assert!(got.elided_blocks <= got.zero_level_blocks, "{}", case);
         }
     }
 }
