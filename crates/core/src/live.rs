@@ -49,7 +49,8 @@ type CaptureSink = Mutex<BTreeMap<(usize, usize), Vec<u8>>>;
 #[derive(Debug)]
 pub struct LiveWorkload {
     profile: VideoProfile,
-    frames: Vec<Frame>,
+    /// Shares the caller's pictures ([`VideoClip`] clones are O(1)).
+    clip: VideoClip,
     tile_cfg: TileConfig,
     enc_cfg: EncoderConfig,
     /// When capturing, every encoded tile's bitstream keyed by
@@ -82,7 +83,7 @@ impl LiveWorkload {
         );
         Self {
             profile,
-            frames: clip.frames().to_vec(),
+            clip: clip.clone(),
             tile_cfg,
             enc_cfg,
             sink: None,
@@ -104,12 +105,12 @@ impl LiveWorkload {
 
     /// Number of distinct frames (slots wrap around this).
     pub fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.clip.len()
     }
 
     /// Frame index shown at `slot` (endless streaming wraps).
     fn frame_index(&self, slot: usize) -> usize {
-        slot % self.frames.len()
+        slot % self.clip.len()
     }
 
     /// Encodes tile `thread` of the frame shown at `slot` on the
@@ -123,14 +124,18 @@ impl LiveWorkload {
         // Open-loop transcode: the first frame of the clip (and any
         // frame the profile marks intra) codes without references;
         // other frames predict from the previous original frame.
-        let (kind, refs): (FrameKind, Vec<&Frame>) = if idx == 0 || report.kind == 'I' {
-            (FrameKind::Intra, Vec::new())
-        } else {
-            (FrameKind::Predicted, vec![&self.frames[idx - 1]])
+        let frames = self.clip.frames();
+        let previous = idx
+            .checked_sub(1)
+            .filter(|_| report.kind != 'I')
+            .map(|p| &frames[p]);
+        let (kind, refs): (FrameKind, &[&Frame]) = match &previous {
+            Some(reference) => (FrameKind::Predicted, std::slice::from_ref(reference)),
+            None => (FrameKind::Intra, &[]),
         };
         Some(encode_tile(
-            &self.frames[idx],
-            &refs,
+            &frames[idx],
+            refs,
             kind,
             tile.rect,
             &self.tile_cfg,

@@ -156,6 +156,49 @@ fn norms_bound_below(sad: u32, ssd: u32, n: usize, zero_below: f64) -> bool {
     l2_bound.min(l1_bound) < zero_below
 }
 
+/// Gathers the `n x n` residual `original - prediction` of two
+/// operands anchored at the block's top-left sample (rows `stride`
+/// apart) into `residual`, and returns its norms `(‖x‖₁, ‖x‖₂²)` — at
+/// most 32² · 255² < 2³², so `u32` holds both.
+///
+/// The transform sizes the encoder uses (8 for luma, 4 for chroma) get
+/// a copy of the loop with a literal `n`, whose fixed-length rows LLVM
+/// unrolls and vectorises; other sizes share the same loop with `n` at
+/// run time.
+fn gather_residual(
+    n: usize,
+    original: &[u8],
+    prediction: &[u8],
+    stride: usize,
+    residual: &mut [i32],
+) -> (u32, u32) {
+    #[inline(always)]
+    fn rows(
+        n: usize,
+        original: &[u8],
+        prediction: &[u8],
+        stride: usize,
+        residual: &mut [i32],
+    ) -> (u32, u32) {
+        let (mut sad, mut ssd) = (0u32, 0u32);
+        for (r, out) in residual[..n * n].chunks_exact_mut(n).enumerate() {
+            let o = &original[r * stride..r * stride + n];
+            let p = &prediction[r * stride..r * stride + n];
+            for ((d, &o), &p) in out.iter_mut().zip(o).zip(p) {
+                *d = o as i32 - p as i32;
+                sad += d.unsigned_abs();
+                ssd += (*d * *d) as u32;
+            }
+        }
+        (sad, ssd)
+    }
+    match n {
+        4 => rows(4, original, prediction, stride, residual),
+        8 => rows(8, original, prediction, stride, residual),
+        n => rows(n, original, prediction, stride, residual),
+    }
+}
+
 /// Codes the residual `original - prediction` of a `w x h` region using
 /// `tx_size` transforms, writing coefficients into `writer`.
 ///
@@ -238,19 +281,13 @@ pub fn code_residual_into(
     let mut out = ResidualOutcome::default();
     for ty in (0..h).step_by(tx_size) {
         for tx in (0..w).step_by(tx_size) {
-            // Gather the residual sub-block and its L1/L2² norms
-            // (at most 32² · 255² < 2³², so `u32` holds both).
-            let mut sad = 0u32;
-            let mut ssd = 0u32;
-            for r in 0..tx_size {
-                for c in 0..tx_size {
-                    let idx = (ty + r) * w + (tx + c);
-                    let d = original[idx] as i32 - prediction[idx] as i32;
-                    scratch.residual[r * tx_size + c] = d;
-                    sad += d.unsigned_abs();
-                    ssd += (d * d) as u32;
-                }
-            }
+            let (sad, ssd) = gather_residual(
+                tx_size,
+                &original[ty * w + tx..],
+                &prediction[ty * w + tx..],
+                w,
+                &mut scratch.residual,
+            );
             out.transform_samples += block_samples as u64;
             match tx_path {
                 TxPath::F64 => {

@@ -5,6 +5,7 @@
 //! independently decodable).
 
 use medvt_frame::{Plane, Rect};
+use medvt_motion::cost::simd;
 use serde::{Deserialize, Serialize};
 
 /// The implemented subset of HEVC's 35 intra modes.
@@ -43,15 +44,30 @@ impl IntraMode {
 /// Reference samples for one block: the row above and column left of
 /// the block, when available inside the tile.
 ///
+/// An edge that is not available reads as a row/column of the DC
+/// level (HEVC's substitution), so both edge buffers always span the
+/// gathered block and directional modes degrade to DC on their own
+/// when their edge is missing.
+///
 /// The edge buffers are reusable: [`IntraRefs::regather`] refills them
 /// in place, so a scratch-owned `IntraRefs` makes reference gathering
 /// zero-allocation in steady state.
+///
+/// References belong to the block they were gathered for: the
+/// prediction methods take `w x h` only to check it, and panic on any
+/// other geometry. `IntraRefs::default()` is that empty scratch — it
+/// holds no block, so it predicts nothing until it is `regather`ed.
 #[derive(Debug, Clone, Default)]
 pub struct IntraRefs {
+    /// Row above the block, or `dc` repeated when unavailable.
     top: Vec<u8>,
     has_top: bool,
+    /// Column left of the block, or `dc` repeated when unavailable.
     left: Vec<u8>,
     has_left: bool,
+    /// Mean of the available references, 128 when none exist (set by
+    /// `regather`; meaningless before it).
+    dc: u8,
 }
 
 impl IntraRefs {
@@ -81,9 +97,8 @@ impl IntraRefs {
         self.top.clear();
         self.has_top = block.y > tile.y;
         if self.has_top {
-            let row = block.y - 1;
             self.top
-                .extend_from_slice(&recon.row(row)[block.x..block.right()]);
+                .extend_from_slice(recon.row_span(block.y - 1, block.x, block.w));
         }
         self.left.clear();
         self.has_left = block.x > tile.x;
@@ -91,6 +106,17 @@ impl IntraRefs {
             let col = block.x - 1;
             self.left
                 .extend((block.y..block.bottom()).map(|row| recon.get(col, row)));
+        }
+        let sum: u32 = self.top.iter().chain(&self.left).map(|&s| s as u32).sum();
+        let count = (self.top.len() + self.left.len()) as u32;
+        self.dc = (sum + count / 2)
+            .checked_div(count)
+            .map_or(128, |v| v as u8);
+        if !self.has_top {
+            self.top.resize(block.w, self.dc);
+        }
+        if !self.has_left {
+            self.left.resize(block.h, self.dc);
         }
     }
 
@@ -103,91 +129,93 @@ impl IntraRefs {
     ///
     /// Unavailable references fall back to the HEVC default level 128,
     /// and directional modes degrade to DC when their edge is missing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w x h` is empty or not the geometry of the block
+    /// the references were gathered for.
     pub fn predict(&self, mode: IntraMode, w: usize, h: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.predict_into(mode, w, h, &mut out);
         out
     }
 
-    /// Allocation-free [`IntraRefs::predict`]: clears `out` and writes
-    /// the prediction into it. Bit-exact with [`IntraRefs::predict`].
+    /// Allocation-free [`IntraRefs::predict`]: replaces the contents
+    /// of `out` with the prediction. Bit-exact with
+    /// [`IntraRefs::predict`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w x h` is empty or not the geometry of the block
+    /// the references were gathered for.
     pub fn predict_into(&self, mode: IntraMode, w: usize, h: usize, out: &mut Vec<u8>) {
+        self.assert_geometry(w, h);
         out.clear();
-        out.reserve(w * h);
+        out.resize(w * h, self.dc);
         match mode {
-            IntraMode::Dc => out.resize(w * h, self.dc_value()),
-            IntraMode::Planar => self.predict_planar_into(w, h, out),
+            IntraMode::Dc => {}
+            IntraMode::Planar => self.planar_into(w, h, out),
             IntraMode::Horizontal => {
-                if self.has_left {
-                    for &edge in self.left.iter().take(h) {
-                        out.extend(std::iter::repeat_n(edge, w));
-                    }
-                } else {
-                    out.resize(w * h, self.dc_value());
+                for (row, &edge) in out.chunks_exact_mut(w).zip(&self.left) {
+                    row.fill(edge);
                 }
             }
             IntraMode::Vertical => {
-                if self.has_top {
-                    for _ in 0..h {
-                        out.extend_from_slice(&self.top);
-                    }
-                } else {
-                    out.resize(w * h, self.dc_value());
+                for row in out.chunks_exact_mut(w) {
+                    row.copy_from_slice(&self.top);
                 }
             }
         }
     }
 
-    /// DC level: mean of available references, 128 when none exist.
-    fn dc_value(&self) -> u8 {
-        let mut sum = 0u32;
-        let mut count = 0u32;
-        if self.has_top {
-            sum += self.top.iter().map(|&s| s as u32).sum::<u32>();
-            count += self.top.len() as u32;
-        }
-        if self.has_left {
-            sum += self.left.iter().map(|&s| s as u32).sum::<u32>();
-            count += self.left.len() as u32;
-        }
-        (sum + count / 2)
-            .checked_div(count)
-            .map_or(128, |v| v as u8)
+    fn assert_geometry(&self, w: usize, h: usize) {
+        assert!(w > 0 && h > 0, "cannot predict an empty {w}x{h} block");
+        assert!(
+            self.top.len() == w && self.left.len() == h,
+            "{w}x{h} prediction from references gathered for a {}x{} block",
+            self.top.len(),
+            self.left.len()
+        );
     }
 
-    fn predict_planar_into(&self, w: usize, h: usize, out: &mut Vec<u8>) {
-        let dc = self.dc_value() as u32;
-        // Missing edges read as a dc-filled row/column, exactly like
-        // the former temporary-vector construction.
-        let top = |x: usize| {
-            if self.has_top {
-                self.top[x] as u32
-            } else {
-                dc
-            }
-        };
-        let left = |y: usize| {
-            if self.has_left {
-                self.left[y] as u32
-            } else {
-                dc
-            }
-        };
-        let top_right = top(w - 1);
-        let bottom_left = left(h - 1);
-        for y in 0..h {
-            for x in 0..w {
-                // HEVC-style planar: horizontal + vertical linear blends.
-                let hor = (w as u32 - 1 - x as u32) * left(y) + (x as u32 + 1) * top_right;
-                let ver = (h as u32 - 1 - y as u32) * top(x) + (y as u32 + 1) * bottom_left;
-                let v = (hor * h as u32 + ver * w as u32 + (w * h) as u32) / (2 * (w * h) as u32);
-                out.push(v.min(255) as u8);
+    /// HEVC-style planar: the mean of a horizontal and a vertical
+    /// linear blend, `(hor·h + ver·w + w·h) / (2·w·h)`. The divisor is
+    /// a power of two for every block whose sides are (8, 16, 32), and
+    /// then the division is the exact right shift; other geometries
+    /// keep the divide.
+    fn planar_into(&self, w: usize, h: usize, out: &mut [u8]) {
+        let divisor = 2 * (w * h) as u32;
+        if divisor.is_power_of_two() {
+            let shift = divisor.trailing_zeros();
+            self.planar_rows(w, h, out, |v| v >> shift);
+        } else {
+            self.planar_rows(w, h, out, |v| v / divisor);
+        }
+    }
+
+    #[inline(always)]
+    fn planar_rows(&self, w: usize, h: usize, out: &mut [u8], scale: impl Fn(u32) -> u32) {
+        let (top, left) = (&self.top, &self.left);
+        let (wu, hu) = (w as u32, h as u32);
+        let top_right = top[w - 1] as u32;
+        let bottom_left = left[h - 1] as u32;
+        for (y, (row, &l)) in out.chunks_exact_mut(w).zip(left).enumerate() {
+            let (y, l) = (y as u32, l as u32);
+            for (x, (sample, &t)) in row.iter_mut().zip(top).enumerate() {
+                let x = x as u32;
+                let hor = (wu - 1 - x) * l + (x + 1) * top_right;
+                let ver = (hu - 1 - y) * t as u32 + (y + 1) * bottom_left;
+                *sample = scale(hor * hu + ver * wu + wu * hu).min(255) as u8;
             }
         }
     }
 
     /// Picks the mode with the lowest SAD against `original` (row-major
     /// `w x h` samples), returning the mode, its prediction and the SAD.
+    ///
+    /// # Panics
+    ///
+    /// As [`IntraRefs::best_mode_into`].
     pub fn best_mode(&self, original: &[u8], w: usize, h: usize) -> (IntraMode, Vec<u8>, u64) {
         let mut best = Vec::new();
         let mut tmp = Vec::new();
@@ -197,8 +225,21 @@ impl IntraRefs {
 
     /// Allocation-free [`IntraRefs::best_mode`]: the winning prediction
     /// ends up in `best` (`tmp` is trial scratch), and the mode and its
-    /// SAD are returned. Mode order and tie-breaking are identical to
-    /// [`IntraRefs::best_mode`].
+    /// SAD are returned. Modes are tried in [`IntraMode::ALL`] order
+    /// and a later mode wins only when strictly better.
+    ///
+    /// Every mode is scored by one whole-block
+    /// [`simd::block_sad`] call, bounded by the best SAD so far (a
+    /// mode that reaches it cannot win). DC and vertical predictions
+    /// repeat one row, so they are scored against that row at stride 0
+    /// and only materialised if they win; a directional mode whose
+    /// edge is missing *is* the DC prediction and is skipped, since it
+    /// cannot be strictly better.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `original.len() != w * h`, or `w x h` is empty or
+    /// not the geometry of the block the references were gathered for.
     pub fn best_mode_into(
         &self,
         original: &[u8],
@@ -207,20 +248,41 @@ impl IntraRefs {
         best: &mut Vec<u8>,
         tmp: &mut Vec<u8>,
     ) -> (IntraMode, u64) {
-        let mut winner: Option<(IntraMode, u64)> = None;
-        for mode in IntraMode::ALL {
-            self.predict_into(mode, w, h, tmp);
-            let sad: u64 = original
-                .iter()
-                .zip(tmp.iter())
-                .map(|(&a, &b)| (a as i16 - b as i16).unsigned_abs() as u64)
-                .sum();
-            if winner.is_none_or(|(_, c)| sad < c) {
-                winner = Some((mode, sad));
-                std::mem::swap(best, tmp);
+        self.assert_geometry(w, h);
+        assert_eq!(original.len(), w * h, "original buffer mismatch");
+        let tier = simd::tier();
+        let sad = |prediction: &[u8], stride: usize, bound: u64| {
+            simd::block_sad(tier, original, w, prediction, stride, w, h, bound)
+        };
+        tmp.clear();
+        tmp.resize(w, self.dc);
+        let mut winner = (IntraMode::Dc, sad(tmp, 0, u64::MAX));
+        // Planar is built in `best` and horizontal in `tmp`, so either
+        // can win without being predicted twice.
+        self.predict_into(IntraMode::Planar, w, h, best);
+        let cost = sad(best, w, winner.1);
+        if cost < winner.1 {
+            winner = (IntraMode::Planar, cost);
+        }
+        if self.has_left {
+            self.predict_into(IntraMode::Horizontal, w, h, tmp);
+            let cost = sad(tmp, w, winner.1);
+            if cost < winner.1 {
+                winner = (IntraMode::Horizontal, cost);
             }
         }
-        winner.expect("at least one intra mode")
+        if self.has_top {
+            let cost = sad(&self.top, 0, winner.1);
+            if cost < winner.1 {
+                winner = (IntraMode::Vertical, cost);
+            }
+        }
+        match winner.0 {
+            IntraMode::Planar => {}
+            IntraMode::Horizontal => std::mem::swap(best, tmp),
+            mode => self.predict_into(mode, w, h, best),
+        }
+        winner
     }
 }
 

@@ -149,8 +149,10 @@ fn block_iteration(
     intra_sad + best.cost + luma.bits + chroma.bits
 }
 
-#[test]
-fn steady_state_block_iteration_allocates_nothing() {
+/// Heap allocations of one steady-state [`block_iteration`] on `block`
+/// of a 96x96 plane pair, after two warmup iterations have grown every
+/// buffer, the bit writer and the thread-local search-memo pool.
+fn steady_state_allocations(block: Rect) -> u64 {
     let cur = textured_plane(96, 96, 1);
     let reference = textured_plane(96, 96, 2);
     let mut recon = Plane::new(96, 96);
@@ -160,7 +162,7 @@ fn steady_state_block_iteration_allocates_nothing() {
     let mut refs = IntraRefs::default();
     let mut rs = ResidualScratch::default();
 
-    let mut run = |block: Rect, writer: &mut BitWriter| {
+    let mut run = |writer: &mut BitWriter| {
         writer.clear();
         block_iteration(
             &cur,
@@ -178,23 +180,39 @@ fn steady_state_block_iteration_allocates_nothing() {
         )
     };
 
-    // Warmup: grow every buffer, the bit writer and the thread-local
-    // search-memo pool.
-    let block = Rect::new(40, 40, 16, 16);
-    let warm = run(block, &mut writer);
-    let warm2 = run(block, &mut writer);
+    let warm = run(&mut writer);
+    let warm2 = run(&mut writer);
     assert_eq!(warm, warm2, "iteration must be deterministic");
 
-    // Steady state: an entire block encode without touching the heap.
     let before = alloc_events();
-    let steady = run(block, &mut writer);
+    let steady = run(&mut writer);
     let after = alloc_events();
     assert_eq!(steady, warm, "steady-state iteration changed results");
+    after - before
+}
+
+#[test]
+fn steady_state_block_iteration_allocates_nothing() {
     assert_eq!(
-        after - before,
+        steady_state_allocations(Rect::new(40, 40, 16, 16)),
         0,
         "steady-state block iteration must not allocate"
     );
+}
+
+/// Blocks in the frame corners: the probe ring reaches up to 6 samples
+/// off the frame on two sides, so those candidates gather a clamped
+/// reference patch (a stack buffer) and motion compensation may read
+/// off-frame too; neither intra edge exists at the top-left corner.
+#[test]
+fn boundary_blocks_with_off_frame_candidates_allocate_nothing() {
+    for block in [Rect::new(0, 0, 16, 16), Rect::new(80, 80, 16, 16)] {
+        assert_eq!(
+            steady_state_allocations(block),
+            0,
+            "steady-state iteration of boundary block {block} must not allocate"
+        );
+    }
 }
 
 #[test]

@@ -222,13 +222,8 @@ impl Plane {
         out
     }
 
-    /// Allocation-free [`Plane::copy_block_clamped`]: clears `out` and
-    /// fills it with the clamped block.
-    ///
-    /// Blocks fully inside the plane (the overwhelming majority of
-    /// motion-compensation reads) are copied row-by-row with
-    /// `copy_from_slice`; only boundary blocks take the per-sample
-    /// clamped path.
+    /// Allocation-free [`Plane::copy_block_clamped`]: resizes `out` to
+    /// `w * h` and fills it through [`Plane::gather_block_clamped`].
     pub fn copy_block_clamped_into(
         &self,
         x: isize,
@@ -237,21 +232,43 @@ impl Plane {
         h: usize,
         out: &mut Vec<u8>,
     ) {
-        out.clear();
-        out.reserve(w * h);
-        let interior =
-            x >= 0 && y >= 0 && (x as usize) + w <= self.width && (y as usize) + h <= self.height;
-        if interior {
-            let (x, y) = (x as usize, y as usize);
-            for row in y..y + h {
-                out.extend_from_slice(&self.row(row)[x..x + w]);
-            }
-        } else {
-            for row in 0..h as isize {
-                for col in 0..w as isize {
-                    out.push(self.get_clamped(x + col, y + row));
-                }
-            }
+        // No clear first: every sample is overwritten, and a buffer
+        // already at `w * h` (the steady state) is not touched twice.
+        out.resize(w * h, 0);
+        self.gather_block_clamped(x, y, w, h, out);
+    }
+
+    /// Gathers the `w x h` block at `(x, y)` into the row-major slice
+    /// `out`, replicating edge samples for coordinates outside the
+    /// plane — the one implementation of edge clamping behind motion
+    /// compensation and off-frame motion-search candidates.
+    ///
+    /// The gather is row-wise: the row index is clamped once per row,
+    /// the in-frame span is one `copy_from_slice`, and the samples left
+    /// and right of the frame are fills with the row's edge samples.
+    /// A block fully inside the plane is the same loop with empty
+    /// fills.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != w * h`.
+    pub fn gather_block_clamped(&self, x: isize, y: isize, w: usize, h: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), w * h, "buffer size mismatch");
+        if w == 0 {
+            return;
+        }
+        // Columns `[x, x + w)` split into samples left of the frame,
+        // the in-frame span starting at `src`, and samples right of it.
+        let left = x.saturating_neg().clamp(0, w as isize) as usize;
+        let right = (x + w as isize - self.width as isize).clamp(0, w as isize) as usize;
+        let span = w - left - right;
+        let src = x.clamp(0, self.width as isize) as usize;
+        let last_row = self.height as isize - 1;
+        for (i, out_row) in out.chunks_exact_mut(w).enumerate() {
+            let row = self.row((y + i as isize).clamp(0, last_row) as usize);
+            out_row[..left].fill(row[0]);
+            out_row[left..left + span].copy_from_slice(&row[src..src + span]);
+            out_row[left + span..].fill(row[self.width - 1]);
         }
     }
 
@@ -399,6 +416,29 @@ mod tests {
             .map(|(c, r)| p.get_clamped(c, r))
             .collect();
         assert_eq!(buf, expected);
+    }
+
+    #[test]
+    fn clamped_gather_equals_per_sample_clamping_everywhere() {
+        let mut p = Plane::new(8, 6);
+        for (i, s) in p.samples_mut().iter_mut().enumerate() {
+            *s = (i * 37 % 251) as u8;
+        }
+        // Origins off every edge and corner, blocks narrower and wider
+        // than the plane (so both fills can be non-empty at once).
+        let mut buf = Vec::new();
+        for (w, h) in [(1usize, 1usize), (4, 3), (11, 9), (3, 0), (0, 2)] {
+            for y in -12isize..=9 {
+                for x in -14isize..=11 {
+                    p.copy_block_clamped_into(x, y, w, h, &mut buf);
+                    let expected: Vec<u8> = (0..h as isize)
+                        .flat_map(|r| (0..w as isize).map(move |c| (x + c, y + r)))
+                        .map(|(c, r)| p.get_clamped(c, r))
+                        .collect();
+                    assert_eq!(buf, expected, "{w}x{h} block at ({x}, {y})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::{Frame, Resolution};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A source of video frames with fixed resolution and frame rate.
 ///
@@ -26,6 +27,12 @@ pub trait FrameSource {
 
 /// An in-memory video clip: decoded master material ready to transcode.
 ///
+/// The frames sit behind an [`Arc`], so cloning a clip shares its
+/// pictures instead of copying them (a consumer such as a live
+/// workload holds the clip next to the caller's own handle at no
+/// memory cost); [`VideoClip::push`] on a shared clip copies the
+/// frames first, leaving the other handles untouched.
+///
 /// # Examples
 ///
 /// ```
@@ -42,7 +49,7 @@ pub trait FrameSource {
 pub struct VideoClip {
     resolution: Resolution,
     fps: f64,
-    frames: Vec<Frame>,
+    frames: Arc<Vec<Frame>>,
 }
 
 impl VideoClip {
@@ -56,7 +63,7 @@ impl VideoClip {
         Self {
             resolution,
             fps,
-            frames: Vec::new(),
+            frames: Arc::default(),
         }
     }
 
@@ -85,7 +92,7 @@ impl VideoClip {
             self.resolution,
             "frame resolution mismatch"
         );
-        self.frames.push(frame);
+        Arc::make_mut(&mut self.frames).push(frame);
     }
 
     /// Clip resolution.
@@ -241,6 +248,30 @@ mod tests {
         // Capturing more than available stops early.
         let all = VideoClip::capture(&mut src, 10);
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn clones_share_frames_until_one_is_pushed_to() {
+        let mut clip = VideoClip::from_frames(res(), 24.0, vec![Frame::flat(res(), 1); 3]);
+        let shared = clip.clone();
+        assert!(
+            std::ptr::eq(clip.frames(), shared.frames()),
+            "a clone must not copy the pictures"
+        );
+        clip.push(Frame::flat(res(), 9));
+        assert_eq!((clip.len(), shared.len()), (4, 3));
+        assert_eq!(clip.frames()[..3], *shared.frames());
+    }
+
+    #[test]
+    fn frames_serialize_as_a_plain_array() {
+        let clip = VideoClip::from_frames(res(), 24.0, vec![Frame::black(res()); 2]);
+        let json = serde_json::to_string(&clip).expect("clip serializes");
+        let frame = serde_json::to_string(&clip.frames()[0]).expect("frame serializes");
+        assert!(
+            json.ends_with(&format!("\"frames\":[{frame},{frame}]}}")),
+            "the shared pointer must not show in the serialized shape"
+        );
     }
 
     #[test]

@@ -5,19 +5,25 @@
 //! edge clamping, matching unrestricted motion vectors over padded
 //! reference pictures in HEVC.
 //!
-//! Two implementations back every metric:
+//! Two access patterns back every metric:
 //!
 //! * an **interior fast path** taken when the displaced block lies
 //!   fully inside the reference plane — both operands are then plain
-//!   row slices and the inner loops run explicit SIMD kernels picked
-//!   at runtime by [`mod@simd`] (AVX2 → SSE2 → scalar), every tier
-//!   bit-equal to the scalar code;
-//! * the **clamped path** for boundary candidates, identical to the
-//!   original per-sample [`Plane::get_clamped`] access (kept verbatim
-//!   in [`mod@reference`] as the executable specification).
+//!   strided spans of their planes and the inner loops run explicit
+//!   SIMD kernels picked at runtime by [`mod@simd`] (AVX2 → SSE2 →
+//!   scalar), every tier bit-equal to the scalar code. SAD runs the
+//!   whole block in one kernel call ([`simd::block_sad`]); SSD and
+//!   SATD call a kernel per row / per 4x4 sub-block;
+//! * the **clamped path** for candidates that reach off the frame.
+//!   SAD gathers the edge-replicated reference patch row-wise into a
+//!   stack buffer ([`Plane::gather_block_clamped`], the same gather
+//!   motion compensation uses) and runs the block kernel on it; SSD
+//!   and SATD keep the per-sample [`Plane::get_clamped`] access of
+//!   [`mod@reference`], the executable specification of every metric.
 //!
 //! The `_upto` variants additionally take an exclusive `bound` and may
-//! stop at a row boundary once the partial sum reaches it. Because the
+//! stop early once the partial sum reaches it (SAD tests every four
+//! rows, SSD every row, SATD every row of sub-blocks). Because the
 //! partial sum of a non-negative series never exceeds the total, the
 //! returned value is either the exact cost (when it is below `bound`)
 //! or a lower bound that is `>= bound` — either way a caller comparing
@@ -60,6 +66,11 @@ fn interior_origin(reference: &Plane, block: &Rect, mv: MotionVector) -> Option<
     }
 }
 
+/// Side of the stack buffer an off-frame SAD candidate's clamped
+/// reference patch is gathered into (the largest prediction block the
+/// encoder's presets use).
+const CLAMPED_PATCH: usize = 32;
+
 /// Sum of absolute differences between `block` of `cur` and the block
 /// displaced by `mv` in `reference`.
 ///
@@ -70,9 +81,9 @@ pub fn sad(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u6
     sad_upto(cur, reference, block, mv, u64::MAX)
 }
 
-/// [`sad`] with early termination: may return at a row boundary once
-/// the partial sum reaches `bound` (see the module docs for why the
-/// result still decides `cost < bound` exactly).
+/// [`sad`] with early termination: may return once a partial sum
+/// reaches `bound` (see the module docs for why the result still
+/// decides `cost < bound` exactly).
 ///
 /// # Panics
 ///
@@ -82,27 +93,49 @@ pub fn sad_upto(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector, 
         cur.bounds().contains_rect(block),
         "block {block} outside current plane"
     );
-    let mut acc = 0u64;
+    if block.is_empty() {
+        return 0;
+    }
+    let t = simd::tier();
     if let Some((rx, ry)) = interior_origin(reference, block, mv) {
-        // Resolve the SIMD tier once, not per row.
-        let t = simd::tier();
-        for (i, row) in (block.y..block.bottom()).enumerate() {
-            let cur_row = &cur.row(row)[block.x..block.right()];
-            let ref_row = &reference.row(ry + i)[rx..rx + block.w];
-            acc += simd::row_sad(t, cur_row, ref_row);
-            if acc >= bound {
-                return acc;
-            }
-        }
-    } else {
-        for row in block.y..block.bottom() {
-            let cur_row = &cur.row(row)[block.x..block.right()];
-            let ref_y = row as isize + mv.y as isize;
-            for (i, &c) in cur_row.iter().enumerate() {
-                let ref_x = (block.x + i) as isize + mv.x as isize;
-                let r = reference.get_clamped(ref_x, ref_y);
-                acc += (c as i16 - r as i16).unsigned_abs() as u64;
-            }
+        return simd::block_sad(
+            t,
+            cur.span_from(block.x, block.y),
+            cur.width(),
+            reference.span_from(rx, ry),
+            reference.width(),
+            block.w,
+            block.h,
+            bound,
+        );
+    }
+    // Off-frame candidate: gather the clamped reference patch and run
+    // the same kernel on it. Blocks beyond the patch size are walked
+    // in patch-sized pieces against what is left of the bound.
+    let mut patch = [0u8; CLAMPED_PATCH * CLAMPED_PATCH];
+    let mut acc = 0u64;
+    for sy in (0..block.h).step_by(CLAMPED_PATCH) {
+        let sh = CLAMPED_PATCH.min(block.h - sy);
+        for sx in (0..block.w).step_by(CLAMPED_PATCH) {
+            let sw = CLAMPED_PATCH.min(block.w - sx);
+            let patch = &mut patch[..sw * sh];
+            reference.gather_block_clamped(
+                (block.x + sx) as isize + mv.x as isize,
+                (block.y + sy) as isize + mv.y as isize,
+                sw,
+                sh,
+                patch,
+            );
+            acc += simd::block_sad(
+                t,
+                cur.span_from(block.x + sx, block.y + sy),
+                cur.width(),
+                patch,
+                sw,
+                sw,
+                sh,
+                bound - acc,
+            );
             if acc >= bound {
                 return acc;
             }

@@ -4,8 +4,17 @@
 //! module. Dispatch picks the widest instruction set the host supports
 //! — AVX2, then SSE2, then portable scalar — once per process via
 //! [`std::arch::is_x86_feature_detected!`], and each `*_upto` call
-//! resolves the tier exactly once before its row loop so the hot path
-//! never touches thread-locals per row.
+//! resolves the tier exactly once, so the hot path never touches
+//! thread-locals per row.
+//!
+//! SAD is block-granular: [`block_sad`] takes two strided operands and
+//! runs the whole `w x h` block inside one kernel call (one dispatch,
+//! one `psadbw` accumulator held in a register across rows, one
+//! horizontal reduction per four rows). Motion search, the clamped
+//! off-frame candidates and the encoder's intra mode decision all call
+//! it; a stride of 0 replays one row, which is how a DC or vertical
+//! intra prediction is scored without being materialised. SSD and SATD
+//! stay row- and 4x4-granular.
 //!
 //! # The bit-exactness contract
 //!
@@ -165,6 +174,71 @@ pub fn row_ssd(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
     }
 }
 
+/// Sum of absolute differences over a whole `w x h` block of two
+/// strided operands: row `r` of an operand is
+/// `operand[r * stride..r * stride + w]`. A stride of 0 compares every
+/// row of the other operand against the same `w` samples.
+///
+/// Early termination against the exclusive `bound` follows the
+/// `*_upto` contract of [`super`]: the result is the exact SAD whenever
+/// it is below `bound`, otherwise some partial sum that already
+/// reached `bound` (`bound <= result <= exact`). The x86 block bodies
+/// (`w` of 8, 16 or 32) test the bound every four rows; every other
+/// width, and the scalar tier, run the per-row loop over [`row_sad`].
+///
+/// # Panics
+///
+/// Panics when `h == 0` or when either operand is shorter than
+/// `(h - 1) * stride + w`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn block_sad(
+    t: DispatchTier,
+    cur: &[u8],
+    cur_stride: usize,
+    reference: &[u8],
+    ref_stride: usize,
+    w: usize,
+    h: usize,
+    bound: u64,
+) -> u64 {
+    assert!(h > 0, "block_sad needs at least one row");
+    assert!(
+        (h - 1) * cur_stride + w <= cur.len(),
+        "current operand shorter than {h} rows of {w} at stride {cur_stride}"
+    );
+    assert!(
+        (h - 1) * ref_stride + w <= reference.len(),
+        "reference operand shorter than {h} rows of {w} at stride {ref_stride}"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if t != DispatchTier::Scalar {
+        let (c, r) = (cur.as_ptr(), reference.as_ptr());
+        // SAFETY: the two length asserts above guarantee that both
+        // operands hold `w` readable bytes at `row * stride` for every
+        // `row < h`, which is all a block body reads (its `W` is `w`).
+        // SSE2 is part of the x86_64 baseline, so the bodies run on
+        // every host whichever of the two SIMD tiers the caller names.
+        unsafe {
+            match w {
+                32 => return block_sad_sse2::<32>(c, cur_stride, r, ref_stride, h, bound),
+                16 => return block_sad_sse2::<16>(c, cur_stride, r, ref_stride, h, bound),
+                8 => return block_sad_sse2::<8>(c, cur_stride, r, ref_stride, h, bound),
+                _ => {}
+            }
+        }
+    }
+    let mut acc = 0u64;
+    for row in 0..h {
+        let (c, r) = (row * cur_stride, row * ref_stride);
+        acc += row_sad(t, &cur[c..c + w], &reference[r..r + w]);
+        if acc >= bound {
+            return acc;
+        }
+    }
+    acc
+}
+
 /// Σ|coeff| of the 4x4 Hadamard transform of the residual between two
 /// strided 4x4 blocks (`cur[r * cur_stride + c]` vs
 /// `reference[r * ref_stride + c]`). The caller halves the result to
@@ -238,6 +312,16 @@ mod x86 {
         _mm_cvtsi128_si64(_mm_add_epi64(v, hi)) as u64
     }
 
+    /// Horizontal sum of the four u64 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum256_epi64(v: __m256i) -> u64 {
+        hsum_epi64(_mm_add_epi64(
+            _mm256_castsi256_si128(v),
+            _mm256_extracti128_si256(v, 1),
+        ))
+    }
+
     /// Horizontal sum of four i32 lanes, widened to u64 before adding
     /// so lane totals near `i32::MAX` cannot wrap.
     #[inline]
@@ -283,12 +367,88 @@ mod x86 {
             acc = _mm256_add_epi64(acc, _mm256_sad_epu8(a, b));
             i += 32;
         }
-        let head = hsum_epi64(_mm_add_epi64(
-            _mm256_castsi256_si128(acc),
-            _mm256_extracti128_si256(acc, 1),
-        ));
+        let head = hsum256_epi64(acc);
         // 16/8-byte chunks and the scalar tail via the SSE2 kernel.
         head + row_sad_sse2(&cur[i..n], &reference[i..n])
+    }
+
+    /// `psadbw` of row `row` of two strided `W`-wide operands
+    /// (`W` of 8, 16 or 32), as two u64 lane sums.
+    ///
+    /// # Safety
+    ///
+    /// Both pointers must be valid for reads of `W` bytes at
+    /// `row * stride`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn row_psadbw<const W: usize>(
+        cur: *const u8,
+        cur_stride: usize,
+        reference: *const u8,
+        ref_stride: usize,
+        row: usize,
+    ) -> __m128i {
+        let c = cur.add(row * cur_stride);
+        let r = reference.add(row * ref_stride);
+        if W == 8 {
+            return _mm_sad_epu8(
+                _mm_loadl_epi64(c as *const __m128i),
+                _mm_loadl_epi64(r as *const __m128i),
+            );
+        }
+        let mut sum = _mm_sad_epu8(
+            _mm_loadu_si128(c as *const __m128i),
+            _mm_loadu_si128(r as *const __m128i),
+        );
+        if W == 32 {
+            sum = _mm_add_epi64(
+                sum,
+                _mm_sad_epu8(
+                    _mm_loadu_si128(c.add(16) as *const __m128i),
+                    _mm_loadu_si128(r.add(16) as *const __m128i),
+                ),
+            );
+        }
+        sum
+    }
+
+    /// Whole-block SAD of two strided `W x h` operands (`W` of 8, 16
+    /// or 32): the `psadbw` lane sums stay in one register across rows
+    /// and are reduced — and tested against `bound` — every four rows.
+    ///
+    /// # Safety
+    ///
+    /// For every `row < h`, both pointers must be valid for reads of
+    /// `W` bytes at `row * stride`; the host must support SSE2.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn block_sad_sse2<const W: usize>(
+        cur: *const u8,
+        cur_stride: usize,
+        reference: *const u8,
+        ref_stride: usize,
+        h: usize,
+        bound: u64,
+    ) -> u64 {
+        const { assert!(W == 8 || W == 16 || W == 32) };
+        let mut acc = _mm_setzero_si128();
+        let mut row = 0usize;
+        while row + 4 <= h {
+            for r in row..row + 4 {
+                let sad = row_psadbw::<W>(cur, cur_stride, reference, ref_stride, r);
+                acc = _mm_add_epi64(acc, sad);
+            }
+            row += 4;
+            let partial = hsum_epi64(acc);
+            if partial >= bound {
+                return partial;
+            }
+        }
+        while row < h {
+            let sad = row_psadbw::<W>(cur, cur_stride, reference, ref_stride, row);
+            acc = _mm_add_epi64(acc, sad);
+            row += 1;
+        }
+        hsum_epi64(acc)
     }
 
     #[target_feature(enable = "sse2")]
@@ -422,7 +582,7 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{row_sad_avx2, row_sad_sse2, row_ssd_avx2, row_ssd_sse2, satd4_sse2};
+use x86::{block_sad_sse2, row_sad_avx2, row_sad_sse2, row_ssd_avx2, row_ssd_sse2, satd4_sse2};
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@ use medvt::encoder::{
 };
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt::frame::{Frame, FrameKind, Rect, Resolution};
-use medvt::motion::SearchWindow;
+use medvt::motion::{MotionVector, SearchWindow};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -236,6 +236,75 @@ fn coarse_qp_two_reference_b_tile_matches_golden() {
     assert_eq!(stats, GOLDEN_QP42_B_STATS);
 }
 
+/// Encodes `tile` of frame 1 of a `res` clip panning by `(dx, dy)` a
+/// frame as a P tile predicted from the original frame 0, and returns
+/// `(bitstream_hash, stats, dominant_mv)`.
+fn encode_pan_tile(
+    res: Resolution,
+    tile: Rect,
+    dx: f64,
+    dy: f64,
+) -> (u64, TileStats, MotionVector) {
+    let video = PhantomVideo::builder(BodyPart::Cardiac)
+        .resolution(res)
+        .motion(MotionPattern::Pan { dx, dy })
+        .seed(77)
+        .build();
+    let tcfg = TileConfig {
+        qp: Qp::new(27).unwrap(),
+        search: SearchSpec::default(),
+        window: SearchWindow::W16,
+    };
+    let outcome = encode_tile(
+        &video.render(1),
+        &[&video.render(0)],
+        FrameKind::Predicted,
+        tile,
+        &tcfg,
+        &EncoderConfig::default(),
+    );
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, &outcome.bytes);
+    (hash, outcome.stats, outcome.dominant_mv)
+}
+
+/// A tile in the top-left frame corner of a clip panning right and
+/// down (a small frame, so the anatomy rather than the flat vignette
+/// fills the corner): the content's previous position lies up and
+/// left, so the winning candidates of the five blocks on the frame
+/// edge read off-frame, clamped reference samples — both in the search
+/// and in motion compensation.
+#[test]
+fn frame_corner_pan_tile_matches_golden() {
+    let (hash, stats, mv) =
+        encode_pan_tile(Resolution::new(64, 48), Rect::new(0, 0, 48, 32), 3.0, 2.0);
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        println!("corner_pan_hash = {hash:#018x}\n{mv:?}\n{stats:#?}");
+    }
+    assert_eq!(mv, GOLDEN_CORNER_PAN_MV, "winners must point off-frame");
+    assert_eq!(hash, GOLDEN_CORNER_PAN_HASH);
+    assert_eq!(stats, GOLDEN_CORNER_PAN_STATS);
+}
+
+/// A tile whose width and height are 8 mod 16: its right column and
+/// bottom row are 8-wide / 8-high edge blocks, so search, intra
+/// decision and residual coding all run on 8x16, 16x8 and 8x8 blocks.
+#[test]
+fn tile_with_8_wide_edge_blocks_matches_golden() {
+    let (hash, stats, mv) = encode_pan_tile(
+        Resolution::new(128, 96),
+        Rect::new(40, 24, 56, 40),
+        1.3,
+        -0.6,
+    );
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        println!("edge8_hash = {hash:#018x}\n{mv:?}\n{stats:#?}");
+    }
+    assert_eq!(mv, GOLDEN_EDGE8_MV);
+    assert_eq!(hash, GOLDEN_EDGE8_HASH);
+    assert_eq!(stats, GOLDEN_EDGE8_STATS);
+}
+
 // Captured from the seed kernels (per-pixel clamped SAD, HashMap memo,
 // mutexed DCT basis, allocating encode loop) before the fast paths
 // landed. The optimized kernels must reproduce them bit for bit.
@@ -270,4 +339,31 @@ const GOLDEN_QP42_B_STATS: TileStats = TileStats {
     transform_samples: 18432,
     intra_blocks: 39,
     inter_blocks: 9,
+};
+// Captured on the commit before the block-granular kernels landed
+// (per-row SAD dispatch, per-sample clamped candidates and motion
+// compensation, all four intra predictions materialised).
+const GOLDEN_CORNER_PAN_HASH: u64 = 0xcbe79b5e68e7ba1a;
+const GOLDEN_CORNER_PAN_MV: MotionVector = MotionVector::new(-3, -2);
+const GOLDEN_CORNER_PAN_STATS: TileStats = TileStats {
+    rect: Rect::new(0, 0, 48, 32),
+    bits: 108,
+    luma_ssd: 2481,
+    luma_samples: 1536,
+    sad_samples: 22528,
+    transform_samples: 2304,
+    intra_blocks: 1,
+    inter_blocks: 5,
+};
+const GOLDEN_EDGE8_HASH: u64 = 0x0a58ea3365d8a9f1;
+const GOLDEN_EDGE8_MV: MotionVector = MotionVector::new(-1, 1);
+const GOLDEN_EDGE8_STATS: TileStats = TileStats {
+    rect: Rect::new(40, 24, 56, 40),
+    bits: 1492,
+    luma_ssd: 27952,
+    luma_samples: 2240,
+    sad_samples: 26304,
+    transform_samples: 3360,
+    intra_blocks: 0,
+    inter_blocks: 12,
 };

@@ -18,6 +18,14 @@
 //! quant::dequantize → transform::inverse`) run on every block,
 //! whatever blocks it proves all-zero and skips.
 //!
+//! The block-granular kernels get the same treatment: the strided
+//! `simd::block_sad` against `cost::reference::sad` on every width it
+//! has a body for and the widths that fall through, at every stride
+//! shape its callers use (plane stride, packed, 0); `sad` with motion
+//! vectors off every edge and corner of the reference; and the
+//! encoder's intra predictions and mode decision against a textbook
+//! restatement of the four modes kept in this file.
+//!
 //! Tiers are pinned with `cost::simd::with_tier`, so on an AVX2 host a
 //! single run exercises all three code paths; on an older host the
 //! unavailable tiers are skipped (the scalar tier always runs).
@@ -133,6 +141,306 @@ proptest! {
                 }
                 prop_assert!(c <= exact, "tier {} overshot the exact cost", t.name());
             }
+        }
+    }
+}
+
+/// Small deterministic generator for the hand-rolled sweeps below
+/// (every assert prints the seed that built the failing case).
+struct Lcg(u64);
+
+impl Lcg {
+    fn new(seed: u64) -> Self {
+        Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    fn below(&mut self, m: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % m
+    }
+
+    fn bytes(&mut self, n: usize) -> Vec<u8> {
+        (0..n).map(|_| self.below(256) as u8).collect()
+    }
+}
+
+/// The `*_upto` contract against the exact cost, for the five bounds
+/// that straddle it.
+fn bounds_around(exact: u64) -> [u64; 5] {
+    [0, 1, exact, exact + 1, u64::MAX]
+}
+
+fn assert_upto_contract(got: u64, exact: u64, bound: u64, case: &str) {
+    if exact < bound {
+        assert_eq!(got, exact, "{case}: below the bound the cost is exact");
+    } else {
+        assert!(
+            bound <= got && got <= exact,
+            "{case}: got {got}, want {bound}..={exact}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `block_sad` on every tier: the widths with a block body and the
+    /// ones that fall through to the row loop, ragged heights either
+    /// side of the four-row bound test, and every stride shape a
+    /// caller uses — plane stride, packed, and 0 on either operand.
+    #[test]
+    fn block_sad_matches_reference_on_every_tier(seed in 0u64..u64::MAX) {
+        let mut rng = Lcg::new(seed);
+        for w in [4usize, 8, 12, 16, 24, 32] {
+            for h in [1usize, 3, 4, 5, 8, 15, 16, 17, 32, 33] {
+                let pad = 1 + rng.below(13) as usize;
+                for (cur_stride, ref_stride) in [(w, w), (w + pad, w + 2 * pad), (w + pad, 0), (0, w)] {
+                    let cur = rng.bytes((h - 1) * cur_stride + w);
+                    let reference = rng.bytes((h - 1) * ref_stride + w);
+                    // The same two blocks as planes, for the spec.
+                    let as_plane = |data: &[u8], stride: usize| {
+                        let rows = (0..h).flat_map(|r| data[r * stride..r * stride + w].iter().copied());
+                        Plane::from_vec(w, h, rows.collect()).expect("w x h samples")
+                    };
+                    let exact = cost::reference::sad(
+                        &as_plane(&cur, cur_stride),
+                        &as_plane(&reference, ref_stride),
+                        &Rect::frame(w, h),
+                        MotionVector::ZERO,
+                    );
+                    // Also the bounds either side of what the first
+                    // four-row test sees: reaching it may stop there,
+                    // one short of it must not.
+                    let head = Rect::frame(w, h.min(4));
+                    let first_check = cost::reference::sad(
+                        &as_plane(&cur, cur_stride),
+                        &as_plane(&reference, ref_stride),
+                        &head,
+                        MotionVector::ZERO,
+                    );
+                    let bounds = bounds_around(exact)
+                        .into_iter()
+                        .chain([first_check, first_check + 1]);
+                    for t in tiers() {
+                        for bound in bounds.clone() {
+                            let got = simd::block_sad(t, &cur, cur_stride, &reference, ref_stride, w, h, bound);
+                            let case = format!(
+                                "seed {seed} tier {} {w}x{h} strides {cur_stride}/{ref_stride} bound {bound}",
+                                t.name()
+                            );
+                            assert_upto_contract(got, exact, bound, &case);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `sad` / `sad_upto` with the displaced block hanging off every
+    /// edge and corner of the reference (partly and entirely), for
+    /// block sizes with a SIMD body, without one, and beyond the
+    /// clamped-patch buffer.
+    #[test]
+    fn sad_off_every_edge_and_corner_matches_reference(seed in 0u64..u64::MAX) {
+        let mut rng = Lcg::new(seed);
+        let (pw, ph) = (41 + rng.below(24) as usize, 37 + rng.below(20) as usize);
+        let cur = plane(pw, ph, seed);
+        let reference = plane(pw, ph, seed.wrapping_add(1));
+        for (bw, bh) in [(16usize, 16usize), (8, 8), (8, 16), (32, 32), (12, 7), (40, 36)] {
+            // Blocks in each corner of the current plane and inside it.
+            for (bx, by) in [(0, 0), (pw - bw, 0), (0, ph - bh), (pw - bw, ph - bh), ((pw - bw) / 2, (ph - bh) / 2)] {
+                let block = Rect::new(bx, by, bw, bh);
+                // Per axis: off the low edge, in frame, off the high
+                // edge — by a few samples or by more than the block.
+                let near = 1 + rng.below(7) as i16;
+                let far = (bw.max(bh) + 3) as i16;
+                for reach in [near, far] {
+                    for sy in [-1i16, 0, 1] {
+                        for sx in [-1i16, 0, 1] {
+                            let mv = MotionVector::new(
+                                sx * (reach + if sx < 0 { bx } else { pw - bw - bx } as i16),
+                                sy * (reach + if sy < 0 { by } else { ph - bh - by } as i16),
+                            );
+                            let exact = cost::reference::sad(&cur, &reference, &block, mv);
+                            for t in tiers() {
+                                let case = format!(
+                                    "seed {seed} tier {} plane {pw}x{ph} block {block} mv {mv:?}",
+                                    t.name()
+                                );
+                                simd::with_tier(t, || {
+                                    assert_eq!(cost::sad(&cur, &reference, &block, mv), exact, "{case}");
+                                    for bound in bounds_around(exact) {
+                                        let got = cost::sad_upto(&cur, &reference, &block, mv, bound);
+                                        assert_upto_contract(got, exact, bound, &format!("{case} bound {bound}"));
+                                    }
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+mod intra {
+    use super::{simd, tiers, Lcg};
+    use medvt_encoder::{IntraMode, IntraRefs};
+    use medvt_frame::{Plane, Rect};
+    use proptest::prelude::*;
+
+    /// The four intra modes restated from their definition: missing
+    /// edges read as the DC level, planar divides by `2·w·h`.
+    fn spec_predict(recon: &Plane, block: &Rect, tile: &Rect, mode: IntraMode) -> Vec<u8> {
+        let (w, h) = (block.w, block.h);
+        let top: Option<Vec<u32>> = (block.y > tile.y).then(|| {
+            (0..w)
+                .map(|x| recon.get(block.x + x, block.y - 1) as u32)
+                .collect()
+        });
+        let left: Option<Vec<u32>> = (block.x > tile.x).then(|| {
+            (0..h)
+                .map(|y| recon.get(block.x - 1, block.y + y) as u32)
+                .collect()
+        });
+        let edges: Vec<u32> = top.iter().chain(&left).flatten().copied().collect();
+        let count = edges.len() as u32;
+        let dc = (edges.iter().sum::<u32>() + count / 2)
+            .checked_div(count)
+            .unwrap_or(128);
+        let top = top.unwrap_or_else(|| vec![dc; w]);
+        let left = left.unwrap_or_else(|| vec![dc; h]);
+        let (wu, hu) = (w as u32, h as u32);
+        let mut out = Vec::with_capacity(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let (xu, yu) = (x as u32, y as u32);
+                out.push(match mode {
+                    IntraMode::Dc => dc,
+                    IntraMode::Horizontal => left[y],
+                    IntraMode::Vertical => top[x],
+                    IntraMode::Planar => {
+                        let hor = (wu - 1 - xu) * left[y] + (xu + 1) * top[w - 1];
+                        let ver = (hu - 1 - yu) * top[x] + (yu + 1) * left[h - 1];
+                        (hor * hu + ver * wu + wu * hu) / (2 * wu * hu)
+                    }
+                } as u8);
+            }
+        }
+        out
+    }
+
+    fn plain_sad(a: &[u8], b: &[u8]) -> u64 {
+        a.iter().zip(b).map(|(&a, &b)| a.abs_diff(b) as u64).sum()
+    }
+
+    /// `block` inside an 80x80 plane, with the tile border placed so
+    /// that exactly the requested reference edges are available.
+    fn tile_for(block: &Rect, has_top: bool, has_left: bool) -> Rect {
+        let x = if has_left { 0 } else { block.x };
+        let y = if has_top { 0 } else { block.y };
+        Rect::new(x, y, 80 - x, 80 - y)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// `predict_into` against the restated modes over random
+        /// edges: block sizes whose planar divisor `2·w·h` is a power
+        /// of two (the shift) and ones where it is not (the divide),
+        /// with every combination of available edges.
+        #[test]
+        fn predictions_match_their_definition(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let recon = Plane::from_vec(80, 80, rng.bytes(80 * 80)).expect("80x80");
+            let mut refs = IntraRefs::default();
+            let mut got = vec![9u8; 5]; // dirty buffer must be replaced
+            for (w, h) in [(8usize, 8usize), (16, 16), (32, 32), (16, 8), (8, 32), (4, 4), (24, 24), (12, 8), (8, 24), (20, 12), (1, 3)] {
+                for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
+                    let tile = tile_for(&block, has_top, has_left);
+                    refs.regather(&recon, &block, &tile);
+                    for mode in IntraMode::ALL {
+                        refs.predict_into(mode, w, h, &mut got);
+                        prop_assert_eq!(
+                            &got,
+                            &spec_predict(&recon, &block, &tile, mode),
+                            "seed {} {:?} {}x{} top {} left {}", seed, mode, w, h, has_top, has_left
+                        );
+                    }
+                }
+            }
+        }
+
+        /// `best_mode_into` is the first strict minimum over
+        /// `IntraMode::ALL` of prediction + plain SAD: the mode, the
+        /// SAD and the bytes left in `best`, on every tier. Originals
+        /// are a noisy copy of one mode's prediction over random
+        /// edges (so every mode gets to win), and a checkerboard of
+        /// the two edge levels over flat edges (DC, horizontal and
+        /// vertical then tie exactly, and the earliest must win).
+        #[test]
+        fn best_mode_is_the_first_strict_minimum(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let noisy = Plane::from_vec(80, 80, rng.bytes(80 * 80)).expect("80x80");
+            let mut refs = IntraRefs::default();
+            let (mut best, mut tmp) = (vec![1u8; 3], vec![2u8; 700]);
+            let (mut wins, mut ties) = ([0u32; 4], 0u32);
+            for w in [8usize, 16, 24, 32] {
+                for h in [8usize, 16, 24, 32] {
+                    for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
+                        let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
+                        let tile = tile_for(&block, has_top, has_left);
+                        // Flat edges: the row above at one level, the
+                        // column to the left at another.
+                        let (a, b) = (rng.below(256) as u8, rng.below(256) as u8);
+                        let mut flat = Plane::filled(80, 80, a);
+                        flat.fill_rect(&Rect::new(block.x - 1, 0, 1, 80), b);
+                        for target in 0..5usize {
+                            let recon = if target == 4 { &flat } else { &noisy };
+                            refs.regather(recon, &block, &tile);
+                            let predictions = IntraMode::ALL.map(|m| spec_predict(recon, &block, &tile, m));
+                            let original: Vec<u8> = if target == 4 {
+                                (0..w * h).map(|i| if (i / w + i % w) % 2 == 0 { a } else { b }).collect()
+                            } else {
+                                let amplitude = rng.below(4) as i16;
+                                predictions[target]
+                                    .iter()
+                                    .map(|&p| {
+                                        let noise = rng.below(2 * amplitude as u64 + 1) as i16 - amplitude;
+                                        (p as i16 + noise).clamp(0, 255) as u8
+                                    })
+                                    .collect()
+                            };
+                            let sads: Vec<u64> = predictions.iter().map(|p| plain_sad(&original, p)).collect();
+                            let mut want = (IntraMode::Dc, sads[0]);
+                            for (mode, &sad) in IntraMode::ALL.into_iter().zip(&sads) {
+                                if sad < want.1 {
+                                    want = (mode, sad);
+                                }
+                            }
+                            wins[want.0.index() as usize] += 1;
+                            ties += u32::from(sads.iter().filter(|&&sad| sad == want.1).count() > 1);
+                            for t in tiers() {
+                                let got = simd::with_tier(t, || {
+                                    refs.best_mode_into(&original, w, h, &mut best, &mut tmp)
+                                });
+                                let case = format!(
+                                    "seed {seed} tier {} {w}x{h} top {has_top} left {has_left} target {target}",
+                                    t.name()
+                                );
+                                prop_assert_eq!(got, want, "{}", case);
+                                prop_assert_eq!(&best, &predictions[want.0.index() as usize], "bytes in best: {}", case);
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert!(wins.iter().all(|&n| n > 0), "seed {seed}: every mode must win somewhere, got {wins:?}");
+            prop_assert!(ties >= 16, "seed {seed}: the flat-edge cases must tie, got {ties}");
         }
     }
 }
