@@ -29,7 +29,11 @@
 //! ```
 //!
 //! The L2 bound catches noise-like residuals (many small samples), the
-//! L1 bound single-spike ones; neither dominates.
+//! L1 bound single-spike ones; neither dominates. That inequality is
+//! [`crate::quant::norms_bound_below`]; per block the coder tests its
+//! integer form, [`ZeroBlockBound`] — the largest `SAD` and the largest
+//! `SSD` for which it holds at the tile's QP and transform size, found
+//! once by evaluating that very predicate.
 //!
 //! **The guard.** The bounds above hold for the exact coefficient; the
 //! encoder's is computed in `f64`. Each of the two matrix products
@@ -47,8 +51,10 @@
 //! decide.
 //!
 //! A block that fails the bound runs forward DCT, quantizer and
-//! [`code_block`] as before; when its levels all came out zero anyway
-//! the remaining stages are skipped too, exactly: `0·step` is `+0.0`,
+//! [`code_block`] (`code_surviving_block`: fixed-size kernels on stack
+//! arrays, the transform under [`transform`]'s evaluation-order
+//! contract); when its levels all came out zero anyway the remaining
+//! stages are skipped too, exactly: `0·step` is `+0.0`,
 //! the inverse DCT of zeros sums signed zeros to `+0.0`, and
 //! `pred + 0.0` rounds and clamps to `pred`.
 //!
@@ -60,10 +66,11 @@
 use crate::bits::{code_block, BitWriter};
 use crate::config::Qp;
 use crate::quant::{
-    dequantize_int_into, dequantize_with_step, quantize_int_into, quantize_with_step,
-    zero_threshold,
+    dequantize_block, dequantize_int_into, quantize_block, quantize_int_into, ZeroBlockBound,
 };
-use crate::transform::{self, TxPath};
+use crate::transform::{self, as_square, with_size, Square, TxPath};
+#[cfg(target_arch = "x86_64")]
+use medvt_motion::cost::simd;
 
 /// Outcome of coding one residual region.
 #[derive(Debug, Clone)]
@@ -102,18 +109,15 @@ pub struct ResidualOutcome {
 }
 
 /// Reusable buffers for [`code_residual_into`]: one residual
-/// sub-block, the coefficient/level/reconstruction intermediates and
-/// the DCT product scratch. One instance per encoding thread makes
-/// residual coding zero-allocation in steady state.
+/// sub-block and the [`TxPath::Int`] stages' intermediates (the
+/// [`TxPath::F64`] stages work on stack arrays). One instance per
+/// encoding thread makes residual coding zero-allocation in steady
+/// state.
 #[derive(Debug, Clone, Default)]
 pub struct ResidualScratch {
     residual: Vec<i32>,
-    coeffs: Vec<f64>,
+    // Integer-path ([`TxPath::Int`]) intermediates.
     levels: Vec<i32>,
-    rec_coeffs: Vec<f64>,
-    rec_res: Vec<f64>,
-    dct_tmp: Vec<f64>,
-    // Integer-path ([`TxPath::Int`]) counterparts.
     coeffs_i: Vec<i32>,
     rec_coeffs_i: Vec<i32>,
     rec_res_i: Vec<i32>,
@@ -121,40 +125,9 @@ pub struct ResidualScratch {
     dct_wide_i: Vec<i64>,
 }
 
-impl ResidualScratch {
-    /// Readies the buffers for `len`-sample blocks: the residual at
-    /// its length, the [`TxPath::F64`] intermediates at their
-    /// capacity. Elided blocks never reach the stages that grow an
-    /// intermediate on first use, so without this the first textured
-    /// block after a run of elided ones would allocate mid-stream.
-    /// (The integer path runs every stage on every block, so its
-    /// buffers are grown by the first block as before.)
-    fn prepare(&mut self, len: usize) {
-        self.residual.resize(len, 0);
-        self.levels.reserve(len.saturating_sub(self.levels.len()));
-        for buf in [
-            &mut self.coeffs,
-            &mut self.rec_coeffs,
-            &mut self.rec_res,
-            &mut self.dct_tmp,
-        ] {
-            buf.reserve(len.saturating_sub(buf.len()));
-        }
-    }
-}
-
 /// Bits [`code_block`] spends on a block without levels: the lone
 /// `coded_block_flag = 0`. Any block with a level costs more.
 const EMPTY_BLOCK_BITS: u64 = 1;
-
-/// `true` when the norms of an `n x n` residual (`sad = ‖x‖₁`,
-/// `ssd = ‖x‖₂²`) prove that every DCT coefficient has magnitude below
-/// `zero_below` (see the module docs for the bound).
-fn norms_bound_below(sad: u32, ssd: u32, n: usize, zero_below: f64) -> bool {
-    let l2_bound = f64::from(ssd).sqrt();
-    let l1_bound = f64::from(sad) * (2.0 / n as f64);
-    l2_bound.min(l1_bound) < zero_below
-}
 
 /// Gathers the `n x n` residual `original - prediction` of two
 /// operands anchored at the block's top-left sample (rows `stride`
@@ -199,6 +172,132 @@ fn gather_residual(
     }
 }
 
+/// Reconstructs one `N x N` block whose operands are anchored at its
+/// top-left sample with rows `stride` apart: `recon = prediction +
+/// residual`, rounded half away from zero and clamped to `0..=255`.
+/// Returns the block's squared error against `original` (at most
+/// `32² · 255²`, so the `u32` accumulator cannot overflow).
+#[inline(always)]
+fn reconstruct<const N: usize>(
+    original: &[u8],
+    prediction: &[u8],
+    stride: usize,
+    residual: &Square<f64, N>,
+    recon: &mut [u8],
+) -> u64 {
+    let mut ssd = 0u32;
+    for (r, res_row) in residual.iter().enumerate() {
+        let row = r * stride..r * stride + N;
+        let orig_row = &original[row.clone()];
+        let pred_row = &prediction[row.clone()];
+        let rec_row = &mut recon[row];
+        for c in 0..N {
+            let v = f64::from(pred_row[c]) + res_row[c];
+            let rec = v.round().clamp(0.0, 255.0) as u8;
+            rec_row[c] = rec;
+            let d = i32::from(orig_row[c]) - i32::from(rec);
+            ssd += (d * d) as u32;
+        }
+    }
+    u64::from(ssd)
+}
+
+/// [`reconstruct`] compiled with AVX2 (and so SSE4.1) available:
+/// `f64::round` becomes a few vector instructions there, where the
+/// baseline build has to call libm for every sample.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn reconstruct_avx2<const N: usize>(
+    original: &[u8],
+    prediction: &[u8],
+    stride: usize,
+    residual: &Square<f64, N>,
+    recon: &mut [u8],
+) -> u64 {
+    reconstruct(original, prediction, stride, residual, recon)
+}
+
+/// [`reconstruct`] on the calling thread's dispatch tier
+/// ([`simd::tier`]); the same bytes on every tier.
+fn reconstruct_on_tier<const N: usize>(
+    original: &[u8],
+    prediction: &[u8],
+    stride: usize,
+    residual: &Square<f64, N>,
+    recon: &mut [u8],
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if simd::tier() == simd::DispatchTier::Avx2 {
+        // SAFETY: `tier()` is `Avx2` only when `is_x86_feature_detected!`
+        // found AVX2 on this host (`with_tier` asserts the same before
+        // it pins a tier), which is all `reconstruct_avx2` requires.
+        return unsafe { reconstruct_avx2(original, prediction, stride, residual, recon) };
+    }
+    reconstruct(original, prediction, stride, residual, recon)
+}
+
+/// The reconstruction stage of the residual coder on one packed
+/// `n x n` block: `recon = prediction + residual`, rounded half away
+/// from zero and clamped to `0..=255`. Returns the squared error of
+/// `recon` against `original`.
+///
+/// # Panics
+///
+/// Panics when `n` is not a supported transform size or a buffer does
+/// not hold `n * n` values.
+pub fn reconstruct_block(
+    n: usize,
+    original: &[u8],
+    prediction: &[u8],
+    residual: &[f64],
+    recon: &mut [u8],
+) -> u64 {
+    with_size!(n, N => {
+        assert!(
+            original.len() == N * N && prediction.len() == N * N && recon.len() == N * N,
+            "buffers must be {N}x{N}"
+        );
+        reconstruct_on_tier(original, prediction, N, as_square::<f64, N>(residual), recon)
+    })
+}
+
+/// Codes one `N x N` transform block that the elision bound could not
+/// decide: forward DCT, quantizer and [`code_block`], then — unless the
+/// levels came out all zero anyway — dequantizer, inverse DCT and
+/// reconstruction. Every intermediate is a stack array. `original`,
+/// `prediction` and `recon` are anchored at the block's top-left
+/// sample with rows `stride` apart; `residual_ssd` is the block's
+/// `‖x‖₂²`, its error when the reconstruction stays the prediction.
+#[allow(clippy::too_many_arguments)]
+fn code_surviving_block<const N: usize>(
+    residual: &[i32],
+    residual_ssd: u32,
+    original: &[u8],
+    prediction: &[u8],
+    recon: &mut [u8],
+    stride: usize,
+    step: f64,
+    writer: &mut BitWriter,
+    out: &mut ResidualOutcome,
+) {
+    let mut coeffs = [[0.0; N]; N];
+    transform::forward_block(as_square::<i32, N>(residual), &mut coeffs);
+    let mut levels = [[0; N]; N];
+    quantize_block(&coeffs, step, &mut levels);
+    let block_bits = code_block(levels.as_flattened(), N, writer);
+    out.bits += block_bits;
+    if block_bits == EMPTY_BLOCK_BITS {
+        out.ssd += u64::from(residual_ssd);
+        out.zero_level_blocks += 1;
+        return;
+    }
+    // The inverse's input, written over the forward coefficients.
+    dequantize_block(&levels, step, &mut coeffs);
+    let mut rec_res = [[0.0; N]; N];
+    transform::inverse_block(&coeffs, &mut rec_res);
+    out.ssd += reconstruct_on_tier(original, prediction, stride, &rec_res, recon);
+}
+
 /// Codes the residual `original - prediction` of a `w x h` region using
 /// `tx_size` transforms, writing coefficients into `writer`.
 ///
@@ -240,9 +339,9 @@ pub fn code_residual(
     }
 }
 
-/// Allocation-free [`code_residual`]: all intermediates live in
-/// `scratch` and the reconstruction is written into `recon` (cleared
-/// first). With [`TxPath::F64`], emitted bits, reconstruction and
+/// Allocation-free [`code_residual`]: intermediates live in `scratch`
+/// or on the stack and the reconstruction is written into `recon`
+/// (cleared first). With [`TxPath::F64`], emitted bits, reconstruction and
 /// counters are bit-exact with [`code_residual`], and blocks proven
 /// all-zero from their residual norms skip the transform (see the
 /// module docs); [`TxPath::Int`] runs the fixed-point transform of
@@ -251,8 +350,9 @@ pub fn code_residual(
 ///
 /// # Panics
 ///
-/// Panics when the buffers do not match `w * h` or the dimensions are
-/// not multiples of `tx_size`.
+/// Panics when the buffers do not match `w * h`, the dimensions are
+/// not multiples of `tx_size`, or `tx_size` is not a supported
+/// transform size.
 #[allow(clippy::too_many_arguments)]
 pub fn code_residual_into(
     original: &[u8],
@@ -275,23 +375,24 @@ pub fn code_residual_into(
     recon.clear();
     recon.extend_from_slice(prediction);
     let block_samples = tx_size * tx_size;
-    scratch.prepare(block_samples);
+    scratch.residual.resize(block_samples, 0);
     let step = qp.step_size();
-    let zero_below = zero_threshold(step);
+    let zero_bound = ZeroBlockBound::of(qp, tx_size);
     let mut out = ResidualOutcome::default();
     for ty in (0..h).step_by(tx_size) {
         for tx in (0..w).step_by(tx_size) {
+            let at = ty * w + tx;
             let (sad, ssd) = gather_residual(
                 tx_size,
-                &original[ty * w + tx..],
-                &prediction[ty * w + tx..],
+                &original[at..],
+                &prediction[at..],
                 w,
                 &mut scratch.residual,
             );
             out.transform_samples += block_samples as u64;
             match tx_path {
                 TxPath::F64 => {
-                    if norms_bound_below(sad, ssd, tx_size, zero_below) {
+                    if zero_bound.proves_zero(sad, ssd) {
                         // What `code_block` writes for all-zero levels;
                         // the reconstruction stays the prediction, so
                         // the block's error is its residual.
@@ -302,37 +403,17 @@ pub fn code_residual_into(
                         out.elided_blocks += 1;
                         continue;
                     }
-                    transform::forward_into(
-                        tx_size,
+                    with_size!(tx_size, N => code_surviving_block::<N>(
                         &scratch.residual,
-                        &mut scratch.coeffs,
-                        &mut scratch.dct_tmp,
-                    );
-                    quantize_with_step(&scratch.coeffs, step, &mut scratch.levels);
-                    let block_bits = code_block(&scratch.levels, tx_size, writer);
-                    out.bits += block_bits;
-                    if block_bits == EMPTY_BLOCK_BITS {
-                        out.ssd += u64::from(ssd);
-                        out.zero_level_blocks += 1;
-                        continue;
-                    }
-                    dequantize_with_step(&scratch.levels, step, &mut scratch.rec_coeffs);
-                    transform::inverse_into(
-                        tx_size,
-                        &scratch.rec_coeffs,
-                        &mut scratch.rec_res,
-                        &mut scratch.dct_tmp,
-                    );
-                    for r in 0..tx_size {
-                        for c in 0..tx_size {
-                            let idx = (ty + r) * w + (tx + c);
-                            let v = prediction[idx] as f64 + scratch.rec_res[r * tx_size + c];
-                            let rec = v.round().clamp(0.0, 255.0) as u8;
-                            recon[idx] = rec;
-                            let d = original[idx] as i64 - rec as i64;
-                            out.ssd += (d * d) as u64;
-                        }
-                    }
+                        ssd,
+                        &original[at..],
+                        &prediction[at..],
+                        &mut recon[at..],
+                        w,
+                        step,
+                        writer,
+                        &mut out,
+                    ));
                 }
                 TxPath::Int => {
                     transform::int::forward_into(
@@ -373,7 +454,7 @@ pub fn code_residual_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{dequantize, nonzero_count, quantize};
+    use crate::quant::{dequantize, nonzero_count, norms_bound_below, quantize, zero_threshold};
     use proptest::prelude::*;
 
     fn qp(v: u8) -> Qp {

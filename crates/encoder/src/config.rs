@@ -10,6 +10,7 @@ use medvt_motion::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// HEVC quantization parameter, valid range `0..=51`.
 ///
@@ -63,9 +64,21 @@ impl Qp {
         self.0
     }
 
-    /// HEVC quantization step size `2^((QP-4)/6)`.
+    /// Number of QP values (`0..=51`): the length of a per-QP table.
+    pub(crate) const COUNT: usize = 52;
+
+    /// HEVC quantization step size `2^((QP-4)/6)`: a table look-up,
+    /// the table filled on first use from that expression (the residual
+    /// coder asks several times per prediction block, and `powf` is a
+    /// libm call).
     pub fn step_size(&self) -> f64 {
-        2f64.powf((self.0 as f64 - 4.0) / 6.0)
+        static STEPS: OnceLock<[f64; Qp::COUNT]> = OnceLock::new();
+        STEPS.get_or_init(|| std::array::from_fn(Qp::step_size_of))[usize::from(self.0)]
+    }
+
+    /// `2^((qp-4)/6)`, evaluated.
+    fn step_size_of(qp: usize) -> f64 {
+        2f64.powf((qp as f64 - 4.0) / 6.0)
     }
 
     /// The HM-style Lagrange multiplier `0.85 * 2^((QP-12)/3)` used in
@@ -289,6 +302,14 @@ mod tests {
     #[test]
     fn qp4_step_is_one() {
         assert!((Qp::new(4).unwrap().step_size() - 1.0).abs() < 1e-12);
+        // The table holds the expression's own values, to the bit.
+        for v in 0..=51u8 {
+            assert_eq!(
+                Qp::new(v).unwrap().step_size().to_bits(),
+                2f64.powf((v as f64 - 4.0) / 6.0).to_bits(),
+                "qp {v}"
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub mod transform;
 mod video_enc;
 
 pub use block::{
-    code_residual, code_residual_into, CodedResidual, ResidualOutcome, ResidualScratch,
+    code_residual, code_residual_into, reconstruct_block, CodedResidual, ResidualOutcome,
+    ResidualScratch,
 };
 pub use config::{EncoderConfig, Qp, SearchSpec, TileConfig};
 pub use cost_model::CostModel;

@@ -6,6 +6,8 @@
 //! is used throughout).
 
 use crate::config::Qp;
+use crate::transform::{size_index, Square, TRANSFORM_SIZES};
+use std::sync::OnceLock;
 
 /// Dead-zone rounding offset as a fraction of the step size.
 const DEAD_ZONE: f64 = 1.0 / 3.0;
@@ -13,7 +15,7 @@ const DEAD_ZONE: f64 = 1.0 / 3.0;
 /// Relative margin kept below the dead-zone edge by
 /// [`zero_threshold`]: `2⁻²⁰`, some `10⁷` times the worst-case `f64`
 /// rounding of a transform coefficient and of the quantizer's own
-/// arithmetic (derivation in [`crate::block`]'s module docs).
+/// arithmetic (derivation in the residual coder's module docs).
 const ZERO_GUARD: f64 = 1.0 / (1u32 << 20) as f64;
 
 /// Magnitude below which a coefficient is certain to quantize to
@@ -21,8 +23,102 @@ const ZERO_GUARD: f64 = 1.0 / (1u32 << 20) as f64;
 /// yields 0 iff `|c| / step + DEAD_ZONE < 1`, i.e.
 /// `|c| < step * (1 - DEAD_ZONE)`, and the guard keeps callers that
 /// only bound `|c|` clear of that edge.
-pub(crate) fn zero_threshold(step: f64) -> f64 {
+pub fn zero_threshold(step: f64) -> f64 {
     step * (1.0 - DEAD_ZONE) * (1.0 - ZERO_GUARD)
+}
+
+/// `true` when the norms of an `n x n` residual (`sad = ‖x‖₁`,
+/// `ssd = ‖x‖₂²`) prove that every coefficient of its orthonormal
+/// DCT-II has magnitude below `zero_below`: `|c| ≤ √ssd` and
+/// `|c| ≤ (2/n)·sad` (derivation in the residual coder's module docs).
+///
+/// This is the definition of the zero-block elision predicate; the
+/// encoder tests its integer form, [`ZeroBlockBound`].
+pub fn norms_bound_below(sad: u32, ssd: u32, n: usize, zero_below: f64) -> bool {
+    let l2_bound = f64::from(ssd).sqrt();
+    let l1_bound = f64::from(sad) * (2.0 / n as f64);
+    l2_bound.min(l1_bound) < zero_below
+}
+
+/// [`norms_bound_below`] at one QP and transform size, as two integer
+/// thresholds: the predicate is monotone in `sad` and in `ssd` and
+/// true whenever either bound is below the threshold, so it holds
+/// exactly when `sad ≤ max_sad` or `ssd ≤ max_ssd`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZeroBlockBound {
+    /// Largest `‖x‖₁` whose L1 bound `(2/n)·sad` is below the
+    /// quantizer's [`zero_threshold`].
+    pub max_sad: u32,
+    /// Largest `‖x‖₂²` whose L2 bound `√ssd` is below it.
+    pub max_ssd: u32,
+}
+
+impl ZeroBlockBound {
+    /// The thresholds for `n x n` blocks quantized at `qp`, from a
+    /// table filled on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is not a supported transform size.
+    pub fn of(qp: Qp, n: usize) -> ZeroBlockBound {
+        static TABLE: OnceLock<[[ZeroBlockBound; TRANSFORM_SIZES.len()]; Qp::COUNT]> =
+            OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            std::array::from_fn(|v| {
+                let zero_below = zero_threshold(Qp::saturating(v as i32).step_size());
+                TRANSFORM_SIZES.map(|n| ZeroBlockBound::search(n, zero_below))
+            })
+        });
+        table[usize::from(qp.value())][size_index(n)]
+    }
+
+    /// Finds both thresholds by evaluating [`norms_bound_below`] itself
+    /// either side of where its real-valued form crosses.
+    fn search(n: usize, zero_below: f64) -> ZeroBlockBound {
+        // `holds(0)` is true (`0 < zero_below`), so the descent stops.
+        fn largest(guess: f64, holds: impl Fn(u32) -> bool) -> u32 {
+            let mut v = guess as u32;
+            while !holds(v) {
+                v -= 1;
+            }
+            while holds(v + 1) {
+                v += 1;
+            }
+            v
+        }
+        // The norm held at `u32::MAX` bounds nothing below any
+        // threshold, which leaves the other one to decide alone.
+        ZeroBlockBound {
+            max_sad: largest(zero_below * n as f64 / 2.0, |sad| {
+                norms_bound_below(sad, u32::MAX, n, zero_below)
+            }),
+            max_ssd: largest(zero_below * zero_below, |ssd| {
+                norms_bound_below(u32::MAX, ssd, n, zero_below)
+            }),
+        }
+    }
+
+    /// [`norms_bound_below`] for this QP and size, in integers.
+    #[inline]
+    pub fn proves_zero(self, sad: u32, ssd: u32) -> bool {
+        sad <= self.max_sad || ssd <= self.max_ssd
+    }
+}
+
+/// The level of one coefficient. `|c| / step + DEAD_ZONE` is never
+/// negative, so truncating it (the `as` cast, a `cvttsd2si`) is `floor`
+/// without the libm call baseline x86-64 needs for one, and applying
+/// the sign afterwards still gives `-0.0`, and a negative coefficient
+/// inside the dead zone, level 0. Transform coefficients are at most
+/// `255 · 32` in magnitude, far inside `i32`.
+#[inline(always)]
+fn level(c: f64, step: f64) -> i32 {
+    let magnitude = (c.abs() / step + DEAD_ZONE) as i32;
+    if c < 0.0 {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 /// Quantizes coefficients to integer levels.
@@ -35,18 +131,26 @@ pub fn quantize(coeffs: &[f64], qp: Qp) -> Vec<i32> {
 /// Allocation-free [`quantize`]: writes the levels into `out`
 /// (cleared first). Bit-exact with [`quantize`].
 pub fn quantize_into(coeffs: &[f64], qp: Qp, out: &mut Vec<i32>) {
-    quantize_with_step(coeffs, qp.step_size(), out);
+    let step = qp.step_size();
+    out.clear();
+    out.extend(coeffs.iter().map(|&c| level(c, step)));
 }
 
-/// [`quantize_into`] with the step size already evaluated, so a
-/// caller coding many blocks at one QP pays `Qp::step_size`'s `powf`
-/// once.
-pub(crate) fn quantize_with_step(coeffs: &[f64], step: f64, out: &mut Vec<i32>) {
-    out.clear();
-    out.extend(coeffs.iter().map(|&c| {
-        let sign = if c < 0.0 { -1.0 } else { 1.0 };
-        (sign * (c.abs() / step + DEAD_ZONE).floor()) as i32
-    }));
+/// [`quantize_into`] for one `N x N` block at an already looked-up
+/// step size.
+#[inline(always)]
+pub(crate) fn quantize_block<const N: usize>(
+    coeffs: &Square<f64, N>,
+    step: f64,
+    levels: &mut Square<i32, N>,
+) {
+    for (l, &c) in levels
+        .as_flattened_mut()
+        .iter_mut()
+        .zip(coeffs.as_flattened())
+    {
+        *l = level(c, step);
+    }
 }
 
 /// Reconstructs coefficients from levels.
@@ -59,13 +163,26 @@ pub fn dequantize(levels: &[i32], qp: Qp) -> Vec<f64> {
 /// Allocation-free [`dequantize`]: writes the coefficients into `out`
 /// (cleared first). Bit-exact with [`dequantize`].
 pub fn dequantize_into(levels: &[i32], qp: Qp, out: &mut Vec<f64>) {
-    dequantize_with_step(levels, qp.step_size(), out);
-}
-
-/// [`dequantize_into`] with the step size already evaluated.
-pub(crate) fn dequantize_with_step(levels: &[i32], step: f64, out: &mut Vec<f64>) {
+    let step = qp.step_size();
     out.clear();
     out.extend(levels.iter().map(|&l| l as f64 * step));
+}
+
+/// [`dequantize_into`] for one `N x N` block at an already looked-up
+/// step size.
+#[inline(always)]
+pub(crate) fn dequantize_block<const N: usize>(
+    levels: &Square<i32, N>,
+    step: f64,
+    coeffs: &mut Square<f64, N>,
+) {
+    for (c, &l) in coeffs
+        .as_flattened_mut()
+        .iter_mut()
+        .zip(levels.as_flattened())
+    {
+        *c = f64::from(l) * step;
+    }
 }
 
 /// Quantizes integer-path transform coefficients

@@ -6,7 +6,31 @@
 //! inverse pair perfectly invertible so the only reconstruction error
 //! is quantization — exactly the property the rate/distortion
 //! behaviour of the experiments depends on.
+//!
+//! # The evaluation-order contract
+//!
+//! Both directions are one product `A · X · B` of `n x n` matrices
+//! (`C · X · C^T` forward, `C^T · Y · C` inverse), and the value of
+//! every output element is normative, to the bit:
+//!
+//! * `T = A · X` first, then `out = T · B`;
+//! * every element of `T` and of `out` starts at `+0.0` and adds its
+//!   `n` products in ascending inner index (`i` for `T[k][j] = Σᵢ
+//!   A[k][i]·X[i][j]`, `j` for `out[k][l] = Σⱼ T[k][j]·B[j][l]`);
+//! * each product is rounded before it is added: no `mul_add`, and the
+//!   `fma` target feature is never enabled on this code.
+//!
+//! The kernel runs its loops `ikj` (the accumulation index outside the
+//! output column), so a compiler may vectorise *across output columns*
+//! — independent elements — and never across the terms of one sum.
+//! That is why its baseline build, its AVX2 build (picked by
+//! `medvt_motion::cost::simd::tier`) and a `-C target-cpu=x86-64-v3`
+//! build of the whole crate all produce the same coefficients;
+//! `tests/kernel_differential.rs` compares them, by `f64::to_bits`,
+//! with a restatement of the definition above.
 
+#[cfg(target_arch = "x86_64")]
+use medvt_motion::cost::simd;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -29,6 +53,28 @@ pub enum TxPath {
     F64,
     /// Fixed-point integer DCT approximation ([`int`]).
     Int,
+}
+
+/// Index of a transform size in [`TRANSFORM_SIZES`] and in the basis
+/// caches.
+///
+/// # Panics
+///
+/// Panics when `n` is not one of [`TRANSFORM_SIZES`].
+pub(crate) fn size_index(n: usize) -> usize {
+    match n {
+        4 => 0,
+        8 => 1,
+        16 => 2,
+        32 => 3,
+        n => unsupported_size(n),
+    }
+}
+
+/// The panic every entry point raises for a size outside
+/// [`TRANSFORM_SIZES`].
+pub(crate) fn unsupported_size(n: usize) -> ! {
+    panic!("unsupported transform size {n}; HEVC sizes are 4/8/16/32")
 }
 
 /// One lock-free lazily-initialized basis table per transform size.
@@ -61,11 +107,7 @@ fn compute_basis(n: usize) -> Box<[f64]> {
 
 /// Orthonormal DCT-II basis matrix of size `n x n`, row-major, cached.
 fn basis(n: usize) -> &'static [f64] {
-    let idx = TRANSFORM_SIZES
-        .iter()
-        .position(|&s| s == n)
-        .unwrap_or_else(|| panic!("unsupported transform size {n}; HEVC sizes are 4/8/16/32"));
-    BASIS_CELLS[idx].get_or_init(|| compute_basis(n))
+    BASIS_CELLS[size_index(n)].get_or_init(|| compute_basis(n))
 }
 
 /// Transposed basis (`C^T`), cached separately so multiplications by
@@ -79,11 +121,7 @@ static BASIS_T_CELLS: [OnceLock<Box<[f64]>>; 4] = [
 ];
 
 fn basis_t(n: usize) -> &'static [f64] {
-    let idx = TRANSFORM_SIZES
-        .iter()
-        .position(|&s| s == n)
-        .unwrap_or_else(|| panic!("unsupported transform size {n}; HEVC sizes are 4/8/16/32"));
-    BASIS_T_CELLS[idx].get_or_init(|| {
+    BASIS_T_CELLS[size_index(n)].get_or_init(|| {
         let c = basis(n);
         let mut t = vec![0.0f64; n * n];
         for k in 0..n {
@@ -101,11 +139,131 @@ fn basis_t(n: usize) -> &'static [f64] {
 ///
 /// Panics when `n` is not one of [`TRANSFORM_SIZES`].
 fn check_size(n: usize) {
-    assert!(
-        TRANSFORM_SIZES.contains(&n),
-        "unsupported transform size {n}; HEVC sizes are 4/8/16/32"
-    );
+    size_index(n);
 }
+
+/// An `N x N` matrix as the fixed-size kernels take it.
+pub(crate) type Square<T, const N: usize> = [[T; N]; N];
+
+/// Views `N * N` row-major values as `N` rows of `N`.
+///
+/// # Panics
+///
+/// Panics when `flat.len() != N * N`.
+pub(crate) fn as_square<T, const N: usize>(flat: &[T]) -> &Square<T, N> {
+    assert_eq!(flat.len(), N * N, "block must be {N}x{N}");
+    let (rows, _) = flat.as_chunks::<N>();
+    rows.try_into().expect("N * N values make N rows of N")
+}
+
+/// The cached `(C, C^T)` of size `N`.
+fn tables<const N: usize>() -> (&'static Square<f64, N>, &'static Square<f64, N>) {
+    (as_square(basis(N)), as_square(basis_t(N)))
+}
+
+/// `out = A · X · B` on `N x N` matrices — the one body behind both
+/// transform directions at every size and on every dispatch tier,
+/// under the module's evaluation-order contract.
+#[inline(always)]
+fn product<const N: usize>(
+    a: &Square<f64, N>,
+    x: &Square<f64, N>,
+    b: &Square<f64, N>,
+    out: &mut Square<f64, N>,
+) {
+    for (a_row, out_row) in a.iter().zip(out.iter_mut()) {
+        let mut t_row = [0.0f64; N];
+        for (&a_ki, x_row) in a_row.iter().zip(x) {
+            for (t, &x_ij) in t_row.iter_mut().zip(x_row) {
+                *t += a_ki * x_ij;
+            }
+        }
+        let mut acc = [0.0f64; N];
+        for (&t_kj, b_row) in t_row.iter().zip(b) {
+            for (o, &b_jl) in acc.iter_mut().zip(b_row) {
+                *o += t_kj * b_jl;
+            }
+        }
+        *out_row = acc;
+    }
+}
+
+/// [`product`] compiled with 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn product_avx2<const N: usize>(
+    a: &Square<f64, N>,
+    x: &Square<f64, N>,
+    b: &Square<f64, N>,
+    out: &mut Square<f64, N>,
+) {
+    product(a, x, b, out);
+}
+
+/// [`product`] on the calling thread's dispatch tier
+/// ([`simd::tier`]): the AVX2 build where that is the tier, the
+/// baseline build (SSE2 on x86-64) otherwise. Same bits either way.
+fn product_on_tier<const N: usize>(
+    a: &Square<f64, N>,
+    x: &Square<f64, N>,
+    b: &Square<f64, N>,
+    out: &mut Square<f64, N>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::tier() == simd::DispatchTier::Avx2 {
+        // SAFETY: `tier()` is `Avx2` only when `is_x86_feature_detected!`
+        // found AVX2 on this host (`with_tier` asserts the same before
+        // it pins a tier), which is all `product_avx2` requires.
+        return unsafe { product_avx2(a, x, b, out) };
+    }
+    product(a, x, b, out);
+}
+
+/// Forward 2-D DCT-II of one `N x N` residual block: `C · X · C^T`.
+pub(crate) fn forward_block<const N: usize>(residual: &Square<i32, N>, out: &mut Square<f64, N>) {
+    let (c, ct) = tables::<N>();
+    let mut x = [[0.0f64; N]; N];
+    for (x, &r) in x.as_flattened_mut().iter_mut().zip(residual.as_flattened()) {
+        *x = f64::from(r);
+    }
+    product_on_tier(c, &x, ct, out);
+}
+
+/// Inverse 2-D DCT-II of one `N x N` coefficient block: `C^T · Y · C`.
+pub(crate) fn inverse_block<const N: usize>(coeffs: &Square<f64, N>, out: &mut Square<f64, N>) {
+    let (c, ct) = tables::<N>();
+    product_on_tier(ct, coeffs, c, out);
+}
+
+/// Runs `$body` with `$N` bound to the run-time transform size `$n`.
+///
+/// # Panics
+///
+/// Panics when `$n` is not one of [`TRANSFORM_SIZES`].
+macro_rules! with_size {
+    ($n:expr, $N:ident => $body:expr) => {
+        match $n {
+            4 => {
+                const $N: usize = 4;
+                $body
+            }
+            8 => {
+                const $N: usize = 8;
+                $body
+            }
+            16 => {
+                const $N: usize = 16;
+                $body
+            }
+            32 => {
+                const $N: usize = 32;
+                $body
+            }
+            n => $crate::transform::unsupported_size(n),
+        }
+    };
+}
+pub(crate) use with_size;
 
 /// Forward 2-D DCT-II of an `n x n` residual block (row-major `i32`
 /// samples), producing `f64` coefficients.
@@ -115,57 +273,28 @@ fn check_size(n: usize) {
 /// Panics when `n` is unsupported or `input.len() != n * n`.
 pub fn forward(n: usize, input: &[i32]) -> Vec<f64> {
     let mut out = Vec::new();
-    let mut tmp = Vec::new();
-    forward_into(n, input, &mut out, &mut tmp);
+    forward_into(n, input, &mut out, &mut Vec::new());
     out
 }
 
 /// Allocation-free [`forward`]: writes the coefficients into `out`
-/// using `tmp` as the intermediate product buffer. Both buffers are
-/// resized to `n * n`; reusing them across blocks makes the transform
-/// zero-allocation in steady state. The arithmetic (and therefore the
-/// bit-exact result) is identical to [`forward`].
+/// (resized to `n * n`; reusing it across blocks makes the transform
+/// zero-allocation in steady state). The intermediate product lives on
+/// the stack, so `_tmp` is left alone; the parameter remains for the
+/// callers written against the signature. The arithmetic is the
+/// fixed-size kernel the residual coder runs (the module's
+/// evaluation-order contract).
 ///
 /// # Panics
 ///
 /// Panics when `n` is unsupported or `input.len() != n * n`.
-pub fn forward_into(n: usize, input: &[i32], out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-    check_size(n);
-    assert_eq!(input.len(), n * n, "input must be {n}x{n}");
-    let c = basis(n);
-    let ct = basis_t(n);
-    // Both products run with the accumulation loop *outside* the
-    // output loop (ikj order): every output element still sums its
-    // terms in exactly the original index order — bit-identical under
-    // IEEE-754 — but the innermost loop is a stride-1 axpy the
-    // autovectorizer handles, instead of a latency-bound dot product.
-    //
-    // tmp = C * X
-    tmp.clear();
-    tmp.resize(n * n, 0.0);
-    for k in 0..n {
-        let trow = &mut tmp[k * n..(k + 1) * n];
-        for i in 0..n {
-            let cki = c[k * n + i];
-            let xrow = &input[i * n..(i + 1) * n];
-            for (t, &x) in trow.iter_mut().zip(xrow) {
-                *t += cki * x as f64;
-            }
-        }
-    }
-    // out = tmp * C^T  (out[k,l] = Σ_j tmp[k,j] · ct[j,l])
-    out.clear();
-    out.resize(n * n, 0.0);
-    for k in 0..n {
-        let orow = &mut out[k * n..(k + 1) * n];
-        for j in 0..n {
-            let tkj = tmp[k * n + j];
-            let crow = &ct[j * n..(j + 1) * n];
-            for (o, &cc) in orow.iter_mut().zip(crow) {
-                *o += tkj * cc;
-            }
-        }
-    }
+pub fn forward_into(n: usize, input: &[i32], out: &mut Vec<f64>, _tmp: &mut Vec<f64>) {
+    with_size!(n, N => {
+        let mut coeffs = [[0.0; N]; N];
+        forward_block(as_square::<i32, N>(input), &mut coeffs);
+        out.clear();
+        out.extend_from_slice(coeffs.as_flattened());
+    });
 }
 
 /// Inverse 2-D DCT-II, mapping coefficients back to residual samples
@@ -176,52 +305,23 @@ pub fn forward_into(n: usize, input: &[i32], out: &mut Vec<f64>, tmp: &mut Vec<f
 /// Panics when `n` is unsupported or `coeffs.len() != n * n`.
 pub fn inverse(n: usize, coeffs: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
-    let mut tmp = Vec::new();
-    inverse_into(n, coeffs, &mut out, &mut tmp);
+    inverse_into(n, coeffs, &mut out, &mut Vec::new());
     out
 }
 
 /// Allocation-free [`inverse`]: writes the residual samples into `out`
-/// using `tmp` as the intermediate product buffer (both resized to
-/// `n * n`). Bit-exact with [`inverse`].
+/// (resized to `n * n`); `_tmp` is left alone, as in [`forward_into`].
 ///
 /// # Panics
 ///
 /// Panics when `n` is unsupported or `coeffs.len() != n * n`.
-pub fn inverse_into(n: usize, coeffs: &[f64], out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-    check_size(n);
-    assert_eq!(coeffs.len(), n * n, "coeffs must be {n}x{n}");
-    let c = basis(n);
-    let ct = basis_t(n);
-    // Same ikj interchange as [`forward_into`]: identical per-element
-    // accumulation order, vectorizable stride-1 inner loops.
-    //
-    // tmp = C^T * Y  (tmp[i,l] = Σ_k ct[i,k] · coeffs[k,l])
-    tmp.clear();
-    tmp.resize(n * n, 0.0);
-    for i in 0..n {
-        let trow = &mut tmp[i * n..(i + 1) * n];
-        for k in 0..n {
-            let cik = ct[i * n + k];
-            let yrow = &coeffs[k * n..(k + 1) * n];
-            for (t, &y) in trow.iter_mut().zip(yrow) {
-                *t += cik * y;
-            }
-        }
-    }
-    // out = tmp * C  (out[i,j] = Σ_l tmp[i,l] · c[l,j])
-    out.clear();
-    out.resize(n * n, 0.0);
-    for i in 0..n {
-        let orow = &mut out[i * n..(i + 1) * n];
-        for l in 0..n {
-            let til = tmp[i * n + l];
-            let crow = &c[l * n..(l + 1) * n];
-            for (o, &cc) in orow.iter_mut().zip(crow) {
-                *o += til * cc;
-            }
-        }
-    }
+pub fn inverse_into(n: usize, coeffs: &[f64], out: &mut Vec<f64>, _tmp: &mut Vec<f64>) {
+    with_size!(n, N => {
+        let mut samples = [[0.0; N]; N];
+        inverse_block(as_square::<f64, N>(coeffs), &mut samples);
+        out.clear();
+        out.extend_from_slice(samples.as_flattened());
+    });
 }
 
 #[cfg(test)]
@@ -309,87 +409,6 @@ mod tests {
         // And the tables are shared statics: repeated lookups return
         // the same allocation.
         assert!(std::ptr::eq(basis(8), basis(8)));
-    }
-
-    /// The seed implementation's loop order (dot product per output
-    /// element), kept as the bit-exactness spec for the interchanged
-    /// loops.
-    fn forward_spec(n: usize, input: &[i32]) -> Vec<f64> {
-        let c = basis(n);
-        let mut tmp = vec![0.0f64; n * n];
-        for k in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for i in 0..n {
-                    acc += c[k * n + i] * input[i * n + j] as f64;
-                }
-                tmp[k * n + j] = acc;
-            }
-        }
-        let mut out = vec![0.0f64; n * n];
-        for k in 0..n {
-            for l in 0..n {
-                let mut acc = 0.0;
-                for j in 0..n {
-                    acc += tmp[k * n + j] * c[l * n + j];
-                }
-                out[k * n + l] = acc;
-            }
-        }
-        out
-    }
-
-    fn inverse_spec(n: usize, coeffs: &[f64]) -> Vec<f64> {
-        let c = basis(n);
-        let mut tmp = vec![0.0f64; n * n];
-        for i in 0..n {
-            for l in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += c[k * n + i] * coeffs[k * n + l];
-                }
-                tmp[i * n + l] = acc;
-            }
-        }
-        let mut out = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for l in 0..n {
-                    acc += tmp[i * n + l] * c[l * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn interchanged_loops_are_bit_exact_with_seed_order() {
-        // The ikj interchange must not change a single mantissa bit:
-        // every output element accumulates the same terms in the same
-        // order as the seed's dot-product loops.
-        for n in TRANSFORM_SIZES {
-            let input: Vec<i32> = (0..n * n)
-                .map(|i| (((i * 73 + 11) % 511) as i32 - 255) * if i % 3 == 0 { -1 } else { 1 })
-                .collect();
-            let got = forward(n, &input);
-            let spec = forward_spec(n, &input);
-            assert!(
-                got.iter()
-                    .zip(&spec)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "forward diverged bitwise at n={n}"
-            );
-            let rec = inverse(n, &got);
-            let rec_spec = inverse_spec(n, &spec);
-            assert!(
-                rec.iter()
-                    .zip(&rec_spec)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "inverse diverged bitwise at n={n}"
-            );
-        }
     }
 
     #[test]

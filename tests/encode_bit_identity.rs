@@ -305,6 +305,44 @@ fn tile_with_8_wide_edge_blocks_matches_golden() {
     assert_eq!(stats, GOLDEN_EDGE8_STATS);
 }
 
+/// A `live_intra`-shaped tile — a still Bones frame, whole-frame intra
+/// tile at the default QP: most transform blocks are elided from their
+/// norms and about one in ten survives to run forward DCT, quantizer,
+/// inverse DCT and reconstruction, the mix between the QP 4 ("almost
+/// nothing elides") and QP 42 ("almost everything does") goldens.
+#[test]
+fn default_qp_still_bones_intra_tile_matches_golden() {
+    let res = Resolution::new(320, 240);
+    let video = PhantomVideo::builder(BodyPart::Bones)
+        .resolution(res)
+        .motion(MotionPattern::Still)
+        .seed(2018)
+        .build();
+    let outcome = encode_tile(
+        &video.render(0),
+        &[],
+        FrameKind::Intra,
+        Rect::frame(res.width, res.height),
+        &TileConfig::default(),
+        &EncoderConfig::default(),
+    );
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, &outcome.bytes);
+    let mut recon_hash = FNV_OFFSET;
+    for plane in [&outcome.recon_y, &outcome.recon_u, &outcome.recon_v] {
+        fnv1a(&mut recon_hash, plane.samples());
+    }
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        println!(
+            "bones_intra_hash = {hash:#018x}\nbones_intra_recon_hash = {recon_hash:#018x}\n{:#?}",
+            outcome.stats
+        );
+    }
+    assert_eq!(hash, GOLDEN_BONES_INTRA_HASH);
+    assert_eq!(recon_hash, GOLDEN_BONES_INTRA_RECON_HASH);
+    assert_eq!(outcome.stats, GOLDEN_BONES_INTRA_STATS);
+}
+
 // Captured from the seed kernels (per-pixel clamped SAD, HashMap memo,
 // mutexed DCT basis, allocating encode loop) before the fast paths
 // landed. The optimized kernels must reproduce them bit for bit.
@@ -366,4 +404,21 @@ const GOLDEN_EDGE8_STATS: TileStats = TileStats {
     transform_samples: 3360,
     intra_blocks: 0,
     inter_blocks: 12,
+};
+// Captured on the commit before the residual coder's surviving-block
+// path got its fixed-size kernels (run-time-`n` DCT loops, `floor`
+// quantizer, libm `round` reconstruction). Of the tile's 3 600
+// transform blocks 210 survive elision (all luma: 17 % of the 8x8
+// blocks) and 171 of those carry levels.
+const GOLDEN_BONES_INTRA_HASH: u64 = 0x5b1a7c6c1459fb76;
+const GOLDEN_BONES_INTRA_RECON_HASH: u64 = 0x3d62234c06ea9d9a;
+const GOLDEN_BONES_INTRA_STATS: TileStats = TileStats {
+    rect: Rect::frame(320, 240),
+    bits: 13405,
+    luma_ssd: 361908,
+    luma_samples: 76800,
+    sad_samples: 0,
+    transform_samples: 115200,
+    intra_blocks: 300,
+    inter_blocks: 0,
 };

@@ -659,3 +659,306 @@ mod residual {
         }
     }
 }
+
+/// The residual coder's surviving-block stages, each against a
+/// restatement of its definition kept in this file: the two transform
+/// directions (by `f64::to_bits`, on every tier), the quantizer's
+/// `trunc` form against the `floor` form it replaced, the
+/// reconstruction's rounding at exact ties (on every tier), and the
+/// integer elision thresholds against the `f64` predicate they tabulate.
+mod surviving_block {
+    use super::{simd, tiers, Lcg};
+    use medvt_encoder::quant::{norms_bound_below, quantize_into, zero_threshold, ZeroBlockBound};
+    use medvt_encoder::transform::{forward_into, inverse_into, TRANSFORM_SIZES};
+    use medvt_encoder::{reconstruct_block, Qp};
+    use proptest::prelude::*;
+
+    /// The orthonormal DCT-II matrix `C`, row-major.
+    fn dct_matrix(n: usize) -> Vec<f64> {
+        let mut c = vec![0.0; n * n];
+        for k in 0..n {
+            let scale = if k == 0 {
+                1.0 / n as f64
+            } else {
+                2.0 / n as f64
+            }
+            .sqrt();
+            for i in 0..n {
+                c[k * n + i] =
+                    scale * ((std::f64::consts::PI / n as f64) * (i as f64 + 0.5) * k as f64).cos();
+            }
+        }
+        c
+    }
+
+    /// The transform's definition: `T = A · X`, then `T · B`, every
+    /// element a sum that starts at `+0.0` and adds its `n` products in
+    /// ascending inner index, each product rounded on its own.
+    fn definition(
+        n: usize,
+        a: impl Fn(usize, usize) -> f64,
+        x: &[f64],
+        b: impl Fn(usize, usize) -> f64,
+    ) -> Vec<f64> {
+        let mut t = vec![0.0; n * n];
+        for k in 0..n {
+            for j in 0..n {
+                let mut sum = 0.0;
+                for i in 0..n {
+                    sum += a(k, i) * x[i * n + j];
+                }
+                t[k * n + j] = sum;
+            }
+        }
+        let mut out = vec![0.0; n * n];
+        for k in 0..n {
+            for l in 0..n {
+                let mut sum = 0.0;
+                for j in 0..n {
+                    sum += t[k * n + j] * b(j, l);
+                }
+                out[k * n + l] = sum;
+            }
+        }
+        out
+    }
+
+    /// `out[k][l] = Σ_j (Σ_i C[k][i]·x[i][j]) · C[l][j]`.
+    fn forward_definition(n: usize, x: &[i32]) -> Vec<f64> {
+        let c = dct_matrix(n);
+        let x: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
+        definition(n, |k, i| c[k * n + i], &x, |j, l| c[l * n + j])
+    }
+
+    /// `out[i][j] = Σ_l (Σ_k C[k][i]·y[k][l]) · C[l][j]`.
+    fn inverse_definition(n: usize, y: &[f64]) -> Vec<f64> {
+        let c = dct_matrix(n);
+        definition(n, |i, k| c[k * n + i], y, |l, j| c[l * n + j])
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Residual blocks at the extremes of the sample range and of the
+    /// spectrum, and random ones.
+    fn residuals(n: usize, rng: &mut Lcg) -> Vec<(&'static str, Vec<i32>)> {
+        let spike_at = rng.below((n * n) as u64) as usize;
+        let spike = |a: i32| {
+            (0..n * n)
+                .map(|i| if i == spike_at { a } else { 0 })
+                .collect()
+        };
+        let checker = |a: i32| {
+            (0..n * n)
+                .map(|i| {
+                    if (i / n + i % n).is_multiple_of(2) {
+                        a
+                    } else {
+                        -a
+                    }
+                })
+                .collect()
+        };
+        vec![
+            ("zero", vec![0; n * n]),
+            ("all +255", vec![255; n * n]),
+            ("all -255", vec![-255; n * n]),
+            ("spike +255", spike(255)),
+            ("spike -255", spike(-255)),
+            ("spike 1", spike(1)),
+            ("checker 255", checker(255)),
+            ("checker 1", checker(1)),
+            (
+                "random",
+                (0..n * n).map(|_| rng.below(511) as i32 - 255).collect(),
+            ),
+            (
+                "random small",
+                (0..n * n).map(|_| rng.below(7) as i32 - 3).collect(),
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// (a) Both transform directions equal their definition bit for
+        /// bit, at every size, on every tier — the forward on the
+        /// residual families above, the inverse on their coefficients,
+        /// on dequantized-looking sparse blocks and on blocks holding
+        /// `-0.0` (where a sum that started from its first term instead
+        /// of `+0.0` would keep the sign).
+        #[test]
+        fn transforms_equal_their_definition_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let (mut got, mut tmp) = (vec![1.0; 3], vec![2.0; 99]);
+            for n in TRANSFORM_SIZES {
+                let mut coefficient_blocks: Vec<(&'static str, Vec<f64>)> = vec![
+                    ("all -0.0", vec![-0.0; n * n]),
+                    ("all +0.0", vec![0.0; n * n]),
+                    (
+                        "sparse with -0.0",
+                        (0..n * n)
+                            .map(|_| match rng.below(4) {
+                                0 => -0.0,
+                                1 => 0.0,
+                                2 => (rng.below(41) as f64 - 20.0) * 25.4,
+                                _ => (rng.below(2001) as f64 - 1000.0) * 0.63,
+                            })
+                            .collect(),
+                    ),
+                ];
+                for (family, x) in residuals(n, &mut rng) {
+                    let want = forward_definition(n, &x);
+                    for t in tiers() {
+                        simd::with_tier(t, || forward_into(n, &x, &mut got, &mut tmp));
+                        prop_assert_eq!(
+                            bits(&got), bits(&want),
+                            "seed {} forward n {} {} tier {}", seed, n, family, t.name()
+                        );
+                    }
+                    coefficient_blocks.push((family, want));
+                }
+                for (family, y) in coefficient_blocks {
+                    let want = inverse_definition(n, &y);
+                    for t in tiers() {
+                        simd::with_tier(t, || inverse_into(n, &y, &mut got, &mut tmp));
+                        prop_assert_eq!(
+                            bits(&got), bits(&want),
+                            "seed {} inverse n {} {} tier {}", seed, n, family, t.name()
+                        );
+                    }
+                }
+            }
+        }
+
+        /// (d) The integer elision thresholds decide exactly like the
+        /// `f64` predicate they were found from: at each threshold, one
+        /// past it (the other norm held where it decides nothing), and
+        /// on random pairs around both.
+        #[test]
+        fn integer_elision_thresholds_agree_with_the_predicate(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            for qp_val in 0..=51u8 {
+                let qp = Qp::new(qp_val).unwrap();
+                let zero_below = zero_threshold(qp.step_size());
+                for n in TRANSFORM_SIZES {
+                    let bound = ZeroBlockBound::of(qp, n);
+                    let case = format!("seed {seed} qp {qp_val} n {n} {bound:?}");
+                    let edges = [
+                        (bound.max_sad, u32::MAX, true),
+                        (bound.max_sad + 1, u32::MAX, false),
+                        (u32::MAX, bound.max_ssd, true),
+                        (u32::MAX, bound.max_ssd + 1, false),
+                        (bound.max_sad + 1, bound.max_ssd + 1, false),
+                        (0, 0, true),
+                    ];
+                    for (sad, ssd, want) in edges {
+                        prop_assert_eq!(norms_bound_below(sad, ssd, n, zero_below), want, "predicate at ({}, {}): {}", sad, ssd, case);
+                        prop_assert_eq!(bound.proves_zero(sad, ssd), want, "thresholds at ({}, {}): {}", sad, ssd, case);
+                    }
+                    for _ in 0..10_000 / (52 * 4) + 1 {
+                        let sad = rng.below(2 * u64::from(bound.max_sad) + 3) as u32;
+                        let ssd = rng.below(2 * u64::from(bound.max_ssd) + 3) as u32;
+                        prop_assert_eq!(
+                            bound.proves_zero(sad, ssd),
+                            norms_bound_below(sad, ssd, n, zero_below),
+                            "({}, {}): {}", sad, ssd, case
+                        );
+                    }
+                }
+            }
+        }
+
+        /// (c) Reconstruction rounds half away from zero and clamps,
+        /// like `v.round().clamp(0, 255) as u8`, on every tier: sums
+        /// placed on exact ties (`k + 0.5`, both range ends, `-0.5`),
+        /// on the largest double below one half, and on the doubles
+        /// either side of each.
+        #[test]
+        fn reconstruction_rounds_ties_away_from_zero_on_every_tier(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let mut targets = vec![0.49999999999999994, 254.5, 255.5, -0.5, 0.5, 1.5, 2.5, 127.5, 128.5, 255.0, 0.0, 256.5, -1.5];
+            targets.extend((0..8).map(|_| rng.below(255) as f64 + 0.5));
+            let targets: Vec<f64> = targets
+                .into_iter()
+                .flat_map(|t| [t.next_down(), t, t.next_up()])
+                .collect();
+            // Every target reached from prediction 0 (the sum is then
+            // the target itself) and from three random predictions.
+            let cases: Vec<(u8, f64)> = targets
+                .iter()
+                .flat_map(|&t| {
+                    [0, rng.below(256) as u8, rng.below(256) as u8, rng.below(256) as u8]
+                        .map(|p| (p, t - f64::from(p)))
+                })
+                .collect();
+            let on_a_tie = cases
+                .iter()
+                .filter(|&&(p, r)| (f64::from(p) + r).fract().abs() == 0.5)
+                .count();
+            prop_assert!(on_a_tie >= 4 * 18, "seed {seed}: only {on_a_tie} sums sit on a tie");
+            for n in TRANSFORM_SIZES {
+                for (block, chunk) in cases.chunks(n * n).enumerate() {
+                    let padded = chunk.iter().copied().chain(std::iter::repeat((9, 0.25))).take(n * n);
+                    let (prediction, residual): (Vec<u8>, Vec<f64>) = padded.unzip();
+                    let original = rng.bytes(n * n);
+                    let want: Vec<u8> = prediction
+                        .iter()
+                        .zip(&residual)
+                        .map(|(&p, &r)| (f64::from(p) + r).round().clamp(0.0, 255.0) as u8)
+                        .collect();
+                    let want_ssd: u64 = original
+                        .iter()
+                        .zip(&want)
+                        .map(|(&o, &r)| (i64::from(o) - i64::from(r)).pow(2) as u64)
+                        .sum();
+                    for t in tiers() {
+                        let mut got = vec![7u8; n * n];
+                        let ssd = simd::with_tier(t, || reconstruct_block(n, &original, &prediction, &residual, &mut got));
+                        let case = format!("seed {seed} n {n} block {block} tier {}", t.name());
+                        prop_assert_eq!(&got, &want, "{}: prediction {:?} residual {:?}", case, prediction, residual);
+                        prop_assert_eq!(ssd, want_ssd, "ssd: {}", case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The quantizer as it was defined before it lost its libm call.
+    fn floor_form(c: f64, step: f64) -> i32 {
+        let sign = if c < 0.0 { -1.0 } else { 1.0 };
+        (sign * (c.abs() / step + 1.0 / 3.0).floor()) as i32
+    }
+
+    /// (b) `trunc` ≡ `floor` in the quantizer: coefficients on every
+    /// level boundary `step · (k + 2/3)` and the doubles either side,
+    /// at every QP, both signs, and the two zeros.
+    #[test]
+    fn quantizer_trunc_form_equals_the_floor_form() {
+        let mut levels = Vec::new();
+        for qp_val in 0..=51u8 {
+            let qp = Qp::new(qp_val).unwrap();
+            let step = qp.step_size();
+            let mut coeffs = vec![0.0, -0.0];
+            for k in [0.0, 1.0, 2.0, 100.0, 1e4] {
+                let edge: f64 = step * (k + 2.0 / 3.0);
+                for c in [
+                    edge.next_down(),
+                    edge,
+                    edge.next_up(),
+                    step * k,
+                    step * (k + 0.5),
+                ] {
+                    coeffs.extend([c, -c]);
+                }
+            }
+            quantize_into(&coeffs, qp, &mut levels);
+            let want: Vec<i32> = coeffs.iter().map(|&c| floor_form(c, step)).collect();
+            assert_eq!(levels, want, "qp {qp_val} coefficients {coeffs:?}");
+            // The boundaries are real ones: levels k and k + 1 both occur.
+            assert!(want.contains(&1) && want.contains(&10_001), "qp {qp_val}");
+        }
+    }
+}
