@@ -875,20 +875,16 @@ pub fn serve_online_with<W: Workload, B: ExecutionBackend, R: Recorder + Copy>(
             // this scan — it only under-estimates the remaining
             // minimum, which keeps the stop conservative.) Disabled
             // while an inadmissible request waits, whose Reject must
-            // not be deferred.
-            let allow_stop = queued_inadmissible == 0;
+            // not be deferred, and under a finite budget: the rotation
+            // advances once per unscanned request (`skip_all` below),
+            // but a budget-refused request is never offered a shard,
+            // so the unscanned tail would over-advance it.
+            let allow_stop = queued_inadmissible == 0 && !budgeted;
             let mut scanned = 0usize;
             let decided = queue.try_admit_while(|request| {
                 if allow_stop {
                     let min_bits = *queued_demands.keys().next().expect("scan implies queued");
-                    let min_demand = f64::from_bits(min_bits);
-                    if !sharder.any_fits(min_demand) {
-                        return None;
-                    }
-                    // Cost headroom is demand-monotone too: when even
-                    // the smallest queued demand is unaffordable,
-                    // every later request would also Wait.
-                    if budgeted && window_spend + min_demand * rate > budget + 1e-9 {
+                    if !sharder.any_fits(f64::from_bits(min_bits)) {
                         return None;
                     }
                 }
@@ -1602,6 +1598,73 @@ mod tests {
         // Without the budget the same trace fills both shards at 0.
         let free = serve_online(&cfg(96), &workloads, &trace, quad_shards(2));
         assert_eq!(free.admissions, 4);
+    }
+
+    #[test]
+    fn round_robin_rotation_ignores_unrelated_rejects_under_a_budget() {
+        // Three quad shards, a 4-credit budget at 1 credit per core:
+        // users 0 and 1 (~1.92 cores each) spend it at slot 0, users 2
+        // and 3 wait on credits — refused by the budget, so never
+        // offered to the rotation — until user 0 departs at 24. An
+        // oversized request that arrives at slot 4 and is rejected at
+        // the next boundary shares nothing with them: every other
+        // decision, shard included, must be the same with and without.
+        let workloads = [
+            Flat {
+                tiles: 2,
+                secs: SLOT / 24.0 * 20.0,
+                class: "busy",
+            },
+            Flat {
+                tiles: 8,
+                secs: SLOT,
+                class: "huge",
+            },
+        ];
+        let users = vec![
+            request(0, 0, Some(24)),
+            request(1, 0, None),
+            request(2, 0, None),
+            request(3, 0, None),
+        ];
+        let mut with_reject = users.clone();
+        with_reject.push(UserRequest {
+            profile: 1,
+            ..request(4, 4, None)
+        });
+        let cfg = OnlineConfig {
+            shard_policy: ShardPolicy::RoundRobin,
+            cost: CostPlan {
+                credits_per_core_window: 1.0,
+                budget_credits_per_window: 4.0,
+                degrade_on_evict: false,
+            },
+            ..cfg(96)
+        };
+        let plain = serve_online(&cfg, &workloads, &users, quad_shards(3));
+        let noisy = serve_online(&cfg, &workloads, &with_reject, quad_shards(3));
+        let reject = AdmissionEvent {
+            slot: 8,
+            user: 4,
+            shard: None,
+            kind: EventKind::Reject,
+        };
+        assert!(noisy.events.contains(&reject));
+        let others: Vec<AdmissionEvent> = noisy
+            .events
+            .iter()
+            .copied()
+            .filter(|e| *e != reject)
+            .collect();
+        assert_eq!(plain.events, others);
+        // The rotation stood at shard 2 after the two slot-0 admits and
+        // no budget-refused request may move it.
+        let admit2 = plain
+            .events
+            .iter()
+            .find(|e| e.user == 2 && e.kind == EventKind::Admit)
+            .expect("user 2 admitted once credits free up");
+        assert_eq!((admit2.slot, admit2.shard), (24, Some(2)));
     }
 
     #[test]
