@@ -1,14 +1,16 @@
 //! Control-plane regression tests: the optimized GOP-boundary
 //! controller must replay the frozen pre-refactor baseline's decision
-//! stream bit for bit, and batch admission must account for core
-//! speeds on heterogeneous platforms.
+//! stream bit for bit, cost-constrained and degrading runs — which the
+//! cost-oblivious baseline cannot replay — must match recorded goldens,
+//! and batch admission must account for core speeds on heterogeneous
+//! platforms.
 
 use medvt::admission::{
-    serve_online, serve_online_reference, synthesize_trace, EventKind, OnlineConfig, ShardPolicy,
-    TraceConfig,
+    preset_catalogue, serve_online, serve_online_reference, synthesize_trace, CostPlan, EventKind,
+    OnlineConfig, ShardPolicy, TraceConfig,
 };
 use medvt::core::{Approach, ServerConfig, ServerSim};
-use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
+use medvt::mpsoc::{CostModel, DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
 use medvt_bench::synthetic_profile as profile;
 
@@ -99,6 +101,124 @@ fn optimized_controller_replays_the_reference_decision_stream() {
             "{policy:?}: trace must exercise departures"
         );
     }
+}
+
+/// One big.LITTLE socket, one big-only and one LITTLE-only cluster:
+/// three shards of three capacities (5.8 / 4.0 / 1.8 reference cores).
+fn hetero_shards() -> Vec<SimBackend> {
+    preset_catalogue(&CostModel::default())
+        .into_iter()
+        .filter(|p| p.name.contains("LITTLE") || p.name.ends_with("-cluster"))
+        .map(|p| SimBackend::new(p.platform, p.power))
+        .collect()
+}
+
+/// FNV-1a of a report's `Debug` rendering with the wall-clock timings
+/// zeroed: the decision log, every tally, per-shard accounting and the
+/// deterministic controller counters, floats to their last digit.
+fn report_hash(report: &medvt::admission::OnlineReport) -> u64 {
+    format!("{:?}", report.modeled_only())
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `report_hash` of every (shard policy, cost plan, fleet) cell, in
+/// loop order: policy outermost, then plan, then fleet. Recorded from
+/// the controller as it stood before it was restructured into phases;
+/// regenerate with `MEDVT_PRINT_HASHES=1` only for an intended change
+/// of decisions.
+const GOLDEN_REPORT_HASHES: [u64; 18] = [
+    0x86e6ccbde09deb74,
+    0x0652963bd915d328,
+    0xa78ba915190dd143,
+    0x0c57f49ff6e51247,
+    0x78fd3f1bbe082aae,
+    0x470d51bfeb2ac86f,
+    0xba163cb67de1128a,
+    0xcd647770242a6ed2,
+    0xe359f5d7bb4aa1f8,
+    0x63d542320e436377,
+    0x291d636f89c03c2b,
+    0xfaa9a2483934caee,
+    0x4ef5d59e7a7871c8,
+    0xc0bcf4b3d4b33e02,
+    0x4f1f9f578cb9ee84,
+    0xafbc9161774b88e0,
+    0x64c308bf1e0a409d,
+    0x619bc7fb58c82692,
+];
+
+#[test]
+fn cost_plans_replay_their_recorded_decision_streams() {
+    // A third of the arrivals can never fit (rejects); the rest are
+    // admitted against demands padded by 0.6, so shards overcommit,
+    // windows are missed and users evicted.
+    let unit = SLOT * 0.25 / HEADROOM;
+    let mut profiles = mixed_profiles();
+    profiles.push(profile("huge", "spine", 80, unit));
+    let trace = synthesize_trace(&TraceConfig {
+        horizon_slots: 192,
+        arrivals_per_slot: 3.0,
+        min_session_slots: 48,
+        tail_alpha: 1.4,
+        profiles: 3,
+        seed: 11,
+    });
+    let plan = |budget: f64, degrade_on_evict: bool| CostPlan {
+        credits_per_core_window: 1.0,
+        budget_credits_per_window: budget,
+        degrade_on_evict,
+    };
+    let mut hashes = Vec::new();
+    for policy in [
+        ShardPolicy::LeastLoaded,
+        ShardPolicy::RoundRobin,
+        ShardPolicy::ContentAffinity,
+    ] {
+        // Budgets sit at three quarters of each fleet's capacity.
+        for (unlimited, degrade) in [(true, false), (false, false), (false, true)] {
+            for (fleet, budget) in [(xeon_shards(), 24.0), (hetero_shards(), 8.7)] {
+                let cfg = OnlineConfig {
+                    horizon_slots: 192,
+                    headroom: 0.6,
+                    shard_policy: policy,
+                    cost: plan(if unlimited { f64::INFINITY } else { budget }, degrade),
+                    ..Default::default()
+                };
+                let report = serve_online(&cfg, &profiles, &trace, fleet);
+                let cell = format!(
+                    "{policy:?}, budget {}, degrade {degrade}",
+                    cfg.cost.budget_credits_per_window
+                );
+                for kind in [
+                    EventKind::Admit,
+                    EventKind::Evict,
+                    EventKind::Reject,
+                    EventKind::Depart,
+                    EventKind::Abandon,
+                ] {
+                    assert!(
+                        report.events.iter().any(|e| e.kind == kind),
+                        "{cell}: trace must exercise {kind:?}"
+                    );
+                }
+                assert_eq!(
+                    report.events.iter().any(|e| e.kind == EventKind::Downgrade),
+                    degrade,
+                    "{cell}: downgrades happen exactly when degrading"
+                );
+                hashes.push(report_hash(&report));
+            }
+        }
+    }
+    if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+        for h in &hashes {
+            println!("    {h:#018x},");
+        }
+    }
+    assert_eq!(hashes, GOLDEN_REPORT_HASHES);
 }
 
 #[test]
