@@ -76,6 +76,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 mod provision;
 mod reference;

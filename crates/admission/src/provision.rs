@@ -390,8 +390,7 @@ pub fn replay_cost<W: Workload>(
         peak = peak.max(spend);
         slot += cfg.gop_slots.max(1);
     }
-    let within_budget =
-        !cfg.cost.is_budgeted() || peak <= cfg.cost.budget_credits_per_window + 1e-9;
+    let within_budget = peak <= cfg.cost.budget_credits_per_window + 1e-9;
     CostReport {
         windows,
         total_credits: total,

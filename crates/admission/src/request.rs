@@ -1,8 +1,7 @@
 //! User requests and the arrival queue of the online serving scenario.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Service level a user signs up for — how many consecutive missed
 /// one-second windows the controller tolerates before evicting.
@@ -82,14 +81,14 @@ pub enum AdmitDecision {
 ///
 /// Requests live in a ring of arrival-sequence slots (O(1) push and
 /// O(1) keyed removal; a removed slot leaves a hole that iteration
-/// skips and front-trimming reclaims) with a side heap indexing
-/// departure slots — so [`drain_departed`](Self::drain_departed) pops
+/// skips and front-trimming reclaims) with per-slot buckets indexing
+/// departures — so [`drain_departed`](Self::drain_departed) pops
 /// exactly the departed requests instead of scanning (and cloning)
 /// every pending one at every GOP boundary. Sequence numbers returned
 /// by [`push`](Self::push) stay valid for the request's whole queue
 /// lifetime, so callers can keep side indexes (e.g. per-demand FIFOs)
 /// without the queue knowing about them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RequestQueue {
     /// Sequence number of `slots[0]`.
     base: u64,
@@ -97,29 +96,19 @@ pub struct RequestQueue {
     slots: VecDeque<Option<UserRequest>>,
     /// Live (non-hole) entries.
     live: usize,
-    /// Min-heap of (departure slot, sequence). Entries go stale when a
-    /// request leaves by admission/rejection first; they are skipped
-    /// lazily on pop. Unused in bounded mode.
-    departures: BinaryHeap<Reverse<(usize, u64)>>,
-    /// Bounded mode only: `dep_buckets[slot]` holds the sequence
-    /// numbers departing at `slot` — O(1) pushes and O(departed)
-    /// drains, no heap sifting on the ingestion path.
+    /// `dep_buckets[slot]` holds the sequence numbers departing at
+    /// `slot` — O(1) pushes and O(departed) drains. Entries go stale
+    /// when a request leaves by admission/rejection first; they are
+    /// skipped on drain. Its length is the departure bound: departures
+    /// at or past it are not indexed (see
+    /// [`with_departure_bound`](Self::with_departure_bound)).
     dep_buckets: Vec<Vec<u64>>,
-    /// First bucket not yet drained (bounded mode).
+    /// First bucket not yet drained.
     next_drain: usize,
-    /// Departures at or past this slot are not indexed (see
-    /// [`with_departure_bound`](Self::with_departure_bound)); `None`
-    /// indexes everything via the heap.
-    departure_bound: Option<usize>,
     next_seq: u64,
 }
 
 impl RequestQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty queue that will never see
     /// [`drain_departed`](Self::drain_departed) called with a slot at
     /// or past `bound` (typically the serving horizon). Departures at
@@ -131,9 +120,12 @@ impl RequestQueue {
     /// is broken.
     pub fn with_departure_bound(bound: usize) -> Self {
         Self {
-            departure_bound: Some(bound),
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
             dep_buckets: vec![Vec::new(); bound],
-            ..Self::default()
+            next_drain: 0,
+            next_seq: 0,
         }
     }
 
@@ -142,12 +134,13 @@ impl RequestQueue {
     pub fn push(&mut self, request: UserRequest) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(d) = request.departure_slot {
-            match self.departure_bound {
-                Some(bound) if d < bound => self.dep_buckets[d].push(seq),
-                Some(_) => {} // outlives every drain — unindexed
-                None => self.departures.push(Reverse((d, seq))),
-            }
+        // A departure at or past the bound outlives every drain and
+        // stays unindexed.
+        if let Some(bucket) = request
+            .departure_slot
+            .and_then(|d| self.dep_buckets.get_mut(d))
+        {
+            bucket.push(seq);
         }
         self.slots.push_back(Some(request));
         self.live += 1;
@@ -169,13 +162,12 @@ impl RequestQueue {
         self.live == 0
     }
 
-    /// Departure-index entries currently held (heap entries in
-    /// unbounded mode, undrained bucket entries in bounded mode),
-    /// stale ones included. Purely observational — the bounded-mode
-    /// contract "a departure at or past the bound is never indexed"
-    /// is asserted through this.
+    /// Departure-index entries currently held (undrained bucket
+    /// entries), stale ones included. Purely observational — the
+    /// contract "a departure at or past the bound is never indexed" is
+    /// asserted through this.
     pub fn indexed_departures(&self) -> usize {
-        self.departures.len() + self.dep_buckets.iter().map(Vec::len).sum::<usize>()
+        self.dep_buckets.iter().map(Vec::len).sum()
     }
 
     /// `true` when the request pushed as `seq` still waits.
@@ -209,30 +201,23 @@ impl RequestQueue {
 
     /// Removes and returns requests whose departure passed while they
     /// were still queued (the user gave up waiting), in arrival order.
-    /// Cost is O(departed · log queue), independent of how many
+    /// Cost is O(departed · log departed), independent of how many
     /// requests keep waiting.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is at or past the departure bound.
     pub fn drain_departed(&mut self, slot: usize) -> Vec<UserRequest> {
+        let bound = self.dep_buckets.len();
+        assert!(
+            slot < bound,
+            "drain_departed({slot}) breaks the departure bound {bound}"
+        );
         let mut seqs: Vec<u64> = Vec::new();
-        if let Some(bound) = self.departure_bound {
-            assert!(
-                slot < bound,
-                "drain_departed({slot}) breaks the departure bound {bound}"
-            );
-            while self.next_drain <= slot {
-                let bucket = std::mem::take(&mut self.dep_buckets[self.next_drain]);
-                seqs.extend(bucket.into_iter().filter(|&seq| self.contains(seq)));
-                self.next_drain += 1;
-            }
-        } else {
-            while let Some(&Reverse((d, seq))) = self.departures.peek() {
-                if d > slot {
-                    break;
-                }
-                self.departures.pop();
-                if self.contains(seq) {
-                    seqs.push(seq);
-                }
-            }
+        while self.next_drain <= slot {
+            let bucket = std::mem::take(&mut self.dep_buckets[self.next_drain]);
+            seqs.extend(bucket.into_iter().filter(|&seq| self.contains(seq)));
+            self.next_drain += 1;
         }
         seqs.sort_unstable();
         seqs.into_iter()
@@ -302,7 +287,7 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved_through_waits() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         for u in 0..4 {
             q.push(req(u, u, None));
         }
@@ -327,7 +312,7 @@ mod tests {
 
     #[test]
     fn departed_requests_abandon_the_queue() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         q.push(req(0, 0, Some(10)));
         q.push(req(1, 0, Some(40)));
         q.push(req(2, 0, None));
@@ -339,10 +324,10 @@ mod tests {
 
     #[test]
     fn drain_skips_requests_already_admitted() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         q.push(req(0, 0, Some(5)));
         q.push(req(1, 0, Some(5)));
-        // Admit user 0 before its departure passes: its heap entry
+        // Admit user 0 before its departure passes: its index entry
         // goes stale and must be skipped, not double-drained.
         let (admitted, _) = q.try_admit(|r| {
             if r.user == 0 {
@@ -361,7 +346,7 @@ mod tests {
 
     #[test]
     fn drain_returns_arrival_order_not_departure_order() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         q.push(req(0, 0, Some(20)));
         q.push(req(1, 1, Some(10)));
         q.push(req(2, 2, Some(15)));
@@ -393,7 +378,7 @@ mod tests {
 
     #[test]
     fn reject_drops_request() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         q.push(req(7, 0, None));
         let (admitted, rejected) = q.try_admit(|_| AdmitDecision::Reject);
         assert!(admitted.is_empty());
@@ -403,7 +388,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_cleanly_after_amortized_front_trim() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         let seqs: Vec<u64> = (0..8).map(|u| q.push(req(u, u, None))).collect();
         // Take the whole front half: trim_front advances `base` past
         // every popped slot in one amortized sweep.
@@ -436,7 +421,7 @@ mod tests {
 
     #[test]
     fn iteration_skips_holes_under_interleaved_take_and_abandon() {
-        let mut q = RequestQueue::new();
+        let mut q = RequestQueue::with_departure_bound(128);
         let seqs: Vec<u64> = (0..6)
             .map(|u| {
                 // Odd users depart at slot 10 (abandon candidates).

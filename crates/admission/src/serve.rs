@@ -1,43 +1,46 @@
 //! The online serving loop: GOP-boundary admission control over
 //! per-socket shard loops.
 //!
-//! Every `gop_slots` slots the controller, in this order:
+//! [`serve_online_with`] builds a private `Controller` and, every
+//! `gop_slots` slots, runs its five phases in this order:
 //!
-//! 1. pulls newly arrived requests into the FIFO [`RequestQueue`];
-//! 2. removes departed users (and queued requests whose user gave up);
-//! 3. evicts users whose consecutive missed one-second windows exceed
-//!    their [`DeadlineClass`](crate::DeadlineClass) tolerance — read
-//!    from the runtime's per-user accounting; under
+//! 1. `ingest` — newly arrived requests join the FIFO [`RequestQueue`];
+//! 2. `depart` — departed users leave (and queued requests whose user
+//!    gave up are abandoned);
+//! 3. `evict` — users whose consecutive missed one-second windows
+//!    exceed their [`DeadlineClass`](crate::DeadlineClass) tolerance
+//!    are removed — read from the runtime's per-user accounting; under
 //!    [`CostPlan::degrade_on_evict`] the evicted user re-enters the
 //!    queue one deadline class lower instead of being dropped;
-//! 4. admits queued users whose Algorithm 2 line 1 core demand fits a
-//!    shard chosen by the [`ShardPolicy`] *and* — when the
-//!    [`CostPlan`] budget is finite — whose billing keeps the window
-//!    spend within budget;
-//! 5. pushes the membership *delta* into each shard's serving
-//!    [`Node`](medvt_runtime::Node) as a
+//! 4. `admit` — queued users whose Algorithm 2 line 1 core demand fits
+//!    a shard chosen by the [`ShardPolicy`], *and* whose billing keeps
+//!    the window spend within the [`CostPlan`] budget, are admitted;
+//! 5. `advance` — each shard's serving [`Node`](medvt_runtime::Node)
+//!    receives its membership *delta* as a
 //!    [`NodeCommand`](medvt_runtime::NodeCommand) (the wrapped
 //!    [`LoopDriver`](medvt_runtime::LoopDriver) incrementally
-//!    re-places only the affected users at the boundary) and advances
-//!    every shard one GOP in lockstep through the same command seam —
-//!    the interface `medvt-cluster` drives remote worker nodes with.
+//!    re-places only the affected users) and every shard advances one
+//!    GOP in lockstep through the same command seam — the interface
+//!    `medvt-cluster` drives remote worker nodes with.
 //!
-//! Decisions read only the analytical accounting, so replaying one
-//! trace on `SimBackend` and `ThreadPoolBackend` shards produces
-//! identical admission/eviction event streams.
+//! Every decision passes through the controller's one `emit`, which
+//! feeds the report's event stream, the telemetry counters and the
+//! flight recorder from the same value. Decisions read only the
+//! analytical accounting, so replaying one trace on `SimBackend` and
+//! `ThreadPoolBackend` shards produces identical event streams.
 //!
 //! # Control-plane cost
 //!
 //! Steady state — no arrivals, departures, misses, or admissible
 //! queued demand — costs O(shards) per boundary, independent of both
 //! the active population and the queue depth: departures pop from a
-//! slot-ordered heap, evictions read the runtime's miss-streak sets,
-//! and the admission scan stops at the first queued request once the
-//! smallest queued demand fits no shard (demand-monotone, so every
-//! later request would also wait). The decision stream stays
+//! slot-ordered set, evictions read the runtime's miss-streak sets,
+//! and admission consults a per-demand index of the queue instead of
+//! walking it. With an infinite budget the decision stream is
 //! bit-identical to the pre-refactor linear controller, kept as
-//! [`serve_online_reference`](crate::serve_online_reference) and
-//! pinned by the `control_plane` integration tests.
+//! [`serve_online_reference`](crate::serve_online_reference); finite
+//! budgets and degradation are pinned by recorded goldens — both in
+//! the `control_plane` integration tests.
 
 use crate::request::{AdmitDecision, RequestQueue, UserRequest};
 use crate::shard::{ShardPolicy, Sharder};
@@ -51,8 +54,7 @@ use medvt_telemetry::{
     CONTROL_TRACK,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
 /// A user-facing workload the admission controller can reason about —
@@ -101,20 +103,19 @@ pub trait Workload {
 /// much the operator will spend per GOP window, and whether eviction
 /// degrades users instead of dropping them.
 ///
-/// The default ([`CostPlan::unlimited`]) disables both mechanisms
-/// structurally: with an infinite budget the admission path never
-/// consults the spend ledger and with `degrade_on_evict` off the
-/// eviction path never re-queues, so the decision stream stays
-/// bit-identical to [`serve_online_reference`](crate::serve_online_reference)
-/// — the provisioning extension of the sim-vs-pool invariant.
+/// A request is admitted only when *both* a shard fits its demand and
+/// billing it keeps the window spend within budget (`spend + demand ×
+/// rate ≤ budget`). The check is demand-monotone like the capacity
+/// probe, so indexed admission may skip a whole demand class on it.
+/// Budget refusals are not offered to a `RoundRobin` rotation (the
+/// shard never saw the request).
 ///
-/// With a finite budget, a request is admitted only when *both* a
-/// shard fits its demand and billing it keeps the window spend within
-/// budget (`spend + demand × rate ≤ budget`). The check is
-/// demand-monotone like the capacity probe, so the controller's
-/// early-stop admission scans stay sound. Budget refusals are not
-/// offered to a `RoundRobin` rotation (the shard never saw the
-/// request), which is unobservable at infinite budget.
+/// Under the default ([`CostPlan::unlimited`]) neither mechanism can
+/// act: no spend exceeds an infinite budget and with
+/// `degrade_on_evict` off the eviction path never re-queues, so the
+/// decision stream stays bit-identical to
+/// [`serve_online_reference`](crate::serve_online_reference) — the
+/// provisioning extension of the sim-vs-pool invariant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPlan {
     /// Credits billed per admitted reference core per GOP window —
@@ -122,7 +123,7 @@ pub struct CostPlan {
     /// `medvt_mpsoc::CostModel` for where the rate comes from).
     pub credits_per_core_window: f64,
     /// Spend ceiling per GOP window, in credits. `f64::INFINITY`
-    /// disables cost-constrained admission entirely.
+    /// never refuses an admission.
     pub budget_credits_per_window: f64,
     /// When `true`, an evicted user re-enters the queue at the
     /// next-lower [`DeadlineClass`](crate::DeadlineClass) (emitting
@@ -142,10 +143,17 @@ impl CostPlan {
         }
     }
 
-    /// `true` when the budget binds (finite), i.e. the admission path
-    /// consults the spend ledger.
+    /// `true` when the budget is finite, i.e. it can refuse an
+    /// admission.
     pub fn is_budgeted(&self) -> bool {
         self.budget_credits_per_window.is_finite()
+    }
+
+    /// `true` when billing `demand` more cores on top of `spend` would
+    /// exceed the window budget. No spend exceeds the default infinite
+    /// budget, so the ledger needs no "is a budget set" switch.
+    fn over_budget(&self, spend: f64, demand: f64) -> bool {
+        spend + demand * self.credits_per_core_window > self.budget_credits_per_window + 1e-9
     }
 }
 
@@ -175,8 +183,7 @@ pub struct OnlineConfig {
     pub evict_miss_windows: usize,
     /// Cost policy: per-window billing rate, spend budget and
     /// eviction degradation. Defaults to [`CostPlan::unlimited`],
-    /// which keeps the controller cost-oblivious and bit-identical to
-    /// the frozen reference.
+    /// whose decisions are bit-identical to the frozen reference.
     pub cost: CostPlan,
 }
 
@@ -501,8 +508,8 @@ pub fn serve_online<W: Workload, B: ExecutionBackend>(
 
 /// [`serve_online`] with a telemetry [`Recorder`] attached: shard
 /// drivers stamp their events with their shard index as the track, the
-/// controller stamps queue-side events (admit/evict/depart, queue
-/// depth, boundary passes) with
+/// controller stamps queue-side events (abandon/reject/downgrade,
+/// queue depth, boundary passes) with
 /// [`CONTROL_TRACK`](medvt_telemetry::CONTROL_TRACK), and every
 /// counter/histogram is folded into the recorder when the run ends.
 ///
@@ -520,185 +527,328 @@ pub fn serve_online_with<W: Workload, B: ExecutionBackend, R: Recorder + Copy>(
     shards: Vec<B>,
     recorder: R,
 ) -> OnlineReport {
-    let setup = Setup::new(cfg, workloads, trace, &shards);
-    let source = TraceSource {
-        workloads,
-        profile_of: setup.profile_of.clone(),
-    };
-    // Each shard is a serving `Node`: state transitions (membership
-    // deltas, slot advancement, shutdown) go through the typed
-    // `NodeCommand` seam — the same interface the cluster layer binds
-    // worker nodes to — while read-only eviction queries stay direct.
-    let mut nodes: Vec<Node<B, R>> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(s, b)| Node::with_recorder(b, setup.loop_cfg, recorder, s as u16))
-        .collect();
-    let n_shards = nodes.len();
+    let mut controller = Controller::new(cfg, workloads, trace, shards, recorder);
+    while controller.slot < cfg.horizon_slots {
+        let clock = controller.open_boundary();
+        controller.ingest(controller.slot + 1);
+        controller.depart();
+        controller.evict();
+        controller.admit();
+        controller.advance(clock);
+    }
+    controller.finish()
+}
 
-    // Boundaries all sit below the horizon, so departures past it
-    // never need indexing.
-    let mut queue = RequestQueue::with_departure_bound(cfg.horizon_slots.max(1));
-    let mut sharder = Sharder::new(cfg.shard_policy);
-    sharder.attach(setup.capacities.clone());
-    let mut active: BTreeMap<usize, ActiveUser> = BTreeMap::new();
-    // Min-heap of (departure slot, user) over active users; entries go
-    // stale on eviction and are skipped lazily on pop.
-    let mut dep_heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-    // Multiset of queued padded demands keyed by bit pattern (demands
-    // are non-negative finite floats, so bit order = numeric order):
-    // its first key is the smallest queued demand, the admission
-    // scan's stop probe.
-    let mut queued_demands: BTreeMap<u64, usize> = BTreeMap::new();
-    // Queued requests whose demand exceeds every shard outright. They
-    // are rejected load-independently at their first scan, so the
-    // early stop must not skip them; nonzero only between a bad
-    // arrival and the boundary that rejects it.
-    let mut queued_inadmissible = 0usize;
-    // Indexed admission (stateless policies only): per-demand FIFOs of
-    // queue sequence numbers. Entries go stale when a request abandons;
-    // they are skipped lazily against `queue.contains`. RoundRobin
-    // advances its rotation on every offered request — including
-    // refusals — so it must keep the linear scan.
-    let indexed = cfg.shard_policy != ShardPolicy::RoundRobin;
-    let mut fifo_by_demand: BTreeMap<u64, VecDeque<u64>> = BTreeMap::new();
-    // Per-boundary membership deltas, reused across boundaries.
-    let mut added: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-    let mut removed: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-    let mut shard_users = vec![0usize; n_shards];
-    let mut shard_admitted = vec![0usize; n_shards];
-    let mut shard_peak = vec![0usize; n_shards];
-    let mut events: Vec<AdmissionEvent> = Vec::new();
-    let (mut arrivals, mut admissions, mut evictions) = (0usize, 0usize, 0usize);
-    let (mut departures, mut abandoned, mut rejected) = (0usize, 0usize, 0usize);
-    let mut wait_slots_sum = 0usize;
-    let mut concurrent_slot_sum = 0usize;
-    let mut peak_concurrent = 0usize;
-    // Queue-side telemetry meter; `ControllerTiming` is derived from
-    // it at the end, so the report schema is unchanged.
-    let meter = Metrics::new();
-    // Cost ledger: credits currently billed per window for the active
-    // set. Only consulted when the budget is finite, so the default
-    // (unlimited) plan leaves every decision untouched.
-    let plan = cfg.cost;
-    let budgeted = plan.is_budgeted();
-    let rate = plan.credits_per_core_window;
-    let budget = plan.budget_credits_per_window;
-    let mut window_spend = 0.0f64;
+/// What one boundary's admission scan decided: requests admitted (with
+/// their shard, in decision order) and requests rejected outright.
+type Decided = (Vec<(UserRequest, usize)>, Vec<UserRequest>);
 
-    let ms_remove = |set: &mut BTreeMap<u64, usize>, demand: f64| {
+/// Demand-side index of the waiting queue — what admission needs to
+/// know about queued requests without walking them.
+///
+/// [`enqueue`](Self::enqueue) and [`dequeue`](Self::dequeue) are the
+/// only mutators of the multiset; call them exactly when a request
+/// enters or leaves the [`RequestQueue`].
+/// The per-demand FIFOs are appended to on enqueue only; entries whose
+/// request has left the queue go stale and are dropped lazily by the
+/// two lookups below.
+struct QueuedDemands {
+    /// The largest shard capacity plus the fit tolerance: a demand
+    /// above it fits no shard at any load.
+    ceiling: f64,
+    /// Multiset of queued padded demands keyed by bit pattern (demands
+    /// are non-negative finite floats, so bit order = numeric order).
+    counts: BTreeMap<u64, usize>,
+    /// Per-demand FIFOs of queue sequence numbers, for the indexed
+    /// admission of stateless policies. `None` under `RoundRobin`,
+    /// whose rotation advances on every offered request — refusals
+    /// included — so it must walk the queue in order.
+    fifos: Option<BTreeMap<u64, VecDeque<u64>>>,
+}
+
+impl QueuedDemands {
+    fn never_fits(&self, demand: f64) -> bool {
+        demand > self.ceiling
+    }
+
+    /// The smallest queued demand — the FIFO scan's stop probe.
+    fn min_demand(&self) -> Option<f64> {
+        self.counts.keys().next().map(|&bits| f64::from_bits(bits))
+    }
+
+    /// `true` while a request that fits no shard waits: it is rejected
+    /// load-independently at its first scan, so an early stop must not
+    /// skip it. Only between a bad arrival and the boundary that
+    /// rejects it.
+    fn holds_never_fitting(&self) -> bool {
+        let largest = self.counts.keys().next_back();
+        largest.is_some_and(|&bits| self.never_fits(f64::from_bits(bits)))
+    }
+
+    fn enqueue(&mut self, demand: f64, seq: u64) {
+        *self.counts.entry(demand.to_bits()).or_insert(0) += 1;
+        if let Some(fifos) = &mut self.fifos {
+            fifos.entry(demand.to_bits()).or_default().push_back(seq);
+        }
+    }
+
+    fn dequeue(&mut self, demand: f64) {
         let bits = demand.to_bits();
-        let count = set.get_mut(&bits).expect("demand was registered");
+        let count = self.counts.get_mut(&bits).expect("demand was enqueued");
         *count -= 1;
         if *count == 0 {
-            set.remove(&bits);
+            self.counts.remove(&bits);
         }
-    };
+    }
 
-    let mut next_arrival = 0usize;
-    let mut slot = 0usize;
-    while slot < cfg.horizon_slots {
-        let boundary_clock = Instant::now();
-        meter.add(CounterId::Boundaries, 1);
+    /// Takes every live request of a never-fitting demand class out of
+    /// `queue`, in arrival order. Rejects are load-independent, so the
+    /// classes are flushed wholesale.
+    fn take_never_fitting(&mut self, queue: &mut RequestQueue) -> Vec<UserRequest> {
+        let fifos = self.fifos.as_mut().expect("indexed admission only");
+        // Bit order is numeric order: every class above the ceiling.
+        let mut seqs: Vec<u64> = fifos
+            .range_mut(self.ceiling.to_bits() + 1..)
+            .flat_map(|(_, fifo)| fifo.drain(..))
+            .filter(|&seq| queue.contains(seq))
+            .collect();
+        seqs.sort_unstable();
+        seqs.into_iter()
+            .map(|seq| queue.take(seq).expect("validated live"))
+            .collect()
+    }
+
+    /// Pops the earliest live queued request among the demand classes
+    /// `admissible` accepts, returning its sequence number.
+    fn pop_earliest(
+        &mut self,
+        queue: &RequestQueue,
+        admissible: impl Fn(f64) -> bool,
+    ) -> Option<u64> {
+        let fifos = self.fifos.as_mut().expect("indexed admission only");
+        let mut best: Option<(u64, u64)> = None;
+        for &bits in self.counts.keys() {
+            let demand = f64::from_bits(bits);
+            if demand > self.ceiling || !admissible(demand) {
+                continue;
+            }
+            let Some(fifo) = fifos.get_mut(&bits) else {
+                continue;
+            };
+            while fifo.front().is_some_and(|&seq| !queue.contains(seq)) {
+                fifo.pop_front();
+            }
+            if let Some(&seq) = fifo.front() {
+                if best.is_none_or(|(earliest, _)| seq < earliest) {
+                    best = Some((seq, bits));
+                }
+            }
+        }
+        let (seq, bits) = best?;
+        fifos
+            .get_mut(&bits)
+            .expect("candidate class exists")
+            .pop_front();
+        Some(seq)
+    }
+}
+
+/// The GOP-boundary controller behind [`serve_online_with`]: the
+/// serving state plus one method per phase of a boundary, in the order
+/// the module docs list them.
+struct Controller<'a, W, B: ExecutionBackend, R: Recorder> {
+    cfg: &'a OnlineConfig,
+    trace: &'a [UserRequest],
+    setup: Setup,
+    /// The workloads and who transcodes which.
+    source: TraceSource<'a, W>,
+    recorder: R,
+    /// One serving `Node` per shard: state transitions (membership
+    /// deltas, slot advancement, shutdown) go through the typed
+    /// `NodeCommand` seam — the same interface the cluster layer binds
+    /// worker nodes to — while read-only eviction queries stay direct.
+    nodes: Vec<Node<B, R>>,
+    queue: RequestQueue,
+    queued: QueuedDemands,
+    sharder: Sharder,
+    active: BTreeMap<usize, ActiveUser>,
+    /// (departure slot, user) of admitted users, earliest first; entries
+    /// go stale on eviction and are skipped lazily on pop. A set, so a
+    /// degraded-then-readmitted user still holds one entry.
+    departures: BTreeSet<(usize, usize)>,
+    /// Per-boundary membership deltas, reused across boundaries.
+    added: Vec<Vec<usize>>,
+    removed: Vec<Vec<usize>>,
+    shard_users: Vec<usize>,
+    /// The decision log — every decision enters through
+    /// [`Self::emit`], and the report's per-kind tallies are a census
+    /// of it — plus the running tallies it does not record. `arrivals`
+    /// doubles as the trace cursor.
+    tally: FinishState,
+    /// Queue-side telemetry meter; `ControllerTiming` and the mean
+    /// queue wait are derived from it when the run ends.
+    meter: Metrics,
+    /// Cost ledger: credits billed per window for the active set.
+    window_spend: f64,
+    /// The boundary being decided.
+    slot: usize,
+}
+
+impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W, B, R> {
+    fn new(
+        cfg: &'a OnlineConfig,
+        workloads: &'a [W],
+        trace: &'a [UserRequest],
+        shards: Vec<B>,
+        recorder: R,
+    ) -> Self {
+        let setup = Setup::new(cfg, workloads, trace, &shards);
+        let nodes: Vec<Node<B, R>> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, b)| Node::with_recorder(b, setup.loop_cfg, recorder, s as u16))
+            .collect();
+        let mut sharder = Sharder::new(cfg.shard_policy);
+        sharder.attach(setup.capacities.clone());
+        let indexed = cfg.shard_policy != ShardPolicy::RoundRobin;
+        Self {
+            cfg,
+            trace,
+            source: TraceSource {
+                workloads,
+                profile_of: setup.profile_of.clone(),
+            },
+            recorder,
+            // Boundaries all sit below the horizon, so departures past
+            // it never need indexing.
+            queue: RequestQueue::with_departure_bound(cfg.horizon_slots.max(1)),
+            queued: QueuedDemands {
+                ceiling: setup.max_capacity + 1e-9,
+                counts: BTreeMap::new(),
+                fifos: indexed.then(BTreeMap::new),
+            },
+            sharder,
+            active: BTreeMap::new(),
+            departures: BTreeSet::new(),
+            added: vec![Vec::new(); nodes.len()],
+            removed: vec![Vec::new(); nodes.len()],
+            shard_users: vec![0; nodes.len()],
+            tally: FinishState {
+                shard_peak: vec![0; nodes.len()],
+                ..FinishState::default()
+            },
+            meter: Metrics::new(),
+            window_spend: 0.0,
+            slot: 0,
+            nodes,
+            setup,
+        }
+    }
+
+    fn record(&self, track: u16, kind: TelKind) {
         if R::ENABLED {
-            recorder.record(TelEvent::new(
-                CONTROL_TRACK,
-                slot as u32,
-                TelKind::GopBoundary,
-            ));
+            self.recorder
+                .record(TelEvent::new(track, self.slot as u32, kind));
         }
-        // 1. Arrivals up to this boundary.
-        while next_arrival < trace.len() && trace[next_arrival].arrival_slot <= slot {
-            let request = &trace[next_arrival];
-            let demand = setup.demand_of[request.profile];
-            *queued_demands.entry(demand.to_bits()).or_insert(0) += 1;
-            if demand > setup.max_capacity + 1e-9 {
-                queued_inadmissible += 1;
-            }
-            let seq = queue.push(request.clone());
-            if indexed {
-                fifo_by_demand
-                    .entry(demand.to_bits())
-                    .or_default()
-                    .push_back(seq);
-            }
-            arrivals += 1;
-            next_arrival += 1;
+    }
+
+    /// Logs one decision taken at this boundary: the report's event
+    /// stream, the meter's counters and the flight recorder all see
+    /// it from here and nowhere else.
+    fn emit(&mut self, kind: EventKind, user: usize, shard: Option<usize>) {
+        let id = user as u32;
+        let (counter, tel) = match kind {
+            EventKind::Admit => (Some(CounterId::Admits), TelKind::Admit { user: id }),
+            EventKind::Evict => (Some(CounterId::Evicts), TelKind::Evict { user: id }),
+            EventKind::Depart => (Some(CounterId::Departs), TelKind::Depart { user: id }),
+            EventKind::Abandon => (Some(CounterId::Abandons), TelKind::Abandon { user: id }),
+            EventKind::Reject => (Some(CounterId::Rejects), TelKind::Reject { user: id }),
+            EventKind::Downgrade => (None, TelKind::Downgraded { user: id }),
+        };
+        if let Some(counter) = counter {
+            self.meter.add(counter, 1);
         }
-        // 2. Voluntary departures — active users first (popped from
-        // the heap, processed in user-id order like the linear scan
-        // they replace), then queued requests whose user gave up.
+        // Admits and rejects were counted as decisions when `admit`
+        // tallied the queue it scanned.
+        if !matches!(kind, EventKind::Admit | EventKind::Reject) {
+            self.meter.add(CounterId::Decisions, 1);
+        }
+        self.record(shard.map_or(CONTROL_TRACK, |s| s as u16), tel);
+        self.tally.events.push(AdmissionEvent {
+            slot: self.slot,
+            user,
+            shard,
+            kind,
+        });
+    }
+
+    fn open_boundary(&mut self) -> Instant {
+        let clock = Instant::now();
+        self.meter.add(CounterId::Boundaries, 1);
+        self.record(CONTROL_TRACK, TelKind::GopBoundary);
+        clock
+    }
+
+    /// The one way into the queue: fresh arrivals and degraded
+    /// re-entries alike.
+    fn enqueue(&mut self, request: UserRequest) {
+        let demand = self.setup.demand_of[request.profile];
+        let seq = self.queue.push(request);
+        self.queued.enqueue(demand, seq);
+    }
+
+    /// Phase 1: requests arriving before slot `end` join the queue.
+    fn ingest(&mut self, end: usize) {
+        let trace = self.trace;
+        while let Some(request) = trace
+            .get(self.tally.arrivals)
+            .filter(|r| r.arrival_slot < end)
+        {
+            self.enqueue(request.clone());
+            self.tally.arrivals += 1;
+        }
+    }
+
+    /// Takes `user` out of the active set, off its shard and off the
+    /// spend ledger, logging why (`Depart` or `Evict`).
+    fn release(&mut self, user: usize, why: EventKind) -> ActiveUser {
+        let a = self.active.remove(&user).expect("leaving user is active");
+        self.sharder.release_load(a.shard, a.demand_cores);
+        self.window_spend -= a.demand_cores * self.cfg.cost.credits_per_core_window;
+        self.shard_users[a.shard] -= 1;
+        self.removed[a.shard].push(user);
+        self.emit(why, user, Some(a.shard));
+        a
+    }
+
+    /// Phase 2: voluntary departures — active users first (in user-id
+    /// order), then queued requests whose user gave up.
+    fn depart(&mut self) {
         let mut departing: Vec<usize> = Vec::new();
-        while let Some(&Reverse((d, user))) = dep_heap.peek() {
-            if d > slot {
-                break;
-            }
-            dep_heap.pop();
-            if active.contains_key(&user) {
+        while self.departures.first().is_some_and(|e| e.0 <= self.slot) {
+            let (_, user) = self.departures.pop_first().expect("peeked above");
+            if self.active.contains_key(&user) {
                 departing.push(user);
             }
         }
         departing.sort_unstable();
-        // A degraded-then-readmitted user carries two identical heap
-        // entries (same departure slot, same user): depart it once.
-        departing.dedup();
-        meter.add(CounterId::Decisions, departing.len() as u64);
         for user in departing {
-            let a = active.remove(&user).expect("departing user is active");
-            sharder.release_load(a.shard, a.demand_cores);
-            if budgeted {
-                window_spend -= a.demand_cores * rate;
-            }
-            shard_users[a.shard] -= 1;
-            removed[a.shard].push(user);
-            departures += 1;
-            meter.add(CounterId::Departs, 1);
-            if R::ENABLED {
-                recorder.record(TelEvent::new(
-                    a.shard as u16,
-                    slot as u32,
-                    TelKind::Depart { user: user as u32 },
-                ));
-            }
-            events.push(AdmissionEvent {
-                slot,
-                user,
-                shard: Some(a.shard),
-                kind: EventKind::Depart,
-            });
+            self.release(user, EventKind::Depart);
         }
-        for request in queue.drain_departed(slot) {
-            let demand = setup.demand_of[request.profile];
-            ms_remove(&mut queued_demands, demand);
-            if demand > setup.max_capacity + 1e-9 {
-                queued_inadmissible -= 1;
-            }
-            abandoned += 1;
-            meter.add(CounterId::Decisions, 1);
-            meter.add(CounterId::Abandons, 1);
-            if R::ENABLED {
-                recorder.record(TelEvent::new(
-                    CONTROL_TRACK,
-                    slot as u32,
-                    TelKind::Abandon {
-                        user: request.user as u32,
-                    },
-                ));
-            }
-            events.push(AdmissionEvent {
-                slot,
-                user: request.user,
-                shard: None,
-                kind: EventKind::Abandon,
-            });
+        for request in self.queue.drain_departed(self.slot) {
+            self.queued.dequeue(self.setup.demand_of[request.profile]);
+            self.emit(EventKind::Abandon, request.user, None);
         }
-        // 3. Evictions under sustained deadline misses. Only users
-        // whose *latest* window missed can be over their tolerance,
-        // and the drivers index exactly those.
+    }
+
+    /// Phase 3: evictions under sustained deadline misses. Only users
+    /// whose *latest* window missed can be over their tolerance, and
+    /// the drivers index exactly those.
+    fn evict(&mut self) {
         let mut evicting: Vec<usize> = Vec::new();
-        for n in &nodes {
+        for n in &self.nodes {
             for u in n.miss_streaks() {
-                let over = active.get(&u).is_some_and(|a| {
+                let over = self.active.get(&u).is_some_and(|a| {
                     n.user_stats(u)
                         .is_some_and(|s| s.consecutive_window_misses >= a.miss_tolerance)
                 });
@@ -708,376 +858,230 @@ pub fn serve_online_with<W: Workload, B: ExecutionBackend, R: Recorder + Copy>(
             }
         }
         evicting.sort_unstable();
-        meter.add(CounterId::Decisions, evicting.len() as u64);
         for user in evicting {
-            let a = active.remove(&user).expect("evicted user is active");
-            sharder.release_load(a.shard, a.demand_cores);
-            if budgeted {
-                window_spend -= a.demand_cores * rate;
-            }
-            shard_users[a.shard] -= 1;
-            removed[a.shard].push(user);
-            evictions += 1;
-            meter.add(CounterId::Evicts, 1);
-            if R::ENABLED {
-                recorder.record(TelEvent::new(
-                    a.shard as u16,
-                    slot as u32,
-                    TelKind::Evict { user: user as u32 },
-                ));
-            }
-            events.push(AdmissionEvent {
-                slot,
-                user,
-                shard: Some(a.shard),
-                kind: EventKind::Evict,
-            });
+            let a = self.release(user, EventKind::Evict);
             // Graceful degradation: the evicted user re-enters the
             // queue one deadline class lower (best-effort evictions
             // stay final). Departures ran above, so the re-queued
             // departure slot — if any — is strictly in the future and
-            // the bounded queue indexes it like a fresh arrival. The
-            // same boundary's admission step may re-admit immediately
-            // onto whatever capacity the eviction freed.
-            if plan.degrade_on_evict {
-                if let Some(lower) = a.class.downgrade() {
-                    let profile = setup.profile_of[&user];
-                    let demand = setup.demand_of[profile];
-                    *queued_demands.entry(demand.to_bits()).or_insert(0) += 1;
-                    if demand > setup.max_capacity + 1e-9 {
-                        queued_inadmissible += 1;
-                    }
-                    let seq = queue.push(UserRequest {
-                        user,
-                        arrival_slot: slot,
-                        profile,
-                        class: lower,
-                        departure_slot: a.departure_slot,
-                    });
-                    if indexed {
-                        fifo_by_demand
-                            .entry(demand.to_bits())
-                            .or_default()
-                            .push_back(seq);
-                    }
-                    meter.add(CounterId::Decisions, 1);
-                    if R::ENABLED {
-                        recorder.record(TelEvent::new(
-                            CONTROL_TRACK,
-                            slot as u32,
-                            TelKind::Downgraded { user: user as u32 },
-                        ));
-                    }
-                    events.push(AdmissionEvent {
-                        slot,
-                        user,
-                        shard: None,
-                        kind: EventKind::Downgrade,
-                    });
-                }
+            // the queue indexes it like a fresh arrival. The same
+            // boundary's admission phase may re-admit immediately onto
+            // whatever capacity the eviction freed.
+            let lower = a.class.downgrade();
+            if let Some(class) = lower.filter(|_| self.cfg.cost.degrade_on_evict) {
+                self.enqueue(UserRequest {
+                    user,
+                    arrival_slot: self.slot,
+                    profile: self.source.profile_of[&user],
+                    class,
+                    departure_slot: a.departure_slot,
+                });
+                self.emit(EventKind::Downgrade, user, None);
             }
         }
-        // 4. Admissions from the FIFO queue. Both paths below replay
-        // the reference's FIFO scan semantics — a request is admitted
-        // iff its demand fits some shard at its decision moment, and
-        // loads only grow within a boundary — they just skip the
-        // requests the scan would have stepped over.
-        let considered = queue.len();
-        meter.add(CounterId::Decisions, considered as u64);
-        let (admitted_now, rejected_now) = if indexed {
-            // Indexed path: cost O((rejects + admits) · distinct
-            // demands), independent of queue depth. Valid because
-            // LeastLoaded/ContentAffinity admit exactly when some
-            // shard fits (stepped-over waiters change nothing), so
-            // the FIFO scan's admit sequence is "repeatedly the
-            // earliest queued request whose demand currently fits".
-            let mut admitted: Vec<(UserRequest, usize)> = Vec::new();
-            let mut rejected: Vec<UserRequest> = Vec::new();
-            // Rejects are load-independent: flush inadmissible demand
-            // classes wholesale, in arrival order.
-            if queued_inadmissible > 0 {
-                let bad: Vec<u64> = queued_demands
-                    .keys()
-                    .copied()
-                    .filter(|&bits| f64::from_bits(bits) > setup.max_capacity + 1e-9)
-                    .collect();
-                let mut seqs: Vec<u64> = Vec::new();
-                for bits in bad {
-                    if let Some(mut fifo) = fifo_by_demand.remove(&bits) {
-                        while let Some(seq) = fifo.pop_front() {
-                            if queue.contains(seq) {
-                                seqs.push(seq);
-                            }
-                        }
-                    }
-                }
-                seqs.sort_unstable();
-                for seq in seqs {
-                    rejected.push(queue.take(seq).expect("validated live"));
-                }
-            }
-            loop {
-                // Earliest live request among demand classes that fit
-                // somewhere right now. (`queued_demands` counts are
-                // reconciled after this block, so a class emptied by
-                // this loop just yields no candidate.)
-                let mut best: Option<(u64, u64)> = None;
-                for &bits in queued_demands.keys() {
-                    let demand = f64::from_bits(bits);
-                    if demand > setup.max_capacity + 1e-9 || !sharder.any_fits(demand) {
-                        continue;
-                    }
-                    // Cost headroom: billing this class must keep the
-                    // window spend within budget. Demand-monotone like
-                    // the capacity probe, so skipping the class is
-                    // exactly "every member would Wait".
-                    if budgeted && window_spend + demand * rate > budget + 1e-9 {
-                        continue;
-                    }
-                    let Some(fifo) = fifo_by_demand.get_mut(&bits) else {
-                        continue;
-                    };
-                    while let Some(&seq) = fifo.front() {
-                        if queue.contains(seq) {
-                            break;
-                        }
-                        fifo.pop_front();
-                    }
-                    if let Some(&seq) = fifo.front() {
-                        if best.is_none_or(|(s, _)| seq < s) {
-                            best = Some((seq, bits));
-                        }
-                    }
-                }
-                let Some((seq, bits)) = best else { break };
-                fifo_by_demand
-                    .get_mut(&bits)
-                    .expect("candidate class exists")
-                    .pop_front();
-                let request = queue.take(seq).expect("validated live");
-                let demand = setup.demand_of[request.profile];
-                let shard = sharder
-                    .pick_attached(demand, workloads[request.profile].content_class())
-                    .expect("any_fits implies a pick for stateless policies");
-                sharder.admit_load(shard, demand);
-                if budgeted {
-                    window_spend += demand * rate;
-                }
-                admitted.push((request, shard));
-            }
-            (admitted, rejected)
+    }
+
+    /// Phase 4: admissions from the FIFO queue. Both procedures replay
+    /// the reference's FIFO scan — a request is admitted iff its
+    /// demand fits some shard, and its billing the budget, at its
+    /// decision moment; loads and spend only grow within a boundary —
+    /// they just skip requests the scan would have stepped over.
+    fn admit(&mut self) {
+        let considered = self.queue.len();
+        self.meter.add(CounterId::Decisions, considered as u64);
+        let (admitted, rejected) = if self.queued.fifos.is_some() {
+            self.admit_indexed()
         } else {
-            // Linear path (rotation policies): the scan stops at the
-            // first request once the smallest queued demand fits no
-            // shard — loads only grow within a scan and fitting is
-            // demand-monotone, so every later request would decide
-            // Wait. (The stop probe may read a demand already admitted
-            // this scan — it only under-estimates the remaining
-            // minimum, which keeps the stop conservative.) Disabled
-            // while an inadmissible request waits, whose Reject must
-            // not be deferred, and under a finite budget: the rotation
-            // advances once per unscanned request (`skip_all` below),
-            // but a budget-refused request is never offered a shard,
-            // so the unscanned tail would over-advance it.
-            let allow_stop = queued_inadmissible == 0 && !budgeted;
-            let mut scanned = 0usize;
-            let decided = queue.try_admit_while(|request| {
-                if allow_stop {
-                    let min_bits = *queued_demands.keys().next().expect("scan implies queued");
-                    if !sharder.any_fits(f64::from_bits(min_bits)) {
-                        return None;
-                    }
-                }
-                scanned += 1;
-                let demand = setup.demand_of[request.profile];
-                if demand > setup.max_capacity + 1e-9 {
-                    return Some(AdmitDecision::Reject);
-                }
-                // Budget refusals wait without being offered to the
-                // rotation — the shard never saw the request.
-                if budgeted && window_spend + demand * rate > budget + 1e-9 {
-                    return Some(AdmitDecision::Wait);
-                }
-                match sharder.pick_attached(demand, workloads[request.profile].content_class()) {
-                    Some(shard) => {
-                        // Reserve immediately so later queue entries
-                        // see the updated load.
-                        sharder.admit_load(shard, demand);
-                        if budgeted {
-                            window_spend += demand * rate;
-                        }
-                        Some(AdmitDecision::Admit(shard))
-                    }
-                    None => Some(AdmitDecision::Wait),
-                }
-            });
-            // Unscanned requests would all have been offered (and
-            // refused) a shard: keep the rotation cursor in step.
-            sharder.skip_all(considered - scanned);
-            decided
+            self.admit_in_rotation(considered)
         };
-        for request in rejected_now {
-            ms_remove(&mut queued_demands, setup.demand_of[request.profile]);
-            queued_inadmissible -= 1;
-            rejected += 1;
-            meter.add(CounterId::Rejects, 1);
-            if R::ENABLED {
-                recorder.record(TelEvent::new(
-                    CONTROL_TRACK,
-                    slot as u32,
-                    TelKind::Reject {
-                        user: request.user as u32,
-                    },
-                ));
-            }
-            events.push(AdmissionEvent {
-                slot,
-                user: request.user,
-                shard: None,
-                kind: EventKind::Reject,
-            });
+        for request in rejected {
+            self.queued.dequeue(self.setup.demand_of[request.profile]);
+            self.emit(EventKind::Reject, request.user, None);
         }
-        for (request, shard) in admitted_now {
-            let demand = setup.demand_of[request.profile];
-            ms_remove(&mut queued_demands, demand);
+        for (request, shard) in admitted {
+            let demand = self.setup.demand_of[request.profile];
+            self.queued.dequeue(demand);
             if let Some(d) = request.departure_slot {
-                dep_heap.push(Reverse((d, request.user)));
+                self.departures.insert((d, request.user));
             }
-            active.insert(
+            self.active.insert(
                 request.user,
                 ActiveUser {
                     shard,
                     demand_cores: demand,
                     departure_slot: request.departure_slot,
-                    miss_tolerance: request.class.miss_tolerance() * cfg.evict_miss_windows.max(1),
+                    miss_tolerance: request.class.miss_tolerance()
+                        * self.cfg.evict_miss_windows.max(1),
                     class: request.class,
                 },
             );
-            admissions += 1;
-            shard_admitted[shard] += 1;
-            shard_users[shard] += 1;
-            added[shard].push(request.user);
-            wait_slots_sum += slot - request.arrival_slot;
-            meter.add(CounterId::Admits, 1);
-            meter.observe(HistId::QueueWaitSlots, (slot - request.arrival_slot) as u64);
-            if R::ENABLED {
-                recorder.record(TelEvent::new(
-                    shard as u16,
-                    slot as u32,
-                    TelKind::Admit {
-                        user: request.user as u32,
-                    },
-                ));
+            self.shard_users[shard] += 1;
+            self.added[shard].push(request.user);
+            let waited = self.slot - request.arrival_slot;
+            self.meter.observe(HistId::QueueWaitSlots, waited as u64);
+            self.emit(EventKind::Admit, request.user, Some(shard));
+        }
+        let depth = self.queue.len() as u32;
+        self.record(CONTROL_TRACK, TelKind::QueueDepth { depth });
+    }
+
+    /// Indexed admission (stateless policies): cost O((rejects +
+    /// admits) · distinct demands), independent of queue depth. Valid
+    /// because `LeastLoaded`/`ContentAffinity` admit exactly when some
+    /// shard fits (stepped-over waiters change nothing), so the FIFO
+    /// scan's admit sequence is "repeatedly the earliest queued
+    /// request whose demand currently fits". Capacity and cost
+    /// headroom are both demand-monotone, so skipping a class is
+    /// exactly "every member would Wait".
+    fn admit_indexed(&mut self) -> Decided {
+        let rejected = self.queued.take_never_fitting(&mut self.queue);
+        let plan = self.cfg.cost;
+        let mut admitted = Vec::new();
+        loop {
+            let (sharder, spend) = (&self.sharder, self.window_spend);
+            let fits = |demand| sharder.any_fits(demand) && !plan.over_budget(spend, demand);
+            let Some(seq) = self.queued.pop_earliest(&self.queue, fits) else {
+                break;
+            };
+            let request = self.queue.take(seq).expect("validated live");
+            let demand = self.setup.demand_of[request.profile];
+            let shard = self
+                .sharder
+                .pick_attached(
+                    demand,
+                    self.source.workloads[request.profile].content_class(),
+                )
+                .expect("any_fits implies a pick for stateless policies");
+            self.sharder.admit_load(shard, demand);
+            self.window_spend += demand * plan.credits_per_core_window;
+            admitted.push((request, shard));
+        }
+        (admitted, rejected)
+    }
+
+    /// FIFO-scan admission (`RoundRobin`): every request is offered
+    /// the next shard in rotation, in queue order. The scan stops at
+    /// the first request once the smallest queued demand fits no shard
+    /// — loads only grow within a scan and fitting is demand-monotone,
+    /// so every later request would be offered a shard and refused,
+    /// which `skip_all` replays on the rotation. (The probe may read a
+    /// demand already admitted this scan; that only under-estimates
+    /// the remaining minimum, which keeps the stop conservative.) The
+    /// stop is not armed while a never-fitting request waits, whose
+    /// Reject must not be deferred, nor under a finite budget: a
+    /// budget-refused request waits without being offered to the
+    /// rotation — the shard never saw it — so the unscanned tail would
+    /// over-advance the cursor.
+    fn admit_in_rotation(&mut self, considered: usize) -> Decided {
+        let Self {
+            queue,
+            queued,
+            sharder,
+            window_spend,
+            setup,
+            source,
+            cfg,
+            ..
+        } = self;
+        let plan = cfg.cost;
+        let may_stop = !queued.holds_never_fitting() && !plan.is_budgeted();
+        let mut scanned = 0usize;
+        let decided = queue.try_admit_while(|request| {
+            if may_stop && !sharder.any_fits(queued.min_demand().expect("scan implies queued")) {
+                return None;
             }
-            events.push(AdmissionEvent {
-                slot,
-                user: request.user,
-                shard: Some(shard),
-                kind: EventKind::Admit,
-            });
-        }
-        if R::ENABLED {
-            recorder.record(TelEvent::new(
-                CONTROL_TRACK,
-                slot as u32,
-                TelKind::QueueDepth {
-                    depth: queue.len() as u32,
-                },
-            ));
-        }
-        // 5. Membership deltas → shards, then advance one GOP in
-        // lockstep.
-        for s in 0..n_shards {
-            shard_peak[s] = shard_peak[s].max(shard_users[s]);
+            scanned += 1;
+            let demand = setup.demand_of[request.profile];
+            if queued.never_fits(demand) {
+                return Some(AdmitDecision::Reject);
+            }
+            if plan.over_budget(*window_spend, demand) {
+                return Some(AdmitDecision::Wait);
+            }
+            let class = source.workloads[request.profile].content_class();
+            Some(match sharder.pick_attached(demand, class) {
+                Some(shard) => {
+                    // Reserve and bill immediately so later queue
+                    // entries see the updated load and spend.
+                    sharder.admit_load(shard, demand);
+                    *window_spend += demand * plan.credits_per_core_window;
+                    AdmitDecision::Admit(shard)
+                }
+                None => AdmitDecision::Wait,
+            })
+        });
+        sharder.skip_all(considered - scanned);
+        decided
+    }
+
+    /// Phase 5: membership deltas → shards, then every shard advances
+    /// one GOP in lockstep.
+    fn advance(&mut self, boundary_clock: Instant) {
+        for (s, node) in self.nodes.iter_mut().enumerate() {
+            self.tally.shard_peak[s] = self.tally.shard_peak[s].max(self.shard_users[s]);
             // `take` moves the delta buffers into the command (they
             // are wire-shaped plain data); empty Vecs are allocation-
             // free, so the steady-state boundary still allocates
             // nothing here.
-            nodes[s].handle(
+            node.handle(
                 NodeCommand::UpdateMembership {
-                    add: std::mem::take(&mut added[s]),
-                    remove: std::mem::take(&mut removed[s]),
+                    add: std::mem::take(&mut self.added[s]),
+                    remove: std::mem::take(&mut self.removed[s]),
                 },
-                &source,
+                &self.source,
             );
         }
-        meter.observe(
+        self.meter.observe(
             HistId::BoundaryNs,
             boundary_clock.elapsed().as_nanos() as u64,
         );
-        let n_slots = cfg.gop_slots.min(cfg.horizon_slots - slot);
-        for n in &mut nodes {
-            n.handle(NodeCommand::Advance { slots: n_slots }, &source);
+        let slots = self.cfg.gop_slots.min(self.cfg.horizon_slots - self.slot);
+        for node in &mut self.nodes {
+            node.handle(NodeCommand::Advance { slots }, &self.source);
         }
-        concurrent_slot_sum += active.len() * n_slots;
-        peak_concurrent = peak_concurrent.max(active.len());
-        slot += n_slots;
+        self.tally.concurrent_slot_sum += self.active.len() * slots;
+        self.tally.peak_concurrent = self.tally.peak_concurrent.max(self.active.len());
+        self.slot += slots;
     }
 
-    // Requests arriving after the last GOP boundary still arrived
-    // within the horizon: ingest them so `arrivals`/`queued_at_end`
-    // reconcile with the trace (they could not have been admitted —
-    // no boundary remained to act on).
-    while next_arrival < trace.len() && trace[next_arrival].arrival_slot < cfg.horizon_slots {
-        queue.push(trace[next_arrival].clone());
-        arrivals += 1;
-        next_arrival += 1;
+    fn finish(mut self) -> OnlineReport {
+        // Requests arriving after the last GOP boundary still arrived
+        // within the horizon: ingest them so `arrivals`/`queued_at_end`
+        // reconcile with the trace (they could not have been admitted —
+        // no boundary remained to act on).
+        self.ingest(self.cfg.horizon_slots);
+        // Derive the report's timing view, then fold the queue-side
+        // meter into the recorder (each node folds its driver's meter
+        // when it handles `Stop`).
+        let mut tally = self.tally;
+        tally.timing = ControllerTiming::from_metrics(&self.meter);
+        tally.wait_slots_sum = self.meter.hist(HistId::QueueWaitSlots).sum() as usize;
+        tally.queued_at_end = self.queue.len();
+        tally.active_at_end = self.active.len();
+        self.recorder.absorb(&self.meter);
+        let reports: Vec<LoopReport> = self
+            .nodes
+            .iter_mut()
+            .map(|n| {
+                n.handle(NodeCommand::Stop, &self.source)
+                    .into_report()
+                    .expect("live node must yield a final report")
+            })
+            .collect();
+        finish_report(self.cfg, &self.setup, reports, tally)
     }
-
-    // Derive the report's timing view, then fold the queue-side meter
-    // into the recorder (each node folds its driver's meter when it
-    // handles `Stop`).
-    let timing = ControllerTiming::from_metrics(&meter);
-    recorder.absorb(&meter);
-
-    let reports: Vec<LoopReport> = nodes
-        .iter_mut()
-        .map(|n| {
-            n.handle(NodeCommand::Stop, &source)
-                .into_report()
-                .expect("live node must yield a final report")
-        })
-        .collect();
-
-    finish_report(
-        cfg,
-        &setup,
-        reports,
-        FinishState {
-            queued_at_end: queue.len(),
-            active_at_end: active.len(),
-            arrivals,
-            admissions,
-            evictions,
-            departures,
-            abandoned,
-            rejected,
-            wait_slots_sum,
-            concurrent_slot_sum,
-            peak_concurrent,
-            shard_admitted,
-            shard_peak,
-            events,
-            timing,
-        },
-    )
 }
 
-/// Serve-loop tallies handed to [`finish_report`] once the horizon
-/// ends.
+/// Serve-loop state handed to [`finish_report`] once the horizon ends:
+/// the decision stream and what it does not itself record.
+#[derive(Default)]
 pub(crate) struct FinishState {
     pub(crate) queued_at_end: usize,
     pub(crate) active_at_end: usize,
     pub(crate) arrivals: usize,
-    pub(crate) admissions: usize,
-    pub(crate) evictions: usize,
-    pub(crate) departures: usize,
-    pub(crate) abandoned: usize,
-    pub(crate) rejected: usize,
     pub(crate) wait_slots_sum: usize,
     pub(crate) concurrent_slot_sum: usize,
     pub(crate) peak_concurrent: usize,
-    pub(crate) shard_admitted: Vec<usize>,
     pub(crate) shard_peak: Vec<usize>,
     pub(crate) events: Vec<AdmissionEvent>,
     pub(crate) timing: ControllerTiming,
@@ -1085,13 +1089,30 @@ pub(crate) struct FinishState {
 
 /// Assembles the [`OnlineReport`] from the shards' final
 /// [`LoopReport`]s — shared with the frozen reference controller so
-/// both summarize identically.
+/// both summarize identically. The per-kind tallies are a census of
+/// the decision stream.
 pub(crate) fn finish_report(
     cfg: &OnlineConfig,
     setup: &Setup,
     reports: Vec<LoopReport>,
     state: FinishState,
 ) -> OnlineReport {
+    let (mut admissions, mut evictions, mut departures) = (0usize, 0usize, 0usize);
+    let (mut abandoned, mut rejected) = (0usize, 0usize);
+    let mut shard_admitted = vec![0usize; reports.len()];
+    for e in &state.events {
+        match e.kind {
+            EventKind::Admit => {
+                admissions += 1;
+                shard_admitted[e.shard.expect("an admit names its shard")] += 1;
+            }
+            EventKind::Evict => evictions += 1,
+            EventKind::Depart => departures += 1,
+            EventKind::Abandon => abandoned += 1,
+            EventKind::Reject => rejected += 1,
+            EventKind::Downgrade => {}
+        }
+    }
     let mut shard_reports = Vec::with_capacity(reports.len());
     let (mut windows, mut window_misses, mut energy) = (0usize, 0usize, 0.0f64);
     // Placement-side cost lives in the drivers; fold it into the
@@ -1107,7 +1128,7 @@ pub(crate) fn finish_report(
             shard: s,
             label: setup.labels[s].clone(),
             capacity_cores: setup.capacities[s],
-            admitted: state.shard_admitted[s],
+            admitted: shard_admitted[s],
             peak_users: state.shard_peak[s],
             energy_j: r.energy_j,
             windows: r.windows,
@@ -1121,17 +1142,17 @@ pub(crate) fn finish_report(
         shard_policy: cfg.shard_policy.label().to_string(),
         horizon_slots: cfg.horizon_slots,
         arrivals: state.arrivals,
-        admissions: state.admissions,
-        evictions: state.evictions,
-        departures: state.departures,
-        abandoned: state.abandoned,
-        rejected: state.rejected,
+        admissions,
+        evictions,
+        departures,
+        abandoned,
+        rejected,
         queued_at_end: state.queued_at_end,
         active_at_end: state.active_at_end,
-        mean_queue_wait_slots: if state.admissions == 0 {
+        mean_queue_wait_slots: if admissions == 0 {
             0.0
         } else {
-            state.wait_slots_sum as f64 / state.admissions as f64
+            state.wait_slots_sum as f64 / admissions as f64
         },
         avg_concurrent_users: if cfg.horizon_slots == 0 {
             0.0
@@ -1570,7 +1591,7 @@ mod tests {
             request(2, 0, None),
             request(3, 0, None),
         ];
-        let budgeted = OnlineConfig {
+        let capped = OnlineConfig {
             cost: CostPlan {
                 credits_per_core_window: 1.0,
                 budget_credits_per_window: 4.0,
@@ -1578,7 +1599,7 @@ mod tests {
             },
             ..cfg(96)
         };
-        let report = serve_online(&budgeted, &workloads, &trace, quad_shards(2));
+        let report = serve_online(&capped, &workloads, &trace, quad_shards(2));
         assert_eq!(report.admissions, 3, "two upfront, one after the departure");
         assert_eq!(report.rejected, 0, "budget waits, it never rejects");
         assert_eq!(report.departures, 1);
@@ -1683,9 +1704,9 @@ mod tests {
             },
             ..cfg(96)
         };
-        let budgeted = serve_online(&roomy, &workloads, &trace, quad_shards(2));
+        let slack = serve_online(&roomy, &workloads, &trace, quad_shards(2));
         let free = serve_online(&cfg(96), &workloads, &trace, quad_shards(2));
-        assert_eq!(budgeted.events, free.events, "a slack budget never binds");
+        assert_eq!(slack.events, free.events, "a slack budget never binds");
     }
 
     #[test]
