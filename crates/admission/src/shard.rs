@@ -17,6 +17,14 @@ pub enum ShardPolicy {
     /// shard — the next in rotation — and stays queued when that shard
     /// is full, even if others have room. The classic cheap dispatcher
     /// the related cloud-transcoding work benchmarks against.
+    ///
+    /// The rotation is positional: which shard a request is offered
+    /// depends on how many requests were considered before it, waiters
+    /// included. That makes this the O(queue)-per-boundary policy —
+    /// the controller scans the whole queue in order
+    /// (`admit_in_rotation`) — and rules out the demand-indexed
+    /// admission the two stateless policies use, which steps over
+    /// waiters without looking at them.
     RoundRobin,
     /// Texture-class affinity: users of one content class gravitate to
     /// one socket (warm per-class LUTs and caches), falling back to

@@ -25,7 +25,11 @@ struct Headline {
 }
 
 fn main() {
+    // Both knobs are read before the minutes of work, so a mistyped
+    // value stops the run at once.
     let scale = Scale::from_env();
+    let sim = ServerSim::new(ServerConfig::default());
+    let (backend_name, mut backend) = backend_from_env(sim.config());
 
     // Claim 1: ME speedup on a representative tiling (4x3).
     eprintln!("measuring ME speedup…");
@@ -49,8 +53,6 @@ fn main() {
     eprintln!("profiling suites…");
     let prop_profiles = proposed_profiles(scale);
     let base_profiles = baseline_profiles(scale);
-    let sim = ServerSim::new(ServerConfig::default());
-    let (backend_name, mut backend) = backend_from_env(sim.config());
     eprintln!("serving on the `{backend_name}` backend…");
     let prop = sim.serve_max_on(&mut backend, &prop_profiles, Approach::Proposed);
     let base = sim.serve_max_on(&mut backend, &base_profiles, Approach::Baseline);

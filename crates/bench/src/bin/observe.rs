@@ -1,48 +1,35 @@
-//! Flight-recorder observability bench: proves telemetry is cheap,
-//! exact, and backend-independent, and exports the captured stream in
-//! tool-loadable formats.
+//! Flight-recorder overhead gate: proves that attaching telemetry is
+//! cheap and changes no decision.
 //!
-//! Three sections, three artifacts:
+//! The 256-core control-plane fleet serves 10³ and 10⁴ users twice
+//! each: recorder disabled (`NoopRecorder`, the statically
+//! compiled-out path) and enabled (`FlightRecorder` capturing every
+//! event plus counters/histograms). Each cost is the minimum wall time
+//! over `MEASURE_REPS` repetitions of the deterministic run; at the
+//! largest population the enabled run must stay within 5% relative (or
+//! 10 ms absolute, below host noise) of disabled, and at every
+//! population both runs must produce bit-identical decision streams
+//! and modeled reports.
 //!
-//! * **overhead gate** — the scale fleet's quick-tier populations
-//!   (10³ and 10⁴ users) each served twice: recorder disabled
-//!   (`NoopRecorder`, the statically compiled-out path) and enabled
-//!   (`FlightRecorder` capturing every event plus
-//!   counters/histograms). Each cost is the minimum wall time over
-//!   `MEASURE_REPS` repetitions of the deterministic run; at the
-//!   largest population the enabled run must stay within 5% relative
-//!   (or 10 ms absolute, below host noise) of disabled, and at every
-//!   population both runs must produce bit-identical decision streams
-//!   and modeled reports.
-//! * **backend event parity** — a mixed live+synthetic user population
-//!   (one real tile-encoding [`medvt_core::LiveWorkload`], two
-//!   profile-replay tiers) served on two quad-core shards by
-//!   `SimBackend` and `ThreadPoolBackend`, each with a modeled-time
-//!   flight recorder attached: the normalized (wall-stripped) event
-//!   streams must match event for event, extending the repo's
-//!   sim-vs-pool bit-identity invariant to telemetry.
-//! * **exports** — the parity run's event stream written as
-//!   `observe.trace.json` (Chrome/Perfetto `trace_event` format: load
-//!   it at `ui.perfetto.dev`) and `observe_events.jsonl` (one JSON
-//!   object per event), next to the `observe_bench.json` summary.
+//! This is the one assertion the end-to-end benchmark does not carry:
+//! `benchmark/` reports `telemetry.overhead_pct` per workload, but
+//! per-layer rows have no bound. Backend event parity lives in
+//! `tests/telemetry_parity.rs` and `tests/live_transcode.rs`; every
+//! traced `benchmark/run.sh` workload writes a Perfetto export to
+//! `target/benchmark/<workload>.telemetry.trace.json`.
 //!
-//! Honours `MEDVT_SCALE` / `MEDVT_OUT` like the other experiment
-//! binaries.
+//! Writes `observe_bench.json` under `MEDVT_OUT` like the other
+//! experiment binaries.
 
 use medvt_admission::{
     serve_online, serve_online_with, synthesize_trace, OnlineConfig, OnlineReport, ShardPolicy,
     TraceConfig, UserRequest, Workload,
 };
-use medvt_bench::{live_online_config, live_workload, synthetic_profile, write_artifact, Scale};
-use medvt_core::{LiveWorkload, VideoProfile};
-use medvt_frame::synth::BodyPart;
+use medvt_bench::write_artifact;
 use medvt_mpsoc::{DvfsPolicy, FrequencySet, Platform, PowerModel};
-use medvt_runtime::{ControllerTiming, SimBackend, ThreadPoolBackend};
-use medvt_telemetry::{
-    chrome_trace, json_lines, CounterId, EventKind, FlightRecorder, TelemetrySnapshot,
-};
+use medvt_runtime::{ControllerTiming, SimBackend};
+use medvt_telemetry::{CounterId, FlightRecorder, TelemetrySnapshot};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const HORIZON: usize = 192;
@@ -55,18 +42,18 @@ const HEADROOM: f64 = 1.15;
 const MEASURE_REPS: usize = 5;
 /// Relative overhead budget for telemetry-enabled serving.
 const GATE_RELATIVE: f64 = 0.05;
-/// Absolute floor: quick-tier runs finish in milliseconds, where a 5%
-/// band is smaller than scheduler jitter on a shared host.
+/// Absolute floor: these runs finish in milliseconds, where a 5% band
+/// is smaller than scheduler jitter on a shared host.
 const GATE_ABS_MS: f64 = 10.0;
 /// Per-ring event retention for the overhead run: bounded by design —
-/// a quick-tier sweep emits more slot events than this, the dropped
-/// counters in the snapshot prove retention stayed bounded, and the
-/// 128 KiB-per-ring footprint keeps the write path cache-resident.
+/// a sweep emits more slot events than this, the dropped counters in
+/// the snapshot prove retention stayed bounded, and the 128 KiB-per-ring
+/// footprint keeps the write path cache-resident.
 const RING_CAPACITY: usize = 1 << 12;
 
-/// A slot-invariant tier (same shape as the scale bench): demand never
-/// changes, so the controller's steady-state fast path applies and the
-/// measured delta is telemetry, not re-estimation.
+/// A slot-invariant tier: demand never changes, so the controller's
+/// steady-state fast path applies and the measured delta is telemetry,
+/// not re-estimation.
 struct SteadyTier {
     tiles: usize,
     secs: f64,
@@ -109,7 +96,7 @@ fn tiers() -> Vec<SteadyTier> {
     ]
 }
 
-/// The 256-core serving fleet of the scale bench.
+/// The 256-core serving fleet (the `control_churn` workload's shape).
 fn fleet() -> Platform {
     Platform::new("scale fleet", 4, 64, FrequencySet::xeon_e5_2667(), 10e-6)
 }
@@ -265,234 +252,43 @@ fn overhead_gate(users: usize, enforce: bool) -> OverheadGate {
     }
 }
 
-/// A user that is either a real tile-encoding live workload or a
-/// cost-only profile replay — the mixed population of the parity run.
-enum Mixed {
-    Live(LiveWorkload),
-    Synthetic(VideoProfile),
-}
-
-impl Workload for Mixed {
-    fn steady_demand(&self) -> Vec<f64> {
-        match self {
-            Mixed::Live(w) => w.steady_demand(),
-            Mixed::Synthetic(p) => p.steady_demand(),
-        }
-    }
-    fn demand_at(&self, slot: usize) -> Vec<f64> {
-        match self {
-            Mixed::Live(w) => w.demand_at(slot),
-            Mixed::Synthetic(p) => p.demand_at(slot),
-        }
-    }
-    fn content_class(&self) -> &str {
-        match self {
-            Mixed::Live(w) => w.content_class(),
-            Mixed::Synthetic(p) => p.content_class(),
-        }
-    }
-    fn steady(&self) -> bool {
-        match self {
-            Mixed::Live(w) => Workload::steady(w),
-            Mixed::Synthetic(p) => Workload::steady(p),
-        }
-    }
-    fn work_for(&self, slot: usize, thread: usize) -> Option<Box<dyn FnOnce() + Send + '_>> {
-        match self {
-            Mixed::Live(w) => w.work_for(slot, thread),
-            Mixed::Synthetic(p) => p.work_for(slot, thread),
-        }
-    }
-}
-
-#[derive(Debug, Serialize)]
-struct BackendParity {
-    workloads: usize,
-    live_workloads: usize,
-    horizon_slots: usize,
-    arrivals: usize,
-    admissions: usize,
-    /// Telemetry events retained by the sim run (== pool run).
-    events: usize,
-    slot_core_events: usize,
-    /// Normalized event streams match between `SimBackend` and
-    /// `ThreadPoolBackend` shards.
-    streams_match: bool,
-    /// Decision logs and modeled reports match too (the pre-existing
-    /// invariant, restated here so the artifact is self-contained).
-    decisions_match: bool,
-}
-
-/// Serve the mixed population on sim and pool shards, each with a
-/// modeled-time recorder, and demand identical normalized streams.
-/// Returns the sim recorder for export alongside the parity summary.
-fn backend_parity() -> (BackendParity, FlightRecorder, f64) {
-    let horizon = 96;
-    let platform = Platform::new("observe duo", 2, 4, FrequencySet::xeon_e5_2667(), 10e-6);
-    let power = PowerModel::default();
-    let cfg = live_online_config(horizon);
-    let slot_secs = 1.0 / cfg.fps;
-
-    // One real encoder per class of synthetic tier: tile threads of
-    // admitted live users run actual encodes on the pool backend, while
-    // the sim backend serves the identical analytical accounting.
-    let workloads = vec![
-        Mixed::Live(live_workload("observe-live", BodyPart::Brain, "brain", 77)),
-        Mixed::Synthetic(synthetic_profile(
-            "observe-spine",
-            "spine",
-            2,
-            slot_secs * 0.2,
-        )),
-        Mixed::Synthetic(synthetic_profile(
-            "observe-cardiac",
-            "cardiac",
-            4,
-            slot_secs * 0.2,
-        )),
-    ];
-    let live_count = workloads
-        .iter()
-        .filter(|w| matches!(w, Mixed::Live(_)))
-        .count();
-    let trace = synthesize_trace(&TraceConfig {
-        horizon_slots: horizon,
-        arrivals_per_slot: 0.25,
-        min_session_slots: 24,
-        tail_alpha: 1.4,
-        profiles: workloads.len(),
-        seed: 2018,
-    });
-
-    let sim_shards: Vec<SimBackend> = (0..platform.sockets)
-        .map(|s| SimBackend::new(platform.socket_view(s), power))
-        .collect();
-    let pool_shards: Vec<ThreadPoolBackend> = (0..platform.sockets)
-        .map(|s| ThreadPoolBackend::with_workers(platform.socket_view(s), power, 2))
-        .collect();
-
-    // Modeled-time recorders: no wall stamps, so the streams are
-    // byte-comparable across backends without normalization — but we
-    // compare the normalized view anyway, which is what a wall-clocked
-    // deployment would diff.
-    let rec_sim = FlightRecorder::modeled(platform.sockets, RING_CAPACITY);
-    let rec_pool = FlightRecorder::modeled(platform.sockets, RING_CAPACITY);
-    let sim = serve_online_with(&cfg, &workloads, &trace, sim_shards, &rec_sim);
-    let pool = serve_online_with(&cfg, &workloads, &trace, pool_shards, &rec_pool);
-
-    let sim_events = rec_sim.normalized_events();
-    let pool_events = rec_pool.normalized_events();
-    let streams_match = sim_events == pool_events;
-    let decisions_match = sim.events == pool.events
-        && sim.windows == pool.windows
-        && sim.window_misses == pool.window_misses;
-    let slot_core_events = sim_events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::SlotCore { .. }))
-        .count();
-    println!(
-        "backend parity: {} events on sim, {} on pool ({} per-core spans); \
-         streams match: {streams_match}, decisions match: {decisions_match}",
-        sim_events.len(),
-        pool_events.len(),
-        slot_core_events
-    );
-    assert!(
-        !sim_events.is_empty() && slot_core_events > 0,
-        "parity run must record a non-trivial event stream"
-    );
-    assert!(
-        streams_match,
-        "thread-pool shards emitted a different telemetry stream than sim shards"
-    );
-    assert!(decisions_match, "backend decision streams diverged");
-    assert_eq!(rec_sim.dropped(), 0, "parity rings must retain everything");
-
-    let parity = BackendParity {
-        workloads: workloads.len(),
-        live_workloads: live_count,
-        horizon_slots: horizon,
-        arrivals: sim.arrivals,
-        admissions: sim.admissions,
-        events: sim_events.len(),
-        slot_core_events,
-        streams_match,
-        decisions_match,
-    };
-    (parity, rec_sim, slot_secs)
-}
-
 #[derive(Debug, Serialize)]
 struct ObserveArtifact {
-    scale: String,
     platform: String,
     sockets: usize,
     cores_per_socket: usize,
     horizon_slots: usize,
     gop_slots: usize,
-    /// One entry per population of the scale bench's quick tier; the
-    /// gate is enforced at the largest.
+    /// One entry per population; the gate is enforced at the largest.
     overhead: Vec<OverheadGate>,
-    parity: BackendParity,
-    trace_file: String,
-    events_file: String,
-}
-
-/// The artifact directory the shared `write_artifact` helper uses.
-fn out_dir() -> PathBuf {
-    std::env::var("MEDVT_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/experiments"))
 }
 
 fn main() {
-    let scale = Scale::from_env();
     let platform = fleet();
     println!(
-        "observability bench on {} ({} sockets x {} cores), horizon {HORIZON} slots",
+        "telemetry overhead gate on {} ({} sockets x {} cores), horizon {HORIZON} slots",
         platform.name,
         platform.sockets,
         platform.cores_per_socket()
     );
 
-    // The scale bench's quick-tier populations; the telemetry overhead
-    // gate is enforced at the largest, where per-boundary controller
-    // work dominates and the fixed per-event cost must disappear into
-    // it. The smaller run documents the worst case (short run, dense
-    // events) without gating on host noise.
+    // The gate is enforced at the largest population, where
+    // per-boundary controller work dominates and the fixed per-event
+    // cost must disappear into it. The smaller run documents the worst
+    // case (short run, dense events) without gating on host noise.
     let populations = [1_000usize, 10_000];
     let overhead: Vec<OverheadGate> = populations
         .iter()
         .map(|&users| overhead_gate(users, users == *populations.last().unwrap()))
         .collect();
-    let (parity, rec, slot_secs) = backend_parity();
-
-    // Exports: the parity run's stream is small, deterministic, and
-    // carries real per-core spans — the right trace to eyeball.
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("create artifact directory");
-    let events = rec.events();
-    let trace_path = dir.join("observe.trace.json");
-    std::fs::write(&trace_path, chrome_trace(&events, slot_secs)).expect("write trace");
-    let events_path = dir.join("observe_events.jsonl");
-    std::fs::write(&events_path, json_lines(&events)).expect("write event log");
-    println!(
-        "trace: {} ({} events; load at ui.perfetto.dev)",
-        trace_path.display(),
-        events.len()
-    );
 
     let artifact = ObserveArtifact {
-        scale: format!("{scale:?}"),
         platform: platform.name.clone(),
         sockets: platform.sockets,
         cores_per_socket: platform.cores_per_socket(),
         horizon_slots: HORIZON,
         gop_slots: GOP_SLOTS,
         overhead,
-        parity,
-        trace_file: trace_path.display().to_string(),
-        events_file: events_path.display().to_string(),
     };
     let path = write_artifact("observe_bench", &artifact);
     println!("artifact: {}", path.display());

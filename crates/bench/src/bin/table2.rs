@@ -35,14 +35,16 @@ fn print_block(r: &ServerReport) {
 }
 
 fn main() {
+    // Both knobs are read before the minutes of profiling, so a
+    // mistyped value stops the run at once.
     let scale = Scale::from_env();
+    let sim = ServerSim::new(ServerConfig::default());
+    let (backend_name, mut backend) = backend_from_env(sim.config());
     eprintln!("profiling the 10-video suite (proposed)…");
     let prop_profiles = proposed_profiles(scale);
     eprintln!("profiling the 10-video suite (baseline [19])…");
     let base_profiles = baseline_profiles(scale);
 
-    let sim = ServerSim::new(ServerConfig::default());
-    let (backend_name, mut backend) = backend_from_env(sim.config());
     eprintln!("serving on the `{backend_name}` backend…");
     let proposed = sim.serve_max_on(&mut backend, &prop_profiles, Approach::Proposed);
     let baseline = sim.serve_max_on(&mut backend, &base_profiles, Approach::Baseline);

@@ -1,7 +1,9 @@
 //! Shared harness for the experiment binaries that regenerate the
 //! paper's tables and figures.
 //!
-//! Every binary honours three environment variables:
+//! The binaries honour three environment variables; values match
+//! case-insensitively, and a value that is not listed here stops the
+//! binary with a non-zero exit instead of falling back to the default:
 //!
 //! * `MEDVT_SCALE=full|quick` — `full` uses the paper's geometry
 //!   (640x480, long clips; minutes of CPU), `quick` (default) runs a
@@ -14,9 +16,10 @@
 //!   construction. Profile replay carries no per-tile closures
 //!   (`DemandSource::work_for` is `None`), so under `pool` the slots
 //!   flow through the worker-pool backend's queueing and carry state
-//!   but no tile is re-encoded; the `live` binary is the experiment
-//!   that supplies real closures (`medvt_core::LiveWorkload`) and
-//!   compares measured wall time against the model.
+//!   but no tile is re-encoded. Real closures
+//!   (`medvt_core::LiveWorkload`) and measured-vs-modeled wall time are
+//!   the end-to-end benchmark's `live_inter`/`live_intra` workloads
+//!   (`benchmark/`), asserted by `tests/live_transcode.rs`.
 
 use medvt_admission::{OnlineConfig, ShardPolicy};
 use medvt_analyze::AnalyzerConfig;
@@ -44,13 +47,41 @@ pub enum Scale {
     Full,
 }
 
+/// The value of environment variable `name` as read by `parse`, or
+/// `default` when it is unset. A value `parse` rejects ends the process
+/// with exit code 2: a mistyped knob must not silently run the default
+/// experiment under the requested one's name.
+fn env_choice<T>(name: &str, default: T, parse: fn(&str) -> Result<T, String>) -> T {
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    parse(&raw.to_string_lossy()).unwrap_or_else(|err| {
+        eprintln!("{name}: {err}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_scale(value: &str) -> Result<Scale, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "quick" => Ok(Scale::Quick),
+        "full" => Ok(Scale::Full),
+        _ => Err(format!("unknown scale {value:?}, expected quick or full")),
+    }
+}
+
+/// The artifact label of the backend `value` names.
+fn parse_backend(value: &str) -> Result<&'static str, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "sim" => Ok("sim"),
+        "pool" => Ok("pool"),
+        _ => Err(format!("unknown backend {value:?}, expected sim or pool")),
+    }
+}
+
 impl Scale {
-    /// Reads `MEDVT_SCALE` (default `quick`).
+    /// Reads `MEDVT_SCALE` (default `quick`); exits on an unknown value.
     pub fn from_env() -> Scale {
-        match std::env::var("MEDVT_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
+        env_choice("MEDVT_SCALE", Scale::Quick, parse_scale)
     }
 
     /// Clip resolution at this scale.
@@ -215,14 +246,14 @@ pub fn synthetic_profile(name: &str, class: &str, tiles: usize, tile_secs: f64) 
     }
 }
 
-/// The live-transcoding scenario workload shared by `--bin live` and
-/// `tests/live_transcode.rs`: a 128x96 phantom pan clip profiled once
-/// through the content-aware pipeline (min tile 32), paired with its
-/// rendered frames so every placed tile thread carries a real encode.
+/// The live-transcoding scenario workload of `tests/live_transcode.rs`
+/// and `tests/cluster_serving.rs`: a 128x96 phantom pan clip profiled
+/// once through the content-aware pipeline (min tile 32), paired with
+/// its rendered frames so every placed tile thread carries a real
+/// encode.
 ///
 /// Keeping this in one place pins the "CI scenario" the documented
-/// measured/modeled tolerance refers to — the bench and the test must
-/// not drift apart.
+/// measured/modeled tolerance refers to.
 pub fn live_workload(name: &str, part: BodyPart, class: &str, seed: u64) -> LiveWorkload {
     let clip: VideoClip = PhantomVideo::builder(part)
         .resolution(Resolution::new(128, 96))
@@ -297,18 +328,15 @@ pub fn suggested_host_speed_factor(ratios: &[f64]) -> Option<f64> {
 }
 
 /// The execution backend selected by `MEDVT_BACKEND` (default `sim`),
-/// with its label for artifacts.
+/// with its label for artifacts; exits on an unknown value.
 pub fn backend_from_env(cfg: &ServerConfig) -> (&'static str, Box<dyn ExecutionBackend>) {
-    match std::env::var("MEDVT_BACKEND").as_deref() {
-        Ok("pool") | Ok("POOL") => (
-            "pool",
-            Box::new(ThreadPoolBackend::new(cfg.platform.clone(), cfg.power)),
-        ),
-        _ => (
-            "sim",
-            Box::new(SimBackend::new(cfg.platform.clone(), cfg.power)),
-        ),
-    }
+    let label = env_choice("MEDVT_BACKEND", "sim", parse_backend);
+    let backend: Box<dyn ExecutionBackend> = if label == "pool" {
+        Box::new(ThreadPoolBackend::new(cfg.platform.clone(), cfg.power))
+    } else {
+        Box::new(SimBackend::new(cfg.platform.clone(), cfg.power))
+    };
+    (label, backend)
 }
 
 /// Writes a JSON artifact under `MEDVT_OUT` (default
@@ -324,11 +352,6 @@ pub fn write_artifact<T: Serialize>(name: &str, value: &T) -> PathBuf {
     path
 }
 
-/// Formats a Markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join(" | ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +362,27 @@ mod tests {
         assert_eq!(Scale::Quick.resolution(), Resolution::new(320, 240));
         assert_eq!(Scale::Full.resolution(), Resolution::VGA);
         assert!(Scale::Full.frames() > Scale::Quick.frames());
+    }
+
+    #[test]
+    fn env_values_match_case_insensitively_and_unknown_ones_are_errors() {
+        for full in ["full", "FULL", "Full"] {
+            assert_eq!(parse_scale(full), Ok(Scale::Full));
+        }
+        assert_eq!(parse_scale("Quick"), Ok(Scale::Quick));
+        for pool in ["pool", "POOL", "Pool"] {
+            assert_eq!(parse_backend(pool), Ok("pool"));
+        }
+        assert_eq!(parse_backend("SIM"), Ok("sim"));
+        // A near miss must not run the default under the wrong name.
+        for bad in ["fulll", "paper", ""] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.contains("quick") && err.contains("full"), "{err}");
+        }
+        for bad in ["threadpool", "pool ", ""] {
+            let err = parse_backend(bad).unwrap_err();
+            assert!(err.contains("sim") && err.contains("pool"), "{err}");
+        }
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! Bio-medical frames are mostly low-texture, low-motion background,
 //! so at serving QPs almost every transform block quantizes to
 //! all-zero levels: its whole contribution is one `coded_block_flag =
-//! 0` bit and a reconstruction equal to the prediction. The
-//! [`TxPath::F64`] coder proves that outcome from two integer norms of
-//! the residual `x`, accumulated while the block is gathered, and then
-//! skips forward DCT, quantizer, dequantizer, inverse DCT and the
-//! reconstruction loop — with the same bytes, reconstruction and
-//! counters as running them.
+//! 0` bit and a reconstruction equal to the prediction. The coder
+//! proves that outcome from two integer norms of the residual `x`,
+//! accumulated while the block is gathered, and then skips forward DCT,
+//! quantizer, dequantizer, inverse DCT and the reconstruction loop —
+//! with the same bytes, reconstruction and counters as running them.
 //!
 //! The DCT-II of [`transform`] is orthonormal and separable, so a
 //! coefficient is `c = Σᵢⱼ B[i,j]·x[i,j]` with `B[i,j] = C[k,i]·C[l,j]`:
@@ -65,9 +64,7 @@
 
 use crate::bits::{code_block, BitWriter};
 use crate::config::Qp;
-use crate::quant::{
-    dequantize_block, dequantize_int_into, quantize_block, quantize_int_into, ZeroBlockBound,
-};
+use crate::quant::{dequantize_block, quantize_block, ZeroBlockBound};
 use crate::transform::{self, as_square, with_size, Square, TxPath};
 #[cfg(target_arch = "x86_64")]
 use medvt_motion::cost::simd;
@@ -103,26 +100,17 @@ pub struct ResidualOutcome {
     /// blocks included).
     pub zero_level_blocks: u32,
     /// Transform blocks proven all-zero from their residual norms and
-    /// coded without running the transform (always 0 on
-    /// [`TxPath::Int`]).
+    /// coded without running the transform.
     pub elided_blocks: u32,
 }
 
-/// Reusable buffers for [`code_residual_into`]: one residual
-/// sub-block and the [`TxPath::Int`] stages' intermediates (the
-/// [`TxPath::F64`] stages work on stack arrays). One instance per
-/// encoding thread makes residual coding zero-allocation in steady
-/// state.
+/// The reusable buffer of [`code_residual_into`]: one gathered
+/// residual sub-block (the transform stages work on stack arrays). One
+/// instance per encoding thread makes residual coding zero-allocation
+/// in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct ResidualScratch {
     residual: Vec<i32>,
-    // Integer-path ([`TxPath::Int`]) intermediates.
-    levels: Vec<i32>,
-    coeffs_i: Vec<i32>,
-    rec_coeffs_i: Vec<i32>,
-    rec_res_i: Vec<i32>,
-    dct_tmp_i: Vec<i32>,
-    dct_wide_i: Vec<i64>,
 }
 
 /// Bits [`code_block`] spends on a block without levels: the lone
@@ -341,18 +329,17 @@ pub fn code_residual(
 
 /// Allocation-free [`code_residual`]: intermediates live in `scratch`
 /// or on the stack and the reconstruction is written into `recon`
-/// (cleared first). With [`TxPath::F64`], emitted bits, reconstruction and
-/// counters are bit-exact with [`code_residual`], and blocks proven
-/// all-zero from their residual norms skip the transform (see the
-/// module docs); [`TxPath::Int`] runs the fixed-point transform of
-/// [`transform::int`] on every block instead (different bitstream,
-/// its own goldens).
+/// (cleared first). Emitted bits, reconstruction and counters are
+/// bit-exact with [`code_residual`]; blocks proven all-zero from their
+/// residual norms skip the transform (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics when the buffers do not match `w * h`, the dimensions are
 /// not multiples of `tx_size`, or `tx_size` is not a supported
 /// transform size.
+// Vestige: `_tx_path` selects nothing; `benchmark/src/replay.rs:209`
+// passes it, and the next `[benchmark]` PR drops it with `TxPath`.
 #[allow(clippy::too_many_arguments)]
 pub fn code_residual_into(
     original: &[u8],
@@ -361,7 +348,7 @@ pub fn code_residual_into(
     h: usize,
     tx_size: usize,
     qp: Qp,
-    tx_path: TxPath,
+    _tx_path: TxPath,
     writer: &mut BitWriter,
     scratch: &mut ResidualScratch,
     recon: &mut Vec<u8>,
@@ -390,62 +377,28 @@ pub fn code_residual_into(
                 &mut scratch.residual,
             );
             out.transform_samples += block_samples as u64;
-            match tx_path {
-                TxPath::F64 => {
-                    if zero_bound.proves_zero(sad, ssd) {
-                        // What `code_block` writes for all-zero levels;
-                        // the reconstruction stays the prediction, so
-                        // the block's error is its residual.
-                        writer.write_bit(false);
-                        out.bits += EMPTY_BLOCK_BITS;
-                        out.ssd += u64::from(ssd);
-                        out.zero_level_blocks += 1;
-                        out.elided_blocks += 1;
-                        continue;
-                    }
-                    with_size!(tx_size, N => code_surviving_block::<N>(
-                        &scratch.residual,
-                        ssd,
-                        &original[at..],
-                        &prediction[at..],
-                        &mut recon[at..],
-                        w,
-                        step,
-                        writer,
-                        &mut out,
-                    ));
-                }
-                TxPath::Int => {
-                    transform::int::forward_into(
-                        tx_size,
-                        &scratch.residual,
-                        &mut scratch.coeffs_i,
-                        &mut scratch.dct_tmp_i,
-                    );
-                    quantize_int_into(&scratch.coeffs_i, qp, &mut scratch.levels);
-                    let block_bits = code_block(&scratch.levels, tx_size, writer);
-                    out.bits += block_bits;
-                    out.zero_level_blocks += u32::from(block_bits == EMPTY_BLOCK_BITS);
-                    dequantize_int_into(&scratch.levels, qp, &mut scratch.rec_coeffs_i);
-                    transform::int::inverse_into(
-                        tx_size,
-                        &scratch.rec_coeffs_i,
-                        &mut scratch.rec_res_i,
-                        &mut scratch.dct_tmp_i,
-                        &mut scratch.dct_wide_i,
-                    );
-                    for r in 0..tx_size {
-                        for c in 0..tx_size {
-                            let idx = (ty + r) * w + (tx + c);
-                            let v = prediction[idx] as i32 + scratch.rec_res_i[r * tx_size + c];
-                            let rec = v.clamp(0, 255) as u8;
-                            recon[idx] = rec;
-                            let d = original[idx] as i64 - rec as i64;
-                            out.ssd += (d * d) as u64;
-                        }
-                    }
-                }
+            if zero_bound.proves_zero(sad, ssd) {
+                // What `code_block` writes for all-zero levels; the
+                // reconstruction stays the prediction, so the block's
+                // error is its residual.
+                writer.write_bit(false);
+                out.bits += EMPTY_BLOCK_BITS;
+                out.ssd += u64::from(ssd);
+                out.zero_level_blocks += 1;
+                out.elided_blocks += 1;
+                continue;
             }
+            with_size!(tx_size, N => code_surviving_block::<N>(
+                &scratch.residual,
+                ssd,
+                &original[at..],
+                &prediction[at..],
+                &mut recon[at..],
+                w,
+                step,
+                writer,
+                &mut out,
+            ));
         }
     }
     out
@@ -525,44 +478,6 @@ mod tests {
         let out = code_residual(&original, &prediction, 8, 8, 4, qp(10), &mut w);
         assert_eq!(out.transform_samples, 64);
         assert!(out.ssd <= 64);
-    }
-
-    #[test]
-    fn int_path_reconstruction_tracks_f64_path() {
-        let original: Vec<u8> = (0..256).map(|i| ((i * 13) % 200 + 20) as u8).collect();
-        let prediction = vec![128u8; 256];
-        let mut scratch = ResidualScratch::default();
-        let mut recon = Vec::new();
-        let mut w = BitWriter::new();
-        let out = code_residual_into(
-            &original,
-            &prediction,
-            16,
-            16,
-            8,
-            qp(22),
-            TxPath::Int,
-            &mut w,
-            &mut scratch,
-            &mut recon,
-        );
-        assert!(out.bits > 64);
-        assert_eq!(out.transform_samples, 256);
-        let mut wf = BitWriter::new();
-        let f64_out = code_residual(&original, &prediction, 16, 16, 8, qp(22), &mut wf);
-        // Near-boundary coefficients may flip one quantization level,
-        // so the bound is one step plus the transform divergence.
-        let bound = qp(22).step_size().ceil() as i32 + transform::int::MAX_ABS_DIFF_VS_F64;
-        let max_diff = recon
-            .iter()
-            .zip(&f64_out.recon)
-            .map(|(&a, &b)| (a as i32 - b as i32).abs())
-            .max()
-            .unwrap();
-        assert!(
-            max_diff <= bound,
-            "int recon diverged from f64 recon by {max_diff} (bound {bound})"
-        );
     }
 
     /// `(sad, ssd)` of a residual block, as the gather loop counts them.

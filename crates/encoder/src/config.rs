@@ -2,7 +2,6 @@
 //! specification and the per-tile encoding configuration the
 //! content-aware pipeline tunes.
 
-use crate::transform::TxPath;
 use medvt_motion::{
     BioMedicalSearch, CrossSearch, DiamondSearch, FullSearch, GopPhase, HexOrientation,
     HexagonSearch, MotionLevel, MotionSearch, MotionVector, OneAtATimeSearch, SearchWindow,
@@ -237,9 +236,6 @@ pub struct EncoderConfig {
     pub chroma_qp_offset: i32,
     /// Encode chroma planes (disable for luma-only experiments).
     pub chroma: bool,
-    /// Transform arithmetic, default [`TxPath::F64`] (the frozen
-    /// bitstream goldens depend on it; [`TxPath::Int`] has its own).
-    pub transform: TxPath,
 }
 
 impl EncoderConfig {
@@ -274,7 +270,6 @@ impl Default for EncoderConfig {
             intra_period_gops: 4,
             chroma_qp_offset: 0,
             chroma: true,
-            transform: TxPath::F64,
         }
     }
 }

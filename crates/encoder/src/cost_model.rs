@@ -70,18 +70,16 @@ impl CostModel {
         }
     }
 
-    /// The default model calibrated to the *host* the live benches ran
-    /// on: every cycle constant is multiplied by the measured-over-
-    /// modeled window-time ratio `rho`, so the model's `tile_seconds`
-    /// predicts this host's wall seconds instead of the reference
-    /// machine's.
+    /// The default model calibrated to a *host*: every cycle constant
+    /// is multiplied by the measured-over-modeled window-time ratio
+    /// `rho`, so the model's `tile_seconds` predicts this host's wall
+    /// seconds instead of the reference machine's.
     ///
-    /// Feed `rho` from `live_bench.json`: each live scenario reports
-    /// `measured_over_modeled` (and the artifact's `ratio_min` /
-    /// `ratio_max` give the band across scenarios) — the ratio of real
-    /// encode wall time to the modeled window makespan on identical
-    /// placements. See README § "Calibrating the cost model to a host"
-    /// for the derivation.
+    /// Feed `rho` from the end-to-end benchmark: `core.model_ratio` on
+    /// the `live_inter` / `live_intra` workloads of a `BENCH_<pr>.json`
+    /// is the ratio of real encode wall time to the modeled window
+    /// makespan on identical placements. See README § "Calibrating the
+    /// cost model to a host" for the derivation.
     ///
     /// # Panics
     ///
@@ -176,9 +174,9 @@ mod tests {
     #[test]
     fn host_speed_factor_scales_predicted_seconds_linearly() {
         let s = stats(1_800_000, 92_000, 8_000, 240);
-        // A host measured at rho times the modeled time
-        // (live_bench.json's measured_over_modeled) yields a model
-        // predicting rho times the cycles on identical stats, less
+        // A host measured at rho times the modeled time (the
+        // benchmark's `core.model_ratio`) yields a model predicting
+        // rho times the cycles on identical stats, less
         // the truncation to whole cycles: the reference sum is exact
         // (integer constants and counts), so the error is under one
         // cycle however small rho makes the total.

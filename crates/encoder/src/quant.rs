@@ -185,43 +185,6 @@ pub(crate) fn dequantize_block<const N: usize>(
     }
 }
 
-/// Quantizes integer-path transform coefficients
-/// ([`crate::transform::int`]) to levels: the same dead-zone law as
-/// [`quantize`], applied to integer inputs.
-pub fn quantize_int(coeffs: &[i32], qp: Qp) -> Vec<i32> {
-    let mut out = Vec::new();
-    quantize_int_into(coeffs, qp, &mut out);
-    out
-}
-
-/// Allocation-free [`quantize_int`]: writes the levels into `out`
-/// (cleared first). Bit-exact with [`quantize_int`].
-pub fn quantize_int_into(coeffs: &[i32], qp: Qp, out: &mut Vec<i32>) {
-    let step = qp.step_size();
-    out.clear();
-    out.extend(coeffs.iter().map(|&c| {
-        let sign = if c < 0 { -1.0 } else { 1.0 };
-        (sign * ((c.abs() as f64) / step + DEAD_ZONE).floor()) as i32
-    }));
-}
-
-/// Reconstructs integer coefficients from levels (rounded to the
-/// nearest integer so the inverse integer transform stays all-integer
-/// downstream).
-pub fn dequantize_int(levels: &[i32], qp: Qp) -> Vec<i32> {
-    let mut out = Vec::new();
-    dequantize_int_into(levels, qp, &mut out);
-    out
-}
-
-/// Allocation-free [`dequantize_int`]: writes the coefficients into
-/// `out` (cleared first). Bit-exact with [`dequantize_int`].
-pub fn dequantize_int_into(levels: &[i32], qp: Qp, out: &mut Vec<i32>) {
-    let step = qp.step_size();
-    out.clear();
-    out.extend(levels.iter().map(|&l| (l as f64 * step).round() as i32));
-}
-
 /// Counts the non-zero levels (the "significance" driver of entropy
 /// cost).
 pub fn nonzero_count(levels: &[i32]) -> usize {

@@ -11,6 +11,7 @@ use crate::block::code_residual_into;
 use crate::config::{EncoderConfig, TileConfig};
 use crate::scratch::EncScratch;
 use crate::stats::TileStats;
+use crate::transform::TxPath;
 use medvt_frame::{Frame, FrameKind, Plane, Rect};
 use medvt_motion::{CostMetric, MotionVector, SearchContext};
 use std::cell::RefCell;
@@ -234,7 +235,7 @@ pub fn encode_tile_with_scratch(
                 bh,
                 8,
                 tcfg.qp,
-                ecfg.transform,
+                TxPath::F64,
                 &mut writer,
                 residual,
                 recon_block,
@@ -279,7 +280,7 @@ pub fn encode_tile_with_scratch(
                         ch,
                         4,
                         chroma_qp,
-                        ecfg.transform,
+                        TxPath::F64,
                         &mut writer,
                         residual,
                         recon_block,

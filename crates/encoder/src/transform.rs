@@ -34,25 +34,19 @@ use medvt_motion::cost::simd;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-pub mod int;
-
 /// Supported transform sizes (HEVC core transform sizes).
 pub const TRANSFORM_SIZES: [usize; 4] = [4, 8, 16, 32];
 
-/// Selects which transform arithmetic the residual coder runs.
-///
-/// The default stays [`TxPath::F64`] so every frozen bitstream golden
-/// holds; [`TxPath::Int`] switches to the fixed-point path in
-/// [`int`], which has its own pinned goldens and a bounded
-/// max-abs-diff cross-check against the f64 path (see
-/// [`int::MAX_ABS_DIFF_VS_F64`]).
+/// The transform arithmetic the residual coder runs. There is one —
+/// the exact orthonormal `f64` DCT-II of this module — so the type
+/// selects nothing.
+// Vestige: `benchmark/src/replay.rs:209` passes `TxPath::F64` to
+// `code_residual_into`; the next `[benchmark]` PR drops type and argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TxPath {
-    /// Exact orthonormal `f64` DCT-II — the golden default.
+    /// Exact orthonormal `f64` DCT-II.
     #[default]
     F64,
-    /// Fixed-point integer DCT approximation ([`int`]).
-    Int,
 }
 
 /// Index of a transform size in [`TRANSFORM_SIZES`] and in the basis
@@ -131,15 +125,6 @@ fn basis_t(n: usize) -> &'static [f64] {
         }
         t.into_boxed_slice()
     })
-}
-
-/// Validates a transform size.
-///
-/// # Panics
-///
-/// Panics when `n` is not one of [`TRANSFORM_SIZES`].
-fn check_size(n: usize) {
-    size_index(n);
 }
 
 /// An `N x N` matrix as the fixed-size kernels take it.
@@ -279,15 +264,16 @@ pub fn forward(n: usize, input: &[i32]) -> Vec<f64> {
 
 /// Allocation-free [`forward`]: writes the coefficients into `out`
 /// (resized to `n * n`; reusing it across blocks makes the transform
-/// zero-allocation in steady state). The intermediate product lives on
-/// the stack, so `_tmp` is left alone; the parameter remains for the
-/// callers written against the signature. The arithmetic is the
-/// fixed-size kernel the residual coder runs (the module's
-/// evaluation-order contract).
+/// zero-allocation in steady state). The arithmetic is the fixed-size
+/// kernel the residual coder runs (the module's evaluation-order
+/// contract). The intermediate product lives on the stack, so `_tmp` is
+/// ignored.
 ///
 /// # Panics
 ///
 /// Panics when `n` is unsupported or `input.len() != n * n`.
+// Vestige: `benchmark/src/replay.rs:233` passes a `_tmp`; the next
+// `[benchmark]` PR drops the parameter here and on `inverse_into`.
 pub fn forward_into(n: usize, input: &[i32], out: &mut Vec<f64>, _tmp: &mut Vec<f64>) {
     with_size!(n, N => {
         let mut coeffs = [[0.0; N]; N];
@@ -310,7 +296,7 @@ pub fn inverse(n: usize, coeffs: &[f64]) -> Vec<f64> {
 }
 
 /// Allocation-free [`inverse`]: writes the residual samples into `out`
-/// (resized to `n * n`); `_tmp` is left alone, as in [`forward_into`].
+/// (resized to `n * n`); `_tmp` is ignored, as in [`forward_into`].
 ///
 /// # Panics
 ///

@@ -438,7 +438,6 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     window_wall_acc: f64,
     window_modeled_acc: f64,
     window_times: Vec<WindowTiming>,
-    debug: bool,
 }
 
 impl<B: ExecutionBackend> LoopDriver<B> {
@@ -513,7 +512,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_wall_acc: 0.0,
             window_modeled_acc: 0.0,
             window_times: Vec::new(),
-            debug: std::env::var_os("MEDVT_DEBUG_SLOTS").is_some(),
         }
     }
 
@@ -748,20 +746,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             .map(|&u| Self::padded_demand(source, gop_slots, headroom, u, self.slot))
             .collect();
         let placed = place_threads_on(&self.speeds, slot_secs, &demands);
-        if self.debug {
-            let mut sorted = placed.core_loads.clone();
-            sorted.sort_by(|a, b| b.total_cmp(a));
-            eprintln!(
-                "gop@{}: padded loads top {:?} used {} threads {}",
-                self.slot,
-                &sorted[..4.min(sorted.len())]
-                    .iter()
-                    .map(|l| (l / slot_secs * 100.0).round() / 100.0)
-                    .collect::<Vec<_>>(),
-                placed.used_cores(),
-                placed.placements.len(),
-            );
-        }
         self.placements = placed.placements;
     }
 
@@ -886,20 +870,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             .fold(0.0, f64::max);
         if outcome.report.deadline_misses > 0 {
             self.miss_slots += 1;
-        }
-        if self.debug {
-            let carrying = outcome
-                .report
-                .cores
-                .iter()
-                .filter(|c| c.carry_fmax_secs > 1e-9)
-                .count();
-            eprintln!(
-                "slot {:>3}: {} cores carrying, total carry {:.3} slots",
-                self.slot,
-                carrying,
-                outcome.report.total_carry() / slot_secs
-            );
         }
         self.active_core_slots += outcome.report.active_cores();
         for (k, plan) in outcome.report.cores.iter().enumerate() {

@@ -3,13 +3,15 @@
 //! single admission/eviction decision relative to analytical shards,
 //! (2) produce bitstreams byte-identical to calling `encode_tile`
 //! directly, and (3) keep the measured-vs-modeled window-time ratio
-//! inside a documented tolerance.
+//! inside a documented tolerance — while emitting the telemetry stream
+//! the analytical shards emit.
 
-use medvt::admission::{serve_online, DeadlineClass, UserRequest, Workload};
+use medvt::admission::{serve_online_with, DeadlineClass, UserRequest, Workload};
 use medvt::encoder::CostModel;
 use medvt::frame::synth::BodyPart;
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
+use medvt::telemetry::FlightRecorder;
 use medvt_bench::{live_online_config, live_workload, suggested_host_speed_factor};
 
 /// The CI scenario's documented measured/modeled tolerance band.
@@ -42,8 +44,7 @@ fn trace(users: usize) -> Vec<UserRequest> {
 
 #[test]
 fn live_path_matches_model_and_direct_encoding() {
-    // The exact CI scenario `bench --bin live` runs, via the shared
-    // medvt-bench fixture — the bench and this test cannot drift.
+    // The CI scenario of the shared medvt-bench fixture.
     let workloads = vec![live_workload("live-ci", BodyPart::Brain, "brain", 11).with_capture()];
     let cfg = live_online_config(48);
     let platform = Platform::quad_core();
@@ -51,11 +52,15 @@ fn live_path_matches_model_and_direct_encoding() {
     let trace = trace(3);
 
     // Reference decision stream: analytical shards never run closures.
-    let reference = serve_online(
+    // Modeled-time recorders carry no wall stamps, so the two runs'
+    // telemetry is comparable event for event.
+    let reference_rec = FlightRecorder::modeled(1, 1 << 12);
+    let reference = serve_online_with(
         &cfg,
         &workloads,
         &trace,
         vec![SimBackend::new(platform.clone(), power)],
+        &reference_rec,
     );
     assert_eq!(
         workloads[0].captured_tiles(),
@@ -65,20 +70,33 @@ fn live_path_matches_model_and_direct_encoding() {
     assert!(reference.admissions > 0, "scenario must admit users");
 
     // Live run: the same trace on a real worker pool.
-    let live = serve_online(
+    let live_rec = FlightRecorder::modeled(1, 1 << 12);
+    let live = serve_online_with(
         &cfg,
         &workloads,
         &trace,
         vec![ThreadPoolBackend::with_workers(platform, power, 2)],
+        &live_rec,
     );
 
-    // (1) Decision parity: live execution perturbs nothing.
+    // (1) Decision parity: live execution perturbs nothing, down to
+    // the recorded per-core slot spans.
     assert_eq!(
         live.events, reference.events,
         "live shards must replay the analytical admit/evict stream"
     );
     assert_eq!(live.windows, reference.windows);
     assert_eq!(live.window_misses, reference.window_misses);
+    assert_eq!(
+        reference_rec.dropped(),
+        0,
+        "rings must retain the whole run"
+    );
+    assert_eq!(
+        live_rec.normalized_events(),
+        reference_rec.normalized_events(),
+        "real encodes on the pool must not change the telemetry stream"
+    );
 
     // (2) Bit identity: every tile the pool encoded matches a direct
     // `encode_tile` call with the same arguments, regardless of which
@@ -123,8 +141,8 @@ fn live_path_matches_model_and_direct_encoding() {
         "modeled time must be backend-independent"
     );
 
-    // (4) Host calibration round trip: the rho the live bench suggests
-    // from this measured/modeled band, fed back through
+    // (4) Host calibration round trip: the rho suggested by this
+    // measured/modeled band, fed back through
     // `CostModel::with_host_speed_factor`, must scale modeled time
     // onto measured time — the automated closing of the validation
     // loop.

@@ -15,15 +15,19 @@
 //!   optimized controller must stay bit-identical to the frozen
 //!   reference controller, and a budgeted + degrading run must replay
 //!   the same decision stream on analytical and thread-pool shards.
+//! * **rental policy** — at equal spend the QoS-aware fleet dominates
+//!   the cost-first and speed-first strawmen.
 
 use medvt::admission::{
-    replay_cost, serve_online, serve_online_reference, synthesize_trace, AdmissionEvent, CostPlan,
-    EventKind, OnlineConfig, TraceConfig, UserRequest,
+    forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, serve_online,
+    serve_online_reference, synthesize_trace, AdmissionEvent, CheapestFit, CostPlan, EventKind,
+    FastestFit, OnlineConfig, ProvisionPolicy, QosAware, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
-use medvt::mpsoc::{Platform, PowerModel};
+use medvt::mpsoc::{CostModel, Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
-use medvt_bench::synthetic_profile as profile;
+use medvt::telemetry::NoopRecorder;
+use medvt_bench::{live_online_config, synthetic_profile as profile};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -227,4 +231,62 @@ fn budgeted_degrading_decisions_are_backend_independent() {
         a.events.iter().any(|e| e.kind == EventKind::Evict),
         "the scenario must exercise eviction"
     );
+}
+
+/// Capacity per credit is what deadline-meeting buys: on an overload
+/// trace (arrivals far above the service rate, heavy-tailed sessions)
+/// the QoS-aware fleet never meets fewer deadlines than either greedy
+/// strawman's at equal spend, and serves strictly more users somewhere.
+/// The budgets are multiples of 12, the lcm of the catalogue prices
+/// {4, 3, 2, 1, 6}, so the greedy policies spend exactly the budget and
+/// the points are cost-comparable.
+#[test]
+fn qos_aware_dominates_cheapest_fit_at_equal_spend() {
+    const SWEEP_HORIZON: usize = 192;
+    let tiers = tier_profiles();
+    let trace = synthesize_trace(&TraceConfig {
+        horizon_slots: SWEEP_HORIZON,
+        arrivals_per_slot: 0.8,
+        min_session_slots: 96,
+        tail_alpha: 1.5,
+        profiles: 3,
+        seed: 77,
+    });
+    let cfg = live_online_config(SWEEP_HORIZON);
+    let catalogue = preset_catalogue(&CostModel::default());
+    let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
+    // (credits spent, users admitted, on-time rate) on `policy`'s fleet.
+    let serve = |policy: &dyn ProvisionPolicy, budget: u64| {
+        let fleet = provision_fleet(policy, &catalogue, forecast, budget, NoopRecorder);
+        let report = serve_online(&cfg, &tiers, &trace, fleet.sim_shards(&catalogue));
+        (
+            fleet.spent_credits,
+            report.admissions,
+            report.on_time_rate(),
+        )
+    };
+    let budgets = [12, 24, 36];
+    let qos = budgets.map(|budget| serve(&QosAware, budget));
+    let strawmen: [&dyn ProvisionPolicy; 2] = [&CheapestFit, &FastestFit];
+    for strawman in strawmen {
+        let label = strawman.label();
+        let (mut equal_spend_points, mut served_more_somewhere) = (0, false);
+        for (budget, (qos_spent, qos_admitted, qos_on_time)) in budgets.into_iter().zip(qos) {
+            let (spent, admitted, on_time) = serve(strawman, budget);
+            if qos_spent != spent {
+                continue;
+            }
+            equal_spend_points += 1;
+            assert!(
+                qos_on_time >= on_time - 1e-9,
+                "budget {budget}: qos-aware on-time {qos_on_time} trails {label} {on_time}"
+            );
+            served_more_somewhere |= qos_admitted > admitted;
+        }
+        assert!(equal_spend_points > 0, "no equal-spend point vs {label}");
+        assert!(
+            served_more_somewhere,
+            "qos-aware must serve strictly more users than {label} somewhere at equal spend"
+        );
+    }
 }
