@@ -200,3 +200,233 @@ fn pool_honours_explicit_assignment() {
     assert_eq!(serial.bytes, with_assignment.bytes);
     assert_eq!(serial.recon, with_assignment.recon);
 }
+
+/// FNV-1a goldens of what *placement* decides, recorded before the
+/// control plane's two replan engines were folded into one. Speeds are
+/// one big.LITTLE socket under `StretchToDeadline`, so the core a
+/// thread lands on changes the joules; demands are dyadic so users 2
+/// and 5 (and 1 and 9) produce bitwise-equal GOP estimates and their
+/// threads tie — the stable largest-first sort then breaks the tie by
+/// *member order*, which is what these hashes pin.
+mod placement_traces {
+    use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
+    use medvt::runtime::{
+        DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoop, ServerLoopConfig,
+        SimBackend,
+    };
+    use medvt::sched::Placement;
+    use medvt::telemetry::FlightRecorder;
+
+    const GOP: usize = 8;
+
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= b as u64;
+            *hash = hash.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// Per-user demand shapes, all in exact binary fractions of a
+    /// second (slot = 1/24 s ≈ 0.0417):
+    ///
+    /// * 2 — three tiles, flat 1/64;
+    /// * 5 — three tiles alternating 1/128 and 3/128 per slot: the GOP
+    ///   mean is bitwise 1/64 (user 2's estimate) but no single slot
+    ///   looks like user 2's, so swapping their cores moves the energy;
+    /// * 1, 9 — four tiles of 1/64, promised steady;
+    /// * 7 — [1/32, 1/64, 1/128], doubling its first tile on odd
+    ///   16-slot spans: the one member whose estimate moves;
+    /// * anyone else — one tile of 1/128.
+    struct Script;
+
+    impl DemandSource for Script {
+        fn demand_at(&self, user: usize, slot: usize) -> Vec<f64> {
+            let d = |k: f64| k / 128.0;
+            match user {
+                2 => vec![d(2.0); 3],
+                5 => vec![if slot % 2 == 0 { d(1.0) } else { d(3.0) }; 3],
+                1 | 9 => vec![d(2.0); 4],
+                7 => {
+                    let first = if (slot / 16) % 2 == 1 { d(8.0) } else { d(4.0) };
+                    vec![first, d(2.0), d(1.0)]
+                }
+                _ => vec![d(1.0)],
+            }
+        }
+
+        fn steady(&self, user: usize) -> bool {
+            matches!(user, 1 | 9)
+        }
+    }
+
+    fn backend() -> SimBackend {
+        SimBackend::new(Platform::big_little().socket_view(0), PowerModel::default())
+    }
+
+    fn cfg(slots: usize, replan: ReplanPolicy) -> ServerLoopConfig {
+        ServerLoopConfig {
+            fps: 24.0,
+            slots,
+            policy: DvfsPolicy::StretchToDeadline,
+            replan,
+            gop_slots: GOP,
+            window_slots: None,
+        }
+    }
+
+    /// Energy and deadline accounting of a report — everything the
+    /// placements determine, nothing the replan *count* does.
+    fn hash_report(hash: &mut u64, report: &LoopReport) {
+        fnv1a(hash, &report.energy_j.to_bits().to_le_bytes());
+        for n in [
+            report.miss_slots,
+            report.windows,
+            report.window_misses,
+            report.active_core_slots,
+        ] {
+            fnv1a(hash, &(n as u64).to_le_bytes());
+        }
+        for u in &report.users {
+            fnv1a(hash, &(u.user as u64).to_le_bytes());
+            fnv1a(hash, &u.energy_j.to_bits().to_le_bytes());
+            for n in [u.windows, u.window_misses, u.active_slots] {
+                fnv1a(hash, &(n as u64).to_le_bytes());
+            }
+        }
+    }
+
+    pub(super) fn batch_hash(
+        replan: ReplanPolicy,
+        admitted: &[usize],
+        initial: &[Placement],
+    ) -> u64 {
+        let mut backend = backend();
+        let report = ServerLoop::new(&mut backend, cfg(72, replan))
+            .run(&Script, admitted, initial)
+            .modeled_only();
+        assert!(report.energy_j > 0.0);
+        let mut hash = 0xcbf29ce484222325;
+        hash_report(&mut hash, &report);
+        hash
+    }
+
+    /// One step of a membership script, applied at a GOP boundary.
+    pub(super) enum Step {
+        Update(&'static [usize], &'static [usize]),
+        Set(&'static [usize]),
+        /// No call at all: the driver crosses the boundary on its own.
+        Coast,
+    }
+
+    pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> u64 {
+        let rec = FlightRecorder::modeled(1, 1 << 12);
+        let mut driver = LoopDriver::with_recorder(
+            backend(),
+            cfg(0, ReplanPolicy::PerGop { headroom: 1.1 }),
+            start.to_vec(),
+            Vec::new(),
+            &rec,
+            0,
+        );
+        driver.advance(&Script, GOP);
+        for step in script {
+            match step {
+                Step::Update(add, remove) => driver.update_membership(add, remove),
+                Step::Set(members) => driver.set_membership(members.to_vec()),
+                Step::Coast => {}
+            }
+            driver.advance(&Script, GOP);
+        }
+        let report = driver.into_report().modeled_only();
+        assert_eq!(rec.dropped(), 0, "ring must retain the whole stream");
+        let mut hash = 0xcbf29ce484222325;
+        for event in rec.normalized_events() {
+            for word in event.encode() {
+                fnv1a(&mut hash, &word.to_le_bytes());
+            }
+        }
+        hash_report(&mut hash, &report);
+        hash
+    }
+}
+
+#[test]
+fn placement_traces_match_their_recorded_hashes() {
+    use medvt::runtime::ReplanPolicy;
+    use medvt::sched::Placement;
+    use placement_traces::{batch_hash, driver_hash, Step};
+
+    // (i) Closed-membership batch runs. Members arrive in *non-id*
+    // order; placing them id-sorted instead moves the first hash.
+    let per_gop = batch_hash(
+        ReplanPolicy::PerGop { headroom: 1.1 },
+        &[7, 5, 2, 9, 1],
+        &[],
+    );
+    // Static keeps hand-made initial placements for the whole run:
+    // user 5 on LITTLE cores, user 2 sharing big core 0 with 7.
+    let place = |user, thread, core| Placement {
+        user,
+        thread,
+        core,
+        secs: 1.0 / 64.0,
+    };
+    let initial = [
+        place(7, 0, 0),
+        place(7, 1, 1),
+        place(7, 2, 1),
+        place(5, 0, 4),
+        place(5, 1, 5),
+        place(5, 2, 5),
+        place(2, 0, 0),
+        place(2, 1, 2),
+        place(2, 2, 3),
+    ];
+    let fixed = batch_hash(ReplanPolicy::Static, &[7, 5, 2], &initial);
+
+    // (ii) Delta-driven serving from a caller-ordered start: joins,
+    // leaves, the varying member 7, steady members 1/9, empty
+    // deltas over changed and unchanged estimates, an unknown
+    // leaver and a re-added member.
+    let deltas = driver_hash(
+        &[5, 2],
+        &[
+            Step::Update(&[9, 7], &[]),
+            Step::Update(&[], &[]),
+            Step::Update(&[], &[]),
+            Step::Update(&[1], &[5]),
+            Step::Coast,
+            Step::Update(&[], &[2, 42]),
+            Step::Update(&[9], &[]),
+            Step::Update(&[5, 2], &[7]),
+        ],
+    );
+
+    // (iii) The same, with `set_membership` handing over the
+    // current members reordered (9 before 1: equal estimates, so
+    // only the order differs) and deltas resuming after it.
+    let handover = driver_hash(
+        &[5, 2],
+        &[
+            Step::Update(&[9, 7, 1], &[5]),
+            Step::Update(&[], &[]),
+            Step::Set(&[9, 2, 7, 1]),
+            Step::Update(&[4], &[]),
+            Step::Update(&[], &[]),
+            Step::Set(&[4, 1, 9]),
+            Step::Update(&[], &[4]),
+        ],
+    );
+
+    assert_eq!(
+        [per_gop, fixed, deltas, handover],
+        [
+            0x6062c37bc9760ef8,
+            0xd1ededd2e2378263,
+            0xd2c6e6a7fe3f7c73,
+            0x05a773ecb59330ca
+        ],
+        "placement-determined accounting moved: \
+         {per_gop:#018x} {fixed:#018x} {deltas:#018x} {handover:#018x}"
+    );
+}
