@@ -233,9 +233,9 @@ mod placement_traces {
     /// * 5 — three tiles alternating 1/128 and 3/128 per slot: the GOP
     ///   mean is bitwise 1/64 (user 2's estimate) but no single slot
     ///   looks like user 2's, so swapping their cores moves the energy;
-    /// * 1, 9 — four tiles of 1/64, promised steady;
-    /// * 7 — [1/32, 1/64, 1/128], doubling its first tile on odd
-    ///   16-slot spans: the one member whose estimate moves;
+    /// * 1, 9 — two tiles of 1/64, promised steady;
+    /// * 7 — [1/32, 1/64, 1/128], its first tile 3/128 on odd 16-slot
+    ///   spans: the one member whose estimate moves;
     /// * anyone else — one tile of 1/128.
     struct Script;
 
@@ -245,9 +245,9 @@ mod placement_traces {
             match user {
                 2 => vec![d(2.0); 3],
                 5 => vec![if slot % 2 == 0 { d(1.0) } else { d(3.0) }; 3],
-                1 | 9 => vec![d(2.0); 4],
+                1 | 9 => vec![d(2.0); 2],
                 7 => {
-                    let first = if (slot / 16) % 2 == 1 { d(8.0) } else { d(4.0) };
+                    let first = if (slot / 16) % 2 == 1 { d(3.0) } else { d(4.0) };
                     vec![first, d(2.0), d(1.0)]
                 }
                 _ => vec![d(1.0)],
@@ -404,16 +404,20 @@ fn placement_traces_match_their_recorded_hashes() {
 
     // (iii) The same, with `set_membership` handing over the
     // current members reordered (9 before 1: equal estimates, so
-    // only the order differs) and deltas resuming after it.
+    // only the order differs) and deltas resuming after it. No first
+    // delta after a handover removes a member: the delta engine of
+    // the recorded code seeds itself from the members *before*
+    // applying that delta's removals, and keeps placing the leaver.
     let handover = driver_hash(
         &[5, 2],
         &[
-            Step::Update(&[9, 7, 1], &[5]),
-            Step::Update(&[], &[]),
+            Step::Update(&[9, 7], &[]),
+            Step::Update(&[1], &[5]),
             Step::Set(&[9, 2, 7, 1]),
             Step::Update(&[4], &[]),
             Step::Update(&[], &[]),
             Step::Set(&[4, 1, 9]),
+            Step::Update(&[2], &[]),
             Step::Update(&[], &[4]),
         ],
     );
@@ -421,10 +425,10 @@ fn placement_traces_match_their_recorded_hashes() {
     assert_eq!(
         [per_gop, fixed, deltas, handover],
         [
-            0x6062c37bc9760ef8,
-            0xd1ededd2e2378263,
-            0xd2c6e6a7fe3f7c73,
-            0x05a773ecb59330ca
+            0x7c87bcfcabe3a89c,
+            0xa546d412ce31ed53,
+            0x6b1573c0763851b4,
+            0xc7128c9f85bdca87
         ],
         "placement-determined accounting moved: \
          {per_gop:#018x} {fixed:#018x} {deltas:#018x} {handover:#018x}"
