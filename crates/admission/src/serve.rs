@@ -18,10 +18,11 @@
 //! 5. `advance` — each shard's serving [`Node`](medvt_runtime::Node)
 //!    receives its membership *delta* as a
 //!    [`NodeCommand`](medvt_runtime::NodeCommand) (the wrapped
-//!    [`LoopDriver`](medvt_runtime::LoopDriver) incrementally
-//!    re-places only the affected users) and every shard advances one
-//!    GOP in lockstep through the same command seam — the interface
-//!    `medvt-cluster` drives remote worker nodes with.
+//!    [`LoopDriver`](medvt_runtime::LoopDriver) re-places its
+//!    threads only when a member or an estimate changed) and every
+//!    shard advances one GOP in lockstep through the same command
+//!    seam — the interface `medvt-cluster` drives remote worker nodes
+//!    with.
 //!
 //! Every decision passes through the controller's one `emit`, which
 //! feeds the report's event stream, the telemetry counters and the

@@ -142,13 +142,15 @@ pub fn with_tier<T>(t: DispatchTier, f: impl FnOnce() -> T) -> T {
 }
 
 // ---------------------------------------------------------------------
-// Row kernels. Each takes the tier resolved once by the caller.
+// Row kernels. Each takes the tier resolved once by the caller and
+// trusts it: crate-private, and every caller passes `tier()` (available
+// by construction) or a tier `block_sad` has checked.
 // ---------------------------------------------------------------------
 
 /// Sum of absolute differences over one row pair (zip semantics:
 /// trailing samples of the longer slice are ignored).
 #[inline]
-pub fn row_sad(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
+pub(crate) fn row_sad(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
     match t {
         DispatchTier::Scalar => row_sad_scalar(cur, reference),
         #[cfg(target_arch = "x86_64")]
@@ -162,7 +164,7 @@ pub fn row_sad(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
 
 /// Sum of squared differences over one row pair.
 #[inline]
-pub fn row_ssd(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
+pub(crate) fn row_ssd(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
     match t {
         DispatchTier::Scalar => row_ssd_scalar(cur, reference),
         #[cfg(target_arch = "x86_64")]
@@ -184,7 +186,8 @@ pub fn row_ssd(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
 /// it is below `bound`, otherwise some partial sum that already
 /// reached `bound` (`bound <= result <= exact`). The x86 block bodies
 /// (`w` of 8, 16 or 32) test the bound every four rows; every other
-/// width, and the scalar tier, run the per-row loop over [`row_sad`].
+/// width, and the scalar tier, run a per-row loop — on the calling
+/// thread's [`tier`] when the host cannot execute `t`.
 ///
 /// # Panics
 ///
@@ -228,6 +231,9 @@ pub fn block_sad(
             }
         }
     }
+    // The row kernels jump straight to the named tier's instructions,
+    // and `t` is whatever a caller of this public function wrote.
+    let t = if t.available() { t } else { tier() };
     let mut acc = 0u64;
     for row in 0..h {
         let (c, r) = (row * cur_stride, row * ref_stride);
@@ -244,7 +250,7 @@ pub fn block_sad(
 /// `reference[r * ref_stride + c]`). The caller halves the result to
 /// keep SATD on the SAD scale, exactly like the scalar path.
 #[inline]
-pub fn satd4(
+pub(crate) fn satd4(
     t: DispatchTier,
     cur: &[u8],
     cur_stride: usize,

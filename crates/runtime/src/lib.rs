@@ -34,10 +34,10 @@
 //! | Algorithm 2 lines | concept | here |
 //! |---|---|---|
 //! | 1–2 | per-user core demand, ascending-demand admission | `sched::allocate` (unchanged), driven by `core::ServerSim` |
-//! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run per GOP by [`ServerLoop`] (`ReplanPolicy::PerGop`); per-frame tile→worker placement (`ThreadPoolBackend::place_for_costs`) uses speed-blind `place_threads` over the host's (homogeneous) worker threads |
+//! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run by [`LoopDriver`] at a GOP boundary (`ReplanPolicy::PerGop`) or a membership change, and only when a member or a demand estimate changed since the last pass; per-frame tile→worker placement (`ThreadPoolBackend::place_for_costs`) uses speed-blind `place_threads` over the host's (homogeneous) worker threads |
 //! | 16–20 | per-core DVFS for the slot | `mpsoc::plan_core_on` (per core class) via the backend's analytical accounting |
 //! | 21–22 | deadline-miss carry into the next slot | backend state: [`SimBackend`]/[`ThreadPoolBackend`] carry vectors |
-//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`ServerLoop::run`] |
+//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::step`] (under [`ServerLoop::run`] and online serving alike) |
 //!
 //! # Example
 //!

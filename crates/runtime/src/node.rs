@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 /// enum can cross a process boundary unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeCommand {
-    /// Apply a membership delta at a GOP boundary (keeps the node's
-    /// incremental placement engine engaged).
+    /// Apply a membership delta at a GOP boundary
+    /// ([`LoopDriver::update_membership`]).
     UpdateMembership {
         /// Users admitted onto this node.
         add: Vec<usize>,

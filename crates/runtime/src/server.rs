@@ -12,11 +12,17 @@
 //!   `core::ServerSim` (admission settled up front);
 //! * [`LoopDriver`] — the explicit stepping interface behind online
 //!   serving: an admission controller advances the loop GOP by GOP,
-//!   reads the per-user accounting ([`UserLoopStats`]) and swaps the
-//!   admitted set at GOP boundaries with
-//!   [`LoopDriver::set_membership`]. [`ServerLoop::run_with_hook`]
-//!   packages the same contract as a per-boundary callback for
-//!   single-shard use.
+//!   reads the per-user accounting ([`UserLoopStats`]) and applies
+//!   membership deltas at GOP boundaries with
+//!   [`LoopDriver::update_membership`].
+//!
+//! There is one placer: [`place_threads_on`] from scratch over the
+//! members' padded GOP estimates, run only when a member joined or
+//! left or an estimate's bits moved since the last run. Members are
+//! placed in the order the driver holds them (equal threads tie-break
+//! by it): the caller's order after [`LoopDriver::new`] /
+//! [`LoopDriver::set_membership`], ascending id once
+//! [`LoopDriver::update_membership`] is used.
 //!
 //! `core::ServerSim` wraps this loop with profile-driven admission and
 //! Table II reporting; real-execution servers feed it closures through
@@ -24,7 +30,7 @@
 
 use crate::backend::{ExecutionBackend, WorkUnit};
 use medvt_mpsoc::DvfsPolicy;
-use medvt_sched::{place_threads_on, IncrementalPlacer, Placement, UserDemand};
+use medvt_sched::{place_threads_on, Placement, UserDemand};
 use medvt_telemetry::{CounterId, Event, EventKind, HistId, Metrics, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,12 +54,12 @@ pub trait DemandSource {
 
     /// True when `user`'s demand never varies across slots — a promise
     /// that `demand_at(user, s)` returns the identical vector for
-    /// every `s`. The incremental control plane then skips the per-GOP
-    /// demand recomputation for the user entirely (the O(1)
-    /// steady-state path). Purely an optimization hint: sources with
-    /// per-slot variation (video profiles) keep the default `false`
-    /// and are re-estimated each boundary, which the placer still
-    /// no-ops when the estimate comes back bitwise unchanged.
+    /// every `s`. The driver then estimates the user's GOP demand once,
+    /// when it joins, and never again. Purely an optimization hint:
+    /// sources with per-slot variation (video profiles) keep the
+    /// default `false` and are re-estimated each boundary, which
+    /// re-places nothing when every estimate comes back bitwise
+    /// unchanged.
     fn steady(&self, _user: usize) -> bool {
         false
     }
@@ -374,6 +380,27 @@ impl LoopReport {
     }
 }
 
+/// How a member's demand estimate is kept current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Joined (or was re-added) since the placer's last visit: the
+    /// next one estimates it and asks the source whether it is steady.
+    Fresh,
+    /// [`DemandSource::steady`]: estimated once, never again.
+    Steady,
+    /// Re-estimated at every visit.
+    Varying,
+}
+
+/// A joining member's placeholder until the placer's next visit
+/// estimates it.
+fn unestimated(user: usize) -> UserDemand {
+    UserDemand {
+        user,
+        thread_secs: Vec::new(),
+    }
+}
+
 /// An in-flight server-loop run with explicit stepping — the engine
 /// under [`ServerLoop`] and the per-socket shard loop the admission
 /// subsystem drives in lockstep.
@@ -406,20 +433,18 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     /// per-unit closure materialization entirely.
     executes_work: bool,
     admitted: Vec<usize>,
+    /// Each member's last headroom-padded GOP estimate, in `admitted`
+    /// order — the slice [`place_threads_on`] reads.
+    demands: Vec<UserDemand>,
+    /// How each member's estimate is kept current, in `admitted` order.
+    marks: Vec<Mark>,
     placements: Vec<Placement>,
+    /// Membership changed: visit the placer at the next slot, GOP
+    /// boundary or not, whatever the policy.
     replan_pending: bool,
-    /// Delta-maintained placement engine — engaged by
-    /// [`LoopDriver::update_membership`]; `None` runs the legacy
-    /// from-scratch replan.
-    engine: Option<IncrementalPlacer>,
-    /// Users added since the last engine refresh.
-    pending_add: Vec<usize>,
-    /// Users removed since the last engine refresh.
-    pending_remove: Vec<usize>,
-    /// Members whose demand may vary per slot (`!source.steady(u)`):
-    /// re-estimated at every boundary; steady members are skipped —
-    /// the O(1) path.
-    nonsteady: BTreeSet<usize>,
+    /// `placements` no longer follow from `demands`: a member joined
+    /// or left, or an estimate's bits moved.
+    dirty: bool,
     /// Members currently on a consecutive-window-miss streak — lets
     /// eviction scans skip users that are on time.
     miss_streaks: BTreeSet<usize>,
@@ -489,13 +514,13 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             cfg,
             speeds,
             executes_work,
+            demands: admitted.iter().copied().map(unestimated).collect(),
+            marks: vec![Mark::Fresh; admitted.len()],
             admitted,
+            // Handed-in placements were not computed from estimates.
+            dirty: !initial.is_empty(),
             placements: initial,
             replan_pending: false,
-            engine: None,
-            pending_add: Vec::new(),
-            pending_remove: Vec::new(),
-            nonsteady: BTreeSet::new(),
             miss_streaks: BTreeSet::new(),
             meter: Metrics::new(),
             slot: 0,
@@ -536,56 +561,55 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         self.users.get(&user)
     }
 
-    /// Replaces the admitted set. Placements are recomputed on the
-    /// next executed slot (under any [`ReplanPolicy`] — stale
-    /// placements would keep running departed users). Intended for GOP
+    /// Replaces the admitted set, keeping the caller's order — equal
+    /// threads tie-break by it. Placements are recomputed on the next
+    /// executed slot (under any [`ReplanPolicy`] — stale placements
+    /// would keep running departed users). Intended for GOP
     /// boundaries, the paper's re-allocation points.
-    ///
-    /// Reverts the driver to the legacy from-scratch replan path; use
-    /// [`LoopDriver::update_membership`] to keep the incremental
-    /// engine engaged.
     pub fn set_membership(&mut self, admitted: Vec<usize>) {
+        self.demands = admitted.iter().copied().map(unestimated).collect();
+        self.marks = vec![Mark::Fresh; admitted.len()];
         self.admitted = admitted;
-        self.engine = None;
-        self.pending_add.clear();
-        self.pending_remove.clear();
-        self.nonsteady.clear();
+        self.dirty = true;
         self.replan_pending = true;
     }
 
-    /// Applies a membership *delta*, engaging the incremental
-    /// placement engine: unchanged-membership GOP boundaries reuse the
-    /// previous placement (O(1) when every member is
-    /// [`DemandSource::steady`], one no-op demand re-estimate per
-    /// non-steady member otherwise), and changed boundaries replay
-    /// only the placement suffix the delta disturbs.
+    /// Applies a membership *delta*, keeping members in ascending id
+    /// (a caller-ordered set is id-sorted on first use). Leavers go,
+    /// joiners are estimated at the next executed slot, and re-adding
+    /// a member only asks for a fresh estimate of it. Unchanged
+    /// GOP boundaries then reuse the previous placement: free when
+    /// every member is [`DemandSource::steady`], one demand
+    /// re-estimate per other member otherwise.
     ///
-    /// The resulting placements are bitwise-identical to
+    /// The resulting placements are those of
     /// [`set_membership`](Self::set_membership) with the same final
-    /// id-sorted member set — property-tested in `medvt-sched` and
-    /// regression-pinned against the reference controller in
-    /// `medvt-admission`.
+    /// id-sorted member set.
     pub fn update_membership(&mut self, add: &[usize], remove: &[usize]) {
-        if self.engine.is_none() {
-            // First delta: seed the engine with the current members so
-            // it takes over exactly where the legacy path left off.
-            self.engine = Some(IncrementalPlacer::new(&self.speeds, 1.0 / self.cfg.fps));
-            self.admitted.sort_unstable();
-            self.pending_add.extend(self.admitted.iter().copied());
+        if !self.admitted.is_sorted() {
+            let mut sorted = std::mem::take(&mut self.admitted);
+            sorted.sort_unstable();
+            self.set_membership(sorted);
         }
         for &u in remove {
             if let Ok(i) = self.admitted.binary_search(&u) {
                 self.admitted.remove(i);
+                self.demands.remove(i);
+                self.marks.remove(i);
+                self.dirty = true;
             }
-            self.pending_remove.push(u);
-            self.nonsteady.remove(&u);
             self.miss_streaks.remove(&u);
         }
         for &u in add {
-            if let Err(i) = self.admitted.binary_search(&u) {
-                self.admitted.insert(i, u);
+            match self.admitted.binary_search(&u) {
+                Ok(i) => self.marks[i] = Mark::Fresh,
+                Err(i) => {
+                    self.admitted.insert(i, u);
+                    self.demands.insert(i, unestimated(u));
+                    self.marks.insert(i, Mark::Fresh);
+                    self.dirty = true;
+                }
             }
-            self.pending_add.push(u);
         }
         if !add.is_empty() || !remove.is_empty() {
             self.replan_pending = true;
@@ -596,11 +620,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     /// order — the candidates an eviction scan needs to look at.
     pub fn miss_streaks(&self) -> impl Iterator<Item = usize> + '_ {
         self.miss_streaks.iter().copied()
-    }
-
-    /// Control-plane cost so far (a view over the telemetry meters).
-    pub fn controller_timing(&self) -> ControllerTiming {
-        ControllerTiming::from_metrics(&self.meter)
     }
 
     /// The driver-local telemetry registry: boundary/replan counters,
@@ -686,78 +705,47 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     /// at `gop_start`.
     fn padded_demand(
         source: &impl DemandSource,
-        gop_slots: usize,
-        headroom: f64,
+        cfg: &ServerLoopConfig,
         user: usize,
         gop_start: usize,
     ) -> UserDemand {
+        let headroom = cfg.replan.headroom();
         UserDemand::new(
             user,
-            Self::gop_demand(source, gop_slots, user, gop_start)
+            Self::gop_demand(source, cfg.gop_slots, user, gop_start)
                 .iter()
                 .map(|s| s * headroom)
                 .collect(),
         )
     }
 
-    /// Applies pending membership deltas and re-estimates non-steady
-    /// members' demands, then refreshes the incremental engine.
-    /// Returns true when placements were recomputed.
-    fn refresh_engine(&mut self, source: &impl DemandSource) -> bool {
-        let headroom = self.cfg.replan.headroom();
-        let gop_slots = self.cfg.gop_slots;
-        let slot = self.slot;
-        let removes = std::mem::take(&mut self.pending_remove);
-        let adds = std::mem::take(&mut self.pending_add);
-        let mut updates: Vec<UserDemand> = Vec::with_capacity(adds.len());
-        let added: BTreeSet<usize> = adds.iter().copied().collect();
-        for &u in &added {
-            updates.push(Self::padded_demand(source, gop_slots, headroom, u, slot));
-            if !source.steady(u) {
-                self.nonsteady.insert(u);
+    /// The placer's visit: estimates fresh and varying members for the
+    /// GOP starting now and, when a member joined or left or an
+    /// estimate's bits moved (`to_bits`: a zero's sign reorders the
+    /// thread list), places every thread from scratch. Returns true
+    /// when placements were recomputed.
+    fn refresh_placements(&mut self, source: &impl DemandSource, slot_secs: f64) -> bool {
+        for (demand, mark) in self.demands.iter_mut().zip(&mut self.marks) {
+            match *mark {
+                Mark::Steady => continue,
+                Mark::Fresh if source.steady(demand.user) => *mark = Mark::Steady,
+                Mark::Fresh | Mark::Varying => *mark = Mark::Varying,
+            }
+            let fresh = Self::padded_demand(source, &self.cfg, demand.user, self.slot);
+            let (old, new) = (&demand.thread_secs, &fresh.thread_secs);
+            if old.len() != new.len()
+                || old.iter().zip(new).any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                *demand = fresh;
+                self.dirty = true;
             }
         }
-        for &u in &self.nonsteady {
-            if !added.contains(&u) {
-                updates.push(Self::padded_demand(source, gop_slots, headroom, u, slot));
-            }
+        if !self.dirty {
+            return false;
         }
-        let engine = self.engine.as_mut().expect("engine mode");
-        for u in removes {
-            engine.remove_user(u);
-        }
-        for d in updates {
-            engine.set_user(d);
-        }
-        if engine.refresh() {
-            self.placements = engine.allocation().placements.clone();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn replan(&mut self, source: &impl DemandSource, slot_secs: f64) {
-        let headroom = self.cfg.replan.headroom();
-        let gop_slots = self.cfg.gop_slots;
-        let demands: Vec<UserDemand> = self
-            .admitted
-            .iter()
-            .map(|&u| Self::padded_demand(source, gop_slots, headroom, u, self.slot))
-            .collect();
-        let placed = place_threads_on(&self.speeds, slot_secs, &demands);
-        self.placements = placed.placements;
-    }
-
-    /// Emits the replan event (callers gate on `R::ENABLED`).
-    fn record_replan(&self) {
-        self.recorder.record(Event::new(
-            self.track,
-            self.slot as u32,
-            EventKind::Replan {
-                users: self.admitted.len() as u32,
-            },
-        ));
+        self.placements = place_threads_on(&self.speeds, slot_secs, &self.demands).placements;
+        self.dirty = false;
+        true
     }
 
     /// Executes one slot: thread allocation once per GOP (paper
@@ -776,35 +764,25 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 ));
             }
         }
-        if self.engine.is_some() {
-            // Incremental path: every boundary visits the engine, but
-            // unchanged members make the visit a no-op refresh.
-            if gop_boundary || self.replan_pending {
-                let t0 = Instant::now();
-                let replanned = self.refresh_engine(source);
-                self.meter
-                    .observe(HistId::PlacementNs, t0.elapsed().as_nanos() as u64);
-                if replanned {
-                    self.meter.add(CounterId::Replans, 1);
-                    if R::ENABLED {
-                        self.record_replan();
-                    }
-                }
-                self.replan_pending = false;
-            }
-        } else {
-            let periodic = matches!(self.cfg.replan, ReplanPolicy::PerGop { .. }) && gop_boundary;
-            if periodic || self.replan_pending {
-                let t0 = Instant::now();
-                self.replan(source, slot_secs);
-                self.meter
-                    .observe(HistId::PlacementNs, t0.elapsed().as_nanos() as u64);
+        let periodic = matches!(self.cfg.replan, ReplanPolicy::PerGop { .. }) && gop_boundary;
+        if periodic || self.replan_pending {
+            let t0 = Instant::now();
+            let replanned = self.refresh_placements(source, slot_secs);
+            self.meter
+                .observe(HistId::PlacementNs, t0.elapsed().as_nanos() as u64);
+            if replanned {
                 self.meter.add(CounterId::Replans, 1);
                 if R::ENABLED {
-                    self.record_replan();
+                    self.recorder.record(Event::new(
+                        self.track,
+                        self.slot as u32,
+                        EventKind::Replan {
+                            users: self.admitted.len() as u32,
+                        },
+                    ));
                 }
-                self.replan_pending = false;
             }
+            self.replan_pending = false;
         }
         // Placement vectors cover the maximum tile count of the
         // window; frames with fewer tiles simply have no work for
@@ -976,42 +954,13 @@ impl<'b, B: ExecutionBackend> ServerLoop<'b, B> {
         admitted: &[usize],
         initial: &[Placement],
     ) -> LoopReport {
-        self.run_with_hook(source, admitted, initial, |_| None)
-    }
-
-    /// Like [`ServerLoop::run`], calling `hook` at every GOP boundary
-    /// before placement. Returning `Some(users)` replaces the admitted
-    /// membership from that GOP on — the single-shard form of the
-    /// admission subsystem's admit/evict contract (the sharded
-    /// controller drives [`LoopDriver`]s directly, in lockstep).
-    ///
-    /// The hook observes the in-flight [`LoopDriver`] — current slot,
-    /// membership, and per-user on-time/energy accounting.
-    pub fn run_with_hook<F>(
-        &mut self,
-        source: &impl DemandSource,
-        admitted: &[usize],
-        initial: &[Placement],
-        mut hook: F,
-    ) -> LoopReport
-    where
-        F: FnMut(&LoopDriver<&mut B>) -> Option<Vec<usize>>,
-    {
         let cfg = self.cfg;
         if cfg.slots == 0 {
             return LoopReport::empty();
         }
         let mut driver =
             LoopDriver::new(&mut *self.backend, cfg, admitted.to_vec(), initial.to_vec());
-        let mut done = 0;
-        while done < cfg.slots {
-            if let Some(next) = hook(&driver) {
-                driver.set_membership(next);
-            }
-            let n = cfg.gop_slots.min(cfg.slots - done);
-            driver.advance(source, n);
-            done += n;
-        }
+        driver.advance(source, cfg.slots);
         driver.into_report()
     }
 }
@@ -1267,96 +1216,65 @@ mod tests {
     }
 
     #[test]
-    fn incremental_membership_matches_full_replan() {
-        // The same admit/evict schedule driven through the legacy
-        // set_membership path and the delta-based update_membership
-        // path must produce identical accounting — placements are
-        // bitwise-equal by the placer contract, so every downstream
-        // statistic (energy splits, window misses) follows.
-        let source = FlatSource {
-            tiles: 3,
-            secs: SLOT / 5.0,
-        };
-        let c = cfg(48, ReplanPolicy::PerGop { headroom: 1.1 });
-        let schedule: [(usize, &[usize], &[usize]); 3] =
-            [(8, &[1, 2], &[]), (24, &[3], &[0]), (40, &[], &[1, 3])];
-
-        let mut legacy = LoopDriver::new(
-            SimBackend::new(Platform::quad_core(), PowerModel::default()),
-            c,
-            vec![0],
-            vec![],
-        );
-        let mut members = vec![0usize];
-        let mut next = 0usize;
-        for done in (0..48).step_by(8) {
-            if next < schedule.len() && schedule[next].0 == done {
-                let (_, add, remove) = schedule[next];
-                members.retain(|u| !remove.contains(u));
-                members.extend_from_slice(add);
-                members.sort_unstable();
-                legacy.set_membership(members.clone());
-                next += 1;
-            }
-            legacy.advance(&source, 8);
-        }
-
-        let mut engine = LoopDriver::new(
-            SimBackend::new(Platform::quad_core(), PowerModel::default()),
-            c,
-            vec![0],
-            vec![],
-        );
-        // Engage the engine from the start with an empty delta.
-        engine.update_membership(&[], &[]);
-        let mut next = 0usize;
-        for done in (0..48).step_by(8) {
-            if next < schedule.len() && schedule[next].0 == done {
-                let (_, add, remove) = schedule[next];
-                engine.update_membership(add, remove);
-                next += 1;
-            }
-            engine.advance(&source, 8);
-        }
-
-        let mut a = legacy.into_report();
-        let mut b = engine.into_report();
-        // Replan counts legitimately differ (the engine no-ops
-        // unchanged boundaries); everything else must be identical.
-        assert!(
-            b.controller.replans <= a.controller.replans,
-            "engine must not replan more often than the legacy path"
-        );
-        a.controller = ControllerTiming::default();
-        b.controller = ControllerTiming::default();
-        a.wall_secs = 0.0;
-        b.wall_secs = 0.0;
-        assert_eq!(a, b, "delta path must reproduce the legacy accounting");
-    }
-
-    #[test]
-    fn membership_hook_admits_and_evicts_at_gop_boundaries() {
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
+    fn first_delta_can_remove_a_starting_member() {
+        // The delta engine this driver used to carry seeded itself from
+        // the members *before* applying the first delta's removals and
+        // kept placing the leaver.
         let source = FlatSource {
             tiles: 1,
             secs: SLOT / 4.0,
         };
-        // Start with user 0; admit user 1 from GOP 1; evict both from
-        // GOP 4.
-        let mut sl = ServerLoop::new(
-            &mut backend,
-            cfg(48, ReplanPolicy::PerGop { headroom: 1.0 }),
+        let mut driver = LoopDriver::new(
+            SimBackend::new(Platform::quad_core(), PowerModel::default()),
+            cfg(16, ReplanPolicy::PerGop { headroom: 1.0 }),
+            vec![1, 0],
+            vec![],
         );
-        let report = sl.run_with_hook(&source, &[0], &[], |driver| match driver.slot() {
-            8 => Some(vec![0, 1]),
-            32 => Some(vec![]),
-            _ => None,
-        });
-        let u0 = report.user(0).expect("user 0 ran");
-        let u1 = report.user(1).expect("user 1 ran");
-        // User 0: GOPs 0–3 → 32 slots; user 1: GOPs 1–3 → 24 slots.
-        assert_eq!(u0.active_slots, 32);
-        assert_eq!(u1.active_slots, 24);
-        assert!(u0.energy_j > u1.energy_j);
+        driver.advance(&source, 8);
+        driver.update_membership(&[], &[1]);
+        driver.advance(&source, 8);
+        assert_eq!(driver.admitted(), [0]);
+        let report = driver.into_report();
+        assert_eq!(report.user(0).expect("user 0 ran").active_slots, 16);
+        assert_eq!(report.user(1).expect("user 1 ran").active_slots, 8);
+    }
+
+    #[test]
+    fn set_membership_and_equivalent_deltas_report_identically() {
+        // The same admit/evict schedule as whole id-sorted sets and as
+        // deltas: same members in the same order at every boundary, so
+        // the same placements, accounting and replan count.
+        let source = FlatSource {
+            tiles: 3,
+            secs: SLOT / 5.0,
+        };
+        let schedule: [(usize, &[usize], &[usize]); 3] =
+            [(8, &[1, 2], &[]), (24, &[3], &[0]), (40, &[], &[1, 3])];
+        let run = |deltas: bool| {
+            let mut driver = LoopDriver::new(
+                SimBackend::new(Platform::quad_core(), PowerModel::default()),
+                cfg(48, ReplanPolicy::PerGop { headroom: 1.1 }),
+                vec![0],
+                vec![],
+            );
+            let mut members = vec![0usize];
+            for done in (0..48).step_by(8) {
+                if let Some(&(_, add, remove)) = schedule.iter().find(|step| step.0 == done) {
+                    if deltas {
+                        driver.update_membership(add, remove);
+                    } else {
+                        members.retain(|u| !remove.contains(u));
+                        members.extend_from_slice(add);
+                        members.sort_unstable();
+                        driver.set_membership(members.clone());
+                    }
+                }
+                driver.advance(&source, 8);
+            }
+            driver.into_report().modeled_only()
+        };
+        let whole = run(false);
+        assert_eq!(whole.controller.replans, 4, "slot 0 and three changes");
+        assert_eq!(whole, run(true));
     }
 }

@@ -340,12 +340,18 @@ fn place(threads: &mut [Placement], speeds: &[f64], demand_frac: f64, slot_secs:
     threads.sort_by(|a, b| b.secs.total_cmp(&a.secs));
     let candidates = candidate_set(speeds, demand_frac);
     let mut core_loads = vec![0.0f64; speeds.len()];
+    // The worst normalized (finish-time) load over the candidates.
+    // Loads only grow and `max` selects one of its operands, so the
+    // running maximum is bitwise the per-thread fold over every
+    // candidate that Algorithm 2 writes down.
+    let mut max_norm = 0.0f64;
     for th in threads.iter_mut() {
-        let max_norm = max_norm_of(&core_loads, speeds, &candidates);
-        let cap = cap_for(max_norm, slot_secs);
+        // The dynamic fill ceiling: the worst load, clipped to the slot.
+        let cap = max_norm.min(slot_secs);
         let best_core = select_core(&core_loads, speeds, &candidates, slot_secs, cap, th.secs);
         th.core = best_core;
         core_loads[best_core] += th.secs;
+        max_norm = max_norm.max(core_loads[best_core] / speeds[best_core]);
     }
     core_loads
 }
@@ -353,7 +359,7 @@ fn place(threads: &mut [Placement], speeds: &[f64], demand_frac: f64, slot_secs:
 /// Candidate recruitment: fastest cores first (stable by id), until
 /// their summed speed covers the demanded fractional cores — the
 /// heterogeneous generalization of "the first ceil(ΣN_core) cores".
-pub(crate) fn candidate_set(speeds: &[f64], demand_frac: f64) -> Vec<usize> {
+fn candidate_set(speeds: &[f64], demand_frac: f64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..speeds.len()).collect();
     order.sort_by(|&a, &b| speeds[b].total_cmp(&speeds[a]).then(a.cmp(&b)));
     let mut candidates = 0usize;
@@ -366,31 +372,8 @@ pub(crate) fn candidate_set(speeds: &[f64], demand_frac: f64) -> Vec<usize> {
     order
 }
 
-/// Highest normalized (finish-time) load over the candidate cores —
-/// the fold order matches the historical inline computation so results
-/// stay bitwise identical.
-pub(crate) fn max_norm_of(core_loads: &[f64], speeds: &[f64], candidates: &[usize]) -> f64 {
-    candidates
-        .iter()
-        .map(|&k| core_loads[k] / speeds[k])
-        .fold(0.0, f64::max)
-}
-
-/// The dynamic fill ceiling: the current worst normalized load,
-/// clipped to the slot.
-pub(crate) fn cap_for(max_norm: f64, slot_secs: f64) -> f64 {
-    if max_norm > slot_secs {
-        slot_secs
-    } else {
-        max_norm
-    }
-}
-
 /// Picks the core for one thread of `secs` fmax-seconds — the body of
-/// Algorithm 2's placement loop, shared verbatim between the
-/// from-scratch pass above and incremental replay
-/// ([`crate::IncrementalPlacer`]) so both produce bitwise-identical
-/// decisions.
+/// Algorithm 2's placement loop.
 ///
 /// The cap is a fill ceiling (lines 5–9: "CPU time … cannot be above
 /// 1/FPS"): among cores where the thread still finishes within the
@@ -401,7 +384,7 @@ pub(crate) fn cap_for(max_norm: f64, slot_secs: f64) -> f64 {
 /// thread onto an idle slow core when a partially loaded fast core
 /// would finish sooner.) Ties break to the first candidate in
 /// recruitment order (fastest, then lowest id).
-pub(crate) fn select_core(
+fn select_core(
     core_loads: &[f64],
     speeds: &[f64],
     candidates: &[usize],
@@ -653,7 +636,87 @@ mod tests {
         assert!((alloc.worst_finish_secs(&speeds) - alloc.max_load()).abs() < 1e-15);
     }
 
+    /// Algorithm 2 lines 3–15 as the paper writes them: the cap is
+    /// recomputed for every thread by folding over all candidate
+    /// cores. `place` carries it as a running maximum instead.
+    fn place_with_per_thread_fold(
+        speeds: &[f64],
+        slot_secs: f64,
+        users: &[UserDemand],
+    ) -> (Vec<Placement>, Vec<f64>) {
+        let demanded: f64 = users.iter().map(|u| u.core_demand(1.0 / slot_secs)).sum();
+        let mut threads: Vec<Placement> = Vec::new();
+        for u in users {
+            for (thread, &secs) in u.thread_secs.iter().enumerate() {
+                threads.push(Placement {
+                    user: u.user,
+                    thread,
+                    core: usize::MAX,
+                    secs,
+                });
+            }
+        }
+        threads.sort_by(|a, b| b.secs.total_cmp(&a.secs));
+        let candidates = candidate_set(speeds, demanded);
+        let mut loads = vec![0.0f64; speeds.len()];
+        for th in &mut threads {
+            let max_norm = candidates
+                .iter()
+                .map(|&k| loads[k] / speeds[k])
+                .fold(0.0, f64::max);
+            let cap = if max_norm > slot_secs {
+                slot_secs
+            } else {
+                max_norm
+            };
+            th.core = select_core(&loads, speeds, &candidates, slot_secs, cap, th.secs);
+            loads[th.core] += th.secs;
+        }
+        (threads, loads)
+    }
+
     proptest! {
+        /// The running `max_norm` is bitwise the per-thread fold: on
+        /// heterogeneous speeds, through overload (cap clipped to the
+        /// slot), with all-zero and `-0.0` demands and more threads
+        /// than cores.
+        #[test]
+        fn prop_running_cap_equals_the_per_thread_fold(
+            speed_idx in proptest::collection::vec(0usize..4, 1..10),
+            users_ms in proptest::collection::vec(
+                proptest::collection::vec(0u32..48, 0..7),
+                0..7,
+            ),
+            zero_sign in 0u32..2,
+        ) {
+            const PALETTE: [f64; 4] = [0.25, 0.45, 0.5, 1.0];
+            let speeds: Vec<f64> = speed_idx.iter().map(|&i| PALETTE[i]).collect();
+            let zero = if zero_sign == 1 { -0.0 } else { 0.0 };
+            let users: Vec<UserDemand> = users_ms
+                .iter()
+                .enumerate()
+                .map(|(u, ms)| {
+                    let secs = ms
+                        .iter()
+                        .map(|&m| if m % 4 == 0 { zero } else { m as f64 * 1e-3 })
+                        .collect();
+                    UserDemand::new(u, secs)
+                })
+                .collect();
+            let got = place_threads_on(&speeds, SLOT, &users);
+            let (placements, loads) = place_with_per_thread_fold(&speeds, SLOT, &users);
+            prop_assert_eq!(got.placements.len(), placements.len());
+            for (x, y) in got.placements.iter().zip(&placements) {
+                prop_assert_eq!(
+                    (x.user, x.thread, x.core, x.secs.to_bits()),
+                    (y.user, y.thread, y.core, y.secs.to_bits())
+                );
+            }
+            for (x, y) in got.core_loads.iter().zip(&loads) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
         #[test]
         fn prop_no_thread_lost_and_loads_consistent(
             user_count in 1usize..6,

@@ -1,635 +1,104 @@
-//! Incremental re-placement — the control-plane fast path.
+//! Staged membership deltas over [`place_threads_on`].
 //!
-//! `serve_online` re-runs Algorithm 2's placement for every shard at
-//! every GOP boundary, even when nothing changed. At scale that is the
-//! controller's dominant cost: placement is O(threads × candidates)
-//! per boundary per shard, and most boundaries change nothing.
-//!
-//! [`IncrementalPlacer`] keeps the placement *state* alive between
-//! boundaries and applies membership/demand deltas:
-//!
-//! * an unchanged boundary (every pending update bitwise-equal to the
-//!   stored demand) is **O(1)** — the cached [`Allocation`] is reused;
-//! * a membership change replays only the placement suffix from the
-//!   first thread whose canonical position moved, restoring per-core
-//!   loads from periodic checkpoints instead of replaying from zero;
-//! * on wide candidate sets the replayed argmin runs against a
-//!   bucket-indexed structure of per-core finish times
-//!   ([`PlacementStrategy::Indexed`]) — O(log cores) per thread
-//!   instead of the linear scan.
-//!
-//! **Invariant (the whole point):** for any sequence of
-//! `set_user`/`remove_user`/`refresh` calls, [`IncrementalPlacer::allocation`]
-//! is *bitwise identical* — placements, core loads, ordering — to
-//! [`place_threads_on`](crate::place_threads_on) called from scratch
-//! on the current members sorted by ascending user id. Every fast path
-//! below is engineered (and property-tested) against that contract;
-//! decision parity between the sim and thread-pool backends depends on
-//! it.
+// Vestige: no product code uses this module. It keeps the six
+// signatures `benchmark/src/replay.rs` (`sched_script`, the
+// `sched.incremental_us_p50` / `sched.replayed_per_delta` rows)
+// compiles against; only a `[benchmark]` PR may edit that file, and
+// the next one deletes those two rows and this module together.
+// `runtime::LoopDriver` does the same thing inline: place from scratch
+// when a member or an estimate changed, otherwise keep the placement.
 
-use crate::alloc::{candidate_set, cap_for, max_norm_of, select_core, Allocation, Placement};
-use crate::UserDemand;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use crate::alloc::{place_threads_on, Allocation, UserDemand};
+use std::collections::BTreeMap;
 
-/// How the replayed placement argmin is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementStrategy {
-    /// Linear scan for small candidate sets, bucket index for wide
-    /// ones (the crossover where the index's log-factor wins).
-    #[default]
-    Auto,
-    /// Always the linear scan — the reference loop, shared with
-    /// `place_threads_on`.
-    Linear,
-    /// Always the bucket-indexed finish-time structure.
-    Indexed,
-}
-
-/// `Auto` switches to the index above this many candidate cores.
-const INDEX_CROSSOVER: usize = 32;
-
-/// A per-core-load checkpoint is stored every this many threads so
-/// suffix replay restores loads in O(stride) instead of O(threads).
-const CHECKPOINT_STRIDE: usize = 256;
-
-/// Canonical identity of one thread in placement order.
-#[derive(Debug, Clone, Copy)]
-struct ThreadKey {
-    secs: f64,
-    user: usize,
-    thread: usize,
-}
-
-/// Canonical placement order: descending `secs` (total order over
-/// bits, like `f64::total_cmp`), then ascending user id, then thread
-/// index — exactly what the stable `sort_by(b.secs.total_cmp(&a.secs))`
-/// in `place` produces when users arrive sorted by id.
-fn key_cmp(a: &ThreadKey, b: &ThreadKey) -> std::cmp::Ordering {
-    b.secs
-        .total_cmp(&a.secs)
-        .then(a.user.cmp(&b.user))
-        .then(a.thread.cmp(&b.thread))
-}
-
-fn key_eq(a: &ThreadKey, b: &ThreadKey) -> bool {
-    a.secs.to_bits() == b.secs.to_bits() && a.user == b.user && a.thread == b.thread
-}
-
-/// Bitwise slice equality — `==` on `f64` treats `0.0 == -0.0`, which
-/// would wrongly skip a replay when a demand flips zero sign (the sign
-/// participates in `total_cmp` ordering).
+/// Bitwise slice equality — `==` on `f64` treats `0.0 == -0.0`, but the
+/// zero's sign participates in the placement's `total_cmp` ordering.
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    /// Number of placed threads the snapshot covers.
-    idx: usize,
-    loads: Vec<f64>,
-}
-
-/// One same-speed run of candidate cores, ordered by (load, core id).
-///
-/// Candidate recruitment sorts fastest-first then by id, so cores of
-/// equal speed form contiguous runs; keeping one ordered set per run
-/// lets both the spill argmin and the cap-seeking fit query work on
-/// *loads* directly (for a fixed speed, `(load + secs) / speed` is
-/// monotone non-decreasing in load, even through rounding).
-#[derive(Debug)]
-struct Bucket {
-    speed: f64,
-    /// `(load.to_bits(), core)` — loads are non-negative, so the IEEE
-    /// bit pattern orders exactly like the float value.
-    set: BTreeSet<(u64, usize)>,
-}
-
-impl Bucket {
-    /// First (lowest-id) entry at the smallest distinct load strictly
-    /// above `bits`.
-    fn next_load(&self, bits: u64) -> Option<(u64, usize)> {
-        self.set
-            .range((Bound::Excluded((bits, usize::MAX)), Bound::Unbounded))
-            .next()
-            .copied()
-    }
-
-    /// First (lowest-id) entry at the greatest distinct load strictly
-    /// below `bits`.
-    fn prev_load(&self, bits: u64) -> Option<(u64, usize)> {
-        let &(lb, _) = self.set.range(..(bits, 0usize)).next_back()?;
-        self.first_at(lb)
-    }
-
-    /// First (lowest-id) entry at exactly load `bits`.
-    fn first_at(&self, bits: u64) -> Option<(u64, usize)> {
-        self.set
-            .range((bits, 0usize)..=(bits, usize::MAX))
-            .next()
-            .copied()
-    }
-}
-
-/// Bucket-indexed per-core finish times for the replayed argmin.
-#[derive(Debug)]
-struct CoreIndex {
-    buckets: Vec<Bucket>,
-    /// Maintained incrementally; loads only grow during a replay, so a
-    /// running `f64::max` stays bitwise equal to the from-scratch fold.
-    max_norm: f64,
-    /// core id → bucket position (`usize::MAX` for non-candidates).
-    bucket_of: Vec<usize>,
-}
-
-impl CoreIndex {
-    fn build(speeds: &[f64], candidates: &[usize], loads: &[f64]) -> Self {
-        let mut buckets: Vec<Bucket> = Vec::new();
-        let mut bucket_of = vec![usize::MAX; speeds.len()];
-        for &k in candidates {
-            let sp = speeds[k];
-            if buckets
-                .last()
-                .is_none_or(|b| b.speed.to_bits() != sp.to_bits())
-            {
-                buckets.push(Bucket {
-                    speed: sp,
-                    set: BTreeSet::new(),
-                });
-            }
-            let bi = buckets.len() - 1;
-            bucket_of[k] = bi;
-            buckets[bi].set.insert((loads[k].to_bits(), k));
-        }
-        let max_norm = max_norm_of(loads, speeds, candidates);
-        CoreIndex {
-            buckets,
-            max_norm,
-            bucket_of,
-        }
-    }
-
-    /// Commits one placement and maintains the index and running cap.
-    fn place(&mut self, loads: &mut [f64], core: usize, secs: f64) {
-        let b = &mut self.buckets[self.bucket_of[core]];
-        b.set.remove(&(loads[core].to_bits(), core));
-        loads[core] += secs;
-        b.set.insert((loads[core].to_bits(), core));
-        self.max_norm = self.max_norm.max(loads[core] / b.speed);
-    }
-
-    /// The indexed equivalent of [`select_core`]: same float
-    /// expressions, same tie-breaks, evaluated against the ordered
-    /// structure instead of a linear scan.
-    ///
-    /// Correctness rests on monotonicity: within one bucket,
-    /// `with = (load + secs) / speed` is monotone non-decreasing in
-    /// load (IEEE rounding preserves weak monotonicity), so the
-    /// best-fit lives at the partition point around the cap and the
-    /// spill at the minimum load. Rounding can flatten *distinct*
-    /// loads onto bitwise-equal `with`/`dist` values, so every
-    /// comparison walks its equal-value cohort and resolves the tie to
-    /// the lowest core id — reproducing the scan's first-wins rule
-    /// (within a bucket the scan order is ascending id; across buckets
-    /// it is recruitment order, so bucket-order strict-`<` applies).
-    fn select(&self, slot_secs: f64, cap: f64, secs: f64) -> usize {
-        let fit_limit = slot_secs + 1e-12;
-        let mut best_fit: Option<(f64, usize)> = None; // (dist, core)
-        let mut spill: Option<(f64, usize)> = None; // (with, core)
-        for b in &self.buckets {
-            let with_of = |lbits: u64| (f64::from_bits(lbits) + secs) / b.speed;
-            let Some(&(min_load, min_core)) = b.set.iter().next() else {
-                continue;
-            };
-
-            // Spill candidate: minimum post-placement finish time =
-            // minimum load; walk the equal-`with` cohort for the id.
-            let w0 = with_of(min_load);
-            let mut sp_core = min_core;
-            let mut probe = min_load;
-            while let Some((nl, nc)) = b.next_load(probe) {
-                if with_of(nl).to_bits() != w0.to_bits() {
-                    break;
-                }
-                sp_core = sp_core.min(nc);
-                probe = nl;
-            }
-            if spill.is_none_or(|(w, _)| w0 < w) {
-                spill = Some((w0, sp_core));
-            }
-
-            // Fit candidates straddle the load where `with` crosses
-            // the cap; hint near `cap·speed − secs`, then walk to the
-            // exact partition (rounding can move it a few loads).
-            let hint = (cap * b.speed - secs).max(0.0);
-            let anchor = match b.set.range(..=(hint.to_bits(), usize::MAX)).next_back() {
-                Some(&(lb, _)) => b.first_at(lb),
-                None => b.first_at(min_load),
-            };
-            let mut below: Option<(u64, usize)> = None;
-            if let Some((lb, c)) = anchor {
-                if with_of(lb) <= cap {
-                    let (mut cl, mut cc) = (lb, c);
-                    while let Some((nl, nc)) = b.next_load(cl) {
-                        if with_of(nl) <= cap {
-                            cl = nl;
-                            cc = nc;
-                        } else {
-                            break;
-                        }
-                    }
-                    below = Some((cl, cc));
-                } else {
-                    let mut cur = lb;
-                    while let Some((pl, pc)) = b.prev_load(cur) {
-                        if with_of(pl) <= cap {
-                            below = Some((pl, pc));
-                            break;
-                        }
-                        cur = pl;
-                    }
-                }
-            }
-
-            // Greatest load with `with <= cap` (always fits the slot
-            // since cap <= slot): distance to the cap is minimized
-            // there; walk down the bitwise-equal-dist cohort.
-            let mut bucket_best: Option<(f64, usize)> = None;
-            if let Some((lb, c)) = below {
-                let d0 = (cap - with_of(lb)).abs();
-                let mut core = c;
-                let mut cur = lb;
-                while let Some((pl, pc)) = b.prev_load(cur) {
-                    if (cap - with_of(pl)).abs().to_bits() != d0.to_bits() {
-                        break;
-                    }
-                    core = core.min(pc);
-                    cur = pl;
-                }
-                bucket_best = Some((d0, core));
-            }
-
-            // Smallest load with `with > cap` that still fits the
-            // slot; again walk the equal-dist cohort upward.
-            let above = match below {
-                Some((lb, _)) => b.next_load(lb),
-                None => b.first_at(min_load),
-            };
-            if let Some((la, ca)) = above {
-                let wa = with_of(la);
-                if wa <= fit_limit {
-                    let da = (cap - wa).abs();
-                    let mut core = ca;
-                    let mut cur = la;
-                    while let Some((nl, nc)) = b.next_load(cur) {
-                        let w = with_of(nl);
-                        if w <= fit_limit && (cap - w).abs().to_bits() == da.to_bits() {
-                            core = core.min(nc);
-                            cur = nl;
-                        } else {
-                            break;
-                        }
-                    }
-                    bucket_best = match bucket_best {
-                        Some((db, cb)) if da.to_bits() == db.to_bits() => Some((db, cb.min(core))),
-                        Some((db, _)) if da < db => Some((da, core)),
-                        None => Some((da, core)),
-                        keep => keep,
-                    };
-                }
-            }
-
-            if let Some((d, c)) = bucket_best {
-                if best_fit.is_none_or(|(bd, _)| d < bd) {
-                    best_fit = Some((d, c));
-                }
-            }
-        }
-        match best_fit {
-            Some((_, c)) => c,
-            None => spill.expect("candidate set is never empty").1,
-        }
-    }
-}
-
-/// Delta-maintained Algorithm 2 placement for one shard.
-///
-/// See the module docs for the contract; the short version:
-///
-/// * [`set_user`](Self::set_user) / [`remove_user`](Self::remove_user)
-///   stage membership/demand deltas;
-/// * [`refresh`](Self::refresh) applies them, replaying only the
-///   placement suffix that the deltas disturb — and returns `false`
-///   without touching anything when every staged update is
-///   bitwise-identical to the stored demand (the steady-state O(1)
-///   path);
-/// * [`allocation`](Self::allocation) is always bitwise-equal to
-///   `place_threads_on(speeds, slot_secs, members_sorted_by_id)`.
+/// Algorithm 2 placement for one shard, re-run only when a staged
+/// delta changed something. [`allocation`](Self::allocation) is always
+/// `place_threads_on(speeds, slot_secs, members sorted by id)`.
 #[derive(Debug)]
 pub struct IncrementalPlacer {
     speeds: Vec<f64>,
     slot_secs: f64,
-    strategy: PlacementStrategy,
-    /// Current members' demands, keyed (and therefore iterated) by id.
-    demands: BTreeMap<usize, Vec<f64>>,
-    /// Staged deltas: `Some(demand)` upserts, `None` removes.
-    pending: BTreeMap<usize, Option<Vec<f64>>>,
-    /// Canonical thread order of the current placement.
-    order: Vec<ThreadKey>,
-    /// Core chosen for `order[i]`.
-    placed: Vec<usize>,
-    /// Per-core load snapshots every [`CHECKPOINT_STRIDE`] threads.
-    checkpoints: Vec<Checkpoint>,
-    /// Cached candidate core set for the current total demand.
-    candidates: Vec<usize>,
+    /// Current members, ascending id.
+    members: Vec<UserDemand>,
+    /// Staged deltas, last one per user wins: `Some` upserts, `None`
+    /// removes.
+    staged: BTreeMap<usize, Option<Vec<f64>>>,
     alloc: Allocation,
-    last_replayed: usize,
 }
 
 impl IncrementalPlacer {
-    /// Creates an empty placer for the given platform (see
-    /// [`place_threads_on`](crate::place_threads_on) for the speed
-    /// convention) with the [`PlacementStrategy::Auto`] argmin.
+    /// An empty placer for the given platform.
     ///
     /// # Panics
     ///
-    /// Panics when `speeds` is empty or contains a non-positive or
-    /// non-finite entry, or `slot_secs` is not positive.
+    /// Panics under the same conditions as [`place_threads_on`].
     pub fn new(speeds: &[f64], slot_secs: f64) -> Self {
-        Self::with_strategy(speeds, slot_secs, PlacementStrategy::Auto)
-    }
-
-    /// [`IncrementalPlacer::new`] with an explicit argmin strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`IncrementalPlacer::new`].
-    pub fn with_strategy(speeds: &[f64], slot_secs: f64, strategy: PlacementStrategy) -> Self {
-        assert!(!speeds.is_empty(), "need at least one core");
-        assert!(
-            speeds.iter().all(|s| s.is_finite() && *s > 0.0),
-            "core speeds must be positive and finite"
-        );
-        assert!(slot_secs > 0.0, "slot must be positive");
-        let cores = speeds.len();
         IncrementalPlacer {
             speeds: speeds.to_vec(),
             slot_secs,
-            strategy,
-            demands: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            order: Vec::new(),
-            placed: Vec::new(),
-            checkpoints: Vec::new(),
-            candidates: Vec::new(),
-            alloc: Allocation {
-                admitted: vec![],
-                rejected: vec![],
-                placements: vec![],
-                core_loads: vec![0.0; cores],
-            },
-            last_replayed: 0,
+            members: Vec::new(),
+            staged: BTreeMap::new(),
+            alloc: place_threads_on(speeds, slot_secs, &[]),
         }
     }
 
-    /// Stages an upsert of one user's demand; applied at the next
-    /// [`refresh`](Self::refresh). Re-staging a bitwise-identical
-    /// demand is a no-op there — the steady-state path.
+    /// Stages an upsert of one user's demand.
     pub fn set_user(&mut self, demand: UserDemand) {
-        self.pending.insert(demand.user, Some(demand.thread_secs));
+        self.staged.insert(demand.user, Some(demand.thread_secs));
     }
 
     /// Stages removal of one user (no-op if the user is unknown).
     pub fn remove_user(&mut self, user: usize) {
-        self.pending.insert(user, None);
+        self.staged.insert(user, None);
     }
 
-    /// True when `user` is a current member (staged deltas not
-    /// considered).
-    pub fn is_member(&self, user: usize) -> bool {
-        self.demands.contains_key(&user)
-    }
-
-    /// Number of current members.
-    pub fn len(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// True when no users are placed.
-    pub fn is_empty(&self) -> bool {
-        self.demands.is_empty()
-    }
-
-    /// The current placement — bitwise-equal to `place_threads_on` on
-    /// the current members sorted by ascending user id.
+    /// The current placement.
     pub fn allocation(&self) -> &Allocation {
         &self.alloc
     }
 
-    /// Threads replayed by the last [`refresh`](Self::refresh) that
-    /// returned `true` (diagnostics: 0 means pure checkpoint reuse).
+    /// Threads placed by the last [`refresh`](Self::refresh) that
+    /// returned `true`.
     pub fn last_replayed(&self) -> usize {
-        self.last_replayed
+        self.alloc.placements.len()
     }
 
-    /// Applies staged deltas. Returns `true` when the placement was
-    /// recomputed (callers should re-read [`allocation`](Self::allocation)),
-    /// `false` when every staged delta was a bitwise no-op.
+    /// Applies staged deltas. Returns `true` when a member joined,
+    /// left or changed its demand bitwise, and the placement was
+    /// therefore recomputed.
     pub fn refresh(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        let mut dirty: BTreeSet<usize> = BTreeSet::new();
-        for (u, d) in std::mem::take(&mut self.pending) {
-            match d {
-                Some(v) => {
-                    if !self.demands.get(&u).is_some_and(|old| bits_eq(old, &v)) {
-                        self.demands.insert(u, v);
-                        dirty.insert(u);
-                    }
+        let mut changed = false;
+        for (user, delta) in std::mem::take(&mut self.staged) {
+            let at = self.members.binary_search_by_key(&user, |m| m.user);
+            match (at, delta) {
+                (Ok(i), Some(secs)) if bits_eq(&self.members[i].thread_secs, &secs) => continue,
+                (Ok(i), Some(secs)) => self.members[i].thread_secs = secs,
+                (Err(i), Some(thread_secs)) => {
+                    self.members.insert(i, UserDemand { user, thread_secs })
                 }
-                None => {
-                    if self.demands.remove(&u).is_some() {
-                        dirty.insert(u);
-                    }
-                }
+                (Ok(i), None) => drop(self.members.remove(i)),
+                (Err(_), None) => continue,
             }
+            changed = true;
         }
-        if dirty.is_empty() {
-            return false;
+        if changed {
+            self.alloc = place_threads_on(&self.speeds, self.slot_secs, &self.members);
         }
-
-        // Total fractional demand, summed in id order — the same
-        // association order as `place_threads_on` over an id-sorted
-        // user list, so the candidate set comes out identical.
-        let fps = 1.0 / self.slot_secs;
-        let demand_frac: f64 = self
-            .demands
-            .values()
-            .map(|v| v.iter().sum::<f64>() * fps)
-            .sum();
-        let candidates = candidate_set(&self.speeds, demand_frac);
-        let candidates_changed = candidates != self.candidates;
-
-        // Merge the canonical order: surviving threads keep their
-        // relative order; dirty users' threads are re-sorted in.
-        let mut fresh: Vec<ThreadKey> = Vec::new();
-        for &u in &dirty {
-            if let Some(v) = self.demands.get(&u) {
-                for (t, &secs) in v.iter().enumerate() {
-                    fresh.push(ThreadKey {
-                        secs,
-                        user: u,
-                        thread: t,
-                    });
-                }
-            }
-        }
-        fresh.sort_by(key_cmp);
-        let mut merged: Vec<ThreadKey> = Vec::with_capacity(self.order.len() + fresh.len());
-        let mut fi = 0usize;
-        for key in self.order.iter().filter(|k| !dirty.contains(&k.user)) {
-            while fi < fresh.len() && key_cmp(&fresh[fi], key).is_lt() {
-                merged.push(fresh[fi]);
-                fi += 1;
-            }
-            merged.push(*key);
-        }
-        merged.extend_from_slice(&fresh[fi..]);
-
-        // Placement is a forward pass: thread i's core depends only on
-        // threads before it (via loads and the running cap) and on the
-        // candidate set. An unchanged prefix therefore keeps its
-        // placement; replay starts at the first moved thread — or at
-        // zero when the candidate set itself changed.
-        let shared = merged.len().min(self.order.len());
-        let mut divergence = merged[..shared]
-            .iter()
-            .zip(&self.order[..shared])
-            .position(|(new, old)| !key_eq(new, old))
-            .unwrap_or(shared);
-        if candidates_changed {
-            divergence = 0;
-        }
-
-        // Restore loads from the newest checkpoint at or before the
-        // divergence, then catch up with the recorded placements.
-        self.checkpoints.retain(|c| c.idx <= divergence);
-        let (mut from, mut loads) = match self.checkpoints.last() {
-            Some(c) => (c.idx, c.loads.clone()),
-            None => (0, vec![0.0f64; self.speeds.len()]),
-        };
-        while from < divergence {
-            loads[self.placed[from]] += merged[from].secs;
-            from += 1;
-        }
-
-        let mut placed: Vec<usize> = Vec::with_capacity(merged.len());
-        placed.extend_from_slice(&self.placed[..divergence]);
-        let use_index = match self.strategy {
-            PlacementStrategy::Auto => candidates.len() > INDEX_CROSSOVER,
-            PlacementStrategy::Linear => false,
-            PlacementStrategy::Indexed => true,
-        };
-        if use_index {
-            let mut index = CoreIndex::build(&self.speeds, &candidates, &loads);
-            for (i, thread) in merged.iter().enumerate().skip(divergence) {
-                let cap = cap_for(index.max_norm, self.slot_secs);
-                let core = index.select(self.slot_secs, cap, thread.secs);
-                index.place(&mut loads, core, thread.secs);
-                placed.push(core);
-                if (i + 1) % CHECKPOINT_STRIDE == 0 {
-                    self.checkpoints.push(Checkpoint {
-                        idx: i + 1,
-                        loads: loads.clone(),
-                    });
-                }
-            }
-        } else {
-            for (i, thread) in merged.iter().enumerate().skip(divergence) {
-                let max_norm = max_norm_of(&loads, &self.speeds, &candidates);
-                let cap = cap_for(max_norm, self.slot_secs);
-                let core = select_core(
-                    &loads,
-                    &self.speeds,
-                    &candidates,
-                    self.slot_secs,
-                    cap,
-                    thread.secs,
-                );
-                loads[core] += thread.secs;
-                placed.push(core);
-                if (i + 1) % CHECKPOINT_STRIDE == 0 {
-                    self.checkpoints.push(Checkpoint {
-                        idx: i + 1,
-                        loads: loads.clone(),
-                    });
-                }
-            }
-        }
-
-        self.last_replayed = merged.len() - divergence;
-        self.order = merged;
-        self.placed = placed;
-        self.candidates = candidates;
-        self.alloc = Allocation {
-            admitted: self.demands.keys().copied().collect(),
-            rejected: vec![],
-            placements: self
-                .order
-                .iter()
-                .zip(&self.placed)
-                .map(|(k, &core)| Placement {
-                    user: k.user,
-                    thread: k.thread,
-                    core,
-                    secs: k.secs,
-                })
-                .collect(),
-            core_loads: loads,
-        };
-        true
+        changed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::place_threads_on;
-    use proptest::prelude::*;
 
     const SLOT: f64 = 1.0 / 24.0;
-
-    fn from_scratch(speeds: &[f64], demands: &BTreeMap<usize, Vec<f64>>) -> Allocation {
-        let users: Vec<UserDemand> = demands
-            .iter()
-            .map(|(&u, v)| UserDemand::new(u, v.clone()))
-            .collect();
-        place_threads_on(speeds, SLOT, &users)
-    }
-
-    fn assert_alloc_bits_eq(a: &Allocation, b: &Allocation) {
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.placements.len(), b.placements.len());
-        for (x, y) in a.placements.iter().zip(&b.placements) {
-            assert_eq!((x.user, x.thread, x.core), (y.user, y.thread, y.core));
-            assert_eq!(x.secs.to_bits(), y.secs.to_bits());
-        }
-        assert_eq!(a.core_loads.len(), b.core_loads.len());
-        for (x, y) in a.core_loads.iter().zip(&b.core_loads) {
-            assert_eq!(x.to_bits(), y.to_bits(), "core loads diverge");
-        }
-    }
-
-    #[test]
-    fn empty_placer_matches_empty_from_scratch() {
-        let placer = IncrementalPlacer::new(&[1.0; 4], SLOT);
-        assert_alloc_bits_eq(
-            placer.allocation(),
-            &from_scratch(&[1.0; 4], &BTreeMap::new()),
-        );
-    }
 
     #[test]
     fn steady_state_refresh_is_a_noop() {
@@ -637,12 +106,11 @@ mod tests {
         placer.set_user(UserDemand::new(3, vec![SLOT / 4.0; 3]));
         placer.set_user(UserDemand::new(7, vec![SLOT / 2.0]));
         assert!(placer.refresh());
-        assert!(placer.last_replayed() > 0);
-        // Re-staging identical demands must not replay anything.
+        assert_eq!(placer.last_replayed(), 4);
+        // Re-staging identical demands, or nothing, places nothing.
         placer.set_user(UserDemand::new(3, vec![SLOT / 4.0; 3]));
         placer.set_user(UserDemand::new(7, vec![SLOT / 2.0]));
         assert!(!placer.refresh(), "identical demands must be a no-op");
-        // And an empty staging area is trivially a no-op.
         assert!(!placer.refresh());
     }
 
@@ -653,156 +121,54 @@ mod tests {
         assert!(placer.refresh());
         placer.remove_user(99);
         assert!(!placer.refresh());
-        assert!(placer.is_member(1));
-        assert_eq!(placer.len(), 1);
+        assert_eq!(placer.allocation().admitted, vec![1]);
     }
 
     #[test]
-    fn incremental_tracks_from_scratch_through_membership_churn() {
-        for strategy in [PlacementStrategy::Linear, PlacementStrategy::Indexed] {
-            let speeds = [1.0, 1.0, 1.0, 1.0, 0.45, 0.45, 0.45, 0.45];
-            let mut placer = IncrementalPlacer::with_strategy(&speeds, SLOT, strategy);
-            let mut mirror: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            let steps: Vec<(usize, Option<Vec<f64>>)> = vec![
-                (0, Some(vec![SLOT / 2.0, SLOT / 4.0])),
-                (5, Some(vec![SLOT / 3.0; 4])),
-                (2, Some(vec![SLOT * 0.9])),
-                (0, None),
-                (9, Some(vec![SLOT / 4.0; 2])),
-                (5, Some(vec![SLOT / 3.0; 4])), // identical upsert
-                (2, Some(vec![SLOT * 0.6, SLOT * 0.6])),
-                (9, None),
-                (5, None),
-            ];
-            for (u, d) in steps {
-                match d {
-                    Some(v) => {
-                        placer.set_user(UserDemand::new(u, v.clone()));
-                        mirror.insert(u, v);
-                    }
-                    None => {
-                        placer.remove_user(u);
-                        mirror.remove(&u);
-                    }
+    fn zero_sign_flip_is_a_change() {
+        let mut placer = IncrementalPlacer::new(&[1.0; 4], SLOT);
+        placer.set_user(UserDemand::new(1, vec![SLOT / 3.0, 0.0]));
+        assert!(placer.refresh());
+        placer.set_user(UserDemand::new(1, vec![SLOT / 3.0, -0.0]));
+        assert!(placer.refresh(), "0.0 -> -0.0 reorders the thread list");
+    }
+
+    #[test]
+    fn churn_tracks_place_threads_on_over_id_sorted_members() {
+        let speeds = [1.0, 1.0, 1.0, 1.0, 0.45, 0.45, 0.45, 0.45];
+        let mut placer = IncrementalPlacer::new(&speeds, SLOT);
+        let mut mirror: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+        let steps: [(usize, Option<Vec<f64>>); 9] = [
+            (5, Some(vec![SLOT / 3.0; 4])),
+            (0, Some(vec![SLOT / 2.0, SLOT / 4.0])),
+            (2, Some(vec![SLOT * 0.9])),
+            (0, None),
+            (9, Some(vec![SLOT / 4.0; 2])),
+            (5, Some(vec![SLOT / 3.0; 4])), // identical upsert
+            (2, Some(vec![SLOT * 0.6, SLOT * 0.6])),
+            (9, None),
+            (5, None),
+        ];
+        for (user, delta) in steps {
+            match delta {
+                Some(secs) => {
+                    placer.set_user(UserDemand::new(user, secs.clone()));
+                    mirror.insert(user, secs);
                 }
-                placer.refresh();
-                assert_alloc_bits_eq(placer.allocation(), &from_scratch(&speeds, &mirror));
-            }
-        }
-    }
-
-    #[test]
-    fn equal_demand_ties_replay_identically() {
-        // Many bitwise-equal thread durations force every tie-break
-        // path (equal dist, equal with) through the index.
-        for strategy in [PlacementStrategy::Linear, PlacementStrategy::Indexed] {
-            let speeds = vec![1.0; 40];
-            let mut placer = IncrementalPlacer::with_strategy(&speeds, SLOT, strategy);
-            let mut mirror: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for u in 0..12 {
-                let v = vec![SLOT / 4.0; 4];
-                placer.set_user(UserDemand::new(u, v.clone()));
-                mirror.insert(u, v);
+                None => {
+                    placer.remove_user(user);
+                    mirror.remove(&user);
+                }
             }
             placer.refresh();
-            assert_alloc_bits_eq(placer.allocation(), &from_scratch(&speeds, &mirror));
-            // Remove a middle user: the suffix replays over loaded
-            // cores with heavy tie pressure.
-            placer.remove_user(5);
-            mirror.remove(&5);
-            placer.refresh();
-            assert_alloc_bits_eq(placer.allocation(), &from_scratch(&speeds, &mirror));
-        }
-    }
-
-    proptest! {
-        /// The contract: across random membership-change sequences, on
-        /// random (heterogeneous) platforms, with both argmin
-        /// strategies, the incremental allocation is byte-identical to
-        /// from-scratch `place_threads_on` over the id-sorted members.
-        #[test]
-        fn prop_incremental_matches_from_scratch(
-            speed_idx in proptest::collection::vec(0u32..4, 2..12),
-            ops in proptest::collection::vec(
-                (0usize..8, 0u32..5, proptest::collection::vec(0u32..30, 0..5)),
-                1..25,
-            ),
-            indexed in 0u32..2,
-        ) {
-            const PALETTE: [f64; 4] = [0.25, 0.45, 0.5, 1.0];
-            let speeds: Vec<f64> = speed_idx
+            let members: Vec<UserDemand> = mirror
                 .iter()
-                .map(|&i| PALETTE[i as usize % PALETTE.len()])
+                .map(|(&u, secs)| UserDemand::new(u, secs.clone()))
                 .collect();
-            let strategy = if indexed == 1 {
-                PlacementStrategy::Indexed
-            } else {
-                PlacementStrategy::Linear
-            };
-            let mut placer = IncrementalPlacer::with_strategy(&speeds, SLOT, strategy);
-            let mut mirror: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (user, kind, ms) in ops {
-                if kind == 0 {
-                    placer.remove_user(user);
-                    mirror.remove(&user);
-                } else {
-                    let v: Vec<f64> = ms.iter().map(|&m| m as f64 * 1e-3).collect();
-                    placer.set_user(UserDemand::new(user, v.clone()));
-                    mirror.insert(user, v);
-                }
-                placer.refresh();
-                let expect = from_scratch(&speeds, &mirror);
-                let got = placer.allocation();
-                prop_assert_eq!(&got.admitted, &expect.admitted);
-                prop_assert_eq!(got.placements.len(), expect.placements.len());
-                for (x, y) in got.placements.iter().zip(&expect.placements) {
-                    prop_assert_eq!(
-                        (x.user, x.thread, x.core, x.secs.to_bits()),
-                        (y.user, y.thread, y.core, y.secs.to_bits())
-                    );
-                }
-                for (x, y) in got.core_loads.iter().zip(&expect.core_loads) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-
-        /// Same contract on a wide homogeneous platform where `Auto`
-        /// engages the bucket index and checkpoints matter (enough
-        /// threads to cross the stride).
-        #[test]
-        fn prop_indexed_wide_platform_matches_from_scratch(
-            ops in proptest::collection::vec(
-                (0usize..40, 0u32..4, 1u32..25),
-                1..20,
-            ),
-        ) {
-            let speeds = vec![1.0; 64];
-            let mut placer = IncrementalPlacer::new(&speeds, SLOT);
-            let mut mirror: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (user, kind, ms) in ops {
-                if kind == 0 {
-                    placer.remove_user(user);
-                    mirror.remove(&user);
-                } else {
-                    let v = vec![ms as f64 * 1e-3; 8];
-                    placer.set_user(UserDemand::new(user, v.clone()));
-                    mirror.insert(user, v);
-                }
-                placer.refresh();
-                let expect = from_scratch(&speeds, &mirror);
-                let got = placer.allocation();
-                prop_assert_eq!(got.placements.len(), expect.placements.len());
-                for (x, y) in got.placements.iter().zip(&expect.placements) {
-                    prop_assert_eq!(
-                        (x.user, x.thread, x.core, x.secs.to_bits()),
-                        (y.user, y.thread, y.core, y.secs.to_bits())
-                    );
-                }
-                for (x, y) in got.core_loads.iter().zip(&expect.core_loads) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+            assert_eq!(
+                placer.allocation(),
+                &place_threads_on(&speeds, SLOT, &members)
+            );
         }
     }
 }

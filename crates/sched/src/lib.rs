@@ -16,10 +16,11 @@
 //!   speed-aware for heterogeneous (big.LITTLE) platforms, admitting
 //!   against effective (speed-weighted) capacity and normalizing loads
 //!   by per-core speed factors so the argmin balances finish times;
-//! * [`IncrementalPlacer`] — the control-plane fast path: the same
-//!   placement maintained by membership/demand deltas, O(1) at a
-//!   steady-state GOP boundary and bitwise-identical to
-//!   [`place_threads_on`] from scratch;
+//! * [`IncrementalPlacer`] — a vestige kept for `benchmark/`'s
+//!   `sched_script`: staged membership deltas over
+//!   [`place_threads_on`]. The product's one placer is
+//!   [`place_threads_on`], which `runtime::LoopDriver` calls when a
+//!   member or an estimate changed;
 //! * [`baseline_allocate`] / [`BaselineRetileTrigger`] — the
 //!   one-tile-per-core allocator and rail-frequency re-tile trigger of
 //!   the baseline \[19\];
@@ -61,5 +62,5 @@ pub use alloc::{
 };
 pub use baseline::{baseline_allocate, BaselineRetileTrigger};
 pub use feedback::{Adjustment, FeedbackController};
-pub use incremental::{IncrementalPlacer, PlacementStrategy};
+pub use incremental::IncrementalPlacer;
 pub use lut::{CycleHistogram, LutBank, LutKey, WorkloadLut};

@@ -184,6 +184,22 @@ fn assert_upto_contract(got: u64, exact: u64, bound: u64, case: &str) {
     }
 }
 
+/// `block_sad` is a safe public function taking a caller-named tier:
+/// at a width with no block body it must return the reference SAD for
+/// *every* member of `DispatchTier::ALL`, including one the host cannot
+/// execute (not filtered by `available()`, unlike [`tiers`]).
+#[test]
+fn block_sad_at_a_ragged_width_is_safe_under_any_named_tier() {
+    let (w, h) = (13usize, 7usize);
+    let cur = plane(w, h, 5);
+    let reference = plane(w, h, 6);
+    let exact = cost::reference::sad(&cur, &reference, &Rect::frame(w, h), MotionVector::ZERO);
+    for t in simd::DispatchTier::ALL {
+        let got = simd::block_sad(t, cur.samples(), w, reference.samples(), w, w, h, u64::MAX);
+        assert_eq!(got, exact, "tier {}", t.name());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -244,7 +244,14 @@ mod placement_traces {
             let d = |k: f64| k / 128.0;
             match user {
                 2 => vec![d(2.0); 3],
-                5 => vec![if slot % 2 == 0 { d(1.0) } else { d(3.0) }; 3],
+                5 => vec![
+                    if slot.is_multiple_of(2) {
+                        d(1.0)
+                    } else {
+                        d(3.0)
+                    };
+                    3
+                ],
                 1 | 9 => vec![d(2.0); 2],
                 7 => {
                     let first = if (slot / 16) % 2 == 1 { d(3.0) } else { d(4.0) };
