@@ -75,6 +75,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
@@ -90,7 +91,7 @@ pub use provision::{
     FastestFit, ProvisionOutcome, ProvisionPolicy, ProvisionPreset, QosAware,
 };
 pub use reference::serve_online_reference;
-pub use request::{AdmitDecision, DeadlineClass, RequestQueue, UserRequest};
+pub use request::{DeadlineClass, RequestQueue, UserRequest};
 pub use serve::{
     serve_online, serve_online_with, AdmissionEvent, CostPlan, EventKind, OnlineConfig,
     OnlineReport, ShardReport, Workload,

@@ -19,7 +19,7 @@ pub enum DeadlineClass {
 impl DeadlineClass {
     /// Consecutive missed windows tolerated before eviction (scaled by
     /// the controller's base threshold).
-    pub const fn miss_tolerance(&self) -> usize {
+    pub(crate) const fn miss_tolerance(&self) -> usize {
         match self {
             DeadlineClass::Strict => 1,
             DeadlineClass::Standard => 2,
@@ -31,7 +31,7 @@ impl DeadlineClass {
     /// re-queues an evicted user (the Li et al. cost/QoS trade).
     /// `None` from [`DeadlineClass::BestEffort`]: there is nothing
     /// below it, so a best-effort eviction is final.
-    pub const fn downgrade(&self) -> Option<DeadlineClass> {
+    pub(crate) const fn downgrade(&self) -> Option<DeadlineClass> {
         match self {
             DeadlineClass::Strict => Some(DeadlineClass::Standard),
             DeadlineClass::Standard => Some(DeadlineClass::BestEffort),
@@ -68,7 +68,7 @@ pub struct UserRequest {
 
 /// What the admission controller decides for one queued request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitDecision {
+pub(crate) enum AdmitDecision {
     /// Admit onto the given shard.
     Admit(usize),
     /// No shard has room now — stay queued for the next GOP boundary.
@@ -230,7 +230,10 @@ impl RequestQueue {
     /// keeps it in place for the next boundary, `Reject` drops it
     /// (returned in the second list). The relative order of waiting
     /// requests is preserved — waiters are simply left untouched.
-    pub fn try_admit<F>(&mut self, mut decide: F) -> (Vec<(UserRequest, usize)>, Vec<UserRequest>)
+    pub(crate) fn try_admit<F>(
+        &mut self,
+        mut decide: F,
+    ) -> (Vec<(UserRequest, usize)>, Vec<UserRequest>)
     where
         F: FnMut(&UserRequest) -> AdmitDecision,
     {
@@ -241,7 +244,7 @@ impl RequestQueue {
     /// returning `None` ends the scan, leaving that request and every
     /// later one untouched. The caller is responsible for `None` being
     /// sound — i.e. every unscanned request would have decided `Wait`.
-    pub fn try_admit_while<F>(
+    pub(crate) fn try_admit_while<F>(
         &mut self,
         mut decide: F,
     ) -> (Vec<(UserRequest, usize)>, Vec<UserRequest>)

@@ -15,14 +15,11 @@
 //! 4. `admit` — queued users whose Algorithm 2 line 1 core demand fits
 //!    a shard chosen by the [`ShardPolicy`], *and* whose billing keeps
 //!    the window spend within the [`CostPlan`] budget, are admitted;
-//! 5. `advance` — each shard's serving [`Node`](medvt_runtime::Node)
-//!    receives its membership *delta* as a
-//!    [`NodeCommand`](medvt_runtime::NodeCommand) (the wrapped
-//!    [`LoopDriver`](medvt_runtime::LoopDriver) re-places its
-//!    threads only when a member or an estimate changed) and every
-//!    shard advances one GOP in lockstep through the same command
-//!    seam — the interface `medvt-cluster` drives remote worker nodes
-//!    with.
+//! 5. `advance` — each shard's [`LoopDriver`](medvt_runtime::LoopDriver)
+//!    applies its membership *delta*
+//!    ([`update_membership`](medvt_runtime::LoopDriver::update_membership);
+//!    the driver re-places its threads only when a member or an
+//!    estimate changed) and every shard advances one GOP in lockstep.
 //!
 //! Every decision passes through the controller's one `emit`, which
 //! feeds the report's event stream, the telemetry counters and the
@@ -47,7 +44,7 @@ use crate::request::{AdmitDecision, RequestQueue, UserRequest};
 use crate::shard::{ShardPolicy, Sharder};
 use medvt_mpsoc::DvfsPolicy;
 use medvt_runtime::{
-    ControllerTiming, DemandSource, ExecutionBackend, LoopReport, Node, NodeCommand, ReplanPolicy,
+    ControllerTiming, DemandSource, ExecutionBackend, LoopDriver, LoopReport, ReplanPolicy,
     ServerLoopConfig, WindowTiming,
 };
 use medvt_telemetry::{
@@ -664,11 +661,8 @@ struct Controller<'a, W, B: ExecutionBackend, R: Recorder> {
     /// The workloads and who transcodes which.
     source: TraceSource<'a, W>,
     recorder: R,
-    /// One serving `Node` per shard: state transitions (membership
-    /// deltas, slot advancement, shutdown) go through the typed
-    /// `NodeCommand` seam — the same interface the cluster layer binds
-    /// worker nodes to — while read-only eviction queries stay direct.
-    nodes: Vec<Node<B, R>>,
+    /// One shard loop per socket, stamping telemetry onto its index.
+    drivers: Vec<LoopDriver<B, R>>,
     queue: RequestQueue,
     queued: QueuedDemands,
     sharder: Sharder,
@@ -704,10 +698,12 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         recorder: R,
     ) -> Self {
         let setup = Setup::new(cfg, workloads, trace, &shards);
-        let nodes: Vec<Node<B, R>> = shards
+        let drivers: Vec<LoopDriver<B, R>> = shards
             .into_iter()
             .enumerate()
-            .map(|(s, b)| Node::with_recorder(b, setup.loop_cfg, recorder, s as u16))
+            .map(|(s, b)| {
+                LoopDriver::with_recorder(b, setup.loop_cfg, vec![], vec![], recorder, s as u16)
+            })
             .collect();
         let mut sharder = Sharder::new(cfg.shard_policy);
         sharder.attach(setup.capacities.clone());
@@ -731,17 +727,17 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             sharder,
             active: BTreeMap::new(),
             departures: BTreeSet::new(),
-            added: vec![Vec::new(); nodes.len()],
-            removed: vec![Vec::new(); nodes.len()],
-            shard_users: vec![0; nodes.len()],
+            added: vec![Vec::new(); drivers.len()],
+            removed: vec![Vec::new(); drivers.len()],
+            shard_users: vec![0; drivers.len()],
             tally: FinishState {
-                shard_peak: vec![0; nodes.len()],
+                shard_peak: vec![0; drivers.len()],
                 ..FinishState::default()
             },
             meter: Metrics::new(),
             window_spend: 0.0,
             slot: 0,
-            nodes,
+            drivers,
             setup,
         }
     }
@@ -847,10 +843,10 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     /// the drivers index exactly those.
     fn evict(&mut self) {
         let mut evicting: Vec<usize> = Vec::new();
-        for n in &self.nodes {
-            for u in n.miss_streaks() {
+        for d in &self.drivers {
+            for u in d.miss_streaks() {
                 let over = self.active.get(&u).is_some_and(|a| {
-                    n.user_stats(u)
+                    d.user_stats(u)
                         .is_some_and(|s| s.consecutive_window_misses >= a.miss_tolerance)
                 });
                 if over {
@@ -1018,27 +1014,19 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     /// Phase 5: membership deltas → shards, then every shard advances
     /// one GOP in lockstep.
     fn advance(&mut self, boundary_clock: Instant) {
-        for (s, node) in self.nodes.iter_mut().enumerate() {
+        for (s, driver) in self.drivers.iter_mut().enumerate() {
             self.tally.shard_peak[s] = self.tally.shard_peak[s].max(self.shard_users[s]);
-            // `take` moves the delta buffers into the command (they
-            // are wire-shaped plain data); empty Vecs are allocation-
-            // free, so the steady-state boundary still allocates
-            // nothing here.
-            node.handle(
-                NodeCommand::UpdateMembership {
-                    add: std::mem::take(&mut self.added[s]),
-                    remove: std::mem::take(&mut self.removed[s]),
-                },
-                &self.source,
-            );
+            driver.update_membership(&self.added[s], &self.removed[s]);
+            self.added[s].clear();
+            self.removed[s].clear();
         }
         self.meter.observe(
             HistId::BoundaryNs,
             boundary_clock.elapsed().as_nanos() as u64,
         );
         let slots = self.cfg.gop_slots.min(self.cfg.horizon_slots - self.slot);
-        for node in &mut self.nodes {
-            node.handle(NodeCommand::Advance { slots }, &self.source);
+        for driver in &mut self.drivers {
+            driver.advance(&self.source, slots);
         }
         self.tally.concurrent_slot_sum += self.active.len() * slots;
         self.tally.peak_concurrent = self.tally.peak_concurrent.max(self.active.len());
@@ -1052,8 +1040,8 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         // no boundary remained to act on).
         self.ingest(self.cfg.horizon_slots);
         // Derive the report's timing view, then fold the queue-side
-        // meter into the recorder (each node folds its driver's meter
-        // when it handles `Stop`).
+        // meter into the recorder (each driver folds its own meter in
+        // `into_report`).
         let mut tally = self.tally;
         tally.timing = ControllerTiming::from_metrics(&self.meter);
         tally.wait_slots_sum = self.meter.hist(HistId::QueueWaitSlots).sum() as usize;
@@ -1061,13 +1049,9 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         tally.active_at_end = self.active.len();
         self.recorder.absorb(&self.meter);
         let reports: Vec<LoopReport> = self
-            .nodes
-            .iter_mut()
-            .map(|n| {
-                n.handle(NodeCommand::Stop, &self.source)
-                    .into_report()
-                    .expect("live node must yield a final report")
-            })
+            .drivers
+            .into_iter()
+            .map(LoopDriver::into_report)
             .collect();
         finish_report(self.cfg, &self.setup, reports, tally)
     }

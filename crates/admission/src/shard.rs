@@ -177,15 +177,6 @@ impl Sharder {
         self.tracked.as_ref().expect("attach() before attached ops")
     }
 
-    /// Current per-shard loads (attached mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`attach`](Self::attach) has not been called.
-    pub fn loads(&self) -> &[f64] {
-        &self.tracked().loads
-    }
-
     /// Adds an admitted user's fractional-core `demand` to `shard`.
     ///
     /// # Panics
@@ -267,7 +258,7 @@ impl Sharder {
     /// early-out path): round-robin advances its rotation exactly as
     /// if each had been offered a shard, so decision streams stay
     /// identical with the non-early-out controller.
-    pub fn skip_all(&mut self, considered: usize) {
+    pub(crate) fn skip_all(&mut self, considered: usize) {
         if self.policy == ShardPolicy::RoundRobin {
             self.rotation = self.rotation.wrapping_add(considered);
         }
@@ -367,7 +358,7 @@ mod tests {
                     attached.admit_load(shard, demand);
                 }
             }
-            for (x, y) in loads.iter().zip(attached.loads()) {
+            for (x, y) in loads.iter().zip(&attached.tracked().loads) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }

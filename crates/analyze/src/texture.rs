@@ -22,7 +22,7 @@ pub enum TextureClass {
 
 impl TextureClass {
     /// Classifies a CV value against the configured thresholds.
-    pub fn from_cv(cv: f64, cfg: &AnalyzerConfig) -> TextureClass {
+    pub(crate) fn from_cv(cv: f64, cfg: &AnalyzerConfig) -> TextureClass {
         if cv <= cfg.texture_low {
             TextureClass::Low
         } else if cv <= cfg.texture_high {

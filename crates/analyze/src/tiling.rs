@@ -120,11 +120,6 @@ impl Tiling {
     pub fn covered_area(&self) -> usize {
         self.tiles.iter().map(Rect::area).sum()
     }
-
-    /// The tile containing sample `(col, row)`, if inside the frame.
-    pub fn tile_at(&self, col: usize, row: usize) -> Option<&Rect> {
-        self.tiles.iter().find(|t| t.contains(col, row))
-    }
 }
 
 impl<'a> IntoIterator for &'a Tiling {
@@ -234,14 +229,6 @@ mod tests {
                 .contains("8-aligned")
         );
         assert!(Tiling::new(frame, vec![]).is_err());
-    }
-
-    #[test]
-    fn tile_at_finds_owner() {
-        let t = Tiling::uniform(Rect::frame(64, 64), 2, 2);
-        assert_eq!(t.tile_at(0, 0), Some(&Rect::new(0, 0, 32, 32)));
-        assert_eq!(t.tile_at(63, 63), Some(&Rect::new(32, 32, 32, 32)));
-        assert_eq!(t.tile_at(100, 0), None);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   the end-to-end benchmark's `live_inter`/`live_intra` workloads
 //!   (`benchmark/`), asserted by `tests/live_transcode.rs`.
 
+#![warn(unreachable_pub)]
+
 use medvt_admission::{OnlineConfig, ShardPolicy};
 use medvt_analyze::AnalyzerConfig;
 use medvt_core::{
@@ -109,7 +111,7 @@ impl Scale {
     }
 
     /// Minimum tile size for the re-tiler at this scale.
-    pub fn min_tile(&self) -> usize {
+    pub(crate) fn min_tile(&self) -> usize {
         match self {
             Scale::Quick => 32,
             Scale::Full => 64,
@@ -156,7 +158,7 @@ pub fn baseline_config(scale: Scale) -> BaselineConfig {
 
 /// Renders the medical suite (the stand-in for the paper's ten
 /// anonymized clinical videos) at the experiment scale.
-pub fn suite_clips(scale: Scale) -> Vec<(String, String, VideoClip)> {
+pub(crate) fn suite_clips(scale: Scale) -> Vec<(String, String, VideoClip)> {
     medical_suite(2024)
         .into_iter()
         .map(|(name, cfg)| {

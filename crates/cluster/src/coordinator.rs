@@ -72,7 +72,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// A healthy node on `platform`.
-    pub fn healthy(platform: Platform) -> Self {
+    pub(crate) fn healthy(platform: Platform) -> Self {
         NodeSpec {
             platform,
             kill_after_segments: None,

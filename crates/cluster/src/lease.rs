@@ -85,30 +85,14 @@ impl LeasePool {
         }
     }
 
-    /// Segments waiting to be leased (including ones still backing
-    /// off).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Outstanding leases.
-    pub fn outstanding(&self) -> usize {
-        self.leases.len()
-    }
-
     /// Whether `node` holds at least one outstanding lease.
-    pub fn holds_lease(&self, node: usize) -> bool {
+    pub(crate) fn holds_lease(&self, node: usize) -> bool {
         self.leases.values().any(|l| l.node == node)
-    }
-
-    /// `true` once nothing is pending or leased.
-    pub fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.leases.is_empty()
     }
 
     /// The segment at the head of the pending queue (ready or backing
     /// off) — what a `NoLiveNodes` reject names.
-    pub fn first_pending(&self) -> Option<usize> {
+    pub(crate) fn first_pending(&self) -> Option<usize> {
         self.pending.front().map(|p| p.segment)
     }
 
@@ -156,14 +140,14 @@ impl LeasePool {
     /// Drops a *pending* entry for `segment` (a late result arrived
     /// while the retry sat in the queue). Returns `true` when an entry
     /// was removed.
-    pub fn cancel_pending(&mut self, segment: usize) -> bool {
+    pub(crate) fn cancel_pending(&mut self, segment: usize) -> bool {
         let before = self.pending.len();
         self.pending.retain(|p| p.segment != segment);
         before != self.pending.len()
     }
 
     /// Removes and returns every lease whose deadline passed at `now`.
-    pub fn expired(&mut self, now: Instant) -> Vec<Lease> {
+    pub(crate) fn expired(&mut self, now: Instant) -> Vec<Lease> {
         let dead: Vec<usize> = self
             .leases
             .iter()
@@ -178,7 +162,7 @@ impl LeasePool {
     /// Removes and returns every outstanding lease held by `node`
     /// (called when a node is declared dead: one expiry condemns all
     /// of its in-flight work at once).
-    pub fn revoke_node(&mut self, node: usize) -> Vec<Lease> {
+    pub(crate) fn revoke_node(&mut self, node: usize) -> Vec<Lease> {
         let held: Vec<usize> = self
             .leases
             .iter()
@@ -193,7 +177,7 @@ impl LeasePool {
     /// Requeues an expired lease's segment with linear backoff
     /// (`backoff * attempt`), or surfaces the typed reject once its
     /// delivery attempts are exhausted.
-    pub fn requeue(&mut self, lease: Lease, now: Instant) -> Result<(), LeaseFailure> {
+    pub(crate) fn requeue(&mut self, lease: Lease, now: Instant) -> Result<(), LeaseFailure> {
         if lease.attempt >= self.max_attempts {
             return Err(LeaseFailure::RetriesExhausted {
                 segment: lease.segment,
@@ -212,7 +196,7 @@ impl LeasePool {
     /// can change on its own: the nearest lease deadline or pending
     /// backoff expiry. `None` when nothing is outstanding or backing
     /// off.
-    pub fn next_wakeup(&self, now: Instant) -> Option<Duration> {
+    pub(crate) fn next_wakeup(&self, now: Instant) -> Option<Duration> {
         let lease_deadline = self.leases.values().map(|l| l.deadline).min();
         let backoff_ready = self.pending.iter().filter_map(|p| p.not_before).min();
         [lease_deadline, backoff_ready]
@@ -234,17 +218,17 @@ mod tests {
     fn segments_flow_pending_to_leased_to_done() {
         let mut pool = LeasePool::new(2, T, B, 3);
         let now = Instant::now();
-        assert_eq!(pool.pending_len(), 2);
+        assert_eq!(pool.pending.len(), 2);
         let (seg, attempt) = pool.next_ready(now).expect("ready");
         assert_eq!((seg, attempt), (0, 1));
         let lease = pool.grant(seg, attempt, 7, now);
         assert_eq!(lease.node, 7);
-        assert_eq!(pool.outstanding(), 1);
+        assert_eq!(pool.leases.len(), 1);
         assert_eq!(pool.complete(0).map(|l| l.attempt), Some(1));
         let (seg, attempt) = pool.next_ready(now).expect("ready");
         pool.grant(seg, attempt, 7, now);
         pool.complete(1).expect("leased");
-        assert!(pool.is_drained());
+        assert!(pool.pending.is_empty() && pool.leases.is_empty());
         assert!(pool.complete(0).is_none(), "completion is idempotent");
     }
 
@@ -295,7 +279,7 @@ mod tests {
         assert_eq!(pool.next_ready(now + 2 * T), Some((1, 1)));
         assert_eq!(pool.next_ready(now + 2 * T), Some((2, 1)));
         assert_eq!(pool.next_ready(now + 2 * T), None, "0 is backing off");
-        assert_eq!(pool.pending_len(), 1);
+        assert_eq!(pool.pending.len(), 1);
     }
 
     #[test]
@@ -310,7 +294,7 @@ mod tests {
         let revoked = pool.revoke_node(5);
         assert_eq!(revoked.len(), 2);
         assert!(!pool.holds_lease(5));
-        assert_eq!(pool.outstanding(), 1, "node 9's lease survives");
+        assert_eq!(pool.leases.len(), 1, "node 9's lease survives");
     }
 
     #[test]
@@ -334,7 +318,7 @@ mod tests {
         let lease = pool.expired(now + 2 * T).remove(0);
         pool.requeue(lease, now).expect("retry");
         assert!(pool.cancel_pending(0), "late result cancels the retry");
-        assert!(pool.is_drained());
+        assert!(pool.pending.is_empty() && pool.leases.is_empty());
         assert!(!pool.cancel_pending(0));
     }
 }

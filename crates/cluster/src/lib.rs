@@ -12,7 +12,8 @@
 //! | layer | piece | reused from |
 //! |---|---|---|
 //! | node selection | [`Sharder`](medvt_admission::Sharder) over per-node capacities | admission's shard policies |
-//! | per-node serving | [`Node`](medvt_runtime::Node) command seam | runtime's server loop |
+//! | per-node serving | a fresh single-member [`LoopDriver`](medvt_runtime::LoopDriver) per segment | runtime's server loop |
+//! | wire seam | `WorkerCommand` in, `SegmentResult` out (plain `Serialize` data) | new in this crate |
 //! | work unit | [`SegmentSpec`](medvt_encoder::SegmentSpec) (contiguous GOP range) | encoder's GOP structure |
 //! | fault model | peer-progress silence verdict, then [`LeasePool`] timeout/retry/backoff | new in this crate |
 //! | output | [`Reassembler`] in-order stitch | encoder's open-loop determinism |
@@ -27,6 +28,7 @@
 //! Entry point: [`run_cluster`] / [`run_cluster_with`] (telemetry).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod coordinator;
 mod lease;
@@ -39,5 +41,5 @@ pub use coordinator::{
     NodeSpec, RecoveryRecord,
 };
 pub use lease::{Lease, LeasePool};
-pub use message::{Assignment, LeaseFailure, SegmentResult, WorkerCommand};
+pub use message::LeaseFailure;
 pub use reassembly::{Reassembler, ReassemblyConflict};

@@ -1,17 +1,16 @@
 //! Wire-shaped messages between the coordinator and its worker nodes.
 //!
 //! Everything that crosses the coordinator/worker channel is plain
-//! data (`Serialize`/`Deserialize`), mirroring the
-//! [`NodeCommand`](medvt_runtime::NodeCommand) contract: the in-process
-//! mpsc channels these flow over today can be replaced by a wire
-//! protocol without touching either endpoint's logic.
+//! data (`Serialize`/`Deserialize`) — the one seam a wire protocol
+//! binds: the in-process mpsc channels these flow over today can be
+//! replaced without touching either endpoint's logic.
 
 use medvt_encoder::SegmentSpec;
 use serde::{Deserialize, Serialize};
 
 /// Coordinator → worker: one leased unit of work.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// The segment to transcode.
     pub segment: SegmentSpec,
     /// 1-based delivery attempt (grows on every re-lease).
@@ -20,7 +19,7 @@ pub struct Assignment {
 
 /// Coordinator → worker: the full command set.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkerCommand {
+pub(crate) enum WorkerCommand {
     /// Transcode one leased segment and reply with a
     /// [`SegmentResult`].
     Encode(Assignment),
@@ -30,7 +29,7 @@ pub enum WorkerCommand {
 
 /// Worker → coordinator: one completed segment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SegmentResult {
+pub(crate) struct SegmentResult {
     /// The node that transcoded the segment.
     pub node: usize,
     /// The segment covered.

@@ -72,13 +72,8 @@ impl Reassembler {
         &self.plan
     }
 
-    /// Segments accepted so far.
-    pub fn received(&self) -> usize {
-        self.received
-    }
-
     /// `true` once every planned segment has bytes.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.received == self.plan.len()
     }
 
@@ -103,17 +98,12 @@ impl Reassembler {
         }
     }
 
-    /// `true` when `segment` already has accepted bytes.
-    pub fn has(&self, segment: usize) -> bool {
-        segment < self.parts.len() && self.parts[segment].is_some()
-    }
-
     /// Stitches the accepted segments into one bitstream, in plan
     /// order.
     ///
     /// # Panics
     ///
-    /// Panics unless [`is_complete`](Self::is_complete) — assembling
+    /// Panics unless every segment arrived — assembling
     /// with holes would silently desynchronize every later segment.
     pub fn assemble(self) -> Vec<u8> {
         assert!(
@@ -158,7 +148,7 @@ mod tests {
         let mut r = Reassembler::new(plan);
         assert!(r.accept(0, vec![1, 2]).expect("new"));
         assert!(!r.accept(0, vec![1, 2]).expect("identical dup ok"));
-        assert_eq!(r.received(), 1);
+        assert_eq!(r.received, 1);
         let err = r.accept(0, vec![9]).expect_err("conflicting bytes");
         assert_eq!(err.segment, 0);
     }

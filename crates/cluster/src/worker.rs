@@ -1,6 +1,6 @@
 //! Worker nodes: threads that transcode leased segments on their own
-//! `Platform` through a per-assignment [`Node`](medvt_runtime::Node)
-//! server loop.
+//! `Platform` through a per-assignment
+//! [`LoopDriver`](medvt_runtime::LoopDriver) server loop.
 //!
 //! A worker is deliberately dumb: it owns no lease state. It drains
 //! [`WorkerCommand`]s, answers every `Encode` with a
@@ -13,7 +13,7 @@ use crate::message::{Assignment, SegmentResult, WorkerCommand};
 use medvt_admission::Workload;
 use medvt_core::LiveWorkload;
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
-use medvt_runtime::{DemandSource, Node, NodeCommand, ReplanPolicy, ServerLoopConfig, SimBackend};
+use medvt_runtime::{DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend};
 use std::sync::mpsc::{Receiver, Sender};
 
 /// Maps segment-local slots back to absolute stream slots so the
@@ -81,7 +81,7 @@ pub(crate) fn run_worker(
     }
 }
 
-/// Serves one leased segment: a fresh single-member [`Node`] advances
+/// Serves one leased segment: a fresh single-member [`LoopDriver`] runs
 /// the segment's slot span for the modeled accounting (energy,
 /// deadline windows), then the bitstream is produced by the
 /// deterministic open-loop tile path in canonical order — slots in
@@ -102,22 +102,13 @@ fn encode_assignment(role: &WorkerRole<'_>, assignment: Assignment) -> SegmentRe
         workload: role.workload,
         base_slot: seg.start_slot,
     };
-    let mut node = Node::new(
+    let report = LoopDriver::new(
         SimBackend::new(role.platform.clone(), PowerModel::default()),
         cfg,
-    );
-    node.handle(
-        NodeCommand::UpdateMembership {
-            add: vec![0],
-            remove: vec![],
-        },
-        &source,
-    );
-    node.handle(NodeCommand::Advance { slots: seg.slots }, &source);
-    let report = node
-        .handle(NodeCommand::Stop, &source)
-        .into_report()
-        .expect("fresh node yields a final report");
+        vec![0],
+        vec![],
+    )
+    .run(&source);
 
     let mut bytes = Vec::new();
     let mut tiles = 0usize;

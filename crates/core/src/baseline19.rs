@@ -13,14 +13,14 @@
 
 use crate::pipeline::{FrameReport, TileReport, TranscodeController};
 use crate::qp_control::QpControlConfig;
-use medvt_analyze::{AnalyzerConfig, CapacityBalancedTiler, Tiling};
+use medvt_analyze::{CapacityBalancedTiler, Tiling};
 use medvt_encoder::{
     CostModel, EncodeController, FramePlan, FramePlanContext, FrameStats, Qp, SearchSpec,
     TileConfig,
 };
 use medvt_frame::FrameKind;
 use medvt_motion::{HexOrientation, MotionVector, SearchWindow};
-use medvt_sched::{Adjustment, LutKey, WorkloadLut};
+use medvt_sched::Adjustment;
 
 /// Configuration of the baseline pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -67,16 +67,13 @@ pub struct Baseline19Controller {
     cfg: BaselineConfig,
     tiling: Option<Tiling>,
     qp: Qp,
-    prev_frame_psnr: Option<f64>,
     /// Set by the session when all active cores sit at a rail
     /// frequency — \[19\]'s only re-tiling trigger.
     rails_pinned: bool,
     /// Rolling per-frame total fmax-seconds, for core-count estimation.
     last_frame_secs: Option<f64>,
-    lut: WorkloadLut,
     pending_kind: FrameKind,
     reports: Vec<FrameReport>,
-    analyzer: AnalyzerConfig,
 }
 
 impl Baseline19Controller {
@@ -86,13 +83,10 @@ impl Baseline19Controller {
             cfg,
             tiling: None,
             qp: cfg.qp,
-            prev_frame_psnr: None,
             rails_pinned: false,
             last_frame_secs: None,
-            lut: WorkloadLut::new(),
             pending_kind: FrameKind::Intra,
             reports: Vec::new(),
-            analyzer: AnalyzerConfig::default(),
         }
     }
 
@@ -155,16 +149,6 @@ impl EncodeController for Baseline19Controller {
                 bits: tile_stats.bits,
                 psnr_db: tile_stats.psnr().min(99.0),
             });
-            // The baseline also profiles (coarsely: no content classes).
-            let key = LutKey::new(
-                &tile_stats.rect,
-                medvt_analyze::TextureClass::Medium,
-                medvt_motion::MotionLevel::High,
-                self.qp,
-                "hexagon-h",
-                self.pending_kind,
-            );
-            self.lut.observe(key, cycles);
         }
         self.last_frame_secs = Some(total_secs);
         // Frame-global QP band control toward the PSNR constraint.
@@ -182,8 +166,6 @@ impl EncodeController for Baseline19Controller {
         } else {
             self.qp
         };
-        self.prev_frame_psnr = Some(psnr);
-        let _ = &self.analyzer;
         self.reports.push(FrameReport {
             poc,
             kind: self.pending_kind.letter(),

@@ -5,7 +5,8 @@
 //! Content-Aware Workload Allocation"* (Iranfar et al., DATE 2018) —
 //! the paper's Fig. 2 pipeline assembled from the workspace substrates.
 //!
-//! * [`QpController`] — Algorithm 1 per-tile QP adaptation (§III-C1);
+//! * [`QpControlConfig`] — the band of Algorithm 1's per-tile QP
+//!   adaptation (§III-C1), which [`ContentAwareController`] runs;
 //! * [`ContentAwareController`] — the proposed pipeline: per-GOP
 //!   motion/texture evaluation, content-aware re-tiling, per-tile
 //!   QP + motion-search policy, LUT learning, deadline lightening;
@@ -52,13 +53,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod baseline19;
 mod live;
 mod pipeline;
 mod profile;
-pub mod qp_control;
+mod qp_control;
 mod server;
 
 pub use baseline19::{Baseline19Controller, BaselineConfig};
@@ -68,5 +70,5 @@ pub use pipeline::{
     UniformMeController,
 };
 pub use profile::{profile_video, profile_video_with, VideoProfile};
-pub use qp_control::{default_qp, QpControlConfig, QpController, TileObservation};
+pub use qp_control::QpControlConfig;
 pub use server::{Approach, ServerConfig, ServerReport, ServerSim, Stats3};

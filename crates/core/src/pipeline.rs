@@ -72,12 +72,6 @@ pub struct FrameReport {
 }
 
 impl FrameReport {
-    /// The frame's critical-path time at f_max assuming fully parallel
-    /// tiles, seconds.
-    pub fn critical_path_secs(&self) -> f64 {
-        self.tiles.iter().map(|t| t.fmax_secs).fold(0.0, f64::max)
-    }
-
     /// Sum of all tile times at f_max, seconds.
     pub fn total_secs(&self) -> f64 {
         self.tiles.iter().map(|t| t.fmax_secs).sum()

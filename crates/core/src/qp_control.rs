@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Observation of one tile from the previous frame.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TileObservation {
+pub(crate) struct TileObservation {
     /// Luma PSNR of the tile, dB.
     pub psnr_db: f64,
     /// Bits the tile consumed.
@@ -50,7 +50,7 @@ impl Default for QpControlConfig {
 }
 
 /// The texture-default QP of §III-C1.
-pub fn default_qp(texture: TextureClass) -> Qp {
+pub(crate) fn default_qp(texture: TextureClass) -> Qp {
     let v = match texture {
         TextureClass::Low => 37,
         TextureClass::Medium => 32,
@@ -61,7 +61,7 @@ pub fn default_qp(texture: TextureClass) -> Qp {
 
 /// Algorithm 1: stateful per-tile QP adaptation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QpController {
+pub(crate) struct QpController {
     config: QpControlConfig,
     /// Current QP per tile index (reset on re-tiling).
     current: Vec<Qp>,
@@ -69,31 +69,21 @@ pub struct QpController {
 
 impl QpController {
     /// Creates a controller.
-    pub fn new(config: QpControlConfig) -> Self {
+    pub(crate) fn new(config: QpControlConfig) -> Self {
         Self {
             config,
             current: Vec::new(),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &QpControlConfig {
-        &self.config
-    }
-
     /// Resets per-tile state for a new tiling, seeding each tile with
     /// its texture default.
-    pub fn reset(&mut self, textures: &[TextureClass]) {
+    pub(crate) fn reset(&mut self, textures: &[TextureClass]) {
         self.current = textures.iter().map(|&t| default_qp(t)).collect();
     }
 
-    /// Number of tiles tracked.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
     /// `true` when no tiling has been seeded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.current.is_empty()
     }
 
@@ -103,7 +93,7 @@ impl QpController {
     ///
     /// Panics when `tile` is out of range (call [`QpController::reset`]
     /// first).
-    pub fn qp(&self, tile: usize) -> Qp {
+    pub(crate) fn qp(&self, tile: usize) -> Qp {
         self.current[tile]
     }
 
@@ -114,7 +104,7 @@ impl QpController {
     /// # Panics
     ///
     /// Panics when `tile` is out of range.
-    pub fn adapt(
+    pub(crate) fn adapt(
         &mut self,
         tile: usize,
         texture: TextureClass,
@@ -180,7 +170,7 @@ mod tests {
     #[test]
     fn reset_seeds_texture_defaults() {
         let c = controller();
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.current.len(), 3);
         assert_eq!(c.qp(0).value(), 37);
         assert_eq!(c.qp(1).value(), 32);
         assert_eq!(c.qp(2).value(), 27);
@@ -226,7 +216,7 @@ mod tests {
     #[test]
     fn boundary_conditions_of_band() {
         let mut c = controller();
-        let cfg = *c.config();
+        let cfg = c.config;
         // Exactly at constraint: in band (not below) → default.
         let qp = c.adapt(1, TextureClass::Medium, obs(cfg.psnr_constraint_db));
         assert_eq!(qp, default_qp(TextureClass::Medium));

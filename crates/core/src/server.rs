@@ -6,8 +6,9 @@
 //! as the 32 cores sustain at 24 fps, and every 1/FPS slot each
 //! admitted user's current frame tiles execute on their assigned cores.
 //! Admission and reporting live here; the slot loop itself is the
-//! backend-generic [`medvt_runtime::ServerLoop`] — [`ServerSim`] runs
-//! it on a [`SimBackend`] by default and on any other
+//! backend-generic [`medvt_runtime::LoopDriver`], run to completion
+//! ([`LoopDriver::run`](medvt_runtime::LoopDriver::run)) — [`ServerSim`]
+//! runs it on a [`SimBackend`] by default and on any other
 //! [`ExecutionBackend`] (e.g. the real
 //! [`medvt_runtime::ThreadPoolBackend`]) via [`ServerSim::serve_max_on`],
 //! with identical energy/deadline accounting either way.
@@ -16,7 +17,7 @@ use crate::profile::VideoProfile;
 use medvt_admission::{OnlineConfig, OnlineReport, ShardPolicy, UserRequest, Workload};
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt_runtime::{
-    DemandSource, ExecutionBackend, ReplanPolicy, ServerLoop, ServerLoopConfig, SimBackend,
+    DemandSource, ExecutionBackend, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend,
 };
 use medvt_sched::{allocate_on, baseline_allocate, Allocation, UserDemand};
 use serde::{Deserialize, Serialize};
@@ -206,7 +207,7 @@ impl ServerSim {
     }
 
     /// A fresh analytical backend matching this configuration.
-    pub fn sim_backend(&self) -> SimBackend {
+    pub(crate) fn sim_backend(&self) -> SimBackend {
         SimBackend::new(self.cfg.platform.clone(), self.cfg.power)
     }
 
@@ -405,7 +406,7 @@ impl ServerSim {
             Approach::Baseline => ReplanPolicy::Static,
         };
         let source = ProfileSource { profiles };
-        let report = ServerLoop::new(
+        let report = LoopDriver::new(
             backend,
             ServerLoopConfig {
                 fps: self.cfg.fps,
@@ -415,8 +416,10 @@ impl ServerSim {
                 gop_slots: GOP_SLOTS,
                 window_slots: None,
             },
+            alloc.admitted.clone(),
+            alloc.placements.clone(),
         )
-        .run(&source, &alloc.admitted, &alloc.placements);
+        .run(&source);
         let served: Vec<&VideoProfile> = alloc
             .admitted
             .iter()

@@ -138,14 +138,14 @@ impl BitWriter {
 }
 
 /// Number of bits `ue(value)` occupies, without writing.
-pub fn ue_len(value: u32) -> u64 {
+pub(crate) fn ue_len(value: u32) -> u64 {
     let v = value as u64 + 1;
     let len = 64 - v.leading_zeros() as u64;
     2 * len - 1
 }
 
 /// Number of bits `se(value)` occupies, without writing.
-pub fn se_len(value: i32) -> u64 {
+pub(crate) fn se_len(value: i32) -> u64 {
     let mapped = if value <= 0 {
         (-2i64 * value as i64) as u32
     } else {
@@ -235,27 +235,6 @@ pub fn code_block(levels: &[i32], n: usize, w: &mut BitWriter) -> u64 {
         }
     }
     w.bits_written() - before
-}
-
-/// Decodes nothing — the substrate is an encoder-side model — but the
-/// bit count of a block can be computed without a writer.
-pub fn block_bits(levels: &[i32], n: usize) -> u64 {
-    let scan = zigzag(n);
-    let last_sig = scan.iter().rposition(|&pos| levels[pos] != 0);
-    match last_sig {
-        None => 1,
-        Some(last) => {
-            let mut bits = 1 + ue_len(last as u32);
-            for &pos in &scan[..=last] {
-                let level = levels[pos];
-                bits += 1;
-                if level != 0 {
-                    bits += se_len(level);
-                }
-            }
-            bits
-        }
-    }
 }
 
 /// The seed per-bit writer, kept verbatim as the executable
@@ -385,6 +364,27 @@ pub mod reference {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The bit count of a block computed without a writer — the
+    /// estimator `code_block` is checked against.
+    fn block_bits(levels: &[i32], n: usize) -> u64 {
+        let scan = zigzag(n);
+        let last_sig = scan.iter().rposition(|&pos| levels[pos] != 0);
+        match last_sig {
+            None => 1,
+            Some(last) => {
+                let mut bits = 1 + ue_len(last as u32);
+                for &pos in &scan[..=last] {
+                    let level = levels[pos];
+                    bits += 1;
+                    if level != 0 {
+                        bits += se_len(level);
+                    }
+                }
+                bits
+            }
+        }
+    }
 
     #[test]
     fn bitwriter_packs_msb_first() {

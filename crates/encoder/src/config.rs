@@ -34,10 +34,6 @@ impl Qp {
     /// Highest representable QP.
     pub const MAX: Qp = Qp(51);
 
-    /// The paper's per-texture QP defaults, lowest-texture first:
-    /// very-low 42, low 37, medium 32, high 27, extreme 22.
-    pub const PAPER_LADDER: [Qp; 5] = [Qp(42), Qp(37), Qp(32), Qp(27), Qp(22)];
-
     /// Creates a QP, returning `None` outside `0..=51`.
     pub const fn new(value: u8) -> Option<Qp> {
         if value <= 51 {
@@ -48,7 +44,7 @@ impl Qp {
     }
 
     /// Creates a QP, clamping into `0..=51`.
-    pub const fn saturating(value: i32) -> Qp {
+    pub(crate) const fn saturating(value: i32) -> Qp {
         if value < 0 {
             Qp(0)
         } else if value > 51 {
@@ -82,7 +78,7 @@ impl Qp {
 
     /// The HM-style Lagrange multiplier `0.85 * 2^((QP-12)/3)` used in
     /// mode decisions.
-    pub fn lambda(&self) -> f64 {
+    pub(crate) fn lambda(&self) -> f64 {
         0.85 * 2f64.powf((self.0 as f64 - 12.0) / 3.0)
     }
 
@@ -318,16 +314,6 @@ mod tests {
         assert_eq!(qp.offset(5), Qp::MAX);
         assert_eq!(qp.offset(-60), Qp::MIN);
         assert_eq!(qp.offset(-5).value(), 45);
-    }
-
-    #[test]
-    fn paper_ladder_is_descending_quality() {
-        let ladder = Qp::PAPER_LADDER;
-        assert_eq!(ladder[0].value(), 42);
-        assert_eq!(ladder[4].value(), 22);
-        for w in ladder.windows(2) {
-            assert!(w[0] > w[1]);
-        }
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl GopStructure {
     pub fn entries(&self) -> &[GopEntry] {
         &self.entries
     }
-
-    /// Largest reference distance in the structure (the ME difficulty
-    /// driver: farther references mean larger apparent motion).
-    pub fn max_ref_distance(&self) -> usize {
-        self.entries
-            .iter()
-            .flat_map(|e| e.ref_offsets.iter().map(move |&r| e.offset.abs_diff(r)))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Recursive hierarchical bisection: emit the midpoint of `(lo, hi)`
@@ -161,12 +151,6 @@ mod tests {
                 assert!(e.ref_offsets[1] > e.offset);
             }
         }
-    }
-
-    #[test]
-    fn max_ref_distance_for_gop8_is_8() {
-        assert_eq!(GopStructure::random_access(8).max_ref_distance(), 8);
-        assert_eq!(GopStructure::random_access(1).max_ref_distance(), 1);
     }
 
     #[test]

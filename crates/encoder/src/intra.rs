@@ -211,21 +211,8 @@ impl IntraRefs {
     }
 
     /// Picks the mode with the lowest SAD against `original` (row-major
-    /// `w x h` samples), returning the mode, its prediction and the SAD.
-    ///
-    /// # Panics
-    ///
-    /// As [`IntraRefs::best_mode_into`].
-    pub fn best_mode(&self, original: &[u8], w: usize, h: usize) -> (IntraMode, Vec<u8>, u64) {
-        let mut best = Vec::new();
-        let mut tmp = Vec::new();
-        let (mode, sad) = self.best_mode_into(original, w, h, &mut best, &mut tmp);
-        (mode, best, sad)
-    }
-
-    /// Allocation-free [`IntraRefs::best_mode`]: the winning prediction
-    /// ends up in `best` (`tmp` is trial scratch), and the mode and its
-    /// SAD are returned. Modes are tried in [`IntraMode::ALL`] order
+    /// `w x h` samples): the winning prediction ends up in `best` (`tmp`
+    /// is trial scratch), and the mode and its SAD are returned. Modes are tried in [`IntraMode::ALL`] order
     /// and a later mode wins only when strictly better.
     ///
     /// Every mode is scored by one whole-block
@@ -366,13 +353,14 @@ mod tests {
         let refs = IntraRefs::gather(&recon, &Rect::new(4, 4, 4, 4), &Rect::frame(16, 16));
         // Original block = rows of 100 (matches vertical from top=100).
         let original = vec![100u8; 16];
-        let (mode, pred, sad) = refs.best_mode(&original, 4, 4);
+        let (mut pred, mut tmp) = (Vec::new(), Vec::new());
+        let (mode, sad) = refs.best_mode_into(&original, 4, 4, &mut pred, &mut tmp);
         assert_eq!(mode, IntraMode::Vertical);
         assert_eq!(sad, 0);
         assert_eq!(pred, original);
         // Original block = rows of 50 (matches horizontal from left=50).
         let original = vec![50u8; 16];
-        let (mode, _, sad) = refs.best_mode(&original, 4, 4);
+        let (mode, sad) = refs.best_mode_into(&original, 4, 4, &mut pred, &mut tmp);
         assert_eq!(mode, IntraMode::Horizontal);
         assert_eq!(sad, 0);
     }

@@ -185,12 +185,6 @@ pub(crate) fn dequantize_block<const N: usize>(
     }
 }
 
-/// Counts the non-zero levels (the "significance" driver of entropy
-/// cost).
-pub fn nonzero_count(levels: &[i32]) -> usize {
-    levels.iter().filter(|&&l| l != 0).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +192,10 @@ mod tests {
 
     fn qp(v: u8) -> Qp {
         Qp::new(v).expect("valid QP")
+    }
+
+    fn nonzero_count(levels: &[i32]) -> usize {
+        levels.iter().filter(|&&l| l != 0).count()
     }
 
     #[test]

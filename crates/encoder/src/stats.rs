@@ -118,7 +118,7 @@ impl SequenceStats {
     }
 
     /// Average bitrate in bits per second.
-    pub fn bitrate_bps(&self) -> f64 {
+    pub(crate) fn bitrate_bps(&self) -> f64 {
         if self.frames.is_empty() {
             return 0.0;
         }

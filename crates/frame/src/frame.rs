@@ -27,10 +27,6 @@ pub struct Resolution {
 impl Resolution {
     /// 640x480 — the resolution of the paper's ten clinical videos.
     pub const VGA: Resolution = Resolution::new(640, 480);
-    /// 1280x720.
-    pub const HD720: Resolution = Resolution::new(1280, 720);
-    /// 1920x1080.
-    pub const HD1080: Resolution = Resolution::new(1920, 1080);
 
     /// Creates a resolution.
     pub const fn new(width: usize, height: usize) -> Self {
@@ -52,7 +48,7 @@ impl Resolution {
     /// # Errors
     ///
     /// Returns [`FrameError::Dimensions`] for zero or odd dimensions.
-    pub fn validate_420(&self) -> Result<(), FrameError> {
+    pub(crate) fn validate_420(&self) -> Result<(), FrameError> {
         if self.width == 0 || self.height == 0 {
             return Err(FrameError::Dimensions {
                 width: self.width,
@@ -138,7 +134,7 @@ impl Frame {
     ///
     /// Returns [`FrameError::Dimensions`] when the chroma planes are not
     /// exactly half the luma plane in each dimension.
-    pub fn from_planes(y: Plane, u: Plane, v: Plane) -> Result<Self, FrameError> {
+    pub(crate) fn from_planes(y: Plane, u: Plane, v: Plane) -> Result<Self, FrameError> {
         let ok = u.width() == y.width() / 2
             && u.height() == y.height() / 2
             && v.width() == y.width() / 2
@@ -151,13 +147,6 @@ impl Frame {
             });
         }
         Ok(Self { y, u, v })
-    }
-
-    /// Builds a 4:2:0 frame from a luma plane, deriving chroma as neutral.
-    pub fn from_luma(y: Plane) -> Self {
-        let u = Plane::filled((y.width() / 2).max(1), (y.height() / 2).max(1), 128);
-        let v = u.clone();
-        Self { y, u, v }
     }
 
     /// Frame resolution (luma).
@@ -198,11 +187,6 @@ impl Frame {
     /// Decomposes the frame into its planes.
     pub fn into_planes(self) -> (Plane, Plane, Plane) {
         (self.y, self.u, self.v)
-    }
-
-    /// Total number of samples across all three planes.
-    pub fn total_samples(&self) -> usize {
-        self.y.samples().len() + self.u.samples().len() + self.v.samples().len()
     }
 }
 
@@ -247,7 +231,7 @@ mod tests {
     fn resolution_constants() {
         assert_eq!(Resolution::VGA.to_string(), "640x480");
         assert_eq!(Resolution::VGA.luma_samples(), 307_200);
-        assert_eq!(Resolution::HD720.rect(), Rect::frame(1280, 720));
+        assert_eq!(Resolution::VGA.rect(), Rect::frame(640, 480));
     }
 
     #[test]
@@ -264,7 +248,6 @@ mod tests {
         assert_eq!(f.y().get(0, 0), 16);
         assert_eq!(f.u().get(0, 0), 128);
         assert_eq!(f.v().get(0, 0), 128);
-        assert_eq!(f.total_samples(), 256 + 64 + 64);
     }
 
     #[test]
@@ -275,13 +258,6 @@ mod tests {
         assert!(Frame::from_planes(y.clone(), u.clone(), v.clone()).is_ok());
         let bad_u = Plane::new(8, 4);
         assert!(Frame::from_planes(y, bad_u, v).is_err());
-    }
-
-    #[test]
-    fn from_luma_has_neutral_chroma() {
-        let f = Frame::from_luma(Plane::filled(8, 8, 77));
-        assert_eq!(f.y().get(3, 3), 77);
-        assert_eq!(f.u().get(0, 0), 128);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   pictures and the tile/block geometry every other crate shares;
 //! * [`RegionStats`] — single-pass region statistics (mean, σ, CV)
 //!   backing the paper's texture classifier (Eq. 1);
-//! * [`quality`] — MSE/PSNR/SSIM used by the QP controller and the
+//! * [`quality`] — MSE/PSNR used by the QP controller and the
 //!   experiment tables;
 //! * [`synth`] — deterministic phantom bio-medical videos substituting
 //!   the paper's anonymized clinical material;
@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod error;

@@ -94,11 +94,6 @@ impl Plane {
         &mut self.data
     }
 
-    /// Consumes the plane and returns its sample buffer.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
-
     /// Sample at `(col, row)`.
     ///
     /// # Panics
@@ -139,7 +134,7 @@ impl Plane {
 
     /// Mutably borrows one full row of samples.
     #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut [u8] {
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut [u8] {
         let start = row * self.width;
         &mut self.data[start..start + self.width]
     }
@@ -212,18 +207,10 @@ impl Plane {
     }
 
     /// Copies a `w x h` block whose top-left corner may lie outside the
-    /// plane; out-of-bounds samples replicate the nearest edge sample.
-    ///
-    /// This is the access pattern of motion compensation with unrestricted
-    /// motion vectors.
-    pub fn copy_block_clamped(&self, x: isize, y: isize, w: usize, h: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.copy_block_clamped_into(x, y, w, h, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Plane::copy_block_clamped`]: resizes `out` to
-    /// `w * h` and fills it through [`Plane::gather_block_clamped`].
+    /// plane into `out`; out-of-bounds samples replicate the nearest
+    /// edge sample — the access pattern of motion compensation with
+    /// unrestricted motion vectors. Resizes `out` to `w * h` and fills
+    /// it through [`Plane::gather_block_clamped`].
     pub fn copy_block_clamped_into(
         &self,
         x: isize,
@@ -290,24 +277,9 @@ impl Plane {
         }
     }
 
-    /// Iterates over the samples of `rect` in raster order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rect` is not fully inside the plane.
-    pub fn rect_samples<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = u8> + 'a {
-        assert!(
-            self.bounds().contains_rect(rect),
-            "rect {rect} outside plane"
-        );
-        let rect = *rect;
-        (rect.y..rect.bottom())
-            .flat_map(move |row| self.row(row)[rect.x..rect.right()].iter().copied())
-    }
-
     /// Downsamples by 2x in both dimensions via 2x2 box averaging, used to
     /// derive chroma planes and coarse analysis pyramids.
-    pub fn halved(&self) -> Plane {
+    pub(crate) fn halved(&self) -> Plane {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         let mut out = Plane::new(w, h);
@@ -389,14 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_block_clamped_handles_negative_origin() {
-        let mut p = Plane::new(3, 3);
-        p.set(0, 0, 42);
-        let block = p.copy_block_clamped(-2, -2, 2, 2);
-        assert_eq!(block, vec![42; 4]);
-    }
-
-    #[test]
     fn copy_into_variants_reuse_and_match() {
         let mut p = Plane::new(8, 6);
         for (i, s) in p.samples_mut().iter_mut().enumerate() {
@@ -439,17 +403,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rect_samples_matches_copy_rect() {
-        let mut p = Plane::new(5, 5);
-        for (i, s) in p.samples_mut().iter_mut().enumerate() {
-            *s = i as u8;
-        }
-        let r = Rect::new(1, 2, 3, 2);
-        let collected: Vec<u8> = p.rect_samples(&r).collect();
-        assert_eq!(collected, p.copy_rect(&r));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Objective quality metrics: MSE, PSNR and SSIM.
+//! Objective quality metrics: MSE and PSNR.
 //!
 //! The paper's quality constraint loop (Algorithm 1) and all of Table I /
 //! Table II report PSNR, so these functions are on the hot path of both
@@ -34,14 +34,14 @@ pub fn region_mse(a: &Plane, b: &Plane, rect: &Rect) -> f64 {
 /// # Panics
 ///
 /// Panics when the planes have different dimensions.
-pub fn plane_mse(a: &Plane, b: &Plane) -> f64 {
+pub(crate) fn plane_mse(a: &Plane, b: &Plane) -> f64 {
     region_mse(a, b, &a.bounds())
 }
 
 /// Converts an MSE to 8-bit PSNR in dB.
 ///
 /// Identical inputs (MSE = 0) return [`f64::INFINITY`].
-pub fn mse_to_psnr(mse: f64) -> f64 {
+pub(crate) fn mse_to_psnr(mse: f64) -> f64 {
     if mse <= 0.0 {
         f64::INFINITY
     } else {
@@ -49,34 +49,13 @@ pub fn mse_to_psnr(mse: f64) -> f64 {
     }
 }
 
-/// PSNR between the same region of two planes, in dB.
-///
-/// # Panics
-///
-/// See [`region_mse`].
-pub fn region_psnr(a: &Plane, b: &Plane, rect: &Rect) -> f64 {
-    mse_to_psnr(region_mse(a, b, rect))
-}
-
 /// Luma PSNR between two full planes, in dB.
 ///
 /// # Panics
 ///
 /// Panics when the planes have different dimensions.
-pub fn plane_psnr(a: &Plane, b: &Plane) -> f64 {
+pub(crate) fn plane_psnr(a: &Plane, b: &Plane) -> f64 {
     mse_to_psnr(plane_mse(a, b))
-}
-
-/// Combined YUV PSNR with the conventional 6:1:1 plane weighting.
-///
-/// # Panics
-///
-/// Panics when the frames have different resolutions.
-pub fn frame_psnr_weighted(a: &Frame, b: &Frame) -> f64 {
-    let y = plane_mse(a.y(), b.y());
-    let u = plane_mse(a.u(), b.u());
-    let v = plane_mse(a.v(), b.v());
-    mse_to_psnr((6.0 * y + u + v) / 8.0)
 }
 
 /// Luma-only frame PSNR — what the paper's tables report.
@@ -86,70 +65,6 @@ pub fn frame_psnr_weighted(a: &Frame, b: &Frame) -> f64 {
 /// Panics when the frames have different resolutions.
 pub fn frame_psnr(a: &Frame, b: &Frame) -> f64 {
     plane_psnr(a.y(), b.y())
-}
-
-/// Structural similarity (SSIM) over a plane region using the standard
-/// constants and a per-region (not sliding-window) formulation.
-///
-/// This is an extension beyond the paper (which reports PSNR only) used
-/// by the extended quality benches.
-///
-/// # Panics
-///
-/// See [`region_mse`].
-pub fn region_ssim(a: &Plane, b: &Plane, rect: &Rect) -> f64 {
-    assert!(!rect.is_empty(), "ssim over empty rect");
-    assert!(a.bounds().contains_rect(rect), "rect {rect} outside plane");
-    let n = rect.area() as f64;
-    let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0f64, 0f64, 0f64, 0f64, 0f64);
-    for row in rect.y..rect.bottom() {
-        let ra = &a.row(row)[rect.x..rect.right()];
-        let rb = &b.row(row)[rect.x..rect.right()];
-        for (&xa, &xb) in ra.iter().zip(rb) {
-            let xa = xa as f64;
-            let xb = xb as f64;
-            sa += xa;
-            sb += xb;
-            saa += xa * xa;
-            sbb += xb * xb;
-            sab += xa * xb;
-        }
-    }
-    let mu_a = sa / n;
-    let mu_b = sb / n;
-    let var_a = (saa / n - mu_a * mu_a).max(0.0);
-    let var_b = (sbb / n - mu_b * mu_b).max(0.0);
-    let cov = sab / n - mu_a * mu_b;
-    const C1: f64 = (0.01 * 255.0) * (0.01 * 255.0);
-    const C2: f64 = (0.03 * 255.0) * (0.03 * 255.0);
-    ((2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2))
-        / ((mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2))
-}
-
-/// Mean SSIM over 8x8 windows of the whole luma plane.
-///
-/// # Panics
-///
-/// Panics when the planes have different dimensions.
-pub fn plane_ssim(a: &Plane, b: &Plane) -> f64 {
-    assert_eq!(a.width(), b.width());
-    assert_eq!(a.height(), b.height());
-    let mut total = 0.0;
-    let mut count = 0usize;
-    let step = 8;
-    let mut y = 0;
-    while y < a.height() {
-        let h = step.min(a.height() - y);
-        let mut x = 0;
-        while x < a.width() {
-            let w = step.min(a.width() - x);
-            total += region_ssim(a, b, &Rect::new(x, y, w, h));
-            count += 1;
-            x += step;
-        }
-        y += step;
-    }
-    total / count as f64
 }
 
 #[cfg(test)]
@@ -201,28 +116,6 @@ mod tests {
         // Chroma-only distortion leaves luma PSNR infinite.
         b.u_mut().fill_rect(&Rect::frame(8, 8), 10);
         assert!(frame_psnr(&a, &b).is_infinite());
-        assert!(frame_psnr_weighted(&a, &b).is_finite());
-    }
-
-    #[test]
-    fn ssim_is_one_for_identical_textured_content() {
-        let mut p = Plane::new(16, 16);
-        for (i, s) in p.samples_mut().iter_mut().enumerate() {
-            *s = (i * 7 % 251) as u8;
-        }
-        let s = plane_ssim(&p, &p);
-        assert!((s - 1.0).abs() < 1e-9, "ssim={s}");
-    }
-
-    #[test]
-    fn ssim_penalizes_structure_loss() {
-        let mut textured = Plane::new(16, 16);
-        for (i, s) in textured.samples_mut().iter_mut().enumerate() {
-            *s = if i % 2 == 0 { 60 } else { 190 };
-        }
-        let flat = Plane::filled(16, 16, 125);
-        let s = plane_ssim(&textured, &flat);
-        assert!(s < 0.5, "flattening texture should tank ssim, got {s}");
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Rect {
     }
 
     /// `true` when the two rectangles share at least one sample.
-    pub const fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) const fn intersects(&self, other: &Rect) -> bool {
         self.x < other.x + other.w
             && other.x < self.x + self.w
             && self.y < other.y + other.h
@@ -114,53 +114,13 @@ impl Rect {
     ///
     /// Returns an empty rectangle at the clamped origin when there is no
     /// overlap at all.
-    pub fn clamped_to(&self, bounds: &Rect) -> Rect {
+    pub(crate) fn clamped_to(&self, bounds: &Rect) -> Rect {
         self.intersection(bounds).unwrap_or(Rect::new(
             self.x.min(bounds.right()),
             self.y.min(bounds.bottom()),
             0,
             0,
         ))
-    }
-
-    /// Splits the rectangle into `cols x rows` uniform cells.
-    ///
-    /// Remainder samples are distributed one-per-cell from the first
-    /// column/row, so cell sizes differ by at most one sample, mirroring
-    /// HEVC uniform tile spacing.
-    ///
-    /// Cells are returned in raster order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` or `rows` is zero, or exceeds the rectangle size.
-    pub fn split_uniform(&self, cols: usize, rows: usize) -> Vec<Rect> {
-        assert!(cols > 0 && rows > 0, "tile grid must be non-empty");
-        assert!(
-            cols <= self.w && rows <= self.h,
-            "tile grid {}x{} exceeds rect {}x{}",
-            cols,
-            rows,
-            self.w,
-            self.h
-        );
-        let xs = split_axis(self.x, self.w, cols);
-        let ys = split_axis(self.y, self.h, rows);
-        let mut cells = Vec::with_capacity(cols * rows);
-        for (y0, hh) in &ys {
-            for (x0, ww) in &xs {
-                cells.push(Rect::new(*x0, *y0, *ww, *hh));
-            }
-        }
-        cells
-    }
-
-    /// Grows the rectangle by `dw` columns to the right and `dh` rows
-    /// down, clamped so the result stays inside `bounds`.
-    pub fn grown(&self, dw: usize, dh: usize, bounds: &Rect) -> Rect {
-        let w = (self.w + dw).min(bounds.right().saturating_sub(self.x));
-        let h = (self.h + dh).min(bounds.bottom().saturating_sub(self.y));
-        Rect::new(self.x, self.y, w, h)
     }
 
     /// Iterates over all `(col, row)` sample coordinates in raster order.
@@ -228,22 +188,6 @@ pub fn find_overlap(rects: &[Rect]) -> Option<(Rect, Rect)> {
         active.insert(r.x, i);
     }
     None
-}
-
-/// Splits an axis of length `len` starting at `origin` into `n` spans whose
-/// lengths differ by at most one. Earlier spans take the remainder, like
-/// HEVC `uniform_spacing_flag` tiles.
-fn split_axis(origin: usize, len: usize, n: usize) -> Vec<(usize, usize)> {
-    let base = len / n;
-    let extra = len % n;
-    let mut spans = Vec::with_capacity(n);
-    let mut pos = origin;
-    for i in 0..n {
-        let span = base + usize::from(i < extra);
-        spans.push((pos, span));
-        pos += span;
-    }
-    spans
 }
 
 #[cfg(test)]
@@ -315,50 +259,6 @@ mod tests {
         let a = Rect::new(3, 1, 17, 9);
         let b = Rect::new(7, 4, 30, 3);
         assert_eq!(a.intersection(&b), b.intersection(&a));
-    }
-
-    #[test]
-    fn split_uniform_covers_exactly() {
-        let r = Rect::frame(640, 480);
-        for (cols, rows) in [(1, 1), (2, 2), (5, 3), (7, 4), (11, 5)] {
-            let cells = r.split_uniform(cols, rows);
-            assert_eq!(cells.len(), cols * rows);
-            let total: usize = cells.iter().map(Rect::area).sum();
-            assert_eq!(total, r.area(), "{}x{} split loses samples", cols, rows);
-            // Non-overlap: pairwise disjoint.
-            for (i, a) in cells.iter().enumerate() {
-                for b in cells.iter().skip(i + 1) {
-                    assert!(!a.intersects(b), "{a} overlaps {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_uniform_distributes_remainder() {
-        // 10 wide into 3 cols: widths 4,3,3.
-        let r = Rect::frame(10, 6);
-        let cells = r.split_uniform(3, 1);
-        assert_eq!(cells[0].w, 4);
-        assert_eq!(cells[1].w, 3);
-        assert_eq!(cells[2].w, 3);
-        assert_eq!(cells[0].x, 0);
-        assert_eq!(cells[1].x, 4);
-        assert_eq!(cells[2].x, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn split_uniform_rejects_zero() {
-        Rect::frame(8, 8).split_uniform(0, 1);
-    }
-
-    #[test]
-    fn grown_respects_bounds() {
-        let bounds = Rect::frame(100, 100);
-        let r = Rect::new(80, 90, 10, 5);
-        let g = r.grown(50, 50, &bounds);
-        assert_eq!(g, Rect::new(80, 90, 20, 10));
     }
 
     #[test]

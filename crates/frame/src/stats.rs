@@ -93,33 +93,10 @@ impl RegionStats {
         }
     }
 
-    /// Population variance σ².
-    pub fn variance(&self) -> f64 {
-        self.stddev * self.stddev
-    }
-
     /// Dynamic range `max - min` of the region.
     pub fn range(&self) -> u8 {
         self.max - self.min
     }
-}
-
-/// Mean of all samples in `rect`.
-///
-/// # Panics
-///
-/// Panics when `rect` is empty or not fully inside the plane.
-pub fn region_mean(plane: &Plane, rect: &Rect) -> f64 {
-    RegionStats::of(plane, rect).mean
-}
-
-/// Coefficient of variation of `rect`, see [`RegionStats::cv`].
-///
-/// # Panics
-///
-/// Panics when `rect` is empty or not fully inside the plane.
-pub fn region_cv(plane: &Plane, rect: &Rect) -> f64 {
-    RegionStats::of(plane, rect).cv()
 }
 
 #[cfg(test)]
@@ -160,7 +137,7 @@ mod tests {
         let s = RegionStats::of(&p, &Rect::frame(2, 2));
         assert!((s.mean - 2.5).abs() < 1e-12);
         // Population variance of {1,2,3,4} = 1.25.
-        assert!((s.variance() - 1.25).abs() < 1e-9);
+        assert!((s.stddev * s.stddev - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -178,15 +155,6 @@ mod tests {
         assert_eq!(s.count, 1);
         let s2 = RegionStats::of(&p, &Rect::new(3, 3, 1, 1));
         assert_eq!(s2.mean, 150.0);
-    }
-
-    #[test]
-    fn helpers_agree_with_struct() {
-        let p = ramp_plane();
-        let r = Rect::frame(4, 4);
-        let s = RegionStats::of(&p, &r);
-        assert_eq!(region_mean(&p, &r), s.mean);
-        assert_eq!(region_cv(&p, &r), s.cv());
     }
 
     #[test]
@@ -208,6 +176,6 @@ mod tests {
         }
         let flat = Plane::filled(8, 8, 100);
         let r = Rect::frame(8, 8);
-        assert!(region_cv(&textured, &r) > region_cv(&flat, &r));
+        assert!(RegionStats::of(&textured, &r).cv() > RegionStats::of(&flat, &r).cv());
     }
 }

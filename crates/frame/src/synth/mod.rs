@@ -33,6 +33,4 @@ mod phantom;
 pub use anatomy::{render_canvas, BodyPart};
 pub use motion::{MotionPattern, ViewTransform};
 pub use noise::{speckle, ValueNoise};
-pub use phantom::{
-    default_motion, medical_suite, PhantomConfig, PhantomVideo, PhantomVideoBuilder,
-};
+pub use phantom::{medical_suite, PhantomConfig, PhantomVideo, PhantomVideoBuilder};

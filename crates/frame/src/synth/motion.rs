@@ -90,31 +90,6 @@ impl MotionPattern {
             }
         }
     }
-
-    /// `true` when the pattern is actually moving at frame `t`
-    /// (i.e. the transform differs from the one at `t + 1`).
-    pub fn is_moving_at(&self, t: usize) -> bool {
-        self.at(t) != self.at(t + 1)
-    }
-
-    /// The dominant translation direction over the first GOP, as a
-    /// coarse `(sign_x, sign_y)` pair. Used by tests to check the
-    /// "whole frame moves the same way" premise.
-    pub fn dominant_direction(&self, gop_len: usize) -> (i8, i8) {
-        let a = self.at(0);
-        let b = self.at(gop_len.max(1));
-        let sx = (b.tx - a.tx).partial_cmp(&0.0).map_or(0, |o| match o {
-            std::cmp::Ordering::Greater => 1,
-            std::cmp::Ordering::Less => -1,
-            std::cmp::Ordering::Equal => 0,
-        });
-        let sy = (b.ty - a.ty).partial_cmp(&0.0).map_or(0, |o| match o {
-            std::cmp::Ordering::Greater => 1,
-            std::cmp::Ordering::Less => -1,
-            std::cmp::Ordering::Equal => 0,
-        });
-        (sx, sy)
-    }
 }
 
 /// Affine view parameters at one frame instant: rotation about the frame
@@ -133,7 +108,7 @@ pub struct ViewTransform {
 
 impl ViewTransform {
     /// The identity view.
-    pub const IDENTITY: ViewTransform = ViewTransform {
+    pub(crate) const IDENTITY: ViewTransform = ViewTransform {
         angle_rad: 0.0,
         scale: 1.0,
         tx: 0.0,
@@ -146,7 +121,7 @@ impl ViewTransform {
     /// content is rotated/scaled about the center and shifted by
     /// `(tx, ty)`, so the source position applies the inverse.
     #[inline]
-    pub fn source_of(&self, x: f64, y: f64, cx: f64, cy: f64) -> (f64, f64) {
+    pub(crate) fn source_of(&self, x: f64, y: f64, cx: f64, cy: f64) -> (f64, f64) {
         // Undo translation first, then rotate/scale back about center.
         let px = x - self.tx - cx;
         let py = y - self.ty - cy;
@@ -173,7 +148,7 @@ mod tests {
         let p = MotionPattern::Still;
         assert_eq!(p.at(0), ViewTransform::IDENTITY);
         assert_eq!(p.at(1000), ViewTransform::IDENTITY);
-        assert!(!p.is_moving_at(5));
+        assert_eq!(p.at(5), p.at(6));
     }
 
     #[test]
@@ -182,8 +157,7 @@ mod tests {
         let t10 = p.at(10);
         assert!((t10.tx - 15.0).abs() < 1e-12);
         assert!((t10.ty + 5.0).abs() < 1e-12);
-        assert!(p.is_moving_at(0));
-        assert_eq!(p.dominant_direction(8), (1, -1));
+        assert_ne!(p.at(0), p.at(1));
     }
 
     #[test]
@@ -191,7 +165,7 @@ mod tests {
         let p = MotionPattern::Rotate { deg_per_frame: 0.5 };
         let t = p.at(24);
         assert!((t.angle_rad - 12f64.to_radians()).abs() < 1e-12);
-        assert!(p.is_moving_at(3));
+        assert_ne!(p.at(3), p.at(4));
     }
 
     #[test]
@@ -218,10 +192,10 @@ mod tests {
         // Frames 10..15 are paused at tx = 20.
         assert!((p.at(10).tx - 20.0).abs() < 1e-12);
         assert!((p.at(14).tx - 20.0).abs() < 1e-12);
-        assert!(!p.is_moving_at(12));
+        assert_eq!(p.at(12), p.at(13));
         // Motion resumes at 15.
         assert!((p.at(16).tx - 22.0).abs() < 1e-12);
-        assert!(p.is_moving_at(15));
+        assert_ne!(p.at(15), p.at(16));
         // Second cycle accumulates on top of the first.
         assert!((p.at(25).tx - 40.0).abs() < 1e-12);
     }

@@ -59,13 +59,13 @@ impl Default for PhantomConfig {
 
 impl PhantomConfig {
     /// The motion actually used: the explicit override or the class default.
-    pub fn effective_motion(&self) -> MotionPattern {
+    pub(crate) fn effective_motion(&self) -> MotionPattern {
         self.motion.unwrap_or(default_motion(self.body_part))
     }
 }
 
 /// The clinically-motivated default trajectory per body part.
-pub fn default_motion(part: BodyPart) -> MotionPattern {
+pub(crate) fn default_motion(part: BodyPart) -> MotionPattern {
     match part {
         BodyPart::Bones => MotionPattern::Pan { dx: 1.0, dy: 0.0 },
         BodyPart::LungChest => MotionPattern::Breathe {
@@ -142,19 +142,6 @@ impl PhantomVideoBuilder {
     /// Sets the per-frame speckle amplitude in luma codes (default 2).
     pub fn noise_amplitude(mut self, amp: f64) -> Self {
         self.config.noise_amplitude = amp;
-        self
-    }
-
-    /// Sets the texture contrast gain (default 1).
-    pub fn texture_gain(mut self, gain: f64) -> Self {
-        self.config.texture_gain = gain;
-        self
-    }
-
-    /// Sets the vignette inner/outer normalized radii.
-    pub fn vignette(mut self, inner: f64, outer: f64) -> Self {
-        self.config.vignette_inner = inner;
-        self.config.vignette_outer = outer;
         self
     }
 
@@ -236,11 +223,6 @@ impl PhantomVideo {
     /// The configuration this video was built from.
     pub fn config(&self) -> &PhantomConfig {
         &self.config
-    }
-
-    /// The motion pattern in effect.
-    pub fn motion_pattern(&self) -> MotionPattern {
-        self.motion
     }
 
     /// Bilinearly samples the canvas at fractional coordinates.
@@ -539,10 +521,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "vignette")]
     fn bad_vignette_rejected() {
-        PhantomVideo::builder(BodyPart::Brain)
-            .resolution(Resolution::new(64, 48))
-            .vignette(1.0, 0.5)
-            .build();
+        PhantomVideo::new(PhantomConfig {
+            resolution: Resolution::new(64, 48),
+            vignette_inner: 1.0,
+            vignette_outer: 0.5,
+            ..Default::default()
+        });
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl OneAtATimeSearch {
     }
 
     /// Variant that rides `axis` first (direction-seeded).
-    pub const fn along(axis: MotionAxis) -> Self {
+    pub(crate) const fn along(axis: MotionAxis) -> Self {
         Self { first_axis: axis }
     }
 

@@ -66,20 +66,9 @@ impl BioMedicalSearch {
         Self { level, phase }
     }
 
-    /// Convenience constructor for the first frame of a GOP.
-    pub const fn first_frame(level: MotionLevel) -> Self {
-        Self::new(level, GopPhase::First)
-    }
-
-    /// Convenience constructor for later GOP frames with the direction
-    /// recovered from the first frame.
-    pub const fn subsequent(level: MotionLevel, direction: MotionVector) -> Self {
-        Self::new(level, GopPhase::Subsequent { direction })
-    }
-
     /// The window the policy actually searches, given the maximum
     /// window the encoder allows for this tile.
-    pub fn effective_window(&self, max_window: SearchWindow) -> SearchWindow {
+    pub(crate) fn effective_window(&self, max_window: SearchWindow) -> SearchWindow {
         match (self.level, self.phase) {
             // Low motion: 16x16 suffices on the GOP-first frame…
             (MotionLevel::Low, GopPhase::First) => min_window(max_window, SearchWindow::W16),
@@ -150,6 +139,14 @@ mod tests {
     use crate::cost::CostMetric;
     use medvt_frame::{Plane, Rect};
 
+    fn first_frame(level: MotionLevel) -> BioMedicalSearch {
+        BioMedicalSearch::new(level, GopPhase::First)
+    }
+
+    fn subsequent(level: MotionLevel, direction: MotionVector) -> BioMedicalSearch {
+        BioMedicalSearch::new(level, GopPhase::Subsequent { direction })
+    }
+
     fn shifted_planes(dx: isize, dy: isize) -> (Plane, Plane) {
         crate::testutil::shifted_planes(96, 96, dx, dy)
     }
@@ -167,16 +164,16 @@ mod tests {
 
     #[test]
     fn window_policy_matches_paper() {
-        let p = BioMedicalSearch::first_frame(MotionLevel::Low);
+        let p = first_frame(MotionLevel::Low);
         assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W16);
-        let p = BioMedicalSearch::subsequent(MotionLevel::Low, MotionVector::new(1, 0));
+        let p = subsequent(MotionLevel::Low, MotionVector::new(1, 0));
         assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W8);
-        let p = BioMedicalSearch::first_frame(MotionLevel::High);
+        let p = first_frame(MotionLevel::High);
         assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W64);
-        let p = BioMedicalSearch::subsequent(MotionLevel::High, MotionVector::new(1, 0));
+        let p = subsequent(MotionLevel::High, MotionVector::new(1, 0));
         assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W32);
         // Never grows beyond the allowed maximum.
-        let p = BioMedicalSearch::first_frame(MotionLevel::Low);
+        let p = first_frame(MotionLevel::Low);
         assert_eq!(p.effective_window(SearchWindow::W8), SearchWindow::W8);
     }
 
@@ -184,7 +181,7 @@ mod tests {
     fn low_motion_first_frame_finds_small_motion() {
         let (cur, reference) = shifted_planes(1, 1);
         let c = ctx(&cur, &reference, SearchWindow::W64);
-        let r = BioMedicalSearch::first_frame(MotionLevel::Low).search(&c);
+        let r = first_frame(MotionLevel::Low).search(&c);
         assert_eq!(r.mv, MotionVector::new(-1, -1));
         assert!(r.evaluations < 30);
     }
@@ -193,7 +190,7 @@ mod tests {
     fn low_motion_subsequent_rides_direction_cheaply() {
         let (cur, reference) = shifted_planes(2, 0);
         let c = ctx(&cur, &reference, SearchWindow::W64);
-        let r = BioMedicalSearch::subsequent(MotionLevel::Low, MotionVector::new(-2, 0)).search(&c);
+        let r = subsequent(MotionLevel::Low, MotionVector::new(-2, 0)).search(&c);
         assert_eq!(r.mv, MotionVector::new(-2, 0));
         assert!(r.evaluations <= 12, "evals={}", r.evaluations);
     }
@@ -202,7 +199,7 @@ mod tests {
     fn high_motion_first_frame_explores_widely() {
         let (cur, reference) = shifted_planes(7, -4);
         let c = ctx(&cur, &reference, SearchWindow::W64);
-        let r = BioMedicalSearch::first_frame(MotionLevel::High).search(&c);
+        let r = first_frame(MotionLevel::High).search(&c);
         assert_eq!(r.mv, MotionVector::new(-7, 4));
         assert_eq!(r.cost, 0);
     }
@@ -215,10 +212,9 @@ mod tests {
         // search into the right basin.
         let (cur, reference) = shifted_planes(14, -7);
         let c = ctx(&cur, &reference, SearchWindow::W64);
-        let cold = BioMedicalSearch::first_frame(MotionLevel::High).search(&c);
+        let cold = first_frame(MotionLevel::High).search(&c);
         let c2 = ctx(&cur, &reference, SearchWindow::W64);
-        let seeded =
-            BioMedicalSearch::subsequent(MotionLevel::High, MotionVector::new(-14, 7)).search(&c2);
+        let seeded = subsequent(MotionLevel::High, MotionVector::new(-14, 7)).search(&c2);
         assert_eq!(seeded.mv, MotionVector::new(-14, 7));
         assert_eq!(seeded.cost, 0);
         assert!(seeded.cost <= cold.cost);
@@ -228,8 +224,7 @@ mod tests {
     fn high_motion_subsequent_locks_orientation() {
         let (cur, reference) = shifted_planes(0, 12);
         let c = ctx(&cur, &reference, SearchWindow::W64);
-        let r =
-            BioMedicalSearch::subsequent(MotionLevel::High, MotionVector::new(0, -12)).search(&c);
+        let r = subsequent(MotionLevel::High, MotionVector::new(0, -12)).search(&c);
         assert_eq!(r.mv, MotionVector::new(0, -12));
     }
 
@@ -237,9 +232,9 @@ mod tests {
     fn subsequent_frames_cost_less_than_first() {
         let (cur, reference) = shifted_planes(6, 0);
         let c1 = ctx(&cur, &reference, SearchWindow::W64);
-        let first = BioMedicalSearch::first_frame(MotionLevel::High).search(&c1);
+        let first = first_frame(MotionLevel::High).search(&c1);
         let c2 = ctx(&cur, &reference, SearchWindow::W64);
-        let later = BioMedicalSearch::subsequent(MotionLevel::High, first.mv).search(&c2);
+        let later = subsequent(MotionLevel::High, first.mv).search(&c2);
         assert!(later.evaluations <= first.evaluations);
         assert_eq!(later.mv, first.mv);
     }
@@ -248,8 +243,7 @@ mod tests {
     fn cheaper_than_plain_hexagon_on_low_motion_tiles() {
         let (cur, reference) = shifted_planes(1, 0);
         let c1 = ctx(&cur, &reference, SearchWindow::W64);
-        let biomed =
-            BioMedicalSearch::subsequent(MotionLevel::Low, MotionVector::new(-1, 0)).search(&c1);
+        let biomed = subsequent(MotionLevel::Low, MotionVector::new(-1, 0)).search(&c1);
         let c2 = ctx(&cur, &reference, SearchWindow::W64);
         let hex = HexagonSearch::default().search(&c2);
         assert!(biomed.evaluations < hex.evaluations);

@@ -158,7 +158,13 @@ pub fn ssd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u6
 /// # Panics
 ///
 /// Panics when `block` is not fully inside `cur`.
-pub fn ssd_upto(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector, bound: u64) -> u64 {
+pub(crate) fn ssd_upto(
+    cur: &Plane,
+    reference: &Plane,
+    block: &Rect,
+    mv: MotionVector,
+    bound: u64,
+) -> u64 {
     assert!(
         cur.bounds().contains_rect(block),
         "block {block} outside current plane"
@@ -248,7 +254,7 @@ pub fn satd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u
 /// # Panics
 ///
 /// Panics when `block` is not fully inside `cur`.
-pub fn satd_upto(
+pub(crate) fn satd_upto(
     cur: &Plane,
     reference: &Plane,
     block: &Rect,

@@ -82,7 +82,7 @@ impl DispatchTier {
 }
 
 /// Whether `MEDVT_FORCE_SCALAR` pins dispatch to the scalar tier.
-pub fn forced_scalar() -> bool {
+pub(crate) fn forced_scalar() -> bool {
     match std::env::var("MEDVT_FORCE_SCALAR") {
         Ok(v) => !v.is_empty() && v != "0",
         Err(_) => false,
@@ -338,7 +338,7 @@ mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
-    pub unsafe fn row_sad_sse2(cur: &[u8], reference: &[u8]) -> u64 {
+    pub(crate) unsafe fn row_sad_sse2(cur: &[u8], reference: &[u8]) -> u64 {
         let n = cur.len().min(reference.len());
         let mut acc = _mm_setzero_si128();
         let mut i = 0usize;
@@ -363,7 +363,7 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_sad_avx2(cur: &[u8], reference: &[u8]) -> u64 {
+    pub(crate) unsafe fn row_sad_avx2(cur: &[u8], reference: &[u8]) -> u64 {
         let n = cur.len().min(reference.len());
         let mut acc = _mm256_setzero_si256();
         let mut i = 0usize;
@@ -427,7 +427,7 @@ mod x86 {
     /// For every `row < h`, both pointers must be valid for reads of
     /// `W` bytes at `row * stride`; the host must support SSE2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn block_sad_sse2<const W: usize>(
+    pub(crate) unsafe fn block_sad_sse2<const W: usize>(
         cur: *const u8,
         cur_stride: usize,
         reference: *const u8,
@@ -458,7 +458,7 @@ mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
-    pub unsafe fn row_ssd_sse2(cur: &[u8], reference: &[u8]) -> u64 {
+    pub(crate) unsafe fn row_ssd_sse2(cur: &[u8], reference: &[u8]) -> u64 {
         let n = cur.len().min(reference.len());
         // Each i32 lane gains at most 2 * 255^2 per 16-sample chunk, so
         // lanes stay far from i32::MAX for any plausible row length.
@@ -492,7 +492,7 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_ssd_avx2(cur: &[u8], reference: &[u8]) -> u64 {
+    pub(crate) unsafe fn row_ssd_avx2(cur: &[u8], reference: &[u8]) -> u64 {
         let n = cur.len().min(reference.len());
         debug_assert!(n <= 1 << 15, "row too long for i32 lane accumulation");
         let zero = _mm256_setzero_si256();
@@ -532,7 +532,7 @@ mod x86 {
     /// same 16 values as the scalar row-first order. All intermediates
     /// fit i16: inputs in [-255, 255] grow to at most 4080.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn satd4_sse2(
+    pub(crate) unsafe fn satd4_sse2(
         cur: &[u8],
         cur_stride: usize,
         reference: &[u8],

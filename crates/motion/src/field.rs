@@ -125,11 +125,6 @@ impl MotionField {
         self.mvs[row * self.cols + col]
     }
 
-    /// All vectors in raster order.
-    pub fn vectors(&self) -> &[MotionVector] {
-        &self.mvs
-    }
-
     /// Distortions of the selected vectors, raster order.
     pub fn costs(&self) -> &[u64] {
         &self.costs
@@ -211,7 +206,7 @@ mod tests {
         // 40/16 → 3 cols, 24/16 → 2 rows.
         assert_eq!(field.grid(), (3, 2));
         assert_eq!(stats.blocks, 6);
-        assert_eq!(field.vectors().len(), 6);
+        assert_eq!(field.mvs.len(), 6);
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod algorithms;
@@ -69,9 +70,7 @@ pub use algorithms::{
     ThreeStepSearch, TzSearch,
 };
 pub use biomed::{BioMedicalSearch, GopPhase, MotionLevel};
-pub use cost::{
-    block_cost, block_cost_upto, sad, sad_upto, satd, satd_upto, ssd, ssd_upto, CostMetric,
-};
+pub use cost::{block_cost, block_cost_upto, sad, sad_upto, satd, ssd, CostMetric};
 pub use field::{FieldStats, MotionField};
 pub use mv::{MotionAxis, MotionVector};
 pub use search::{Best, MotionSearch, SearchContext, SearchResult, SearchWindow};

@@ -43,24 +43,24 @@ impl MotionVector {
     }
 
     /// Chebyshev (max-axis) norm — the norm search windows clamp.
-    pub fn linf_norm(&self) -> i16 {
+    pub(crate) fn linf_norm(&self) -> i16 {
         self.x.abs().max(self.y.abs())
     }
 
     /// `true` when both components are zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         *self == Self::ZERO
     }
 
     /// Clamps each component into `[-limit, limit]`.
-    pub fn clamped(&self, limit: i16) -> MotionVector {
+    pub(crate) fn clamped(&self, limit: i16) -> MotionVector {
         MotionVector::new(self.x.clamp(-limit, limit), self.y.clamp(-limit, limit))
     }
 
     /// The coarse axis of this vector, used to pick the hexagon-search
     /// orientation (paper §III-C2: horizontal hexagon when the motion is
     /// more horizontal).
-    pub fn dominant_axis(&self) -> MotionAxis {
+    pub(crate) fn dominant_axis(&self) -> MotionAxis {
         if self.is_zero() {
             MotionAxis::None
         } else if self.x.abs() >= self.y.abs() {

@@ -253,13 +253,13 @@ impl<'a> SearchContext<'a> {
     /// A derived context over the same planes/block with a different
     /// window (used by policy algorithms that shrink the window); the
     /// evaluation counter starts at zero.
-    pub fn narrowed(&self, window: SearchWindow) -> SearchContext<'a> {
+    pub(crate) fn narrowed(&self, window: SearchWindow) -> SearchContext<'a> {
         self.narrowed_with_predictor(window, self.predictor)
     }
 
     /// Like [`SearchContext::narrowed`] but replacing the predictor,
     /// used when a policy injects an inherited motion direction.
-    pub fn narrowed_with_predictor(
+    pub(crate) fn narrowed_with_predictor(
         &self,
         window: SearchWindow,
         predictor: MotionVector,
@@ -276,13 +276,9 @@ impl<'a> SearchContext<'a> {
 
     /// Cost of candidate `mv`, or `None` when it falls outside the
     /// window. Repeated queries of the same candidate are served from
-    /// cache and counted once.
-    pub fn try_cost(&self, mv: MotionVector) -> Option<u64> {
-        self.try_cost_upto(mv, u64::MAX)
-    }
-
-    /// Like [`SearchContext::try_cost`] but with an early-termination
-    /// `bound`: the metric may stop at a row boundary once its partial
+    /// cache and counted once. With an early-termination `bound` (pass
+    /// `u64::MAX` for the exact cost) the metric may stop at a row
+    /// boundary once its partial
     /// sum reaches `bound`. The result decides `cost < bound` exactly
     /// like the exact cost would (see [`crate::cost`]), and is exact
     /// whenever it is below `bound` — so search decisions driven by a
@@ -292,7 +288,7 @@ impl<'a> SearchContext<'a> {
     ///
     /// Distinct candidates are still counted exactly once in
     /// [`SearchContext::evaluations`], terminated or not.
-    pub fn try_cost_upto(&self, mv: MotionVector, bound: u64) -> Option<u64> {
+    pub(crate) fn try_cost_upto(&self, mv: MotionVector, bound: u64) -> Option<u64> {
         if !self.window.contains(mv) {
             return None;
         }
@@ -372,8 +368,8 @@ impl Best {
     /// on improvement.
     ///
     /// The evaluation early-terminates against the running best cost
-    /// (decision-equivalent to the exact comparison; see
-    /// [`SearchContext::try_cost_upto`]), so hopeless candidates stop
+    /// (decision-equivalent to the exact comparison), so hopeless
+    /// candidates stop
     /// after a few rows.
     pub fn try_candidate(&mut self, ctx: &SearchContext<'_>, mv: MotionVector) -> bool {
         match ctx.try_cost_upto(mv, self.cost) {
@@ -401,8 +397,8 @@ pub struct SearchResult {
 
 /// A block-matching motion search algorithm.
 ///
-/// Implementations must stay inside `ctx.window()` (guaranteed by
-/// [`SearchContext::try_cost`]) and should start from
+/// Implementations must stay inside `ctx.window()` (guaranteed by the
+/// context's cost queries) and should start from
 /// [`SearchContext::predictor`].
 pub trait MotionSearch: std::fmt::Debug {
     /// Human-readable algorithm name used in experiment tables.
@@ -449,9 +445,9 @@ mod tests {
             MotionVector::ZERO,
         );
         assert_eq!(ctx.evaluations(), 0);
-        ctx.try_cost(MotionVector::ZERO);
-        ctx.try_cost(MotionVector::ZERO); // cached, not recounted
-        ctx.try_cost(MotionVector::new(1, 0));
+        ctx.try_cost_upto(MotionVector::ZERO, u64::MAX);
+        ctx.try_cost_upto(MotionVector::ZERO, u64::MAX); // cached, not recounted
+        ctx.try_cost_upto(MotionVector::new(1, 0), u64::MAX);
         assert_eq!(ctx.evaluations(), 2);
     }
 
@@ -466,7 +462,9 @@ mod tests {
             CostMetric::Sad,
             MotionVector::ZERO,
         );
-        assert!(ctx.try_cost(MotionVector::new(9, 0)).is_none());
+        assert!(ctx
+            .try_cost_upto(MotionVector::new(9, 0), u64::MAX)
+            .is_none());
         assert_eq!(ctx.evaluations(), 0);
     }
 
@@ -517,7 +515,9 @@ mod tests {
             )
         };
         let ctx = make_ctx();
-        let exact = ctx.try_cost(MotionVector::new(5, 5)).unwrap();
+        let exact = ctx
+            .try_cost_upto(MotionVector::new(5, 5), u64::MAX)
+            .unwrap();
         assert!(exact > 0);
 
         let ctx2 = make_ctx();
@@ -530,7 +530,10 @@ mod tests {
         assert!(lb2 >= 1);
         assert_eq!(ctx2.evaluations(), 1, "repeat query must not recount");
         // Unbounded re-query upgrades to the exact cost, still one eval.
-        assert_eq!(ctx2.try_cost(MotionVector::new(5, 5)), Some(exact));
+        assert_eq!(
+            ctx2.try_cost_upto(MotionVector::new(5, 5), u64::MAX),
+            Some(exact)
+        );
         assert_eq!(ctx2.evaluations(), 1);
         // A bound above the cost returns the exact value.
         let ctx3 = make_ctx();
@@ -569,12 +572,12 @@ mod tests {
         );
         let mut exact_best = (
             MotionVector::ZERO,
-            verify.try_cost(MotionVector::ZERO).unwrap(),
+            verify.try_cost_upto(MotionVector::ZERO, u64::MAX).unwrap(),
         );
         for dy in -8i16..=8 {
             for dx in -8i16..=8 {
                 let mv = MotionVector::new(dx, dy);
-                let c = verify.try_cost(mv).unwrap();
+                let c = verify.try_cost_upto(mv, u64::MAX).unwrap();
                 if c < exact_best.1 {
                     exact_best = (mv, c);
                 }

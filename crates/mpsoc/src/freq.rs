@@ -18,16 +18,6 @@ use std::fmt;
 pub struct FreqLevel(u64);
 
 impl FreqLevel {
-    /// Creates a level from hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hz` is zero.
-    pub const fn from_hz(hz: u64) -> Self {
-        assert!(hz > 0, "frequency must be non-zero");
-        Self(hz)
-    }
-
     /// Creates a level from gigahertz.
     ///
     /// # Panics
@@ -50,14 +40,14 @@ impl FreqLevel {
 
     /// Core voltage at this operating point (linear V/f map calibrated
     /// to the Xeon E5-2667 v4 envelope: 2.9 GHz→0.95 V, 3.6 GHz→1.10 V).
-    pub fn voltage(&self) -> f64 {
+    pub(crate) fn voltage(&self) -> f64 {
         let ghz = self.ghz();
         (0.95 + (ghz - 2.9) * (0.15 / 0.7)).clamp(0.7, 1.3)
     }
 
     /// Seconds to execute work specified in fmax-seconds at this level:
     /// `load_fmax * fmax / self`.
-    pub fn stretch(&self, load_fmax_secs: f64, fmax: FreqLevel) -> f64 {
+    pub(crate) fn stretch(&self, load_fmax_secs: f64, fmax: FreqLevel) -> f64 {
         load_fmax_secs * fmax.hz() as f64 / self.hz() as f64
     }
 }
@@ -97,7 +87,7 @@ impl FrequencySet {
     }
 
     /// An Arm-style "big" cluster ladder: 1.4, 1.8 and 2.0 GHz.
-    pub fn big_cluster() -> Self {
+    pub(crate) fn big_cluster() -> Self {
         Self::new(vec![
             FreqLevel::from_ghz(1.4),
             FreqLevel::from_ghz(1.8),
@@ -125,7 +115,8 @@ impl FrequencySet {
     }
 
     /// All levels, ascending.
-    pub fn levels(&self) -> &[FreqLevel] {
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> &[FreqLevel] {
         &self.levels
     }
 
@@ -142,7 +133,7 @@ impl FrequencySet {
     /// The lowest frequency at which `load_fmax_secs` of fmax-work
     /// still finishes within `slot_secs`, or `None` when even the
     /// maximum cannot.
-    pub fn lowest_meeting(&self, load_fmax_secs: f64, slot_secs: f64) -> Option<FreqLevel> {
+    pub(crate) fn lowest_meeting(&self, load_fmax_secs: f64, slot_secs: f64) -> Option<FreqLevel> {
         let fmax = self.max();
         self.levels
             .iter()

@@ -70,7 +70,7 @@ impl CoreClass {
     }
 
     /// The class's DVFS ladder.
-    pub fn freqs(&self) -> &FrequencySet {
+    pub(crate) fn freqs(&self) -> &FrequencySet {
         &self.freqs
     }
 
@@ -237,35 +237,13 @@ impl Platform {
         self.sockets * self.cores_per_socket()
     }
 
-    /// Core ids belonging to socket `socket` (cores are numbered
-    /// socket-major: socket 0 owns `0..cores_per_socket()`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `socket` is out of range.
-    pub fn socket_cores(&self, socket: usize) -> std::ops::Range<usize> {
-        assert!(socket < self.sockets, "socket {socket} out of range");
-        let per = self.cores_per_socket();
-        socket * per..(socket + 1) * per
-    }
-
-    /// The socket a core id belongs to.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `core` is out of range.
-    pub fn socket_of(&self, core: usize) -> usize {
-        assert!(core < self.total_cores(), "core {core} out of range");
-        core / self.cores_per_socket()
-    }
-
     /// Index (into [`Platform::classes`]) of the class core `core`
     /// belongs to.
     ///
     /// # Panics
     ///
     /// Panics when `core` is out of range.
-    pub fn class_index_of(&self, core: usize) -> usize {
+    pub(crate) fn class_index_of(&self, core: usize) -> usize {
         assert!(core < self.total_cores(), "core {core} out of range");
         let mut within = core % self.cores_per_socket();
         for (i, class) in self.classes.iter().enumerate() {
@@ -282,7 +260,7 @@ impl Platform {
     /// # Panics
     ///
     /// Panics when `core` is out of range.
-    pub fn class_of(&self, core: usize) -> &CoreClass {
+    pub(crate) fn class_of(&self, core: usize) -> &CoreClass {
         &self.classes[self.class_index_of(core)]
     }
 
@@ -339,8 +317,8 @@ impl Platform {
     }
 
     /// The reference DVFS ladder (class 0's). Homogeneous platforms
-    /// have exactly one ladder; heterogeneous callers should prefer
-    /// [`Platform::class_of`] + [`CoreClass::freqs`].
+    /// have exactly one ladder; heterogeneous callers should read each
+    /// core class's own.
     pub fn freqs(&self) -> &FrequencySet {
         self.classes[0].freqs()
     }
@@ -391,12 +369,6 @@ mod tests {
     #[test]
     fn socket_topology_accessors() {
         let p = Platform::xeon_e5_2667_quad();
-        assert_eq!(p.socket_cores(0), 0..8);
-        assert_eq!(p.socket_cores(3), 24..32);
-        assert_eq!(p.socket_of(0), 0);
-        assert_eq!(p.socket_of(7), 0);
-        assert_eq!(p.socket_of(8), 1);
-        assert_eq!(p.socket_of(31), 3);
         let shard = p.socket_view(2);
         assert_eq!(shard.sockets, 1);
         assert_eq!(shard.total_cores(), 8);
@@ -434,8 +406,6 @@ mod tests {
         assert_eq!(p.class_of(7).name, "LITTLE");
         assert_eq!(p.class_of(8).name, "big");
         assert_eq!(p.class_of(15).name, "LITTLE");
-        assert_eq!(p.socket_of(7), 0);
-        assert_eq!(p.socket_of(8), 1);
         // Speeds and capacity: 8×1.0 + 8×0.45 = 11.6 reference cores.
         let speeds = p.core_speeds();
         assert_eq!(speeds.len(), 16);
@@ -464,12 +434,6 @@ mod tests {
         assert!((shard.speed_capacity() - 5.8).abs() < 1e-9);
         assert_eq!(shard.class_of(0).name, "big");
         assert_eq!(shard.class_of(4).name, "LITTLE");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn socket_cores_out_of_range_rejected() {
-        Platform::quad_core().socket_cores(1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Power of a core actively executing at `freq`, in watts.
-    pub fn active_power_w(&self, freq: FreqLevel) -> f64 {
+    pub(crate) fn active_power_w(&self, freq: FreqLevel) -> f64 {
         let v = freq.voltage();
         self.static_w + self.ceff_w_per_ghz_v2 * v * v * freq.ghz()
     }
@@ -41,7 +41,7 @@ impl PowerModel {
 
     /// Power of a core idling with its clock still running at `freq`
     /// (pinned-rail operation, no clock gating), in watts.
-    pub fn clock_idle_power_w(&self, freq: FreqLevel) -> f64 {
+    pub(crate) fn clock_idle_power_w(&self, freq: FreqLevel) -> f64 {
         let v = freq.voltage();
         self.static_w + self.clock_idle_frac * self.ceff_w_per_ghz_v2 * v * v * freq.ghz()
     }

@@ -47,25 +47,15 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A model billing per GOP window of `gop_slots` slots at `fps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fps` is not strictly positive or `gop_slots` is 0.
-    pub fn per_gop_window(fps: f64, gop_slots: usize) -> Self {
-        assert!(fps > 0.0 && fps.is_finite(), "fps must be positive");
-        assert!(gop_slots > 0, "a GOP window needs at least one slot");
-        Self {
-            window_secs: gop_slots as f64 / fps,
-            ..Self::default()
-        }
-    }
-
     /// Unquantized credits per window for every core of `class` in one
     /// socket: full-tilt energy at the class f_max (its own power
     /// model, or `default_power` when none is attached) plus the
     /// speed-factor capacity premium.
-    pub fn class_window_credits(&self, class: &CoreClass, default_power: &PowerModel) -> f64 {
+    pub(crate) fn class_window_credits(
+        &self,
+        class: &CoreClass,
+        default_power: &PowerModel,
+    ) -> f64 {
         let power = class.power().unwrap_or(default_power);
         let energy_j = power.active_power_w(class.fmax()) * self.window_secs;
         class.cores_per_socket as f64
@@ -75,7 +65,11 @@ impl CostModel {
 
     /// Unquantized credits per window for the whole platform (all
     /// sockets, all classes).
-    pub fn platform_window_credits(&self, platform: &Platform, default_power: &PowerModel) -> f64 {
+    pub(crate) fn platform_window_credits(
+        &self,
+        platform: &Platform,
+        default_power: &PowerModel,
+    ) -> f64 {
         platform.sockets as f64
             * platform
                 .classes()
@@ -152,13 +146,5 @@ mod tests {
             little.speed_factor,
         );
         assert!(m.class_window_credits(&bare, &dflt) > with_own);
-    }
-
-    #[test]
-    fn per_gop_window_tracks_fps() {
-        let m = CostModel::per_gop_window(24.0, 8);
-        assert!((m.window_secs - 1.0 / 3.0).abs() < 1e-12);
-        let slow = CostModel::per_gop_window(12.0, 8);
-        assert!(slow.window_secs > m.window_secs);
     }
 }

@@ -64,7 +64,7 @@ pub struct CorePlan {
 
 impl CorePlan {
     /// `true` when the core finished its assigned load in the slot.
-    pub fn met_deadline(&self) -> bool {
+    pub(crate) fn met_deadline(&self) -> bool {
         self.carry_fmax_secs <= 1e-12
     }
 
@@ -207,11 +207,6 @@ impl SlotReport {
     /// Mean power over the slot, watts.
     pub fn power_w(&self) -> f64 {
         self.energy_j / self.slot_secs
-    }
-
-    /// Total load carried into the next slot, reference fmax-seconds.
-    pub fn total_carry(&self) -> f64 {
-        self.cores.iter().map(|c| c.carry_fmax_secs).sum()
     }
 
     /// Cores that executed anything this slot.
@@ -474,7 +469,6 @@ mod tests {
         );
         assert_eq!(report.transition_bound_cores, 1);
         assert!(report.energy_j >= 0.0);
-        assert!(report.total_carry() >= 0.0);
     }
 
     #[test]
@@ -493,7 +487,7 @@ mod tests {
         assert_eq!(report.deadline_misses, 1);
         assert_eq!(report.transition_bound_cores, 0);
         assert_eq!(report.active_cores(), 3);
-        assert!(report.total_carry() > 0.0);
+        assert!(report.cores[3].carry_fmax_secs > 0.0);
         assert!(report.power_w() > 0.0);
         assert_eq!(report.core_energy_j.len(), 4);
         let sum: f64 = report.core_energy_j.iter().sum();

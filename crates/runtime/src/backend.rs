@@ -50,7 +50,7 @@ impl std::fmt::Debug for WorkUnit<'_> {
 
 impl<'scope> WorkUnit<'scope> {
     /// A cost-only unit (profile replay).
-    pub fn cost_only(user: usize, thread: usize, core: usize, cost_fmax_secs: f64) -> Self {
+    pub(crate) fn cost_only(user: usize, thread: usize, core: usize, cost_fmax_secs: f64) -> Self {
         Self {
             user,
             thread,

@@ -12,22 +12,20 @@
 //! timing. This crate closes that gap with one executor abstraction
 //! serving both worlds:
 //!
-//! * [`WorkerPool`] — persistent per-core worker threads with FIFO
-//!   queues and scoped, borrow-friendly submission;
 //! * [`ExecutionBackend`] — the slot-execution trait;
 //! * [`SimBackend`] — the analytical slot model (extracted from
 //!   `core::server`/`mpsoc::simulate_slot`), pricing work units
 //!   without running them;
-//! * [`ThreadPoolBackend`] — runs real work units on the pool,
-//!   honouring `sched::place_threads` assignments, with the *same*
+//! * [`ThreadPoolBackend`] — runs real work units on a pool of
+//!   persistent per-core worker threads (FIFO queues, scoped
+//!   borrow-friendly submission), honouring `sched::place_threads` assignments, with the *same*
 //!   analytical accounting (also an `encoder::TileExecutor`, so
 //!   `VideoEncoder::encode_clip_with` transparently encodes on it);
-//! * [`ServerLoop`] — the backend-generic multi-user frame-slot loop
-//!   behind `core::ServerSim`;
-//! * [`LoopDriver`] — the same engine as an explicitly-stepped loop
-//!   with per-user accounting and GOP-boundary membership changes, the
-//!   per-socket shard loop under the `medvt-admission` online serving
-//!   subsystem.
+//! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
+//!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
+//!   stepped GOP by GOP with per-user accounting and membership deltas
+//!   as the per-socket shard loop under `medvt-admission`'s online
+//!   serving and each `medvt-cluster` worker.
 //!
 //! # Mapping to the paper's Algorithm 2
 //!
@@ -37,7 +35,7 @@
 //! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run by [`LoopDriver`] at a GOP boundary (`ReplanPolicy::PerGop`) or a membership change, and only when a member or a demand estimate changed since the last pass; per-frame tile→worker placement (`ThreadPoolBackend::place_for_costs`) uses speed-blind `place_threads` over the host's (homogeneous) worker threads |
 //! | 16–20 | per-core DVFS for the slot | `mpsoc::plan_core_on` (per core class) via the backend's analytical accounting |
 //! | 21–22 | deadline-miss carry into the next slot | backend state: [`SimBackend`]/[`ThreadPoolBackend`] carry vectors |
-//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::step`] (under [`ServerLoop::run`] and online serving alike) |
+//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::advance`] (under [`LoopDriver::run`] and online serving alike) |
 //!
 //! # Example
 //!
@@ -71,21 +69,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod backend;
-mod node;
 mod pool;
 mod server;
 mod sim;
 mod threadpool;
 
 pub use backend::{ExecutionBackend, SlotOutcome, WorkUnit};
-pub use node::{Node, NodeCommand, NodeResponse};
-pub use pool::{ExecRecord, PoolScope, WorkerPool};
+pub use pool::ExecRecord;
 pub use server::{
-    ControllerTiming, DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoop,
-    ServerLoopConfig, UserLoopStats, WindowTiming,
+    ControllerTiming, DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig,
+    UserLoopStats, WindowTiming,
 };
 pub use sim::SimBackend;
 pub use threadpool::ThreadPoolBackend;

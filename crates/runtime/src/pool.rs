@@ -58,7 +58,7 @@ impl ScopeState {
 }
 
 /// The persistent worker pool.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
@@ -74,7 +74,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns a pool of `workers` persistent threads (at least one).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             log: Mutex::new(Vec::new()),
@@ -103,13 +103,13 @@ impl WorkerPool {
     }
 
     /// Number of workers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.senders.len()
     }
 
     /// Enables or disables the execution log (disabled by default; the
     /// log is for tests and diagnostics, not the hot path).
-    pub fn set_logging(&self, enabled: bool) {
+    pub(crate) fn set_logging(&self, enabled: bool) {
         self.shared.log_enabled.store(enabled, Ordering::SeqCst);
         if enabled {
             self.shared.log.lock().expect("log lock").clear();
@@ -117,7 +117,7 @@ impl WorkerPool {
     }
 
     /// Drains the execution log collected since logging was enabled.
-    pub fn drain_log(&self) -> Vec<ExecRecord> {
+    pub(crate) fn drain_log(&self) -> Vec<ExecRecord> {
         std::mem::take(&mut *self.shared.log.lock().expect("log lock"))
     }
 
@@ -129,7 +129,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics when any job submitted by *this* scope panicked.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
+    pub(crate) fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
         let state = Arc::new(ScopeState {
             pending: Mutex::new(0),
             idle: Condvar::new(),
@@ -178,7 +178,7 @@ impl Drop for WorkerPool {
 }
 
 /// Submission handle inside [`WorkerPool::scope`].
-pub struct PoolScope<'pool, 'env> {
+pub(crate) struct PoolScope<'pool, 'env> {
     pool: &'pool WorkerPool,
     state: Arc<ScopeState>,
     _env: PhantomData<&'env mut &'env ()>,
@@ -193,7 +193,13 @@ impl std::fmt::Debug for PoolScope<'_, '_> {
 impl<'env> PoolScope<'_, 'env> {
     /// Enqueues `job` on the FIFO queue of `core` (modulo the worker
     /// count). `user`/`item` tag the job in the execution log.
-    pub fn submit(&self, core: usize, user: usize, item: usize, job: impl FnOnce() + Send + 'env) {
+    pub(crate) fn submit(
+        &self,
+        core: usize,
+        user: usize,
+        item: usize,
+        job: impl FnOnce() + Send + 'env,
+    ) {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(job);
         // SAFETY: `scope` blocks until this scope's pending count hits
         // zero (even on unwind, via its guard), so borrows with

@@ -6,15 +6,14 @@
 //! dispatch, deadline-miss carry-over (lines 21–22, owned by the
 //! backend) and the paper's one-second framerate windows.
 //!
-//! Two entry points share one engine:
+//! One engine, [`LoopDriver`], used two ways:
 //!
-//! * [`ServerLoop::run`] — the closed-membership batch run used by
+//! * [`LoopDriver::run`] — the closed-membership batch run used by
 //!   `core::ServerSim` (admission settled up front);
-//! * [`LoopDriver`] — the explicit stepping interface behind online
-//!   serving: an admission controller advances the loop GOP by GOP,
-//!   reads the per-user accounting ([`UserLoopStats`]) and applies
-//!   membership deltas at GOP boundaries with
-//!   [`LoopDriver::update_membership`].
+//! * explicit stepping behind online serving: an admission controller
+//!   advances the loop GOP by GOP ([`LoopDriver::advance`]), reads the
+//!   per-user accounting ([`UserLoopStats`]) and applies membership
+//!   deltas at GOP boundaries with [`LoopDriver::update_membership`].
 //!
 //! There is one placer: [`place_threads_on`] from scratch over the
 //! members' padded GOP estimates, run only when a member joined or
@@ -103,32 +102,6 @@ impl ControllerTiming {
         }
     }
 
-    /// Field-wise accumulation (aggregating shards into a serve-level
-    /// total).
-    pub fn absorb(&mut self, other: &ControllerTiming) {
-        self.boundaries += other.boundaries;
-        self.replans += other.replans;
-        self.placement_ns += other.placement_ns;
-        self.queue_ns += other.queue_ns;
-        self.decisions += other.decisions;
-    }
-
-    /// Total controller wall nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.placement_ns + self.queue_ns
-    }
-
-    /// Decisions per second of controller time; `None` when no time
-    /// was measured.
-    pub fn decisions_per_sec(&self) -> Option<f64> {
-        let ns = self.total_ns();
-        if ns == 0 {
-            None
-        } else {
-            Some(self.decisions as f64 / (ns as f64 * 1e-9))
-        }
-    }
-
     /// Copy with the wall-clock nanosecond fields zeroed, keeping the
     /// deterministic counters — the backend-independent part.
     pub fn modeled_only(&self) -> Self {
@@ -187,7 +160,7 @@ pub struct ServerLoopConfig {
 
 impl ServerLoopConfig {
     /// The deadline-window length in slots.
-    pub fn window_len(&self) -> usize {
+    pub(crate) fn window_len(&self) -> usize {
         self.window_slots
             .unwrap_or(self.fps.round().max(1.0) as usize)
             .max(1)
@@ -307,21 +280,6 @@ pub struct LoopReport {
 }
 
 impl LoopReport {
-    fn empty() -> Self {
-        Self {
-            energy_j: 0.0,
-            miss_slots: 0,
-            windows: 0,
-            window_misses: 0,
-            active_core_slots: 0,
-            slots: 0,
-            wall_secs: 0.0,
-            users: Vec::new(),
-            window_times: Vec::new(),
-            controller: ControllerTiming::default(),
-        }
-    }
-
     /// Mean busy cores per slot; 0.0 (not NaN) on an empty run.
     pub fn avg_active_cores(&self) -> f64 {
         if self.slots == 0 {
@@ -401,9 +359,9 @@ fn unestimated(user: usize) -> UserDemand {
     }
 }
 
-/// An in-flight server-loop run with explicit stepping — the engine
-/// under [`ServerLoop`] and the per-socket shard loop the admission
-/// subsystem drives in lockstep.
+/// An in-flight server-loop run: run to completion with
+/// [`LoopDriver::run`], or stepped explicitly as the per-socket shard
+/// loop the admission subsystem drives in lockstep.
 ///
 /// The driver owns its backend (`&mut B` also implements
 /// [`ExecutionBackend`], so borrowing callers pass a reborrow) and
@@ -414,10 +372,9 @@ fn unestimated(user: usize) -> UserDemand {
 /// [`Recorder`](medvt_telemetry::Recorder) (default
 /// [`NoopRecorder`] — zero cost, statically dispatched away). Cheap
 /// counters/histograms are always maintained in a local [`Metrics`]
-/// registry ([`LoopDriver::meter`]); typed events (GOP boundary,
-/// replan, per-core slot activity) are emitted only when
-/// `R::ENABLED`, and the meter is folded into the recorder by
-/// [`LoopDriver::into_report`].
+/// registry; typed events (GOP boundary, replan, per-core slot
+/// activity) are emitted only when `R::ENABLED`, and the meter is
+/// folded into the recorder by [`LoopDriver::into_report`].
 #[derive(Debug)]
 pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     backend: B,
@@ -507,6 +464,9 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         let speeds = backend.core_speeds();
         let executes_work = backend.executes_work();
         assert_eq!(speeds.len(), cores, "one speed factor per backend core");
+        // Members handed in without placements are placed at the first
+        // slot, whatever the policy.
+        let unplaced = initial.is_empty() && !admitted.is_empty();
         Self {
             backend,
             recorder,
@@ -520,7 +480,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             // Handed-in placements were not computed from estimates.
             dirty: !initial.is_empty(),
             placements: initial,
-            replan_pending: false,
+            replan_pending: unplaced,
             miss_streaks: BTreeSet::new(),
             meter: Metrics::new(),
             slot: 0,
@@ -538,21 +498,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_modeled_acc: 0.0,
             window_times: Vec::new(),
         }
-    }
-
-    /// The next slot to execute.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Currently admitted users.
-    pub fn admitted(&self) -> &[usize] {
-        &self.admitted
-    }
-
-    /// The loop configuration.
-    pub fn config(&self) -> &ServerLoopConfig {
-        &self.cfg
     }
 
     /// Running per-user accounting for `user` (None before its first
@@ -622,14 +567,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         self.miss_streaks.iter().copied()
     }
 
-    /// The driver-local telemetry registry: boundary/replan counters,
-    /// placement-latency and window-ratio histograms. Fold it into a
-    /// central registry with [`Metrics::absorb`] (done automatically
-    /// against the recorder by [`LoopDriver::into_report`]).
-    pub fn meter(&self) -> &Metrics {
-        &self.meter
-    }
-
     /// Runs `n` slots.
     pub fn advance(&mut self, source: &impl DemandSource, n: usize) {
         for _ in 0..n {
@@ -637,16 +574,18 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         }
     }
 
-    /// Snapshot of the aggregate report so far.
+    /// Finishes the run, returning the report. The driver's meter is
+    /// folded into its recorder ([`Recorder::absorb`]; no-op when
+    /// telemetry is disabled).
     ///
     /// Window timing includes the trailing partial window when the
-    /// run stopped (or is being observed) mid-window — otherwise its
-    /// measured/modeled seconds would silently vanish from the ratios
-    /// whenever the horizon is not a multiple of the window length.
-    pub fn report(&self) -> LoopReport {
-        let mut window_times = self.window_times.clone();
+    /// run stopped mid-window — otherwise its measured/modeled seconds
+    /// would silently vanish from the ratios whenever the horizon is
+    /// not a multiple of the window length.
+    pub fn into_report(mut self) -> LoopReport {
+        self.recorder.absorb(&self.meter);
         if self.window_wall_acc > 0.0 || self.window_modeled_acc > 0.0 {
-            window_times.push(WindowTiming {
+            self.window_times.push(WindowTiming {
                 end_slot: self.slot,
                 wall_secs: self.window_wall_acc,
                 modeled_secs: self.window_modeled_acc,
@@ -660,18 +599,17 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             active_core_slots: self.active_core_slots,
             slots: self.slot,
             wall_secs: self.wall_secs,
-            users: self.users.values().copied().collect(),
-            window_times,
+            users: self.users.into_values().collect(),
+            window_times: self.window_times,
             controller: ControllerTiming::from_metrics(&self.meter),
         }
     }
 
-    /// Finishes the run, returning the report. The driver's meter is
-    /// folded into its recorder ([`Recorder::absorb`]; no-op when
-    /// telemetry is disabled).
-    pub fn into_report(self) -> LoopReport {
-        self.recorder.absorb(&self.meter);
-        self.report()
+    /// The closed-membership batch run: executes the configured
+    /// `cfg.slots` slots and finishes ([`LoopDriver::into_report`]).
+    pub fn run(mut self, source: &impl DemandSource) -> LoopReport {
+        self.advance(source, self.cfg.slots);
+        self.into_report()
     }
 
     /// Mean per-tile demand of `user` over the GOP starting at
@@ -751,7 +689,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     /// Executes one slot: thread allocation once per GOP (paper
     /// §III-D2) or on a pending membership change, work-unit dispatch
     /// through the backend, then deadline/energy accounting.
-    pub fn step(&mut self, source: &impl DemandSource) {
+    fn step(&mut self, source: &impl DemandSource) {
         let slot_secs = 1.0 / self.cfg.fps;
         let gop_boundary = self.slot.is_multiple_of(self.cfg.gop_slots);
         if gop_boundary {
@@ -925,46 +863,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     }
 }
 
-/// Runs admitted users' slots through an execution backend.
-#[derive(Debug)]
-pub struct ServerLoop<'b, B: ExecutionBackend> {
-    backend: &'b mut B,
-    cfg: ServerLoopConfig,
-}
-
-impl<'b, B: ExecutionBackend> ServerLoop<'b, B> {
-    /// Creates a loop over `backend`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fps` or `gop_slots` is not positive.
-    pub fn new(backend: &'b mut B, cfg: ServerLoopConfig) -> Self {
-        assert!(cfg.fps > 0.0, "fps must be positive");
-        assert!(cfg.gop_slots > 0, "gop must have slots");
-        Self { backend, cfg }
-    }
-
-    /// Runs `cfg.slots` slots for `admitted` users, starting from
-    /// `initial` placements, and aggregates deadline/energy statistics.
-    ///
-    /// The backend is reset first, so repeated runs are independent.
-    pub fn run(
-        &mut self,
-        source: &impl DemandSource,
-        admitted: &[usize],
-        initial: &[Placement],
-    ) -> LoopReport {
-        let cfg = self.cfg;
-        if cfg.slots == 0 {
-            return LoopReport::empty();
-        }
-        let mut driver =
-            LoopDriver::new(&mut *self.backend, cfg, admitted.to_vec(), initial.to_vec());
-        driver.advance(source, cfg.slots);
-        driver.into_report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,6 +882,10 @@ mod tests {
         }
     }
 
+    fn quad() -> SimBackend {
+        SimBackend::new(Platform::quad_core(), PowerModel::default())
+    }
+
     fn cfg(slots: usize, replan: ReplanPolicy) -> ServerLoopConfig {
         ServerLoopConfig {
             fps: 24.0,
@@ -997,16 +899,17 @@ mod tests {
 
     #[test]
     fn light_load_meets_every_window() {
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let source = FlatSource {
             tiles: 4,
             secs: SLOT / 16.0,
         };
-        let mut sl = ServerLoop::new(
-            &mut backend,
+        let report = LoopDriver::new(
+            quad(),
             cfg(48, ReplanPolicy::PerGop { headroom: 1.1 }),
-        );
-        let report = sl.run(&source, &[0], &[]);
+            vec![0],
+            vec![],
+        )
+        .run(&source);
         assert_eq!(report.miss_slots, 0);
         assert_eq!(report.window_misses, 0);
         assert!(report.windows > 0);
@@ -1025,7 +928,6 @@ mod tests {
 
     #[test]
     fn static_replan_keeps_initial_placements_loaded() {
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let source = FlatSource {
             tiles: 2,
             secs: SLOT / 4.0,
@@ -1045,8 +947,8 @@ mod tests {
                 secs: SLOT / 4.0,
             },
         ];
-        let mut sl = ServerLoop::new(&mut backend, cfg(8, ReplanPolicy::Static));
-        let report = sl.run(&source, &[0], &initial);
+        let report =
+            LoopDriver::new(quad(), cfg(8, ReplanPolicy::Static), vec![0], initial).run(&source);
         // Exactly one core ever active.
         assert_eq!(report.active_core_slots, 8);
         assert_eq!(report.miss_slots, 0);
@@ -1054,18 +956,19 @@ mod tests {
 
     #[test]
     fn overload_counts_misses_and_windows() {
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         // 4 users x 4 tiles x 0.5 slots = 8 core-slots of work on 4
         // cores: permanently overloaded.
         let source = FlatSource {
             tiles: 4,
             secs: SLOT / 2.0,
         };
-        let mut sl = ServerLoop::new(
-            &mut backend,
+        let report = LoopDriver::new(
+            quad(),
             cfg(48, ReplanPolicy::PerGop { headroom: 1.0 }),
-        );
-        let report = sl.run(&source, &[0, 1, 2, 3], &[]);
+            vec![0, 1, 2, 3],
+            vec![],
+        )
+        .run(&source);
         assert!(report.miss_slots > 0);
         assert!(report.window_misses > 0);
         assert!(report.on_time_rate() < 1.0);
@@ -1080,24 +983,20 @@ mod tests {
 
     #[test]
     fn empty_run_reports_zero_not_nan() {
-        // Zero-window case: rates must come back 0.0, never NaN.
-        let report = LoopReport::empty();
+        // Zero-window case (a zero-slot configured run): rates must
+        // come back 0.0, never NaN.
+        let source = FlatSource {
+            tiles: 1,
+            secs: 0.0,
+        };
+        let report =
+            LoopDriver::new(quad(), cfg(0, ReplanPolicy::Static), vec![0], vec![]).run(&source);
         assert_eq!(report.windows, 0);
         assert_eq!(report.slots, 0);
         assert!(report.on_time_rate() == 0.0);
         assert!(report.avg_active_cores() == 0.0);
         assert!(!report.on_time_rate().is_nan());
         assert!(!report.avg_active_cores().is_nan());
-        // A zero-slot configured run takes the same path.
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
-        let source = FlatSource {
-            tiles: 1,
-            secs: 0.0,
-        };
-        let mut sl = ServerLoop::new(&mut backend, cfg(0, ReplanPolicy::Static));
-        let r = sl.run(&source, &[0], &[]);
-        assert_eq!(r.on_time_rate(), 0.0);
-        assert_eq!(r.avg_active_cores(), 0.0);
     }
 
     /// A source with demand only at one slot.
@@ -1122,19 +1021,18 @@ mod tests {
         // slots of f_max time: the overrun must carry into window 2's
         // slots 24/25 and drain there — not be dropped at the window
         // boundary.
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let source = SpikeSource {
             at: 23,
             secs: SLOT * 3.0,
         };
-        let mut sl = ServerLoop::new(&mut backend, cfg(48, ReplanPolicy::Static));
         let initial = vec![Placement {
             user: 0,
             thread: 0,
             core: 0,
             secs: SLOT * 3.0,
         }];
-        let report = sl.run(&source, &[0], &initial);
+        let report =
+            LoopDriver::new(quad(), cfg(48, ReplanPolicy::Static), vec![0], initial).run(&source);
         // 3 slots of work at f_max → busy in slots 23, 24, 25 (plus at
         // most one sliver slot from DVFS-transition latency): the
         // carry crossed the window boundary and kept executing.
@@ -1157,7 +1055,6 @@ mod tests {
 
     #[test]
     fn window_slots_override_shortens_the_deadline_window() {
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let source = FlatSource {
             tiles: 1,
             secs: SLOT / 4.0,
@@ -1165,8 +1062,7 @@ mod tests {
         let mut c = cfg(16, ReplanPolicy::PerGop { headroom: 1.0 });
         c.window_slots = Some(4);
         assert_eq!(c.window_len(), 4);
-        let mut sl = ServerLoop::new(&mut backend, c);
-        let report = sl.run(&source, &[0], &[]);
+        let report = LoopDriver::new(quad(), c, vec![0], vec![]).run(&source);
         // 16 slots in 4-slot windows: four evaluated windows on the
         // single active core (the fps-derived default would give none).
         assert_eq!(report.windows, 4);
@@ -1178,12 +1074,10 @@ mod tests {
     fn trailing_partial_window_timing_is_reported() {
         // 30 slots with a 24-slot window: one full window plus a
         // 6-slot partial tail whose modeled time must not vanish.
-        let mut backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let source = FlatSource {
             tiles: 2,
             secs: SLOT / 4.0,
         };
-        let mut sl = ServerLoop::new(&mut backend, cfg(30, ReplanPolicy::Static));
         let initial = vec![
             Placement {
                 user: 0,
@@ -1198,7 +1092,8 @@ mod tests {
                 secs: SLOT / 4.0,
             },
         ];
-        let report = sl.run(&source, &[0], &initial);
+        let report =
+            LoopDriver::new(quad(), cfg(30, ReplanPolicy::Static), vec![0], initial).run(&source);
         assert_eq!(report.window_times.len(), 2, "full window + partial tail");
         assert_eq!(report.window_times[0].end_slot, 24);
         assert_eq!(report.window_times[1].end_slot, 30);
@@ -1225,7 +1120,7 @@ mod tests {
             secs: SLOT / 4.0,
         };
         let mut driver = LoopDriver::new(
-            SimBackend::new(Platform::quad_core(), PowerModel::default()),
+            quad(),
             cfg(16, ReplanPolicy::PerGop { headroom: 1.0 }),
             vec![1, 0],
             vec![],
@@ -1233,7 +1128,7 @@ mod tests {
         driver.advance(&source, 8);
         driver.update_membership(&[], &[1]);
         driver.advance(&source, 8);
-        assert_eq!(driver.admitted(), [0]);
+        assert_eq!(driver.admitted, [0]);
         let report = driver.into_report();
         assert_eq!(report.user(0).expect("user 0 ran").active_slots, 16);
         assert_eq!(report.user(1).expect("user 1 ran").active_slots, 8);
@@ -1252,7 +1147,7 @@ mod tests {
             [(8, &[1, 2], &[]), (24, &[3], &[0]), (40, &[], &[1, 3])];
         let run = |deltas: bool| {
             let mut driver = LoopDriver::new(
-                SimBackend::new(Platform::quad_core(), PowerModel::default()),
+                quad(),
                 cfg(48, ReplanPolicy::PerGop { headroom: 1.1 }),
                 vec![0],
                 vec![],
@@ -1276,5 +1171,40 @@ mod tests {
         let whole = run(false);
         assert_eq!(whole.controller.replans, 4, "slot 0 and three changes");
         assert_eq!(whole, run(true));
+    }
+
+    /// Demand that moves every GOP, so each boundary re-places.
+    struct GopRampSource;
+
+    impl DemandSource for GopRampSource {
+        fn demand_at(&self, _user: usize, slot: usize) -> Vec<f64> {
+            vec![SLOT / (4.0 + (slot / 8 % 3) as f64); 2]
+        }
+    }
+
+    #[test]
+    fn starting_members_and_a_first_delta_report_identically() {
+        // The cluster worker's form — the member handed to the
+        // constructor — against an empty driver and a first delta.
+        let c = cfg(48, ReplanPolicy::PerGop { headroom: 1.1 });
+        let started = LoopDriver::new(quad(), c, vec![0], vec![]).run(&GopRampSource);
+        let mut joined = LoopDriver::new(quad(), c, vec![], vec![]);
+        joined.update_membership(&[0], &[]);
+        let joined = joined.run(&GopRampSource);
+        assert_eq!(started.controller.replans, 6, "every GOP's estimate moved");
+        assert_eq!(started.controller.replans, joined.controller.replans);
+        assert_eq!(started.modeled_only(), joined.modeled_only());
+    }
+
+    #[test]
+    fn static_driver_places_members_it_starts_with() {
+        let source = FlatSource {
+            tiles: 2,
+            secs: SLOT / 4.0,
+        };
+        let report =
+            LoopDriver::new(quad(), cfg(8, ReplanPolicy::Static), vec![0], vec![]).run(&source);
+        assert_eq!(report.user(0).expect("user 0 ran").active_slots, 8);
+        assert_eq!(report.controller.replans, 1);
     }
 }

@@ -32,11 +32,6 @@ impl SimBackend {
     pub fn platform(&self) -> &Platform {
         &self.platform
     }
-
-    /// Load carried into the next slot, per core (fmax-seconds).
-    pub fn carry(&self) -> &[f64] {
-        &self.carry
-    }
 }
 
 impl ExecutionBackend for SimBackend {
@@ -98,12 +93,12 @@ mod tests {
         let heavy = vec![WorkUnit::cost_only(0, 0, 0, SLOT * 1.5)];
         let out = b.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, heavy);
         assert_eq!(out.report.deadline_misses, 1);
-        assert!(b.carry()[0] > 0.0);
+        assert!(b.carry[0] > 0.0);
         // Empty next slot still executes the carried work.
         let out2 = b.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, vec![]);
         assert!(out2.report.cores[0].busy_secs > 0.0);
         assert_eq!(out2.report.deadline_misses, 0);
-        assert!((b.carry()[0]).abs() < 1e-12);
+        assert!((b.carry[0]).abs() < 1e-12);
     }
 
     #[test]
@@ -114,8 +109,8 @@ mod tests {
             SLOT,
             vec![WorkUnit::cost_only(0, 0, 1, SLOT * 2.0)],
         );
-        assert!(b.carry()[1] > 0.0);
+        assert!(b.carry[1] > 0.0);
         b.reset();
-        assert!(b.carry().iter().all(|&c| c == 0.0));
+        assert!(b.carry.iter().all(|&c| c == 0.0));
     }
 }

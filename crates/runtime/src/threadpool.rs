@@ -40,11 +40,6 @@ impl ThreadPoolBackend {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Enables/disables the per-core execution log (for tests).
     pub fn set_logging(&self, enabled: bool) {
         self.pool.set_logging(enabled);

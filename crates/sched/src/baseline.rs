@@ -7,11 +7,9 @@
 //! tiles, and the queue admits users in arrival order while whole-user
 //! core sets remain. Frequency control is coarse: re-tiling happens
 //! only when every core sits at the minimum or the maximum level
-//! (tracked by [`BaselineRetileTrigger`]).
+//! (`core::Baseline19Controller::set_rails_pinned`).
 
 use crate::alloc::{Allocation, Placement, UserDemand};
-use medvt_mpsoc::FreqLevel;
-use serde::{Deserialize, Serialize};
 
 /// Allocates one core per tile, users in queue order.
 ///
@@ -48,39 +46,6 @@ pub fn baseline_allocate(cores: usize, users: &[UserDemand]) -> Allocation {
         rejected,
         placements,
         core_loads,
-    }
-}
-
-/// \[19\]'s re-tiling trigger: only re-tile when *all* active cores sit
-/// at the minimum or all at the maximum frequency — the condition the
-/// paper criticizes for reacting too slowly to content changes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BaselineRetileTrigger {
-    last_decision: Option<bool>,
-}
-
-impl BaselineRetileTrigger {
-    /// Creates a trigger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `true` when \[19\] would re-tile given the active cores'
-    /// current frequencies.
-    pub fn should_retile(
-        &mut self,
-        active_freqs: &[FreqLevel],
-        fmin: FreqLevel,
-        fmax: FreqLevel,
-    ) -> bool {
-        if active_freqs.is_empty() {
-            return false;
-        }
-        let all_min = active_freqs.iter().all(|&f| f == fmin);
-        let all_max = active_freqs.iter().all(|&f| f == fmax);
-        let decision = all_min || all_max;
-        self.last_decision = Some(decision);
-        decision
     }
 }
 
@@ -134,18 +99,5 @@ mod tests {
         let alloc = baseline_allocate(8, &users);
         // Algorithm 2 would pack these on one core; [19] burns four.
         assert_eq!(alloc.used_cores(), 4);
-    }
-
-    #[test]
-    fn trigger_fires_only_at_rail_frequencies() {
-        let fmin = FreqLevel::from_ghz(2.9);
-        let fmid = FreqLevel::from_ghz(3.2);
-        let fmax = FreqLevel::from_ghz(3.6);
-        let mut trig = BaselineRetileTrigger::new();
-        assert!(trig.should_retile(&[fmax, fmax], fmin, fmax));
-        assert!(trig.should_retile(&[fmin, fmin, fmin], fmin, fmax));
-        assert!(!trig.should_retile(&[fmax, fmid], fmin, fmax));
-        assert!(!trig.should_retile(&[fmin, fmax], fmin, fmax));
-        assert!(!trig.should_retile(&[], fmin, fmax));
     }
 }

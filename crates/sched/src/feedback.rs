@@ -114,11 +114,6 @@ impl FeedbackController {
         }
     }
 
-    /// Accumulated debt (positive = behind schedule), seconds.
-    pub fn debt_secs(&self) -> f64 {
-        self.debt_secs
-    }
-
     /// Fraction of one-second windows that met the framerate.
     pub fn window_hit_rate(&self) -> f64 {
         if self.total_windows == 0 {
@@ -218,9 +213,9 @@ mod tests {
         let mut fc = FeedbackController::new(24.0);
         let slot = fc.slot_secs();
         fc.on_frame(slot * 2.0, &[slot * 2.0], true);
-        assert!(fc.debt_secs() > 0.0);
+        assert!(fc.debt_secs > 0.0);
         fc.on_frame(slot * 0.1, &[slot * 0.1], true);
-        assert!(fc.debt_secs() < slot);
+        assert!(fc.debt_secs < slot);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   [`place_threads_on`]. The product's one placer is
 //!   [`place_threads_on`], which `runtime::LoopDriver` calls when a
 //!   member or an estimate changed;
-//! * [`baseline_allocate`] / [`BaselineRetileTrigger`] — the
-//!   one-tile-per-core allocator and rail-frequency re-tile trigger of
-//!   the baseline \[19\];
+//! * [`baseline_allocate`] — the one-tile-per-core allocator of the
+//!   baseline \[19\];
 //! * [`FeedbackController`] — the per-frame deadline feedback of
 //!   §III-D2 (lighten bottleneck tiles at f_max, restore on banked
 //!   slack, one-second framerate accounting).
@@ -48,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod alloc;
@@ -60,7 +60,7 @@ pub use alloc::{
     allocate, allocate_on, place_threads, place_threads_on, Allocation, DemandError, Placement,
     UserDemand,
 };
-pub use baseline::{baseline_allocate, BaselineRetileTrigger};
+pub use baseline::baseline_allocate;
 pub use feedback::{Adjustment, FeedbackController};
 pub use incremental::IncrementalPlacer;
-pub use lut::{CycleHistogram, LutBank, LutKey, WorkloadLut};
+pub use lut::{LutBank, LutKey, WorkloadLut};

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 /// Ring-buffer histogram of observed CPU cycles for one key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct CycleHistogram {
+pub(crate) struct CycleHistogram {
     samples: Vec<u64>,
     next: usize,
     filled: bool,
@@ -38,7 +38,7 @@ impl CycleHistogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, cycles: u64) {
+    pub(crate) fn observe(&mut self, cycles: u64) {
         if self.samples.len() < HISTOGRAM_CAPACITY {
             self.samples.push(cycles);
         } else {
@@ -50,7 +50,7 @@ impl CycleHistogram {
     }
 
     /// Robust estimate: the median of the retained window.
-    pub fn estimate(&self) -> Option<u64> {
+    pub(crate) fn estimate(&self) -> Option<u64> {
         if self.samples.is_empty() {
             return None;
         }
@@ -60,7 +60,7 @@ impl CycleHistogram {
     }
 
     /// Total number of observations ever recorded.
-    pub fn observations(&self) -> u64 {
+    pub(crate) fn observations(&self) -> u64 {
         self.observations
     }
 }
@@ -229,7 +229,7 @@ impl LutBank {
     }
 
     /// The LUT for `class`, created empty on first use.
-    pub fn lut_mut(&mut self, class: &str) -> &mut WorkloadLut {
+    pub(crate) fn lut_mut(&mut self, class: &str) -> &mut WorkloadLut {
         self.per_class.entry(class.to_string()).or_default()
     }
 

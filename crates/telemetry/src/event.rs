@@ -245,7 +245,7 @@ impl Event {
 
     /// Unpacks a ring entry; `None` on an unknown tag (torn or
     /// corrupted slot — skipped by readers).
-    pub fn decode(words: [u64; 3]) -> Option<Event> {
+    pub(crate) fn decode(words: [u64; 3]) -> Option<Event> {
         let tag = (words[0] >> 56) as u8;
         let kind = EventKind::unpack(tag, words[1])?;
         Some(Event {

@@ -1,59 +1,11 @@
-//! Event-stream exporters: JSON-lines and Chrome/Perfetto
-//! `trace_event` JSON.
+//! Event-stream exporter: Chrome/Perfetto `trace_event` JSON.
 //!
-//! Both formats are hand-assembled from fixed-shape records (labels
-//! are static identifiers, all values numeric/boolean), so no escaping
+//! The format is hand-assembled from fixed-shape records (labels are
+//! static identifiers, all values numeric/boolean), so no escaping
 //! machinery is needed and the output is stable across runs modulo the
 //! wall-clock fields.
 
 use crate::event::{Event, EventKind, CONTROL_TRACK};
-
-fn push_common(out: &mut String, e: &Event) {
-    out.push_str(&format!(
-        "{{\"kind\":\"{}\",\"track\":{},\"slot\":{},\"wall_ns\":{}",
-        e.kind.label(),
-        e.track,
-        e.slot,
-        e.wall_ns
-    ));
-}
-
-/// One compact JSON object per event, newline-separated — greppable
-/// and streamable (`jq` friendly).
-pub fn json_lines(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        push_common(&mut out, e);
-        match e.kind {
-            EventKind::GopBoundary => {}
-            EventKind::Replan { users } => out.push_str(&format!(",\"users\":{users}")),
-            EventKind::Admit { user }
-            | EventKind::Evict { user }
-            | EventKind::Depart { user }
-            | EventKind::Abandon { user }
-            | EventKind::Reject { user }
-            | EventKind::Downgraded { user } => out.push_str(&format!(",\"user\":{user}")),
-            EventKind::Provisioned { preset } => out.push_str(&format!(",\"preset\":{preset}")),
-            EventKind::QueueDepth { depth } => out.push_str(&format!(",\"depth\":{depth}")),
-            EventKind::LeaseGranted { segment }
-            | EventKind::LeaseExpired { segment }
-            | EventKind::LeaseRequeued { segment }
-            | EventKind::SegmentReassembled { segment } => {
-                out.push_str(&format!(",\"segment\":{segment}"))
-            }
-            EventKind::SlotCore {
-                core,
-                busy_ns,
-                carry,
-                transition_bound,
-            } => out.push_str(&format!(
-                ",\"core\":{core},\"busy_ns\":{busy_ns},\"carry\":{carry},\"transition_bound\":{transition_bound}"
-            )),
-        }
-        out.push_str("}\n");
-    }
-    out
-}
 
 /// Perfetto/`chrome://tracing` process id for a track.
 fn pid(track: u16) -> u32 {
@@ -196,21 +148,6 @@ mod tests {
                 EventKind::SegmentReassembled { segment: 6 },
             ),
         ]
-    }
-
-    #[test]
-    fn json_lines_has_one_object_per_event() {
-        let text = json_lines(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 8);
-        assert!(lines[0].starts_with("{\"kind\":\"gop_boundary\""));
-        assert!(lines[1].contains("\"user\":7"));
-        assert!(lines[2].contains("\"depth\":2"));
-        assert!(lines[3].contains("\"busy_ns\":41666667"));
-        assert!(lines[4].contains("\"kind\":\"lease_granted\""));
-        assert!(lines[4].contains("\"segment\":6"));
-        assert!(lines[7].contains("\"kind\":\"segment_reassembled\""));
-        assert!(lines.iter().all(|l| l.ends_with('}')));
     }
 
     #[test]

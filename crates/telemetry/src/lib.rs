@@ -2,8 +2,8 @@
 //!
 //! Flight-recorder telemetry for the `medvt` serving stack: typed
 //! control-plane/worker events, lock-free bounded ring buffers,
-//! monotonic counters, log-bucketed latency histograms, and exporters
-//! (JSON-lines, Chrome/Perfetto `trace_event`).
+//! monotonic counters, log-bucketed latency histograms, and a
+//! Chrome/Perfetto `trace_event` exporter.
 //!
 //! The crate is built around three ideas:
 //!
@@ -31,6 +31,7 @@
 //! p50/p95/p99/max per histogram.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod event;
@@ -40,7 +41,7 @@ mod recorder;
 mod ring;
 
 pub use event::{Event, EventKind, CONTROL_TRACK};
-pub use export::{chrome_trace, json_lines};
+pub use export::chrome_trace;
 pub use metrics::{
     CounterId, CounterSnapshot, HistId, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
 };

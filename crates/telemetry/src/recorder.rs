@@ -159,19 +159,6 @@ impl FlightRecorder {
         normalized(&self.events())
     }
 
-    /// `(slot, depth)` series from the control ring's
-    /// [`QueueDepth`](crate::EventKind::QueueDepth) events.
-    pub fn queue_depths(&self) -> Vec<(u32, u32)> {
-        self.rings[0]
-            .events()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                crate::EventKind::QueueDepth { depth } => Some((e.slot, depth)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Total events recorded across all rings (including overwritten).
     pub fn recorded(&self) -> u64 {
         self.rings.iter().map(|r| r.recorded()).sum()

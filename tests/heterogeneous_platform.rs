@@ -8,7 +8,7 @@ use medvt::admission::{DeadlineClass, ShardPolicy, UserRequest};
 use medvt::core::{ServerConfig, ServerSim, VideoProfile};
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{
-    DemandSource, ExecutionBackend, ReplanPolicy, ServerLoop, ServerLoopConfig, SimBackend,
+    DemandSource, ExecutionBackend, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend,
     ThreadPoolBackend,
 };
 use medvt::sched::{place_threads, place_threads_on, UserDemand};
@@ -97,11 +97,11 @@ fn sim_and_pool_backends_identical_on_big_little() {
         tiles: 6,
         secs: SLOT / 5.0,
     };
-    let mut sim = SimBackend::new(platform.clone(), power);
-    let mut pool = ThreadPoolBackend::with_workers(platform.clone(), power, 4);
+    let sim = SimBackend::new(platform.clone(), power);
+    let pool = ThreadPoolBackend::with_workers(platform.clone(), power, 4);
     assert_eq!(sim.core_speeds(), pool.core_speeds());
-    let a = ServerLoop::new(&mut sim, cfg).run(&source, &[0, 1], &[]);
-    let b = ServerLoop::new(&mut pool, cfg).run(&source, &[0, 1], &[]);
+    let a = LoopDriver::new(sim, cfg, vec![0, 1], vec![]).run(&source);
+    let b = LoopDriver::new(pool, cfg, vec![0, 1], vec![]).run(&source);
     assert!(a.energy_j > 0.0);
     // Wall time differs (the pool really runs); every statistic the
     // accounting produces must not.

@@ -211,8 +211,7 @@ fn pool_honours_explicit_assignment() {
 mod placement_traces {
     use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
     use medvt::runtime::{
-        DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoop, ServerLoopConfig,
-        SimBackend,
+        DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig, SimBackend,
     };
     use medvt::sched::Placement;
     use medvt::telemetry::FlightRecorder;
@@ -307,10 +306,14 @@ mod placement_traces {
         admitted: &[usize],
         initial: &[Placement],
     ) -> u64 {
-        let mut backend = backend();
-        let report = ServerLoop::new(&mut backend, cfg(72, replan))
-            .run(&Script, admitted, initial)
-            .modeled_only();
+        let report = LoopDriver::new(
+            backend(),
+            cfg(72, replan),
+            admitted.to_vec(),
+            initial.to_vec(),
+        )
+        .run(&Script)
+        .modeled_only();
         assert!(report.energy_j > 0.0);
         let mut hash = 0xcbf29ce484222325;
         hash_report(&mut hash, &report);
