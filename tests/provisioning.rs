@@ -21,7 +21,7 @@
 use medvt::admission::{
     forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, serve_online,
     serve_online_reference, synthesize_trace, AdmissionEvent, CheapestFit, CostPlan, EventKind,
-    FastestFit, OnlineConfig, ProvisionPolicy, QosAware, TraceConfig, UserRequest,
+    FastestFit, OnlineConfig, ProvisionPolicy, QosAware, ShardPolicy, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
 use medvt::mpsoc::{CostModel, Platform, PowerModel};
@@ -172,7 +172,8 @@ proptest! {
 
     /// With the default (unlimited, non-degrading) cost plan the
     /// optimized controller replays the frozen reference bit for bit
-    /// on the same random traces the conservation test churns.
+    /// on the same random traces the conservation test churns, under
+    /// every shard policy.
     #[test]
     fn unlimited_budget_replays_the_reference_stream(
         arrivals in 0.3f64..1.4,
@@ -180,19 +181,26 @@ proptest! {
     ) {
         let tiers = tier_profiles();
         let trace = trace_for(arrivals, seed);
-        let cfg = OnlineConfig {
-            horizon_slots: HORIZON,
-            ..Default::default()
-        };
-        prop_assert!(!cfg.cost.is_budgeted());
-        let fast = serve_online(&cfg, &tiers, &trace, bl_shards());
-        let slow = serve_online_reference(&cfg, &tiers, &trace, bl_shards());
-        prop_assert_eq!(&fast.events, &slow.events);
-        prop_assert_eq!(fast.windows, slow.windows);
-        prop_assert_eq!(fast.window_misses, slow.window_misses);
-        prop_assert_eq!(fast.energy_j, slow.energy_j);
-        prop_assert_eq!(fast.admissions, slow.admissions);
-        prop_assert_eq!(fast.evictions, slow.evictions);
+        for shard_policy in [
+            ShardPolicy::LeastLoaded,
+            ShardPolicy::RoundRobin,
+            ShardPolicy::ContentAffinity,
+        ] {
+            let cfg = OnlineConfig {
+                horizon_slots: HORIZON,
+                shard_policy,
+                ..Default::default()
+            };
+            prop_assert!(!cfg.cost.is_budgeted());
+            let fast = serve_online(&cfg, &tiers, &trace, bl_shards());
+            let slow = serve_online_reference(&cfg, &tiers, &trace, bl_shards());
+            prop_assert_eq!(&fast.events, &slow.events);
+            prop_assert_eq!(fast.windows, slow.windows);
+            prop_assert_eq!(fast.window_misses, slow.window_misses);
+            prop_assert_eq!(fast.energy_j, slow.energy_j);
+            prop_assert_eq!(fast.admissions, slow.admissions);
+            prop_assert_eq!(fast.evictions, slow.evictions);
+        }
     }
 }
 
