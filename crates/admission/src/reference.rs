@@ -1,20 +1,23 @@
 //! The pre-refactor admission controller, kept verbatim as the
-//! baseline for decision-stream parity and control-plane speedup
-//! measurements.
+//! baseline for decision-stream parity.
 //!
 //! [`serve_online_reference`] is the linear controller `serve_online`
 //! shipped with before incremental re-placement landed: every GOP
 //! boundary it scans all active users for departures and evictions,
-//! scans the whole queue for admissions with the stateless
-//! [`Sharder::pick`](crate::Sharder::pick), rebuilds each shard's full
-//! membership, and lets the drivers re-place every thread from
-//! scratch. Cost per boundary is O(active + queue + threads·cores).
+//! scans the whole queue for admissions with `StatelessSharder` (the
+//! shard chooser it was written against, which recomputes every pick
+//! from the caller's load vector; the tracked
+//! [`Sharder`](crate::Sharder) is tested call for call against it),
+//! rebuilds each shard's full membership, and lets the drivers
+//! re-place every thread from scratch. Cost per boundary is
+//! O(active + queue + threads·cores).
 //!
-//! It carries the same [`ControllerTiming`] instrumentation as the
-//! optimized path — identical decision/boundary counting, wall time
-//! split the same way — so `decisions_per_sec` ratios between the two
-//! are like for like. Do not "improve" this module: its value is
-//! staying byte-for-byte faithful to the old decision procedure.
+//! It counts decisions and boundaries exactly as the optimized path
+//! does, so the two [`ControllerTiming`]s compare like for like. Do not
+//! "improve" this module: its value is staying byte-for-byte faithful
+//! to the old decision procedure, against which `serve_online` is
+//! compared by its unit tests, `tests/control_plane.rs` and
+//! `tests/provisioning.rs`.
 
 use crate::request::{AdmitDecision, RequestQueue, UserRequest};
 use crate::serve::{
@@ -22,10 +25,62 @@ use crate::serve::{
     Workload,
 };
 use crate::serve::{AdmissionEvent, EventKind};
-use crate::shard::Sharder;
+use crate::shard::{class_hash, ShardPolicy};
 use medvt_runtime::{ControllerTiming, ExecutionBackend, LoopDriver};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// The stateless shard chooser the frozen controller was written
+/// against: it keeps only the round-robin rotation, and every pick
+/// reads the caller's `loads` and divides afresh.
+pub(crate) struct StatelessSharder {
+    policy: ShardPolicy,
+    rotation: usize,
+}
+
+impl StatelessSharder {
+    pub(crate) fn new(policy: ShardPolicy) -> Self {
+        Self {
+            policy,
+            rotation: 0,
+        }
+    }
+
+    fn least_loaded(loads: &[f64], capacities: &[f64], demand: f64) -> Option<usize> {
+        loads
+            .iter()
+            .zip(capacities)
+            .enumerate()
+            .filter(|(_, (&load, &cap))| load + demand <= cap + 1e-9)
+            .min_by(|(_, (a, ca)), (_, (b, cb))| (*a / *ca).total_cmp(&(*b / *cb)))
+            .map(|(k, _)| k)
+    }
+
+    pub(crate) fn pick(
+        &mut self,
+        loads: &[f64],
+        capacities: &[f64],
+        demand: f64,
+        class: &str,
+    ) -> Option<usize> {
+        match self.policy {
+            ShardPolicy::LeastLoaded => Self::least_loaded(loads, capacities, demand),
+            ShardPolicy::RoundRobin => {
+                let shard = self.rotation % loads.len();
+                self.rotation = self.rotation.wrapping_add(1);
+                (loads[shard] + demand <= capacities[shard] + 1e-9).then_some(shard)
+            }
+            ShardPolicy::ContentAffinity => {
+                let preferred = (class_hash(class) % loads.len() as u64) as usize;
+                if loads[preferred] + demand <= capacities[preferred] + 1e-9 {
+                    Some(preferred)
+                } else {
+                    Self::least_loaded(loads, capacities, demand)
+                }
+            }
+        }
+    }
+}
 
 /// Serves `trace` with the frozen linear controller. Decision streams
 /// and all modeled accounting are bit-identical to
@@ -54,7 +109,7 @@ pub fn serve_online_reference<W: Workload, B: ExecutionBackend>(
     // Same queue configuration as `serve_online` — the shared
     // ingestion cost must stay identical between the two controllers.
     let mut queue = RequestQueue::with_departure_bound(cfg.horizon_slots.max(1));
-    let mut sharder = Sharder::new(cfg.shard_policy);
+    let mut sharder = StatelessSharder::new(cfg.shard_policy);
     let mut active: BTreeMap<usize, ActiveUser> = BTreeMap::new();
     let mut shard_loads = vec![0.0f64; n_shards];
     let mut shard_peak = vec![0usize; n_shards];

@@ -86,8 +86,8 @@ pub(crate) enum AdmitDecision {
 /// exactly the departed requests instead of scanning (and cloning)
 /// every pending one at every GOP boundary. Sequence numbers returned
 /// by [`push`](Self::push) stay valid for the request's whole queue
-/// lifetime, so callers can keep side indexes (e.g. per-demand FIFOs)
-/// without the queue knowing about them.
+/// lifetime, for keyed [`take`](Self::take) and
+/// [`contains`](Self::contains).
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     /// Sequence number of `slots[0]`.

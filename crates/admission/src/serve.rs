@@ -33,8 +33,10 @@
 //! queued demand — costs O(shards) per boundary, independent of both
 //! the active population and the queue depth: departures pop from a
 //! slot-ordered set, evictions read the runtime's miss-streak sets,
-//! and admission consults a per-demand index of the queue instead of
-//! walking it. With an infinite budget the decision stream is
+//! and the admission scan stops at its first request once the
+//! smallest queued demand fits no shard or is over budget
+//! (`RoundRobin` under a finite budget excepted: it walks the whole
+//! queue). With an infinite budget the decision stream is
 //! bit-identical to the pre-refactor linear controller, kept as
 //! [`serve_online_reference`](crate::serve_online_reference); finite
 //! budgets and degradation are pinned by recorded goldens — both in
@@ -52,7 +54,7 @@ use medvt_telemetry::{
     CONTROL_TRACK,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// A user-facing workload the admission controller can reason about —
@@ -104,9 +106,9 @@ pub trait Workload {
 /// A request is admitted only when *both* a shard fits its demand and
 /// billing it keeps the window spend within budget (`spend + demand ×
 /// rate ≤ budget`). The check is demand-monotone like the capacity
-/// probe, so indexed admission may skip a whole demand class on it.
-/// Budget refusals are not offered to a `RoundRobin` rotation (the
-/// shard never saw the request).
+/// probe, so the admission scan may stop once the smallest queued
+/// demand is over budget. Budget refusals are not offered to a
+/// `RoundRobin` rotation (the shard never saw the request).
 ///
 /// Under the default ([`CostPlan::unlimited`]) neither mechanism can
 /// act: no spend exceeds an infinite budget and with
@@ -454,6 +456,13 @@ impl Setup {
                 "duplicate user id {}",
                 r.user
             );
+            assert!(
+                r.departure_slot.is_none_or(|d| d >= r.arrival_slot),
+                "user {} departs at slot {:?}, before arriving at slot {}",
+                r.user,
+                r.departure_slot,
+                r.arrival_slot
+            );
         }
         let demand_of: Vec<f64> = workloads
             .iter()
@@ -493,8 +502,8 @@ impl Setup {
 /// # Panics
 ///
 /// Panics when `workloads` or `shards` is empty, `trace` is not sorted
-/// by arrival slot, a trace user id repeats, or a request's profile
-/// index is out of range.
+/// by arrival slot, a trace user id repeats, a request departs before
+/// it arrives, or a request's profile index is out of range.
 pub fn serve_online<W: Workload, B: ExecutionBackend>(
     cfg: &OnlineConfig,
     workloads: &[W],
@@ -537,19 +546,12 @@ pub fn serve_online_with<W: Workload, B: ExecutionBackend, R: Recorder + Copy>(
     controller.finish()
 }
 
-/// What one boundary's admission scan decided: requests admitted (with
-/// their shard, in decision order) and requests rejected outright.
-type Decided = (Vec<(UserRequest, usize)>, Vec<UserRequest>);
-
-/// Demand-side index of the waiting queue — what admission needs to
-/// know about queued requests without walking them.
+/// Demand-side index of the waiting queue — what the admission scan
+/// needs to know about queued requests without walking them.
 ///
 /// [`enqueue`](Self::enqueue) and [`dequeue`](Self::dequeue) are the
 /// only mutators of the multiset; call them exactly when a request
 /// enters or leaves the [`RequestQueue`].
-/// The per-demand FIFOs are appended to on enqueue only; entries whose
-/// request has left the queue go stale and are dropped lazily by the
-/// two lookups below.
 struct QueuedDemands {
     /// The largest shard capacity plus the fit tolerance: a demand
     /// above it fits no shard at any load.
@@ -557,11 +559,6 @@ struct QueuedDemands {
     /// Multiset of queued padded demands keyed by bit pattern (demands
     /// are non-negative finite floats, so bit order = numeric order).
     counts: BTreeMap<u64, usize>,
-    /// Per-demand FIFOs of queue sequence numbers, for the indexed
-    /// admission of stateless policies. `None` under `RoundRobin`,
-    /// whose rotation advances on every offered request — refusals
-    /// included — so it must walk the queue in order.
-    fifos: Option<BTreeMap<u64, VecDeque<u64>>>,
 }
 
 impl QueuedDemands {
@@ -583,11 +580,8 @@ impl QueuedDemands {
         largest.is_some_and(|&bits| self.never_fits(f64::from_bits(bits)))
     }
 
-    fn enqueue(&mut self, demand: f64, seq: u64) {
+    fn enqueue(&mut self, demand: f64) {
         *self.counts.entry(demand.to_bits()).or_insert(0) += 1;
-        if let Some(fifos) = &mut self.fifos {
-            fifos.entry(demand.to_bits()).or_default().push_back(seq);
-        }
     }
 
     fn dequeue(&mut self, demand: f64) {
@@ -597,57 +591,6 @@ impl QueuedDemands {
         if *count == 0 {
             self.counts.remove(&bits);
         }
-    }
-
-    /// Takes every live request of a never-fitting demand class out of
-    /// `queue`, in arrival order. Rejects are load-independent, so the
-    /// classes are flushed wholesale.
-    fn take_never_fitting(&mut self, queue: &mut RequestQueue) -> Vec<UserRequest> {
-        let fifos = self.fifos.as_mut().expect("indexed admission only");
-        // Bit order is numeric order: every class above the ceiling.
-        let mut seqs: Vec<u64> = fifos
-            .range_mut(self.ceiling.to_bits() + 1..)
-            .flat_map(|(_, fifo)| fifo.drain(..))
-            .filter(|&seq| queue.contains(seq))
-            .collect();
-        seqs.sort_unstable();
-        seqs.into_iter()
-            .map(|seq| queue.take(seq).expect("validated live"))
-            .collect()
-    }
-
-    /// Pops the earliest live queued request among the demand classes
-    /// `admissible` accepts, returning its sequence number.
-    fn pop_earliest(
-        &mut self,
-        queue: &RequestQueue,
-        admissible: impl Fn(f64) -> bool,
-    ) -> Option<u64> {
-        let fifos = self.fifos.as_mut().expect("indexed admission only");
-        let mut best: Option<(u64, u64)> = None;
-        for &bits in self.counts.keys() {
-            let demand = f64::from_bits(bits);
-            if demand > self.ceiling || !admissible(demand) {
-                continue;
-            }
-            let Some(fifo) = fifos.get_mut(&bits) else {
-                continue;
-            };
-            while fifo.front().is_some_and(|&seq| !queue.contains(seq)) {
-                fifo.pop_front();
-            }
-            if let Some(&seq) = fifo.front() {
-                if best.is_none_or(|(earliest, _)| seq < earliest) {
-                    best = Some((seq, bits));
-                }
-            }
-        }
-        let (seq, bits) = best?;
-        fifos
-            .get_mut(&bits)
-            .expect("candidate class exists")
-            .pop_front();
-        Some(seq)
     }
 }
 
@@ -705,9 +648,6 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
                 LoopDriver::with_recorder(b, setup.loop_cfg, vec![], vec![], recorder, s as u16)
             })
             .collect();
-        let mut sharder = Sharder::new(cfg.shard_policy);
-        sharder.attach(setup.capacities.clone());
-        let indexed = cfg.shard_policy != ShardPolicy::RoundRobin;
         Self {
             cfg,
             trace,
@@ -722,9 +662,8 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             queued: QueuedDemands {
                 ceiling: setup.max_capacity + 1e-9,
                 counts: BTreeMap::new(),
-                fifos: indexed.then(BTreeMap::new),
             },
-            sharder,
+            sharder: Sharder::new(cfg.shard_policy, setup.capacities.clone()),
             active: BTreeMap::new(),
             departures: BTreeSet::new(),
             added: vec![Vec::new(); drivers.len()],
@@ -790,8 +729,8 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     /// re-entries alike.
     fn enqueue(&mut self, request: UserRequest) {
         let demand = self.setup.demand_of[request.profile];
-        let seq = self.queue.push(request);
-        self.queued.enqueue(demand, seq);
+        self.queue.push(request);
+        self.queued.enqueue(demand);
     }
 
     /// Phase 1: requests arriving before slot `end` join the queue.
@@ -878,26 +817,76 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         }
     }
 
-    /// Phase 4: admissions from the FIFO queue. Both procedures replay
-    /// the reference's FIFO scan — a request is admitted iff its
-    /// demand fits some shard, and its billing the budget, at its
-    /// decision moment; loads and spend only grow within a boundary —
-    /// they just skip requests the scan would have stepped over.
+    /// Phase 4: admissions — Algorithm 2 line 1 as a FIFO scan. Each
+    /// queued request, in arrival order, is rejected when its demand
+    /// fits no shard at any load, and otherwise admitted iff its
+    /// billing keeps the budget and the [`ShardPolicy`] picks a shard
+    /// it fits; loads and spend only grow within a boundary.
+    ///
+    /// The scan stops at the first request once the smallest demand
+    /// still waiting fits no shard or is over budget: both are
+    /// demand-monotone, so every later request would wait, and
+    /// `skip_all` replays their offers on a `RoundRobin` rotation. A
+    /// request that leaves the queue leaves the demand index inside the
+    /// scan, so the probe reads the true minimum of what still waits.
+    /// The stop is not armed while a never-fitting request waits, whose
+    /// Reject must not be deferred, nor for `RoundRobin` under a finite
+    /// budget: a budget-refused request waits without being offered to
+    /// the rotation — the shard never saw it — so the unscanned tail
+    /// would over-advance the cursor.
     fn admit(&mut self) {
         let considered = self.queue.len();
         self.meter.add(CounterId::Decisions, considered as u64);
-        let (admitted, rejected) = if self.queued.fifos.is_some() {
-            self.admit_indexed()
-        } else {
-            self.admit_in_rotation(considered)
-        };
+        let Self {
+            queue,
+            queued,
+            sharder,
+            window_spend,
+            setup,
+            source,
+            cfg,
+            ..
+        } = self;
+        let plan = cfg.cost;
+        let may_stop = !queued.holds_never_fitting()
+            && (cfg.shard_policy != ShardPolicy::RoundRobin || !plan.is_budgeted());
+        let mut scanned = 0usize;
+        let (admitted, rejected) = queue.try_admit_while(|request| {
+            if may_stop {
+                let least = queued.min_demand().expect("the scanned request is queued");
+                if !sharder.any_fits(least) || plan.over_budget(*window_spend, least) {
+                    return None;
+                }
+            }
+            scanned += 1;
+            let demand = setup.demand_of[request.profile];
+            if queued.never_fits(demand) {
+                queued.dequeue(demand);
+                return Some(AdmitDecision::Reject);
+            }
+            if plan.over_budget(*window_spend, demand) {
+                return Some(AdmitDecision::Wait);
+            }
+            let class = source.workloads[request.profile].content_class();
+            Some(match sharder.pick(demand, class) {
+                Some(shard) => {
+                    // Reserve, bill and unindex immediately so later
+                    // queue entries see the updated load, spend and
+                    // minimum.
+                    sharder.admit_load(shard, demand);
+                    *window_spend += demand * plan.credits_per_core_window;
+                    queued.dequeue(demand);
+                    AdmitDecision::Admit(shard)
+                }
+                None => AdmitDecision::Wait,
+            })
+        });
+        sharder.skip_all(considered - scanned);
         for request in rejected {
-            self.queued.dequeue(self.setup.demand_of[request.profile]);
             self.emit(EventKind::Reject, request.user, None);
         }
         for (request, shard) in admitted {
             let demand = self.setup.demand_of[request.profile];
-            self.queued.dequeue(demand);
             if let Some(d) = request.departure_slot {
                 self.departures.insert((d, request.user));
             }
@@ -920,95 +909,6 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         }
         let depth = self.queue.len() as u32;
         self.record(CONTROL_TRACK, TelKind::QueueDepth { depth });
-    }
-
-    /// Indexed admission (stateless policies): cost O((rejects +
-    /// admits) · distinct demands), independent of queue depth. Valid
-    /// because `LeastLoaded`/`ContentAffinity` admit exactly when some
-    /// shard fits (stepped-over waiters change nothing), so the FIFO
-    /// scan's admit sequence is "repeatedly the earliest queued
-    /// request whose demand currently fits". Capacity and cost
-    /// headroom are both demand-monotone, so skipping a class is
-    /// exactly "every member would Wait".
-    fn admit_indexed(&mut self) -> Decided {
-        let rejected = self.queued.take_never_fitting(&mut self.queue);
-        let plan = self.cfg.cost;
-        let mut admitted = Vec::new();
-        loop {
-            let (sharder, spend) = (&self.sharder, self.window_spend);
-            let fits = |demand| sharder.any_fits(demand) && !plan.over_budget(spend, demand);
-            let Some(seq) = self.queued.pop_earliest(&self.queue, fits) else {
-                break;
-            };
-            let request = self.queue.take(seq).expect("validated live");
-            let demand = self.setup.demand_of[request.profile];
-            let shard = self
-                .sharder
-                .pick_attached(
-                    demand,
-                    self.source.workloads[request.profile].content_class(),
-                )
-                .expect("any_fits implies a pick for stateless policies");
-            self.sharder.admit_load(shard, demand);
-            self.window_spend += demand * plan.credits_per_core_window;
-            admitted.push((request, shard));
-        }
-        (admitted, rejected)
-    }
-
-    /// FIFO-scan admission (`RoundRobin`): every request is offered
-    /// the next shard in rotation, in queue order. The scan stops at
-    /// the first request once the smallest queued demand fits no shard
-    /// — loads only grow within a scan and fitting is demand-monotone,
-    /// so every later request would be offered a shard and refused,
-    /// which `skip_all` replays on the rotation. (The probe may read a
-    /// demand already admitted this scan; that only under-estimates
-    /// the remaining minimum, which keeps the stop conservative.) The
-    /// stop is not armed while a never-fitting request waits, whose
-    /// Reject must not be deferred, nor under a finite budget: a
-    /// budget-refused request waits without being offered to the
-    /// rotation — the shard never saw it — so the unscanned tail would
-    /// over-advance the cursor.
-    fn admit_in_rotation(&mut self, considered: usize) -> Decided {
-        let Self {
-            queue,
-            queued,
-            sharder,
-            window_spend,
-            setup,
-            source,
-            cfg,
-            ..
-        } = self;
-        let plan = cfg.cost;
-        let may_stop = !queued.holds_never_fitting() && !plan.is_budgeted();
-        let mut scanned = 0usize;
-        let decided = queue.try_admit_while(|request| {
-            if may_stop && !sharder.any_fits(queued.min_demand().expect("scan implies queued")) {
-                return None;
-            }
-            scanned += 1;
-            let demand = setup.demand_of[request.profile];
-            if queued.never_fits(demand) {
-                return Some(AdmitDecision::Reject);
-            }
-            if plan.over_budget(*window_spend, demand) {
-                return Some(AdmitDecision::Wait);
-            }
-            let class = source.workloads[request.profile].content_class();
-            Some(match sharder.pick_attached(demand, class) {
-                Some(shard) => {
-                    // Reserve and bill immediately so later queue
-                    // entries see the updated load and spend.
-                    sharder.admit_load(shard, demand);
-                    *window_spend += demand * plan.credits_per_core_window;
-                    AdmitDecision::Admit(shard)
-                }
-                None => AdmitDecision::Wait,
-            })
-        });
-        sharder.skip_all(considered - scanned);
-        decided
     }
 
     /// Phase 5: membership deltas → shards, then every shard advances
@@ -1182,6 +1082,36 @@ mod tests {
         }
     }
 
+    /// ~1.92 admission cores with headroom: two fit a quad-core shard.
+    const BUSY: Flat = Flat {
+        tiles: 2,
+        secs: SLOT / 24.0 * 20.0,
+        class: "busy",
+    };
+
+    /// Eight cores before headroom: fits no quad-core shard.
+    const HUGE: Flat = Flat {
+        tiles: 8,
+        secs: SLOT,
+        class: "huge",
+    };
+
+    /// Claims one core at admission but needs six per slot: misses
+    /// every window once admitted.
+    struct Lying;
+
+    impl Workload for Lying {
+        fn steady_demand(&self) -> Vec<f64> {
+            vec![SLOT / 4.0; 4]
+        }
+        fn demand_at(&self, _slot: usize) -> Vec<f64> {
+            vec![SLOT * 1.5; 4]
+        }
+        fn content_class(&self) -> &str {
+            "chaos"
+        }
+    }
+
     fn quad_shards(n: usize) -> Vec<SimBackend> {
         (0..n)
             .map(|_| SimBackend::new(Platform::quad_core(), PowerModel::default()))
@@ -1237,18 +1167,6 @@ mod tests {
         // over capacity once forced in. Force it by setting headroom
         // low and capacity check off via a demand just under capacity
         // but real per-slot demand far above it.
-        struct Lying;
-        impl Workload for Lying {
-            fn steady_demand(&self) -> Vec<f64> {
-                vec![SLOT / 4.0; 4] // claims 1 core
-            }
-            fn demand_at(&self, _slot: usize) -> Vec<f64> {
-                vec![SLOT * 1.5; 4] // actually needs 6 cores
-            }
-            fn content_class(&self) -> &str {
-                "chaos"
-            }
-        }
         let trace = vec![UserRequest {
             user: 0,
             arrival_slot: 0,
@@ -1272,11 +1190,7 @@ mod tests {
 
     #[test]
     fn impossible_demand_is_rejected_not_queued_forever() {
-        let workloads = [Flat {
-            tiles: 8,
-            secs: SLOT,
-            class: "huge",
-        }]; // 8 cores × headroom — can never fit a 4-core shard.
+        let workloads = [HUGE]; // 8 cores × headroom — can never fit a 4-core shard.
         let trace = vec![request(0, 0, None)];
         let report = serve_online(&cfg(48), &workloads, &trace, quad_shards(2));
         assert_eq!(report.admissions, 0);
@@ -1289,11 +1203,7 @@ mod tests {
         // Each user needs ~2.3 cores (2 tiles × SLOT × 1.15 headroom
         // × 24 fps / 24): two per 4-core shard. 5 users, 1 shard → 2
         // admitted, 3 queued (none reject: individually they fit).
-        let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
-        }];
+        let workloads = [BUSY];
         let trace: Vec<UserRequest> = (0..5).map(|u| request(u, 0, None)).collect();
         let report = serve_online(&cfg(48), &workloads, &trace, quad_shards(1));
         assert_eq!(report.admissions, 2);
@@ -1305,11 +1215,7 @@ mod tests {
     #[test]
     fn freed_capacity_is_reused() {
         // Shard fits two; a third waits until user 0 departs.
-        let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
-        }];
+        let workloads = [BUSY];
         let trace = vec![
             request(0, 0, Some(24)),
             request(1, 0, None),
@@ -1331,11 +1237,7 @@ mod tests {
         // 4 heavy users (≈2.3 cores each) on two 4-core shards: least-
         // loaded fits two per shard; blind rotation repeatedly offers
         // a full shard while the other has room.
-        let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
-        }];
+        let workloads = [BUSY];
         let trace: Vec<UserRequest> = (0..4).map(|u| request(u, 0, None)).collect();
         let ll = serve_online(
             &OnlineConfig {
@@ -1390,11 +1292,7 @@ mod tests {
         ];
         // Each user demands ~1.92 effective cores (headroom included):
         // beyond the little shard's 1.8, comfortably inside the big one.
-        let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
-        }];
+        let workloads = [BUSY];
         let trace: Vec<UserRequest> = (0..4).map(|u| request(u, 0, None)).collect();
         let report = serve_online(&cfg(48), &workloads, &trace, shards);
         // The 5.8-capacity shard fits three 1.92-core users; the
@@ -1442,18 +1340,6 @@ mod tests {
         // A trace exercising every decision kind: admits, waits,
         // voluntary departures, queue abandons, outright rejects, and
         // a deadline eviction (profile 3 under-reports its demand).
-        struct Lying;
-        impl Workload for Lying {
-            fn steady_demand(&self) -> Vec<f64> {
-                vec![SLOT / 4.0; 4]
-            }
-            fn demand_at(&self, _slot: usize) -> Vec<f64> {
-                vec![SLOT * 1.5; 4]
-            }
-            fn content_class(&self) -> &str {
-                "chaos"
-            }
-        }
         enum Mix {
             Flat(Flat),
             Lying(Lying),
@@ -1485,21 +1371,13 @@ mod tests {
             }
         }
         let workloads = [
-            Mix::Flat(Flat {
-                tiles: 2,
-                secs: SLOT / 24.0 * 20.0,
-                class: "busy",
-            }),
+            Mix::Flat(BUSY),
             Mix::Flat(Flat {
                 tiles: 1,
                 secs: SLOT / 8.0,
                 class: "light",
             }),
-            Mix::Flat(Flat {
-                tiles: 8,
-                secs: SLOT,
-                class: "huge",
-            }),
+            Mix::Flat(HUGE),
             Mix::Lying(Lying),
         ];
         let mut trace = vec![
@@ -1565,11 +1443,7 @@ mod tests {
         // Each user demands ~1.917 cores; two 4-core shards hold four.
         // A 4-credit window budget at 1 credit per core-window holds
         // exactly two (3.83 credits) — cost, not capacity, binds.
-        let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
-        }];
+        let workloads = [BUSY];
         let trace = vec![
             request(0, 0, Some(24)),
             request(1, 0, None),
@@ -1615,18 +1489,7 @@ mod tests {
         // oversized request that arrives at slot 4 and is rejected at
         // the next boundary shares nothing with them: every other
         // decision, shard included, must be the same with and without.
-        let workloads = [
-            Flat {
-                tiles: 2,
-                secs: SLOT / 24.0 * 20.0,
-                class: "busy",
-            },
-            Flat {
-                tiles: 8,
-                secs: SLOT,
-                class: "huge",
-            },
-        ];
+        let workloads = [BUSY, HUGE];
         let users = vec![
             request(0, 0, Some(24)),
             request(1, 0, None),
@@ -1674,12 +1537,75 @@ mod tests {
     }
 
     #[test]
-    fn huge_finite_budget_changes_nothing() {
+    fn budget_stop_admits_light_requests_queued_behind_heavy_ones() {
+        // At 1 credit per core-window a 1-credit budget refuses every
+        // heavy request (~1.92 cores) but holds both light ones (~0.14
+        // cores each). The queue front is heavy, so a stop probe that
+        // read the front request would end the scan before either
+        // light request.
+        let workloads = [
+            BUSY,
+            Flat {
+                tiles: 1,
+                secs: SLOT / 8.0,
+                class: "light",
+            },
+        ];
+        let light = |user| UserRequest {
+            profile: 1,
+            ..request(user, 0, None)
+        };
+        let trace = vec![
+            request(0, 0, None),
+            request(1, 0, None),
+            light(2),
+            request(3, 0, None),
+            request(4, 0, None),
+            light(5),
+        ];
+        for shard_policy in [ShardPolicy::LeastLoaded, ShardPolicy::ContentAffinity] {
+            let capped = OnlineConfig {
+                shard_policy,
+                cost: CostPlan {
+                    credits_per_core_window: 1.0,
+                    budget_credits_per_window: 1.0,
+                    degrade_on_evict: false,
+                },
+                ..cfg(16)
+            };
+            let report = serve_online(&capped, &workloads, &trace, quad_shards(2));
+            let admits: Vec<(usize, usize)> = report
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Admit)
+                .map(|e| (e.slot, e.user))
+                .collect();
+            assert_eq!(admits, [(0, 2), (0, 5)], "{shard_policy:?}");
+            assert_eq!(report.queued_at_end, 4, "{shard_policy:?}: heavy ones wait");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before arriving")]
+    fn departing_before_arriving_is_refused() {
+        // Such a request would be indexed under an already-drained
+        // departure slot and never abandon.
         let workloads = [Flat {
-            tiles: 2,
-            secs: SLOT / 24.0 * 20.0,
-            class: "busy",
+            tiles: 1,
+            secs: SLOT / 8.0,
+            class: "x",
         }];
+        serve_online(
+            &cfg(48),
+            &workloads,
+            &[request(0, 10, Some(5))],
+            quad_shards(1),
+        );
+    }
+
+    #[test]
+    fn huge_finite_budget_changes_nothing() {
+        let workloads = [BUSY];
         let trace: Vec<UserRequest> = (0..5).map(|u| request(u, 0, None)).collect();
         let roomy = OnlineConfig {
             cost: CostPlan {
@@ -1702,18 +1628,6 @@ mod tests {
         // boundary re-admission), and the miss streak keeps growing,
         // so tolerances 1 → 2 → 4 windows evict at slots 24 → 48 →
         // 96. After BestEffort there is nowhere lower: dropped.
-        struct Lying;
-        impl Workload for Lying {
-            fn steady_demand(&self) -> Vec<f64> {
-                vec![SLOT / 4.0; 4]
-            }
-            fn demand_at(&self, _slot: usize) -> Vec<f64> {
-                vec![SLOT * 1.5; 4]
-            }
-            fn content_class(&self) -> &str {
-                "chaos"
-            }
-        }
         let trace = vec![UserRequest {
             user: 0,
             arrival_slot: 0,

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The coordinator reuses the single-host control plane wholesale:
-//! node selection is [`Sharder::pick_attached`] over per-node
+//! node selection is [`Sharder::pick`] over per-node
 //! capacities (sum of core speed factors — the same normalization the
 //! admission layer uses for sockets), and each lease counts one
 //! reference core of load against its node. A node whose lease expires
@@ -252,8 +252,7 @@ pub fn run_cluster_with<R: Recorder>(
         cfg.lease_backoff,
         cfg.max_attempts,
     );
-    let mut sharder = Sharder::new(ShardPolicy::LeastLoaded);
-    sharder.attach(capacities.clone());
+    let mut sharder = Sharder::new(ShardPolicy::LeastLoaded, capacities.clone());
     let class = workload.content_class().to_string();
 
     let mut stats: Vec<NodeRunStats> = capacities
@@ -372,9 +371,7 @@ pub fn run_cluster_with<R: Recorder>(
                 let Some((segment, attempt)) = pool.next_ready(now) else {
                     break;
                 };
-                let node = sharder
-                    .pick_attached(LEASE_DEMAND, &class)
-                    .expect("any_fits held");
+                let node = sharder.pick(LEASE_DEMAND, &class).expect("any_fits held");
                 sharder.admit_load(node, LEASE_DEMAND);
                 if !pool.holds_lease(node) {
                     seen[node].clone_from(&delivered);

@@ -19,8 +19,8 @@
 //! # The bit-exactness contract
 //!
 //! Every tier computes the *same integer result* as the scalar code
-//! (which is itself differential-tested against
-//! [`super::reference`]): SAD/SSD/SATD are sums of integer terms, and
+//! (which is itself differential-tested against the specification
+//! restated in `tests/kernel_differential.rs`): SAD/SSD/SATD are sums of integer terms, and
 //! integer SIMD addition is exact, so lane order cannot change the
 //! total. The SATD kernel performs the 4x4 Hadamard butterfly
 //! column-first instead of row-first; since the butterfly is the

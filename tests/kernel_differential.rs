@@ -1,25 +1,26 @@
 //! Differential-fuzz harness for the dispatch-accelerated kernels.
 //!
-//! Two executable specifications anchor the kernel half of this suite:
+//! Two executable specifications, restated in this file, anchor the
+//! kernel half of this suite:
 //!
-//! * `medvt_motion::cost::reference` — the textbook cost metrics. Every
-//!   dispatch tier (AVX2, SSE2, scalar) must produce *bit-identical*
-//!   costs for random planes, ragged block widths and motion vectors
-//!   that clamp outside the reference frame, and every `*_upto`
-//!   early-exit bound must decide exactly like the exact cost.
-//! * `medvt_encoder::bits::reference` — the seed per-bit `BitWriter`.
-//!   Random mixed sequences of `write_bit` / `write_bits` / `write_ue`
-//!   / `write_se` / `byte_align` through the word-batched writer must
+//! * [`spec`] — the textbook cost metrics with per-sample clamped
+//!   access. Every dispatch tier (AVX2, SSE2, scalar) must produce
+//!   *bit-identical* costs for random planes, ragged block widths and
+//!   motion vectors that clamp outside the reference frame, and every
+//!   `*_upto` early-exit bound must decide exactly like the exact cost.
+//! * `bitstream::PerBitWriter` — the seed per-bit `BitWriter`. Random
+//!   mixed sequences of `write_bit` / `write_bits` / `write_ue` /
+//!   `write_se` / `byte_align` through the word-batched writer must
 //!   emit byte-for-byte the same stream.
 //!
-//! A third specification needs no reference module: the residual
+//! A third specification needs no restatement: the residual
 //! coder must equal the composition of the public stage functions
 //! (`transform::forward → quant::quantize → bits::code_block →
 //! quant::dequantize → transform::inverse`) run on every block,
 //! whatever blocks it proves all-zero and skips.
 //!
 //! The block-granular kernels get the same treatment: the strided
-//! `simd::block_sad` against `cost::reference::sad` on every width it
+//! `simd::block_sad` against `spec::sad` on every width it
 //! has a body for and the widths that fall through, at every stride
 //! shape its callers use (plane stride, packed, 0); `sad` with motion
 //! vectors off every edge and corner of the reference; and the
@@ -34,6 +35,95 @@ use medvt_frame::{Plane, Rect};
 use medvt_motion::cost::{self, simd};
 use medvt_motion::{CostMetric, MotionVector};
 use proptest::prelude::*;
+
+/// The cost metrics restated from their definitions, every reference
+/// sample read through `Plane::get_clamped`.
+mod spec {
+    use medvt_frame::{Plane, Rect};
+    use medvt_motion::{CostMetric, MotionVector};
+
+    /// `cur − reference` at `(col, row)`, the reference displaced by
+    /// `mv` and clamped at its edges.
+    fn residual(cur: &Plane, reference: &Plane, col: usize, row: usize, mv: MotionVector) -> i64 {
+        let r = reference.get_clamped(col as isize + mv.x as isize, row as isize + mv.y as isize);
+        i64::from(cur.get(col, row)) - i64::from(r)
+    }
+
+    fn residuals<'a>(
+        cur: &'a Plane,
+        reference: &'a Plane,
+        block: &'a Rect,
+        mv: MotionVector,
+    ) -> impl Iterator<Item = i64> + 'a {
+        (block.y..block.bottom()).flat_map(move |row| {
+            (block.x..block.right()).map(move |col| residual(cur, reference, col, row, mv))
+        })
+    }
+
+    pub fn sad(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
+        residuals(cur, reference, block, mv)
+            .map(i64::unsigned_abs)
+            .sum()
+    }
+
+    pub fn ssd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
+        residuals(cur, reference, block, mv)
+            .map(|d| (d * d) as u64)
+            .sum()
+    }
+
+    /// `Σ |H · X · Hᵀ|` over a 4x4 residual `X`, `H` the order-4
+    /// Hadamard matrix.
+    fn hadamard_cost(x: &[[i64; 4]; 4]) -> u64 {
+        const H: [[i64; 4]; 4] = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]];
+        let coeff = |k: usize, l: usize| -> i64 {
+            (0..4)
+                .flat_map(|i| (0..4).map(move |j| H[k][i] * x[i][j] * H[l][j]))
+                .sum()
+        };
+        (0..16).map(|kl| coeff(kl / 4, kl % 4).unsigned_abs()).sum()
+    }
+
+    /// Half the Hadamard cost of every whole 4x4 sub-block; the ragged
+    /// right and bottom strips cost their SAD.
+    pub fn satd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
+        let (full_w, full_h) = (block.w - block.w % 4, block.h - block.h % 4);
+        let mut acc = 0;
+        for by in (0..full_h).step_by(4) {
+            for bx in (0..full_w).step_by(4) {
+                let x = std::array::from_fn(|sy| {
+                    std::array::from_fn(|sx| {
+                        residual(cur, reference, block.x + bx + sx, block.y + by + sy, mv)
+                    })
+                });
+                acc += hadamard_cost(&x) / 2;
+            }
+        }
+        if full_w < block.w {
+            let right = Rect::new(block.x + full_w, block.y, block.w - full_w, block.h);
+            acc += sad(cur, reference, &right, mv);
+        }
+        if full_h < block.h {
+            let bottom = Rect::new(block.x, block.y + full_h, full_w, block.h - full_h);
+            acc += sad(cur, reference, &bottom, mv);
+        }
+        acc
+    }
+
+    pub fn block_cost(
+        metric: CostMetric,
+        cur: &Plane,
+        reference: &Plane,
+        block: &Rect,
+        mv: MotionVector,
+    ) -> u64 {
+        match metric {
+            CostMetric::Sad => sad(cur, reference, block, mv),
+            CostMetric::Ssd => ssd(cur, reference, block, mv),
+            CostMetric::Satd => satd(cur, reference, block, mv),
+        }
+    }
+}
 
 /// Deterministic textured plane; `salt` decorrelates cur/ref pairs.
 fn plane(width: usize, height: usize, salt: u64) -> Plane {
@@ -89,16 +179,16 @@ fn geometry() -> impl Strategy<Value = (usize, usize, Rect, MotionVector, u64)> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All tiers agree bit-exactly with `cost::reference` on the exact
+    /// All tiers agree bit-exactly with [`spec`] on the exact
     /// metrics, including ragged widths and clamped out-of-bounds MVs.
     #[test]
     fn every_tier_matches_reference_costs((pw, ph, block, mv, salt) in geometry()) {
         let cur = plane(pw, ph, salt);
         let reference = plane(pw, ph, salt.wrapping_add(7));
         let want = (
-            cost::reference::sad(&cur, &reference, &block, mv),
-            cost::reference::ssd(&cur, &reference, &block, mv),
-            cost::reference::satd(&cur, &reference, &block, mv),
+            spec::sad(&cur, &reference, &block, mv),
+            spec::ssd(&cur, &reference, &block, mv),
+            spec::satd(&cur, &reference, &block, mv),
         );
         for t in tiers() {
             let got = simd::with_tier(t, || {
@@ -123,7 +213,7 @@ proptest! {
         let cur = plane(pw, ph, salt);
         let reference = plane(pw, ph, salt.wrapping_add(13));
         for metric in [CostMetric::Sad, CostMetric::Ssd, CostMetric::Satd] {
-            let exact = cost::reference::block_cost(metric, &cur, &reference, &block, mv);
+            let exact = spec::block_cost(metric, &cur, &reference, &block, mv);
             let bound = bound_pct * exact.max(1) / 100;
             for t in tiers() {
                 let c = simd::with_tier(t, || {
@@ -193,7 +283,7 @@ fn block_sad_at_a_ragged_width_is_safe_under_any_named_tier() {
     let (w, h) = (13usize, 7usize);
     let cur = plane(w, h, 5);
     let reference = plane(w, h, 6);
-    let exact = cost::reference::sad(&cur, &reference, &Rect::frame(w, h), MotionVector::ZERO);
+    let exact = spec::sad(&cur, &reference, &Rect::frame(w, h), MotionVector::ZERO);
     for t in simd::DispatchTier::ALL {
         let got = simd::block_sad(t, cur.samples(), w, reference.samples(), w, w, h, u64::MAX);
         assert_eq!(got, exact, "tier {}", t.name());
@@ -221,7 +311,7 @@ proptest! {
                         let rows = (0..h).flat_map(|r| data[r * stride..r * stride + w].iter().copied());
                         Plane::from_vec(w, h, rows.collect()).expect("w x h samples")
                     };
-                    let exact = cost::reference::sad(
+                    let exact = spec::sad(
                         &as_plane(&cur, cur_stride),
                         &as_plane(&reference, ref_stride),
                         &Rect::frame(w, h),
@@ -231,7 +321,7 @@ proptest! {
                     // four-row test sees: reaching it may stop there,
                     // one short of it must not.
                     let head = Rect::frame(w, h.min(4));
-                    let first_check = cost::reference::sad(
+                    let first_check = spec::sad(
                         &as_plane(&cur, cur_stride),
                         &as_plane(&reference, ref_stride),
                         &head,
@@ -280,7 +370,7 @@ proptest! {
                                 sx * (reach + if sx < 0 { bx } else { pw - bw - bx } as i16),
                                 sy * (reach + if sy < 0 { by } else { ph - bh - by } as i16),
                             );
-                            let exact = cost::reference::sad(&cur, &reference, &block, mv);
+                            let exact = spec::sad(&cur, &reference, &block, mv);
                             for t in tiers() {
                                 let case = format!(
                                     "seed {seed} tier {} plane {pw}x{ph} block {block} mv {mv:?}",
@@ -465,8 +555,93 @@ mod bitstream {
     use medvt_encoder::bits::{self, BitWriter};
     use proptest::prelude::*;
 
+    /// The seed writer: pushes one bit at a time into the byte buffer.
+    #[derive(Default)]
+    struct PerBitWriter {
+        buf: Vec<u8>,
+        /// Bits used in the trailing partial byte (0..8).
+        partial: u8,
+        bits: u64,
+    }
+
+    impl PerBitWriter {
+        fn write_bit(&mut self, bit: bool) {
+            if self.partial == 0 {
+                self.buf.push(0);
+            }
+            if bit {
+                let last = self.buf.last_mut().expect("buffer non-empty");
+                *last |= 1 << (7 - self.partial);
+            }
+            self.partial = (self.partial + 1) % 8;
+            self.bits += 1;
+        }
+
+        fn write_bits(&mut self, value: u32, n: u8) {
+            for i in (0..n).rev() {
+                self.write_bit((value >> i) & 1 == 1);
+            }
+        }
+
+        /// Prefix zeros one `write_bit` call at a time — the loop the
+        /// batched writer folds into a single run.
+        fn write_ue(&mut self, value: u32) {
+            let v = value as u64 + 1;
+            let len = 64 - v.leading_zeros() as u8; // bit length of v
+            for _ in 0..len - 1 {
+                self.write_bit(false);
+            }
+            for i in (0..len).rev() {
+                self.write_bit((v >> i) & 1 == 1);
+            }
+        }
+
+        /// HEVC `se(v)` mapping.
+        fn write_se(&mut self, value: i32) {
+            let mapped = if value <= 0 {
+                (-2i64 * value as i64) as u32
+            } else {
+                (2i64 * value as i64 - 1) as u32
+            };
+            self.write_ue(mapped);
+        }
+
+        fn byte_align(&mut self) {
+            while self.partial != 0 {
+                self.write_bit(false);
+            }
+        }
+
+        fn into_bytes(mut self) -> Vec<u8> {
+            self.byte_align();
+            self.buf
+        }
+    }
+
+    /// `bits::code_block`'s syntax driving the per-bit writer (same
+    /// scan tables).
+    fn code_block(levels: &[i32], n: usize, w: &mut PerBitWriter) -> u64 {
+        let before = w.bits;
+        let scan = bits::zigzag(n);
+        match scan.iter().rposition(|&pos| levels[pos] != 0) {
+            None => w.write_bit(false),
+            Some(last) => {
+                w.write_bit(true);
+                w.write_ue(last as u32);
+                for &pos in &scan[..=last] {
+                    let level = levels[pos];
+                    w.write_bit(level != 0);
+                    if level != 0 {
+                        w.write_se(level);
+                    }
+                }
+            }
+        }
+        w.bits - before
+    }
+
     /// One decoded write operation, derived from two raw u64 draws.
-    fn apply(op: u64, payload: u64, new: &mut BitWriter, old: &mut bits::reference::BitWriter) {
+    fn apply(op: u64, payload: u64, new: &mut BitWriter, old: &mut PerBitWriter) {
         match op % 5 {
             0 => {
                 let bit = payload & 1 != 0;
@@ -513,10 +688,10 @@ mod bitstream {
             ops in proptest::collection::vec((0u64..5, 0u64..u64::MAX), 1..400),
         ) {
             let mut new = BitWriter::new();
-            let mut old = bits::reference::BitWriter::new();
+            let mut old = PerBitWriter::default();
             for (op, payload) in ops {
                 apply(op, payload, &mut new, &mut old);
-                prop_assert_eq!(new.bits_written(), old.bits_written());
+                prop_assert_eq!(new.bits_written(), old.bits);
             }
             new.byte_align();
             old.byte_align();
@@ -538,14 +713,62 @@ mod bitstream {
                 .map(|&v| (v / 7) as i32) // sparse-ish, like real levels
                 .collect();
             let mut new = BitWriter::new();
-            let mut old = bits::reference::BitWriter::new();
+            let mut old = PerBitWriter::default();
             let bits_new = bits::code_block(&levels, n, &mut new);
-            let bits_old = bits::reference::code_block(&levels, n, &mut old);
+            let bits_old = code_block(&levels, n, &mut old);
             prop_assert_eq!(bits_new, bits_old);
             new.byte_align();
             old.byte_align();
             prop_assert_eq!(new.into_bytes(), old.into_bytes());
         }
+    }
+
+    #[test]
+    fn ue_long_codes_match_reference_writer() {
+        // u32::MAX is the worst case: a 32-zero prefix plus a 33-bit
+        // info field, which the batched writer must split across runs.
+        for v in [0, 1, 255, 65_535, 1 << 20, u32::MAX - 1, u32::MAX] {
+            let mut w = BitWriter::new();
+            w.write_ue(v);
+            let mut r = PerBitWriter::default();
+            r.write_ue(v);
+            assert_eq!(w.bits_written(), r.bits, "v={v}");
+            assert_eq!(w.into_bytes(), r.into_bytes(), "v={v}");
+        }
+    }
+
+    /// A fixed mixed sequence, including the zero-length `write_bits`
+    /// the random one never draws.
+    #[test]
+    fn batched_writer_matches_reference_on_mixed_sequence() {
+        let mut w = BitWriter::new();
+        let mut r = PerBitWriter::default();
+        for i in 0..500u32 {
+            match i % 5 {
+                0 => {
+                    w.write_bit(i % 2 == 0);
+                    r.write_bit(i % 2 == 0);
+                }
+                1 => {
+                    w.write_bits(i.wrapping_mul(2_654_435_761), (i % 33) as u8);
+                    r.write_bits(i.wrapping_mul(2_654_435_761), (i % 33) as u8);
+                }
+                2 => {
+                    w.write_ue(i * 37);
+                    r.write_ue(i * 37);
+                }
+                3 => {
+                    w.write_se(1000 - i as i32 * 7);
+                    r.write_se(1000 - i as i32 * 7);
+                }
+                _ => {
+                    w.byte_align();
+                    r.byte_align();
+                }
+            }
+            assert_eq!(w.bits_written(), r.bits, "step {i}");
+        }
+        assert_eq!(w.into_bytes(), r.into_bytes());
     }
 }
 
