@@ -10,7 +10,7 @@ use medvt_core::{profile_video, Baseline19Controller, ContentAwareController, Vi
 use medvt_encoder::EncoderConfig;
 use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt_mpsoc::{plan_core, DvfsPolicy, Platform};
-use medvt_sched::{allocate, baseline_allocate, Allocation, UserDemand};
+use medvt_sched::{allocate_on, baseline_allocate, Allocation, UserDemand};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -36,7 +36,7 @@ fn analyze_side(label: &str, profile: &VideoProfile, frame_idx: usize, baseline:
         )
     } else {
         (
-            allocate(platform.total_cores(), slot, &user),
+            allocate_on(&platform.core_speeds(), slot, &user),
             DvfsPolicy::StretchToDeadline,
         )
     };

@@ -69,6 +69,6 @@ pub use pipeline::{
     ContentAwareController, FrameReport, MePolicy, PipelineConfig, TileReport, TranscodeController,
     UniformMeController,
 };
-pub use profile::{profile_video, profile_video_with, VideoProfile};
+pub use profile::{profile_video, VideoProfile};
 pub use qp_control::QpControlConfig;
 pub use server::{Approach, ServerConfig, ServerReport, ServerSim, Stats3};

@@ -8,7 +8,7 @@
 //! substitute for the paper's live 32-core runs (see DESIGN.md).
 
 use crate::pipeline::{FrameReport, TranscodeController};
-use medvt_encoder::{EncoderConfig, ScopedExecutor, SerialExecutor, TileExecutor, VideoEncoder};
+use medvt_encoder::{EncoderConfig, VideoEncoder};
 use medvt_frame::VideoClip;
 use serde::{Deserialize, Serialize};
 
@@ -87,9 +87,9 @@ impl VideoProfile {
 }
 
 /// Profiles `clip` through `controller`, consuming it frame by frame
-/// with the workspace encoder. `parallel` selects unpinned scoped
-/// threads; [`profile_video_with`] accepts any tile executor instead
-/// (e.g. the runtime's placement-aware pool).
+/// with the workspace encoder. `parallel` encodes each frame's tiles on
+/// scoped threads; the profile is the same either way (tile encoding
+/// is deterministic), only the wall-clock cost of producing it moves.
 pub fn profile_video(
     name: impl Into<String>,
     class: impl Into<String>,
@@ -98,25 +98,9 @@ pub fn profile_video(
     encoder: &EncoderConfig,
     parallel: bool,
 ) -> VideoProfile {
-    if parallel {
-        profile_video_with(name, class, clip, controller, encoder, &ScopedExecutor)
-    } else {
-        profile_video_with(name, class, clip, controller, encoder, &SerialExecutor)
-    }
-}
-
-/// Profiles `clip` through `controller`, encoding every frame's tiles
-/// on `executor`. The profile is executor-independent (tile encoding
-/// is deterministic); only the wall-clock cost of producing it moves.
-pub fn profile_video_with(
-    name: impl Into<String>,
-    class: impl Into<String>,
-    clip: &VideoClip,
-    controller: &mut dyn TranscodeController,
-    encoder: &EncoderConfig,
-    executor: &dyn TileExecutor,
-) -> VideoProfile {
-    let stats = VideoEncoder::new(*encoder).encode_clip_with(clip, controller, executor);
+    let stats = VideoEncoder::new(*encoder)
+        .parallel(parallel)
+        .encode_clip(clip, controller);
     let mut frames = controller.drain_reports();
     frames.sort_by_key(|r| r.poc);
     VideoProfile {

@@ -1,10 +1,9 @@
-//! Whole-frame encoding: tile partition validation, executor-driven
-//! per-tile encoding and reconstruction stitching.
+//! Whole-frame encoding: tile partition validation, serial or
+//! scoped-thread per-tile encoding and reconstruction stitching.
 
 use crate::config::{EncoderConfig, TileConfig};
-use crate::executor::{ScopedExecutor, SerialExecutor, TileExecutor, TileJob};
 use crate::stats::FrameStats;
-use crate::tile::encode_tile;
+use crate::tile::{encode_tile, TileOutcome};
 use medvt_frame::{find_overlap, Frame, FrameKind, Rect};
 use medvt_motion::MotionVector;
 use std::fmt;
@@ -214,9 +213,11 @@ pub struct EncodedFrame {
 
 /// Encodes one frame according to `plan`.
 ///
-/// With `parallel` set, tiles are encoded on unpinned scoped threads.
-/// For placement-aware execution on a persistent worker pool, use
-/// [`encode_frame_with`] and a runtime executor.
+/// With `parallel` set, each tile is encoded on its own scoped thread.
+/// Tile encoding is deterministic and tiles are independent, so both
+/// paths produce bit-identical frames. Placing tile work on cores is
+/// the runtime's job (`medvt_runtime::ExecutionBackend`), not the
+/// codec's.
 ///
 /// # Panics
 ///
@@ -231,75 +232,27 @@ pub fn encode_frame(
     ecfg: &EncoderConfig,
     parallel: bool,
 ) -> EncodedFrame {
-    if parallel && plan.tiles.len() > 1 {
-        encode_frame_with(original, refs, kind, poc, plan, ecfg, &ScopedExecutor, None)
-    } else {
-        encode_frame_with(original, refs, kind, poc, plan, ecfg, &SerialExecutor, None)
-    }
-}
-
-/// Encodes one frame, delegating tile execution to `executor`.
-///
-/// `assignment`, when given, maps each tile index to the core that
-/// must run it (what `sched::place_threads` decided); executors
-/// without core affinity ignore it, and placement-aware executors
-/// compute their own assignment from the jobs' cost hints when it is
-/// `None`.
-///
-/// Tile encoding is deterministic and tiles are independent, so every
-/// conforming executor produces bit-identical frames.
-///
-/// # Panics
-///
-/// Panics when the plan fails [`FramePlan::validate`], `assignment`
-/// has the wrong length, or `refs` is empty for an inter `kind`.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_frame_with(
-    original: &Frame,
-    refs: &[&Frame],
-    kind: FrameKind,
-    poc: usize,
-    plan: &FramePlan,
-    ecfg: &EncoderConfig,
-    executor: &dyn TileExecutor,
-    assignment: Option<&[usize]>,
-) -> EncodedFrame {
     let frame_rect = original.y().bounds();
     plan.validate(&frame_rect)
         .expect("frame plan must partition the frame");
-    if let Some(a) = assignment {
-        assert_eq!(
-            a.len(),
-            plan.tiles.len(),
-            "one core assignment per tile required"
-        );
-    }
-    let jobs: Vec<TileJob<'_>> = plan
-        .tiles
-        .iter()
-        .zip(&plan.configs)
-        .enumerate()
-        .map(|(index, (tile, cfg))| {
-            let tile = *tile;
-            let cfg = *cfg;
-            TileJob {
-                index,
-                core: assignment.map(|a| a[index]),
-                cost_hint: tile.area() as f64,
-                run: Box::new(move || encode_tile(original, refs, kind, tile, &cfg, ecfg)),
-            }
+    let tiles = plan.tiles.iter().zip(&plan.configs);
+    let outcomes: Vec<TileOutcome> = if parallel && plan.tiles.len() > 1 {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = tiles
+                .map(|(&tile, cfg)| {
+                    s.spawn(move || encode_tile(original, refs, kind, tile, cfg, ecfg))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("tile thread panicked"))
+                .collect()
         })
-        .collect();
-    // Each tile job runs `encode_tile`, which draws its per-block
-    // working memory from the executing thread's scratch — persistent
-    // pool workers therefore stop allocating per block after their
-    // first tile.
-    let outcomes = executor.execute(jobs);
-    assert_eq!(
-        outcomes.len(),
-        plan.tiles.len(),
-        "executor must return one outcome per tile"
-    );
+    } else {
+        tiles
+            .map(|(&tile, cfg)| encode_tile(original, refs, kind, tile, cfg, ecfg))
+            .collect()
+    };
 
     // Stitch tile reconstructions into the frame reconstruction.
     let mut recon = Frame::black(original.resolution());
@@ -457,33 +410,29 @@ mod tests {
     #[test]
     fn parallel_and_serial_encode_identically() {
         let f = frame();
-        let plan = FramePlan::uniform(
-            f.y().bounds(),
-            2,
-            2,
-            TileConfig::with_qp(Qp::new(32).unwrap()),
-        );
-        let a = encode_frame(
-            &f,
-            &[],
-            FrameKind::Intra,
-            0,
-            &plan,
-            &EncoderConfig::default(),
-            false,
-        );
-        let b = encode_frame(
-            &f,
-            &[],
-            FrameKind::Intra,
-            0,
-            &plan,
-            &EncoderConfig::default(),
-            true,
-        );
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.recon, b.recon);
-        assert_eq!(a.stats, b.stats);
+        for (grid, qp) in [(2, 32), (4, 27)] {
+            let plan = FramePlan::uniform(
+                f.y().bounds(),
+                grid,
+                grid,
+                TileConfig::with_qp(Qp::new(qp).unwrap()),
+            );
+            let encode = |parallel| {
+                encode_frame(
+                    &f,
+                    &[],
+                    FrameKind::Intra,
+                    0,
+                    &plan,
+                    &EncoderConfig::default(),
+                    parallel,
+                )
+            };
+            let (a, b) = (encode(false), encode(true));
+            assert_eq!(a.bytes, b.bytes, "{grid}x{grid} bitstream");
+            assert_eq!(a.recon, b.recon, "{grid}x{grid} recon");
+            assert_eq!(a.stats, b.stats, "{grid}x{grid} stats");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * intra prediction ([`IntraMode`]), motion-compensated inter
 //!   prediction with pluggable search algorithms ([`SearchSpec`]);
 //! * independent tile encoding ([`encode_tile`]) and frame-level
-//!   parallelism ([`encode_frame`]);
+//!   parallelism on scoped threads ([`encode_frame`]); which core runs
+//!   a tile is the runtime's decision, not the codec's;
 //! * the Random Access GOP-8 structure ([`GopStructure`]) and a
 //!   sequence driver ([`VideoEncoder`]) that delegates tiling and
 //!   per-tile configuration to an [`EncodeController`] — the seam where
@@ -56,7 +57,6 @@ pub mod bits;
 mod block;
 mod config;
 mod cost_model;
-mod executor;
 mod frame_enc;
 mod gop;
 mod intra;
@@ -74,10 +74,7 @@ pub use block::{
 };
 pub use config::{EncoderConfig, Qp, SearchSpec, TileConfig};
 pub use cost_model::CostModel;
-pub use executor::{ScopedExecutor, SerialExecutor, TileExecutor, TileJob};
-pub use frame_enc::{
-    encode_frame, encode_frame_with, split_aligned, EncodedFrame, FramePlan, PlanError,
-};
+pub use frame_enc::{encode_frame, split_aligned, EncodedFrame, FramePlan, PlanError};
 pub use gop::{GopEntry, GopStructure};
 pub use intra::{IntraMode, IntraRefs};
 pub use scratch::EncScratch;

@@ -9,8 +9,7 @@
 //! capacity-balanced baseline \[19\].
 
 use crate::config::{EncoderConfig, TileConfig};
-use crate::executor::{ScopedExecutor, SerialExecutor, TileExecutor};
-use crate::frame_enc::{encode_frame_with, EncodedFrame, FramePlan};
+use crate::frame_enc::{encode_frame, EncodedFrame, FramePlan};
 use crate::gop::GopStructure;
 use crate::stats::{FrameStats, SequenceStats};
 use medvt_frame::{Frame, FrameKind, VideoClip};
@@ -111,32 +110,13 @@ impl VideoEncoder {
     /// Encodes `clip` under `controller`, returning per-frame stats.
     ///
     /// Frames are processed in GOP coding order; statistics come back
-    /// in display order. Tile execution uses the serial path, or
-    /// unpinned scoped threads when [`VideoEncoder::parallel`] is set;
-    /// [`VideoEncoder::encode_clip_with`] plugs in an arbitrary
-    /// executor instead (e.g. the runtime's placement-aware pool).
+    /// in display order. Tiles are encoded serially, or on scoped
+    /// threads when [`VideoEncoder::parallel`] is set; both produce
+    /// bit-identical streams.
     pub fn encode_clip(
         &self,
         clip: &VideoClip,
         controller: &mut dyn EncodeController,
-    ) -> SequenceStats {
-        if self.parallel {
-            self.encode_clip_with(clip, controller, &ScopedExecutor)
-        } else {
-            self.encode_clip_with(clip, controller, &SerialExecutor)
-        }
-    }
-
-    /// Encodes `clip` under `controller`, running every frame's tiles
-    /// on `executor`.
-    ///
-    /// All executors produce bit-identical streams (tile encoding is
-    /// deterministic); they differ only in where the work runs.
-    pub fn encode_clip_with(
-        &self,
-        clip: &VideoClip,
-        controller: &mut dyn EncodeController,
-        executor: &dyn TileExecutor,
     ) -> SequenceStats {
         let n = clip.len();
         let mut per_frame: Vec<Option<FrameStats>> = vec![None; n];
@@ -153,7 +133,6 @@ impl VideoEncoder {
         let first = clip.get(0).expect("n > 0");
         let encoded = self.encode_one(
             controller,
-            executor,
             first,
             &[],
             FrameKind::Intra,
@@ -197,7 +176,6 @@ impl VideoEncoder {
                     let prev_anchor = dpb.get(&gop_start);
                     let encoded = self.encode_one(
                         controller,
-                        executor,
                         frame,
                         &refs,
                         kind,
@@ -225,7 +203,6 @@ impl VideoEncoder {
                     let refs = vec![reference];
                     let encoded = self.encode_one(
                         controller,
-                        executor,
                         frame,
                         &refs,
                         FrameKind::Predicted,
@@ -256,7 +233,6 @@ impl VideoEncoder {
     fn encode_one(
         &self,
         controller: &mut dyn EncodeController,
-        executor: &dyn TileExecutor,
         frame: &Frame,
         refs: &[&Frame],
         kind: FrameKind,
@@ -276,7 +252,7 @@ impl VideoEncoder {
             prev_anchor,
         };
         let plan = controller.plan(&ctx);
-        encode_frame_with(frame, refs, kind, poc, &plan, &self.config, executor, None)
+        encode_frame(frame, refs, kind, poc, &plan, &self.config, self.parallel)
     }
 }
 

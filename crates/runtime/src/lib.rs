@@ -18,9 +18,8 @@
 //!   without running them;
 //! * [`ThreadPoolBackend`] — runs real work units on a pool of
 //!   persistent per-core worker threads (FIFO queues, scoped
-//!   borrow-friendly submission), honouring `sched::place_threads` assignments, with the *same*
-//!   analytical accounting (also an `encoder::TileExecutor`, so
-//!   `VideoEncoder::encode_clip_with` transparently encodes on it);
+//!   borrow-friendly submission), honouring the core of every placed
+//!   [`WorkUnit`], with the *same* analytical accounting;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
 //!   stepped GOP by GOP with per-user accounting and membership deltas
@@ -31,41 +30,43 @@
 //!
 //! | Algorithm 2 lines | concept | here |
 //! |---|---|---|
-//! | 1–2 | per-user core demand, ascending-demand admission | `sched::allocate` (unchanged), driven by `core::ServerSim` |
-//! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run by [`LoopDriver`] at a GOP boundary (`ReplanPolicy::PerGop`) or a membership change, and only when a member or a demand estimate changed since the last pass; per-frame tile→worker placement (`ThreadPoolBackend::place_for_costs`) uses speed-blind `place_threads` over the host's (homogeneous) worker threads |
+//! | 1–2 | per-user core demand, ascending-demand admission | `sched::allocate_on`, driven by `core::ServerSim` |
+//! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run by [`LoopDriver`] at a GOP boundary (`ReplanPolicy::PerGop`) or a membership change, and only when a member or a demand estimate changed since the last pass |
 //! | 16–20 | per-core DVFS for the slot | `mpsoc::plan_core_on` (per core class) via the backend's analytical accounting |
 //! | 21–22 | deadline-miss carry into the next slot | backend state: [`SimBackend`]/[`ThreadPoolBackend`] carry vectors |
 //! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::advance`] (under [`LoopDriver::run`] and online serving alike) |
 //!
 //! # Example
 //!
-//! Encode a clip with tiles pinned to a 4-worker pool:
+//! Run one slot of placed work on a 4-worker pool: each unit's job
+//! runs on the worker its core names, and the slot is priced by the
+//! same analytical model as [`SimBackend`]:
 //!
 //! ```
-//! use medvt_encoder::{EncoderConfig, Qp, TileConfig, UniformController, VideoEncoder};
-//! use medvt_frame::synth::{BodyPart, PhantomVideo};
-//! use medvt_frame::Resolution;
-//! use medvt_mpsoc::{Platform, PowerModel};
-//! use medvt_runtime::ThreadPoolBackend;
+//! use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
+//! use medvt_runtime::{ExecutionBackend, ThreadPoolBackend, WorkUnit};
+//! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
-//! let clip = PhantomVideo::builder(BodyPart::Brain)
-//!     .resolution(Resolution::new(96, 64))
-//!     .seed(1)
-//!     .build()
-//!     .capture(3);
-//! let backend = ThreadPoolBackend::with_workers(
+//! let mut backend = ThreadPoolBackend::with_workers(
 //!     Platform::quad_core(),
 //!     PowerModel::default(),
 //!     4,
 //! );
-//! let mut controller = UniformController::new(
-//!     2,
-//!     2,
-//!     TileConfig::with_qp(Qp::new(32).expect("valid QP")),
-//! );
-//! let stats = VideoEncoder::new(EncoderConfig::default())
-//!     .encode_clip_with(&clip, &mut controller, &backend);
-//! assert_eq!(stats.frames.len(), 3);
+//! let done = AtomicUsize::new(0);
+//! let work: Vec<WorkUnit<'_>> = (0..8)
+//!     .map(|thread| WorkUnit {
+//!         user: 0,
+//!         thread,
+//!         core: thread % 4,
+//!         cost_fmax_secs: 0.01,
+//!         job: Some(Box::new(|| {
+//!             done.fetch_add(1, Ordering::Relaxed);
+//!         })),
+//!     })
+//!     .collect();
+//! let outcome = backend.execute_slot(DvfsPolicy::StretchToDeadline, 1.0 / 24.0, work);
+//! assert_eq!(done.load(Ordering::Relaxed), 8);
+//! assert_eq!(outcome.report.deadline_misses, 0);
 //! ```
 
 #![warn(missing_docs)]

@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 pub struct ExecRecord {
     /// Worker (core) that ran the job.
     pub worker: usize,
-    /// Caller-meaningful user id (or frame POC for encoder tiles).
+    /// Caller-meaningful user id.
     pub user: usize,
     /// Caller-meaningful item id (thread/tile index).
     pub item: usize,

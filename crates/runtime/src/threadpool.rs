@@ -10,10 +10,7 @@
 use crate::backend::{ExecutionBackend, SlotOutcome, WorkUnit};
 use crate::pool::{ExecRecord, WorkerPool};
 use crate::sim::SimBackend;
-use medvt_encoder::{TileExecutor, TileJob, TileOutcome};
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
-use medvt_sched::{place_threads, UserDemand};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Executes placed work units on persistent per-core worker threads.
@@ -48,27 +45,6 @@ impl ThreadPoolBackend {
     /// Drains the execution log: which worker ran which (user, item).
     pub fn drain_log(&self) -> Vec<ExecRecord> {
         self.pool.drain_log()
-    }
-
-    /// The placement this backend computes for a set of tile costs
-    /// when no explicit core assignment is given: Algorithm 2's
-    /// cap-seeking `place_threads` over the worker set, treating the
-    /// frame as one user and balancing total cost across workers.
-    pub fn place_for_costs(&self, costs: &[f64]) -> Vec<usize> {
-        let workers = self.pool.workers();
-        let total: f64 = costs.iter().sum();
-        if costs.is_empty() || total <= 0.0 {
-            return vec![0; costs.len()];
-        }
-        // A "slot" sized so the summed demand asks for every worker:
-        // placement then packs tiles to equalize per-worker load.
-        let slot = (total / workers as f64).max(1e-12);
-        let alloc = place_threads(workers, slot, &[UserDemand::new(0, costs.to_vec())]);
-        let mut assignment = vec![0usize; costs.len()];
-        for p in &alloc.placements {
-            assignment[p.thread] = p.core;
-        }
-        assignment
     }
 }
 
@@ -124,40 +100,6 @@ impl ExecutionBackend for ThreadPoolBackend {
         let mut outcome = self.accounting.execute_slot(policy, slot_secs, cost_units);
         outcome.wall_secs = wall_secs;
         outcome
-    }
-}
-
-/// Placement-aware tile execution for the encoder: jobs with explicit
-/// core assignments run exactly there; unassigned frames get an
-/// Algorithm 2 placement computed from the jobs' cost hints.
-impl TileExecutor for ThreadPoolBackend {
-    fn execute<'scope>(&self, jobs: Vec<TileJob<'scope>>) -> Vec<TileOutcome> {
-        let n = jobs.len();
-        let assignment: Vec<usize> = if jobs.iter().all(|j| j.core.is_some()) {
-            jobs.iter().map(|j| j.core.expect("checked")).collect()
-        } else {
-            let costs: Vec<f64> = jobs.iter().map(|j| j.cost_hint).collect();
-            self.place_for_costs(&costs)
-        };
-        let results: Vec<Mutex<Option<TileOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.pool.scope(|s| {
-            for job in jobs {
-                let slot = &results[job.index];
-                let core = assignment[job.index];
-                let run = job.run;
-                s.submit(core, 0, job.index, move || {
-                    *slot.lock().expect("result slot") = Some(run());
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot")
-                    .expect("every tile job ran")
-            })
-            .collect()
     }
 }
 
@@ -217,18 +159,5 @@ mod tests {
             );
             assert_eq!(r.user, 3);
         }
-    }
-
-    #[test]
-    fn place_for_costs_balances_load() {
-        let b = ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        let costs = vec![1.0; 16];
-        let assignment = b.place_for_costs(&costs);
-        let mut per_worker = [0usize; 4];
-        for &w in &assignment {
-            assert!(w < 4);
-            per_worker[w] += 1;
-        }
-        assert_eq!(per_worker, [4, 4, 4, 4], "uniform costs spread evenly");
     }
 }

@@ -188,32 +188,21 @@ impl Allocation {
     }
 }
 
-/// Runs Algorithm 2 lines 1–15.
+/// Runs Algorithm 2 lines 1–15 over cores of relative speeds
+/// `speeds` (`medvt_mpsoc::Platform::core_speeds`; `[1.0; cores]` for
+/// identical reference cores).
 ///
 /// `slot_secs` is the 1/FPS scheduling interval. Admission sorts users
-/// by ascending core demand (line 2) — ties keep queue order. The
-/// placement loop (lines 3–15) runs over the *demanded* core set
-/// `N_core^U = Σ N_core^k` of the admitted users, not the whole
-/// platform: that restriction is what consolidates threads onto few
-/// cores and leaves the rest of the platform idle for other work or
-/// deep sleep. Threads are handled in descending duration so large
-/// tiles seed the packing.
-///
-/// # Panics
-///
-/// Panics when `cores` is zero or `slot_secs` is not positive.
-pub fn allocate(cores: usize, slot_secs: f64, users: &[UserDemand]) -> Allocation {
-    assert!(cores > 0, "need at least one core");
-    allocate_on(&vec![1.0; cores], slot_secs, users)
-}
-
-/// Speed-aware admission *and* placement over heterogeneous cores:
-/// users are admitted by ascending fractional demand against the
-/// platform's **effective capacity** `Σ speeds` (reference cores), so
-/// a big.LITTLE socket admits against e.g. 5.8 cores rather than its
-/// raw core count, and the admitted set is placed with
-/// [`place_threads_on`] semantics. On homogeneous platforms
-/// (`speeds = [1.0; cores]`) this is bit-for-bit [`allocate`].
+/// by ascending fractional core demand (line 2) — ties keep queue
+/// order — against the platform's **effective capacity** `Σ speeds`
+/// (reference cores), so a big.LITTLE socket admits against e.g. 5.8
+/// cores rather than its raw core count. The admitted set is placed
+/// with [`place_threads_on`] semantics: the placement loop (lines
+/// 3–15) runs over the *demanded* core set `N_core^U = Σ N_core^k` of
+/// the admitted users, not the whole platform, which consolidates
+/// threads onto few cores and leaves the rest of the platform idle
+/// for other work or deep sleep. Threads are handled in descending
+/// duration so large tiles seed the packing.
 ///
 /// # Panics
 ///
@@ -275,19 +264,10 @@ pub fn allocate_on(speeds: &[f64], slot_secs: f64, users: &[UserDemand]) -> Allo
 }
 
 /// Runs only the placement stage (lines 3–15) for an already-admitted
-/// user set on identical reference-speed cores — what happens at the
-/// start of every GOP once admission is settled (§III-D2: "thread
-/// allocation is performed once at the beginning of each GOP").
+/// user set — what happens at the start of every GOP once admission is
+/// settled (§III-D2: "thread allocation is performed once at the
+/// beginning of each GOP").
 ///
-/// # Panics
-///
-/// Panics when `cores` is zero or `slot_secs` is not positive.
-pub fn place_threads(cores: usize, slot_secs: f64, users: &[UserDemand]) -> Allocation {
-    assert!(cores > 0, "need at least one core");
-    place_threads_on(&vec![1.0; cores], slot_secs, users)
-}
-
-/// Speed-aware placement (lines 3–15) over heterogeneous cores:
 /// `speeds[k]` is core `k`'s throughput relative to the reference
 /// class (`medvt_mpsoc::Platform::core_speeds`). Loads are normalized
 /// to effective fmax-seconds (`secs / speed`) so the dynamic-cap
@@ -475,7 +455,7 @@ mod tests {
             demand(2, &[SLOT / 3.0]),             // needs 1
             demand(3, &[SLOT / 3.0]),             // needs 1
         ];
-        let alloc = allocate(3, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 3], SLOT, &users);
         assert_eq!(alloc.admitted, vec![1, 2, 3]);
         assert_eq!(alloc.rejected, vec![0]);
     }
@@ -486,7 +466,7 @@ mod tests {
             demand(0, &[0.004, 0.003, 0.001]),
             demand(1, &[0.010, 0.002]),
         ];
-        let alloc = allocate(4, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 4], SLOT, &users);
         assert_eq!(alloc.admitted.len(), 2);
         assert_eq!(alloc.placements.len(), 5);
         assert!(alloc.placements.iter().all(|p| p.core < 4));
@@ -499,7 +479,7 @@ mod tests {
         // 8 threads of half a slot each: demand = 4 cores; balance is
         // exactly two threads per core.
         let users = vec![demand(0, &[SLOT / 2.0; 8])];
-        let alloc = allocate(8, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 8], SLOT, &users);
         assert_eq!(alloc.used_cores(), 4);
         for &load in &alloc.core_loads[..4] {
             assert!((load - SLOT).abs() < 1e-12, "load={load}");
@@ -513,7 +493,7 @@ mod tests {
         // under the slot, minimizing the number of active cores — the
         // source of the paper's DVFS savings.
         let users = vec![demand(0, &[SLOT / 4.0; 4])];
-        let alloc = allocate(8, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 8], SLOT, &users);
         // 4 x SLOT/4 fits one core exactly.
         assert_eq!(alloc.used_cores(), 1, "loads={:?}", alloc.core_loads);
         assert!(alloc.max_load() <= SLOT + 1e-12);
@@ -525,14 +505,14 @@ mod tests {
         // must take two threads and carry the overrun into the next
         // slot — Algorithm 2's lines 5–6/21–22 behaviour.
         let users = vec![demand(0, &[SLOT * 0.6; 3])];
-        let alloc = allocate(4, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 4], SLOT, &users);
         assert_eq!(alloc.used_cores(), 2);
         assert!(alloc.max_load() > SLOT);
     }
 
     #[test]
     fn empty_queue_yields_empty_allocation() {
-        let alloc = allocate(4, SLOT, &[]);
+        let alloc = allocate_on(&[1.0; 4], SLOT, &[]);
         assert!(alloc.admitted.is_empty());
         assert!(alloc.placements.is_empty());
         assert_eq!(alloc.used_cores(), 0);
@@ -541,7 +521,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
-        allocate(0, SLOT, &[]);
+        allocate_on(&[], SLOT, &[]);
     }
 
     #[test]
@@ -615,22 +595,24 @@ mod tests {
     }
 
     #[test]
-    fn allocate_on_homogeneous_matches_allocate() {
+    fn allocate_on_places_admitted_users_like_place_threads_on() {
         let users = vec![
             demand(0, &[SLOT * 0.6, SLOT * 0.3]),
             demand(1, &[SLOT / 3.0; 5]),
             demand(2, &[SLOT * 0.9]),
             demand(3, &[SLOT / 4.0; 2]),
         ];
-        let a = allocate(4, SLOT, &users);
-        let b = allocate_on(&[1.0; 4], SLOT, &users);
-        assert_eq!(a, b, "homogeneous allocate_on must equal allocate");
+        let a = allocate_on(&[1.0; 4], SLOT, &users);
+        let b = place_threads_on(&[1.0; 4], SLOT, &users);
+        assert_eq!(a.admitted.len(), 4, "every user fits four cores");
+        assert_eq!(a.placements, b.placements);
+        assert_eq!(a.core_loads, b.core_loads);
     }
 
     #[test]
     fn finish_times_match_loads_on_homogeneous_cores() {
         let users = vec![demand(0, &[SLOT / 3.0; 5])];
-        let alloc = place_threads(4, SLOT, &users);
+        let alloc = place_threads_on(&[1.0; 4], SLOT, &users);
         let speeds = vec![1.0; 4];
         assert_eq!(alloc.finish_times(&speeds), alloc.core_loads);
         assert!((alloc.worst_finish_secs(&speeds) - alloc.max_load()).abs() < 1e-15);
@@ -731,7 +713,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let alloc = allocate(16, SLOT, &users);
+            let alloc = allocate_on(&[1.0; 16], SLOT, &users);
             // Every admitted user's threads placed exactly once.
             let expect = alloc.admitted.len() * threads_per_user;
             prop_assert_eq!(alloc.placements.len(), expect);
@@ -750,7 +732,7 @@ mod tests {
             );
         }
 
-        /// `place_threads` invariants over irregular demand shapes:
+        /// `place_threads_on` invariants over irregular demand shapes:
         /// every thread placed exactly once on a valid core, core
         /// loads consistent with placements, overload bounded by one
         /// spilled thread, and a single-core-sized total never
@@ -770,7 +752,7 @@ mod tests {
                 })
                 .collect();
             let cores = 16;
-            let alloc = place_threads(cores, SLOT, &users);
+            let alloc = place_threads_on(&vec![1.0; cores], SLOT, &users);
             // Every thread placed exactly once, on a real core.
             let expect: usize = users.iter().map(|u| u.thread_secs.len()).sum();
             prop_assert_eq!(alloc.placements.len(), expect);
@@ -811,7 +793,7 @@ mod tests {
         ) {
             let secs = SLOT / tiles_per_slot as f64;
             let users = vec![demand(0, &vec![secs; threads])];
-            let alloc = place_threads(32, SLOT, &users);
+            let alloc = place_threads_on(&[1.0; 32], SLOT, &users);
             prop_assert!(
                 alloc.max_load() <= SLOT + 1e-12,
                 "equal tiles overloaded a core: {} > slot",
@@ -840,8 +822,8 @@ mod tests {
             let mut permuted = users.clone();
             let k = rotation % permuted.len();
             permuted.rotate_left(k);
-            let a = place_threads(16, SLOT, &users);
-            let b = place_threads(16, SLOT, &permuted);
+            let a = place_threads_on(&[1.0; 16], SLOT, &users);
+            let b = place_threads_on(&[1.0; 16], SLOT, &permuted);
             for (x, y) in a.core_loads.iter().zip(&b.core_loads) {
                 prop_assert!(
                     (x - y).abs() < 1e-12,

@@ -10,12 +10,12 @@
 //! * [`WorkloadLut`] / [`LutBank`] — the per-(tile structure, encoding
 //!   configuration) CPU-time histograms of §III-D1, updated online and
 //!   transferable across videos of the same body-part class;
-//! * [`allocate`] / [`allocate_on`] / [`place_threads`] /
-//!   [`place_threads_on`] — Algorithm 2 lines 1–15: ascending-demand
-//!   admission and cap-seeking thread placement; the `_on` forms are
-//!   speed-aware for heterogeneous (big.LITTLE) platforms, admitting
-//!   against effective (speed-weighted) capacity and normalizing loads
-//!   by per-core speed factors so the argmin balances finish times;
+//! * [`allocate_on`] / [`place_threads_on`] — Algorithm 2 lines
+//!   1–15: ascending-demand admission and cap-seeking thread placement,
+//!   speed-aware for heterogeneous (big.LITTLE) platforms: admission
+//!   is against effective (speed-weighted) capacity and loads are
+//!   normalized by per-core speed factors so the argmin balances
+//!   finish times;
 //! * [`IncrementalPlacer`] — a vestige kept for `benchmark/`'s
 //!   `sched_script`: staged membership deltas over
 //!   [`place_threads_on`]. The product's one placer is
@@ -34,14 +34,14 @@
 //! # Examples
 //!
 //! ```
-//! use medvt_sched::{allocate, UserDemand};
+//! use medvt_sched::{allocate_on, UserDemand};
 //!
 //! let slot = 1.0 / 24.0;
 //! let users = vec![
 //!     UserDemand::new(0, vec![slot * 0.2, slot * 0.3]),
 //!     UserDemand::new(1, vec![slot * 0.5]),
 //! ];
-//! let alloc = allocate(4, slot, &users);
+//! let alloc = allocate_on(&[1.0; 4], slot, &users);
 //! assert_eq!(alloc.admitted.len(), 2);
 //! assert!(alloc.max_load() <= slot + 1e-12);
 //! ```
@@ -56,10 +56,7 @@ mod feedback;
 mod incremental;
 mod lut;
 
-pub use alloc::{
-    allocate, allocate_on, place_threads, place_threads_on, Allocation, DemandError, Placement,
-    UserDemand,
-};
+pub use alloc::{allocate_on, place_threads_on, Allocation, DemandError, Placement, UserDemand};
 pub use baseline::baseline_allocate;
 pub use feedback::{Adjustment, FeedbackController};
 pub use incremental::IncrementalPlacer;

@@ -1,19 +1,18 @@
-//! Multi-user telemedicine server: profile the medical suite on the
-//! placement-aware thread pool, then serve an always-full queue of
-//! doctors on the 32-core Xeon platform with both the proposed
-//! scheduler and the baseline [19], comparing throughput and power.
+//! Multi-user telemedicine server: profile the medical suite with
+//! parallel tile encoding, then serve an always-full queue of doctors
+//! on the 32-core Xeon platform with both the proposed scheduler and
+//! the baseline [19], comparing throughput and power.
 //!
-//! Profiling encodes every tile on `ThreadPoolBackend` — the runtime
-//! places tiles on its per-core FIFO queues with Algorithm 2's
-//! `place_threads` — and serving drives the frame slots through the
-//! same backend, so this example exercises the real execution path
-//! end to end (the analytical `SimBackend` reports identical numbers).
+//! Serving drives the frame slots through `ThreadPoolBackend`, whose
+//! per-core FIFO queues run the threads where Algorithm 2's
+//! placement put them (the analytical `SimBackend` reports identical
+//! numbers).
 //!
 //! Run: `cargo run --release --example multi_user_server`
 
 use medvt::analyze::AnalyzerConfig;
 use medvt::core::{
-    profile_video_with, Approach, Baseline19Controller, BaselineConfig, ContentAwareController,
+    profile_video, Approach, Baseline19Controller, BaselineConfig, ContentAwareController,
     PipelineConfig, ServerConfig, ServerSim,
 };
 use medvt::encoder::EncoderConfig;
@@ -27,11 +26,9 @@ fn main() {
     let frames = 33;
     let server_cfg = ServerConfig::default();
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let pool =
-        ThreadPoolBackend::with_workers(server_cfg.platform.clone(), server_cfg.power, workers);
     println!(
         "profiling the 10-video medical suite at {resolution} ({frames} frames each) \
-         on a {workers}-worker placement-aware pool…"
+         with parallel tiles…"
     );
 
     let pipeline = PipelineConfig {
@@ -52,30 +49,31 @@ fn main() {
         // Proposed: LUTs transfer within a body-part class (§III-D1).
         let lut: WorkloadLut = bank.seed_for(&class);
         let mut ctl = ContentAwareController::new(pipeline, lut);
-        proposed.push(profile_video_with(
+        proposed.push(profile_video(
             &name,
             &class,
             &clip,
             &mut ctl,
             &EncoderConfig::default(),
-            &pool,
+            true,
         ));
         bank.learn(&class, ctl.lut());
         // Baseline [19].
         let mut base = Baseline19Controller::new(BaselineConfig::default());
-        baseline.push(profile_video_with(
+        baseline.push(profile_video(
             &name,
             &class,
             &clip,
             &mut base,
             &EncoderConfig::default(),
-            &pool,
+            true,
         ));
         println!("  {name}: done");
     }
 
+    let mut backend =
+        ThreadPoolBackend::with_workers(server_cfg.platform.clone(), server_cfg.power, workers);
     let sim = ServerSim::new(server_cfg);
-    let mut backend = pool;
     let p = sim.serve_max_on(&mut backend, &proposed, Approach::Proposed);
     let b = sim.serve_max_on(&mut backend, &baseline, Approach::Baseline);
 

@@ -9,8 +9,10 @@ use medvt::frame::synth::BodyPart;
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, ThreadPoolBackend};
 use medvt::telemetry::{EventKind, FlightRecorder};
-use medvt_bench::live_workload;
 use std::time::Duration;
+
+mod common;
+use common::live_workload;
 
 const TOTAL_SLOTS: usize = 96;
 const GOP_SLOTS: usize = 8;

@@ -12,7 +12,9 @@ use medvt::admission::{
 use medvt::core::{Approach, ServerConfig, ServerSim};
 use medvt::mpsoc::{CostModel, DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
-use medvt_bench::synthetic_profile as profile;
+
+mod common;
+use common::synthetic_profile as profile;
 
 const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;

@@ -11,9 +11,11 @@ use medvt::runtime::{
     DemandSource, ExecutionBackend, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend,
     ThreadPoolBackend,
 };
-use medvt::sched::{place_threads, place_threads_on, UserDemand};
-use medvt_bench::synthetic_profile as profile;
+use medvt::sched::{place_threads_on, UserDemand};
 use proptest::prelude::*;
+
+mod common;
+use common::synthetic_profile as profile;
 
 const SLOT: f64 = 1.0 / 24.0;
 
@@ -49,7 +51,7 @@ fn speed_aware_placement_beats_speed_blind_on_big_little() {
     let speeds = socket_speeds();
     let demand = mixed_demand();
     let aware = place_threads_on(&speeds, SLOT, std::slice::from_ref(&demand));
-    let blind = place_threads(speeds.len(), SLOT, &[demand]);
+    let blind = place_threads_on(&vec![1.0; speeds.len()], SLOT, &[demand]);
     let aware_worst = aware.worst_finish_secs(&speeds);
     let blind_worst = blind.worst_finish_secs(&speeds);
     assert!(

@@ -12,7 +12,9 @@ use medvt::frame::synth::BodyPart;
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
 use medvt::telemetry::FlightRecorder;
-use medvt_bench::{live_online_config, live_workload, suggested_host_speed_factor};
+
+mod common;
+use common::{live_online_config, live_workload, suggested_host_speed_factor};
 
 /// The CI scenario's documented measured/modeled tolerance band.
 ///
@@ -44,7 +46,7 @@ fn trace(users: usize) -> Vec<UserRequest> {
 
 #[test]
 fn live_path_matches_model_and_direct_encoding() {
-    // The CI scenario of the shared medvt-bench fixture.
+    // The CI scenario of the shared test fixture.
     let workloads = vec![live_workload("live-ci", BodyPart::Brain, "brain", 11).with_capture()];
     let cfg = live_online_config(48);
     let platform = Platform::quad_core();
@@ -183,4 +185,13 @@ fn live_path_matches_model_and_direct_encoding() {
          (predicted {predicted}, measured {})",
         live.measured_window_secs()
     );
+}
+
+#[test]
+fn suggested_rho_is_the_geometric_mean() {
+    assert_eq!(suggested_host_speed_factor(&[]), None);
+    let rho = suggested_host_speed_factor(&[0.25, 4.0]).expect("two ratios");
+    assert!((rho - 1.0).abs() < 1e-12, "geomean of 1/4 and 4 is 1");
+    let rho = suggested_host_speed_factor(&[0.5]).expect("one ratio");
+    assert!((rho - 0.5).abs() < 1e-12, "a single ratio is its own rho");
 }

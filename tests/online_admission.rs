@@ -6,7 +6,9 @@ use medvt::admission::{synthesize_trace, EventKind, ShardPolicy, TraceConfig};
 use medvt::core::{ServerConfig, ServerSim, VideoProfile};
 use medvt::mpsoc::PowerModel;
 use medvt::runtime::ThreadPoolBackend;
-use medvt_bench::synthetic_profile as profile;
+
+mod common;
+use common::synthetic_profile as profile;
 
 const SLOT: f64 = 1.0 / 24.0;
 

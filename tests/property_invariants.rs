@@ -7,7 +7,7 @@ use medvt::encoder::{code_residual, EncoderConfig, FramePlan, Qp, TileConfig};
 use medvt::frame::synth::{render_canvas, BodyPart, ValueNoise};
 use medvt::frame::{Plane, Rect};
 use medvt::mpsoc::{plan_core, DvfsPolicy, Platform};
-use medvt::sched::{allocate, UserDemand};
+use medvt::sched::{allocate_on, UserDemand};
 use proptest::prelude::*;
 
 const SLOT: f64 = 1.0 / 24.0;
@@ -92,7 +92,7 @@ proptest! {
                 vec![demand_ms as f64 * 1e-3 / tiles as f64; tiles],
             ))
             .collect();
-        let alloc = allocate(16, SLOT, &users);
+        let alloc = allocate_on(&[1.0; 16], SLOT, &users);
         let fps = 1.0 / SLOT;
         let admitted_demand: f64 = users
             .iter()

@@ -27,9 +27,11 @@ use medvt::core::VideoProfile;
 use medvt::mpsoc::{CostModel, Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
 use medvt::telemetry::NoopRecorder;
-use medvt_bench::{live_online_config, synthetic_profile as profile};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+mod common;
+use common::{live_online_config, synthetic_profile as profile};
 
 const HORIZON: usize = 144;
 

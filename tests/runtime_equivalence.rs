@@ -1,22 +1,12 @@
-//! Backend equivalence: the placement-aware `ThreadPoolBackend` must
-//! be a pure *where-it-runs* decision — bit-identical reconstructions,
-//! bits and PSNR versus the serial reference path, deterministic
-//! across runs, and faithful to `place_threads` core assignments.
+//! Where work runs must not change what it produces: parallel tile
+//! encoding matches the serial path bit for bit, and the control
+//! plane's placement decisions match their recorded hashes.
 
 use medvt::core::{ContentAwareController, PipelineConfig};
-use medvt::encoder::{
-    encode_frame, encode_frame_with, EncoderConfig, FramePlan, Qp, TileConfig, UniformController,
-    VideoEncoder,
-};
+use medvt::encoder::{EncoderConfig, VideoEncoder};
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt::frame::{FrameKind, Resolution};
-use medvt::mpsoc::{Platform, PowerModel};
-use medvt::runtime::ThreadPoolBackend;
+use medvt::frame::Resolution;
 use medvt::sched::WorkloadLut;
-
-fn pool(workers: usize) -> ThreadPoolBackend {
-    ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), workers)
-}
 
 fn clip(frames: usize) -> medvt::frame::VideoClip {
     PhantomVideo::builder(BodyPart::Cardiac)
@@ -27,46 +17,9 @@ fn clip(frames: usize) -> medvt::frame::VideoClip {
         .capture(frames)
 }
 
-/// A 16-tile frame encoded on the pool matches the serial encode in
-/// every byte of the bitstream and every reconstructed sample.
-#[test]
-fn pool_frame_is_bit_identical_to_serial() {
-    let frame = clip(1).get(0).expect("one frame").clone();
-    let plan = FramePlan::uniform(
-        frame.y().bounds(),
-        4,
-        4,
-        TileConfig::with_qp(Qp::new(27).expect("valid")),
-    );
-    let serial = encode_frame(
-        &frame,
-        &[],
-        FrameKind::Intra,
-        0,
-        &plan,
-        &EncoderConfig::default(),
-        false,
-    );
-    for workers in [1, 2, 4, 8] {
-        let backend = pool(workers);
-        let pooled = encode_frame_with(
-            &frame,
-            &[],
-            FrameKind::Intra,
-            0,
-            &plan,
-            &EncoderConfig::default(),
-            &backend,
-            None,
-        );
-        assert_eq!(serial.bytes, pooled.bytes, "bitstream at {workers} workers");
-        assert_eq!(serial.recon, pooled.recon, "recon at {workers} workers");
-        assert_eq!(serial.stats, pooled.stats, "stats at {workers} workers");
-    }
-}
-
-/// A whole multi-tile clip through the content-aware pipeline produces
-/// identical per-tile bits and PSNR on the pool and on the serial path.
+/// A whole clip through the content-aware pipeline, whose tiles are
+/// non-uniform, produces identical per-tile bits and PSNR with
+/// parallel and serial tile encoding.
 #[test]
 fn pool_clip_matches_serial_bits_and_psnr() {
     let clip = clip(9);
@@ -78,127 +31,19 @@ fn pool_clip_matches_serial_bits_and_psnr() {
         },
         ..Default::default()
     };
-    let mut serial_ctl = ContentAwareController::new(cfg, WorkloadLut::new());
-    let serial = VideoEncoder::new(EncoderConfig::default()).encode_clip(&clip, &mut serial_ctl);
-    let backend = pool(4);
-    let mut pool_ctl = ContentAwareController::new(cfg, WorkloadLut::new());
-    let pooled = VideoEncoder::new(EncoderConfig::default()).encode_clip_with(
-        &clip,
-        &mut pool_ctl,
-        &backend,
-    );
-    assert_eq!(serial, pooled, "sequence stats must match bit for bit");
-    assert!(serial.mean_psnr() > 30.0);
-}
-
-/// Two pool runs of the same clip are identical (no scheduling
-/// nondeterminism leaks into the output).
-#[test]
-fn pool_runs_are_deterministic() {
-    let clip = clip(9);
-    let encode_once = || {
-        let backend = pool(3);
-        let mut ctl =
-            UniformController::new(4, 2, TileConfig::with_qp(Qp::new(32).expect("valid")));
-        VideoEncoder::new(EncoderConfig::default()).encode_clip_with(&clip, &mut ctl, &backend)
+    let encode = |parallel| {
+        let mut ctl = ContentAwareController::new(cfg, WorkloadLut::new());
+        VideoEncoder::new(EncoderConfig::default())
+            .parallel(parallel)
+            .encode_clip(&clip, &mut ctl)
     };
-    let first = encode_once();
-    let second = encode_once();
-    assert_eq!(first, second);
-}
-
-/// The pool runs every tile exactly where `place_threads` put it —
-/// observable through the per-core execution log.
-#[test]
-fn pool_respects_place_threads_assignments() {
-    let frame = clip(1).get(0).expect("one frame").clone();
-    let plan = FramePlan::uniform(
-        frame.y().bounds(),
-        4,
-        4,
-        TileConfig::with_qp(Qp::new(32).expect("valid")),
+    let serial = encode(false);
+    assert_eq!(
+        serial,
+        encode(true),
+        "sequence stats must match bit for bit"
     );
-    let backend = pool(4);
-    // The placement the backend derives from the tiles' cost hints
-    // (Algorithm 2's place_threads over the worker set).
-    let costs: Vec<f64> = plan.tiles.iter().map(|t| t.area() as f64).collect();
-    let expected = backend.place_for_costs(&costs);
-    assert_eq!(expected.len(), 16);
-
-    backend.set_logging(true);
-    let _ = encode_frame_with(
-        &frame,
-        &[],
-        FrameKind::Intra,
-        0,
-        &plan,
-        &EncoderConfig::default(),
-        &backend,
-        None,
-    );
-    let log = backend.drain_log();
-    backend.set_logging(false);
-    assert_eq!(log.len(), 16, "one log record per tile");
-    for record in &log {
-        assert_eq!(
-            record.worker,
-            expected[record.item] % 4,
-            "tile {} ran on worker {} but was placed on core {}",
-            record.item,
-            record.worker,
-            expected[record.item]
-        );
-    }
-    // Uniform tiles on 4 workers: the placement balances 4 tiles per
-    // worker, so every worker participated.
-    for w in 0..4 {
-        assert!(
-            log.iter().any(|r| r.worker == w),
-            "worker {w} never ran a tile"
-        );
-    }
-}
-
-/// Explicit core assignments (the server path) are honoured verbatim.
-#[test]
-fn pool_honours_explicit_assignment() {
-    let frame = clip(1).get(0).expect("one frame").clone();
-    let plan = FramePlan::uniform(
-        frame.y().bounds(),
-        2,
-        2,
-        TileConfig::with_qp(Qp::new(32).expect("valid")),
-    );
-    let backend = pool(4);
-    let assignment = vec![3, 1, 1, 0];
-    backend.set_logging(true);
-    let with_assignment = encode_frame_with(
-        &frame,
-        &[],
-        FrameKind::Intra,
-        0,
-        &plan,
-        &EncoderConfig::default(),
-        &backend,
-        Some(&assignment),
-    );
-    let log = backend.drain_log();
-    backend.set_logging(false);
-    for record in &log {
-        assert_eq!(record.worker, assignment[record.item]);
-    }
-    // And the output still matches the serial reference.
-    let serial = encode_frame(
-        &frame,
-        &[],
-        FrameKind::Intra,
-        0,
-        &plan,
-        &EncoderConfig::default(),
-        false,
-    );
-    assert_eq!(serial.bytes, with_assignment.bytes);
-    assert_eq!(serial.recon, with_assignment.recon);
+    assert!(serial.mean_psnr() > 30.0);
 }
 
 /// FNV-1a goldens of what *placement* decides, recorded before the

@@ -12,7 +12,9 @@ use medvt::admission::{
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{ControllerTiming, SimBackend, ThreadPoolBackend};
 use medvt::telemetry::{CounterId, EventKind, FlightRecorder, HistId, Metrics};
-use medvt_bench::synthetic_profile as profile;
+
+mod common;
+use common::synthetic_profile as profile;
 
 const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;
