@@ -1,17 +1,20 @@
-//! The [`ExecutionBackend`] abstraction: one trait, two ways to run a
-//! frame slot.
+//! The [`ExecutionBackend`] abstraction: one trait, two ways to run
+//! frame slots.
 //!
 //! A *slot* is one 1/FPS scheduling interval. The server loop turns
 //! Algorithm 2's placements into [`WorkUnit`]s — (user, thread, core,
 //! cost) tuples, optionally carrying the real tile-encoding closure —
-//! and a backend executes them:
+//! and a backend executes them, one slot at a time
+//! ([`ExecutionBackend::execute_slot`]) or as a *run* of consecutive
+//! slots within one GOP ([`ExecutionBackend::execute_run`]):
 //!
-//! * [`SimBackend`](crate::SimBackend) prices the slot analytically
+//! * [`SimBackend`](crate::SimBackend) prices each slot analytically
 //!   from the costs (the paper's evaluation model);
 //! * [`ThreadPoolBackend`](crate::ThreadPoolBackend) additionally runs
-//!   the closures on its per-core worker queues, FIFO per core, while
-//!   keeping the *same* analytical energy/deadline accounting so both
-//!   backends report identical statistics for identical workloads.
+//!   a run's closures on its per-core worker queues, FIFO per core and
+//!   behind one barrier, while keeping the *same* per-slot analytical
+//!   energy/deadline accounting so both backends report identical
+//!   statistics for identical workloads.
 //!
 //! Backends are stateful across slots: they own the per-core DVFS
 //! operating points and the deadline-miss carry (Algorithm 2 lines
@@ -50,6 +53,7 @@ impl std::fmt::Debug for WorkUnit<'_> {
 
 impl<'scope> WorkUnit<'scope> {
     /// A cost-only unit (profile replay).
+    #[cfg(test)]
     pub(crate) fn cost_only(user: usize, thread: usize, core: usize, cost_fmax_secs: f64) -> Self {
         Self {
             user,
@@ -109,6 +113,34 @@ pub trait ExecutionBackend {
         slot_secs: f64,
         work: Vec<WorkUnit<'scope>>,
     ) -> SlotOutcome;
+
+    /// Executes a run of consecutive slots — `slots[k]` is slot *k*'s
+    /// placed work — returning each slot's analytical report, in slot
+    /// order, and the wall-clock seconds the run spent executing jobs
+    /// (0 when no unit carried a job).
+    ///
+    /// The reports equal those of calling
+    /// [`execute_slot`](Self::execute_slot) once per slot, which is
+    /// what the default does. A backend that runs jobs may instead
+    /// dispatch the whole run at once, so its cores move from one
+    /// slot's units to the next without waiting for each other.
+    fn execute_run<'scope>(
+        &mut self,
+        policy: DvfsPolicy,
+        slot_secs: f64,
+        slots: Vec<Vec<WorkUnit<'scope>>>,
+    ) -> (Vec<SlotReport>, f64) {
+        let mut wall_secs = 0.0;
+        let reports = slots
+            .into_iter()
+            .map(|work| {
+                let outcome = self.execute_slot(policy, slot_secs, work);
+                wall_secs += outcome.wall_secs;
+                outcome.report
+            })
+            .collect();
+        (reports, wall_secs)
+    }
 }
 
 impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
@@ -140,6 +172,15 @@ impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
     ) -> SlotOutcome {
         (**self).execute_slot(policy, slot_secs, work)
     }
+
+    fn execute_run<'scope>(
+        &mut self,
+        policy: DvfsPolicy,
+        slot_secs: f64,
+        slots: Vec<Vec<WorkUnit<'scope>>>,
+    ) -> (Vec<SlotReport>, f64) {
+        (**self).execute_run(policy, slot_secs, slots)
+    }
 }
 
 impl<B: ExecutionBackend + ?Sized> ExecutionBackend for &mut B {
@@ -170,5 +211,14 @@ impl<B: ExecutionBackend + ?Sized> ExecutionBackend for &mut B {
         work: Vec<WorkUnit<'scope>>,
     ) -> SlotOutcome {
         (**self).execute_slot(policy, slot_secs, work)
+    }
+
+    fn execute_run<'scope>(
+        &mut self,
+        policy: DvfsPolicy,
+        slot_secs: f64,
+        slots: Vec<Vec<WorkUnit<'scope>>>,
+    ) -> (Vec<SlotReport>, f64) {
+        (**self).execute_run(policy, slot_secs, slots)
     }
 }

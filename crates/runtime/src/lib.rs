@@ -12,14 +12,16 @@
 //! timing. This crate closes that gap with one executor abstraction
 //! serving both worlds:
 //!
-//! * [`ExecutionBackend`] — the slot-execution trait;
+//! * [`ExecutionBackend`] — the slot-execution trait: one slot at a
+//!   time, or a run of a GOP's slots at once;
 //! * [`SimBackend`] — the analytical slot model (extracted from
 //!   `core::server`/`mpsoc::simulate_slot`), pricing work units
 //!   without running them;
 //! * [`ThreadPoolBackend`] — runs real work units on a pool of
 //!   persistent per-core worker threads (FIFO queues, scoped
-//!   borrow-friendly submission), honouring the core of every placed
-//!   [`WorkUnit`], with the *same* analytical accounting;
+//!   borrow-friendly submission, one barrier per run of slots),
+//!   honouring the core of every placed [`WorkUnit`], with the *same*
+//!   analytical accounting;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
 //!   stepped GOP by GOP with per-user accounting and membership deltas
@@ -34,7 +36,7 @@
 //! | 3–15 | cap-seeking thread→core placement | the speed-aware `sched::place_threads_on` over [`ExecutionBackend::core_speeds`], re-run by [`LoopDriver`] at a GOP boundary (`ReplanPolicy::PerGop`) or a membership change, and only when a member or a demand estimate changed since the last pass |
 //! | 16–20 | per-core DVFS for the slot | `mpsoc::plan_core_on` (per core class) via the backend's analytical accounting |
 //! | 21–22 | deadline-miss carry into the next slot | backend state: [`SimBackend`]/[`ThreadPoolBackend`] carry vectors |
-//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::advance`] (under [`LoopDriver::run`] and online serving alike) |
+//! | §III-D2 | once-per-GOP re-placement, one-second framerate windows | [`LoopDriver::advance`] (under [`LoopDriver::run`] and online serving alike), which hands a real-execution backend each GOP's slots as one run |
 //!
 //! # Example
 //!

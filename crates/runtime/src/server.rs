@@ -2,9 +2,11 @@
 //!
 //! Drives N admitted users' frame slots through any
 //! [`ExecutionBackend`]: per-GOP thread re-placement (Algorithm 2
-//! lines 3–15, re-run each GOP per §III-D2), per-slot work-unit
-//! dispatch, deadline-miss carry-over (lines 21–22, owned by the
-//! backend) and the paper's one-second framerate windows.
+//! lines 3–15, re-run each GOP per §III-D2), work-unit dispatch in
+//! runs of slots that never cross a GOP or window boundary (one slot
+//! per run on analytical backends), per-slot accounting,
+//! deadline-miss carry-over (lines 21–22, owned by the backend) and
+//! the paper's one-second framerate windows.
 //!
 //! One engine, [`LoopDriver`], used two ways:
 //!
@@ -28,7 +30,7 @@
 //! [`DemandSource::work_for`].
 
 use crate::backend::{ExecutionBackend, WorkUnit};
-use medvt_mpsoc::DvfsPolicy;
+use medvt_mpsoc::{DvfsPolicy, SlotReport};
 use medvt_sched::{place_threads_on, Placement, UserDemand};
 use medvt_telemetry::{CounterId, Event, EventKind, HistId, Metrics, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
@@ -211,7 +213,9 @@ pub struct WindowTiming {
     /// `end_slot - window_len .. end_slot`; a trailing partial window
     /// ends wherever the run stopped).
     pub end_slot: usize,
-    /// Wall-clock seconds spent executing real jobs in the window.
+    /// Wall-clock seconds spent executing real jobs in the window: the
+    /// summed walls of the backend runs that cover it (runs never
+    /// cross a window boundary).
     pub wall_secs: f64,
     /// Modeled window makespan: per-slot maximum planned core busy
     /// time, summed over the window's slots.
@@ -357,6 +361,16 @@ fn unestimated(user: usize) -> UserDemand {
         user,
         thread_secs: Vec::new(),
     }
+}
+
+/// What accounting needs from one slot's planned work.
+#[derive(Default)]
+struct SlotPlan {
+    /// Core → the (user, cost) pairs submitted to it, for energy
+    /// attribution.
+    submitted: BTreeMap<usize, Vec<(usize, f64)>>,
+    /// Users with positive demand in the slot.
+    active_users: BTreeSet<usize>,
 }
 
 /// An in-flight server-loop run: run to completion with
@@ -568,9 +582,25 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     }
 
     /// Runs `n` slots.
+    ///
+    /// The slots go to the backend in *runs*
+    /// ([`ExecutionBackend::execute_run`]). On a backend that runs jobs
+    /// a run ends at the next GOP boundary, the next window boundary or
+    /// after `n` slots, whichever comes first, so placements are fixed
+    /// within it and a window's wall time is exact. Analytical backends
+    /// have no barrier to save and get one slot per run.
     pub fn advance(&mut self, source: &impl DemandSource, n: usize) {
-        for _ in 0..n {
-            self.step(source);
+        let mut left = n;
+        while left > 0 {
+            let len = if self.executes_work {
+                let to_gop = self.cfg.gop_slots - self.slot % self.cfg.gop_slots;
+                let to_window = self.window_len - self.slot % self.window_len;
+                left.min(to_gop).min(to_window)
+            } else {
+                1
+            };
+            self.run_slots(source, len);
+            left -= len;
         }
     }
 
@@ -686,10 +716,12 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         true
     }
 
-    /// Executes one slot: thread allocation once per GOP (paper
-    /// §III-D2) or on a pending membership change, work-unit dispatch
-    /// through the backend, then deadline/energy accounting.
-    fn step(&mut self, source: &impl DemandSource) {
+    /// Executes a run of `len` slots: thread allocation once per GOP
+    /// (paper §III-D2) or on a pending membership change — a run
+    /// starts wherever either can happen — then the run's work units
+    /// through the backend, then each slot's deadline/energy
+    /// accounting in slot order.
+    fn run_slots(&mut self, source: &impl DemandSource, len: usize) {
         let slot_secs = 1.0 / self.cfg.fps;
         let gop_boundary = self.slot.is_multiple_of(self.cfg.gop_slots);
         if gop_boundary {
@@ -722,19 +754,42 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             }
             self.replan_pending = false;
         }
+        let mut slots = Vec::with_capacity(len);
+        let mut plans = Vec::with_capacity(len);
+        for slot in self.slot..self.slot + len {
+            let (work, plan) = self.plan_slot(source, slot);
+            slots.push(work);
+            plans.push(plan);
+        }
+        let (reports, wall_secs) = self.backend.execute_run(self.cfg.policy, slot_secs, slots);
+        self.wall_secs += wall_secs;
+        self.window_wall_acc += wall_secs;
+        for (report, plan) in reports.iter().zip(plans) {
+            self.account_slot(report, plan);
+        }
+    }
+
+    /// `slot`'s work units under the current placements, and what
+    /// accounting needs to know about them.
+    fn plan_slot<'s>(
+        &mut self,
+        source: &'s impl DemandSource,
+        slot: usize,
+    ) -> (Vec<WorkUnit<'s>>, SlotPlan) {
         // Placement vectors cover the maximum tile count of the
         // window; frames with fewer tiles simply have no work for
         // the higher thread indices.
         let mut work: Vec<WorkUnit<'_>> = Vec::with_capacity(self.placements.len());
-        // (core → submitted (user, cost)) for energy attribution.
-        let mut submitted: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
-        let mut active_users: BTreeSet<usize> = BTreeSet::new();
+        let mut plan = SlotPlan::default();
         for p in &self.placements {
-            let demand = source.demand_at(p.user, self.slot);
+            let demand = source.demand_at(p.user, slot);
             let cost = demand.get(p.thread).copied().unwrap_or(0.0);
             if cost > 0.0 {
-                submitted.entry(p.core).or_default().push((p.user, cost));
-                active_users.insert(p.user);
+                plan.submitted
+                    .entry(p.core)
+                    .or_default()
+                    .push((p.user, cost));
+                plan.active_users.insert(p.user);
                 self.window_user_cores
                     .entry(p.user)
                     .or_default()
@@ -744,7 +799,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             // analytical backends price the cost and would drop the
             // closure unexecuted.
             let job = if self.executes_work {
-                source.work_for(p.user, self.slot, p.thread)
+                source.work_for(p.user, slot, p.thread)
             } else {
                 None
             };
@@ -756,58 +811,52 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 job,
             });
         }
-        let outcome = self.backend.execute_slot(self.cfg.policy, slot_secs, work);
+        (work, plan)
+    }
+
+    /// Books the current slot's analytical `report`: energy, modeled
+    /// window time, per-user accounting and, at a window's last slot,
+    /// the framerate check. The run's wall time is already booked.
+    fn account_slot(&mut self, report: &SlotReport, plan: SlotPlan) {
         self.meter.add(CounterId::SlotsExecuted, 1);
-        if outcome.report.transition_bound_cores > 0 {
+        if report.transition_bound_cores > 0 {
             self.meter.add(
                 CounterId::TransitionStalls,
-                outcome.report.transition_bound_cores as u64,
+                report.transition_bound_cores as u64,
             );
         }
         if R::ENABLED {
-            medvt_mpsoc::record_slot_events(
-                &self.recorder,
-                self.track,
-                self.slot as u32,
-                &outcome.report,
-            );
+            medvt_mpsoc::record_slot_events(&self.recorder, self.track, self.slot as u32, report);
         }
-        self.energy_j += outcome.report.energy_j;
-        self.wall_secs += outcome.wall_secs;
+        self.energy_j += report.energy_j;
         // Window timing: real execution time vs. the slot model's
         // makespan (the busiest core's planned busy time — how long
         // the slot's work takes with all cores in parallel).
-        self.window_wall_acc += outcome.wall_secs;
-        self.window_modeled_acc += outcome
-            .report
-            .cores
-            .iter()
-            .map(|c| c.busy_secs)
-            .fold(0.0, f64::max);
-        if outcome.report.deadline_misses > 0 {
+        self.window_modeled_acc += report.cores.iter().map(|c| c.busy_secs).fold(0.0, f64::max);
+        if report.deadline_misses > 0 {
             self.miss_slots += 1;
         }
-        self.active_core_slots += outcome.report.active_cores();
-        for (k, plan) in outcome.report.cores.iter().enumerate() {
-            if plan.busy_secs > 0.0 {
+        self.active_core_slots += report.active_cores();
+        for (k, core) in report.cores.iter().enumerate() {
+            if core.busy_secs > 0.0 {
                 self.active_in_window[k] = true;
             }
         }
         // Per-user accounting: active slots, and each core's slot
         // energy split proportional to the users' submitted cost.
-        for &u in &active_users {
+        for &u in &plan.active_users {
             let stats = self.users.entry(u).or_insert(UserLoopStats {
                 user: u,
                 ..Default::default()
             });
             stats.active_slots += 1;
         }
-        for (&core, costs) in &submitted {
+        for (&core, costs) in &plan.submitted {
             let total: f64 = costs.iter().map(|(_, c)| c).sum();
             if total <= 0.0 {
                 continue;
             }
-            let core_energy = outcome.report.core_energy_j[core];
+            let core_energy = report.core_energy_j[core];
             for &(u, cost) in costs {
                 if let Some(stats) = self.users.get_mut(&u) {
                     stats.energy_j += core_energy * cost / total;
@@ -821,7 +870,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             for (k, active) in self.active_in_window.iter_mut().enumerate() {
                 if *active {
                     self.windows += 1;
-                    if outcome.report.cores[k].carry_fmax_secs > 1e-9 {
+                    if report.cores[k].carry_fmax_secs > 1e-9 {
                         self.window_misses += 1;
                     }
                 }
@@ -847,7 +896,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 stats.windows += 1;
                 let missed = cores
                     .iter()
-                    .any(|&k| outcome.report.cores[k].carry_fmax_secs > 1e-9);
+                    .any(|&k| report.cores[k].carry_fmax_secs > 1e-9);
                 if missed {
                     stats.window_misses += 1;
                     stats.consecutive_window_misses += 1;
@@ -1194,6 +1243,92 @@ mod tests {
         assert_eq!(started.controller.replans, 6, "every GOP's estimate moved");
         assert_eq!(started.controller.replans, joined.controller.replans);
         assert_eq!(started.modeled_only(), joined.modeled_only());
+    }
+
+    /// A [`SimBackend`] that claims to run jobs and records the length
+    /// of every run it is handed.
+    struct RunLog {
+        sim: SimBackend,
+        executes_work: bool,
+        runs: Vec<usize>,
+    }
+
+    impl RunLog {
+        fn new(executes_work: bool) -> Self {
+            RunLog {
+                sim: quad(),
+                executes_work,
+                runs: Vec::new(),
+            }
+        }
+    }
+
+    impl ExecutionBackend for RunLog {
+        fn cores(&self) -> usize {
+            self.sim.cores()
+        }
+
+        fn executes_work(&self) -> bool {
+            self.executes_work
+        }
+
+        fn reset(&mut self) {
+            self.sim.reset()
+        }
+
+        fn execute_slot<'scope>(
+            &mut self,
+            policy: DvfsPolicy,
+            slot_secs: f64,
+            work: Vec<WorkUnit<'scope>>,
+        ) -> crate::SlotOutcome {
+            self.sim.execute_slot(policy, slot_secs, work)
+        }
+
+        fn execute_run<'scope>(
+            &mut self,
+            policy: DvfsPolicy,
+            slot_secs: f64,
+            slots: Vec<Vec<WorkUnit<'scope>>>,
+        ) -> (Vec<SlotReport>, f64) {
+            self.runs.push(slots.len());
+            self.sim.execute_run(policy, slot_secs, slots)
+        }
+    }
+
+    #[test]
+    fn runs_end_at_gop_window_and_advance_boundaries() {
+        // Overloaded, so carry crosses every run boundary.
+        let source = FlatSource {
+            tiles: 6,
+            secs: SLOT * 0.8,
+        };
+        fn cut<B: ExecutionBackend>(backend: B, source: &FlatSource) -> LoopReport {
+            let mut c = cfg(0, ReplanPolicy::PerGop { headroom: 1.0 });
+            c.window_slots = Some(20);
+            let mut driver = LoopDriver::new(backend, c, vec![0], vec![]);
+            for n in [5, 11, 3, 13, 16] {
+                driver.advance(source, n);
+            }
+            driver.into_report().modeled_only()
+        }
+        // GOPs end at 8, 16, …; windows at 20 and 40; `advance` calls
+        // at 5, 16, 19, 32 and 48.
+        let expected = [5, 3, 8, 3, 1, 4, 8, 8, 8];
+        let mut by_ref = RunLog::new(true);
+        let report = cut(&mut by_ref, &source);
+        assert_eq!(by_ref.runs, expected);
+        let mut boxed = RunLog::new(true);
+        assert_eq!(cut(Box::new(&mut boxed), &source), report);
+        assert_eq!(boxed.runs, expected);
+
+        let mut analytical = RunLog::new(false);
+        assert_eq!(cut(&mut analytical, &source), report);
+        assert_eq!(analytical.runs, [1; 48]);
+        assert_eq!(cut(quad(), &source), report);
+        assert!(report.miss_slots > 0);
+        let ends: Vec<usize> = report.window_times.iter().map(|w| w.end_slot).collect();
+        assert_eq!(ends, [20, 40, 48]);
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! and deadline accounting reuse the same analytical slot model as
 //! [`SimBackend`], so swapping backends never changes reported
 //! statistics, only whether the work physically happens.
+//!
+//! A run of slots is one dispatch: every unit of every slot is queued
+//! in slot order inside one pool scope, so a worker starts slot k+1's
+//! units as soon as it finishes its own slot k units, and the only
+//! barrier is the end of the run. Accounting stays per slot.
 
 use crate::backend::{ExecutionBackend, SlotOutcome, WorkUnit};
 use crate::pool::{ExecRecord, WorkerPool};
 use crate::sim::SimBackend;
-use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
+use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel, SlotReport};
 use std::time::Instant;
 
 /// Executes placed work units on persistent per-core worker threads.
@@ -75,21 +80,30 @@ impl ExecutionBackend for ThreadPoolBackend {
         slot_secs: f64,
         work: Vec<WorkUnit<'scope>>,
     ) -> SlotOutcome {
-        let mut cost_units: Vec<WorkUnit<'static>> = Vec::with_capacity(work.len());
+        let (mut reports, wall_secs) = self.execute_run(policy, slot_secs, vec![work]);
+        SlotOutcome {
+            report: reports.pop().expect("one report per slot"),
+            wall_secs,
+        }
+    }
+
+    fn execute_run<'scope>(
+        &mut self,
+        policy: DvfsPolicy,
+        slot_secs: f64,
+        mut slots: Vec<Vec<WorkUnit<'scope>>>,
+    ) -> (Vec<SlotReport>, f64) {
         let t0 = Instant::now();
         let mut ran_any = false;
+        // Submitted in slot order, so each core's FIFO queue runs slot
+        // k's units before slot k+1's; the scope is the run's only
+        // barrier.
         self.pool.scope(|s| {
-            for mut unit in work {
+            for unit in slots.iter_mut().flatten() {
                 if let Some(job) = unit.job.take() {
                     ran_any = true;
                     s.submit(unit.core, unit.user, unit.thread, job);
                 }
-                cost_units.push(WorkUnit::cost_only(
-                    unit.user,
-                    unit.thread,
-                    unit.core,
-                    unit.cost_fmax_secs,
-                ));
             }
         });
         let wall_secs = if ran_any {
@@ -97,9 +111,11 @@ impl ExecutionBackend for ThreadPoolBackend {
         } else {
             0.0
         };
-        let mut outcome = self.accounting.execute_slot(policy, slot_secs, cost_units);
-        outcome.wall_secs = wall_secs;
-        outcome
+        let reports = slots
+            .into_iter()
+            .map(|work| self.accounting.execute_slot(policy, slot_secs, work).report)
+            .collect();
+        (reports, wall_secs)
     }
 }
 
@@ -111,20 +127,81 @@ mod tests {
 
     #[test]
     fn accounting_matches_sim_backend_exactly() {
-        let mk_units = || {
-            vec![
-                WorkUnit::cost_only(0, 0, 0, SLOT * 0.4),
-                WorkUnit::cost_only(0, 1, 1, SLOT * 0.9),
-                WorkUnit::cost_only(1, 0, 2, SLOT * 1.4),
-            ]
+        // Core 2 gets 1.4 slots of work each slot, so carry crosses
+        // every slot boundary of the run.
+        let mk_units = |with_jobs: bool| -> Vec<WorkUnit<'static>> {
+            [(0, 0, 0, 0.4), (0, 1, 1, 0.9), (1, 0, 2, 1.4)]
+                .into_iter()
+                .map(|(user, thread, core, slots)| WorkUnit {
+                    user,
+                    thread,
+                    core,
+                    cost_fmax_secs: SLOT * slots,
+                    job: with_jobs.then(|| {
+                        Box::new(|| {
+                            std::hint::black_box(0u64);
+                        }) as Box<dyn FnOnce() + Send>
+                    }),
+                })
+                .collect()
         };
+        let policy = DvfsPolicy::StretchToDeadline;
         let mut sim = SimBackend::new(Platform::quad_core(), PowerModel::default());
+        let expected: Vec<SlotReport> = (0..4)
+            .map(|_| sim.execute_slot(policy, SLOT, mk_units(false)).report)
+            .collect();
+        assert!(expected.iter().all(|r| r.deadline_misses > 0));
         let mut pool =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 2);
-        for _ in 0..4 {
-            let a = sim.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, mk_units());
-            let b = pool.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, mk_units());
-            assert_eq!(a.report, b.report);
+        for with_jobs in [false, true] {
+            pool.reset();
+            for report in &expected {
+                let out = pool.execute_slot(policy, SLOT, mk_units(with_jobs));
+                assert_eq!(&out.report, report);
+                assert_eq!(out.wall_secs == 0.0, !with_jobs);
+            }
+            pool.reset();
+            let run = (0..4).map(|_| mk_units(with_jobs)).collect();
+            let (reports, wall_secs) = pool.execute_run(policy, SLOT, run);
+            assert_eq!(reports, expected);
+            assert_eq!(wall_secs == 0.0, !with_jobs);
+        }
+    }
+
+    #[test]
+    fn run_keeps_slot_order_per_worker() {
+        let mut backend =
+            ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
+        backend.set_logging(true);
+        let slots: Vec<Vec<WorkUnit<'_>>> = (0..3)
+            .map(|slot| {
+                (0..8)
+                    .map(|thread| WorkUnit {
+                        user: slot,
+                        thread,
+                        core: thread % 4,
+                        cost_fmax_secs: 1e-4,
+                        job: Some(Box::new(move || {
+                            std::hint::black_box(slot * thread);
+                        })),
+                    })
+                    .collect()
+            })
+            .collect();
+        let (reports, _) = backend.execute_run(DvfsPolicy::StretchToDeadline, SLOT, slots);
+        assert_eq!(reports.len(), 3);
+        let log = backend.drain_log();
+        assert_eq!(log.len(), 24);
+        for worker in 0..4 {
+            let ran: Vec<(usize, usize)> = log
+                .iter()
+                .filter(|r| r.worker == worker)
+                .map(|r| (r.user, r.item))
+                .collect();
+            let mut ordered = ran.clone();
+            ordered.sort_unstable();
+            assert_eq!(ran.len(), 6, "worker {worker}");
+            assert_eq!(ran, ordered, "worker {worker} ran out of slot order");
         }
     }
 

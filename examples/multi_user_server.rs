@@ -3,10 +3,10 @@
 //! on the 32-core Xeon platform with both the proposed scheduler and
 //! the baseline [19], comparing throughput and power.
 //!
-//! Serving drives the frame slots through `ThreadPoolBackend`, whose
-//! per-core FIFO queues run the threads where Algorithm 2's
-//! placement put them (the analytical `SimBackend` reports identical
-//! numbers).
+//! Serving hands `ThreadPoolBackend` each GOP's slots as one run,
+//! whose per-core FIFO queues run the threads where Algorithm 2's
+//! placement put them, in slot order (the analytical `SimBackend`
+//! reports identical numbers).
 //!
 //! Run: `cargo run --release --example multi_user_server`
 

@@ -56,10 +56,11 @@ fn pool_clip_matches_serial_bits_and_psnr() {
 mod placement_traces {
     use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
     use medvt::runtime::{
-        DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig, SimBackend,
+        DemandSource, ExecutionBackend, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig,
+        SimBackend,
     };
     use medvt::sched::Placement;
-    use medvt::telemetry::FlightRecorder;
+    use medvt::telemetry::{FlightRecorder, Recorder};
 
     const GOP: usize = 8;
 
@@ -81,7 +82,7 @@ mod placement_traces {
     /// * 7 — [1/32, 1/64, 1/128], its first tile 3/128 on odd 16-slot
     ///   spans: the one member whose estimate moves;
     /// * anyone else — one tile of 1/128.
-    struct Script;
+    pub(super) struct Script;
 
     impl DemandSource for Script {
         fn demand_at(&self, user: usize, slot: usize) -> Vec<f64> {
@@ -108,13 +109,29 @@ mod placement_traces {
         fn steady(&self, user: usize) -> bool {
             matches!(user, 1 | 9)
         }
+
+        /// A token job, so pool backends have something to run.
+        fn work_for(
+            &self,
+            user: usize,
+            slot: usize,
+            thread: usize,
+        ) -> Option<Box<dyn FnOnce() + Send + '_>> {
+            Some(Box::new(move || {
+                std::hint::black_box(user ^ slot ^ thread);
+            }))
+        }
+    }
+
+    pub(super) fn platform() -> Platform {
+        Platform::big_little().socket_view(0)
     }
 
     fn backend() -> SimBackend {
-        SimBackend::new(Platform::big_little().socket_view(0), PowerModel::default())
+        SimBackend::new(platform(), PowerModel::default())
     }
 
-    fn cfg(slots: usize, replan: ReplanPolicy) -> ServerLoopConfig {
+    pub(super) fn cfg(slots: usize, replan: ReplanPolicy) -> ServerLoopConfig {
         ServerLoopConfig {
             fps: 24.0,
             slots,
@@ -173,6 +190,19 @@ mod placement_traces {
         Coast,
     }
 
+    impl Step {
+        pub(super) fn apply<B: ExecutionBackend, R: Recorder>(
+            &self,
+            driver: &mut LoopDriver<B, R>,
+        ) {
+            match self {
+                Step::Update(add, remove) => driver.update_membership(add, remove),
+                Step::Set(members) => driver.set_membership(members.to_vec()),
+                Step::Coast => {}
+            }
+        }
+    }
+
     pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> u64 {
         let rec = FlightRecorder::modeled(1, 1 << 12);
         let mut driver = LoopDriver::with_recorder(
@@ -185,11 +215,7 @@ mod placement_traces {
         );
         driver.advance(&Script, GOP);
         for step in script {
-            match step {
-                Step::Update(add, remove) => driver.update_membership(add, remove),
-                Step::Set(members) => driver.set_membership(members.to_vec()),
-                Step::Coast => {}
-            }
+            step.apply(&mut driver);
             driver.advance(&Script, GOP);
         }
         let report = driver.into_report().modeled_only();
@@ -288,4 +314,59 @@ fn placement_traces_match_their_recorded_hashes() {
         "placement-determined accounting moved: \
          {per_gop:#018x} {fixed:#018x} {deltas:#018x} {handover:#018x}"
     );
+}
+
+/// Windows of 20 slots do not line up with GOPs of 8, and `advance`
+/// steps are uneven, so the pool's runs are cut at all three kinds of
+/// boundary. A pool driver and an analytical driver given one
+/// membership script still report the same modeled statistics and
+/// window ends, and every pool window that modeled work measured some.
+#[test]
+fn pool_and_sim_drivers_agree_on_misaligned_windows() {
+    use medvt::mpsoc::PowerModel;
+    use medvt::runtime::{
+        ExecutionBackend, LoopDriver, LoopReport, ReplanPolicy, SimBackend, ThreadPoolBackend,
+    };
+    use placement_traces::{cfg, platform, Script, Step};
+
+    fn drive<B: ExecutionBackend>(backend: B) -> LoopReport {
+        let mut c = cfg(0, ReplanPolicy::PerGop { headroom: 1.1 });
+        c.window_slots = Some(20);
+        let mut driver = LoopDriver::new(backend, c, vec![5, 2], Vec::new());
+        let script = [
+            (Step::Coast, 5),
+            (Step::Update(&[9, 7], &[]), 11),
+            (Step::Coast, 3),
+            (Step::Update(&[1], &[5]), 13),
+            (Step::Set(&[9, 2, 7, 1]), 7),
+            (Step::Update(&[], &[2]), 16),
+        ];
+        for (step, slots) in script {
+            step.apply(&mut driver);
+            driver.advance(&Script, slots);
+        }
+        driver.into_report()
+    }
+
+    let sim = drive(SimBackend::new(platform(), PowerModel::default()));
+    let pool = drive(ThreadPoolBackend::with_workers(
+        platform(),
+        PowerModel::default(),
+        2,
+    ));
+    assert_eq!(pool.modeled_only(), sim.modeled_only());
+    let ends =
+        |r: &LoopReport| -> Vec<usize> { r.window_times.iter().map(|w| w.end_slot).collect() };
+    assert_eq!(ends(&sim), [20, 40, 55]);
+    assert_eq!(ends(&pool), ends(&sim));
+    assert!(sim.window_times.iter().all(|w| w.modeled_secs > 0.0));
+    for w in &pool.window_times {
+        assert!(
+            w.wall_secs > 0.0,
+            "window ending at {} ran jobs",
+            w.end_slot
+        );
+    }
+    let total: f64 = pool.window_times.iter().map(|w| w.wall_secs).sum();
+    assert!((total - pool.wall_secs).abs() <= 1e-9 * pool.wall_secs);
 }
