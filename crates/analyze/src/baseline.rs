@@ -8,8 +8,7 @@
 //! sits at the minimum or maximum frequency (that trigger lives in the
 //! pipeline layer; this module provides the tiler itself).
 
-use crate::tiling::Tiling;
-use medvt_frame::{Plane, Rect, RegionStats};
+use medvt_frame::{Plane, Rect, RegionStats, Tiling};
 use serde::{Deserialize, Serialize};
 
 /// Workload-balanced tiler with one tile per core.

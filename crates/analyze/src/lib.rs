@@ -11,7 +11,8 @@
 //! * [`probe_motion`] — the 6-point motion probe of Eqs. (2)–(3)
 //!   (4 corners, center, maximum point; weights α=1, β=3, γ=3,
 //!   threshold M_th = 3);
-//! * [`Tiling`] — validated, 8-aligned exact frame partitions;
+//! * [`analyze_tiling`] — texture and motion of every tile of a
+//!   [`medvt_frame::Tiling`], the frame partition this crate produces;
 //! * [`Retiler`] — the content-aware re-tiler that grows quiet borders
 //!   in 25% steps and carves the busy center into ≥4 tiles;
 //! * [`CapacityBalancedTiler`] — the one-tile-per-core baseline of
@@ -56,4 +57,4 @@ pub use config::AnalyzerConfig;
 pub use motion_probe::{probe_motion, MotionScore};
 pub use retile::{BorderWidths, RetileOutcome, Retiler};
 pub use texture::{measure_texture, TextureClass, TextureMeasure};
-pub use tiling::{analyze_tiling, TileAnalysis, Tiling};
+pub use tiling::{analyze_tiling, TileAnalysis};

@@ -15,9 +15,9 @@
 
 use crate::motion_probe::probe_motion;
 use crate::texture::{measure_texture, TextureClass};
-use crate::tiling::{analyze_tiling, TileAnalysis, Tiling};
+use crate::tiling::{analyze_tiling, TileAnalysis};
 use crate::AnalyzerConfig;
-use medvt_frame::{Plane, Rect};
+use medvt_frame::{Plane, Rect, Tiling};
 use medvt_motion::MotionLevel;
 use serde::{Deserialize, Serialize};
 

@@ -9,7 +9,7 @@ use medvt_bench::{baseline_config, pipeline_config, write_artifact, Scale};
 use medvt_core::{profile_video, Baseline19Controller, ContentAwareController, VideoProfile};
 use medvt_encoder::EncoderConfig;
 use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt_mpsoc::{plan_core, DvfsPolicy, Platform};
+use medvt_mpsoc::{plan_core_on, DvfsPolicy, Platform};
 use medvt_sched::{allocate_on, baseline_allocate, Allocation, UserDemand};
 use serde::Serialize;
 
@@ -41,8 +41,20 @@ fn analyze_side(label: &str, profile: &VideoProfile, frame_idx: usize, baseline:
         )
     };
     let mut cores_at_fmax = 0;
-    for &load in alloc.core_loads.iter().filter(|&&l| l > 0.0) {
-        let plan = plan_core(&platform, policy, load, slot, platform.fmin());
+    for (core, &load) in alloc
+        .core_loads
+        .iter()
+        .enumerate()
+        .filter(|&(_, &l)| l > 0.0)
+    {
+        let plan = plan_core_on(
+            platform.class_of(core),
+            platform.dvfs_transition_secs,
+            policy,
+            load,
+            slot,
+            platform.fmin(),
+        );
         if plan.freq == platform.fmax() {
             cores_at_fmax += 1;
         }

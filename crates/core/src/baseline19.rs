@@ -13,14 +13,13 @@
 
 use crate::pipeline::{FrameReport, TileReport, TranscodeController};
 use crate::qp_control::QpControlConfig;
-use medvt_analyze::{CapacityBalancedTiler, Tiling};
+use medvt_analyze::CapacityBalancedTiler;
 use medvt_encoder::{
     CostModel, EncodeController, FramePlan, FramePlanContext, FrameStats, Qp, SearchSpec,
     TileConfig,
 };
-use medvt_frame::FrameKind;
+use medvt_frame::{FrameKind, Tiling};
 use medvt_motion::{HexOrientation, MotionVector, SearchWindow};
-use medvt_sched::Adjustment;
 
 /// Configuration of the baseline pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -129,28 +128,20 @@ impl EncodeController for Baseline19Controller {
             search: SearchSpec::Hexagon(HexOrientation::Horizontal),
             window: self.cfg.window,
         };
-        FramePlan {
-            tiles: tiling.tiles().to_vec(),
-            configs: vec![config; tiling.len()],
-        }
+        FramePlan::new(tiling.clone(), vec![config; tiling.len()])
     }
 
     fn frame_done(&mut self, poc: usize, stats: &FrameStats, _dominant_mvs: &[MotionVector]) {
-        let mut tiles = Vec::with_capacity(stats.tiles.len());
-        let mut total_secs = 0.0;
-        for tile_stats in &stats.tiles {
-            let cycles = self.cfg.cost.tile_cycles(tile_stats);
-            let fmax_secs = cycles as f64 / self.cfg.fmax_hz;
-            total_secs += fmax_secs;
-            tiles.push(TileReport {
-                rect: tile_stats.rect,
-                cycles,
-                fmax_secs,
-                bits: tile_stats.bits,
-                psnr_db: tile_stats.psnr().min(99.0),
-            });
-        }
-        self.last_frame_secs = Some(total_secs);
+        let report = FrameReport {
+            poc,
+            kind: self.pending_kind.letter(),
+            tiles: stats
+                .tiles
+                .iter()
+                .map(|t| TileReport::priced(t, &self.cfg.cost, self.cfg.fmax_hz))
+                .collect(),
+        };
+        self.last_frame_secs = Some(report.total_secs());
         // Frame-global QP band control toward the PSNR constraint.
         let psnr = stats.psnr().min(99.0);
         let band = self.cfg.qp_band;
@@ -166,22 +157,13 @@ impl EncodeController for Baseline19Controller {
         } else {
             self.qp
         };
-        self.reports.push(FrameReport {
-            poc,
-            kind: self.pending_kind.letter(),
-            tiles,
-        });
+        self.reports.push(report);
     }
 }
 
 impl TranscodeController for Baseline19Controller {
     fn drain_reports(&mut self) -> Vec<FrameReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn apply_adjustment(&mut self, _adjustment: &Adjustment) {
-        // [19] has no per-tile deadline feedback: frequency selection
-        // absorbs overruns, and the tiling only changes at rails.
     }
 
     fn demand_secs(&self) -> Vec<f64> {

@@ -9,7 +9,7 @@
 //!   adaptation (§III-C1), which [`ContentAwareController`] runs;
 //! * [`ContentAwareController`] — the proposed pipeline: per-GOP
 //!   motion/texture evaluation, content-aware re-tiling, per-tile
-//!   QP + motion-search policy, LUT learning, deadline lightening;
+//!   QP + motion-search policy, LUT learning;
 //! * [`Baseline19Controller`] — the comparison system of Khan et al.
 //!   \[19\]: capacity-balanced one-tile-per-core tiling, uniform QP,
 //!   default hexagon search, rail-frequency re-tiling trigger;

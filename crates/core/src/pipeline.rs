@@ -4,18 +4,17 @@
 //! Per GOP-first frame: motion & texture evaluation → content-aware
 //! re-tiling → per-tile configuration (Algorithm 1 QP + the §III-C2
 //! motion-search policy). Per frame: QP adaptation from the previous
-//! frame's PSNR, direction inheritance from the GOP-first frame, and
-//! deadline-driven lightening from the feedback controller.
+//! frame's PSNR and direction inheritance from the GOP-first frame.
 
 use crate::qp_control::{QpControlConfig, QpController, TileObservation};
 use medvt_analyze::{AnalyzerConfig, Retiler, TextureClass, TileAnalysis};
 use medvt_encoder::{
     CostModel, EncodeController, FramePlan, FramePlanContext, FrameStats, Qp, SearchSpec,
-    TileConfig,
+    TileConfig, TileStats,
 };
-use medvt_frame::{FrameKind, Rect};
+use medvt_frame::{FrameKind, Rect, Tiling};
 use medvt_motion::{MotionLevel, MotionVector, SearchWindow};
-use medvt_sched::{Adjustment, LutKey, WorkloadLut};
+use medvt_sched::{LutKey, WorkloadLut};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the content-aware pipeline.
@@ -60,6 +59,21 @@ pub struct TileReport {
     pub psnr_db: f64,
 }
 
+impl TileReport {
+    /// Prices one encoded tile: `cost`'s cycles, their seconds at
+    /// `fmax_hz`, and the tile's PSNR capped at 99 dB (lossless).
+    pub(crate) fn priced(stats: &TileStats, cost: &CostModel, fmax_hz: f64) -> Self {
+        let cycles = cost.tile_cycles(stats);
+        Self {
+            rect: stats.rect,
+            cycles,
+            fmax_secs: cycles as f64 / fmax_hz,
+            bits: stats.bits,
+            psnr_db: stats.psnr().min(99.0),
+        }
+    }
+}
+
 /// One frame's pipeline report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrameReport {
@@ -84,14 +98,11 @@ impl FrameReport {
 }
 
 /// Controllers the sessions/profiler can drive: encoding control plus
-/// report and feedback plumbing.
+/// per-frame reports and a demand estimate.
 pub trait TranscodeController: EncodeController {
     /// Drains the reports of all frames encoded so far (display order
     /// not guaranteed; sort by `poc` if needed).
     fn drain_reports(&mut self) -> Vec<FrameReport>;
-
-    /// Applies a deadline-feedback adjustment to future frames.
-    fn apply_adjustment(&mut self, adjustment: &Adjustment);
 
     /// Estimated per-tile demand of the next frame, in f_max seconds
     /// (the `T_fmax` vector Algorithm 2 consumes).
@@ -116,11 +127,11 @@ pub struct ContentAwareController {
     retiler: Retiler,
     qp_ctl: QpController,
     lut: WorkloadLut,
+    /// The current GOP's re-tiling, `None` before the first frame.
+    tiling: Option<Tiling>,
     analyses: Vec<TileAnalysis>,
     directions: Option<Vec<MotionVector>>,
     prev_obs: Vec<Option<TileObservation>>,
-    /// Per-tile lightening level from deadline feedback (0 = planned).
-    lighten: Vec<u8>,
     /// Meta of the frame currently being encoded (set by `plan`).
     pending_meta: Vec<TileMeta>,
     pending_gop_first: bool,
@@ -141,10 +152,10 @@ impl ContentAwareController {
             retiler,
             qp_ctl: QpController::new(cfg.qp),
             lut,
+            tiling: None,
             analyses: Vec::new(),
             directions: None,
             prev_obs: Vec::new(),
-            lighten: Vec::new(),
             pending_meta: Vec::new(),
             pending_gop_first: false,
             reports: Vec::new(),
@@ -160,54 +171,43 @@ impl ContentAwareController {
     pub fn analyses(&self) -> &[TileAnalysis] {
         &self.analyses
     }
-
-    fn lighten_level(&self, tile: usize) -> u8 {
-        self.lighten.get(tile).copied().unwrap_or(0)
-    }
 }
 
 impl EncodeController for ContentAwareController {
     fn plan(&mut self, ctx: &FramePlanContext<'_>) -> FramePlan {
         // Re-tiling happens once per GOP, on its first coded frame
         // (paper §III-D2), against the previous anchor's reconstruction.
-        if ctx.gop_first_coded || self.analyses.is_empty() {
+        if ctx.gop_first_coded || self.tiling.is_none() {
             let prev_luma = ctx.prev_anchor.map(|f| f.y());
             let outcome = self.retiler.retile(ctx.frame.y(), prev_luma);
             let textures: Vec<TextureClass> =
                 outcome.analyses.iter().map(|a| a.texture.class).collect();
             self.qp_ctl.reset(&textures);
             self.prev_obs = vec![None; outcome.analyses.len()];
-            self.lighten = vec![0; outcome.analyses.len()];
+            self.tiling = Some(outcome.tiling);
             self.analyses = outcome.analyses;
             self.directions = None;
         }
         self.pending_gop_first = ctx.gop_first_coded;
 
-        let mut tiles = Vec::with_capacity(self.analyses.len());
         let mut configs = Vec::with_capacity(self.analyses.len());
         self.pending_meta.clear();
         for (i, analysis) in self.analyses.iter().enumerate() {
             let texture = analysis.texture.class;
             let level = analysis.motion_level();
-            let lighten = self.lighten_level(i);
-            // Algorithm 1 QP, plus deadline lightening (+ΔQP per level).
-            let mut qp = self.qp_ctl.adapt(i, texture, self.prev_obs[i]);
-            if lighten > 0 {
-                qp = qp.offset(2 * lighten as i32);
-            }
+            // Algorithm 1 QP.
+            let qp = self.qp_ctl.adapt(i, texture, self.prev_obs[i]);
             // §III-C2 search policy with GOP direction inheritance.
             let search = match (&self.directions, ctx.kind) {
                 (_, FrameKind::Intra) => SearchSpec::biomed_first(level),
                 (None, _) => SearchSpec::biomed_first(level),
                 (Some(dirs), _) => SearchSpec::biomed_subsequent(level, dirs[i]),
             };
-            // Deadline lightening also shrinks the allowed window.
-            let mut window = self.cfg.max_window;
-            for _ in 0..lighten {
-                window = window.shrunk().unwrap_or(window);
-            }
-            tiles.push(analysis.rect);
-            configs.push(TileConfig { qp, search, window });
+            configs.push(TileConfig {
+                qp,
+                search,
+                window: self.cfg.max_window,
+            });
             self.pending_meta.push(TileMeta {
                 rect: analysis.rect,
                 texture,
@@ -217,22 +217,14 @@ impl EncodeController for ContentAwareController {
                 kind: ctx.kind,
             });
         }
-        FramePlan { tiles, configs }
+        let tiling = self.tiling.clone().expect("re-tiled above");
+        FramePlan::new(tiling, configs)
     }
 
     fn frame_done(&mut self, poc: usize, stats: &FrameStats, dominant_mvs: &[MotionVector]) {
         let mut tiles = Vec::with_capacity(stats.tiles.len());
         for (i, tile_stats) in stats.tiles.iter().enumerate() {
-            let cycles = self.cfg.cost.tile_cycles(tile_stats);
-            let fmax_secs = cycles as f64 / self.cfg.fmax_hz;
-            let psnr = tile_stats.psnr().min(99.0);
-            tiles.push(TileReport {
-                rect: tile_stats.rect,
-                cycles,
-                fmax_secs,
-                bits: tile_stats.bits,
-                psnr_db: psnr,
-            });
+            let report = TileReport::priced(tile_stats, &self.cfg.cost, self.cfg.fmax_hz);
             if let Some(meta) = self.pending_meta.get(i) {
                 let key = LutKey::new(
                     &meta.rect,
@@ -242,14 +234,15 @@ impl EncodeController for ContentAwareController {
                     meta.search_name,
                     meta.kind,
                 );
-                self.lut.observe(key, cycles);
+                self.lut.observe(key, report.cycles);
             }
             if i < self.prev_obs.len() {
                 self.prev_obs[i] = Some(TileObservation {
-                    psnr_db: psnr,
-                    bits: tile_stats.bits,
+                    psnr_db: report.psnr_db,
+                    bits: report.bits,
                 });
             }
+            tiles.push(report);
         }
         if self.pending_gop_first {
             self.directions = Some(dominant_mvs.to_vec());
@@ -262,20 +255,6 @@ impl EncodeController for ContentAwareController {
 impl TranscodeController for ContentAwareController {
     fn drain_reports(&mut self) -> Vec<FrameReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn apply_adjustment(&mut self, adjustment: &Adjustment) {
-        match adjustment {
-            Adjustment::None => {}
-            Adjustment::Lighten { tiles } => {
-                for &t in tiles {
-                    if let Some(l) = self.lighten.get_mut(t) {
-                        *l = (*l + 1).min(2);
-                    }
-                }
-            }
-            Adjustment::Restore => self.lighten.iter_mut().for_each(|l| *l = 0),
-        }
     }
 
     fn demand_secs(&self) -> Vec<f64> {
@@ -358,7 +337,7 @@ impl UniformMeController {
 impl EncodeController for UniformMeController {
     fn plan(&mut self, ctx: &FramePlanContext<'_>) -> FramePlan {
         let frame_rect = ctx.frame.y().bounds();
-        let tiling = medvt_analyze::Tiling::uniform(frame_rect, self.cols, self.rows);
+        let tiling = Tiling::uniform(frame_rect, self.cols, self.rows);
         if ctx.gop_first_coded || self.analyses.is_empty() {
             let prev = ctx.prev_anchor.map(|f| f.y());
             self.analyses =
@@ -385,10 +364,7 @@ impl EncodeController for UniformMeController {
                 }
             })
             .collect();
-        FramePlan {
-            tiles: tiling.tiles().to_vec(),
-            configs,
-        }
+        FramePlan::new(tiling, configs)
     }
 
     fn frame_done(&mut self, _poc: usize, _stats: &FrameStats, dominant_mvs: &[MotionVector]) {
@@ -477,59 +453,6 @@ mod tests {
             estimated < measured * 10.0 && estimated > measured / 10.0,
             "estimated {estimated} vs measured {measured}"
         );
-    }
-
-    #[test]
-    fn lightening_raises_qp_and_shrinks_window() {
-        let clip = clip(2);
-        let frame0 = clip.get(0).expect("frame 0").clone();
-        let frame1 = clip.get(1).expect("frame 1").clone();
-        let mut ctl = ContentAwareController::new(pipeline_cfg(), WorkloadLut::new());
-        // Establish the GOP tiling.
-        let ctx0 = FramePlanContext {
-            poc: 0,
-            kind: FrameKind::Intra,
-            gop_start: 0,
-            offset_in_gop: 0,
-            gop_first_coded: true,
-            frame: &frame0,
-            prev_anchor: None,
-        };
-        let _ = ctl.plan(&ctx0);
-        let ctx1 = FramePlanContext {
-            poc: 1,
-            kind: FrameKind::BiPredicted,
-            gop_start: 0,
-            offset_in_gop: 1,
-            gop_first_coded: false,
-            frame: &frame1,
-            prev_anchor: Some(&frame0),
-        };
-        let planned = ctl.plan(&ctx1);
-        // Deadline feedback flags tile 0 as the bottleneck.
-        ctl.apply_adjustment(&Adjustment::Lighten { tiles: vec![0] });
-        let lightened = ctl.plan(&ctx1);
-        assert!(
-            lightened.configs[0].qp > planned.configs[0].qp,
-            "lightened QP {} vs planned {}",
-            lightened.configs[0].qp,
-            planned.configs[0].qp
-        );
-        assert!(lightened.configs[0].window.radius() < planned.configs[0].window.radius());
-        // Other tiles untouched.
-        assert_eq!(lightened.configs[1].window, planned.configs[1].window);
-        // Restore undoes it.
-        ctl.apply_adjustment(&Adjustment::Restore);
-        let restored = ctl.plan(&ctx1);
-        assert_eq!(restored.configs[0].window, planned.configs[0].window);
-    }
-
-    #[test]
-    fn restore_clears_lightening() {
-        let mut ctl = ContentAwareController::new(pipeline_cfg(), WorkloadLut::new());
-        ctl.lighten = vec![2, 1, 0];
-        ctl.apply_adjustment(&Adjustment::Restore);
-        assert!(ctl.lighten.iter().all(|&l| l == 0));
     }
 
     #[test]

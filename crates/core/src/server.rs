@@ -91,9 +91,8 @@ pub struct ServerConfig {
     /// Slots to simulate for power/deadline statistics.
     pub sim_slots: usize,
     /// Admission safety factor on estimated demands (> 1 keeps slack).
-    /// The live system reclaims overruns by lightening bottleneck tiles
-    /// (§III-D2); replayed profiles cannot be lightened, so this factor
-    /// reserves the equivalent headroom at admission time instead.
+    /// A replayed profile's per-frame cost is fixed, so the headroom
+    /// for overruns is reserved here, at admission time.
     pub admission_headroom: f64,
 }
 

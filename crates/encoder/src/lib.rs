@@ -17,6 +17,9 @@
 //! * independent tile encoding ([`encode_tile`]) and frame-level
 //!   parallelism on scoped threads ([`encode_frame`]); which core runs
 //!   a tile is the runtime's decision, not the codec's;
+//! * [`FramePlan`] — a validated [`medvt_frame::Tiling`] plus one
+//!   [`TileConfig`] per tile; the partition rules live in the tiling,
+//!   so the codec never re-checks them;
 //! * the Random Access GOP-8 structure ([`GopStructure`]) and a
 //!   sequence driver ([`VideoEncoder`]) that delegates tiling and
 //!   per-tile configuration to an [`EncodeController`] — the seam where
@@ -74,7 +77,7 @@ pub use block::{
 };
 pub use config::{EncoderConfig, Qp, SearchSpec, TileConfig};
 pub use cost_model::CostModel;
-pub use frame_enc::{encode_frame, split_aligned, EncodedFrame, FramePlan, PlanError};
+pub use frame_enc::{encode_frame, EncodedFrame, FramePlan};
 pub use gop::{GopEntry, GopStructure};
 pub use intra::{IntraMode, IntraRefs};
 pub use scratch::EncScratch;

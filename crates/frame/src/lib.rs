@@ -9,6 +9,9 @@
 //!
 //! * [`Plane`], [`Frame`], [`Rect`], [`Resolution`] — raw YUV 4:2:0
 //!   pictures and the tile/block geometry every other crate shares;
+//! * [`Tiling`] — the validated, 8-aligned exact frame partition that
+//!   content analysis produces and the encoder consumes ([`TilingError`]
+//!   names the rule a candidate breaks);
 //! * [`RegionStats`] — single-pass region statistics (mean, σ, CV)
 //!   backing the paper's texture classifier (Eq. 1);
 //! * [`quality`] — MSE/PSNR used by the QP controller and the
@@ -45,6 +48,7 @@ mod error;
 mod frame;
 mod plane;
 mod rect;
+mod tiling;
 mod video;
 
 pub mod io {
@@ -63,6 +67,7 @@ pub mod synth;
 pub use error::FrameError;
 pub use frame::{Frame, FrameKind, Resolution};
 pub use plane::Plane;
-pub use rect::{find_overlap, Rect};
+pub use rect::Rect;
 pub use stats::RegionStats;
+pub use tiling::{Tiling, TilingError};
 pub use video::{FrameSource, VideoClip};

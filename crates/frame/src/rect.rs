@@ -147,7 +147,7 @@ impl fmt::Display for Rect {
 /// is adjacent to its insertion point). Empty rects never overlap
 /// anything. Ends sort before starts at equal `y`, so touching rects
 /// do not count as overlapping.
-pub fn find_overlap(rects: &[Rect]) -> Option<(Rect, Rect)> {
+pub(crate) fn find_overlap(rects: &[Rect]) -> Option<(Rect, Rect)> {
     // (y, is_start, rect index).
     let mut events: Vec<(usize, bool, usize)> = Vec::with_capacity(rects.len() * 2);
     for (i, r) in rects.iter().enumerate() {

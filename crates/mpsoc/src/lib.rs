@@ -74,6 +74,4 @@ pub use freq::{FreqLevel, FrequencySet};
 pub use platform::{CoreClass, Platform};
 pub use power::PowerModel;
 pub use pricing::CostModel;
-pub use slot::{
-    plan_core, plan_core_on, record_slot_events, simulate_slot, CorePlan, DvfsPolicy, SlotReport,
-};
+pub use slot::{plan_core_on, record_slot_events, simulate_slot, CorePlan, DvfsPolicy, SlotReport};

@@ -260,7 +260,7 @@ impl Platform {
     /// # Panics
     ///
     /// Panics when `core` is out of range.
-    pub(crate) fn class_of(&self, core: usize) -> &CoreClass {
+    pub fn class_of(&self, core: usize) -> &CoreClass {
         &self.classes[self.class_index_of(core)]
     }
 

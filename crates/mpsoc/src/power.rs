@@ -45,28 +45,6 @@ impl PowerModel {
         let v = freq.voltage();
         self.static_w + self.clock_idle_frac * self.ceff_w_per_ghz_v2 * v * v * freq.ghz()
     }
-
-    /// Energy of one core over a slot: `busy_secs` active at `freq`,
-    /// the rest idle, plus `transitions` DVFS switches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `busy_secs` exceeds `slot_secs` beyond rounding.
-    pub fn core_energy_j(
-        &self,
-        freq: FreqLevel,
-        busy_secs: f64,
-        slot_secs: f64,
-        transitions: u32,
-    ) -> f64 {
-        assert!(
-            busy_secs <= slot_secs + 1e-9,
-            "busy {busy_secs}s exceeds slot {slot_secs}s"
-        );
-        self.active_power_w(freq) * busy_secs
-            + self.idle_power_w() * (slot_secs - busy_secs).max(0.0)
-            + self.transition_j * transitions as f64
-    }
 }
 
 impl Default for PowerModel {
@@ -85,6 +63,7 @@ impl Default for PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot::CorePlan;
 
     fn ghz(v: f64) -> FreqLevel {
         FreqLevel::from_ghz(v)
@@ -122,18 +101,24 @@ mod tests {
     fn core_energy_accumulates_parts() {
         let m = PowerModel::default();
         let slot = 1.0 / 24.0;
-        let e_idle = m.core_energy_j(ghz(2.9), 0.0, slot, 0);
+        let energy = |freq, busy_secs, transitions| {
+            CorePlan {
+                freq,
+                busy_secs,
+                slack_secs: slot - busy_secs,
+                carry_fmax_secs: 0.0,
+                transitions,
+                slack_clock_running: false,
+                transition_bound: false,
+            }
+            .energy_j(&m, slot)
+        };
+        let e_idle = energy(ghz(2.9), 0.0, 0);
         assert!((e_idle - m.idle_power_w() * slot).abs() < 1e-12);
-        let e_full = m.core_energy_j(ghz(3.6), slot, slot, 0);
+        let e_full = energy(ghz(3.6), slot, 0);
         assert!((e_full - m.active_power_w(ghz(3.6)) * slot).abs() < 1e-12);
-        let e_half = m.core_energy_j(ghz(3.6), slot / 2.0, slot, 1);
+        let e_half = energy(ghz(3.6), slot / 2.0, 1);
         assert!(e_half > e_idle && e_half < e_full + m.transition_j);
-        assert!(e_half > m.core_energy_j(ghz(3.6), slot / 2.0, slot, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds slot")]
-    fn busy_beyond_slot_rejected() {
-        PowerModel::default().core_energy_j(ghz(3.6), 1.0, 0.5, 0);
+        assert!(e_half > energy(ghz(3.6), slot / 2.0, 0));
     }
 }

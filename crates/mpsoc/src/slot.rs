@@ -162,27 +162,6 @@ pub fn plan_core_on(
     }
 }
 
-/// Plans one core's slot on `platform`'s *reference class* (class 0) —
-/// exactly the whole platform on the paper's homogeneous servers.
-/// Heterogeneous callers should use [`plan_core_on`] with the class of
-/// the core in question; [`simulate_slot`] does so per core.
-pub fn plan_core(
-    platform: &Platform,
-    policy: DvfsPolicy,
-    load_fmax_secs: f64,
-    slot_secs: f64,
-    prev_freq: FreqLevel,
-) -> CorePlan {
-    plan_core_on(
-        &platform.classes()[0],
-        platform.dvfs_transition_secs,
-        policy,
-        load_fmax_secs,
-        slot_secs,
-        prev_freq,
-    )
-}
-
 /// Aggregate outcome of simulating one slot across all cores.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlotReport {
@@ -194,7 +173,7 @@ pub struct SlotReport {
     pub energy_j: f64,
     /// Per-core energy over the slot, joules (sums to `energy_j`) —
     /// what per-user energy attribution in the server loop splits up.
-    pub core_energy_j: Vec<f64>,
+    pub energy_j_per_core: Vec<f64>,
     /// Cores that failed to finish their load.
     pub deadline_misses: usize,
     /// Cores whose slot was entirely consumed by DVFS transition
@@ -276,7 +255,7 @@ pub fn simulate_slot(
         cores,
         slot_secs,
         energy_j: energy,
-        core_energy_j: core_energy,
+        energy_j_per_core: core_energy,
         deadline_misses: misses,
         transition_bound_cores: transition_bound,
     }
@@ -334,11 +313,18 @@ mod tests {
     #[test]
     fn idle_core_costs_idle_energy() {
         let (p, m) = setup();
-        let plan = plan_core(&p, DvfsPolicy::StretchToDeadline, 0.0, SLOT, p.fmin());
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::StretchToDeadline,
+            0.0,
+            SLOT,
+            p.fmin(),
+        );
         assert_eq!(plan.busy_secs, 0.0);
         assert_eq!(plan.transitions, 0);
         assert!(plan.met_deadline());
-        let e = m.core_energy_j(plan.freq, plan.busy_secs, SLOT, plan.transitions);
+        let e = plan.energy_j(&m, SLOT);
         assert!((e - m.idle_power_w() * SLOT).abs() < 1e-12);
     }
 
@@ -346,8 +332,9 @@ mod tests {
     fn stretch_picks_lowest_sufficient_frequency() {
         let (p, _) = setup();
         // Half-slot load at fmax → 2.9 GHz stretches it to 0.62 slots: fits.
-        let plan = plan_core(
-            &p,
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
             DvfsPolicy::StretchToDeadline,
             SLOT * 0.5,
             SLOT,
@@ -361,7 +348,14 @@ mod tests {
     #[test]
     fn race_runs_at_fmax_and_idles() {
         let (p, _) = setup();
-        let plan = plan_core(&p, DvfsPolicy::RaceToIdle, SLOT * 0.5, SLOT, p.fmax());
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::RaceToIdle,
+            SLOT * 0.5,
+            SLOT,
+            p.fmax(),
+        );
         assert_eq!(plan.freq, p.fmax());
         assert!(plan.met_deadline());
         assert!((plan.busy_secs - SLOT * 0.5).abs() < 1e-9);
@@ -371,10 +365,24 @@ mod tests {
     fn stretch_saves_energy_over_race() {
         let (p, m) = setup();
         let load = SLOT * 0.5;
-        let race = plan_core(&p, DvfsPolicy::RaceToIdle, load, SLOT, p.fmax());
-        let stretch = plan_core(&p, DvfsPolicy::StretchToDeadline, load, SLOT, p.fmax());
-        let e_race = m.core_energy_j(race.freq, race.busy_secs, SLOT, race.transitions);
-        let e_stretch = m.core_energy_j(stretch.freq, stretch.busy_secs, SLOT, stretch.transitions);
+        let race = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::RaceToIdle,
+            load,
+            SLOT,
+            p.fmax(),
+        );
+        let stretch = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::StretchToDeadline,
+            load,
+            SLOT,
+            p.fmax(),
+        );
+        let e_race = race.energy_j(&m, SLOT);
+        let e_stretch = stretch.energy_j(&m, SLOT);
         assert!(
             e_stretch < e_race,
             "stretch {e_stretch} J vs race {e_race} J"
@@ -385,11 +393,25 @@ mod tests {
     fn pinned_max_keeps_clock_running_through_slack() {
         let (p, m) = setup();
         let load = SLOT * 0.4;
-        let pinned = plan_core(&p, DvfsPolicy::PinnedMax, load, SLOT, p.fmax());
+        let pinned = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::PinnedMax,
+            load,
+            SLOT,
+            p.fmax(),
+        );
         assert_eq!(pinned.freq, p.fmax());
         assert!(pinned.slack_clock_running);
         assert_eq!(pinned.transitions, 0, "never leaves the rail");
-        let race = plan_core(&p, DvfsPolicy::RaceToIdle, load, SLOT, p.fmax());
+        let race = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::RaceToIdle,
+            load,
+            SLOT,
+            p.fmax(),
+        );
         assert!(!race.slack_clock_running);
         // Pinned-rail slack burns clock power: strictly more energy.
         let e_pinned = pinned.energy_j(&m, SLOT);
@@ -411,8 +433,9 @@ mod tests {
     #[test]
     fn overload_carries_remainder() {
         let (p, _) = setup();
-        let plan = plan_core(
-            &p,
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
             DvfsPolicy::StretchToDeadline,
             SLOT * 1.4,
             SLOT,
@@ -439,11 +462,19 @@ mod tests {
         );
         let m = PowerModel::default();
         let load = SLOT * 0.5;
-        let plan = plan_core(&p, DvfsPolicy::StretchToDeadline, load, SLOT, p.fmax());
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
+            DvfsPolicy::StretchToDeadline,
+            load,
+            SLOT,
+            p.fmax(),
+        );
         // Coming from fmax at a fitting frequency there may be no
         // transition; force one by starting from fmin with an overload.
-        let plan2 = plan_core(
-            &p,
+        let plan2 = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
             DvfsPolicy::StretchToDeadline,
             SLOT * 1.5,
             SLOT,
@@ -489,8 +520,8 @@ mod tests {
         assert_eq!(report.active_cores(), 3);
         assert!(report.cores[3].carry_fmax_secs > 0.0);
         assert!(report.power_w() > 0.0);
-        assert_eq!(report.core_energy_j.len(), 4);
-        let sum: f64 = report.core_energy_j.iter().sum();
+        assert_eq!(report.energy_j_per_core.len(), 4);
+        let sum: f64 = report.energy_j_per_core.iter().sum();
         assert!((sum - report.energy_j).abs() < 1e-12);
     }
 
@@ -524,8 +555,9 @@ mod tests {
     fn transition_latency_counted_in_busy_time() {
         let (p, _) = setup();
         // Core coming from fmin, needs fmax: one transition eats 10 µs.
-        let plan = plan_core(
-            &p,
+        let plan = plan_core_on(
+            p.class_of(0),
+            p.dvfs_transition_secs,
             DvfsPolicy::StretchToDeadline,
             SLOT * 0.95,
             SLOT,
@@ -576,7 +608,7 @@ mod tests {
         assert!(little_ladder.contains(&report.cores[4].freq));
         // The LITTLE class's lighter power model prices its idle cores
         // below the big class's idle cores.
-        assert!(report.core_energy_j[5] < report.core_energy_j[1]);
+        assert!(report.energy_j_per_core[5] < report.energy_j_per_core[1]);
     }
 
     #[test]

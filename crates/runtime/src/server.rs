@@ -856,7 +856,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             if total <= 0.0 {
                 continue;
             }
-            let core_energy = report.core_energy_j[core];
+            let core_energy = report.energy_j_per_core[core];
             for &(u, cost) in costs {
                 if let Some(stats) = self.users.get_mut(&u) {
                     stats.energy_j += core_energy * cost / total;

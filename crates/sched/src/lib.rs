@@ -22,14 +22,12 @@
 //!   [`place_threads_on`], which `runtime::LoopDriver` calls when a
 //!   member or an estimate changed;
 //! * [`baseline_allocate`] — the one-tile-per-core allocator of the
-//!   baseline \[19\];
-//! * [`FeedbackController`] — the per-frame deadline feedback of
-//!   §III-D2 (lighten bottleneck tiles at f_max, restore on banked
-//!   slack, one-second framerate accounting).
+//!   baseline \[19\].
 //!
 //! The DVFS stage of Algorithm 2 (lines 16–24) lives in
 //! [`medvt_mpsoc::simulate_slot`], which consumes the
-//! [`Allocation::core_loads`] produced here.
+//! [`Allocation::core_loads`] produced here. Deadline windows and
+//! carry-over are `medvt_runtime::LoopDriver`'s.
 //!
 //! # Examples
 //!
@@ -52,12 +50,10 @@
 
 mod alloc;
 mod baseline;
-mod feedback;
 mod incremental;
 mod lut;
 
 pub use alloc::{allocate_on, place_threads_on, Allocation, DemandError, Placement, UserDemand};
 pub use baseline::baseline_allocate;
-pub use feedback::{Adjustment, FeedbackController};
 pub use incremental::IncrementalPlacer;
 pub use lut::{LutBank, LutKey, WorkloadLut};

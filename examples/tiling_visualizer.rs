@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("baseline tiling: {} capacity-balanced tiles", base.len());
 
     // Class maps over a fine uniform grid.
-    let grid = medvt::analyze::Tiling::uniform(f4.y().bounds(), 10, 6);
+    let grid = medvt::frame::Tiling::uniform(f4.y().bounds(), 10, 6);
     let analyses = analyze_tiling(f4.y(), Some(f0.y()), &grid, &cfg);
     let mut texture_map = Plane::new(320, 240);
     let mut motion_map = Plane::new(320, 240);

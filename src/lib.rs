@@ -9,12 +9,12 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`frame`] | `medvt-frame` | YUV frames, phantom bio-medical video generation, PSNR/SSIM, Y4M/PNM I/O |
+//! | [`frame`] | `medvt-frame` | YUV frames, validated tilings, phantom bio-medical video generation, PSNR/SSIM, Y4M/PNM I/O |
 //! | [`motion`] | `medvt-motion` | block-matching searches incl. the paper's bio-medical policy |
 //! | [`encoder`] | `medvt-encoder` | HEVC-like tile encoder: DCT, quantization, entropy bits, GOP-8 RA |
 //! | [`analyze`] | `medvt-analyze` | texture/motion classification, content-aware re-tiling, baseline tiler |
 //! | [`mpsoc`] | `medvt-mpsoc` | 32-core Xeon platform model, DVFS, power/energy |
-//! | [`sched`] | `medvt-sched` | workload LUT, Algorithm 2 allocator, deadline feedback |
+//! | [`sched`] | `medvt-sched` | workload LUT, Algorithm 2 allocator |
 //! | [`runtime`] | `medvt-runtime` | placement-aware execution: per-core worker pool, sim/thread-pool backends, server loop |
 //! | [`telemetry`] | `medvt-telemetry` | flight-recorder observability: typed events, lock-free rings, counters/histograms, trace export |
 //! | [`admission`] | `medvt-admission` | live admission control: request queue, shard policies, GOP-boundary admit/evict |

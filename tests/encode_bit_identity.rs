@@ -19,7 +19,7 @@ use medvt::encoder::{
     encode_frame, encode_tile, EncoderConfig, FramePlan, Qp, SearchSpec, TileConfig, TileStats,
 };
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt::frame::{Frame, FrameKind, Rect, Resolution};
+use medvt::frame::{Frame, FrameKind, Rect, Resolution, Tiling};
 use medvt::motion::{MotionVector, SearchWindow};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -65,7 +65,7 @@ fn plan_mixed(frame: Rect) -> FramePlan {
     // 2x2 tiles with deliberately different search algorithms and
     // windows so boundary candidates, early-terminated exhaustive
     // search and the gradient-descent policies all run.
-    let tiles = medvt::encoder::split_aligned(frame, 2, 2);
+    let tiling = Tiling::uniform(frame, 2, 2);
     let configs = vec![
         TileConfig {
             qp: Qp::new(27).unwrap(),
@@ -88,7 +88,7 @@ fn plan_mixed(frame: Rect) -> FramePlan {
             window: SearchWindow::W16,
         },
     ];
-    FramePlan { tiles, configs }
+    FramePlan::new(tiling, configs)
 }
 
 #[test]
@@ -146,10 +146,7 @@ fn encode_single_tile(kind: FrameKind, qp: u8) -> (u64, TileStats) {
         window: SearchWindow::W16,
     };
     let ecfg = EncoderConfig::default();
-    let plan = FramePlan {
-        tiles: vec![tile],
-        configs: vec![tcfg],
-    };
+    let plan = FramePlan::uniform(tile, 1, 1, tcfg);
     let outcome = match kind {
         FrameKind::Intra => encode_tile(&video.render(0), &[], kind, tile, &tcfg, &ecfg),
         _ => {

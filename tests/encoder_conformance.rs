@@ -1,13 +1,12 @@
 //! Encoder conformance across crates: rate–distortion behaviour,
 //! tile independence, and GOP reference integrity on phantom material.
 
-use medvt::analyze::Tiling;
 use medvt::encoder::{
     encode_frame, encode_uniform, EncoderConfig, FramePlan, Qp, SearchSpec, TileConfig,
 };
 use medvt::frame::quality::frame_psnr;
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt::frame::{FrameKind, Resolution, VideoClip};
+use medvt::frame::{FrameKind, Resolution, Tiling, VideoClip};
 use medvt::motion::SearchWindow;
 
 fn clip(frames: usize) -> VideoClip {
@@ -114,10 +113,8 @@ fn validated_tiling_round_trips_through_encoder() {
     let clip = clip(1);
     let frame = clip.get(0).expect("one frame");
     let tiling = Tiling::uniform(frame.y().bounds(), 2, 2);
-    let plan = FramePlan {
-        tiles: tiling.tiles().to_vec(),
-        configs: vec![tcfg(32); tiling.len()],
-    };
+    let configs = vec![tcfg(32); tiling.len()];
+    let plan = FramePlan::new(tiling, configs);
     let out = encode_frame(
         frame,
         &[],

@@ -3,10 +3,10 @@
 
 use medvt::analyze::{AnalyzerConfig, CapacityBalancedTiler, Retiler};
 use medvt::encoder::bits::BitWriter;
-use medvt::encoder::{code_residual, EncoderConfig, FramePlan, Qp, TileConfig};
+use medvt::encoder::{code_residual, EncoderConfig, Qp};
 use medvt::frame::synth::{render_canvas, BodyPart, ValueNoise};
-use medvt::frame::{Plane, Rect};
-use medvt::mpsoc::{plan_core, DvfsPolicy, Platform};
+use medvt::frame::Plane;
+use medvt::mpsoc::{plan_core_on, DvfsPolicy, Platform};
 use medvt::sched::{allocate_on, UserDemand};
 use proptest::prelude::*;
 
@@ -57,12 +57,6 @@ proptest! {
         prop_assert_eq!(outcome.tiling.covered_area(), w * h);
         prop_assert!(outcome.tiling.len() >= 4);
         prop_assert!(outcome.tiling.len() <= 16);
-        // Valid as an encoder plan too.
-        let plan = FramePlan {
-            tiles: outcome.tiling.tiles().to_vec(),
-            configs: vec![TileConfig::default(); outcome.tiling.len()],
-        };
-        prop_assert!(plan.validate(&Rect::frame(w, h)).is_ok());
     }
 
     /// The capacity tiler must hand back exactly one tile per core for
@@ -127,7 +121,14 @@ proptest! {
             DvfsPolicy::PinnedMax,
         ][policy_idx];
         let load = SLOT * load_frac;
-        let plan = plan_core(&platform, policy, load, SLOT, platform.fmin());
+        let plan = plan_core_on(
+            platform.class_of(0),
+            platform.dvfs_transition_secs,
+            policy,
+            load,
+            SLOT,
+            platform.fmin(),
+        );
         // Work executed in fmax-seconds. Only the transition *into*
         // the busy frequency precedes work; the drop to idle during
         // slack is outside the busy period.
