@@ -2,6 +2,7 @@
 //! specification and the per-tile encoding configuration the
 //! content-aware pipeline tunes.
 
+use crate::intra::MAX_SIDE;
 use medvt_motion::{
     BioMedicalSearch, CrossSearch, DiamondSearch, FullSearch, GopPhase, HexOrientation,
     HexagonSearch, MotionLevel, MotionSearch, MotionVector, OneAtATimeSearch, SearchWindow,
@@ -240,11 +241,19 @@ impl EncoderConfig {
     /// # Errors
     ///
     /// Returns a message when the block size is not a positive multiple
-    /// of 8 or the GOP size is zero.
+    /// of 8 or is above 64 (HEVC's largest coding block, and the bound
+    /// intra prediction's sums are exact under), or when the GOP size
+    /// or intra period is zero.
     pub fn validate(&self) -> Result<(), String> {
         if self.block_size == 0 || !self.block_size.is_multiple_of(8) {
             return Err(format!(
                 "block size {} must be a positive multiple of 8",
+                self.block_size
+            ));
+        }
+        if self.block_size > MAX_SIDE {
+            return Err(format!(
+                "block size {} is above {MAX_SIDE}",
                 self.block_size
             ));
         }
@@ -344,6 +353,16 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+        let bad = EncoderConfig {
+            block_size: 72,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
+        let largest = EncoderConfig {
+            block_size: 64,
+            ..Default::default()
+        };
+        assert!(largest.validate().is_ok());
         let bad = EncoderConfig {
             gop_size: 0,
             ..Default::default()

@@ -3,10 +3,47 @@
 //! Prediction references the *reconstructed* samples above and left of
 //! the block, like HEVC, and never crosses tile boundaries (tiles are
 //! independently decodable).
+//!
+//! # Planar by a column-step recurrence
+//!
+//! With top edge `t`, left edge `l`, `tr = t[w−1]` and `bl = l[h−1]`,
+//! planar is `v(x, y) / (2·w·h)` where
+//!
+//! ```text
+//! v(x, y) = h·((w−1−x)·l[y] + (x+1)·tr) + w·((h−1−y)·t[x] + (y+1)·bl) + w·h
+//!         = base_y[x] + h·(w−1−x)·l[y]
+//! base_{y+1}[x] = base_y[x] + w·(bl − t[x])
+//! ```
+//!
+//! so a row costs one multiply-add per sample (the `l[y]` term over a
+//! per-column weight) and one add to step the per-column `base` to the
+//! next row, instead of four multiplies. The arithmetic is `u32` and
+//! exact: every true `v` is at most `511·w·h` (each blend is at most
+//! `255·w·h`) and every `base_y` for `y < h` lies in `[0, v]`, so with
+//! both sides at most [`MAX_SIDE`] nothing exceeds `2²¹`. The step
+//! `w·(bl − t[x])` may be negative; it is added with wrapping `u32`
+//! arithmetic, which is exact modulo `2³²` and therefore exact for every
+//! row that is read. `v / (2·w·h)` is at most 255, and it is a right
+//! shift whenever `2·w·h` is a power of two (every 8/16/32/64-sided
+//! block); other geometries keep the divide.
+//!
+//! # Mode decision in one pass
+//!
+//! [`IntraRefs::best_mode_into`] walks the original block once, row by
+//! row, and accumulates the exact SAD of all four modes side by side:
+//! DC is one level, horizontal the broadcast `l[y]`, vertical the top
+//! row, and planar the row the recurrence just produced. Only the
+//! winner ends up in the caller's `best` buffer.
 
 use medvt_frame::{Plane, Rect};
+#[cfg(target_arch = "x86_64")]
 use medvt_motion::cost::simd;
 use serde::{Deserialize, Serialize};
+
+/// Largest block side the prediction methods accept: HEVC's largest
+/// coding block. It bounds planar's `u32` sums (see the module docs)
+/// and sizes the recurrence's per-column arrays.
+pub(crate) const MAX_SIDE: usize = 64;
 
 /// The implemented subset of HEVC's 35 intra modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -90,15 +127,14 @@ impl IntraRefs {
     ///
     /// Panics when `block` is not inside `tile`.
     pub fn regather(&mut self, recon: &Plane, block: &Rect, tile: &Rect) {
-        assert!(
-            tile.contains_rect(block),
-            "block {block} outside tile {tile}"
-        );
+        self.dc = Self::dc_level(recon, block, tile);
         self.top.clear();
         self.has_top = block.y > tile.y;
         if self.has_top {
             self.top
                 .extend_from_slice(recon.row_span(block.y - 1, block.x, block.w));
+        } else {
+            self.top.resize(block.w, self.dc);
         }
         self.left.clear();
         self.has_left = block.x > tile.x;
@@ -106,18 +142,40 @@ impl IntraRefs {
             let col = block.x - 1;
             self.left
                 .extend((block.y..block.bottom()).map(|row| recon.get(col, row)));
-        }
-        let sum: u32 = self.top.iter().chain(&self.left).map(|&s| s as u32).sum();
-        let count = (self.top.len() + self.left.len()) as u32;
-        self.dc = (sum + count / 2)
-            .checked_div(count)
-            .map_or(128, |v| v as u8);
-        if !self.has_top {
-            self.top.resize(block.w, self.dc);
-        }
-        if !self.has_left {
+        } else {
             self.left.resize(block.h, self.dc);
         }
+    }
+
+    /// The DC level of `block`: the rounded mean of the reconstructed
+    /// samples above and left of it inside `tile`, 128 when neither
+    /// edge exists. Read straight from the plane, so a DC-only caller
+    /// (chroma) needs no edge buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `block` is not inside `tile`.
+    pub(crate) fn dc_level(recon: &Plane, block: &Rect, tile: &Rect) -> u8 {
+        assert!(
+            tile.contains_rect(block),
+            "block {block} outside tile {tile}"
+        );
+        let (mut sum, mut count) = (0u32, 0u32);
+        if block.y > tile.y {
+            let top = recon.row_span(block.y - 1, block.x, block.w);
+            sum += top.iter().map(|&s| u32::from(s)).sum::<u32>();
+            count += block.w as u32;
+        }
+        if block.x > tile.x {
+            let col = block.x - 1;
+            sum += (block.y..block.bottom())
+                .map(|row| u32::from(recon.get(col, row)))
+                .sum::<u32>();
+            count += block.h as u32;
+        }
+        (sum + count / 2)
+            .checked_div(count)
+            .map_or(128, |v| v as u8)
     }
 
     /// `true` when neither reference edge is available (tile corner).
@@ -132,8 +190,8 @@ impl IntraRefs {
     ///
     /// # Panics
     ///
-    /// Panics when `w x h` is empty or not the geometry of the block
-    /// the references were gathered for.
+    /// Panics when `w x h` is empty, has a side above 64, or is not the
+    /// geometry of the block the references were gathered for.
     pub fn predict(&self, mode: IntraMode, w: usize, h: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.predict_into(mode, w, h, &mut out);
@@ -146,15 +204,17 @@ impl IntraRefs {
     ///
     /// # Panics
     ///
-    /// Panics when `w x h` is empty or not the geometry of the block
-    /// the references were gathered for.
+    /// Panics when `w x h` is empty, has a side above 64, or is not the
+    /// geometry of the block the references were gathered for.
     pub fn predict_into(&self, mode: IntraMode, w: usize, h: usize, out: &mut Vec<u8>) {
         self.assert_geometry(w, h);
         out.clear();
         out.resize(w * h, self.dc);
         match mode {
             IntraMode::Dc => {}
-            IntraMode::Planar => self.planar_into(w, h, out),
+            IntraMode::Planar => {
+                self.planar_pass(w, h, out, None);
+            }
             IntraMode::Horizontal => {
                 for (row, &edge) in out.chunks_exact_mut(w).zip(&self.left) {
                     row.fill(edge);
@@ -171,6 +231,10 @@ impl IntraRefs {
     fn assert_geometry(&self, w: usize, h: usize) {
         assert!(w > 0 && h > 0, "cannot predict an empty {w}x{h} block");
         assert!(
+            w <= MAX_SIDE && h <= MAX_SIDE,
+            "{w}x{h} block has a side above {MAX_SIDE}"
+        );
+        assert!(
             self.top.len() == w && self.left.len() == h,
             "{w}x{h} prediction from references gathered for a {}x{} block",
             self.top.len(),
@@ -178,55 +242,23 @@ impl IntraRefs {
         );
     }
 
-    /// HEVC-style planar: the mean of a horizontal and a vertical
-    /// linear blend, `(hor·h + ver·w + w·h) / (2·w·h)`. The divisor is
-    /// a power of two for every block whose sides are (8, 16, 32), and
-    /// then the division is the exact right shift; other geometries
-    /// keep the divide.
-    fn planar_into(&self, w: usize, h: usize, out: &mut [u8]) {
-        let divisor = 2 * (w * h) as u32;
-        if divisor.is_power_of_two() {
-            let shift = divisor.trailing_zeros();
-            self.planar_rows(w, h, out, |v| v >> shift);
-        } else {
-            self.planar_rows(w, h, out, |v| v / divisor);
-        }
-    }
-
-    #[inline(always)]
-    fn planar_rows(&self, w: usize, h: usize, out: &mut [u8], scale: impl Fn(u32) -> u32) {
-        let (top, left) = (&self.top, &self.left);
-        let (wu, hu) = (w as u32, h as u32);
-        let top_right = top[w - 1] as u32;
-        let bottom_left = left[h - 1] as u32;
-        for (y, (row, &l)) in out.chunks_exact_mut(w).zip(left).enumerate() {
-            let (y, l) = (y as u32, l as u32);
-            for (x, (sample, &t)) in row.iter_mut().zip(top).enumerate() {
-                let x = x as u32;
-                let hor = (wu - 1 - x) * l + (x + 1) * top_right;
-                let ver = (hu - 1 - y) * t as u32 + (y + 1) * bottom_left;
-                *sample = scale(hor * hu + ver * wu + wu * hu).min(255) as u8;
-            }
-        }
-    }
-
     /// Picks the mode with the lowest SAD against `original` (row-major
-    /// `w x h` samples): the winning prediction ends up in `best` (`tmp`
-    /// is trial scratch), and the mode and its SAD are returned. Modes are tried in [`IntraMode::ALL`] order
-    /// and a later mode wins only when strictly better.
+    /// `w x h` samples): the winning prediction ends up in `best`, and
+    /// the mode and its exact SAD are returned. Modes are tried in
+    /// [`IntraMode::ALL`] order and a later mode wins only when strictly
+    /// better.
     ///
-    /// Every mode is scored by one whole-block
-    /// [`simd::block_sad`] call, bounded by the best SAD so far (a
-    /// mode that reaches it cannot win). DC and vertical predictions
-    /// repeat one row, so they are scored against that row at stride 0
-    /// and only materialised if they win; a directional mode whose
-    /// edge is missing *is* the DC prediction and is skipped, since it
-    /// cannot be strictly better.
+    /// One pass over `original` scores all four modes (module docs).
+    /// Planar's rows are built in `tmp` and swapped into `best` if
+    /// planar wins; any other winner is one fill of `best`. A
+    /// directional mode whose edge is missing predicts the DC level
+    /// everywhere, ties DC exactly and so never wins.
     ///
     /// # Panics
     ///
-    /// Panics when `original.len() != w * h`, or `w x h` is empty or
-    /// not the geometry of the block the references were gathered for.
+    /// Panics when `original.len() != w * h`, or `w x h` is empty, has
+    /// a side above 64, or is not the geometry of the block the
+    /// references were gathered for.
     pub fn best_mode_into(
         &self,
         original: &[u8],
@@ -237,39 +269,223 @@ impl IntraRefs {
     ) -> (IntraMode, u64) {
         self.assert_geometry(w, h);
         assert_eq!(original.len(), w * h, "original buffer mismatch");
-        let tier = simd::tier();
-        let sad = |prediction: &[u8], stride: usize, bound: u64| {
-            simd::block_sad(tier, original, w, prediction, stride, w, h, bound)
-        };
         tmp.clear();
-        tmp.resize(w, self.dc);
-        let mut winner = (IntraMode::Dc, sad(tmp, 0, u64::MAX));
-        // Planar is built in `best` and horizontal in `tmp`, so either
-        // can win without being predicted twice.
-        self.predict_into(IntraMode::Planar, w, h, best);
-        let cost = sad(best, w, winner.1);
-        if cost < winner.1 {
-            winner = (IntraMode::Planar, cost);
-        }
-        if self.has_left {
-            self.predict_into(IntraMode::Horizontal, w, h, tmp);
-            let cost = sad(tmp, w, winner.1);
-            if cost < winner.1 {
-                winner = (IntraMode::Horizontal, cost);
-            }
-        }
-        if self.has_top {
-            let cost = sad(&self.top, 0, winner.1);
-            if cost < winner.1 {
-                winner = (IntraMode::Vertical, cost);
+        tmp.resize(w * h, 0);
+        let sads = self.score_modes(original, w, h, tmp);
+        let mut winner = (IntraMode::Dc, sads[0]);
+        for (mode, sad) in IntraMode::ALL.into_iter().zip(sads) {
+            if sad < winner.1 {
+                winner = (mode, sad);
             }
         }
         match winner.0 {
-            IntraMode::Planar => {}
-            IntraMode::Horizontal => std::mem::swap(best, tmp),
+            IntraMode::Planar => std::mem::swap(best, tmp),
             mode => self.predict_into(mode, w, h, best),
         }
         winner
+    }
+
+    /// The fused pass: writes planar's prediction into `planar` and
+    /// returns the exact SAD of every mode against `original`, in
+    /// [`IntraMode::ALL`] order. On the x86 tiers a block whose width
+    /// is 8, 16, 32 or 64 and whose planar divisor is a power of two
+    /// runs the SSE2 body; every other block, and the scalar tier, the
+    /// portable pass.
+    fn score_modes(&self, original: &[u8], w: usize, h: usize, planar: &mut [u8]) -> [u64; 4] {
+        #[cfg(target_arch = "x86_64")]
+        if simd::tier() != simd::DispatchTier::Scalar && (2 * w * h).is_power_of_two() {
+            let shift = (2 * w * h).trailing_zeros();
+            // SAFETY: SSE2 is part of the x86_64 baseline, the one
+            // requirement of the bodies.
+            unsafe {
+                match w {
+                    8 => return x86::score_modes_sse2::<8>(self, shift, original, planar),
+                    16 => return x86::score_modes_sse2::<16>(self, shift, original, planar),
+                    32 => return x86::score_modes_sse2::<32>(self, shift, original, planar),
+                    64 => return x86::score_modes_sse2::<64>(self, shift, original, planar),
+                    _ => {}
+                }
+            }
+        }
+        self.planar_pass(w, h, planar, Some(original))
+    }
+
+    /// Planar's per-column state at row 0 (module docs).
+    fn planar_columns(&self) -> PlanarColumns {
+        let (top, left) = (&self.top, &self.left);
+        let (w, h) = (top.len(), left.len());
+        let (wu, hu) = (w as u32, h as u32);
+        let top_right = u32::from(top[w - 1]);
+        let bottom_left = u32::from(left[h - 1]);
+        let mut cols = PlanarColumns {
+            base: [0; MAX_SIDE],
+            step: [0; MAX_SIDE],
+            weight: [0; MAX_SIDE],
+        };
+        for (x, &t) in top.iter().enumerate() {
+            let (xu, t) = (x as u32, u32::from(t));
+            cols.base[x] =
+                hu * (xu + 1) * top_right + wu * (hu - 1) * t + wu * bottom_left + wu * hu;
+            cols.step[x] = wu.wrapping_mul(bottom_left.wrapping_sub(t));
+            cols.weight[x] = hu * (wu - 1 - xu);
+        }
+        cols
+    }
+
+    /// Writes planar's `w x h` prediction into `out` by the column-step
+    /// recurrence. With `original`, also returns the exact SAD of every
+    /// mode against it, in [`IntraMode::ALL`] order (zeros without).
+    fn planar_pass(&self, w: usize, h: usize, out: &mut [u8], original: Option<&[u8]>) -> [u64; 4] {
+        let divisor = 2 * (w * h) as u32;
+        if divisor.is_power_of_two() {
+            let shift = divisor.trailing_zeros();
+            self.planar_rows(w, h, out, original, |v| v >> shift)
+        } else {
+            self.planar_rows(w, h, out, original, |v| v / divisor)
+        }
+    }
+
+    #[inline(always)]
+    fn planar_rows(
+        &self,
+        w: usize,
+        h: usize,
+        out: &mut [u8],
+        original: Option<&[u8]>,
+        scale: impl Fn(u32) -> u32,
+    ) -> [u64; 4] {
+        let mut cols = self.planar_columns();
+        let (base, step, weight) = (&mut cols.base[..w], &cols.step[..w], &cols.weight[..w]);
+        let (top, left, dc) = (&self.top[..w], &self.left[..h], self.dc);
+        let (mut dc_sad, mut planar_sad, mut hor_sad, mut ver_sad) = (0u32, 0u32, 0u32, 0u32);
+        for (y, (row, &l)) in out.chunks_exact_mut(w).zip(left).enumerate() {
+            let lu = u32::from(l);
+            for (((p, b), &s), &k) in row.iter_mut().zip(base.iter_mut()).zip(step).zip(weight) {
+                *p = scale(*b + k * lu) as u8;
+                *b = b.wrapping_add(s);
+            }
+            if let Some(original) = original {
+                let orig = &original[y * w..][..w];
+                for ((&o, &p), &t) in orig.iter().zip(&*row).zip(top) {
+                    dc_sad += u32::from(o.abs_diff(dc));
+                    planar_sad += u32::from(o.abs_diff(p));
+                    hor_sad += u32::from(o.abs_diff(l));
+                    ver_sad += u32::from(o.abs_diff(t));
+                }
+            }
+        }
+        [dc_sad, planar_sad, hor_sad, ver_sad].map(u64::from)
+    }
+}
+
+/// Planar's per-column state at row 0: `base_0[x]`, the step
+/// `w·(bl − t[x])` from one row's `base` to the next, and the weight
+/// `h·(w−1−x)` of the row's left sample (module docs). Only the first
+/// `w` entries are used.
+struct PlanarColumns {
+    base: [u32; MAX_SIDE],
+    step: [u32; MAX_SIDE],
+    weight: [u32; MAX_SIDE],
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{IntraRefs, MAX_SIDE};
+    use std::arch::x86_64::*;
+
+    /// [`IntraRefs::planar_rows`] for a `W`-wide block (`W` of 8, 16,
+    /// 32 or 64) whose planar divisor is `2^shift`, eight columns per
+    /// step: the recurrence in 32-bit lanes, where `_mm_madd_epi16`
+    /// multiplies the weight (below `2¹²`) by the left sample exactly,
+    /// then signed and unsigned saturating packs that are exact on
+    /// values in `0..=255`, and four `psadbw` per 16 samples. Same
+    /// bytes and SADs as the portable pass. Every load and store goes
+    /// through a slice of exactly the bytes it touches, so the bounds
+    /// checks of safe indexing guard it.
+    ///
+    /// # Safety
+    ///
+    /// The host must support SSE2 (every x86_64 host does).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the references are not `W` wide, or `original` or
+    /// `planar` is shorter than the block.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn score_modes_sse2<const W: usize>(
+        refs: &IntraRefs,
+        shift: u32,
+        original: &[u8],
+        planar: &mut [u8],
+    ) -> [u64; 4] {
+        const { assert!(W == 8 || W == 16 || W == 32 || W == 64) };
+        let cols = refs.planar_columns();
+        let (top, left) = (&refs.top[..], &refs.left[..]);
+        assert_eq!(top.len(), W, "references gathered for another width");
+        let h = left.len();
+        let (original, planar) = (&original[..W * h], &mut planar[..W * h]);
+        let zero = _mm_setzero_si128();
+        let lane =
+            |a: &[u32; MAX_SIDE], j: usize| _mm_loadu_si128(a[4 * j..4 * j + 4].as_ptr().cast());
+        let (mut base, mut step, mut weight) = (
+            [zero; MAX_SIDE / 4],
+            [zero; MAX_SIDE / 4],
+            [zero; MAX_SIDE / 4],
+        );
+        for j in 0..W / 4 {
+            (base[j], step[j], weight[j]) = (
+                lane(&cols.base, j),
+                lane(&cols.step, j),
+                lane(&cols.weight, j),
+            );
+        }
+        let count = _mm_cvtsi32_si128(shift as i32);
+        // An 8-wide block fills the low half of each register; its high
+        // halves stay zero on both sides of every `psadbw`.
+        let live = |v: __m128i| {
+            if W == 8 {
+                _mm_unpacklo_epi64(v, zero)
+            } else {
+                v
+            }
+        };
+        let dc = live(_mm_set1_epi8(refs.dc as i8));
+        let mut sads = [zero; 4];
+        for (y, &l) in left.iter().enumerate() {
+            let l32 = _mm_set1_epi32(i32::from(l));
+            let l8 = live(_mm_set1_epi8(l as i8));
+            let (orig, pred) = (&original[y * W..][..W], &mut planar[y * W..][..W]);
+            // Planar's eight samples of columns `8g..8g + 8` as i16,
+            // stepping their `base` to the next row.
+            let mut eight = |g: usize| {
+                let mut half = [zero; 2];
+                for (i, out) in half.iter_mut().enumerate() {
+                    let j = 2 * g + i;
+                    let v = _mm_add_epi32(base[j], _mm_madd_epi16(weight[j], l32));
+                    *out = _mm_srl_epi32(v, count);
+                    base[j] = _mm_add_epi32(base[j], step[j]);
+                }
+                _mm_packs_epi32(half[0], half[1])
+            };
+            for c in 0..W.div_ceil(16) {
+                let (p, o, t);
+                if W == 8 {
+                    p = _mm_packus_epi16(eight(0), zero);
+                    o = _mm_loadl_epi64(orig.as_ptr().cast());
+                    t = _mm_loadl_epi64(top.as_ptr().cast());
+                    _mm_storel_epi64(pred.as_mut_ptr().cast(), p);
+                } else {
+                    p = _mm_packus_epi16(eight(2 * c), eight(2 * c + 1));
+                    o = _mm_loadu_si128(orig[16 * c..16 * c + 16].as_ptr().cast());
+                    t = _mm_loadu_si128(top[16 * c..16 * c + 16].as_ptr().cast());
+                    _mm_storeu_si128(pred[16 * c..16 * c + 16].as_mut_ptr().cast(), p);
+                }
+                for (sad, prediction) in sads.iter_mut().zip([dc, p, l8, t]) {
+                    *sad = _mm_add_epi64(*sad, _mm_sad_epu8(o, prediction));
+                }
+            }
+        }
+        sads.map(|v| _mm_cvtsi128_si64(_mm_add_epi64(v, _mm_unpackhi_epi64(v, v))) as u64)
     }
 }
 

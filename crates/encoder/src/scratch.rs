@@ -43,8 +43,6 @@ pub struct EncScratch {
     pub(crate) chroma_orig: Vec<u8>,
     /// Prediction of the current chroma block.
     pub(crate) chroma_pred: Vec<u8>,
-    /// Chroma intra reference edges.
-    pub(crate) chroma_refs: IntraRefs,
     /// Motion vectors of the tile's inter blocks.
     pub(crate) inter_mvs: Vec<MotionVector>,
     /// Median-of-MVs sort buffers.

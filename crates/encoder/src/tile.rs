@@ -9,6 +9,7 @@
 use crate::bits::{se_len, BitWriter};
 use crate::block::code_residual_into;
 use crate::config::{EncoderConfig, TileConfig};
+use crate::intra::{IntraRefs, MAX_SIDE};
 use crate::scratch::EncScratch;
 use crate::stats::TileStats;
 use crate::transform::TxPath;
@@ -89,7 +90,8 @@ pub fn encode_tile(
 /// # Panics
 ///
 /// Panics when the tile is unaligned, outside the frame, or `refs` is
-/// empty for an inter frame kind.
+/// empty for an inter frame kind, and when `ecfg.block_size` is above
+/// 64 (the bound [`EncoderConfig::validate`] enforces).
 pub fn encode_tile_with_scratch(
     original: &Frame,
     refs: &[&Frame],
@@ -111,6 +113,11 @@ pub fn encode_tile_with_scratch(
         "tile {tile} outside frame"
     );
     assert!(!tile.is_empty(), "tile must be non-empty");
+    assert!(
+        ecfg.block_size <= MAX_SIDE,
+        "block size {} above {MAX_SIDE}",
+        ecfg.block_size
+    );
     let inter = kind.is_inter() && !refs.is_empty();
     if kind.is_inter() {
         assert!(!refs.is_empty(), "inter frame requires reference frames");
@@ -137,7 +144,6 @@ pub fn encode_tile_with_scratch(
         luma_refs,
         chroma_orig,
         chroma_pred,
-        chroma_refs,
         inter_mvs,
         mv_xs,
         mv_ys,
@@ -268,10 +274,12 @@ pub fn encode_tile_with_scratch(
                             chroma_pred,
                         );
                     } else {
-                        // Chroma intra: DC from local chroma recon refs.
+                        // Chroma intra: DC straight from the chroma
+                        // recon edges.
                         let c_tile = Rect::frame(tile.w / 2, tile.h / 2);
-                        chroma_refs.regather(recon_c, &c_rel, &c_tile);
-                        chroma_refs.predict_into(crate::intra::IntraMode::Dc, cw, ch, chroma_pred);
+                        let dc = IntraRefs::dc_level(recon_c, &c_rel, &c_tile);
+                        chroma_pred.clear();
+                        chroma_pred.resize(cw * ch, dc);
                     }
                     let coded_c = code_residual_into(
                         chroma_orig,

@@ -193,11 +193,19 @@ fn steady_state_allocations(block: Rect) -> u64 {
 
 #[test]
 fn steady_state_block_iteration_allocates_nothing() {
-    assert_eq!(
-        steady_state_allocations(Rect::new(40, 40, 16, 16)),
-        0,
-        "steady-state block iteration must not allocate"
-    );
+    // 8 and 16 are the encoder's block sizes; 64 is the largest any
+    // configuration accepts.
+    for block in [
+        Rect::new(40, 40, 8, 8),
+        Rect::new(40, 40, 16, 16),
+        Rect::new(16, 16, 64, 64),
+    ] {
+        assert_eq!(
+            steady_state_allocations(block),
+            0,
+            "steady-state iteration of block {block} must not allocate"
+        );
+    }
 }
 
 /// Blocks in the frame corners: the probe ring reaches up to 6 samples

@@ -46,14 +46,26 @@ pub fn save_y4m<P: AsRef<Path>>(path: P, clip: &VideoClip) -> Result<(), FrameEr
     write_y4m(std::io::BufWriter::new(f), clip)
 }
 
+/// Largest picture a stream may declare: HEVC level 6.2's limits,
+/// `MaxLumaPs` = 35 651 584 luma samples and each side at most
+/// `√(8·MaxLumaPs)` = 16 888. A header is a few dozen bytes, and its
+/// `W` and `H` alone decide how much every `FRAME` allocates.
+const MAX_LUMA_SAMPLES: usize = 35_651_584;
+const MAX_SIDE: usize = 16_888;
+
 /// Reads a YUV4MPEG2 stream (C420 only) into a clip.
 ///
 /// A mutable reference to any `BufRead` can be passed as the reader.
+/// Any input returns a clip or an error, never a panic.
 ///
 /// # Errors
 ///
-/// Returns [`FrameError::Parse`] for malformed headers or unsupported
-/// chroma, and [`FrameError::Io`] for underlying read failures.
+/// Returns [`FrameError::Parse`] for malformed headers, a frame rate
+/// that is not positive and finite, or unsupported chroma;
+/// [`FrameError::Dimensions`] for a picture that is empty, odd-sized or
+/// larger than HEVC level 6.2 allows; and [`FrameError::Io`] for
+/// underlying read failures (including a header that is not UTF-8 and
+/// a truncated frame).
 pub fn read_y4m<R: BufRead>(mut r: R) -> Result<VideoClip, FrameError> {
     let mut header = String::new();
     r.read_line(&mut header)?;
@@ -65,11 +77,13 @@ pub fn read_y4m<R: BufRead>(mut r: R) -> Result<VideoClip, FrameError> {
     let mut height = None;
     let mut fps = 24.0f64;
     for token in header.split_whitespace().skip(1) {
-        let (tag, rest) = token.split_at(1);
+        let mut chars = token.chars();
+        let tag = chars.next();
+        let rest = chars.as_str();
         match tag {
-            "W" => width = rest.parse::<usize>().ok(),
-            "H" => height = rest.parse::<usize>().ok(),
-            "F" => {
+            Some('W') => width = rest.parse::<usize>().ok(),
+            Some('H') => height = rest.parse::<usize>().ok(),
+            Some('F') => {
                 let mut parts = rest.splitn(2, ':');
                 let num: f64 = parts
                     .next()
@@ -83,8 +97,13 @@ pub fn read_y4m<R: BufRead>(mut r: R) -> Result<VideoClip, FrameError> {
                     return Err(FrameError::Parse("zero frame-rate denominator".into()));
                 }
                 fps = num / den;
+                if !(fps.is_finite() && fps > 0.0) {
+                    return Err(FrameError::Parse(format!(
+                        "frame rate {rest} is not positive and finite"
+                    )));
+                }
             }
-            "C" if !rest.starts_with("420") => {
+            Some('C') if !rest.starts_with("420") => {
                 return Err(FrameError::Parse(format!("unsupported chroma C{rest}")));
             }
             _ => {} // interlacing/aspect ignored
@@ -94,10 +113,17 @@ pub fn read_y4m<R: BufRead>(mut r: R) -> Result<VideoClip, FrameError> {
         (Some(w), Some(h)) => (w, h),
         _ => return Err(FrameError::Parse("missing W/H in header".into())),
     };
+    let y_len = width
+        .checked_mul(height)
+        .filter(|&n| width <= MAX_SIDE && height <= MAX_SIDE && n <= MAX_LUMA_SAMPLES)
+        .ok_or(FrameError::Dimensions {
+            width,
+            height,
+            reason: "larger than HEVC level 6.2 allows",
+        })?;
     let res = Resolution::new(width, height);
     res.validate_420()?;
     let mut clip = VideoClip::new(res, fps);
-    let y_len = width * height;
     let c_len = y_len / 4;
     loop {
         let mut marker = String::new();
@@ -139,6 +165,7 @@ pub fn load_y4m<P: AsRef<Path>>(path: P) -> Result<VideoClip, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_clip() -> VideoClip {
         let res = Resolution::new(8, 6);
@@ -204,6 +231,98 @@ mod tests {
         write_y4m(&mut buf, &sample_clip()).unwrap();
         buf.truncate(buf.len() - 5);
         assert!(read_y4m(std::io::Cursor::new(buf)).is_err());
+    }
+
+    fn read_header(header: &str) -> Result<VideoClip, FrameError> {
+        read_y4m(std::io::Cursor::new(format!("{header}\n").into_bytes()))
+    }
+
+    #[test]
+    fn rejects_zero_frame_rate() {
+        let err = read_header("YUV4MPEG2 W4 H4 F0:1 C420").unwrap_err();
+        assert!(err.to_string().contains("frame rate"), "{err}");
+    }
+
+    #[test]
+    fn rejects_nan_frame_rate() {
+        let err = read_header("YUV4MPEG2 W4 H4 Fnan:1 C420").unwrap_err();
+        assert!(err.to_string().contains("frame rate"), "{err}");
+    }
+
+    #[test]
+    fn rejects_negative_frame_rate() {
+        let err = read_header("YUV4MPEG2 W4 H4 F-24:1 C420").unwrap_err();
+        assert!(err.to_string().contains("frame rate"), "{err}");
+    }
+
+    #[test]
+    fn header_token_may_start_with_a_multibyte_character() {
+        let clip = read_header("YUV4MPEG2 W4 H4 \u{e9}x F24:1 C420").unwrap();
+        assert!(clip.is_empty());
+        assert!(read_header("YUV4MPEG2 \u{1f600}").is_err());
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_hevc_limits() {
+        // A 40-byte header that would otherwise ask for a 2.4 GB frame,
+        // one whose area overflows `usize`, and one side past the cap.
+        for header in [
+            "YUV4MPEG2 W40000 H40000 F24:1 C420",
+            "YUV4MPEG2 W18446744073709551614 H4 F24:1 C420",
+            "YUV4MPEG2 W16890 H2 F24:1 C420",
+        ] {
+            let err = read_header(header).unwrap_err();
+            assert!(
+                matches!(err, FrameError::Dimensions { .. }),
+                "{header}: {err}"
+            );
+        }
+        assert!(read_header("YUV4MPEG2 W7680 H4320 F24:1 C420").is_ok());
+    }
+
+    /// Pieces of header syntax (tags, digits, signs, `nan`,
+    /// separators and a two-byte UTF-8 character), so random streams
+    /// reach every branch of the token parser.
+    const HEADER_PIECES: &[&str] = &[
+        "W", "H", "F", "C", "420", "444", "Ip", "A1:1", "0", "2", "8", "24", "99999", ":", "-",
+        ".", "nan", "inf", " ", " ", " ", "\u{e9}", "\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random header syntax then arbitrary bytes, with or without
+        /// the magic in front, read as `Ok` or `Err` but never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            raw in collection::vec(0u8..=255, 0..64),
+            picks in collection::vec(0usize..HEADER_PIECES.len(), 0..24),
+            magic in 0u8..2,
+        ) {
+            let mut stream = if magic == 1 { b"YUV4MPEG2 ".to_vec() } else { Vec::new() };
+            for &i in &picks {
+                stream.extend(HEADER_PIECES[i].as_bytes());
+            }
+            stream.extend(&raw);
+            let _ = read_y4m(std::io::Cursor::new(stream));
+        }
+
+        /// A valid two-frame stream with up to three bytes replaced
+        /// (mostly in the header) reads as `Ok` or `Err` but never
+        /// panics.
+        #[test]
+        fn mutated_valid_streams_never_panic(
+            edits in collection::vec((0usize..1 << 16, 0u8..=255, 0u8..4), 1..4),
+        ) {
+            let mut stream = Vec::new();
+            write_y4m(&mut stream, &sample_clip()).unwrap();
+            let header_len = stream.iter().position(|&b| b == b'\n').unwrap() + 1;
+            for &(at, byte, in_header) in &edits {
+                let span = if in_header > 0 { header_len } else { stream.len() };
+                stream[at % span] = byte;
+            }
+            let _ = read_y4m(std::io::Cursor::new(stream));
+        }
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //! SAD is block-granular: [`block_sad`] takes two strided operands and
 //! runs the whole `w x h` block inside one kernel call (one dispatch,
 //! one `psadbw` accumulator held in a register across rows, one
-//! horizontal reduction per four rows). Motion search, the clamped
-//! off-frame candidates and the encoder's intra mode decision all call
-//! it; a stride of 0 replays one row, which is how a DC or vertical
-//! intra prediction is scored without being materialised. SSD and SATD
-//! stay row- and 4x4-granular.
+//! horizontal reduction per four rows). Motion search and the clamped
+//! off-frame candidates call it; a stride of 0 replays one row. SSD and
+//! SATD stay row- and 4x4-granular.
 //!
 //! # The bit-exactness contract
 //!

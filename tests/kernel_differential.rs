@@ -443,13 +443,35 @@ mod intra {
         a.iter().zip(b).map(|(&a, &b)| a.abs_diff(b) as u64).sum()
     }
 
-    /// `block` inside an 80x80 plane, with the tile border placed so
-    /// that exactly the requested reference edges are available.
+    /// Side of the square recon planes: room for a 64-sided block at
+    /// any of the sampled origins.
+    const SIDE: usize = 112;
+
+    /// `block` inside a `SIDE x SIDE` plane, with the tile border placed
+    /// so that exactly the requested reference edges are available.
     fn tile_for(block: &Rect, has_top: bool, has_left: bool) -> Rect {
         let x = if has_left { 0 } else { block.x };
         let y = if has_top { 0 } else { block.y };
-        Rect::new(x, y, 80 - x, 80 - y)
+        Rect::new(x, y, SIDE - x, SIDE - y)
     }
+
+    /// A plane whose rows are `top` and whose column `block.x - 1` is
+    /// `left`: the edges of `block` are those two levels. All-0 and
+    /// all-255 edges are the extreme sums of planar's recurrence (its
+    /// per-row step `w·(bl − t[x])` at ±255·w).
+    fn flat_edges(block: &Rect, top: u8, left: u8) -> Plane {
+        let mut plane = Plane::filled(SIDE, SIDE, top);
+        plane.fill_rect(&Rect::new(block.x - 1, 0, 1, SIDE), left);
+        plane
+    }
+
+    /// Block shapes of both tests beyond their own lists: the 64-sided
+    /// extremes of the geometry bound and a non-power-of-two width.
+    const LARGE_SHAPES: [(usize, usize); 4] = [(64, 64), (64, 8), (8, 64), (48, 16)];
+
+    /// Edge levels of [`flat_edges`] that reach the recurrence's
+    /// extremes.
+    const EXTREME_EDGES: [(u8, u8); 4] = [(0, 0), (255, 255), (255, 0), (0, 255)];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
@@ -461,21 +483,26 @@ mod intra {
         #[test]
         fn predictions_match_their_definition(seed in 0u64..u64::MAX) {
             let mut rng = Lcg::new(seed);
-            let recon = Plane::from_vec(80, 80, rng.bytes(80 * 80)).expect("80x80");
+            let noisy = Plane::from_vec(SIDE, SIDE, rng.bytes(SIDE * SIDE)).expect("square plane");
             let mut refs = IntraRefs::default();
             let mut got = vec![9u8; 5]; // dirty buffer must be replaced
-            for (w, h) in [(8usize, 8usize), (16, 16), (32, 32), (16, 8), (8, 32), (4, 4), (24, 24), (12, 8), (8, 24), (20, 12), (1, 3)] {
+            let shapes = [(8usize, 8usize), (16, 16), (32, 32), (16, 8), (8, 32), (4, 4), (24, 24), (12, 8), (8, 24), (20, 12), (1, 3)];
+            for (w, h) in shapes.into_iter().chain(LARGE_SHAPES) {
                 for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
                     let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
                     let tile = tile_for(&block, has_top, has_left);
-                    refs.regather(&recon, &block, &tile);
-                    for mode in IntraMode::ALL {
-                        refs.predict_into(mode, w, h, &mut got);
-                        prop_assert_eq!(
-                            &got,
-                            &spec_predict(&recon, &block, &tile, mode),
-                            "seed {} {:?} {}x{} top {} left {}", seed, mode, w, h, has_top, has_left
-                        );
+                    let extremes = EXTREME_EDGES.map(|(top, left)| flat_edges(&block, top, left));
+                    for recon in std::iter::once(&noisy).chain(&extremes) {
+                        refs.regather(recon, &block, &tile);
+                        for mode in IntraMode::ALL {
+                            refs.predict_into(mode, w, h, &mut got);
+                            prop_assert_eq!(
+                                &got,
+                                &spec_predict(recon, &block, &tile, mode),
+                                "seed {} {:?} {}x{} top {} left {} edges {:?}",
+                                seed, mode, w, h, has_top, has_left, (recon.get(block.x, block.y - 1), recon.get(block.x - 1, block.y))
+                            );
+                        }
                     }
                 }
             }
@@ -485,62 +512,69 @@ mod intra {
         /// `IntraMode::ALL` of prediction + plain SAD: the mode, the
         /// SAD and the bytes left in `best`, on every tier. Originals
         /// are a noisy copy of one mode's prediction over random
-        /// edges (so every mode gets to win), and a checkerboard of
-        /// the two edge levels over flat edges (DC, horizontal and
-        /// vertical then tie exactly, and the earliest must win).
+        /// edges (so every mode gets to win), a checkerboard of the
+        /// two edge levels over flat edges (DC, horizontal and
+        /// vertical then tie exactly, and the earliest must win), and
+        /// a noisy copy of planar over each pair of extreme edges.
         #[test]
         fn best_mode_is_the_first_strict_minimum(seed in 0u64..u64::MAX) {
             let mut rng = Lcg::new(seed);
-            let noisy = Plane::from_vec(80, 80, rng.bytes(80 * 80)).expect("80x80");
+            let noisy = Plane::from_vec(SIDE, SIDE, rng.bytes(SIDE * SIDE)).expect("square plane");
             let mut refs = IntraRefs::default();
             let (mut best, mut tmp) = (vec![1u8; 3], vec![2u8; 700]);
             let (mut wins, mut ties) = ([0u32; 4], 0u32);
-            for w in [8usize, 16, 24, 32] {
-                for h in [8usize, 16, 24, 32] {
-                    for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
-                        let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
-                        let tile = tile_for(&block, has_top, has_left);
-                        // Flat edges: the row above at one level, the
-                        // column to the left at another.
-                        let (a, b) = (rng.below(256) as u8, rng.below(256) as u8);
-                        let mut flat = Plane::filled(80, 80, a);
-                        flat.fill_rect(&Rect::new(block.x - 1, 0, 1, 80), b);
-                        for target in 0..5usize {
-                            let recon = if target == 4 { &flat } else { &noisy };
-                            refs.regather(recon, &block, &tile);
-                            let predictions = IntraMode::ALL.map(|m| spec_predict(recon, &block, &tile, m));
-                            let original: Vec<u8> = if target == 4 {
-                                (0..w * h).map(|i| if (i / w + i % w) % 2 == 0 { a } else { b }).collect()
-                            } else {
-                                let amplitude = rng.below(4) as i16;
-                                predictions[target]
-                                    .iter()
-                                    .map(|&p| {
-                                        let noise = rng.below(2 * amplitude as u64 + 1) as i16 - amplitude;
-                                        (p as i16 + noise).clamp(0, 255) as u8
-                                    })
-                                    .collect()
-                            };
-                            let sads: Vec<u64> = predictions.iter().map(|p| plain_sad(&original, p)).collect();
-                            let mut want = (IntraMode::Dc, sads[0]);
-                            for (mode, &sad) in IntraMode::ALL.into_iter().zip(&sads) {
-                                if sad < want.1 {
-                                    want = (mode, sad);
-                                }
+            let sides = [8usize, 16, 24, 32];
+            let grid = sides.into_iter().flat_map(|w| sides.map(|h| (w, h)));
+            for (w, h) in grid.chain(LARGE_SHAPES) {
+                for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
+                    let tile = tile_for(&block, has_top, has_left);
+                    // Flat edges: the row above at one level, the
+                    // column to the left at another.
+                    let (a, b) = (rng.below(256) as u8, rng.below(256) as u8);
+                    let flat = flat_edges(&block, a, b);
+                    let extremes = EXTREME_EDGES.map(|(top, left)| flat_edges(&block, top, left));
+                    for target in 0..5 + extremes.len() {
+                        let recon = match target {
+                            0..4 => &noisy,
+                            4 => &flat,
+                            _ => &extremes[target - 5],
+                        };
+                        refs.regather(recon, &block, &tile);
+                        let predictions = IntraMode::ALL.map(|m| spec_predict(recon, &block, &tile, m));
+                        let original: Vec<u8> = if target == 4 {
+                            (0..w * h).map(|i| if (i / w + i % w) % 2 == 0 { a } else { b }).collect()
+                        } else {
+                            let amplitude = rng.below(4) as i16;
+                            // The extreme edges copy planar, whose sums they stress.
+                            let copied = if target < 4 { target } else { IntraMode::Planar.index() as usize };
+                            predictions[copied]
+                                .iter()
+                                .map(|&p| {
+                                    let noise = rng.below(2 * amplitude as u64 + 1) as i16 - amplitude;
+                                    (p as i16 + noise).clamp(0, 255) as u8
+                                })
+                                .collect()
+                        };
+                        let sads: Vec<u64> = predictions.iter().map(|p| plain_sad(&original, p)).collect();
+                        let mut want = (IntraMode::Dc, sads[0]);
+                        for (mode, &sad) in IntraMode::ALL.into_iter().zip(&sads) {
+                            if sad < want.1 {
+                                want = (mode, sad);
                             }
-                            wins[want.0.index() as usize] += 1;
-                            ties += u32::from(sads.iter().filter(|&&sad| sad == want.1).count() > 1);
-                            for t in tiers() {
-                                let got = simd::with_tier(t, || {
-                                    refs.best_mode_into(&original, w, h, &mut best, &mut tmp)
-                                });
-                                let case = format!(
-                                    "seed {seed} tier {} {w}x{h} top {has_top} left {has_left} target {target}",
-                                    t.name()
-                                );
-                                prop_assert_eq!(got, want, "{}", case);
-                                prop_assert_eq!(&best, &predictions[want.0.index() as usize], "bytes in best: {}", case);
-                            }
+                        }
+                        wins[want.0.index() as usize] += 1;
+                        ties += u32::from(sads.iter().filter(|&&sad| sad == want.1).count() > 1);
+                        for t in tiers() {
+                            let got = simd::with_tier(t, || {
+                                refs.best_mode_into(&original, w, h, &mut best, &mut tmp)
+                            });
+                            let case = format!(
+                                "seed {seed} tier {} {w}x{h} top {has_top} left {has_left} target {target}",
+                                t.name()
+                            );
+                            prop_assert_eq!(got, want, "{}", case);
+                            prop_assert_eq!(&best, &predictions[want.0.index() as usize], "bytes in best: {}", case);
                         }
                     }
                 }

@@ -188,7 +188,7 @@ proptest! {
 
 #[test]
 fn encoder_config_rejects_bad_blocks() {
-    for bs in [0usize, 4, 12, 20] {
+    for bs in [0usize, 4, 12, 20, 72, 4096] {
         let cfg = EncoderConfig {
             block_size: bs,
             ..Default::default()
