@@ -7,8 +7,8 @@
 //! zig-zag scan, `ue(last_significant)`, then per-coefficient
 //! significance flags with signed exp-Golomb levels.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use crate::transform::{as_square, size_index, with_size, Square, TRANSFORM_SIZES};
+use std::sync::OnceLock;
 
 /// An MSB-first bit writer.
 ///
@@ -111,12 +111,7 @@ impl BitWriter {
 
     /// Appends a signed exp-Golomb code (HEVC `se(v)` mapping).
     pub fn write_se(&mut self, value: i32) {
-        let mapped = if value <= 0 {
-            (-2i64 * value as i64) as u32
-        } else {
-            (2i64 * value as i64 - 1) as u32
-        };
-        self.write_ue(mapped);
+        self.write_ue(se_to_ue(value));
     }
 
     /// Pads with zero bits to the next byte boundary.
@@ -147,38 +142,65 @@ pub(crate) fn ue_len(value: u32) -> u64 {
 
 /// Number of bits `se(value)` occupies, without writing.
 pub(crate) fn se_len(value: i32) -> u64 {
-    let mapped = if value <= 0 {
+    ue_len(se_to_ue(value))
+}
+
+/// The HEVC `se(v)` mapping onto `ue(v)` codes: `0, 1, −1, 2, −2, …`
+/// to `0, 1, 2, 3, 4, …`.
+fn se_to_ue(value: i32) -> u32 {
+    if value <= 0 {
         (-2i64 * value as i64) as u32
     } else {
         (2i64 * value as i64 - 1) as u32
-    };
-    ue_len(mapped)
+    }
+}
+
+/// `ue(value)` as one right-aligned code: `value + 1` in `2·len − 1`
+/// bits, the top `len − 1` of them zero (`len` is the bit length of
+/// `value + 1`). Returns `(code, bits)`.
+fn ue_code(value: u32) -> (u64, u32) {
+    let v = u64::from(value) + 1;
+    (v, 2 * (64 - v.leading_zeros()) - 1)
+}
+
+/// One transform size's scan: the zig-zag order and its inverse.
+struct Scan {
+    /// Raster position of each scan index.
+    order: Box<[usize]>,
+    /// Scan index of each raster position.
+    rank: Box<[u16]>,
+}
+
+/// One lock-free lazily-initialized scan per transform size, like the
+/// transform's basis tables: wait-free after first use, and concurrent
+/// first use observes one winning table.
+static SCAN_CELLS: [OnceLock<Scan>; TRANSFORM_SIZES.len()] =
+    [const { OnceLock::new() }; TRANSFORM_SIZES.len()];
+
+/// The scan of `n x n` blocks.
+///
+/// # Panics
+///
+/// Panics when `n` is not one of [`TRANSFORM_SIZES`].
+fn scan(n: usize) -> &'static Scan {
+    SCAN_CELLS[size_index(n)].get_or_init(|| {
+        let order = compute_zigzag(n);
+        let mut rank = vec![0u16; n * n].into_boxed_slice();
+        for (index, &pos) in order.iter().enumerate() {
+            rank[pos] = index as u16;
+        }
+        Scan { order, rank }
+    })
 }
 
 /// Zig-zag scan order for an `n x n` block, cached per size.
 ///
-/// The coder's block sizes (4 and 8) hit dedicated lock-free
-/// [`OnceLock`] slots — the hot path never takes a mutex, and
-/// concurrent first use computes at most once per size. Other sizes
-/// fall back to a mutexed map.
+/// # Panics
+///
+/// Panics when `n` is not one of the transform sizes
+/// ([`crate::transform::TRANSFORM_SIZES`]).
 pub fn zigzag(n: usize) -> &'static [usize] {
-    static Z4: OnceLock<Box<[usize]>> = OnceLock::new();
-    static Z8: OnceLock<Box<[usize]>> = OnceLock::new();
-    match n {
-        4 => Z4.get_or_init(|| compute_zigzag(4)),
-        8 => Z8.get_or_init(|| compute_zigzag(8)),
-        _ => {
-            static CACHE: OnceLock<Mutex<HashMap<usize, &'static [usize]>>> = OnceLock::new();
-            let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-            let mut guard = cache.lock().expect("zigzag cache poisoned");
-            if let Some(&z) = guard.get(&n) {
-                return z;
-            }
-            let leaked: &'static [usize] = Box::leak(compute_zigzag(n));
-            guard.insert(n, leaked);
-            leaked
-        }
-    }
+    &scan(n).order
 }
 
 /// The zig-zag anti-diagonal traversal, alternating direction.
@@ -213,26 +235,80 @@ fn compute_zigzag(n: usize) -> Box<[usize]> {
 ///
 /// # Panics
 ///
-/// Panics when `levels.len()` is not `n * n`.
+/// Panics when `n` is not a transform size or `levels.len()` is not
+/// `n * n`.
 pub fn code_block(levels: &[i32], n: usize, w: &mut BitWriter) -> u64 {
-    assert_eq!(levels.len(), n * n, "block must be {n}x{n}");
+    with_size!(n, N => {
+        let levels = as_square::<i32, N>(levels);
+        let rows = levels.iter().enumerate().fold(0, |rows, (r, row)| {
+            rows | u32::from(row.iter().fold(0, |any, &l| any | l) != 0) << r
+        });
+        code_levels(levels, rows, w)
+    })
+}
+
+/// [`code_block`] on a block whose levels all sit in the rows set in
+/// `rows` (bit `i` for row `i`), as the quantizer reports them.
+///
+/// The significant positions become a bit mask in scan order (one
+/// `u64` word per 64 positions), built from the rows that hold a level
+/// only. The last one is `63 − lzcnt` of the highest non-zero word.
+/// The flag with `ue(last)`, and each zero run with the `1` flag that
+/// ends it and the level's `se` code, go out as one `write_bits` each
+/// when they fit its 32 bits; a longer zero run splits off whole 32-bit
+/// words, a longer code is written on its own. The same bits, in the
+/// same order, as one flag per position.
+pub(crate) fn code_levels<const N: usize>(
+    levels: &Square<i32, N>,
+    rows: u32,
+    w: &mut BitWriter,
+) -> u64 {
+    const WORDS: usize = TRANSFORM_SIZES[TRANSFORM_SIZES.len() - 1].pow(2) / 64;
     let before = w.bits_written();
-    let scan = zigzag(n);
-    let last_sig = scan.iter().rposition(|&pos| levels[pos] != 0);
-    match last_sig {
-        None => w.write_bit(false),
-        Some(last) => {
-            w.write_bit(true);
-            w.write_ue(last as u32);
-            for &pos in &scan[..=last] {
-                let level = levels[pos];
-                if level == 0 {
-                    w.write_bit(false);
-                } else {
-                    w.write_bit(true);
-                    w.write_se(level);
-                }
+    let scan = scan(N);
+    let words = (N * N).div_ceil(64);
+    let mut significant = [0u64; WORDS];
+    for (r, row) in levels.iter().enumerate() {
+        if rows & (1 << r) == 0 {
+            continue;
+        }
+        for (&level, &rank) in row.iter().zip(&scan.rank[r * N..(r + 1) * N]) {
+            let rank = usize::from(rank);
+            significant[rank / 64] |= u64::from(level != 0) << (rank % 64);
+        }
+    }
+    let Some(top) = significant[..words].iter().rposition(|&word| word != 0) else {
+        w.write_bit(false);
+        return w.bits_written() - before;
+    };
+    let last = 64 * top + 63 - significant[top].leading_zeros() as usize;
+    // `last < 32²`, so the flag and its code take at most 22 bits.
+    let (code, code_bits) = ue_code(last as u32);
+    w.write_bits(((1 << code_bits) | code) as u32, code_bits as u8 + 1);
+    let mut next = 0;
+    for (i, &word) in significant[..=top].iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let index = 64 * i + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let pos = scan.order[index];
+            let level = levels[pos / N][pos % N];
+            let mut zeros = (index - next) as u32;
+            next = index + 1;
+            let (code, code_bits) = ue_code(se_to_ue(level));
+            if zeros + 1 + code_bits <= 32 {
+                w.write_bits(
+                    ((1 << code_bits) | code) as u32,
+                    (zeros + 1 + code_bits) as u8,
+                );
+                continue;
             }
+            while zeros >= 32 {
+                w.write_bits(0, 32);
+                zeros -= 32;
+            }
+            w.write_bits(1, zeros as u8 + 1);
+            w.write_se(level);
         }
     }
     w.bits_written() - before
@@ -330,28 +406,43 @@ mod tests {
 
     #[test]
     fn zigzag_concurrent_first_use_yields_one_table() {
-        // All threads race through the lock-free fast path on first
-        // use and must observe the same cached table (same address)
-        // with correct contents.
+        // All threads race through the lock-free path on first use and
+        // must observe the same cached table (same address) at every
+        // transform size, with correct contents.
         use std::sync::Barrier;
         let barrier = Barrier::new(8);
-        let tables: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let tables: Vec<[usize; 4]> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        (zigzag(4).as_ptr() as usize, zigzag(8).as_ptr() as usize)
+                        TRANSFORM_SIZES.map(|n| zigzag(n).as_ptr() as usize)
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for &(p4, p8) in &tables[1..] {
-            assert_eq!(p4, tables[0].0, "4x4 table must be computed once");
-            assert_eq!(p8, tables[0].1, "8x8 table must be computed once");
+        for other in &tables[1..] {
+            for (n, (p, first)) in TRANSFORM_SIZES.iter().zip(other.iter().zip(&tables[0])) {
+                assert_eq!(p, first, "{n}x{n} table must be computed once");
+            }
         }
         assert_eq!(zigzag(4)[..3], [0, 4, 1]);
-        assert_eq!(zigzag(8).len(), 64);
+        for n in TRANSFORM_SIZES {
+            assert_eq!(zigzag(n).len(), n * n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported transform size 12")]
+    fn zigzag_rejects_sizes_the_transform_rejects() {
+        zigzag(12);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported transform size 12")]
+    fn code_block_rejects_sizes_the_transform_rejects() {
+        code_block(&[0; 144], 12, &mut BitWriter::new());
     }
 
     #[test]

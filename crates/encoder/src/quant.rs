@@ -6,7 +6,7 @@
 //! is used throughout).
 
 use crate::config::Qp;
-use crate::transform::{size_index, Square, TRANSFORM_SIZES};
+use crate::transform::{size_index, Square, ALL_LINES, TRANSFORM_SIZES};
 use std::sync::OnceLock;
 
 /// Dead-zone rounding offset as a fraction of the step size.
@@ -137,20 +137,49 @@ pub fn quantize_into(coeffs: &[f64], qp: Qp, out: &mut Vec<i32>) {
 }
 
 /// [`quantize_into`] for one `N x N` block at an already looked-up
-/// step size.
+/// step size. Returns the masks of the rows and of the columns that
+/// hold a level (bit `i` for line `i`).
+///
+/// A coefficient with `|c|` below [`zero_threshold`] is level 0 without
+/// a divide: there `|c|/step < 2/3 − 2⁻²¹` even after the divide's
+/// rounding, so adding `1/3` still truncates to 0. Only the others are
+/// divided, found as the set bits of one compare mask per row.
 #[inline(always)]
 pub(crate) fn quantize_block<const N: usize>(
     coeffs: &Square<f64, N>,
     step: f64,
     levels: &mut Square<i32, N>,
-) {
-    for (l, &c) in levels
-        .as_flattened_mut()
-        .iter_mut()
-        .zip(coeffs.as_flattened())
-    {
-        *l = level(c, step);
+) -> (u32, u32) {
+    let zero_below = zero_threshold(step);
+    let (mut rows, mut cols) = (0u32, 0u32);
+    for (r, (coeff_row, level_row)) in coeffs.iter().zip(levels.iter_mut()).enumerate() {
+        *level_row = [0; N];
+        // Most rows hold no level: one vectorisable test skips them.
+        if !coeff_row
+            .iter()
+            .fold(false, |any, c| any | (c.abs() >= zero_below))
+        {
+            continue;
+        }
+        // `|c| − zero_below` is negative exactly when `|c|` is below it
+        // (a difference of two doubles has the sign of the exact one),
+        // so its sign bits are the mask of the coefficients skipped.
+        let mut below = 0u32;
+        for (c, coeff) in coeff_row.iter().enumerate() {
+            below |= (((coeff.abs() - zero_below).to_bits() >> 63) as u32) << c;
+        }
+        let mut over = !below & (ALL_LINES >> (32 - N));
+        let mut row_cols = 0u32;
+        while over != 0 {
+            let c = over.trailing_zeros() as usize;
+            over &= over - 1;
+            level_row[c] = level(coeff_row[c], step);
+            row_cols |= u32::from(level_row[c] != 0) << c;
+        }
+        rows |= u32::from(row_cols != 0) << r;
+        cols |= row_cols;
     }
+    (rows, cols)
 }
 
 /// Reconstructs coefficients from levels.
@@ -168,20 +197,24 @@ pub fn dequantize_into(levels: &[i32], qp: Qp, out: &mut Vec<f64>) {
     out.extend(levels.iter().map(|&l| l as f64 * step));
 }
 
-/// [`dequantize_into`] for one `N x N` block at an already looked-up
-/// step size.
+/// [`dequantize_into`] for the rows of one `N x N` block set in `rows`
+/// (bit `i` for row `i`), at an already looked-up step size. The other
+/// rows of `coeffs` are left as they are: the sparse inverse never
+/// reads them.
 #[inline(always)]
-pub(crate) fn dequantize_block<const N: usize>(
+pub(crate) fn dequantize_rows<const N: usize>(
     levels: &Square<i32, N>,
+    rows: u32,
     step: f64,
     coeffs: &mut Square<f64, N>,
 ) {
-    for (c, &l) in coeffs
-        .as_flattened_mut()
-        .iter_mut()
-        .zip(levels.as_flattened())
-    {
-        *c = f64::from(l) * step;
+    for (r, (coeff_row, level_row)) in coeffs.iter_mut().zip(levels).enumerate() {
+        if rows & (1 << r) == 0 {
+            continue;
+        }
+        for (c, &l) in coeff_row.iter_mut().zip(level_row) {
+            *c = f64::from(l) * step;
+        }
     }
 }
 

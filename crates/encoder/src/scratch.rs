@@ -35,12 +35,8 @@ pub struct EncScratch {
     pub(crate) mode_tmp: Vec<u8>,
     /// Motion-compensated prediction of the current block.
     pub(crate) inter_pred: Vec<u8>,
-    /// Reconstruction of the current block before stitching.
-    pub(crate) recon_block: Vec<u8>,
     /// Luma intra reference edges.
     pub(crate) luma_refs: IntraRefs,
-    /// Original samples of the current chroma block.
-    pub(crate) chroma_orig: Vec<u8>,
     /// Prediction of the current chroma block.
     pub(crate) chroma_pred: Vec<u8>,
     /// Motion vectors of the tile's inter blocks.

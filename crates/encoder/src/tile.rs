@@ -7,12 +7,11 @@
 //! anywhere in the *reference* pictures, as in HEVC.
 
 use crate::bits::{se_len, BitWriter};
-use crate::block::code_residual_into;
+use crate::block::code_residual_strided;
 use crate::config::{EncoderConfig, TileConfig};
 use crate::intra::{IntraRefs, MAX_SIDE};
 use crate::scratch::EncScratch;
 use crate::stats::TileStats;
-use crate::transform::TxPath;
 use medvt_frame::{Frame, FrameKind, Plane, Rect};
 use medvt_motion::{CostMetric, MotionVector, SearchContext};
 use std::cell::RefCell;
@@ -140,9 +139,7 @@ pub fn encode_tile_with_scratch(
         intra_pred,
         mode_tmp,
         inter_pred,
-        recon_block,
         luma_refs,
-        chroma_orig,
         chroma_pred,
         inter_mvs,
         mv_xs,
@@ -233,36 +230,39 @@ pub fn encode_tile_with_scratch(
             };
 
             // Luma residual (8x8 transforms always fit: bw/bh are
-            // multiples of 8 given grid alignment).
-            let coded = code_residual_into(
-                orig_block,
-                prediction,
+            // multiples of 8 given grid alignment), reconstructed in
+            // place.
+            let coded = code_residual_strided(
+                (orig_block, bw),
+                (prediction, bw),
+                (&mut recon_y.samples_mut()[by * tile.w + bx..], tile.w),
                 bw,
                 bh,
                 8,
                 tcfg.qp,
-                TxPath::F64,
                 &mut writer,
                 residual,
-                recon_block,
             );
             stats.luma_ssd += coded.ssd;
             stats.transform_samples += coded.transform_samples;
-            recon_y.write_rect(&rel_block, recon_block);
 
-            // Chroma (4:2:0): collocated block at half geometry.
+            // Chroma (4:2:0): collocated block at half geometry, read
+            // from the frame and reconstructed in place.
             if ecfg.chroma {
                 let cw = bw / 2;
                 let ch = bh / 2;
                 let c_abs = Rect::new(abs_block.x / 2, abs_block.y / 2, cw, ch);
                 let c_rel = Rect::new(rel_block.x / 2, rel_block.y / 2, cw, ch);
+                let c_stride = tile.w / 2;
                 for (plane_idx, (orig_c, recon_c)) in
                     [(original.u(), &mut recon_u), (original.v(), &mut recon_v)]
                         .into_iter()
                         .enumerate()
                 {
-                    orig_c.copy_rect_into(&c_abs, chroma_orig);
-                    if use_inter {
+                    // Chroma intra is DC straight from the chroma recon
+                    // edges: one row of it, repeated (stride 0).
+                    let dc_row;
+                    let prediction = if use_inter {
                         let (ref_idx, mv, _, _) = inter_choice.expect("inter chosen");
                         let rf = refs[ref_idx];
                         let plane = if plane_idx == 0 { rf.u() } else { rf.v() };
@@ -273,28 +273,27 @@ pub fn encode_tile_with_scratch(
                             ch,
                             chroma_pred,
                         );
+                        (&chroma_pred[..], cw)
                     } else {
-                        // Chroma intra: DC straight from the chroma
-                        // recon edges.
-                        let c_tile = Rect::frame(tile.w / 2, tile.h / 2);
-                        let dc = IntraRefs::dc_level(recon_c, &c_rel, &c_tile);
-                        chroma_pred.clear();
-                        chroma_pred.resize(cw * ch, dc);
-                    }
-                    let coded_c = code_residual_into(
-                        chroma_orig,
-                        chroma_pred,
+                        let c_tile = Rect::frame(c_stride, tile.h / 2);
+                        dc_row = [IntraRefs::dc_level(recon_c, &c_rel, &c_tile); MAX_SIDE / 2];
+                        (&dc_row[..cw], 0)
+                    };
+                    let coded_c = code_residual_strided(
+                        (orig_c.span_from(c_abs.x, c_abs.y), orig_c.width()),
+                        prediction,
+                        (
+                            &mut recon_c.samples_mut()[c_rel.y * c_stride + c_rel.x..],
+                            c_stride,
+                        ),
                         cw,
                         ch,
                         4,
                         chroma_qp,
-                        TxPath::F64,
                         &mut writer,
                         residual,
-                        recon_block,
                     );
                     stats.transform_samples += coded_c.transform_samples;
-                    recon_c.write_rect(&c_rel, recon_block);
                 }
             }
             bx += bw;

@@ -28,6 +28,23 @@
 //! build of the whole crate all produce the same coefficients;
 //! `tests/kernel_differential.rs` compares them, by `f64::to_bits`,
 //! with a restatement of the definition above.
+//!
+//! # Skipped terms
+//!
+//! The residual coder's inverse runs on blocks whose levels sit in a
+//! few rows and columns. [`inverse_sparse_into`] (and the coder's own
+//! call) skips every term of `T = Cᵀ·Y` that reads a row of `Y` outside
+//! a row mask, and every term of `T·C` that reads a column of `T`
+//! outside a column mask; when those rows and columns of `Y` hold only
+//! zeros, the result is bit-identical to the dense product. A skipped
+//! term is `a·(±0) = ±0`. An accumulator that starts at `+0.0` never
+//! holds `−0.0`: under round-to-nearest `x + (−x) = +0`, and
+//! `+0 + (−0) = +0`, so the only sum that yields `−0` is `−0 + −0`. And
+//! adding `±0` to a value that is not `−0` returns it unchanged. So
+//! leaving the term out changes no accumulator, and a column of `T`
+//! whose every term is skipped or zero is exactly `+0` — skipping it in
+//! the second product is the same argument again. The terms that are
+//! kept are added in the same ascending order as before.
 
 #[cfg(target_arch = "x86_64")]
 use medvt_motion::cost::simd;
@@ -146,25 +163,39 @@ fn tables<const N: usize>() -> (&'static Square<f64, N>, &'static Square<f64, N>
     (as_square(basis(N)), as_square(basis_t(N)))
 }
 
+/// Row or column mask selecting every line of a block.
+pub(crate) const ALL_LINES: u32 = u32::MAX;
+
 /// `out = A · X · B` on `N x N` matrices — the one body behind both
 /// transform directions at every size and on every dispatch tier,
-/// under the module's evaluation-order contract.
+/// under the module's evaluation-order contract. With `SKIP`, terms
+/// reading a row of `X` whose bit is clear in `rows`, or a column of
+/// `A · X` whose bit is clear in `cols`, are skipped (module docs,
+/// "Skipped terms"); without it the masks are not read, so the dense
+/// forward transform carries no mask test.
 #[inline(always)]
-fn product<const N: usize>(
+fn product<const N: usize, const SKIP: bool>(
     a: &Square<f64, N>,
     x: &Square<f64, N>,
     b: &Square<f64, N>,
+    (rows, cols): (u32, u32),
     out: &mut Square<f64, N>,
 ) {
     for (a_row, out_row) in a.iter().zip(out.iter_mut()) {
         let mut t_row = [0.0f64; N];
-        for (&a_ki, x_row) in a_row.iter().zip(x) {
+        for (i, (&a_ki, x_row)) in a_row.iter().zip(x).enumerate() {
+            if SKIP && rows & (1 << i) == 0 {
+                continue;
+            }
             for (t, &x_ij) in t_row.iter_mut().zip(x_row) {
                 *t += a_ki * x_ij;
             }
         }
         let mut acc = [0.0f64; N];
-        for (&t_kj, b_row) in t_row.iter().zip(b) {
+        for (j, (&t_kj, b_row)) in t_row.iter().zip(b).enumerate() {
+            if SKIP && cols & (1 << j) == 0 {
+                continue;
+            }
             for (o, &b_jl) in acc.iter_mut().zip(b_row) {
                 *o += t_kj * b_jl;
             }
@@ -176,22 +207,24 @@ fn product<const N: usize>(
 /// [`product`] compiled with 256-bit vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn product_avx2<const N: usize>(
+fn product_avx2<const N: usize, const SKIP: bool>(
     a: &Square<f64, N>,
     x: &Square<f64, N>,
     b: &Square<f64, N>,
+    lines: (u32, u32),
     out: &mut Square<f64, N>,
 ) {
-    product(a, x, b, out);
+    product::<N, SKIP>(a, x, b, lines, out);
 }
 
 /// [`product`] on the calling thread's dispatch tier
 /// ([`simd::tier`]): the AVX2 build where that is the tier, the
 /// baseline build (SSE2 on x86-64) otherwise. Same bits either way.
-fn product_on_tier<const N: usize>(
+fn product_on_tier<const N: usize, const SKIP: bool>(
     a: &Square<f64, N>,
     x: &Square<f64, N>,
     b: &Square<f64, N>,
+    lines: (u32, u32),
     out: &mut Square<f64, N>,
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -199,9 +232,9 @@ fn product_on_tier<const N: usize>(
         // SAFETY: `tier()` is `Avx2` only when `is_x86_feature_detected!`
         // found AVX2 on this host (`with_tier` asserts the same before
         // it pins a tier), which is all `product_avx2` requires.
-        return unsafe { product_avx2(a, x, b, out) };
+        return unsafe { product_avx2::<N, SKIP>(a, x, b, lines, out) };
     }
-    product(a, x, b, out);
+    product::<N, SKIP>(a, x, b, lines, out);
 }
 
 /// Forward 2-D DCT-II of one `N x N` residual block: `C · X · C^T`.
@@ -211,13 +244,21 @@ pub(crate) fn forward_block<const N: usize>(residual: &Square<i32, N>, out: &mut
     for (x, &r) in x.as_flattened_mut().iter_mut().zip(residual.as_flattened()) {
         *x = f64::from(r);
     }
-    product_on_tier(c, &x, ct, out);
+    product_on_tier::<N, false>(c, &x, ct, (ALL_LINES, ALL_LINES), out);
 }
 
-/// Inverse 2-D DCT-II of one `N x N` coefficient block: `C^T · Y · C`.
-pub(crate) fn inverse_block<const N: usize>(coeffs: &Square<f64, N>, out: &mut Square<f64, N>) {
+/// Inverse 2-D DCT-II of one `N x N` coefficient block: `C^T · Y · C`,
+/// reading only the rows of `Y` set in `rows` and its columns set in
+/// `cols` (bit `i` for line `i`; module docs, "Skipped terms"). Rows
+/// outside `rows` need not be initialised to zero: they are never read.
+pub(crate) fn inverse_block<const N: usize>(
+    coeffs: &Square<f64, N>,
+    rows: u32,
+    cols: u32,
+    out: &mut Square<f64, N>,
+) {
     let (c, ct) = tables::<N>();
-    product_on_tier(ct, coeffs, c, out);
+    product_on_tier::<N, true>(ct, coeffs, c, (rows, cols), out);
 }
 
 /// Runs `$body` with `$N` bound to the run-time transform size `$n`.
@@ -302,9 +343,23 @@ pub fn inverse(n: usize, coeffs: &[f64]) -> Vec<f64> {
 ///
 /// Panics when `n` is unsupported or `coeffs.len() != n * n`.
 pub fn inverse_into(n: usize, coeffs: &[f64], out: &mut Vec<f64>, _tmp: &mut Vec<f64>) {
+    inverse_sparse_into(n, coeffs, ALL_LINES, ALL_LINES, out);
+}
+
+/// [`inverse_into`] as the residual coder runs it: the inverse of
+/// `coeffs` with every entry that is not both in a row set in `rows`
+/// and in a column set in `cols` (bit `i` for line `i`) taken as zero,
+/// by skipping the terms that read it. Bit-identical to [`inverse_into`]
+/// on the block with those entries zeroed, whatever their sign (module
+/// docs, "Skipped terms").
+///
+/// # Panics
+///
+/// Panics when `n` is unsupported or `coeffs.len() != n * n`.
+pub fn inverse_sparse_into(n: usize, coeffs: &[f64], rows: u32, cols: u32, out: &mut Vec<f64>) {
     with_size!(n, N => {
         let mut samples = [[0.0; N]; N];
-        inverse_block(as_square::<f64, N>(coeffs), &mut samples);
+        inverse_block(as_square::<f64, N>(coeffs), rows, cols, &mut samples);
         out.clear();
         out.extend_from_slice(samples.as_flattened());
     });

@@ -10,7 +10,9 @@
 //! motion compensation, luma + chroma residual coding, reconstruction
 //! stitch — must perform **zero** heap allocations. A second test
 //! checks the same property at tile granularity: per-tile allocations
-//! must not scale with the number of blocks in the tile.
+//! must not scale with the number of blocks in the tile — also at a QP
+//! where the chroma blocks survive, on intra tiles (stride-0 DC chroma
+//! prediction) and on inter ones.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -340,6 +342,75 @@ fn per_tile_allocations_do_not_scale_with_block_count() {
         "per-tile allocations scale with block count: {small} allocs for 4 blocks, \
          {large} for 64"
     );
+}
+
+/// Allocations of one warm `encode_tile_with_scratch` call on `tile`.
+fn warm_tile_allocations(
+    frame: &Frame,
+    refs: &[&Frame],
+    kind: FrameKind,
+    tile: Rect,
+    tcfg: &TileConfig,
+    ecfg: &EncoderConfig,
+    scratch: &mut EncScratch,
+) -> u64 {
+    encode_tile_with_scratch(frame, refs, kind, tile, tcfg, ecfg, scratch);
+    let before = alloc_events();
+    encode_tile_with_scratch(frame, refs, kind, tile, tcfg, ecfg, scratch);
+    alloc_events() - before
+}
+
+#[test]
+fn surviving_chroma_and_dc_chroma_allocate_per_tile_not_per_block() {
+    // QP 4 (step 1): the 4x4 chroma blocks carry levels, so the
+    // surviving-block stages run on strided chroma operands. An intra
+    // tile predicts chroma as one repeated DC row (stride 0); a P tile
+    // from a motion-compensated chroma block.
+    let frame = |salt: usize| {
+        let mut f = Frame::black(Resolution::new(128, 128));
+        *f.y_mut() = textured_plane(128, 128, 3 * salt);
+        *f.u_mut() = textured_plane(64, 64, 3 * salt + 1);
+        *f.v_mut() = textured_plane(64, 64, 3 * salt + 2);
+        f
+    };
+    let (f0, f1) = (frame(0), frame(1));
+    let tcfg = TileConfig {
+        qp: Qp::new(4).unwrap(),
+        search: SearchSpec::Diamond,
+        window: SearchWindow::W16,
+    };
+    let ecfg = EncoderConfig::default();
+    let luma_only = EncoderConfig {
+        chroma: false,
+        ..EncoderConfig::default()
+    };
+    let mut scratch = EncScratch::new();
+    for (kind, refs) in [
+        (FrameKind::Intra, vec![]),
+        (FrameKind::Predicted, vec![&f0]),
+    ] {
+        let tile = Rect::new(0, 0, 128, 128);
+        let bits = |ecfg: &EncoderConfig| {
+            encode_tile_with_scratch(&f1, &refs, kind, tile, &tcfg, ecfg, &mut EncScratch::new())
+                .stats
+                .bits
+        };
+        // An elided chroma block costs one bit; these cost many more.
+        let chroma_blocks = 2 * (128 / 8) * (128 / 8);
+        assert!(
+            bits(&ecfg) - bits(&luma_only) > 8 * chroma_blocks,
+            "{kind:?}: chroma blocks must survive at QP 4"
+        );
+        let mut measure =
+            |tile| warm_tile_allocations(&f1, &refs, kind, tile, &tcfg, &ecfg, &mut scratch);
+        let small = measure(Rect::new(0, 0, 32, 32)); // 4 blocks
+        let large = measure(tile); // 64 blocks
+        assert!(
+            large <= small + 24,
+            "{kind:?}: per-tile allocations scale with block count: {small} allocs \
+             for 4 blocks, {large} for 64"
+        );
+    }
 }
 
 #[test]

@@ -11,13 +11,18 @@
 //! * `bitstream::PerBitWriter` — the seed per-bit `BitWriter`. Random
 //!   mixed sequences of `write_bit` / `write_bits` / `write_ue` /
 //!   `write_se` / `byte_align` through the word-batched writer must
-//!   emit byte-for-byte the same stream.
+//!   emit byte-for-byte the same stream, and so must the mask-based
+//!   `bits::code_block` against the per-position syntax driving it
+//!   (long zero runs, a level at the last scan position, codes too
+//!   long to share a 32-bit write).
 //!
 //! A third specification needs no restatement: the residual
 //! coder must equal the composition of the public stage functions
 //! (`transform::forward → quant::quantize → bits::code_block →
-//! quant::dequantize → transform::inverse`) run on every block,
-//! whatever blocks it proves all-zero and skips.
+//! quant::dequantize → transform::inverse`) run on every block, on
+//! every tier, whatever blocks it proves all-zero and skips — and it
+//! must elide exactly the blocks whose norms, summed here, the bound
+//! decides. Its sparse inverse must equal the dense one bit for bit.
 //!
 //! The block-granular kernels get the same treatment: the strided
 //! `simd::block_sad` against `spec::sad` on every width it
@@ -757,6 +762,68 @@ mod bitstream {
         }
     }
 
+    /// The mask coder's corner cases against the per-bit restatement,
+    /// at every transform size: empty, sparse and dense blocks; two
+    /// levels around zero runs of 31 to 65 (a run of 32 or more is
+    /// split off in whole words); a lone level at the first and at the
+    /// last scan position; levels whose `se` code with its run does not
+    /// fit one 32-bit write.
+    #[test]
+    fn code_block_corner_cases_match_reference() {
+        let mut rng = super::Lcg::new(34);
+        for n in medvt_encoder::transform::TRANSFORM_SIZES {
+            let scan = bits::zigzag(n);
+            let at = |levels: &[(usize, i32)]| {
+                let mut block = vec![0; n * n];
+                for &(index, level) in levels {
+                    block[scan[index]] = level;
+                }
+                block
+            };
+            let last = n * n - 1;
+            let mut blocks = vec![
+                ("empty", vec![0; n * n]),
+                ("lone first", at(&[(0, 1)])),
+                ("lone last", at(&[(last, 1)])),
+                ("lone last, negative", at(&[(last, -2)])),
+                (
+                    "huge after a run",
+                    at(&[(3, -70_000), (last.min(40), 100_000)]),
+                ),
+                ("huge at the end", at(&[(last, i32::from(i16::MAX))])),
+            ];
+            for run in [31, 32, 33, 63, 64, 65]
+                .into_iter()
+                .filter(|&run| run + 1 < n * n)
+            {
+                blocks.push(("two levels around a run", at(&[(0, 3), (run + 1, -1)])));
+                blocks.push(("run from the start", at(&[(run, 5)])));
+            }
+            let sparse = (0..n * n)
+                .map(|_| {
+                    if rng.below(16) == 0 {
+                        rng.below(9) as i32 - 4
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let dense = (0..n * n).map(|_| rng.below(601) as i32 - 300).collect();
+            blocks.extend([("sparse", sparse), ("dense", dense)]);
+            for (case, levels) in blocks {
+                let mut new = BitWriter::new();
+                let mut old = PerBitWriter::default();
+                // Unaligned start: the block's words straddle flushes.
+                new.write_bits(0b101, 3);
+                old.write_bits(0b101, 3);
+                let bits_new = bits::code_block(&levels, n, &mut new);
+                let bits_old = code_block(&levels, n, &mut old);
+                assert_eq!(bits_new, bits_old, "n {n} {case}");
+                assert_eq!(new.into_bytes(), old.into_bytes(), "n {n} {case}");
+            }
+        }
+    }
+
     #[test]
     fn ue_long_codes_match_reference_writer() {
         // u32::MAX is the worst case: a 32-zero prefix plus a 33-bit
@@ -807,8 +874,9 @@ mod bitstream {
 }
 
 mod residual {
+    use super::{simd, tiers};
     use medvt_encoder::bits::{code_block, BitWriter};
-    use medvt_encoder::quant::{dequantize, quantize};
+    use medvt_encoder::quant::{dequantize, quantize, ZeroBlockBound};
     use medvt_encoder::transform::{forward, inverse, TRANSFORM_SIZES};
     use medvt_encoder::{code_residual_into, Qp, ResidualScratch, TxPath};
     use proptest::prelude::*;
@@ -820,6 +888,8 @@ mod residual {
         bits: u64,
         ssd: u64,
         zero_level_blocks: u32,
+        /// Blocks the elision bound decides, from norms summed here.
+        elided_blocks: u32,
     }
 
     /// Every `n x n` block through every stage, nothing skipped.
@@ -833,13 +903,17 @@ mod residual {
     ) -> Composed {
         let mut writer = BitWriter::new();
         let mut recon = prediction.to_vec();
-        let (mut bits, mut zero_level_blocks) = (0, 0);
+        let (mut bits, mut zero_level_blocks, mut elided_blocks) = (0, 0, 0);
+        let bound = ZeroBlockBound::of(qp, n);
         for ty in (0..h).step_by(n) {
             for tx in (0..w).step_by(n) {
                 let at = |i: usize| (ty + i / n) * w + tx + i % n;
                 let residual: Vec<i32> = (0..n * n)
                     .map(|i| original[at(i)] as i32 - prediction[at(i)] as i32)
                     .collect();
+                let sad = residual.iter().map(|d| d.unsigned_abs()).sum();
+                let ssd = residual.iter().map(|d| (d * d) as u32).sum();
+                elided_blocks += u32::from(bound.proves_zero(sad, ssd));
                 let levels = quantize(&forward(n, &residual), qp);
                 bits += code_block(&levels, n, &mut writer);
                 zero_level_blocks += u32::from(levels.iter().all(|&l| l == 0));
@@ -859,6 +933,7 @@ mod residual {
             bits,
             ssd,
             zero_level_blocks,
+            elided_blocks,
         }
     }
 
@@ -868,7 +943,9 @@ mod residual {
         /// Random 3x2-block regions whose blocks cycle through the
         /// regimes the coder treats differently — perfect prediction,
         /// ±1 noise, a flat offset near the dead-zone edge, heavy
-        /// noise, one spike, anything — at every QP and transform size.
+        /// noise, one spike, anything — at every QP and transform size,
+        /// on every tier. The elided blocks are those whose norms, summed
+        /// here, the bound decides: the SIMD norms must equal them.
         #[test]
         fn residual_coder_equals_the_composed_stages(
             seed in 0u64..u64::MAX,
@@ -906,29 +983,31 @@ mod residual {
             }
 
             let want = compose(&original, &prediction, w, h, n, qp);
-            let mut writer = BitWriter::new();
-            let mut recon = vec![7u8; 3]; // dirty buffer must be replaced
-            let got = code_residual_into(
-                &original,
-                &prediction,
-                w,
-                h,
-                n,
-                qp,
-                TxPath::F64,
-                &mut writer,
-                &mut ResidualScratch::default(),
-                &mut recon,
-            );
-            let case = format!("seed {seed} qp {qp_val} n {n}");
-            prop_assert_eq!(writer.into_bytes(), want.bytes, "bytes: {}", case);
-            prop_assert_eq!(recon, want.recon, "recon: {}", case);
-            prop_assert_eq!(got.bits, want.bits, "bits: {}", case);
-            prop_assert_eq!(got.ssd, want.ssd, "ssd: {}", case);
-            prop_assert_eq!(got.transform_samples, (w * h) as u64, "samples: {}", case);
-            prop_assert_eq!(got.zero_level_blocks, want.zero_level_blocks, "zero blocks: {}", case);
-            prop_assert!(got.elided_blocks >= 1, "perfect prediction must elide: {}", case);
-            prop_assert!(got.elided_blocks <= got.zero_level_blocks, "{}", case);
+            prop_assert!(want.elided_blocks >= 1, "perfect prediction must elide");
+            for t in tiers() {
+                let mut writer = BitWriter::new();
+                let mut recon = vec![7u8; 3]; // dirty buffer must be replaced
+                let got = simd::with_tier(t, || code_residual_into(
+                    &original,
+                    &prediction,
+                    w,
+                    h,
+                    n,
+                    qp,
+                    TxPath::F64,
+                    &mut writer,
+                    &mut ResidualScratch::default(),
+                    &mut recon,
+                ));
+                let case = format!("seed {seed} qp {qp_val} n {n} tier {}", t.name());
+                prop_assert_eq!(&writer.into_bytes(), &want.bytes, "bytes: {}", case);
+                prop_assert_eq!(&recon, &want.recon, "recon: {}", case);
+                prop_assert_eq!(got.bits, want.bits, "bits: {}", case);
+                prop_assert_eq!(got.ssd, want.ssd, "ssd: {}", case);
+                prop_assert_eq!(got.transform_samples, (w * h) as u64, "samples: {}", case);
+                prop_assert_eq!(got.zero_level_blocks, want.zero_level_blocks, "zero blocks: {}", case);
+                prop_assert_eq!(got.elided_blocks, want.elided_blocks, "elided blocks: {}", case);
+            }
         }
     }
 }
@@ -942,7 +1021,9 @@ mod residual {
 mod surviving_block {
     use super::{simd, tiers, Lcg};
     use medvt_encoder::quant::{norms_bound_below, quantize_into, zero_threshold, ZeroBlockBound};
-    use medvt_encoder::transform::{forward_into, inverse_into, TRANSFORM_SIZES};
+    use medvt_encoder::transform::{
+        forward_into, inverse_into, inverse_sparse_into, TRANSFORM_SIZES,
+    };
     use medvt_encoder::{reconstruct_block, Qp};
     use proptest::prelude::*;
 
@@ -1106,6 +1187,51 @@ mod surviving_block {
             }
         }
 
+        /// (e) The residual coder's sparse inverse equals the dense
+        /// `inverse_into` bit for bit, at every size, on every tier:
+        /// the dense input holds `±0.0` outside random row and column
+        /// masks, the sparse one garbage there, which it must skip; the
+        /// masks include empty, full and single lines.
+        #[test]
+        fn sparse_inverse_equals_the_dense_one_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let (mut dense, mut sparse, mut tmp) = (vec![], vec![], vec![]);
+            for n in TRANSFORM_SIZES {
+                let full = u32::MAX >> (32 - n);
+                let mut masks = vec![(full, full), (1, 1), (1 << (n - 1), 1), (0, full), (full, 0)];
+                masks.extend((0..12).map(|_| {
+                    let mut line = || (0..n).fold(0u32, |m, i| m | u32::from(rng.below(3) == 0) << i);
+                    (line(), line())
+                }));
+                for (rows, cols) in masks {
+                    let kept = |i: usize| rows & (1 << (i / n)) != 0 && cols & (1 << (i % n)) != 0;
+                    let values: Vec<f64> = (0..n * n)
+                        .map(|_| match rng.below(4) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => (rng.below(41) as f64 - 20.0) * 25.4,
+                        })
+                        .collect();
+                    let zeroed: Vec<f64> = (0..n * n)
+                        .map(|i| if kept(i) { values[i] } else if rng.below(2) == 0 { 0.0 } else { -0.0 })
+                        .collect();
+                    let garbage: Vec<f64> = (0..n * n)
+                        .map(|i| if kept(i) { values[i] } else { rng.below(2001) as f64 - 1000.0 })
+                        .collect();
+                    for t in tiers() {
+                        simd::with_tier(t, || {
+                            inverse_into(n, &zeroed, &mut dense, &mut tmp);
+                            inverse_sparse_into(n, &garbage, rows, cols, &mut sparse);
+                        });
+                        prop_assert_eq!(
+                            bits(&sparse), bits(&dense),
+                            "seed {} n {} rows {:b} cols {:b} tier {}", seed, n, rows, cols, t.name()
+                        );
+                    }
+                }
+            }
+        }
+
         /// (d) The integer elision thresholds decide exactly like the
         /// `f64` predicate they were found from: at each threshold, one
         /// past it (the other norm held where it decides nothing), and
@@ -1145,7 +1271,8 @@ mod surviving_block {
         }
 
         /// (c) Reconstruction rounds half away from zero and clamps,
-        /// like `v.round().clamp(0, 255) as u8`, on every tier: sums
+        /// like `v.round().clamp(0, 255) as u8`, on every tier (the
+        /// explicit AVX2 kernel's `trunc` and `±1` adjust included): sums
         /// placed on exact ties (`k + 0.5`, both range ends, `-0.5`),
         /// on the largest double below one half, and on the doubles
         /// either side of each.
