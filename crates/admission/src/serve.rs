@@ -57,6 +57,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
+/// What happened to a user. The admission log, the meter and the
+/// flight recorder share this one decision type.
+pub use medvt_telemetry::Decision as EventKind;
+
 /// A user-facing workload the admission controller can reason about —
 /// implemented by `medvt_core::VideoProfile` (and by the synthetic
 /// models in tests).
@@ -200,26 +204,6 @@ impl Default for OnlineConfig {
             cost: CostPlan::unlimited(),
         }
     }
-}
-
-/// What happened to a user, when, and where.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventKind {
-    /// Queued user admitted onto a shard.
-    Admit,
-    /// Active user removed for sustained deadline misses.
-    Evict,
-    /// Active user left at its requested departure slot.
-    Depart,
-    /// Queued user departed before ever being admitted.
-    Abandon,
-    /// Request can never fit any shard — dropped at the door.
-    Reject,
-    /// Evicted user re-entered the queue at the next-lower deadline
-    /// class (graceful degradation under [`CostPlan::degrade_on_evict`])
-    /// instead of being dropped. Always immediately follows that
-    /// user's [`EventKind::Evict`] at the same boundary.
-    Downgrade,
 }
 
 /// One entry of the admission log — the decision stream compared
@@ -692,16 +676,7 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     /// stream, the meter's counters and the flight recorder all see
     /// it from here and nowhere else.
     fn emit(&mut self, kind: EventKind, user: usize, shard: Option<usize>) {
-        let id = user as u32;
-        let (counter, tel) = match kind {
-            EventKind::Admit => (Some(CounterId::Admits), TelKind::Admit { user: id }),
-            EventKind::Evict => (Some(CounterId::Evicts), TelKind::Evict { user: id }),
-            EventKind::Depart => (Some(CounterId::Departs), TelKind::Depart { user: id }),
-            EventKind::Abandon => (Some(CounterId::Abandons), TelKind::Abandon { user: id }),
-            EventKind::Reject => (Some(CounterId::Rejects), TelKind::Reject { user: id }),
-            EventKind::Downgrade => (None, TelKind::Downgraded { user: id }),
-        };
-        if let Some(counter) = counter {
+        if let Some(counter) = kind.counter() {
             self.meter.add(counter, 1);
         }
         // Admits and rejects were counted as decisions when `admit`
@@ -709,7 +684,13 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         if !matches!(kind, EventKind::Admit | EventKind::Reject) {
             self.meter.add(CounterId::Decisions, 1);
         }
-        self.record(shard.map_or(CONTROL_TRACK, |s| s as u16), tel);
+        self.record(
+            shard.map_or(CONTROL_TRACK, |s| s as u16),
+            TelKind::Decision {
+                kind,
+                user: user as u32,
+            },
+        );
         self.tally.events.push(AdmissionEvent {
             slot: self.slot,
             user,

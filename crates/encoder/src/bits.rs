@@ -446,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_block_costs_one_bit() {
+    fn empty_block_codes_in_one_bit() {
         let mut w = BitWriter::new();
         let bits = code_block(&[0; 16], 4, &mut w);
         assert_eq!(bits, 1);

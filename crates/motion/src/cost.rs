@@ -1,35 +1,40 @@
-//! Block-matching distortion metrics: SAD, SSD and SATD.
+//! Block-matching distortion: SAD, the one search metric, and SATD.
 //!
-//! All metrics compare a block of the *current* plane against a
+//! Both compare a block of the *current* plane against a
 //! motion-shifted block of the *reference* plane. Reference access uses
 //! edge clamping, matching unrestricted motion vectors over padded
 //! reference pictures in HEVC.
 //!
-//! Two access patterns back every metric:
+//! Motion search scores every candidate by SAD: `SearchContext` calls
+//! [`sad_upto`] directly. [`satd`] has no search caller; it is kept as a
+//! standalone measure of post-transform cost.
+//!
+//! Two access patterns back both metrics:
 //!
 //! * an **interior fast path** taken when the displaced block lies
 //!   fully inside the reference plane — both operands are then plain
 //!   strided spans of their planes and the inner loops run explicit
 //!   SIMD kernels picked at runtime by [`mod@simd`] (AVX2 → SSE2 →
 //!   scalar), every tier bit-equal to the scalar code. SAD runs the
-//!   whole block in one kernel call ([`simd::block_sad`]); SSD and
-//!   SATD call a kernel per row / per 4x4 sub-block;
-//! * the **clamped path** for candidates that reach off the frame.
-//!   SAD gathers the edge-replicated reference patch row-wise into a
-//!   stack buffer ([`Plane::gather_block_clamped`], the same gather
-//!   motion compensation uses) and runs the block kernel on it; SSD
-//!   and SATD keep per-sample [`Plane::get_clamped`] access, the form
-//!   in which `tests/kernel_differential.rs` restates every metric as
-//!   the executable specification all tiers must match.
+//!   whole block in one kernel call ([`simd::block_sad`]); SATD calls
+//!   a kernel per 4x4 sub-block;
+//! * the **clamped path** for candidates that reach off the frame,
+//!   and it is the only one: the edge-replicated reference patch is
+//!   gathered row-wise into a stack buffer
+//!   ([`Plane::gather_block_clamped`], the same gather motion
+//!   compensation uses) and the same kernels run on it. The
+//!   per-sample [`Plane::get_clamped`] form survives only in
+//!   `tests/kernel_differential.rs`, as the executable specification
+//!   every tier must match.
 //!
-//! The `_upto` variants additionally take an exclusive `bound` and may
-//! stop early once the partial sum reaches it (SAD tests every four
-//! rows, SSD every row, SATD every row of sub-blocks). Because the
-//! partial sum of a non-negative series never exceeds the total, the
-//! returned value is either the exact cost (when it is below `bound`)
-//! or a lower bound that is `>= bound` — either way a caller comparing
-//! against `bound` makes the same accept/reject decision as with the
-//! exact cost, which keeps motion decisions bit-identical.
+//! [`sad_upto`] additionally takes an exclusive `bound` and may stop
+//! early once the partial sum reaches it (tested every four rows).
+//! Because the partial sum of a non-negative series never exceeds the
+//! total, the returned value is either the exact cost (when it is
+//! below `bound`) or a lower bound that is `>= bound` — either way a
+//! caller comparing against `bound` makes the same accept/reject
+//! decision as with the exact cost, which keeps motion decisions
+//! bit-identical.
 
 use crate::MotionVector;
 use medvt_frame::{Plane, Rect};
@@ -37,17 +42,15 @@ use serde::{Deserialize, Serialize};
 
 pub mod simd;
 
-/// Distortion metric selector.
+/// Distortion metric selector. SAD is the only metric a search runs,
+/// so the type selects nothing.
+// Vestige: `benchmark/src/replay.rs:277` passes `CostMetric::Sad` to
+// `SearchContext::new`; the next `[benchmark]` PR drops type and argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum CostMetric {
     /// Sum of absolute differences — the classic ME metric.
     #[default]
     Sad,
-    /// Sum of squared differences.
-    Ssd,
-    /// Sum of absolute Hadamard-transformed differences (4x4 blocks),
-    /// a closer proxy for post-transform bit cost.
-    Satd,
 }
 
 /// Top-left corner of the displaced block in reference coordinates
@@ -68,8 +71,9 @@ fn interior_origin(reference: &Plane, block: &Rect, mv: MotionVector) -> Option<
 }
 
 /// Side of the stack buffer an off-frame SAD candidate's clamped
-/// reference patch is gathered into (the largest prediction block the
-/// encoder's presets use).
+/// reference patch is gathered into. Larger blocks (sides up to the
+/// 64 that `EncoderConfig::validate` admits) are walked in pieces of
+/// this side.
 const CLAMPED_PATCH: usize = 32;
 
 /// Sum of absolute differences between `block` of `cur` and the block
@@ -145,99 +149,8 @@ pub fn sad_upto(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector, 
     acc
 }
 
-/// Sum of squared differences (same access pattern as [`sad`]).
-///
-/// # Panics
-///
-/// Panics when `block` is not fully inside `cur`.
-pub fn ssd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
-    ssd_upto(cur, reference, block, mv, u64::MAX)
-}
-
-/// [`ssd`] with early termination at row granularity against `bound`.
-///
-/// # Panics
-///
-/// Panics when `block` is not fully inside `cur`.
-pub(crate) fn ssd_upto(
-    cur: &Plane,
-    reference: &Plane,
-    block: &Rect,
-    mv: MotionVector,
-    bound: u64,
-) -> u64 {
-    assert!(
-        cur.bounds().contains_rect(block),
-        "block {block} outside current plane"
-    );
-    let mut acc = 0u64;
-    if let Some((rx, ry)) = interior_origin(reference, block, mv) {
-        // Resolve the SIMD tier once, not per row.
-        let t = simd::tier();
-        for (i, row) in (block.y..block.bottom()).enumerate() {
-            let cur_row = &cur.row(row)[block.x..block.right()];
-            let ref_row = &reference.row(ry + i)[rx..rx + block.w];
-            acc += simd::row_ssd(t, cur_row, ref_row);
-            if acc >= bound {
-                return acc;
-            }
-        }
-    } else {
-        for row in block.y..block.bottom() {
-            let cur_row = &cur.row(row)[block.x..block.right()];
-            let ref_y = row as isize + mv.y as isize;
-            for (i, &c) in cur_row.iter().enumerate() {
-                let ref_x = (block.x + i) as isize + mv.x as isize;
-                let r = reference.get_clamped(ref_x, ref_y);
-                let d = (c as i64) - (r as i64);
-                acc += (d * d) as u64;
-            }
-            if acc >= bound {
-                return acc;
-            }
-        }
-    }
-    acc
-}
-
-/// 4x4 Hadamard transform of a residual block, returning Σ|coeff|.
-fn hadamard4_cost(res: &[i32; 16]) -> u64 {
-    let mut m = [0i32; 16];
-    // Rows.
-    for r in 0..4 {
-        let a = res[r * 4];
-        let b = res[r * 4 + 1];
-        let c = res[r * 4 + 2];
-        let d = res[r * 4 + 3];
-        let s0 = a + c;
-        let s1 = b + d;
-        let d0 = a - c;
-        let d1 = b - d;
-        m[r * 4] = s0 + s1;
-        m[r * 4 + 1] = s0 - s1;
-        m[r * 4 + 2] = d0 + d1;
-        m[r * 4 + 3] = d0 - d1;
-    }
-    // Columns.
-    let mut acc = 0u64;
-    for c in 0..4 {
-        let a = m[c];
-        let b = m[4 + c];
-        let cc = m[8 + c];
-        let d = m[12 + c];
-        let s0 = a + cc;
-        let s1 = b + d;
-        let d0 = a - cc;
-        let d1 = b - d;
-        acc += (s0 + s1).unsigned_abs() as u64;
-        acc += (s0 - s1).unsigned_abs() as u64;
-        acc += (d0 + d1).unsigned_abs() as u64;
-        acc += (d0 - d1).unsigned_abs() as u64;
-    }
-    acc
-}
-
-/// Sum of absolute Hadamard-transformed differences over 4x4 sub-blocks.
+/// Sum of absolute Hadamard-transformed differences over 4x4
+/// sub-blocks, halved to stay on the SAD scale.
 ///
 /// Blocks whose dimensions are not multiples of 4 fall back to [`sad`]
 /// for the ragged edge.
@@ -246,65 +159,35 @@ fn hadamard4_cost(res: &[i32; 16]) -> u64 {
 ///
 /// Panics when `block` is not fully inside `cur`.
 pub fn satd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
-    satd_upto(cur, reference, block, mv, u64::MAX)
-}
-
-/// [`satd`] with early termination after each row of 4x4 sub-blocks
-/// against `bound`.
-///
-/// # Panics
-///
-/// Panics when `block` is not fully inside `cur`.
-pub(crate) fn satd_upto(
-    cur: &Plane,
-    reference: &Plane,
-    block: &Rect,
-    mv: MotionVector,
-    bound: u64,
-) -> u64 {
     assert!(
         cur.bounds().contains_rect(block),
         "block {block} outside current plane"
     );
-    let mut acc = 0u64;
     let full_w = block.w - block.w % 4;
     let full_h = block.h - block.h % 4;
-    let mut res = [0i32; 16];
     let interior = interior_origin(reference, block, mv);
     // Resolve the SIMD tier once, not per sub-block.
     let t = simd::tier();
-    let mut by = 0;
-    while by < full_h {
-        let mut bx = 0;
-        while bx < full_w {
-            if let Some((rx, ry)) = interior {
-                // Normalize by 2 to keep SATD on a SAD-comparable scale.
-                acc += simd::satd4(
-                    t,
-                    cur.span_from(block.x + bx, block.y + by),
-                    cur.width(),
-                    reference.span_from(rx + bx, ry + by),
-                    reference.width(),
-                ) / 2;
-            } else {
-                for sy in 0..4 {
-                    let row = block.y + by + sy;
-                    let ref_y = row as isize + mv.y as isize;
-                    for sx in 0..4 {
-                        let col = block.x + bx + sx;
-                        let ref_x = col as isize + mv.x as isize;
-                        res[sy * 4 + sx] =
-                            cur.get(col, row) as i32 - reference.get_clamped(ref_x, ref_y) as i32;
-                    }
+    let mut patch = [0u8; 16];
+    let mut acc = 0u64;
+    for by in (0..full_h).step_by(4) {
+        for bx in (0..full_w).step_by(4) {
+            let (r, ref_stride) = match interior {
+                Some((rx, ry)) => (reference.span_from(rx + bx, ry + by), reference.width()),
+                None => {
+                    reference.gather_block_clamped(
+                        (block.x + bx) as isize + mv.x as isize,
+                        (block.y + by) as isize + mv.y as isize,
+                        4,
+                        4,
+                        &mut patch,
+                    );
+                    (&patch[..], 4)
                 }
-                acc += hadamard4_cost(&res) / 2;
-            }
-            bx += 4;
+            };
+            let c = cur.span_from(block.x + bx, block.y + by);
+            acc += simd::satd4(t, c, cur.width(), r, ref_stride) / 2;
         }
-        if acc >= bound {
-            return acc;
-        }
-        by += 4;
     }
     // Ragged right edge.
     if full_w < block.w {
@@ -317,42 +200,6 @@ pub(crate) fn satd_upto(
         acc += sad(cur, reference, &edge, mv);
     }
     acc
-}
-
-/// Dispatches to the chosen metric.
-///
-/// # Panics
-///
-/// Panics when `block` is not fully inside `cur`.
-pub fn block_cost(
-    metric: CostMetric,
-    cur: &Plane,
-    reference: &Plane,
-    block: &Rect,
-    mv: MotionVector,
-) -> u64 {
-    block_cost_upto(metric, cur, reference, block, mv, u64::MAX)
-}
-
-/// [`block_cost`] with early termination against `bound` (see the
-/// module docs for the decision-equivalence argument).
-///
-/// # Panics
-///
-/// Panics when `block` is not fully inside `cur`.
-pub fn block_cost_upto(
-    metric: CostMetric,
-    cur: &Plane,
-    reference: &Plane,
-    block: &Rect,
-    mv: MotionVector,
-    bound: u64,
-) -> u64 {
-    match metric {
-        CostMetric::Sad => sad_upto(cur, reference, block, mv, bound),
-        CostMetric::Ssd => ssd_upto(cur, reference, block, mv, bound),
-        CostMetric::Satd => satd_upto(cur, reference, block, mv, bound),
-    }
 }
 
 #[cfg(test)]
@@ -390,16 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn ssd_grows_faster_than_sad() {
-        let (cur, reference) = planes();
-        let block = Rect::new(8, 4, 8, 8);
-        let s = sad(&cur, &reference, &block, MotionVector::ZERO);
-        let q = ssd(&cur, &reference, &block, MotionVector::ZERO);
-        // Each sample differs by 16 ⇒ ssd = 16 * sad.
-        assert_eq!(q, s * 16);
-    }
-
-    #[test]
     fn satd_zero_for_perfect_match() {
         let (cur, reference) = planes();
         let block = Rect::new(8, 4, 8, 8);
@@ -416,13 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_dc_only() {
-        // Constant residual of 1: all energy in DC = 16, so cost = 16.
-        let res = [1i32; 16];
-        assert_eq!(hadamard4_cost(&res), 16);
-    }
-
-    #[test]
     fn satd_handles_ragged_blocks() {
         let (cur, reference) = planes();
         let block = Rect::new(1, 1, 7, 6);
@@ -430,19 +260,6 @@ mod tests {
         let good = satd(&cur, &reference, &block, MotionVector::new(-2, 0));
         let bad = satd(&cur, &reference, &block, MotionVector::new(2, 0));
         assert!(good < bad);
-    }
-
-    #[test]
-    fn block_cost_dispatches() {
-        let (cur, reference) = planes();
-        let block = Rect::new(8, 4, 8, 8);
-        let mv = MotionVector::new(-2, 0);
-        assert_eq!(block_cost(CostMetric::Sad, &cur, &reference, &block, mv), 0);
-        assert_eq!(block_cost(CostMetric::Ssd, &cur, &reference, &block, mv), 0);
-        assert_eq!(
-            block_cost(CostMetric::Satd, &cur, &reference, &block, mv),
-            0
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels behind the cost metrics.
 //!
-//! Every metric in [`super`] funnels its inner loops through this
+//! Both metrics in [`super`] funnel their inner loops through this
 //! module. Dispatch picks the widest instruction set the host supports
 //! — AVX2, then SSE2, then portable scalar — once per process via
-//! [`std::arch::is_x86_feature_detected!`], and each `*_upto` call
+//! [`std::arch::is_x86_feature_detected!`], and each cost call
 //! resolves the tier exactly once, so the hot path never touches
 //! thread-locals per row.
 //!
@@ -11,14 +11,14 @@
 //! runs the whole `w x h` block inside one kernel call (one dispatch,
 //! one `psadbw` accumulator held in a register across rows, one
 //! horizontal reduction per four rows). Motion search and the clamped
-//! off-frame candidates call it; a stride of 0 replays one row. SSD and
-//! SATD stay row- and 4x4-granular.
+//! off-frame candidates call it; a stride of 0 replays one row. SATD
+//! stays 4x4-granular (`satd4`).
 //!
 //! # The bit-exactness contract
 //!
 //! Every tier computes the *same integer result* as the scalar code
 //! (which is itself differential-tested against the specification
-//! restated in `tests/kernel_differential.rs`): SAD/SSD/SATD are sums of integer terms, and
+//! restated in `tests/kernel_differential.rs`): SAD and SATD are sums of integer terms, and
 //! integer SIMD addition is exact, so lane order cannot change the
 //! total. The SATD kernel performs the 4x4 Hadamard butterfly
 //! column-first instead of row-first; since the butterfly is the
@@ -160,20 +160,6 @@ pub(crate) fn row_sad(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
     }
 }
 
-/// Sum of squared differences over one row pair.
-#[inline]
-pub(crate) fn row_ssd(t: DispatchTier, cur: &[u8], reference: &[u8]) -> u64 {
-    match t {
-        DispatchTier::Scalar => row_ssd_scalar(cur, reference),
-        #[cfg(target_arch = "x86_64")]
-        DispatchTier::Sse2 => unsafe { row_ssd_sse2(cur, reference) },
-        #[cfg(target_arch = "x86_64")]
-        DispatchTier::Avx2 => unsafe { row_ssd_avx2(cur, reference) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => row_ssd_scalar(cur, reference),
-    }
-}
-
 /// Sum of absolute differences over a whole `w x h` block of two
 /// strided operands: row `r` of an operand is
 /// `operand[r * stride..r * stride + w]`. A stride of 0 compares every
@@ -246,7 +232,7 @@ pub fn block_sad(
 /// Σ|coeff| of the 4x4 Hadamard transform of the residual between two
 /// strided 4x4 blocks (`cur[r * cur_stride + c]` vs
 /// `reference[r * ref_stride + c]`). The caller halves the result to
-/// keep SATD on the SAD scale, exactly like the scalar path.
+/// keep SATD on the SAD scale.
 #[inline]
 pub(crate) fn satd4(
     t: DispatchTier,
@@ -279,25 +265,41 @@ fn row_sad_scalar(cur: &[u8], reference: &[u8]) -> u64 {
         .sum::<u32>() as u64
 }
 
-fn row_ssd_scalar(cur: &[u8], reference: &[u8]) -> u64 {
-    cur.iter()
-        .zip(reference)
-        .map(|(&c, &r)| {
-            let d = (c as i32 - r as i32).unsigned_abs();
-            (d * d) as u64
-        })
-        .sum()
-}
-
+/// 4x4 Hadamard transform of the residual, butterfly row-first, then
+/// column-first; returns Σ|coeff|.
 fn satd4_scalar(cur: &[u8], cur_stride: usize, reference: &[u8], ref_stride: usize) -> u64 {
-    let mut res = [0i32; 16];
-    for sy in 0..4 {
-        for sx in 0..4 {
-            res[sy * 4 + sx] =
-                cur[sy * cur_stride + sx] as i32 - reference[sy * ref_stride + sx] as i32;
-        }
+    let mut m = [0i32; 16];
+    // Rows of the residual.
+    for r in 0..4 {
+        let [a, b, c, d]: [i32; 4] = std::array::from_fn(|k| {
+            cur[r * cur_stride + k] as i32 - reference[r * ref_stride + k] as i32
+        });
+        let s0 = a + c;
+        let s1 = b + d;
+        let d0 = a - c;
+        let d1 = b - d;
+        m[r * 4] = s0 + s1;
+        m[r * 4 + 1] = s0 - s1;
+        m[r * 4 + 2] = d0 + d1;
+        m[r * 4 + 3] = d0 - d1;
     }
-    super::hadamard4_cost(&res)
+    // Columns.
+    let mut acc = 0u64;
+    for c in 0..4 {
+        let a = m[c];
+        let b = m[4 + c];
+        let cc = m[8 + c];
+        let d = m[12 + c];
+        let s0 = a + cc;
+        let s1 = b + d;
+        let d0 = a - cc;
+        let d1 = b - d;
+        acc += (s0 + s1).unsigned_abs() as u64;
+        acc += (s0 - s1).unsigned_abs() as u64;
+        acc += (d0 + d1).unsigned_abs() as u64;
+        acc += (d0 - d1).unsigned_abs() as u64;
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------
@@ -455,67 +457,6 @@ mod x86 {
         hsum_epi64(acc)
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn row_ssd_sse2(cur: &[u8], reference: &[u8]) -> u64 {
-        let n = cur.len().min(reference.len());
-        // Each i32 lane gains at most 2 * 255^2 per 16-sample chunk, so
-        // lanes stay far from i32::MAX for any plausible row length.
-        debug_assert!(n <= 1 << 15, "row too long for i32 lane accumulation");
-        let zero = _mm_setzero_si128();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let a = _mm_loadu_si128(cur.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(reference.as_ptr().add(i) as *const __m128i);
-            let dlo = _mm_sub_epi16(_mm_unpacklo_epi8(a, zero), _mm_unpacklo_epi8(b, zero));
-            let dhi = _mm_sub_epi16(_mm_unpackhi_epi8(a, zero), _mm_unpackhi_epi8(b, zero));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(dlo, dlo));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(dhi, dhi));
-            i += 16;
-        }
-        if i + 8 <= n {
-            let a = _mm_loadl_epi64(cur.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadl_epi64(reference.as_ptr().add(i) as *const __m128i);
-            let d = _mm_sub_epi16(_mm_unpacklo_epi8(a, zero), _mm_unpacklo_epi8(b, zero));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(d, d));
-            i += 8;
-        }
-        let mut total = hsum_epi32(acc);
-        while i < n {
-            let d = (cur[i] as i32 - reference[i] as i32).unsigned_abs();
-            total += (d * d) as u64;
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn row_ssd_avx2(cur: &[u8], reference: &[u8]) -> u64 {
-        let n = cur.len().min(reference.len());
-        debug_assert!(n <= 1 << 15, "row too long for i32 lane accumulation");
-        let zero = _mm256_setzero_si256();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let a = _mm256_loadu_si256(cur.as_ptr().add(i) as *const __m256i);
-            let b = _mm256_loadu_si256(reference.as_ptr().add(i) as *const __m256i);
-            // unpack interleaves within 128-bit halves; a sum is
-            // order-independent, so lane placement is irrelevant.
-            let dlo =
-                _mm256_sub_epi16(_mm256_unpacklo_epi8(a, zero), _mm256_unpacklo_epi8(b, zero));
-            let dhi =
-                _mm256_sub_epi16(_mm256_unpackhi_epi8(a, zero), _mm256_unpackhi_epi8(b, zero));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(dlo, dlo));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(dhi, dhi));
-            i += 32;
-        }
-        let head = hsum_epi32(_mm_add_epi32(
-            _mm256_castsi256_si128(acc),
-            _mm256_extracti128_si256(acc, 1),
-        ));
-        head + row_ssd_sse2(&cur[i..n], &reference[i..n])
-    }
-
     #[inline]
     fn row4(p: &[u8], off: usize) -> u64 {
         u32::from_le_bytes(p[off..off + 4].try_into().expect("4-byte row")) as u64
@@ -586,7 +527,7 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{block_sad_sse2, row_sad_avx2, row_sad_sse2, row_ssd_avx2, row_ssd_sse2, satd4_sse2};
+use x86::{block_sad_sse2, row_sad_avx2, row_sad_sse2, satd4_sse2};
 
 #[cfg(test)]
 mod tests {
@@ -638,14 +579,12 @@ mod tests {
         for len in 0..=67usize {
             let a = bytes(len, 3);
             let b = bytes(len, 17);
-            let want_sad = row_sad_scalar(&a, &b);
-            let want_ssd = row_ssd_scalar(&a, &b);
+            let want = row_sad_scalar(&a, &b);
             for t in DispatchTier::ALL {
                 if !t.available() {
                     continue;
                 }
-                assert_eq!(row_sad(t, &a, &b), want_sad, "sad len={len} tier={t:?}");
-                assert_eq!(row_ssd(t, &a, &b), want_ssd, "ssd len={len} tier={t:?}");
+                assert_eq!(row_sad(t, &a, &b), want, "len={len} tier={t:?}");
             }
         }
     }
@@ -660,7 +599,6 @@ mod tests {
             }
             assert_eq!(row_sad(t, &a, &b), row_sad_scalar(&a, &b));
             assert_eq!(row_sad(t, &b, &a), row_sad_scalar(&b, &a));
-            assert_eq!(row_ssd(t, &a, &b), row_ssd_scalar(&a, &b));
         }
     }
 
@@ -680,6 +618,14 @@ mod tests {
                     "tier={t:?} cs={cs} rs={rs}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn satd4_of_a_constant_residual_is_its_dc() {
+        // Residual of 1 everywhere: all energy in DC = 16, so cost = 16.
+        for t in DispatchTier::ALL.into_iter().filter(|t| t.available()) {
+            assert_eq!(satd4(t, &[1; 16], 4, &[0; 16], 4), 16, "tier={t:?}");
         }
     }
 

@@ -12,8 +12,12 @@
 //! * the paper's proposed [`BioMedicalSearch`] policy (§III-C2), which
 //!   combines cross / one-at-a-time / rotating- and direction-locked
 //!   hexagon search across the frames of a GOP;
-//! * [`MotionField`] — per-tile block-grid estimation with dominant
-//!   direction extraction, feeding the GOP direction-inheritance.
+//! * [`cost`] — SAD, the one metric every search scores candidates
+//!   by, and SATD, on runtime-dispatched SIMD kernels.
+//!
+//! Per-tile estimation (each block seeded with the previous inter
+//! block's vector) and the tile's dominant vector live in the encoder's
+//! `encode_tile`, the one block loop that drives these searches.
 //!
 //! Complexity is measured in *distinct candidates evaluated* (see
 //! [`SearchResult::evaluations`]), the standard metric behind the
@@ -59,7 +63,6 @@
 pub mod algorithms;
 mod biomed;
 pub mod cost;
-mod field;
 mod mv;
 mod search;
 #[cfg(test)]
@@ -70,7 +73,6 @@ pub use algorithms::{
     ThreeStepSearch, TzSearch,
 };
 pub use biomed::{BioMedicalSearch, GopPhase, MotionLevel};
-pub use cost::{block_cost, block_cost_upto, sad, sad_upto, satd, ssd, CostMetric};
-pub use field::{FieldStats, MotionField};
+pub use cost::{sad, sad_upto, satd, CostMetric};
 pub use mv::{MotionAxis, MotionVector};
 pub use search::{Best, MotionSearch, SearchContext, SearchResult, SearchWindow};

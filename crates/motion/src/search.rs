@@ -1,7 +1,7 @@
 //! Search framework: windows, contexts, results and the
 //! [`MotionSearch`] trait all algorithms implement.
 
-use crate::cost::{block_cost_upto, CostMetric};
+use crate::cost::{sad_upto, CostMetric};
 use crate::MotionVector;
 use medvt_frame::{Plane, Rect};
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 /// use medvt_motion::SearchWindow;
 ///
 /// assert_eq!(SearchWindow::W64.radius(), 32);
-/// assert_eq!(SearchWindow::from_size(16).size(), 16);
+/// assert_eq!(SearchWindow::W16.size(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SearchWindow {
@@ -41,18 +41,6 @@ impl SearchWindow {
         SearchWindow::W16,
         SearchWindow::W8,
     ];
-
-    /// Creates a window from its side length in samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `size < 2`.
-    pub fn from_size(size: usize) -> Self {
-        assert!(size >= 2, "search window must be at least 2 samples");
-        Self {
-            radius: (size / 2) as i16,
-        }
-    }
 
     /// Maximum absolute motion component.
     pub const fn radius(&self) -> i16 {
@@ -164,7 +152,8 @@ fn memo_release(buf: MemoBuf) {
 }
 
 /// Everything an algorithm needs to search one block: the two planes,
-/// the block geometry, the window, the metric and a starting predictor.
+/// the block geometry, the window and a starting predictor. Candidates
+/// are scored by SAD.
 ///
 /// The context memoizes candidate costs, so the number of *distinct*
 /// candidates evaluated — the standard complexity measure for
@@ -180,7 +169,6 @@ pub struct SearchContext<'a> {
     reference: &'a Plane,
     block: Rect,
     window: SearchWindow,
-    metric: CostMetric,
     predictor: MotionVector,
     evaluations: Cell<u64>,
     memo: RefCell<MemoBuf>,
@@ -193,7 +181,8 @@ impl Drop for SearchContext<'_> {
 }
 
 impl<'a> SearchContext<'a> {
-    /// Creates a search context.
+    /// Creates a search context. `_metric` selects nothing: SAD is the
+    /// one search metric (see [`CostMetric`]).
     ///
     /// # Panics
     ///
@@ -203,7 +192,7 @@ impl<'a> SearchContext<'a> {
         reference: &'a Plane,
         block: Rect,
         window: SearchWindow,
-        metric: CostMetric,
+        _metric: CostMetric,
         predictor: MotionVector,
     ) -> Self {
         assert!(
@@ -215,7 +204,6 @@ impl<'a> SearchContext<'a> {
             reference,
             block,
             window,
-            metric,
             predictor,
             evaluations: Cell::new(0),
             memo: RefCell::new(memo_acquire(window.size() + 1)),
@@ -269,7 +257,7 @@ impl<'a> SearchContext<'a> {
             self.reference,
             self.block,
             window,
-            self.metric,
+            CostMetric::Sad,
             predictor,
         )
     }
@@ -303,14 +291,7 @@ impl<'a> SearchContext<'a> {
             // still reaches.
             TAG_LOWER if cached >= bound => Some(cached),
             _ => {
-                let c = block_cost_upto(
-                    self.metric,
-                    self.cur,
-                    self.reference,
-                    &self.block,
-                    mv,
-                    bound,
-                );
+                let c = sad_upto(self.cur, self.reference, &self.block, mv, bound);
                 if c < bound {
                     memo.set(idx, TAG_EXACT, c);
                 } else {
@@ -425,12 +406,6 @@ mod tests {
         assert_eq!(SearchWindow::W64.shrunk(), Some(SearchWindow::W32));
         assert_eq!(SearchWindow::W8.shrunk(), None);
         assert_eq!(SearchWindow::default(), SearchWindow::W64);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn tiny_window_rejected() {
-        SearchWindow::from_size(1);
     }
 
     #[test]

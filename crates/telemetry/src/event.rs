@@ -10,9 +10,82 @@
 //! w2: wall-clock nanoseconds since recorder start (0 in modeled view)
 //! ```
 
+use crate::metrics::CounterId;
+use serde::{Deserialize, Serialize};
+
 /// Track id used for control-plane events (admission controller,
 /// queue) as opposed to per-shard worker tracks `0..n_shards`.
 pub const CONTROL_TRACK: u16 = u16::MAX;
+
+/// What the admission controller decided about one user: the decision
+/// stream the admission log, the meter and the flight recorder share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Decision {
+    /// Queued user admitted onto a shard.
+    Admit,
+    /// Active user removed for sustained deadline misses.
+    Evict,
+    /// Active user left at its requested departure slot.
+    Depart,
+    /// Queued user departed before ever being admitted.
+    Abandon,
+    /// Request can never fit any shard — dropped at the door.
+    Reject,
+    /// Evicted user re-entered the queue at the next-lower deadline
+    /// class instead of being dropped. Always immediately follows that
+    /// user's [`Decision::Evict`] at the same boundary.
+    Downgrade,
+}
+
+impl Decision {
+    /// Every decision, in tag order.
+    const ALL: [Decision; 6] = [
+        Decision::Admit,
+        Decision::Evict,
+        Decision::Depart,
+        Decision::Abandon,
+        Decision::Reject,
+        Decision::Downgrade,
+    ];
+
+    /// The counter this decision increments; a downgrade has none (its
+    /// eviction was counted).
+    pub fn counter(self) -> Option<CounterId> {
+        match self {
+            Decision::Admit => Some(CounterId::Admits),
+            Decision::Evict => Some(CounterId::Evicts),
+            Decision::Depart => Some(CounterId::Departs),
+            Decision::Abandon => Some(CounterId::Abandons),
+            Decision::Reject => Some(CounterId::Rejects),
+            Decision::Downgrade => None,
+        }
+    }
+
+    /// Stable numeric tag of [`EventKind::Decision`] in the binary
+    /// encoding.
+    fn tag(self) -> u8 {
+        match self {
+            Decision::Admit => 2,
+            Decision::Evict => 3,
+            Decision::Depart => 4,
+            Decision::Abandon => 5,
+            Decision::Reject => 6,
+            Decision::Downgrade => 14,
+        }
+    }
+
+    /// Short stable label used by the exporters.
+    fn label(self) -> &'static str {
+        match self {
+            Decision::Admit => "admit",
+            Decision::Evict => "evict",
+            Decision::Depart => "depart",
+            Decision::Abandon => "abandon",
+            Decision::Reject => "reject",
+            Decision::Downgrade => "downgraded",
+        }
+    }
+}
 
 /// What happened. Every variant is fully described by one payload
 /// word; see the module docs for the packing.
@@ -27,28 +100,11 @@ pub enum EventKind {
         /// Active users on the shard at the replan.
         users: u32,
     },
-    /// A queued request was admitted onto this shard.
-    Admit {
-        /// Global user id.
-        user: u32,
-    },
-    /// An active user was evicted for sustained deadline misses.
-    Evict {
-        /// Global user id.
-        user: u32,
-    },
-    /// An active user departed voluntarily.
-    Depart {
-        /// Global user id.
-        user: u32,
-    },
-    /// A queued request gave up waiting before admission.
-    Abandon {
-        /// Global user id.
-        user: u32,
-    },
-    /// A request was rejected outright (demand exceeds any shard).
-    Reject {
+    /// An admission decision about one user (on the shard's track when
+    /// a shard is involved, else the control track).
+    Decision {
+        /// What was decided.
+        kind: Decision,
         /// Global user id.
         user: u32,
     },
@@ -98,12 +154,6 @@ pub enum EventKind {
         /// Index into the provisioning catalogue.
         preset: u32,
     },
-    /// An evicted user re-entered the queue at the next-lower deadline
-    /// class instead of being dropped (control track).
-    Downgraded {
-        /// Global user id.
-        user: u32,
-    },
 }
 
 impl EventKind {
@@ -112,11 +162,7 @@ impl EventKind {
         match self {
             EventKind::GopBoundary => 0,
             EventKind::Replan { .. } => 1,
-            EventKind::Admit { .. } => 2,
-            EventKind::Evict { .. } => 3,
-            EventKind::Depart { .. } => 4,
-            EventKind::Abandon { .. } => 5,
-            EventKind::Reject { .. } => 6,
+            EventKind::Decision { kind, .. } => kind.tag(),
             EventKind::QueueDepth { .. } => 7,
             EventKind::SlotCore { .. } => 8,
             EventKind::LeaseGranted { .. } => 9,
@@ -124,7 +170,6 @@ impl EventKind {
             EventKind::LeaseRequeued { .. } => 11,
             EventKind::SegmentReassembled { .. } => 12,
             EventKind::Provisioned { .. } => 13,
-            EventKind::Downgraded { .. } => 14,
         }
     }
 
@@ -133,11 +178,7 @@ impl EventKind {
         match self {
             EventKind::GopBoundary => "gop_boundary",
             EventKind::Replan { .. } => "replan",
-            EventKind::Admit { .. } => "admit",
-            EventKind::Evict { .. } => "evict",
-            EventKind::Depart { .. } => "depart",
-            EventKind::Abandon { .. } => "abandon",
-            EventKind::Reject { .. } => "reject",
+            EventKind::Decision { kind, .. } => kind.label(),
             EventKind::QueueDepth { .. } => "queue_depth",
             EventKind::SlotCore { .. } => "slot_core",
             EventKind::LeaseGranted { .. } => "lease_granted",
@@ -145,7 +186,6 @@ impl EventKind {
             EventKind::LeaseRequeued { .. } => "lease_requeued",
             EventKind::SegmentReassembled { .. } => "segment_reassembled",
             EventKind::Provisioned { .. } => "provisioned",
-            EventKind::Downgraded { .. } => "downgraded",
         }
     }
 
@@ -153,18 +193,13 @@ impl EventKind {
         match self {
             EventKind::GopBoundary => 0,
             EventKind::Replan { users } => u64::from(users),
-            EventKind::Admit { user }
-            | EventKind::Evict { user }
-            | EventKind::Depart { user }
-            | EventKind::Abandon { user }
-            | EventKind::Reject { user } => u64::from(user),
+            EventKind::Decision { user, .. } => u64::from(user),
             EventKind::QueueDepth { depth } => u64::from(depth),
             EventKind::LeaseGranted { segment }
             | EventKind::LeaseExpired { segment }
             | EventKind::LeaseRequeued { segment }
             | EventKind::SegmentReassembled { segment } => u64::from(segment),
             EventKind::Provisioned { preset } => u64::from(preset),
-            EventKind::Downgraded { user } => u64::from(user),
             EventKind::SlotCore {
                 core,
                 busy_ns,
@@ -184,11 +219,6 @@ impl EventKind {
         Some(match tag {
             0 => EventKind::GopBoundary,
             1 => EventKind::Replan { users: user },
-            2 => EventKind::Admit { user },
-            3 => EventKind::Evict { user },
-            4 => EventKind::Depart { user },
-            5 => EventKind::Abandon { user },
-            6 => EventKind::Reject { user },
             7 => EventKind::QueueDepth { depth: user },
             8 => EventKind::SlotCore {
                 core: (payload >> 48) as u16,
@@ -201,8 +231,10 @@ impl EventKind {
             11 => EventKind::LeaseRequeued { segment: user },
             12 => EventKind::SegmentReassembled { segment: user },
             13 => EventKind::Provisioned { preset: user },
-            14 => EventKind::Downgraded { user },
-            _ => return None,
+            _ => EventKind::Decision {
+                kind: Decision::ALL.into_iter().find(|d| d.tag() == tag)?,
+                user,
+            },
         })
     }
 }
@@ -266,11 +298,11 @@ mod tests {
         let kinds = [
             EventKind::GopBoundary,
             EventKind::Replan { users: 173 },
-            EventKind::Admit { user: 41 },
-            EventKind::Evict { user: u32::MAX },
-            EventKind::Depart { user: 0 },
-            EventKind::Abandon { user: 7 },
-            EventKind::Reject { user: 1_000_000 },
+            decision(Decision::Admit, 41),
+            decision(Decision::Evict, u32::MAX),
+            decision(Decision::Depart, 0),
+            decision(Decision::Abandon, 7),
+            decision(Decision::Reject, 1_000_000),
             EventKind::QueueDepth { depth: 65_535 },
             EventKind::SlotCore {
                 core: 513,
@@ -289,7 +321,7 @@ mod tests {
             EventKind::LeaseRequeued { segment: 0 },
             EventKind::SegmentReassembled { segment: 9_999 },
             EventKind::Provisioned { preset: 4 },
-            EventKind::Downgraded { user: 2_000_000 },
+            decision(Decision::Downgrade, 2_000_000),
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let ev = Event {
@@ -300,6 +332,29 @@ mod tests {
             };
             assert_eq!(Event::decode(ev.encode()), Some(ev));
         }
+        // Each decision keeps the ring tag and exporter label its own
+        // event kind had before the decisions shared one, so ring words
+        // and traces are unchanged.
+        let pinned = [
+            (Decision::Admit, 2, "admit"),
+            (Decision::Evict, 3, "evict"),
+            (Decision::Depart, 4, "depart"),
+            (Decision::Abandon, 5, "abandon"),
+            (Decision::Reject, 6, "reject"),
+            (Decision::Downgrade, 14, "downgraded"),
+        ];
+        assert_eq!(pinned.map(|p| p.0), Decision::ALL);
+        for (kind, tag, label) in pinned {
+            let ev = Event::new(CONTROL_TRACK, 9, decision(kind, 77));
+            let words = ev.encode();
+            assert_eq!((words[0] >> 56, words[1]), (tag, 77), "{kind:?}");
+            assert_eq!(ev.kind.label(), label);
+            assert_eq!(Event::decode(words), Some(ev));
+        }
+    }
+
+    fn decision(kind: Decision, user: u32) -> EventKind {
+        EventKind::Decision { kind, user }
     }
 
     #[test]

@@ -122,12 +122,19 @@ pub fn chrome_trace(events: &[Event], slot_secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Decision, Event};
 
     fn sample() -> Vec<Event> {
         vec![
             Event::new(CONTROL_TRACK, 0, EventKind::GopBoundary),
-            Event::new(CONTROL_TRACK, 0, EventKind::Admit { user: 7 }),
+            Event::new(
+                CONTROL_TRACK,
+                0,
+                EventKind::Decision {
+                    kind: Decision::Admit,
+                    user: 7,
+                },
+            ),
             Event::new(CONTROL_TRACK, 4, EventKind::QueueDepth { depth: 2 }),
             Event::new(
                 1,

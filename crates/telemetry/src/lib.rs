@@ -40,7 +40,7 @@ mod metrics;
 mod recorder;
 mod ring;
 
-pub use event::{Event, EventKind, CONTROL_TRACK};
+pub use event::{Decision, Event, EventKind, CONTROL_TRACK};
 pub use export::chrome_trace;
 pub use metrics::{
     CounterId, CounterSnapshot, HistId, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,

@@ -239,16 +239,20 @@ pub struct TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{Decision, EventKind};
     use crate::metrics::CounterId;
 
     #[test]
     fn routes_control_and_shard_tracks_to_distinct_rings() {
         let rec = FlightRecorder::modeled(2, 16);
         rec.record(Event::new(CONTROL_TRACK, 0, EventKind::GopBoundary));
-        rec.record(Event::new(0, 1, EventKind::Admit { user: 1 }));
-        rec.record(Event::new(1, 2, EventKind::Admit { user: 2 }));
-        rec.record(Event::new(3, 3, EventKind::Admit { user: 3 })); // wraps to ring 2
+        let admit = |user| EventKind::Decision {
+            kind: Decision::Admit,
+            user,
+        };
+        rec.record(Event::new(0, 1, admit(1)));
+        rec.record(Event::new(1, 2, admit(2)));
+        rec.record(Event::new(3, 3, admit(3))); // wraps to ring 2
         assert_eq!(rec.rings[0].len(), 1);
         assert_eq!(rec.rings[1].len(), 1);
         assert_eq!(rec.rings[2].len(), 2);

@@ -136,10 +136,17 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{Decision, EventKind};
 
     fn ev(slot: u32) -> Event {
-        Event::new(0, slot, EventKind::Admit { user: slot })
+        Event::new(
+            0,
+            slot,
+            EventKind::Decision {
+                kind: Decision::Admit,
+                user: slot,
+            },
+        )
     }
 
     #[test]

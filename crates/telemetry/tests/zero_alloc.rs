@@ -10,7 +10,7 @@
 //! events are written, and the overflow is reported as `dropped`.
 
 use medvt_telemetry::{
-    CounterId, Event, EventKind, FlightRecorder, HistId, Metrics, NoopRecorder, Recorder,
+    CounterId, Decision, Event, EventKind, FlightRecorder, HistId, Metrics, NoopRecorder, Recorder,
     CONTROL_TRACK,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,10 +56,17 @@ fn alloc_events() -> u64 {
     ALLOC_EVENTS.with(Cell::get)
 }
 
+fn admit(user: u32) -> EventKind {
+    EventKind::Decision {
+        kind: Decision::Admit,
+        user,
+    }
+}
+
 fn one_of_each(track: u16, slot: u32) -> [Event; 4] {
     [
         Event::new(CONTROL_TRACK, slot, EventKind::GopBoundary),
-        Event::new(track, slot, EventKind::Admit { user: slot }),
+        Event::new(track, slot, admit(slot)),
         Event::new(CONTROL_TRACK, slot, EventKind::QueueDepth { depth: slot }),
         Event::new(
             track,
@@ -132,7 +139,7 @@ fn flight_recorder_never_exceeds_ring_capacity() {
     let rec = FlightRecorder::modeled(2, CAP);
     // Hammer one shard track and the control track far past capacity.
     for slot in 0..WRITES {
-        rec.record(Event::new(0, slot, EventKind::Admit { user: slot }));
+        rec.record(Event::new(0, slot, admit(slot)));
         rec.record(Event::new(CONTROL_TRACK, slot, EventKind::GopBoundary));
     }
     let snap = rec.snapshot();
@@ -149,7 +156,15 @@ fn flight_recorder_never_exceeds_ring_capacity() {
     let shard_slots: Vec<u32> = rec
         .events()
         .into_iter()
-        .filter(|e| matches!(e.kind, EventKind::Admit { .. }))
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Decision {
+                    kind: Decision::Admit,
+                    ..
+                }
+            )
+        })
         .map(|e| e.slot)
         .collect();
     assert_eq!(shard_slots.len(), CAP);

@@ -1,16 +1,14 @@
-//! Motion-search laboratory: compare every implemented block-matching
-//! algorithm on one phantom video — candidates evaluated, residual
-//! cost, and how each handles the bio-medical motion structure.
+//! Motion-search laboratory: encode one tile of a phantom video as a
+//! P-frame with every implemented block-matching algorithm, through the
+//! encoder's own tile path (`encode_tile`), and compare search effort,
+//! bits, PSNR, inter blocks chosen and the tile's dominant vector.
 //!
 //! Run: `cargo run --release --example motion_search_lab`
 
+use medvt::encoder::{encode_tile, EncoderConfig, SearchSpec, TileConfig};
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt::frame::{Rect, Resolution};
-use medvt::motion::{
-    BioMedicalSearch, CostMetric, CrossSearch, DiamondSearch, FullSearch, GopPhase, HexOrientation,
-    HexagonSearch, MotionField, MotionLevel, MotionSearch, MotionVector, OneAtATimeSearch,
-    SearchWindow, ThreeStepSearch, TzSearch,
-};
+use medvt::frame::{FrameKind, Rect, Resolution};
+use medvt::motion::{HexOrientation, MotionLevel, MotionVector};
 
 fn main() {
     // Panning bones study: global motion 1.5 px/frame to the right.
@@ -23,75 +21,65 @@ fn main() {
     let current = video.render(4); // 6 px of true motion
     let tile = Rect::new(64, 56, 192, 128); // the anatomy-bearing center
 
-    let algorithms: Vec<(&str, Box<dyn MotionSearch>)> = vec![
-        ("full", Box::new(FullSearch)),
-        ("three-step", Box::new(ThreeStepSearch)),
-        ("diamond", Box::new(DiamondSearch)),
-        ("cross", Box::new(CrossSearch)),
-        ("one-at-a-time", Box::new(OneAtATimeSearch::new())),
-        (
-            "hexagon-h",
-            Box::new(HexagonSearch::new(HexOrientation::Horizontal)),
-        ),
-        (
-            "hexagon-rot",
-            Box::new(HexagonSearch::new(HexOrientation::Rotating)),
-        ),
-        ("tz (HM ref)", Box::new(TzSearch::new())),
-        (
-            "biomed first",
-            Box::new(BioMedicalSearch::new(MotionLevel::High, GopPhase::First)),
-        ),
+    let algorithms = [
+        ("full", SearchSpec::Full),
+        ("three-step", SearchSpec::ThreeStep),
+        ("diamond", SearchSpec::Diamond),
+        ("cross", SearchSpec::Cross),
+        ("one-at-a-time", SearchSpec::OneAtATime),
+        ("hexagon-h", SearchSpec::Hexagon(HexOrientation::Horizontal)),
+        ("hexagon-rot", SearchSpec::Hexagon(HexOrientation::Rotating)),
+        ("tz (HM ref)", SearchSpec::Tz),
+        ("biomed first", SearchSpec::biomed_first(MotionLevel::High)),
         (
             "biomed follow",
-            Box::new(BioMedicalSearch::new(
-                MotionLevel::High,
-                GopPhase::Subsequent {
-                    direction: MotionVector::new(-6, 0),
-                },
-            )),
+            SearchSpec::biomed_subsequent(MotionLevel::High, MotionVector::new(-6, 0)),
         ),
     ];
 
     println!(
-        "{:<14} {:>12} {:>14} {:>12} {:>10}",
-        "algorithm", "evaluations", "total SAD", "dominant MV", "coherence"
+        "{:<14} {:>12} {:>8} {:>10} {:>6} {:>12}",
+        "algorithm", "SAD samples", "bits", "PSNR dB", "inter", "dominant MV"
     );
-    let mut full_evals = 0u64;
-    for (name, algo) in &algorithms {
-        let (field, stats) = MotionField::estimate(
-            current.y(),
-            reference.y(),
+    let mut full_samples = 0u64;
+    for (name, search) in algorithms {
+        let out = encode_tile(
+            &current,
+            &[&reference],
+            FrameKind::Predicted,
             tile,
-            16,
-            algo.as_ref(),
-            SearchWindow::W64,
-            CostMetric::Sad,
+            &TileConfig {
+                search,
+                ..TileConfig::default()
+            },
+            &EncoderConfig::default(),
         );
-        if *name == "full" {
-            full_evals = stats.evaluations;
+        let s = out.stats;
+        if matches!(search, SearchSpec::Full) {
+            full_samples = s.sad_samples;
         }
-        let speedup = if stats.evaluations > 0 && full_evals > 0 {
+        let speedup = if s.sad_samples > 0 && full_samples > 0 {
             format!(
                 "({:>5.1}x vs full)",
-                full_evals as f64 / stats.evaluations as f64
+                full_samples as f64 / s.sad_samples as f64
             )
         } else {
             String::new()
         };
         println!(
-            "{:<14} {:>12} {:>14} {:>12} {:>9.0}% {}",
+            "{:<14} {:>12} {:>8} {:>10.2} {:>6} {:>12} {}",
             name,
-            stats.evaluations,
-            stats.total_cost,
-            field.dominant_mv().to_string(),
-            field.coherence() * 100.0,
+            s.sad_samples,
+            s.bits,
+            s.psnr(),
+            s.inter_blocks,
+            out.dominant_mv.to_string(),
             speedup
         );
     }
     println!(
         "\nTrue motion is (-6,0). The direction-seeded biomed follow-up starts\n\
-         in the inherited direction and needs a fraction of the evaluations —\n\
+         in the inherited direction and needs a fraction of the search work —\n\
          the mechanism behind the paper's 4x ME speedup. (The low-motion\n\
          variant would shrink the window to 8x8, which is why the analyzer\n\
          only assigns it to tiles probed as low-motion.)"

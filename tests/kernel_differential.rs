@@ -3,11 +3,13 @@
 //! Two executable specifications, restated in this file, anchor the
 //! kernel half of this suite:
 //!
-//! * [`spec`] — the textbook cost metrics with per-sample clamped
-//!   access. Every dispatch tier (AVX2, SSE2, scalar) must produce
-//!   *bit-identical* costs for random planes, ragged block widths and
-//!   motion vectors that clamp outside the reference frame, and every
-//!   `*_upto` early-exit bound must decide exactly like the exact cost.
+//! * [`spec`] — SAD and SATD from their definitions, with per-sample
+//!   clamped access (the product's one clamped path gathers whole
+//!   patches instead). Every dispatch tier (AVX2, SSE2, scalar) must
+//!   produce *bit-identical* costs for random planes, ragged block
+//!   widths and motion vectors that clamp outside the reference frame,
+//!   and every `sad_upto` early-exit bound must decide exactly like
+//!   the exact cost.
 //! * `bitstream::PerBitWriter` — the seed per-bit `BitWriter`. Random
 //!   mixed sequences of `write_bit` / `write_bits` / `write_ue` /
 //!   `write_se` / `byte_align` through the word-batched writer must
@@ -27,8 +29,8 @@
 //! The block-granular kernels get the same treatment: the strided
 //! `simd::block_sad` against `spec::sad` on every width it
 //! has a body for and the widths that fall through, at every stride
-//! shape its callers use (plane stride, packed, 0); `sad` with motion
-//! vectors off every edge and corner of the reference; and the
+//! shape its callers use (plane stride, packed, 0); `sad` and `satd`
+//! with motion vectors off every edge and corner of the reference; and the
 //! encoder's intra predictions and mode decision against a textbook
 //! restatement of the four modes kept in this file.
 //!
@@ -38,14 +40,14 @@
 
 use medvt_frame::{Plane, Rect};
 use medvt_motion::cost::{self, simd};
-use medvt_motion::{CostMetric, MotionVector};
+use medvt_motion::MotionVector;
 use proptest::prelude::*;
 
 /// The cost metrics restated from their definitions, every reference
 /// sample read through `Plane::get_clamped`.
 mod spec {
     use medvt_frame::{Plane, Rect};
-    use medvt_motion::{CostMetric, MotionVector};
+    use medvt_motion::MotionVector;
 
     /// `cur − reference` at `(col, row)`, the reference displaced by
     /// `mv` and clamped at its edges.
@@ -68,12 +70,6 @@ mod spec {
     pub fn sad(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
         residuals(cur, reference, block, mv)
             .map(i64::unsigned_abs)
-            .sum()
-    }
-
-    pub fn ssd(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector) -> u64 {
-        residuals(cur, reference, block, mv)
-            .map(|d| (d * d) as u64)
             .sum()
     }
 
@@ -113,20 +109,6 @@ mod spec {
             acc += sad(cur, reference, &bottom, mv);
         }
         acc
-    }
-
-    pub fn block_cost(
-        metric: CostMetric,
-        cur: &Plane,
-        reference: &Plane,
-        block: &Rect,
-        mv: MotionVector,
-    ) -> u64 {
-        match metric {
-            CostMetric::Sad => sad(cur, reference, block, mv),
-            CostMetric::Ssd => ssd(cur, reference, block, mv),
-            CostMetric::Satd => satd(cur, reference, block, mv),
-        }
     }
 }
 
@@ -192,14 +174,12 @@ proptest! {
         let reference = plane(pw, ph, salt.wrapping_add(7));
         let want = (
             spec::sad(&cur, &reference, &block, mv),
-            spec::ssd(&cur, &reference, &block, mv),
             spec::satd(&cur, &reference, &block, mv),
         );
         for t in tiers() {
             let got = simd::with_tier(t, || {
                 (
                     cost::sad(&cur, &reference, &block, mv),
-                    cost::ssd(&cur, &reference, &block, mv),
                     cost::satd(&cur, &reference, &block, mv),
                 )
             });
@@ -207,7 +187,7 @@ proptest! {
         }
     }
 
-    /// `*_upto` keeps exact early-exit semantics on every tier: the
+    /// `sad_upto` keeps exact early-exit semantics on every tier: the
     /// returned cost decides `< bound` exactly like the true cost, is
     /// exact whenever it is below the bound, and never overshoots.
     #[test]
@@ -217,25 +197,20 @@ proptest! {
     ) {
         let cur = plane(pw, ph, salt);
         let reference = plane(pw, ph, salt.wrapping_add(13));
-        for metric in [CostMetric::Sad, CostMetric::Ssd, CostMetric::Satd] {
-            let exact = spec::block_cost(metric, &cur, &reference, &block, mv);
-            let bound = bound_pct * exact.max(1) / 100;
-            for t in tiers() {
-                let c = simd::with_tier(t, || {
-                    cost::block_cost_upto(metric, &cur, &reference, &block, mv, bound)
-                });
-                prop_assert_eq!(
-                    c < bound,
-                    exact < bound,
-                    "tier {} flipped the {:?} bound decision",
-                    t.name(),
-                    metric
-                );
-                if c < bound {
-                    prop_assert_eq!(c, exact);
-                }
-                prop_assert!(c <= exact, "tier {} overshot the exact cost", t.name());
+        let exact = spec::sad(&cur, &reference, &block, mv);
+        let bound = bound_pct * exact.max(1) / 100;
+        for t in tiers() {
+            let c = simd::with_tier(t, || cost::sad_upto(&cur, &reference, &block, mv, bound));
+            prop_assert_eq!(
+                c < bound,
+                exact < bound,
+                "tier {} flipped the bound decision",
+                t.name()
+            );
+            if c < bound {
+                prop_assert_eq!(c, exact);
             }
+            prop_assert!(c <= exact, "tier {} overshot the exact cost", t.name());
         }
     }
 }
@@ -350,17 +325,18 @@ proptest! {
         }
     }
 
-    /// `sad` / `sad_upto` with the displaced block hanging off every
-    /// edge and corner of the reference (partly and entirely), for
-    /// block sizes with a SIMD body, without one, and beyond the
-    /// clamped-patch buffer.
+    /// `sad` / `sad_upto` and `satd` with the displaced block hanging
+    /// off every edge and corner of the reference (partly and
+    /// entirely), for block sizes with a SIMD body, without one, and
+    /// beyond the clamped-patch buffer up to the 64x64 that
+    /// `EncoderConfig::validate` admits.
     #[test]
     fn sad_off_every_edge_and_corner_matches_reference(seed in 0u64..u64::MAX) {
         let mut rng = Lcg::new(seed);
-        let (pw, ph) = (41 + rng.below(24) as usize, 37 + rng.below(20) as usize);
+        let (pw, ph) = (65 + rng.below(24) as usize, 65 + rng.below(20) as usize);
         let cur = plane(pw, ph, seed);
         let reference = plane(pw, ph, seed.wrapping_add(1));
-        for (bw, bh) in [(16usize, 16usize), (8, 8), (8, 16), (32, 32), (12, 7), (40, 36)] {
+        for (bw, bh) in [(16usize, 16usize), (8, 8), (8, 16), (32, 32), (12, 7), (40, 36), (64, 64)] {
             // Blocks in each corner of the current plane and inside it.
             for (bx, by) in [(0, 0), (pw - bw, 0), (0, ph - bh), (pw - bw, ph - bh), ((pw - bw) / 2, (ph - bh) / 2)] {
                 let block = Rect::new(bx, by, bw, bh);
@@ -376,6 +352,7 @@ proptest! {
                                 sy * (reach + if sy < 0 { by } else { ph - bh - by } as i16),
                             );
                             let exact = spec::sad(&cur, &reference, &block, mv);
+                            let exact_satd = spec::satd(&cur, &reference, &block, mv);
                             for t in tiers() {
                                 let case = format!(
                                     "seed {seed} tier {} plane {pw}x{ph} block {block} mv {mv:?}",
@@ -387,6 +364,7 @@ proptest! {
                                         let got = cost::sad_upto(&cur, &reference, &block, mv, bound);
                                         assert_upto_contract(got, exact, bound, &format!("{case} bound {bound}"));
                                     }
+                                    assert_eq!(cost::satd(&cur, &reference, &block, mv), exact_satd, "{case} satd");
                                 });
                             }
                         }
