@@ -1,13 +1,8 @@
-//! Encoder configuration: quantization parameters, motion-search
-//! specification and the per-tile encoding configuration the
-//! content-aware pipeline tunes.
+//! Encoder configuration: quantization parameters and the per-tile
+//! encoding configuration the content-aware pipeline tunes.
 
 use crate::intra::MAX_SIDE;
-use medvt_motion::{
-    BioMedicalSearch, CrossSearch, DiamondSearch, FullSearch, GopPhase, HexOrientation,
-    HexagonSearch, MotionLevel, MotionSearch, MotionVector, OneAtATimeSearch, SearchWindow,
-    ThreeStepSearch, TzSearch,
-};
+use medvt_motion::{SearchSpec, SearchWindow};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -98,91 +93,6 @@ impl Default for Qp {
 impl fmt::Display for Qp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "QP{}", self.0)
-    }
-}
-
-/// Serializable specification of a motion-search algorithm, turned into
-/// a live searcher with [`SearchSpec::instantiate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum SearchSpec {
-    /// Exhaustive full search.
-    Full,
-    /// Three-step search.
-    ThreeStep,
-    /// Diamond search.
-    Diamond,
-    /// Cross-search.
-    Cross,
-    /// One-at-a-time search (classic horizontal-first).
-    OneAtATime,
-    /// Hexagon-based search with fixed orientation policy.
-    Hexagon(HexOrientation),
-    /// HM Test Zone search — the reference of Table I.
-    Tz,
-    /// The paper's proposed bio-medical policy.
-    BioMedical {
-        /// Tile motion level from the analyzer.
-        level: MotionLevel,
-        /// GOP phase (first frame discovers direction, later frames
-        /// inherit it).
-        phase: GopPhase,
-    },
-}
-
-impl SearchSpec {
-    /// The proposed policy for the first frame of a GOP.
-    pub const fn biomed_first(level: MotionLevel) -> SearchSpec {
-        SearchSpec::BioMedical {
-            level,
-            phase: GopPhase::First,
-        }
-    }
-
-    /// The proposed policy for later GOP frames.
-    pub const fn biomed_subsequent(level: MotionLevel, direction: MotionVector) -> SearchSpec {
-        SearchSpec::BioMedical {
-            level,
-            phase: GopPhase::Subsequent { direction },
-        }
-    }
-
-    /// Builds the boxed searcher.
-    pub fn instantiate(&self) -> Box<dyn MotionSearch + Send + Sync> {
-        match *self {
-            SearchSpec::Full => Box::new(FullSearch),
-            SearchSpec::ThreeStep => Box::new(ThreeStepSearch),
-            SearchSpec::Diamond => Box::new(DiamondSearch),
-            SearchSpec::Cross => Box::new(CrossSearch),
-            SearchSpec::OneAtATime => Box::new(OneAtATimeSearch::new()),
-            SearchSpec::Hexagon(orientation) => Box::new(HexagonSearch::new(orientation)),
-            SearchSpec::Tz => Box::new(TzSearch::new()),
-            SearchSpec::BioMedical { level, phase } => {
-                Box::new(BioMedicalSearch::new(level, phase))
-            }
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchSpec::Full => "full",
-            SearchSpec::ThreeStep => "three-step",
-            SearchSpec::Diamond => "diamond",
-            SearchSpec::Cross => "cross",
-            SearchSpec::OneAtATime => "one-at-a-time",
-            SearchSpec::Hexagon(HexOrientation::Horizontal) => "hexagon-h",
-            SearchSpec::Hexagon(HexOrientation::Vertical) => "hexagon-v",
-            SearchSpec::Hexagon(HexOrientation::Rotating) => "hexagon-rot",
-            SearchSpec::Tz => "tz",
-            SearchSpec::BioMedical { .. } => "biomed",
-        }
-    }
-}
-
-impl Default for SearchSpec {
-    fn default() -> Self {
-        SearchSpec::Hexagon(HexOrientation::Horizontal)
     }
 }
 
@@ -323,26 +233,6 @@ mod tests {
         assert_eq!(qp.offset(5), Qp::MAX);
         assert_eq!(qp.offset(-60), Qp::MIN);
         assert_eq!(qp.offset(-5).value(), 45);
-    }
-
-    #[test]
-    fn search_spec_instantiates_all() {
-        let specs = [
-            SearchSpec::Full,
-            SearchSpec::ThreeStep,
-            SearchSpec::Diamond,
-            SearchSpec::Cross,
-            SearchSpec::OneAtATime,
-            SearchSpec::Hexagon(HexOrientation::Rotating),
-            SearchSpec::Tz,
-            SearchSpec::biomed_first(MotionLevel::High),
-            SearchSpec::biomed_subsequent(MotionLevel::Low, MotionVector::new(1, 0)),
-        ];
-        for s in specs {
-            let algo = s.instantiate();
-            assert!(!algo.name().is_empty());
-            assert!(!s.name().is_empty());
-        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * DCT transform ([`transform`]), HEVC-law quantization ([`quant`])
 //!   and a real bit-emitting entropy layer ([`bits`]) — so PSNR and
 //!   bitrate in the experiments are *measured*, not modelled;
-//! * intra prediction ([`IntraMode`]), motion-compensated inter
-//!   prediction with pluggable search algorithms ([`SearchSpec`]);
+//! * intra prediction ([`IntraMode`]) and motion-compensated inter
+//!   prediction; each tile runs the search its [`TileConfig`] names
+//!   ([`SearchSpec`], re-exported from `medvt-motion`, where it is
+//!   defined and run);
 //! * independent tile encoding ([`encode_tile`]) and frame-level
 //!   parallelism on scoped threads ([`encode_frame`]); which core runs
 //!   a tile is the runtime's decision, not the codec's;
@@ -75,11 +77,12 @@ pub use block::{
     code_residual, code_residual_into, reconstruct_block, CodedResidual, ResidualOutcome,
     ResidualScratch,
 };
-pub use config::{EncoderConfig, Qp, SearchSpec, TileConfig};
+pub use config::{EncoderConfig, Qp, TileConfig};
 pub use cost_model::CostModel;
 pub use frame_enc::{encode_frame, EncodedFrame, FramePlan};
 pub use gop::{GopEntry, GopStructure};
 pub use intra::{IntraMode, IntraRefs};
+pub use medvt_motion::SearchSpec;
 pub use scratch::EncScratch;
 pub use segment::{plan_segments, SegmentSpec};
 pub use stats::{FrameStats, SequenceStats, TileStats};

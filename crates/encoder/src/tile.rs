@@ -127,7 +127,6 @@ pub fn encode_tile_with_scratch(
     let mut recon_y = Plane::new(tile.w, tile.h);
     let mut recon_u = Plane::new(tile.w / 2, tile.h / 2);
     let mut recon_v = Plane::new(tile.w / 2, tile.h / 2);
-    let algo = tcfg.search.instantiate();
     let lambda = tcfg.qp.lambda();
     let chroma_qp = tcfg.qp.offset(ecfg.chroma_qp_offset);
     let mut prev_mv = MotionVector::ZERO;
@@ -178,7 +177,7 @@ pub fn encode_tile_with_scratch(
                         CostMetric::Sad,
                         prev_mv,
                     );
-                    let r = algo.search(&ctx);
+                    let r = tcfg.search.search(&ctx);
                     stats.sad_samples += r.evaluations * abs_block.area() as u64;
                     let better = inter_choice
                         .as_ref()
@@ -336,9 +335,10 @@ fn median_mv_with(mvs: &[MotionVector], xs: &mut Vec<i16>, ys: &mut Vec<i16>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Qp, SearchSpec};
+    use crate::config::Qp;
     use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
     use medvt_frame::Resolution;
+    use medvt_motion::SearchSpec;
 
     fn video() -> PhantomVideo {
         PhantomVideo::builder(BodyPart::Brain)

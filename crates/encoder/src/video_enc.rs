@@ -271,9 +271,10 @@ pub fn encode_uniform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Qp, SearchSpec};
+    use crate::config::Qp;
     use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
     use medvt_frame::Resolution;
+    use medvt_motion::SearchSpec;
 
     fn clip(frames: usize) -> VideoClip {
         PhantomVideo::builder(BodyPart::Brain)

@@ -12,7 +12,9 @@
 //! checks the same property at tile granularity: per-tile allocations
 //! must not scale with the number of blocks in the tile — also at a QP
 //! where the chroma blocks survive, on intra tiles (stride-0 DC chroma
-//! prediction) and on inter ones.
+//! prediction) and on inter ones. A third runs every `SearchSpec`
+//! variant, the bio-medical policy's nested narrowed context included,
+//! on a warm thread and must see zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,9 +65,12 @@ use medvt_encoder::{
     code_residual_into, encode_tile_with_scratch, EncScratch, EncoderConfig, IntraMode, IntraRefs,
     Qp, ResidualScratch, SearchSpec, TileConfig, TxPath,
 };
-use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
+use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo, ValueNoise};
 use medvt_frame::{Frame, FrameKind, Plane, Rect, Resolution};
-use medvt_motion::{Best, CostMetric, MotionVector, SearchContext, SearchWindow};
+use medvt_motion::{
+    Best, CostMetric, HexOrientation, MotionLevel, MotionVector, SearchContext, SearchResult,
+    SearchWindow,
+};
 
 fn textured_plane(width: usize, height: usize, salt: usize) -> Plane {
     let mut p = Plane::new(width, height);
@@ -223,6 +228,89 @@ fn boundary_blocks_with_off_frame_candidates_allocate_nothing() {
             "steady-state iteration of boundary block {block} must not allocate"
         );
     }
+}
+
+/// `(cur, reference)` over a smooth, non-periodic texture, the current
+/// plane showing the reference content moved by `(dx, dy)`.
+fn smooth_shifted_planes(dx: isize, dy: isize) -> (Plane, Plane) {
+    let noise = ValueNoise::new(0xBEEF);
+    let mut reference = Plane::new(96, 96);
+    for row in 0..96 {
+        for col in 0..96 {
+            let v = 30.0 + 200.0 * noise.fractal(col as f64, row as f64, 1.0 / 20.0, 2);
+            reference.set(col, row, v.clamp(0.0, 255.0) as u8);
+        }
+    }
+    let mut cur = Plane::new(96, 96);
+    for row in 0..96 {
+        for col in 0..96 {
+            let v = reference.get_clamped(col as isize - dx, row as isize - dy);
+            cur.set(col, row, v);
+        }
+    }
+    (cur, reference)
+}
+
+#[test]
+fn every_search_spec_searches_without_allocating_once_warm() {
+    let mut specs = vec![
+        SearchSpec::Full,
+        SearchSpec::ThreeStep,
+        SearchSpec::Diamond,
+        SearchSpec::Cross,
+        SearchSpec::OneAtATime,
+        SearchSpec::Hexagon(HexOrientation::Horizontal),
+        SearchSpec::Hexagon(HexOrientation::Vertical),
+        SearchSpec::Hexagon(HexOrientation::Rotating),
+        SearchSpec::Tz,
+    ];
+    for level in [MotionLevel::Low, MotionLevel::High] {
+        specs.push(SearchSpec::biomed_first(level));
+        specs.push(SearchSpec::biomed_subsequent(
+            level,
+            MotionVector::new(-3, 1),
+        ));
+    }
+    // (1, 1) is small motion; at (15, 0) TZ's stride-16 ring improves
+    // on the start, so its best zonal distance exceeds the raster
+    // stride and the raster sweep runs (checked below).
+    let planes = [smooth_shifted_planes(1, 1), smooth_shifted_planes(15, 0)];
+    let block = Rect::new(40, 40, 16, 16);
+    let search_all = |out: &mut Vec<SearchResult>| {
+        out.clear();
+        for (cur, reference) in &planes {
+            for spec in &specs {
+                let ctx = SearchContext::new(
+                    cur,
+                    reference,
+                    block,
+                    SearchWindow::W32,
+                    CostMetric::Sad,
+                    MotionVector::ZERO,
+                );
+                out.push(spec.search(&ctx));
+            }
+        }
+    };
+
+    // The warm pass grows the thread-local memo pool, one buffer per
+    // nesting level.
+    let mut warm = Vec::new();
+    search_all(&mut warm);
+    // Without its raster sweep, TZ evaluates 50 distinct candidates on
+    // the far shift; the sweep's 7x7 grid brings that to 96.
+    let tz_far = warm[specs.len() + 8];
+    assert_eq!(specs[8], SearchSpec::Tz);
+    assert_eq!(
+        (tz_far.mv, tz_far.evaluations),
+        (MotionVector::new(-15, 0), 96)
+    );
+    let mut steady = Vec::with_capacity(warm.len());
+    let before = alloc_events();
+    search_all(&mut steady);
+    let after = alloc_events();
+    assert_eq!(steady, warm, "searches must be deterministic");
+    assert_eq!(after - before, 0, "a warm search must not allocate");
 }
 
 #[test]

@@ -1,7 +1,10 @@
 //! Cross-search (Ghanbari, IEEE TCOM 1990).
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
+
+/// Terminal '+' pattern.
+const PLUS: [(i16, i16); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 
 /// Cross-search: a logarithmic search probing an X-shaped (diagonal)
 /// pattern whose half-distance halves whenever the center stays best;
@@ -10,44 +13,28 @@ use crate::MotionVector;
 /// The paper applies it to low-motion tiles of the first frame in a GOP
 /// (§III-C2) because it converges in very few evaluations when motion
 /// is small.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CrossSearch;
-
-impl MotionSearch for CrossSearch {
-    fn name(&self) -> &'static str {
-        "cross"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        let mut step = (ctx.window().radius() / 2).max(1);
-        while step >= 1 {
-            let center = best.mv;
-            let mut moved = false;
-            // X pattern.
-            for (dx, dy) in [(step, step), (step, -step), (-step, step), (-step, -step)] {
-                moved |= best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-            }
-            if step == 1 {
-                // Terminal stage: also probe the '+' points.
-                let center = best.mv;
-                for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
-                    best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-                }
-                break;
-            }
-            if !moved {
-                step /= 2;
-            }
+pub(crate) fn cross(ctx: &SearchContext<'_>) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    let mut step = (ctx.window().radius() / 2).max(1);
+    loop {
+        let x = [(step, step), (step, -step), (-step, step), (-step, -step)];
+        let moved = best.try_pattern(ctx, best.mv, &x);
+        if step == 1 {
+            // Terminal stage: also probe the '+' points.
+            best.try_pattern(ctx, best.mv, &PLUS);
+            break;
         }
-        ctx.result(best.mv, best.cost)
+        if !moved {
+            step /= 2;
+        }
     }
+    ctx.result(best.mv, best.cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::full::FullSearch;
+    use crate::algorithms::full;
     use crate::cost::CostMetric;
     use crate::SearchWindow;
     use medvt_frame::{Plane, Rect};
@@ -71,7 +58,7 @@ mod tests {
     fn finds_small_motion() {
         let (cur, reference) = shifted_planes(1, 1);
         let c = ctx(&cur, &reference, SearchWindow::W16);
-        let r = CrossSearch.search(&c);
+        let r = cross(&c);
         assert_eq!(r.mv, MotionVector::new(-1, -1));
         assert_eq!(r.cost, 0);
     }
@@ -80,7 +67,7 @@ mod tests {
     fn finds_axis_motion_via_terminal_plus() {
         let (cur, reference) = shifted_planes(1, 0);
         let c = ctx(&cur, &reference, SearchWindow::W16);
-        let r = CrossSearch.search(&c);
+        let r = cross(&c);
         assert_eq!(r.mv, MotionVector::new(-1, 0));
         assert_eq!(r.cost, 0);
     }
@@ -89,12 +76,12 @@ mod tests {
     fn very_cheap_on_static_content() {
         let (cur, reference) = shifted_planes(0, 0);
         let c = ctx(&cur, &reference, SearchWindow::W16);
-        let r = CrossSearch.search(&c);
+        let r = cross(&c);
         assert_eq!(r.mv, MotionVector::ZERO);
         // Center + a handful of X/+ probes per halving only.
         assert!(r.evaluations <= 20, "evals={}", r.evaluations);
         let c2 = ctx(&cur, &reference, SearchWindow::W16);
-        let full = FullSearch.search(&c2);
+        let full = full(&c2);
         assert!(r.evaluations * 5 < full.evaluations);
     }
 
@@ -102,7 +89,7 @@ mod tests {
     fn respects_small_window() {
         let (cur, reference) = shifted_planes(6, 6);
         let c = ctx(&cur, &reference, SearchWindow::W8);
-        let r = CrossSearch.search(&c);
+        let r = cross(&c);
         assert!(c.window().contains(r.mv));
     }
 }

@@ -1,6 +1,6 @@
 //! Diamond search (Zhu & Ma, 1997).
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
 
 /// Large-diamond offsets (LDSP) around the running center.
@@ -20,43 +20,27 @@ const SDSP: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
 
 /// Diamond search: walk the large diamond until the center is best,
 /// then refine once with the small diamond.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiamondSearch;
-
-impl MotionSearch for DiamondSearch {
-    fn name(&self) -> &'static str {
-        "diamond"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        // LDSP walk; the window bounds the number of recenters, but keep
-        // a hard cap for safety on adversarial content.
-        let mut guard = 4 * ctx.window().size() as u32 + 16;
-        loop {
-            let center = best.mv;
-            let mut moved = false;
-            for (dx, dy) in LDSP {
-                moved |= best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-            }
-            guard = guard.saturating_sub(1);
-            if !moved || guard == 0 {
-                break;
-            }
+pub(crate) fn diamond(ctx: &SearchContext<'_>) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    // LDSP walk; the window bounds the number of recenters, but keep
+    // a hard cap for safety on adversarial content.
+    let mut guard = 4 * ctx.window().size() as u32 + 16;
+    loop {
+        let moved = best.try_pattern(ctx, best.mv, &LDSP);
+        guard = guard.saturating_sub(1);
+        if !moved || guard == 0 {
+            break;
         }
-        // SDSP refinement.
-        let center = best.mv;
-        for (dx, dy) in SDSP {
-            best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-        }
-        ctx.result(best.mv, best.cost)
     }
+    // SDSP refinement.
+    best.try_pattern(ctx, best.mv, &SDSP);
+    ctx.result(best.mv, best.cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::full::FullSearch;
+    use crate::algorithms::full;
     use crate::cost::CostMetric;
     use crate::SearchWindow;
     use medvt_frame::{Plane, Rect};
@@ -80,7 +64,7 @@ mod tests {
     fn tracks_small_motion_exactly() {
         let (cur, reference) = shifted_planes(2, 1);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = DiamondSearch.search(&c);
+        let r = diamond(&c);
         assert_eq!(r.mv, MotionVector::new(-2, -1));
         assert_eq!(r.cost, 0);
     }
@@ -89,9 +73,9 @@ mod tests {
     fn predictor_accelerates_large_motion() {
         let (cur, reference) = shifted_planes(7, 0);
         let no_pred = ctx(&cur, &reference, MotionVector::ZERO);
-        let r1 = DiamondSearch.search(&no_pred);
+        let r1 = diamond(&no_pred);
         let with_pred = ctx(&cur, &reference, MotionVector::new(-7, 0));
-        let r2 = DiamondSearch.search(&with_pred);
+        let r2 = diamond(&with_pred);
         assert_eq!(r2.mv, MotionVector::new(-7, 0));
         assert!(r2.evaluations <= r1.evaluations);
     }
@@ -100,9 +84,9 @@ mod tests {
     fn cheaper_than_full_search() {
         let (cur, reference) = shifted_planes(3, -2);
         let c1 = ctx(&cur, &reference, MotionVector::ZERO);
-        let ds = DiamondSearch.search(&c1);
+        let ds = diamond(&c1);
         let c2 = ctx(&cur, &reference, MotionVector::ZERO);
-        let fs = FullSearch.search(&c2);
+        let fs = full(&c2);
         assert!(ds.evaluations * 4 < fs.evaluations);
         assert_eq!(ds.cost, fs.cost, "smooth shifted content: DS finds optimum");
     }
@@ -111,7 +95,7 @@ mod tests {
     fn result_stays_in_window() {
         let (cur, reference) = shifted_planes(40, 40);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = DiamondSearch.search(&c);
+        let r = diamond(&c);
         assert!(c.window().contains(r.mv));
     }
 }

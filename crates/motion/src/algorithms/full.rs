@@ -1,30 +1,21 @@
 //! Exhaustive full search — the quality ceiling for block matching.
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
 
 /// Exhaustive search of every integer displacement inside the window.
 ///
 /// Optimal distortion, intolerable runtime (paper §II-B) — kept as the
 /// quality reference for tests and ablations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullSearch;
-
-impl MotionSearch for FullSearch {
-    fn name(&self) -> &'static str {
-        "full"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let r = ctx.window().radius();
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO]);
-        for dy in -r..=r {
-            for dx in -r..=r {
-                best.try_candidate(ctx, MotionVector::new(dx, dy));
-            }
+pub(crate) fn full(ctx: &SearchContext<'_>) -> SearchResult {
+    let r = ctx.window().radius();
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO]);
+    for dy in -r..=r {
+        for dx in -r..=r {
+            best.try_candidate(ctx, MotionVector::new(dx, dy));
         }
-        ctx.result(best.mv, best.cost)
     }
+    ctx.result(best.mv, best.cost)
 }
 
 #[cfg(test)]
@@ -49,7 +40,7 @@ mod tests {
             CostMetric::Sad,
             MotionVector::ZERO,
         );
-        let r = FullSearch.search(&ctx);
+        let r = full(&ctx);
         assert_eq!(r.mv, MotionVector::new(-5, 3));
         assert_eq!(r.cost, 0);
     }
@@ -65,13 +56,8 @@ mod tests {
             CostMetric::Sad,
             MotionVector::ZERO,
         );
-        let r = FullSearch.search(&ctx);
+        let r = full(&ctx);
         // (2*4+1)^2 = 81 candidates.
         assert_eq!(r.evaluations, 81);
-    }
-
-    #[test]
-    fn name_is_stable() {
-        assert_eq!(FullSearch.name(), "full");
     }
 }

@@ -1,7 +1,7 @@
 //! Hexagon-based search (Zhu, Lin & Chau, IEEE TCSVT 2002), with the
 //! horizontal, vertical and rotating variants the paper builds on.
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
 use serde::{Deserialize, Serialize};
 
@@ -29,22 +29,10 @@ pub enum HexOrientation {
     Rotating,
 }
 
-/// Hexagon-based search with a configurable orientation policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HexagonSearch {
-    /// Pattern orientation policy.
-    pub orientation: HexOrientation,
-}
-
-impl HexagonSearch {
-    /// Creates a search with the given orientation policy.
-    pub const fn new(orientation: HexOrientation) -> Self {
-        Self { orientation }
-    }
-
+impl HexOrientation {
     /// Pattern for iteration `iter` under this policy.
-    fn pattern(&self, iter: u32) -> &'static [(i16, i16); 6] {
-        match self.orientation {
+    fn pattern(self, iter: u32) -> &'static [(i16, i16); 6] {
+        match self {
             HexOrientation::Horizontal => &HEX_H,
             HexOrientation::Vertical => &HEX_V,
             HexOrientation::Rotating => {
@@ -58,37 +46,22 @@ impl HexagonSearch {
     }
 }
 
-impl MotionSearch for HexagonSearch {
-    fn name(&self) -> &'static str {
-        match self.orientation {
-            HexOrientation::Horizontal => "hexagon-h",
-            HexOrientation::Vertical => "hexagon-v",
-            HexOrientation::Rotating => "hexagon-rot",
+/// Hexagon-based search with the given orientation policy: walk the
+/// hexagon until the center is best, then refine once with the '+'.
+pub(crate) fn hexagon(ctx: &SearchContext<'_>, orientation: HexOrientation) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    let mut iter = 0u32;
+    let guard = 4 * ctx.window().size() as u32 + 16;
+    loop {
+        let moved = best.try_pattern(ctx, best.mv, orientation.pattern(iter));
+        iter += 1;
+        if !moved || iter >= guard {
+            break;
         }
     }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        let mut iter = 0u32;
-        let guard = 4 * ctx.window().size() as u32 + 16;
-        loop {
-            let center = best.mv;
-            let mut moved = false;
-            for &(dx, dy) in self.pattern(iter) {
-                moved |= best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-            }
-            iter += 1;
-            if !moved || iter >= guard {
-                break;
-            }
-        }
-        // Small-pattern refinement.
-        let center = best.mv;
-        for (dx, dy) in SHSP {
-            best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-        }
-        ctx.result(best.mv, best.cost)
-    }
+    // Small-pattern refinement.
+    best.try_pattern(ctx, best.mv, &SHSP);
+    ctx.result(best.mv, best.cost)
 }
 
 #[cfg(test)]
@@ -122,7 +95,7 @@ mod tests {
             HexOrientation::Rotating,
         ] {
             let c = ctx(&cur, &reference);
-            let r = HexagonSearch::new(orientation).search(&c);
+            let r = hexagon(&c, orientation);
             assert_eq!(
                 r.mv,
                 MotionVector::new(-5, 3),
@@ -138,9 +111,9 @@ mod tests {
         // each tracks motion along its long axis better.
         let (cur, reference) = shifted_planes(10, 0);
         let ch = ctx(&cur, &reference);
-        let h = HexagonSearch::new(HexOrientation::Horizontal).search(&ch);
+        let h = hexagon(&ch, HexOrientation::Horizontal);
         let cv = ctx(&cur, &reference);
-        let v = HexagonSearch::new(HexOrientation::Vertical).search(&cv);
+        let v = hexagon(&cv, HexOrientation::Vertical);
         assert_eq!(h.mv, MotionVector::new(-10, 0));
         assert!(h.cost <= v.cost, "h={} v={}", h.cost, v.cost);
         // "Same complexity": evaluation counts within 2x of each other.
@@ -152,9 +125,9 @@ mod tests {
     fn vertical_orientation_tracks_vertical_motion() {
         let (cur, reference) = shifted_planes(0, 10);
         let ch = ctx(&cur, &reference);
-        let h = HexagonSearch::new(HexOrientation::Horizontal).search(&ch);
+        let h = hexagon(&ch, HexOrientation::Horizontal);
         let cv = ctx(&cur, &reference);
-        let v = HexagonSearch::new(HexOrientation::Vertical).search(&cv);
+        let v = hexagon(&cv, HexOrientation::Vertical);
         assert_eq!(v.mv, MotionVector::new(0, -10));
         assert!(v.cost <= h.cost, "v={} h={}", v.cost, h.cost);
         assert!(h.evaluations <= 2 * v.evaluations);
@@ -162,26 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn names_are_distinct() {
-        assert_eq!(
-            HexagonSearch::new(HexOrientation::Horizontal).name(),
-            "hexagon-h"
-        );
-        assert_eq!(
-            HexagonSearch::new(HexOrientation::Vertical).name(),
-            "hexagon-v"
-        );
-        assert_eq!(
-            HexagonSearch::new(HexOrientation::Rotating).name(),
-            "hexagon-rot"
-        );
-    }
-
-    #[test]
     fn stays_in_window() {
         let (cur, reference) = shifted_planes(60, 60);
         let c = ctx(&cur, &reference);
-        let r = HexagonSearch::default().search(&c);
+        let r = hexagon(&c, HexOrientation::Horizontal);
         assert!(c.window().contains(r.mv));
     }
 }

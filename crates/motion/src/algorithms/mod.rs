@@ -1,18 +1,20 @@
 //! The block-matching search algorithms surveyed in paper §II-B plus
-//! the references it compares against.
+//! the references it compares against, one function each; the
+//! [`crate::SearchSpec`] variant names which one runs.
 
-pub(crate) mod cross;
-pub(crate) mod diamond;
-pub(crate) mod full;
-pub(crate) mod hexagon;
-pub(crate) mod ots;
-pub(crate) mod three_step;
-pub(crate) mod tz;
+mod cross;
+mod diamond;
+mod full;
+mod hexagon;
+mod ots;
+mod three_step;
+mod tz;
 
-pub use cross::CrossSearch;
-pub use diamond::DiamondSearch;
-pub use full::FullSearch;
-pub use hexagon::{HexOrientation, HexagonSearch};
-pub use ots::OneAtATimeSearch;
-pub use three_step::ThreeStepSearch;
-pub use tz::TzSearch;
+pub(crate) use cross::cross;
+pub(crate) use diamond::diamond;
+pub(crate) use full::full;
+pub(crate) use hexagon::hexagon;
+pub use hexagon::HexOrientation;
+pub(crate) use ots::one_at_a_time;
+pub(crate) use three_step::three_step;
+pub(crate) use tz::tz;

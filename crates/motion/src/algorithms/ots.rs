@@ -1,77 +1,45 @@
 //! One-at-a-time search (Srinivasan & Rao, IEEE TCOM 1985).
 
 use crate::mv::MotionAxis;
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
 
-/// One-at-a-time search: ride one axis while the cost improves, then
-/// the perpendicular axis.
+/// One-at-a-time search: ride `first_axis` while the cost improves,
+/// then the perpendicular axis; [`MotionAxis::None`] falls back to the
+/// classic horizontal-then-vertical order.
 ///
 /// With a known motion direction this is nearly free, which is why the
 /// paper uses it for low-motion tiles on non-first GOP frames, seeded
 /// with the direction recovered from the first frame (§III-C2).
-#[derive(Debug, Clone, Copy)]
-pub struct OneAtATimeSearch {
-    /// Axis to ride first; [`MotionAxis::None`] falls back to the
-    /// classic horizontal-then-vertical order.
-    pub first_axis: MotionAxis,
+pub(crate) fn one_at_a_time(ctx: &SearchContext<'_>, first_axis: MotionAxis) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    let first = match first_axis {
+        MotionAxis::None => MotionAxis::Horizontal,
+        other => other,
+    };
+    let second = match first {
+        MotionAxis::Horizontal => MotionAxis::Vertical,
+        _ => MotionAxis::Horizontal,
+    };
+    ride(ctx, &mut best, first.unit());
+    ride(ctx, &mut best, second.unit());
+    // One extra pass on the first axis catches L-shaped walks.
+    ride(ctx, &mut best, first.unit());
+    ctx.result(best.mv, best.cost)
 }
 
-impl OneAtATimeSearch {
-    /// Classic variant: horizontal axis first.
-    pub const fn new() -> Self {
-        Self {
-            first_axis: MotionAxis::Horizontal,
-        }
+/// Walks from `best.mv` along ±`unit` as long as the cost improves.
+fn ride(ctx: &SearchContext<'_>, best: &mut Best, unit: MotionVector) {
+    if unit.is_zero() {
+        return;
     }
-
-    /// Variant that rides `axis` first (direction-seeded).
-    pub(crate) const fn along(axis: MotionAxis) -> Self {
-        Self { first_axis: axis }
-    }
-
-    /// Walks from `best.mv` along ±`unit` as long as the cost improves.
-    fn ride(&self, ctx: &SearchContext<'_>, best: &mut Best, unit: MotionVector) {
-        if unit.is_zero() {
-            return;
-        }
-        for dir in [unit, -unit] {
-            loop {
-                let next = best.mv + dir;
-                if !best.try_candidate(ctx, next) {
-                    break;
-                }
+    for dir in [unit, -unit] {
+        loop {
+            let next = best.mv + dir;
+            if !best.try_candidate(ctx, next) {
+                break;
             }
         }
-    }
-}
-
-impl Default for OneAtATimeSearch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MotionSearch for OneAtATimeSearch {
-    fn name(&self) -> &'static str {
-        "one-at-a-time"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        let first = match self.first_axis {
-            MotionAxis::None => MotionAxis::Horizontal,
-            other => other,
-        };
-        let second = match first {
-            MotionAxis::Horizontal => MotionAxis::Vertical,
-            _ => MotionAxis::Horizontal,
-        };
-        self.ride(ctx, &mut best, first.unit());
-        self.ride(ctx, &mut best, second.unit());
-        // One extra pass on the first axis catches L-shaped walks.
-        self.ride(ctx, &mut best, first.unit());
-        ctx.result(best.mv, best.cost)
     }
 }
 
@@ -101,7 +69,7 @@ mod tests {
     fn rides_horizontal_motion() {
         let (cur, reference) = shifted_planes(3, 0);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = OneAtATimeSearch::new().search(&c);
+        let r = one_at_a_time(&c, MotionAxis::Horizontal);
         assert_eq!(r.mv, MotionVector::new(-3, 0));
         assert_eq!(r.cost, 0);
     }
@@ -110,7 +78,7 @@ mod tests {
     fn l_shaped_walk_finds_diagonal_motion() {
         let (cur, reference) = shifted_planes(2, 2);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = OneAtATimeSearch::new().search(&c);
+        let r = one_at_a_time(&c, MotionAxis::Horizontal);
         // Monotone ramps along each axis let OTS descend both.
         assert_eq!(r.mv, MotionVector::new(-2, -2));
     }
@@ -119,9 +87,9 @@ mod tests {
     fn axis_seeding_reduces_evaluations_for_vertical_motion() {
         let (cur, reference) = shifted_planes(0, 4);
         let c1 = ctx(&cur, &reference, MotionVector::ZERO);
-        let horizontal_first = OneAtATimeSearch::new().search(&c1);
+        let horizontal_first = one_at_a_time(&c1, MotionAxis::Horizontal);
         let c2 = ctx(&cur, &reference, MotionVector::ZERO);
-        let vertical_first = OneAtATimeSearch::along(MotionAxis::Vertical).search(&c2);
+        let vertical_first = one_at_a_time(&c2, MotionAxis::Vertical);
         assert_eq!(vertical_first.mv, MotionVector::new(0, -4));
         assert!(vertical_first.evaluations <= horizontal_first.evaluations);
     }
@@ -130,7 +98,7 @@ mod tests {
     fn handful_of_evaluations_on_static_content() {
         let (cur, reference) = shifted_planes(0, 0);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = OneAtATimeSearch::new().search(&c);
+        let r = one_at_a_time(&c, MotionAxis::Horizontal);
         assert_eq!(r.mv, MotionVector::ZERO);
         assert!(r.evaluations <= 7, "evals={}", r.evaluations);
     }
@@ -139,7 +107,7 @@ mod tests {
     fn none_axis_defaults_to_horizontal() {
         let (cur, reference) = shifted_planes(2, 0);
         let c = ctx(&cur, &reference, MotionVector::ZERO);
-        let r = OneAtATimeSearch::along(MotionAxis::None).search(&c);
+        let r = one_at_a_time(&c, MotionAxis::None);
         assert_eq!(r.mv, MotionVector::new(-2, 0));
     }
 }

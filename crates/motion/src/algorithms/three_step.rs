@@ -1,47 +1,44 @@
 //! Three-step search (Li et al., TCSVT 1994).
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
 
 /// The classic three-step search: evaluate the 8 neighbours at a
 /// coarse step around the running center, recenter on the best, halve
 /// the step, repeat until the step reaches one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreeStepSearch;
-
-impl MotionSearch for ThreeStepSearch {
-    fn name(&self) -> &'static str {
-        "three-step"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        // Initial step: half the radius rounded up to a power of two,
-        // so W16 (r=8) gives the classic 4-2-1 schedule.
-        let mut step = ((ctx.window().radius() / 2).max(1) as u16).next_power_of_two() as i16;
-        while step >= 1 {
-            let center = best.mv;
-            for dy in [-step, 0, step] {
-                for dx in [-step, 0, step] {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-                }
-            }
-            if step == 1 {
-                break;
-            }
-            step /= 2;
+pub(crate) fn three_step(ctx: &SearchContext<'_>) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    // Initial step: half the radius rounded up to a power of two,
+    // so W16 (r=8) gives the classic 4-2-1 schedule.
+    let mut step = ((ctx.window().radius() / 2).max(1) as u16).next_power_of_two() as i16;
+    loop {
+        best.try_pattern(ctx, best.mv, &ring(step));
+        if step == 1 {
+            break;
         }
-        ctx.result(best.mv, best.cost)
+        step /= 2;
     }
+    ctx.result(best.mv, best.cost)
+}
+
+/// The 8 neighbours at distance `s`, row by row.
+const fn ring(s: i16) -> [(i16, i16); 8] {
+    [
+        (-s, -s),
+        (0, -s),
+        (s, -s),
+        (-s, 0),
+        (s, 0),
+        (-s, s),
+        (0, s),
+        (s, s),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::full::FullSearch;
+    use crate::algorithms::full;
     use crate::cost::CostMetric;
     use crate::SearchWindow;
     use medvt_frame::{Plane, Rect};
@@ -65,7 +62,7 @@ mod tests {
     fn finds_power_of_two_displacement_exactly() {
         let (cur, reference) = shifted_planes(4, -2);
         let c = ctx(&cur, &reference);
-        let r = ThreeStepSearch.search(&c);
+        let r = three_step(&c);
         assert_eq!(r.mv, MotionVector::new(-4, 2));
         assert_eq!(r.cost, 0);
     }
@@ -74,9 +71,9 @@ mod tests {
     fn far_fewer_evaluations_than_full_search() {
         let (cur, reference) = shifted_planes(3, 3);
         let c1 = ctx(&cur, &reference);
-        let tss = ThreeStepSearch.search(&c1);
+        let tss = three_step(&c1);
         let c2 = ctx(&cur, &reference);
-        let full = FullSearch.search(&c2);
+        let full = full(&c2);
         assert!(tss.evaluations * 3 < full.evaluations);
         // Quality within a reasonable factor of optimum.
         assert!(tss.cost <= full.cost.saturating_mul(3) + 1024);
@@ -86,7 +83,7 @@ mod tests {
     fn stays_inside_window() {
         let (cur, reference) = shifted_planes(30, 30);
         let c = ctx(&cur, &reference);
-        let r = ThreeStepSearch.search(&c);
+        let r = three_step(&c);
         assert!(c.window().contains(r.mv));
     }
 }

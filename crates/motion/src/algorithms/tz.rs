@@ -2,8 +2,12 @@
 //! software (HM), simplified. Used as the quality/compression reference
 //! of Table I.
 
-use crate::search::{Best, MotionSearch, SearchContext, SearchResult};
+use crate::search::{Best, SearchContext, SearchResult};
 use crate::MotionVector;
+
+/// Raster-scan stride, HM's default. The raster stage triggers when
+/// the best zonal distance exceeds this value.
+const RASTER_STEP: i16 = 5;
 
 /// 8-point diamond at stride `s` around the origin.
 const fn zone(s: i16) -> [(i16, i16); 8] {
@@ -22,88 +26,57 @@ const fn zone(s: i16) -> [(i16, i16); 8] {
 /// Simplified TZ search: predictor selection, expanding zonal diamond,
 /// conditional raster sweep, and zonal refinement — the structure of
 /// the HM encoder's `xTZSearch`.
-#[derive(Debug, Clone, Copy)]
-pub struct TzSearch {
-    /// Raster-scan stride; HM's default is 5. The raster stage triggers
-    /// when the best zonal distance exceeds this value.
-    pub raster_step: i16,
-}
-
-impl TzSearch {
-    /// TZ search with the HM default raster stride of 5.
-    pub const fn new() -> Self {
-        Self { raster_step: 5 }
+pub(crate) fn tz(ctx: &SearchContext<'_>) -> SearchResult {
+    let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
+    let r = ctx.window().radius();
+    // Stage 1: expanding zonal search from the start point.
+    let start = best.mv;
+    let mut best_dist = 0i16;
+    let mut stride = 1i16;
+    while stride <= r {
+        if best.try_pattern(ctx, start, &zone(stride)) {
+            best_dist = stride;
+        }
+        stride *= 2;
     }
-
-    /// Zonal refinement around `best` with shrinking strides.
-    fn refine(&self, ctx: &SearchContext<'_>, best: &mut Best) {
-        loop {
-            let center = best.mv;
-            let mut moved = false;
-            let mut s = 2i16;
-            while s >= 1 {
-                for (dx, dy) in zone(s) {
-                    moved |= best.try_candidate(ctx, center + MotionVector::new(dx, dy));
-                }
-                s /= 2;
+    // Stage 2: raster sweep when the zonal stage landed far out,
+    // mirroring HM's iRaster heuristic.
+    if best_dist > RASTER_STEP {
+        let mut dy = -r;
+        while dy <= r {
+            let mut dx = -r;
+            while dx <= r {
+                best.try_candidate(ctx, MotionVector::new(dx, dy));
+                dx += RASTER_STEP;
             }
-            if !moved {
-                break;
-            }
+            dy += RASTER_STEP;
         }
     }
+    // Stage 3: zonal refinement to sample accuracy.
+    refine(ctx, &mut best);
+    ctx.result(best.mv, best.cost)
 }
 
-impl Default for TzSearch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MotionSearch for TzSearch {
-    fn name(&self) -> &'static str {
-        "tz"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let mut best = Best::seeded(ctx, &[MotionVector::ZERO, ctx.predictor()]);
-        let r = ctx.window().radius();
-        // Stage 1: expanding zonal search from the start point.
-        let start = best.mv;
-        let mut best_dist = 0i16;
-        let mut stride = 1i16;
-        while stride <= r {
-            for (dx, dy) in zone(stride) {
-                if best.try_candidate(ctx, start + MotionVector::new(dx, dy)) {
-                    best_dist = stride;
-                }
-            }
-            stride *= 2;
+/// Zonal refinement around `best` with shrinking strides.
+fn refine(ctx: &SearchContext<'_>, best: &mut Best) {
+    loop {
+        let center = best.mv;
+        let mut moved = false;
+        let mut s = 2i16;
+        while s >= 1 {
+            moved |= best.try_pattern(ctx, center, &zone(s));
+            s /= 2;
         }
-        // Stage 2: raster sweep when the zonal stage landed far out,
-        // mirroring HM's iRaster heuristic.
-        if best_dist > self.raster_step {
-            let step = self.raster_step.max(1);
-            let mut dy = -r;
-            while dy <= r {
-                let mut dx = -r;
-                while dx <= r {
-                    best.try_candidate(ctx, MotionVector::new(dx, dy));
-                    dx += step;
-                }
-                dy += step;
-            }
+        if !moved {
+            break;
         }
-        // Stage 3: zonal refinement to sample accuracy.
-        self.refine(ctx, &mut best);
-        ctx.result(best.mv, best.cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::full::FullSearch;
+    use crate::algorithms::{full, hexagon, HexOrientation};
     use crate::cost::CostMetric;
     use crate::SearchWindow;
     use medvt_frame::{Plane, Rect};
@@ -130,9 +103,9 @@ mod tests {
         for (dx, dy) in [(0, 0), (3, 1), (5, 5), (8, -6)] {
             let (cur, reference) = shifted_planes(dx, dy);
             let c1 = ctx(&cur, &reference);
-            let tz = TzSearch::new().search(&c1);
+            let tz = tz(&c1);
             let c2 = ctx(&cur, &reference);
-            let full = FullSearch.search(&c2);
+            let full = full(&c2);
             assert_eq!(tz.cost, full.cost, "shift ({dx},{dy})");
         }
     }
@@ -141,9 +114,9 @@ mod tests {
     fn cheaper_than_full_search() {
         let (cur, reference) = shifted_planes(8, -6);
         let c1 = ctx(&cur, &reference);
-        let tz = TzSearch::new().search(&c1);
+        let tz = tz(&c1);
         let c2 = ctx(&cur, &reference);
-        let full = FullSearch.search(&c2);
+        let full = full(&c2);
         assert!(tz.evaluations < full.evaluations / 2);
     }
 
@@ -155,7 +128,7 @@ mod tests {
         // settle on the exact optimum.
         let (cur, reference) = shifted_planes(15, 0);
         let c = ctx(&cur, &reference);
-        let r = TzSearch::new().search(&c);
+        let r = tz(&c);
         assert_eq!(r.mv, MotionVector::new(-15, 0));
         assert_eq!(r.cost, 0);
     }
@@ -164,9 +137,9 @@ mod tests {
     fn more_thorough_than_fast_searches() {
         let (cur, reference) = shifted_planes(5, 5);
         let c = ctx(&cur, &reference);
-        let tz = TzSearch::new().search(&c);
+        let tz = tz(&c);
         let c2 = ctx(&cur, &reference);
-        let hex = crate::algorithms::hexagon::HexagonSearch::default().search(&c2);
+        let hex = hexagon(&c2, HexOrientation::Horizontal);
         assert!(tz.evaluations >= hex.evaluations);
         assert!(tz.cost <= hex.cost);
     }

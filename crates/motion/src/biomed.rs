@@ -11,9 +11,9 @@
 //! | low    | cross-search, 16x16 window   | one-at-a-time along the direction, 8x8 |
 //! | high   | rotating hexagon, max window | direction-locked hexagon, shrunk window |
 
-use crate::algorithms::{CrossSearch, HexOrientation, HexagonSearch, OneAtATimeSearch};
+use crate::algorithms::{cross, hexagon, one_at_a_time, HexOrientation};
 use crate::mv::MotionAxis;
-use crate::search::{MotionSearch, SearchContext, SearchResult, SearchWindow};
+use crate::search::{SearchContext, SearchResult, SearchWindow};
 use crate::MotionVector;
 use serde::{Deserialize, Serialize};
 
@@ -42,84 +42,51 @@ pub enum GopPhase {
     },
 }
 
-/// The proposed combined search (paper §III-C2).
-///
-/// # Examples
-///
-/// ```
-/// use medvt_motion::{BioMedicalSearch, GopPhase, MotionLevel, MotionSearch};
-///
-/// let first = BioMedicalSearch::new(MotionLevel::Low, GopPhase::First);
-/// assert_eq!(first.name(), "biomed");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BioMedicalSearch {
-    /// Tile motion level from the content analyzer.
-    pub level: MotionLevel,
-    /// GOP phase and inherited direction.
-    pub phase: GopPhase,
-}
-
-impl BioMedicalSearch {
-    /// Creates the policy for a tile.
-    pub const fn new(level: MotionLevel, phase: GopPhase) -> Self {
-        Self { level, phase }
-    }
-
-    /// The window the policy actually searches, given the maximum
-    /// window the encoder allows for this tile.
-    pub(crate) fn effective_window(&self, max_window: SearchWindow) -> SearchWindow {
-        match (self.level, self.phase) {
-            // Low motion: 16x16 suffices on the GOP-first frame…
-            (MotionLevel::Low, GopPhase::First) => min_window(max_window, SearchWindow::W16),
-            // …and 8x8 afterwards (paper: "further decreased to 8x8").
-            (MotionLevel::Low, GopPhase::Subsequent { .. }) => {
-                min_window(max_window, SearchWindow::W8)
-            }
-            // High motion: the maximum allowable window on the first
-            // frame, a shrunk one afterwards.
-            (MotionLevel::High, GopPhase::First) => max_window,
-            (MotionLevel::High, GopPhase::Subsequent { .. }) => {
-                max_window.shrunk().unwrap_or(max_window)
-            }
+/// The window the policy actually searches, given the maximum window
+/// the encoder allows for this tile.
+fn effective_window(level: MotionLevel, phase: GopPhase, max_window: SearchWindow) -> SearchWindow {
+    match (level, phase) {
+        // Low motion: 16x16 suffices on the GOP-first frame…
+        (MotionLevel::Low, GopPhase::First) => min_window(max_window, SearchWindow::W16),
+        // …and 8x8 afterwards (paper: "further decreased to 8x8").
+        (MotionLevel::Low, GopPhase::Subsequent { .. }) => min_window(max_window, SearchWindow::W8),
+        // High motion: the maximum allowable window on the first
+        // frame, a shrunk one afterwards.
+        (MotionLevel::High, GopPhase::First) => max_window,
+        (MotionLevel::High, GopPhase::Subsequent { .. }) => {
+            max_window.shrunk().unwrap_or(max_window)
         }
     }
 }
 
-impl MotionSearch for BioMedicalSearch {
-    fn name(&self) -> &'static str {
-        "biomed"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult {
-        let window = self.effective_window(ctx.window());
-        // On subsequent GOP frames the paper starts estimation "in the
-        // direction of the motion vector obtained from the corresponding
-        // tile of the first frame": when the caller supplies no better
-        // predictor, the inherited direction seeds the search.
-        let narrowed = match self.phase {
-            GopPhase::Subsequent { direction } if ctx.predictor().is_zero() => {
-                ctx.narrowed_with_predictor(window, direction)
-            }
-            _ => ctx.narrowed(window),
-        };
-        match (self.level, self.phase) {
-            (MotionLevel::Low, GopPhase::First) => CrossSearch.search(&narrowed),
-            (MotionLevel::Low, GopPhase::Subsequent { direction }) => {
-                OneAtATimeSearch::along(direction.dominant_axis()).search(&narrowed)
-            }
-            (MotionLevel::High, GopPhase::First) => {
-                HexagonSearch::new(HexOrientation::Rotating).search(&narrowed)
-            }
-            (MotionLevel::High, GopPhase::Subsequent { direction }) => {
-                let orientation = match direction.dominant_axis() {
-                    MotionAxis::Vertical => HexOrientation::Vertical,
-                    // Zero or horizontal direction → horizontal hexagon,
-                    // matching the paper's tie-break.
-                    _ => HexOrientation::Horizontal,
-                };
-                HexagonSearch::new(orientation).search(&narrowed)
-            }
+/// The proposed combined search (paper §III-C2) for a tile of motion
+/// `level` in GOP `phase`.
+pub(crate) fn biomed(ctx: &SearchContext<'_>, level: MotionLevel, phase: GopPhase) -> SearchResult {
+    let window = effective_window(level, phase, ctx.window());
+    // On subsequent GOP frames the paper starts estimation "in the
+    // direction of the motion vector obtained from the corresponding
+    // tile of the first frame": when the caller supplies no better
+    // predictor, the inherited direction seeds the search.
+    let narrowed = match phase {
+        GopPhase::Subsequent { direction } if ctx.predictor().is_zero() => {
+            ctx.narrowed_with_predictor(window, direction)
+        }
+        _ => ctx.narrowed(window),
+    };
+    match (level, phase) {
+        (MotionLevel::Low, GopPhase::First) => cross(&narrowed),
+        (MotionLevel::Low, GopPhase::Subsequent { direction }) => {
+            one_at_a_time(&narrowed, direction.dominant_axis())
+        }
+        (MotionLevel::High, GopPhase::First) => hexagon(&narrowed, HexOrientation::Rotating),
+        (MotionLevel::High, GopPhase::Subsequent { direction }) => {
+            let orientation = match direction.dominant_axis() {
+                MotionAxis::Vertical => HexOrientation::Vertical,
+                // Zero or horizontal direction → horizontal hexagon,
+                // matching the paper's tie-break.
+                _ => HexOrientation::Horizontal,
+            };
+            hexagon(&narrowed, orientation)
         }
     }
 }
@@ -137,14 +104,15 @@ fn min_window(a: SearchWindow, b: SearchWindow) -> SearchWindow {
 mod tests {
     use super::*;
     use crate::cost::CostMetric;
+    use crate::SearchSpec;
     use medvt_frame::{Plane, Rect};
 
-    fn first_frame(level: MotionLevel) -> BioMedicalSearch {
-        BioMedicalSearch::new(level, GopPhase::First)
+    fn first_frame(level: MotionLevel) -> SearchSpec {
+        SearchSpec::biomed_first(level)
     }
 
-    fn subsequent(level: MotionLevel, direction: MotionVector) -> BioMedicalSearch {
-        BioMedicalSearch::new(level, GopPhase::Subsequent { direction })
+    fn subsequent(level: MotionLevel, direction: MotionVector) -> SearchSpec {
+        SearchSpec::biomed_subsequent(level, direction)
     }
 
     fn shifted_planes(dx: isize, dy: isize) -> (Plane, Plane) {
@@ -164,17 +132,22 @@ mod tests {
 
     #[test]
     fn window_policy_matches_paper() {
-        let p = first_frame(MotionLevel::Low);
-        assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W16);
-        let p = subsequent(MotionLevel::Low, MotionVector::new(1, 0));
-        assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W8);
-        let p = first_frame(MotionLevel::High);
-        assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W64);
-        let p = subsequent(MotionLevel::High, MotionVector::new(1, 0));
-        assert_eq!(p.effective_window(SearchWindow::W64), SearchWindow::W32);
+        let later = GopPhase::Subsequent {
+            direction: MotionVector::new(1, 0),
+        };
+        let window = |level, phase| effective_window(level, phase, SearchWindow::W64);
+        assert_eq!(window(MotionLevel::Low, GopPhase::First), SearchWindow::W16);
+        assert_eq!(window(MotionLevel::Low, later), SearchWindow::W8);
+        assert_eq!(
+            window(MotionLevel::High, GopPhase::First),
+            SearchWindow::W64
+        );
+        assert_eq!(window(MotionLevel::High, later), SearchWindow::W32);
         // Never grows beyond the allowed maximum.
-        let p = first_frame(MotionLevel::Low);
-        assert_eq!(p.effective_window(SearchWindow::W8), SearchWindow::W8);
+        assert_eq!(
+            effective_window(MotionLevel::Low, GopPhase::First, SearchWindow::W8),
+            SearchWindow::W8
+        );
     }
 
     #[test]
@@ -245,7 +218,7 @@ mod tests {
         let c1 = ctx(&cur, &reference, SearchWindow::W64);
         let biomed = subsequent(MotionLevel::Low, MotionVector::new(-1, 0)).search(&c1);
         let c2 = ctx(&cur, &reference, SearchWindow::W64);
-        let hex = HexagonSearch::default().search(&c2);
+        let hex = hexagon(&c2, HexOrientation::Horizontal);
         assert!(biomed.evaluations < hex.evaluations);
         assert!(biomed.cost <= hex.cost);
     }

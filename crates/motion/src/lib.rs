@@ -6,12 +6,17 @@
 //!
 //! The crate provides:
 //!
-//! * the classic fast searches the paper surveys (§II-B): three-step,
-//!   diamond, cross, one-at-a-time and hexagon-based search, plus
-//!   exhaustive [`FullSearch`] and the HM reference [`TzSearch`];
-//! * the paper's proposed [`BioMedicalSearch`] policy (§III-C2), which
-//!   combines cross / one-at-a-time / rotating- and direction-locked
-//!   hexagon search across the frames of a GOP;
+//! * [`SearchSpec`], the one representation of a search: each variant
+//!   names an algorithm, [`SearchSpec::search`] runs it on one block
+//!   and [`SearchSpec::name`] is its stable name. The variants are the
+//!   classic fast searches the paper surveys (§II-B) — three-step,
+//!   diamond, cross, one-at-a-time and hexagon-based search — plus
+//!   exhaustive full search, the HM reference TZ search, and the
+//!   paper's proposed bio-medical policy (§III-C2), which combines
+//!   cross / one-at-a-time / rotating- and direction-locked hexagon
+//!   search across the frames of a GOP;
+//! * [`Best`], the running best candidate every algorithm keeps, whose
+//!   [`Best::try_pattern`] scores one pattern step;
 //! * [`cost`] — SAD, the one metric every search scores candidates
 //!   by, and SATD, on runtime-dispatched SIMD kernels.
 //!
@@ -28,7 +33,7 @@
 //! ```
 //! use medvt_frame::{Plane, Rect};
 //! use medvt_motion::{
-//!     CostMetric, DiamondSearch, MotionSearch, MotionVector, SearchContext, SearchWindow,
+//!     CostMetric, MotionVector, SearchContext, SearchSpec, SearchWindow,
 //! };
 //!
 //! // Reference: a gradient; current frame: the same content shifted right.
@@ -52,7 +57,7 @@
 //!     CostMetric::Sad,
 //!     MotionVector::ZERO,
 //! );
-//! let result = DiamondSearch.search(&ctx);
+//! let result = SearchSpec::Diamond.search(&ctx);
 //! assert_eq!(result.mv, MotionVector::new(-2, 0));
 //! ```
 
@@ -60,19 +65,18 @@
 #![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod algorithms;
+mod algorithms;
 mod biomed;
 pub mod cost;
 mod mv;
 mod search;
+mod spec;
 #[cfg(test)]
 mod testutil;
 
-pub use algorithms::{
-    CrossSearch, DiamondSearch, FullSearch, HexOrientation, HexagonSearch, OneAtATimeSearch,
-    ThreeStepSearch, TzSearch,
-};
-pub use biomed::{BioMedicalSearch, GopPhase, MotionLevel};
+pub use algorithms::HexOrientation;
+pub use biomed::{GopPhase, MotionLevel};
 pub use cost::{sad, sad_upto, satd, CostMetric};
 pub use mv::{MotionAxis, MotionVector};
-pub use search::{Best, MotionSearch, SearchContext, SearchResult, SearchWindow};
+pub use search::{Best, SearchContext, SearchResult, SearchWindow};
+pub use spec::SearchSpec;

@@ -1,5 +1,5 @@
-//! Search framework: windows, contexts, results and the
-//! [`MotionSearch`] trait all algorithms implement.
+//! Search framework: windows, contexts, the running best and results,
+//! shared by every algorithm [`crate::SearchSpec`] names.
 
 use crate::cost::{sad_upto, CostMetric};
 use crate::MotionVector;
@@ -362,6 +362,23 @@ impl Best {
             _ => false,
         }
     }
+
+    /// Evaluates `center + offset` for every offset, in order and
+    /// without short-circuiting, keeping each strict improvement.
+    /// Returns `true` when any candidate improved — one step of a
+    /// pattern search.
+    pub fn try_pattern(
+        &mut self,
+        ctx: &SearchContext<'_>,
+        center: MotionVector,
+        offsets: &[(i16, i16)],
+    ) -> bool {
+        let mut moved = false;
+        for &(dx, dy) in offsets {
+            moved |= self.try_candidate(ctx, center + MotionVector::new(dx, dy));
+        }
+        moved
+    }
 }
 
 /// Outcome of one block search.
@@ -374,19 +391,6 @@ pub struct SearchResult {
     /// Distinct candidates evaluated — the complexity measure behind
     /// the speedup rows of Table I.
     pub evaluations: u64,
-}
-
-/// A block-matching motion search algorithm.
-///
-/// Implementations must stay inside `ctx.window()` (guaranteed by the
-/// context's cost queries) and should start from
-/// [`SearchContext::predictor`].
-pub trait MotionSearch: std::fmt::Debug {
-    /// Human-readable algorithm name used in experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// Searches one block.
-    fn search(&self, ctx: &SearchContext<'_>) -> SearchResult;
 }
 
 #[cfg(test)]

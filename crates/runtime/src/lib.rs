@@ -82,7 +82,6 @@ mod sim;
 mod threadpool;
 
 pub use backend::{ExecutionBackend, SlotOutcome, WorkUnit};
-pub use pool::ExecRecord;
 pub use server::{
     ControllerTiming, DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig,
     UserLoopStats, WindowTiming,

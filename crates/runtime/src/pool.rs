@@ -20,25 +20,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// One executed job, as seen by the pool's execution log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecRecord {
-    /// Worker (core) that ran the job.
-    pub worker: usize,
-    /// Caller-meaningful user id.
-    pub user: usize,
-    /// Caller-meaningful item id (thread/tile index).
-    pub item: usize,
-}
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Pool-wide state: the diagnostics log only. Completion tracking is
-/// per scope.
-struct Shared {
-    log: Mutex<Vec<ExecRecord>>,
-    log_enabled: AtomicBool,
-}
 
 /// Per-scope completion state, shared between the scope and the
 /// wrappers of the jobs it submitted.
@@ -61,7 +43,6 @@ impl ScopeState {
 pub(crate) struct WorkerPool {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -76,10 +57,6 @@ impl WorkerPool {
     /// Spawns a pool of `workers` persistent threads (at least one).
     pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            log: Mutex::new(Vec::new()),
-            log_enabled: AtomicBool::new(false),
-        });
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -95,30 +72,7 @@ impl WorkerPool {
             senders.push(tx);
             handles.push(handle);
         }
-        Self {
-            senders,
-            handles,
-            shared,
-        }
-    }
-
-    /// Number of workers.
-    pub(crate) fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Enables or disables the execution log (disabled by default; the
-    /// log is for tests and diagnostics, not the hot path).
-    pub(crate) fn set_logging(&self, enabled: bool) {
-        self.shared.log_enabled.store(enabled, Ordering::SeqCst);
-        if enabled {
-            self.shared.log.lock().expect("log lock").clear();
-        }
-    }
-
-    /// Drains the execution log collected since logging was enabled.
-    pub(crate) fn drain_log(&self) -> Vec<ExecRecord> {
-        std::mem::take(&mut *self.shared.log.lock().expect("log lock"))
+        Self { senders, handles }
     }
 
     /// Runs `f` with a scope whose submitted jobs may borrow from the
@@ -192,14 +146,8 @@ impl std::fmt::Debug for PoolScope<'_, '_> {
 
 impl<'env> PoolScope<'_, 'env> {
     /// Enqueues `job` on the FIFO queue of `core` (modulo the worker
-    /// count). `user`/`item` tag the job in the execution log.
-    pub(crate) fn submit(
-        &self,
-        core: usize,
-        user: usize,
-        item: usize,
-        job: impl FnOnce() + Send + 'env,
-    ) {
+    /// count).
+    pub(crate) fn submit(&self, core: usize, job: impl FnOnce() + Send + 'env) {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(job);
         // SAFETY: `scope` blocks until this scope's pending count hits
         // zero (even on unwind, via its guard), so borrows with
@@ -213,17 +161,11 @@ impl<'env> PoolScope<'_, 'env> {
             *pending += 1;
         }
         let state = Arc::clone(&self.state);
-        let shared = Arc::clone(&self.pool.shared);
-        let worker = core % self.pool.workers();
-        let record = ExecRecord { worker, user, item };
         self.pool.dispatch(
             core,
             Box::new(move || {
                 if catch_unwind(AssertUnwindSafe(job)).is_err() {
                     state.panicked.store(true, Ordering::SeqCst);
-                }
-                if shared.log_enabled.load(Ordering::Relaxed) {
-                    shared.log.lock().expect("log lock").push(record);
                 }
                 let mut pending = state.pending.lock().expect("pending lock");
                 *pending -= 1;
@@ -233,6 +175,17 @@ impl<'env> PoolScope<'_, 'env> {
             }),
         );
     }
+}
+
+/// The pool worker running the caller, from its thread name
+/// (`medvt-worker-{w}`); `None` off the pool.
+#[cfg(test)]
+pub(crate) fn current_worker() -> Option<usize> {
+    std::thread::current()
+        .name()?
+        .strip_prefix("medvt-worker-")?
+        .parse()
+        .ok()
 }
 
 #[cfg(test)]
@@ -247,7 +200,7 @@ mod tests {
         pool.scope(|s| {
             for i in 0..64 {
                 let counter = &counter;
-                s.submit(i % 4, 0, i, move || {
+                s.submit(i % 4, move || {
                     counter.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -262,7 +215,7 @@ mod tests {
         pool.scope(|s| {
             for i in 0..32 {
                 let order = &order;
-                s.submit(0, 0, i, move || {
+                s.submit(0, move || {
                     order.lock().unwrap().push(i);
                 });
             }
@@ -274,30 +227,32 @@ mod tests {
     #[test]
     fn log_records_worker_assignment() {
         let pool = WorkerPool::new(3);
-        pool.set_logging(true);
+        let log = Mutex::new(Vec::new());
         pool.scope(|s| {
-            for i in 0..9 {
-                s.submit(i % 3, 7, i, || {});
+            for item in 0..9 {
+                let log = &log;
+                s.submit(item % 3, move || {
+                    log.lock().unwrap().push((current_worker(), 7, item));
+                });
             }
         });
-        let log = pool.drain_log();
+        let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 9);
-        for r in &log {
-            assert_eq!(r.worker, r.item % 3);
-            assert_eq!(r.user, 7);
+        for &(worker, user, item) in &log {
+            assert_eq!(worker, Some(item % 3));
+            assert_eq!(user, 7);
         }
-        pool.set_logging(false);
     }
 
     #[test]
     fn oversubscribed_core_ids_wrap() {
         let pool = WorkerPool::new(2);
-        pool.set_logging(true);
+        let ran_on = Mutex::new(None);
         pool.scope(|s| {
-            s.submit(31, 0, 0, || {});
+            let ran_on = &ran_on;
+            s.submit(31, move || *ran_on.lock().unwrap() = current_worker());
         });
-        let log = pool.drain_log();
-        assert_eq!(log[0].worker, 31 % 2);
+        assert_eq!(ran_on.into_inner().unwrap(), Some(31 % 2));
     }
 
     #[test]
@@ -305,7 +260,7 @@ mod tests {
     fn job_panic_propagates_to_scope() {
         let pool = WorkerPool::new(2);
         pool.scope(|s| {
-            s.submit(0, 0, 0, || panic!("boom"));
+            s.submit(0, || panic!("boom"));
         });
     }
 
@@ -320,7 +275,7 @@ mod tests {
         let b = std::thread::spawn(move || {
             catch_unwind(AssertUnwindSafe(|| {
                 pool_b.scope(|s| {
-                    s.submit(0, 1, 0, || panic!("scope B job"));
+                    s.submit(0, || panic!("scope B job"));
                 });
             }))
             .is_err()
@@ -330,7 +285,7 @@ mod tests {
             started.store(1, Ordering::SeqCst);
             for i in 0..16 {
                 let count = &count;
-                s.submit(i, 0, i, move || {
+                s.submit(i, move || {
                     count.fetch_add(1, Ordering::SeqCst);
                 });
             }

@@ -223,12 +223,6 @@ pub struct WindowTiming {
 }
 
 impl WindowTiming {
-    /// `wall_secs / modeled_secs`; `None` when the window modeled no
-    /// busy time (nothing scheduled) or ran no real work.
-    pub fn ratio(&self) -> Option<f64> {
-        Self::ratio_from(self.wall_secs, self.modeled_secs)
-    }
-
     /// (total measured wall, total modeled makespan) over `times`.
     pub fn totals(times: &[WindowTiming]) -> (f64, f64) {
         times.iter().fold((0.0, 0.0), |(wall, modeled), w| {

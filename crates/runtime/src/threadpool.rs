@@ -13,7 +13,7 @@
 //! barrier is the end of the run. Accounting stays per slot.
 
 use crate::backend::{ExecutionBackend, SlotOutcome, WorkUnit};
-use crate::pool::{ExecRecord, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::sim::SimBackend;
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel, SlotReport};
 use std::time::Instant;
@@ -40,16 +40,6 @@ impl ThreadPoolBackend {
             pool: WorkerPool::new(workers),
             accounting: SimBackend::new(platform, power),
         }
-    }
-
-    /// Enables/disables the per-core execution log (for tests).
-    pub fn set_logging(&self, enabled: bool) {
-        self.pool.set_logging(enabled);
-    }
-
-    /// Drains the execution log: which worker ran which (user, item).
-    pub fn drain_log(&self) -> Vec<ExecRecord> {
-        self.pool.drain_log()
     }
 }
 
@@ -102,7 +92,7 @@ impl ExecutionBackend for ThreadPoolBackend {
             for unit in slots.iter_mut().flatten() {
                 if let Some(job) = unit.job.take() {
                     ran_any = true;
-                    s.submit(unit.core, unit.user, unit.thread, job);
+                    s.submit(unit.core, job);
                 }
             }
         });
@@ -122,8 +112,22 @@ impl ExecutionBackend for ThreadPoolBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::current_worker;
+    use std::sync::Mutex;
 
     const SLOT: f64 = 1.0 / 24.0;
+
+    /// A (worker, user, item) record of where a job ran.
+    type Ran = (Option<usize>, usize, usize);
+
+    /// A job that appends where it ran, tagged `(user, item)`, to `log`.
+    fn recording_job(
+        log: &Mutex<Vec<Ran>>,
+        user: usize,
+        item: usize,
+    ) -> Box<dyn FnOnce() + Send + '_> {
+        Box::new(move || log.lock().unwrap().push((current_worker(), user, item)))
+    }
 
     #[test]
     fn accounting_matches_sim_backend_exactly() {
@@ -172,7 +176,7 @@ mod tests {
     fn run_keeps_slot_order_per_worker() {
         let mut backend =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        backend.set_logging(true);
+        let log = Mutex::new(Vec::new());
         let slots: Vec<Vec<WorkUnit<'_>>> = (0..3)
             .map(|slot| {
                 (0..8)
@@ -181,22 +185,20 @@ mod tests {
                         thread,
                         core: thread % 4,
                         cost_fmax_secs: 1e-4,
-                        job: Some(Box::new(move || {
-                            std::hint::black_box(slot * thread);
-                        })),
+                        job: Some(recording_job(&log, slot, thread)),
                     })
                     .collect()
             })
             .collect();
         let (reports, _) = backend.execute_run(DvfsPolicy::StretchToDeadline, SLOT, slots);
         assert_eq!(reports.len(), 3);
-        let log = backend.drain_log();
+        let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 24);
         for worker in 0..4 {
             let ran: Vec<(usize, usize)> = log
                 .iter()
-                .filter(|r| r.worker == worker)
-                .map(|r| (r.user, r.item))
+                .filter(|r| r.0 == Some(worker))
+                .map(|r| (r.1, r.2))
                 .collect();
             let mut ordered = ran.clone();
             ordered.sort_unstable();
@@ -207,34 +209,25 @@ mod tests {
 
     #[test]
     fn real_jobs_run_on_assigned_workers() {
-        let backend =
+        let mut b =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        backend.set_logging(true);
-        let mut b = backend;
+        let log = Mutex::new(Vec::new());
         let units: Vec<WorkUnit<'_>> = (0..8)
             .map(|i| WorkUnit {
                 user: 3,
                 thread: i,
                 core: i % 4,
                 cost_fmax_secs: 1e-4,
-                job: Some(Box::new(move || {
-                    std::hint::black_box(i * i);
-                })),
+                job: Some(recording_job(&log, 3, i)),
             })
             .collect();
         let out = b.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, units);
         assert!(out.wall_secs >= 0.0);
-        let log = b.drain_log();
+        let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 8);
-        for r in &log {
-            assert_eq!(
-                r.worker,
-                r.item % 4,
-                "thread {} on worker {}",
-                r.item,
-                r.worker
-            );
-            assert_eq!(r.user, 3);
+        for &(worker, user, item) in &log {
+            assert_eq!(worker, Some(item % 4), "thread {item} on worker {worker:?}");
+            assert_eq!(user, 3);
         }
     }
 }
