@@ -446,6 +446,30 @@ mod tests {
     }
 
     #[test]
+    fn every_policy_picks_the_recorded_preset_at_every_budget() {
+        let cat = catalogue();
+        // The pick at each remaining budget 0, 1, …, 12 (12 is the lcm
+        // of the stock prices, so every affordability step is covered).
+        let picks = |pick: &dyn Fn(u64) -> Option<usize>| (0..=12).map(pick).collect::<Vec<_>>();
+        let (n, x, bl, big, little, oc) = (None, Some(0), Some(1), Some(2), Some(3), Some(4));
+        assert_eq!(
+            picks(&|b| CheapestFit.pick(&cat, b)),
+            [
+                n, little, little, little, little, little, little, little, little, little, little,
+                little, little
+            ]
+        );
+        assert_eq!(
+            picks(&|b| FastestFit.pick(&cat, b)),
+            [n, little, big, bl, x, x, oc, oc, oc, oc, oc, oc, oc]
+        );
+        assert_eq!(
+            picks(&|b| QosAware.pick(&cat, b)),
+            [n, little, big, big, x, x, x, x, x, x, x, x, x]
+        );
+    }
+
+    #[test]
     fn greedy_rental_exhausts_budget_under_overload() {
         let cat = catalogue();
         // Forecast far beyond anything affordable; 12 = lcm of all

@@ -21,7 +21,8 @@
 use medvt::admission::{
     forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, serve_online,
     serve_online_reference, synthesize_trace, AdmissionEvent, CheapestFit, CostPlan, EventKind,
-    FastestFit, OnlineConfig, ProvisionPolicy, QosAware, ShardPolicy, TraceConfig, UserRequest,
+    FastestFit, OnlineConfig, ProvisionOutcome, ProvisionPolicy, ProvisionPreset, QosAware,
+    ShardPolicy, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
 use medvt::mpsoc::{CostModel, Platform, PowerModel};
@@ -243,6 +244,117 @@ fn budgeted_degrading_decisions_are_backend_independent() {
     );
 }
 
+const SWEEP_HORIZON: usize = 192;
+
+/// The overload trace the rental-policy tests size fleets for: arrivals
+/// far above the service rate, heavy-tailed sessions.
+fn sweep_trace() -> Vec<UserRequest> {
+    synthesize_trace(&TraceConfig {
+        horizon_slots: SWEEP_HORIZON,
+        arrivals_per_slot: 0.8,
+        min_session_slots: 96,
+        tail_alpha: 1.5,
+        profiles: 3,
+        seed: 77,
+    })
+}
+
+/// Every policy's fleet for `forecast` under `budget`, in the order
+/// cheapest-fit, fastest-fit, qos-aware.
+fn rent_each_policy(
+    catalogue: &[ProvisionPreset],
+    forecast: f64,
+    budget: u64,
+) -> Vec<ProvisionOutcome> {
+    let policies: [&dyn ProvisionPolicy; 3] = [&CheapestFit, &FastestFit, &QosAware];
+    policies
+        .into_iter()
+        .map(|policy| provision_fleet(policy, catalogue, forecast, budget, NoopRecorder))
+        .collect()
+}
+
+/// The seed-77 sweep's forecast, every policy's fleet at budgets 12,
+/// 24 and 36, and a budgeted run's replayed spend, against literals
+/// recorded before the provisioning policies became one type: the
+/// rental loop, the tie-break rules and the padded-demand arithmetic
+/// may be restructured, but no pick, credit or float bit may move.
+#[test]
+fn provisioning_matches_recorded_goldens() {
+    let tiers = tier_profiles();
+    let trace = sweep_trace();
+    let cfg = live_online_config(SWEEP_HORIZON);
+    let catalogue = preset_catalogue(&CostModel::default());
+    let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
+    assert_eq!(
+        forecast.to_bits(),
+        0x406b_2000_0000_0000,
+        "forecast {forecast}"
+    ); // 217.0
+
+    // (budget, policy, chosen, spent credits, capacity bits).
+    let recorded: [(u64, &str, &[usize], u64, u64); 9] = [
+        (12, "cheapest-fit", &[3; 12], 12, 0x4035_9999_9999_999b),
+        (12, "fastest-fit", &[4; 2], 12, 0x4033_3333_3333_3333),
+        (12, "qos-aware", &[0; 3], 12, 0x4038_0000_0000_0000),
+        (24, "cheapest-fit", &[3; 24], 24, 0x4045_9999_9999_9998),
+        (24, "fastest-fit", &[4; 4], 24, 0x4043_3333_3333_3333),
+        (24, "qos-aware", &[0; 6], 24, 0x4048_0000_0000_0000),
+        (36, "cheapest-fit", &[3; 36], 36, 0x4050_3333_3333_3330),
+        (36, "fastest-fit", &[4; 6], 36, 0x404c_cccc_cccc_cccd),
+        (36, "qos-aware", &[0; 9], 36, 0x4052_0000_0000_0000),
+    ];
+    for (budget, outcomes) in [12, 24, 36].into_iter().zip(recorded.chunks(3)) {
+        let got = rent_each_policy(&catalogue, forecast, budget);
+        for (fleet, &(b, policy, chosen, spent, capacity_bits)) in got.iter().zip(outcomes) {
+            assert_eq!(b, budget);
+            assert_eq!(fleet.policy, policy);
+            assert_eq!(fleet.chosen, chosen, "{policy} at budget {budget}");
+            assert_eq!(fleet.spent_credits, spent, "{policy} at budget {budget}");
+            assert_eq!(
+                fleet.capacity_cores.to_bits(),
+                capacity_bits,
+                "{policy} at budget {budget}: capacity {}",
+                fleet.capacity_cores
+            );
+        }
+    }
+
+    // A budgeted, degrading run on the qos-aware 24-credit fleet: the
+    // replayed ledger's totals, bit for bit.
+    let budgeted = OnlineConfig {
+        headroom: 0.6,
+        cost: CostPlan {
+            credits_per_core_window: 1.0,
+            budget_credits_per_window: 6.0,
+            degrade_on_evict: true,
+        },
+        ..cfg
+    };
+    let budgeted_forecast = forecast_demand_cores(&budgeted, &tiers, &trace);
+    assert_eq!(
+        budgeted_forecast.to_bits(),
+        0x405c_4de9_bd37_a6f2,
+        "forecast {budgeted_forecast}"
+    ); // 113.217…
+    let fleet = &rent_each_policy(&catalogue, forecast, 24)[2];
+    let report = serve_online(&budgeted, &tiers, &trace, fleet.sim_shards(&catalogue));
+    let cost = replay_cost(&budgeted, &tiers, &trace, &report);
+    assert_eq!(cost.windows, 24);
+    assert_eq!(cost.downgrades, 3);
+    assert!(cost.within_budget);
+    // 129.913… and 5.739… credits.
+    assert_eq!(
+        cost.total_credits.to_bits(),
+        0x4060_3d37_a6f4_de9c,
+        "{cost:?}"
+    );
+    assert_eq!(
+        cost.peak_window_credits.to_bits(),
+        0x4016_f4de_9bd3_7a6f,
+        "{cost:?}"
+    );
+}
+
 /// Capacity per credit is what deadline-meeting buys: on an overload
 /// trace (arrivals far above the service rate, heavy-tailed sessions)
 /// the QoS-aware fleet never meets fewer deadlines than either greedy
@@ -252,16 +364,8 @@ fn budgeted_degrading_decisions_are_backend_independent() {
 /// the points are cost-comparable.
 #[test]
 fn qos_aware_dominates_cheapest_fit_at_equal_spend() {
-    const SWEEP_HORIZON: usize = 192;
     let tiers = tier_profiles();
-    let trace = synthesize_trace(&TraceConfig {
-        horizon_slots: SWEEP_HORIZON,
-        arrivals_per_slot: 0.8,
-        min_session_slots: 96,
-        tail_alpha: 1.5,
-        profiles: 3,
-        seed: 77,
-    });
+    let trace = sweep_trace();
     let cfg = live_online_config(SWEEP_HORIZON);
     let catalogue = preset_catalogue(&CostModel::default());
     let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
