@@ -19,7 +19,7 @@
 //! | paper concept | here |
 //! |---|---|
 //! | queued user requests (§III-D2) | [`RequestQueue`] of timestamped [`UserRequest`]s |
-//! | Algorithm 2 line 1 per-user core demand | [`Workload::steady_demand`] × FPS × headroom, the admission unit |
+//! | Algorithm 2 line 1 per-user core demand | [`OnlineConfig::padded_demand`]: [`Workload::steady_demand`] × FPS × headroom, the admission unit |
 //! | lines 2–3 maximize admitted users under `N_c` | GOP-boundary FIFO admission against per-socket capacity ([`serve_online`] step 4) |
 //! | §III-D2 re-allocation at each GOP | shard membership pushed into `runtime::LoopDriver`, which re-runs the speed-aware `sched::place_threads_on` per socket |
 //! | "framerate … checked every second" | per-user window accounting (`runtime::UserLoopStats`); sustained misses trigger eviction by [`DeadlineClass`] tolerance |
@@ -31,11 +31,12 @@
 //! half: Poisson arrivals, heavy-tailed session lengths
 //! ([`synthesize_trace`]), deadline classes and admission against a
 //! measured capacity model rather than a wish. Its cost half lives in
-//! the provisioning layer: [`ProvisionPolicy`] rents a
-//! priced platform mix ([`preset_catalogue`]) for a forecast load,
-//! [`CostPlan`] lets [`serve_online`] admit against per-window budget
-//! headroom, and evicted users re-enter the queue one
-//! [`DeadlineClass`] lower instead of being dropped
+//! the provisioning layer: [`provision_fleet`] rents a priced platform
+//! mix ([`preset_catalogue`]) for a forecast load under one of the
+//! three [`ProvisionPolicy`] rules (cheapest, fastest, or most
+//! capacity per credit), [`CostPlan`] lets [`serve_online`] admit
+//! against per-window budget headroom, and evicted users re-enter the
+//! queue one [`DeadlineClass`] lower instead of being dropped
 //! (`degrade_on_evict`).
 //!
 //! Decisions read only the analytical accounting shared by every
@@ -87,14 +88,14 @@ mod shard;
 mod trace;
 
 pub use provision::{
-    forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, CheapestFit, CostReport,
-    FastestFit, ProvisionOutcome, ProvisionPolicy, ProvisionPreset, QosAware,
+    forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, CostReport,
+    ProvisionOutcome, ProvisionPolicy, ProvisionPreset,
 };
 pub use reference::serve_online_reference;
 pub use request::{DeadlineClass, RequestQueue, UserRequest};
 pub use serve::{
-    serve_online, serve_online_with, AdmissionEvent, CostPlan, EventKind, OnlineConfig,
-    OnlineReport, ShardReport, Workload,
+    serve_online, serve_online_with, staggered_slot, AdmissionEvent, CostPlan, EventKind,
+    OnlineConfig, OnlineReport, ShardReport, Workload,
 };
 pub use shard::{ShardPolicy, Sharder};
 pub use trace::{synthesize_trace, TraceConfig};

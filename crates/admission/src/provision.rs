@@ -4,11 +4,11 @@
 //! The Li et al. cloud-transcoding studies (PAPERS.md) pick
 //! heterogeneous VM types against a cost budget and QoS deadlines.
 //! Here the "VM types" are [`ProvisionPreset`]s — platform presets
-//! priced per GOP window by `medvt_mpsoc::CostModel` — and a
-//! [`ProvisionPolicy`] greedily rents instances until the forecast
-//! demand is covered or the budget runs out. The rented fleet becomes
-//! the shard set of [`serve_online`](crate::serve_online), whose
-//! [`CostPlan`](crate::CostPlan) then enforces the *serving-side*
+//! priced per GOP window by `medvt_mpsoc::CostModel` — and one of the
+//! three [`ProvisionPolicy`] rules greedily rents instances until the
+//! forecast demand is covered or the budget runs out. The rented
+//! fleet becomes the shard set of [`serve_online`](crate::serve_online),
+//! whose [`CostPlan`](crate::CostPlan) then enforces the *serving-side*
 //! budget and degrades evicted users down the deadline ladder.
 //!
 //! Every rental emits a `Provisioned` telemetry event on the control
@@ -111,120 +111,67 @@ pub fn preset_catalogue(pricing: &CostModel) -> Vec<ProvisionPreset> {
 /// [`provision_fleet`] calls [`pick`](Self::pick) greedily until the
 /// forecast is covered or nothing affordable remains; a policy sees
 /// only the catalogue and its remaining budget, so every policy is
-/// deterministic on the same inputs.
-pub trait ProvisionPolicy {
+/// deterministic on the same inputs. Ties not settled by a policy's
+/// rule go to the lower catalogue index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProvisionPolicy {
+    /// Rents the cheapest affordable preset (ties: more capacity) —
+    /// the cost-first strawman.
+    CheapestFit,
+    /// Rents the highest-capacity affordable preset regardless of
+    /// efficiency (ties: lower price) — the speed-first strawman.
+    FastestFit,
+    /// Li-style QoS-aware provisioning: rents the affordable preset
+    /// with the most capacity per credit (ties: more absolute
+    /// capacity) — maximum deadline-meeting ability at equal spend.
+    QosAware,
+}
+
+impl ProvisionPolicy {
     /// Stable policy label for reports and artifacts.
-    fn label(&self) -> &'static str;
-
-    /// Index of the next preset to rent, or `None` when no affordable
-    /// preset is worth renting. Must only return presets with
-    /// `price_credits <= remaining_credits`.
-    fn pick(&self, catalogue: &[ProvisionPreset], remaining_credits: u64) -> Option<usize>;
-}
-
-/// Rents the cheapest affordable preset (ties: more capacity, then
-/// lower index) — the cost-first strawman.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheapestFit;
-
-impl ProvisionPolicy for CheapestFit {
-    fn label(&self) -> &'static str {
-        "cheapest-fit"
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::CheapestFit => "cheapest-fit",
+            Self::FastestFit => "fastest-fit",
+            Self::QosAware => "qos-aware",
+        }
     }
 
-    fn pick(&self, catalogue: &[ProvisionPreset], remaining_credits: u64) -> Option<usize> {
+    /// Index of the next preset to rent, or `None` when no preset
+    /// costs at most `remaining_credits`.
+    pub fn pick(self, catalogue: &[ProvisionPreset], remaining_credits: u64) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, p) in catalogue.iter().enumerate() {
             if p.price_credits > remaining_credits {
                 continue;
             }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let better = p.price_credits < catalogue[b].price_credits
-                        || (p.price_credits == catalogue[b].price_credits
-                            && p.capacity_cores > catalogue[b].capacity_cores + 1e-12);
-                    if better {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        best
-    }
-}
-
-/// Rents the highest-capacity affordable preset regardless of
-/// efficiency (ties: lower price, then lower index) — the speed-first
-/// strawman.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastestFit;
-
-impl ProvisionPolicy for FastestFit {
-    fn label(&self) -> &'static str {
-        "fastest-fit"
-    }
-
-    fn pick(&self, catalogue: &[ProvisionPreset], remaining_credits: u64) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, p) in catalogue.iter().enumerate() {
-            if p.price_credits > remaining_credits {
-                continue;
+            if best.is_none_or(|b| self.prefers(p, &catalogue[b])) {
+                best = Some(i);
             }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let better = p.capacity_cores > catalogue[b].capacity_cores + 1e-12
-                        || ((p.capacity_cores - catalogue[b].capacity_cores).abs() <= 1e-12
-                            && p.price_credits < catalogue[b].price_credits);
-                    if better {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
         }
         best
     }
-}
 
-/// Li-style QoS-aware provisioning: rents the affordable preset with
-/// the most capacity per credit (ties: more absolute capacity, then
-/// lower index) — maximum deadline-meeting ability at equal spend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QosAware;
-
-impl ProvisionPolicy for QosAware {
-    fn label(&self) -> &'static str {
-        "qos-aware"
-    }
-
-    fn pick(&self, catalogue: &[ProvisionPreset], remaining_credits: u64) -> Option<usize> {
-        let ratio = |p: &ProvisionPreset| p.capacity_cores / p.price_credits as f64;
-        let mut best: Option<usize> = None;
-        for (i, p) in catalogue.iter().enumerate() {
-            if p.price_credits > remaining_credits {
-                continue;
+    /// `true` when this policy would rent `p` over the incumbent `b`.
+    fn prefers(self, p: &ProvisionPreset, b: &ProvisionPreset) -> bool {
+        match self {
+            Self::CheapestFit => {
+                p.price_credits < b.price_credits
+                    || (p.price_credits == b.price_credits
+                        && p.capacity_cores > b.capacity_cores + 1e-12)
             }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let (r, br) = (ratio(p), ratio(&catalogue[b]));
-                    let better = r > br + 1e-12
-                        || ((r - br).abs() <= 1e-12
-                            && p.capacity_cores > catalogue[b].capacity_cores + 1e-12);
-                    if better {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
+            Self::FastestFit => {
+                p.capacity_cores > b.capacity_cores + 1e-12
+                    || ((p.capacity_cores - b.capacity_cores).abs() <= 1e-12
+                        && p.price_credits < b.price_credits)
+            }
+            Self::QosAware => {
+                let ratio = |p: &ProvisionPreset| p.capacity_cores / p.price_credits as f64;
+                let (r, br) = (ratio(p), ratio(b));
+                r > br + 1e-12
+                    || ((r - br).abs() <= 1e-12 && p.capacity_cores > b.capacity_cores + 1e-12)
+            }
         }
-        best
     }
 }
 
@@ -256,13 +203,8 @@ impl ProvisionOutcome {
 /// Greedily rents instances under `policy` until `forecast_cores` is
 /// covered or nothing affordable remains, emitting one `Provisioned`
 /// telemetry event (control track, slot 0) per rental.
-///
-/// # Panics
-///
-/// Panics when a policy returns an unaffordable preset (a policy
-/// contract violation).
 pub fn provision_fleet<R: Recorder + Copy>(
-    policy: &dyn ProvisionPolicy,
+    policy: ProvisionPolicy,
     catalogue: &[ProvisionPreset],
     forecast_cores: f64,
     budget_credits: u64,
@@ -276,12 +218,6 @@ pub fn provision_fleet<R: Recorder + Copy>(
             break;
         };
         let preset = &catalogue[i];
-        assert!(
-            preset.price_credits <= remaining,
-            "{} picked unaffordable preset {}",
-            policy.label(),
-            preset.name
-        );
         remaining -= preset.price_credits;
         capacity += preset.capacity_cores;
         if R::ENABLED {
@@ -303,18 +239,15 @@ pub fn provision_fleet<R: Recorder + Copy>(
 
 /// Peak concurrent admission-unit demand of a trace: the sweep maximum
 /// of every user's padded core demand over their [arrival, departure)
-/// session — the load a provisioning policy sizes a fleet for. Uses
-/// the same demand formula as the admission controller
-/// (`steady_demand × fps × headroom`).
+/// session — the load a provisioning policy sizes a fleet for. Each
+/// user weighs its workload's [`OnlineConfig::padded_demand`], the
+/// admission controller's unit.
 pub fn forecast_demand_cores<W: Workload>(
     cfg: &OnlineConfig,
     workloads: &[W],
     trace: &[UserRequest],
 ) -> f64 {
-    let demand_of: Vec<f64> = workloads
-        .iter()
-        .map(|w| w.steady_demand().iter().sum::<f64>() * cfg.fps * cfg.headroom)
-        .collect();
+    let demand_of: Vec<f64> = workloads.iter().map(|w| cfg.padded_demand(w)).collect();
     let mut deltas: BTreeMap<usize, f64> = BTreeMap::new();
     for r in trace {
         if r.arrival_slot >= cfg.horizon_slots {
@@ -362,10 +295,7 @@ pub fn replay_cost<W: Workload>(
     trace: &[UserRequest],
     report: &OnlineReport,
 ) -> CostReport {
-    let demand_of: Vec<f64> = workloads
-        .iter()
-        .map(|w| w.steady_demand().iter().sum::<f64>() * cfg.fps * cfg.headroom)
-        .collect();
+    let demand_of: Vec<f64> = workloads.iter().map(|w| cfg.padded_demand(w)).collect();
     let profile_of: BTreeMap<usize, usize> = trace.iter().map(|r| (r.user, r.profile)).collect();
     let rate = cfg.cost.credits_per_core_window;
     let mut spend = 0.0f64;
@@ -402,6 +332,7 @@ pub fn replay_cost<W: Workload>(
 
 #[cfg(test)]
 mod tests {
+    use super::ProvisionPolicy::{CheapestFit, FastestFit, QosAware};
     use super::*;
     use medvt_telemetry::{FlightRecorder, NoopRecorder};
 
@@ -474,8 +405,8 @@ mod tests {
         let cat = catalogue();
         // Forecast far beyond anything affordable; 12 = lcm of all
         // prices, so both extremes spend exactly the budget.
-        let cheap = provision_fleet(&CheapestFit, &cat, 1e6, 12, NoopRecorder);
-        let qos = provision_fleet(&QosAware, &cat, 1e6, 12, NoopRecorder);
+        let cheap = provision_fleet(CheapestFit, &cat, 1e6, 12, NoopRecorder);
+        let qos = provision_fleet(QosAware, &cat, 1e6, 12, NoopRecorder);
         assert_eq!(cheap.spent_credits, 12);
         assert_eq!(qos.spent_credits, 12);
         assert_eq!(cheap.chosen, vec![3; 12]);
@@ -489,7 +420,7 @@ mod tests {
     fn rental_stops_at_the_forecast_and_emits_telemetry() {
         let cat = catalogue();
         let recorder = FlightRecorder::modeled(1, 256);
-        let outcome = provision_fleet(&QosAware, &cat, 10.0, 1_000, &recorder);
+        let outcome = provision_fleet(QosAware, &cat, 10.0, 1_000, &recorder);
         // One xeon (8.0) is short of 10; two cover it.
         assert_eq!(outcome.chosen, vec![0, 0]);
         assert_eq!(outcome.spent_credits, 8);

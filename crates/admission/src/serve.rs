@@ -206,6 +206,17 @@ impl Default for OnlineConfig {
     }
 }
 
+impl OnlineConfig {
+    /// A user's admission unit (Algorithm 2 line 1): `workload`'s
+    /// steady per-slot demand summed over its tiles, in fractional
+    /// cores at [`fps`](Self::fps), padded by
+    /// [`headroom`](Self::headroom). Admission, billing, provisioning
+    /// forecasts and the spend replay all weigh a user by this number.
+    pub fn padded_demand(&self, workload: &impl Workload) -> f64 {
+        workload.steady_demand().iter().sum::<f64>() * self.fps * self.headroom
+    }
+}
+
 /// One entry of the admission log — the decision stream compared
 /// across backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -352,9 +363,16 @@ impl OnlineReport {
     }
 }
 
-/// Replays `workloads` demands for admitted users, staggered 3 slots
-/// per user so IDR frames decorrelate (mirrors `core`'s profile
-/// replay).
+/// The frame of its stream that `user` shows at `slot`: each user
+/// starts 3 slots after the previous one, so co-served users' IDR
+/// frames (the cheap ones) do not line up in the same slot. Both the
+/// trace replay here and `medvt_core`'s profile replay read it.
+pub fn staggered_slot(user: usize, slot: usize) -> usize {
+    slot + user * 3
+}
+
+/// Replays `workloads` demands for admitted users at their
+/// [`staggered_slot`].
 pub(crate) struct TraceSource<'a, W> {
     pub(crate) workloads: &'a [W],
     pub(crate) profile_of: BTreeMap<usize, usize>,
@@ -362,7 +380,7 @@ pub(crate) struct TraceSource<'a, W> {
 
 impl<W: Workload> DemandSource for TraceSource<'_, W> {
     fn demand_at(&self, user: usize, slot: usize) -> Vec<f64> {
-        self.workloads[self.profile_of[&user]].demand_at(slot + user * 3)
+        self.workloads[self.profile_of[&user]].demand_at(staggered_slot(user, slot))
     }
 
     fn steady(&self, user: usize) -> bool {
@@ -375,7 +393,7 @@ impl<W: Workload> DemandSource for TraceSource<'_, W> {
         slot: usize,
         thread: usize,
     ) -> Option<Box<dyn FnOnce() + Send + '_>> {
-        self.workloads[self.profile_of[&user]].work_for(slot + user * 3, thread)
+        self.workloads[self.profile_of[&user]].work_for(staggered_slot(user, slot), thread)
     }
 }
 
@@ -448,10 +466,7 @@ impl Setup {
                 r.arrival_slot
             );
         }
-        let demand_of: Vec<f64> = workloads
-            .iter()
-            .map(|w| w.steady_demand().iter().sum::<f64>() * cfg.fps * cfg.headroom)
-            .collect();
+        let demand_of: Vec<f64> = workloads.iter().map(|w| cfg.padded_demand(w)).collect();
         let loop_cfg = ServerLoopConfig {
             fps: cfg.fps,
             slots: cfg.horizon_slots,

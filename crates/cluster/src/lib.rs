@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(missing_debug_implementations)]
 
 mod coordinator;
 mod lease;

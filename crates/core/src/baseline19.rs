@@ -12,7 +12,7 @@
 //!   frequency, so the tiling reacts slowly to content changes.
 
 use crate::pipeline::{FrameReport, TileReport, TranscodeController};
-use crate::qp_control::QpControlConfig;
+use crate::qp_control::{clamp_qp, QpControlConfig};
 use medvt_analyze::CapacityBalancedTiler;
 use medvt_encoder::{
     CostModel, EncodeController, FramePlan, FramePlanContext, FrameStats, Qp, SearchSpec,
@@ -150,13 +150,7 @@ impl EncodeController for Baseline19Controller {
         } else if psnr < band.psnr_constraint_db {
             self.qp = self.qp.offset(-band.delta_qp);
         }
-        self.qp = if self.qp < band.qp_floor {
-            band.qp_floor
-        } else if self.qp > band.qp_ceiling {
-            band.qp_ceiling
-        } else {
-            self.qp
-        };
+        self.qp = clamp_qp(self.qp, band.qp_floor, band.qp_ceiling);
         self.reports.push(report);
     }
 }

@@ -17,10 +17,11 @@
 //!   records of a transcoded video (the deterministic substitute for
 //!   live multi-user runs);
 //! * [`ServerSim`] — the multi-user serving simulation behind Table II
-//!   (users served) and Fig. 4 (power savings at equal throughput),
-//!   plus the [`ServerSim::serve_online`] entry point replaying live
-//!   arrival traces through the `medvt-admission` sharded
-//!   admission-control subsystem.
+//!   (users served) and Fig. 4 (power savings at equal throughput).
+//!   Live arrival traces replay through
+//!   [`medvt_admission::serve_online`], the sharded admission-control
+//!   subsystem, which serves [`VideoProfile`]s directly (they implement
+//!   [`medvt_admission::Workload`]).
 //!
 //! # Examples
 //!

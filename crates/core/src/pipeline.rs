@@ -239,7 +239,6 @@ impl EncodeController for ContentAwareController {
             if i < self.prev_obs.len() {
                 self.prev_obs[i] = Some(TileObservation {
                     psnr_db: report.psnr_db,
-                    bits: report.bits,
                 });
             }
             tiles.push(report);

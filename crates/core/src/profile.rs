@@ -31,8 +31,12 @@ pub struct VideoProfile {
 
 impl VideoProfile {
     /// Per-tile f_max-second demand of the frame shown at `slot`
-    /// (wrapping around the profile for endless streaming).
+    /// (wrapping around the profile for endless streaming); empty for
+    /// a profile without frames.
     pub fn demand_at(&self, slot: usize) -> Vec<f64> {
+        if self.frames.is_empty() {
+            return Vec::new();
+        }
         let f = &self.frames[slot % self.frames.len()];
         f.tiles.iter().map(|t| t.fmax_secs).collect()
     }
@@ -118,6 +122,7 @@ mod tests {
     use super::*;
     use crate::baseline19::{Baseline19Controller, BaselineConfig};
     use crate::pipeline::{ContentAwareController, PipelineConfig};
+    use crate::server::{Approach, ServerConfig, ServerSim};
     use medvt_analyze::AnalyzerConfig;
     use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
     use medvt_frame::Resolution;
@@ -169,6 +174,29 @@ mod tests {
         let p = proposed_profile();
         assert_eq!(p.demand_at(0), p.demand_at(9));
         assert_eq!(p.demand_at(3), p.demand_at(12));
+    }
+
+    #[test]
+    fn empty_clip_profiles_to_an_empty_demand_that_serves() {
+        let mut ctl = ContentAwareController::new(PipelineConfig::default(), WorkloadLut::new());
+        let empty = VideoClip::new(Resolution::new(192, 144), 24.0);
+        let p = profile_video(
+            "empty",
+            "brain",
+            &empty,
+            &mut ctl,
+            &EncoderConfig::default(),
+            false,
+        );
+        assert!(p.frames.is_empty());
+        assert!(p.demand_at(0).is_empty());
+        assert!(p.demand_at(17).is_empty());
+        assert!(p.steady_demand().is_empty());
+        assert_eq!(p.mean_frame_secs(), 0.0);
+        // A user with nothing to encode costs no core time.
+        let report = ServerSim::new(ServerConfig::default()).serve_max(&[p], Approach::Proposed);
+        assert_eq!(report.miss_slots, 0);
+        assert_eq!(report.window_misses, 0);
     }
 
     #[test]

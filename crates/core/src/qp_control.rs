@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 pub(crate) struct TileObservation {
     /// Luma PSNR of the tile, dB.
     pub psnr_db: f64,
-    /// Bits the tile consumed.
-    pub bits: u64,
 }
 
 /// Configuration of the QP controller.
@@ -133,7 +131,8 @@ impl QpController {
     }
 }
 
-fn clamp_qp(qp: Qp, floor: Qp, ceiling: Qp) -> Qp {
+/// `qp` held inside `[floor, ceiling]`.
+pub(crate) fn clamp_qp(qp: Qp, floor: Qp, ceiling: Qp) -> Qp {
     if qp < floor {
         floor
     } else if qp > ceiling {
@@ -154,10 +153,7 @@ mod tests {
     }
 
     fn obs(psnr: f64) -> Option<TileObservation> {
-        Some(TileObservation {
-            psnr_db: psnr,
-            bits: 10_000,
-        })
+        Some(TileObservation { psnr_db: psnr })
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! with identical energy/deadline accounting either way.
 
 use crate::profile::VideoProfile;
-use medvt_admission::{OnlineConfig, OnlineReport, ShardPolicy, UserRequest, Workload};
+use medvt_admission::{staggered_slot, Workload};
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt_runtime::{
     DemandSource, ExecutionBackend, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend,
@@ -26,8 +26,7 @@ use serde::{Deserialize, Serialize};
 const GOP_SLOTS: usize = 8;
 
 /// Profile replay as a runtime demand source: user `u` plays profile
-/// `u % profiles.len()`, staggered by 3 slots per user so IDR frames
-/// decorrelate across users.
+/// `u % profiles.len()` at its [`staggered_slot`].
 #[derive(Debug, Clone, Copy)]
 struct ProfileSource<'a> {
     profiles: &'a [VideoProfile],
@@ -35,7 +34,7 @@ struct ProfileSource<'a> {
 
 impl DemandSource for ProfileSource<'_> {
     fn demand_at(&self, user: usize, slot: usize) -> Vec<f64> {
-        self.profiles[user % self.profiles.len()].demand_at(slot + user * 3)
+        self.profiles[user % self.profiles.len()].demand_at(staggered_slot(user, slot))
     }
 }
 
@@ -274,71 +273,6 @@ impl ServerSim {
         let base = self.serve_fixed(baseline_profiles, n, Approach::Baseline)?;
         let prop = self.serve_fixed(proposed_profiles, n, Approach::Proposed)?;
         Some((base.avg_power_w - prop.avg_power_w) / base.avg_power_w * 100.0)
-    }
-
-    /// An [`OnlineConfig`] matching this server's fps/DVFS/headroom
-    /// settings, serving `horizon_slots` under `shard_policy`.
-    pub fn online_config(&self, horizon_slots: usize, shard_policy: ShardPolicy) -> OnlineConfig {
-        OnlineConfig {
-            fps: self.cfg.fps,
-            gop_slots: GOP_SLOTS,
-            horizon_slots,
-            headroom: self.cfg.admission_headroom,
-            policy: self.cfg.policy,
-            shard_policy,
-            evict_miss_windows: 1,
-            cost: medvt_admission::CostPlan::unlimited(),
-        }
-    }
-
-    /// Serves a live arrival `trace` online — one serving shard per
-    /// platform socket, admission/eviction at GOP boundaries — on
-    /// analytical per-socket backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `profiles` is empty.
-    pub fn serve_online(
-        &self,
-        profiles: &[VideoProfile],
-        trace: &[UserRequest],
-        online: &OnlineConfig,
-    ) -> OnlineReport {
-        let shards: Vec<SimBackend> = (0..self.cfg.platform.sockets)
-            .map(|s| SimBackend::new(self.cfg.platform.socket_view(s), self.cfg.power))
-            .collect();
-        self.serve_online_on(shards, profiles, trace, online)
-    }
-
-    /// Serves a live arrival `trace` online on caller-provided shard
-    /// backends (e.g. [`medvt_runtime::ThreadPoolBackend`]s), one per
-    /// platform socket. Admission decisions depend only on the
-    /// analytical model, so any backend replays the same decisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `profiles` is empty, or the shard count/core counts
-    /// do not match the platform's socket topology.
-    pub fn serve_online_on<B: ExecutionBackend>(
-        &self,
-        shards: Vec<B>,
-        profiles: &[VideoProfile],
-        trace: &[UserRequest],
-        online: &OnlineConfig,
-    ) -> OnlineReport {
-        assert!(!profiles.is_empty(), "need at least one profiled video");
-        assert_eq!(
-            shards.len(),
-            self.cfg.platform.sockets,
-            "one shard per socket"
-        );
-        assert!(
-            shards
-                .iter()
-                .all(|b| b.cores() == self.cfg.platform.cores_per_socket()),
-            "each shard must cover one socket's cores"
-        );
-        medvt_admission::serve_online(online, profiles, trace, shards)
     }
 
     fn allocate_for(&self, approach: Approach, users: &[UserDemand]) -> Allocation {

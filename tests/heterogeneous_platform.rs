@@ -4,8 +4,8 @@
 //! asymmetric cores, and the placement invariants must hold for
 //! arbitrary speed mixes.
 
-use medvt::admission::{DeadlineClass, ShardPolicy, UserRequest};
-use medvt::core::{ServerConfig, ServerSim, VideoProfile};
+use medvt::admission::{serve_online, DeadlineClass, OnlineConfig, ShardPolicy, UserRequest};
+use medvt::core::VideoProfile;
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{
     DemandSource, ExecutionBackend, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend,
@@ -119,10 +119,10 @@ fn sim_and_pool_backends_identical_on_big_little() {
 /// (speed-weighted) capacity, socket labels surfaced per shard.
 #[test]
 fn online_serving_on_big_little_sockets() {
-    let sim = ServerSim::new(ServerConfig {
-        platform: Platform::big_little(),
-        ..Default::default()
-    });
+    let platform = Platform::big_little();
+    let shards: Vec<SimBackend> = (0..platform.sockets)
+        .map(|s| SimBackend::new(platform.socket_view(s), PowerModel::default()))
+        .collect();
     // Light users (2 tiles ≈ 0.58 effective cores with headroom) that
     // any cluster can host.
     let profiles: Vec<VideoProfile> = vec![profile("light", "brain", 2, SLOT / 8.0)];
@@ -135,11 +135,12 @@ fn online_serving_on_big_little_sockets() {
             departure_slot: None,
         })
         .collect();
-    let report = sim.serve_online(
-        &profiles,
-        &trace,
-        &sim.online_config(96, ShardPolicy::LeastLoaded),
-    );
+    let cfg = OnlineConfig {
+        horizon_slots: 96,
+        shard_policy: ShardPolicy::LeastLoaded,
+        ..OnlineConfig::default()
+    };
+    let report = serve_online(&cfg, &profiles, &trace, shards);
     assert_eq!(report.shards.len(), 2, "one shard per big.LITTLE socket");
     assert!(report.admissions > 0);
     assert_eq!(report.window_misses, 0, "light users must stay on time");

@@ -2,10 +2,13 @@
 //! backend-independent decision streams and shard-policy behaviour on
 //! the paper's 4-socket Xeon model.
 
-use medvt::admission::{synthesize_trace, EventKind, ShardPolicy, TraceConfig};
+use medvt::admission::{
+    serve_online, synthesize_trace, EventKind, OnlineConfig, OnlineReport, ShardPolicy,
+    TraceConfig, UserRequest,
+};
 use medvt::core::{ServerConfig, ServerSim, VideoProfile};
-use medvt::mpsoc::PowerModel;
-use medvt::runtime::ThreadPoolBackend;
+use medvt::mpsoc::{Platform, PowerModel};
+use medvt::runtime::{SimBackend, ThreadPoolBackend};
 
 mod common;
 use common::synthetic_profile as profile;
@@ -34,7 +37,27 @@ fn xeon_sim() -> ServerSim {
     ServerSim::new(ServerConfig::default())
 }
 
-fn trace() -> Vec<medvt::admission::UserRequest> {
+/// Serves `trace` online on the paper's 4-socket Xeon, one analytical
+/// shard per socket, over `horizon_slots` under `shard_policy`.
+fn serve_on_xeon_sockets(
+    profiles: &[VideoProfile],
+    trace: &[UserRequest],
+    horizon_slots: usize,
+    shard_policy: ShardPolicy,
+) -> OnlineReport {
+    let platform = Platform::xeon_e5_2667_quad();
+    let shards: Vec<SimBackend> = (0..platform.sockets)
+        .map(|s| SimBackend::new(platform.socket_view(s), PowerModel::default()))
+        .collect();
+    let cfg = OnlineConfig {
+        horizon_slots,
+        shard_policy,
+        ..OnlineConfig::default()
+    };
+    serve_online(&cfg, profiles, trace, shards)
+}
+
+fn trace() -> Vec<UserRequest> {
     synthesize_trace(&TraceConfig {
         horizon_slots: 192,
         arrivals_per_slot: 0.5,
@@ -49,19 +72,17 @@ fn trace() -> Vec<medvt::admission::UserRequest> {
 fn sim_and_pool_backends_replay_identical_decisions() {
     let profiles = mixed_profiles();
     let requests = trace();
-    let sim = xeon_sim();
-    let online = sim.online_config(192, ShardPolicy::LeastLoaded);
-    let analytical = sim.serve_online(&profiles, &requests, &online);
-    let shards: Vec<ThreadPoolBackend> = (0..sim.config().platform.sockets)
-        .map(|s| {
-            ThreadPoolBackend::with_workers(
-                sim.config().platform.socket_view(s),
-                PowerModel::default(),
-                2,
-            )
-        })
+    let analytical = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::LeastLoaded);
+    let platform = Platform::xeon_e5_2667_quad();
+    let shards: Vec<ThreadPoolBackend> = (0..platform.sockets)
+        .map(|s| ThreadPoolBackend::with_workers(platform.socket_view(s), PowerModel::default(), 2))
         .collect();
-    let real = sim.serve_online_on(shards, &profiles, &requests, &online);
+    let online = OnlineConfig {
+        horizon_slots: 192,
+        shard_policy: ShardPolicy::LeastLoaded,
+        ..OnlineConfig::default()
+    };
+    let real = serve_online(&online, &profiles, &requests, shards);
     // Decisions depend only on the analytical model: the event streams
     // and window accounting must be identical, not merely similar.
     assert_eq!(analytical.events, real.events);
@@ -91,17 +112,8 @@ fn sim_and_pool_backends_replay_identical_decisions() {
 fn least_loaded_sustains_more_users_than_round_robin_at_equal_on_time_rate() {
     let profiles = mixed_profiles();
     let requests = trace();
-    let sim = xeon_sim();
-    let ll = sim.serve_online(
-        &profiles,
-        &requests,
-        &sim.online_config(192, ShardPolicy::LeastLoaded),
-    );
-    let rr = sim.serve_online(
-        &profiles,
-        &requests,
-        &sim.online_config(192, ShardPolicy::RoundRobin),
-    );
+    let ll = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::LeastLoaded);
+    let rr = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::RoundRobin);
     // Admission headroom keeps both runs feasible: identical (perfect)
     // on-time rates…
     assert!(ll.windows > 0 && rr.windows > 0);
@@ -122,12 +134,7 @@ fn least_loaded_sustains_more_users_than_round_robin_at_equal_on_time_rate() {
 fn content_affinity_keeps_classes_on_their_home_socket() {
     let profiles = mixed_profiles();
     let requests = trace();
-    let sim = xeon_sim();
-    let report = sim.serve_online(
-        &profiles,
-        &requests,
-        &sim.online_config(192, ShardPolicy::ContentAffinity),
-    );
+    let report = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::ContentAffinity);
     assert!(report.admissions > 0);
     // Affinity is a preference, not a cage: every admission lands on a
     // real socket and the run stays feasible.
@@ -146,8 +153,8 @@ fn online_and_batch_serving_agree_on_capacity_order() {
     let sim = xeon_sim();
     let batch = sim.serve_max(&profiles, medvt::core::Approach::Proposed);
     // Saturating arrivals: far more than capacity, nobody departs.
-    let requests: Vec<medvt::admission::UserRequest> = (0..120)
-        .map(|u| medvt::admission::UserRequest {
+    let requests: Vec<UserRequest> = (0..120)
+        .map(|u| UserRequest {
             user: u,
             arrival_slot: 0,
             profile: 0,
@@ -155,11 +162,7 @@ fn online_and_batch_serving_agree_on_capacity_order() {
             departure_slot: None,
         })
         .collect();
-    let online = sim.serve_online(
-        &profiles,
-        &requests,
-        &sim.online_config(96, ShardPolicy::LeastLoaded),
-    );
+    let online = serve_on_xeon_sockets(&profiles, &requests, 96, ShardPolicy::LeastLoaded);
     assert!(online.peak_concurrent_users > 0);
     assert!(
         online.peak_concurrent_users <= batch.users_served,

@@ -20,9 +20,8 @@
 
 use medvt::admission::{
     forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, serve_online,
-    serve_online_reference, synthesize_trace, AdmissionEvent, CheapestFit, CostPlan, EventKind,
-    FastestFit, OnlineConfig, ProvisionOutcome, ProvisionPolicy, ProvisionPreset, QosAware,
-    ShardPolicy, TraceConfig, UserRequest,
+    serve_online_reference, synthesize_trace, AdmissionEvent, CostPlan, EventKind, OnlineConfig,
+    ProvisionOutcome, ProvisionPolicy, ProvisionPreset, ShardPolicy, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
 use medvt::mpsoc::{CostModel, Platform, PowerModel};
@@ -30,6 +29,7 @@ use medvt::runtime::{SimBackend, ThreadPoolBackend};
 use medvt::telemetry::NoopRecorder;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use ProvisionPolicy::{CheapestFit, FastestFit, QosAware};
 
 mod common;
 use common::{live_online_config, synthetic_profile as profile};
@@ -266,8 +266,7 @@ fn rent_each_policy(
     forecast: f64,
     budget: u64,
 ) -> Vec<ProvisionOutcome> {
-    let policies: [&dyn ProvisionPolicy; 3] = [&CheapestFit, &FastestFit, &QosAware];
-    policies
+    [CheapestFit, FastestFit, QosAware]
         .into_iter()
         .map(|policy| provision_fleet(policy, catalogue, forecast, budget, NoopRecorder))
         .collect()
@@ -370,7 +369,7 @@ fn qos_aware_dominates_cheapest_fit_at_equal_spend() {
     let catalogue = preset_catalogue(&CostModel::default());
     let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
     // (credits spent, users admitted, on-time rate) on `policy`'s fleet.
-    let serve = |policy: &dyn ProvisionPolicy, budget: u64| {
+    let serve = |policy: ProvisionPolicy, budget: u64| {
         let fleet = provision_fleet(policy, &catalogue, forecast, budget, NoopRecorder);
         let report = serve_online(&cfg, &tiers, &trace, fleet.sim_shards(&catalogue));
         (
@@ -380,9 +379,8 @@ fn qos_aware_dominates_cheapest_fit_at_equal_spend() {
         )
     };
     let budgets = [12, 24, 36];
-    let qos = budgets.map(|budget| serve(&QosAware, budget));
-    let strawmen: [&dyn ProvisionPolicy; 2] = [&CheapestFit, &FastestFit];
-    for strawman in strawmen {
+    let qos = budgets.map(|budget| serve(QosAware, budget));
+    for strawman in [CheapestFit, FastestFit] {
         let label = strawman.label();
         let (mut equal_spend_points, mut served_more_somewhere) = (0, false);
         for (budget, (qos_spent, qos_admitted, qos_on_time)) in budgets.into_iter().zip(qos) {
