@@ -187,6 +187,72 @@ fn live_path_matches_model_and_direct_encoding() {
     );
 }
 
+/// Which pool worker runs a tile must not matter: at every worker
+/// count the live run replays the analytical decision stream, and
+/// every tile it encoded equals a direct `encode_tile` call.
+#[test]
+fn live_path_is_identical_at_every_worker_count() {
+    let cfg = live_online_config(48);
+    let platform = Platform::quad_core();
+    let power = PowerModel::default();
+    let trace = trace(3);
+    let reference = serve_online_with(
+        &cfg,
+        &[live_workload("live-ci", BodyPart::Brain, "brain", 11)],
+        &trace,
+        vec![SimBackend::new(platform.clone(), power)],
+        &FlightRecorder::modeled(1, 1 << 12),
+    );
+    assert!(reference.admissions > 0, "scenario must admit users");
+
+    for workers in 1..=3 {
+        // A fresh capture sink per worker count, so no tile is
+        // credited to an earlier run.
+        let workloads = vec![live_workload("live-ci", BodyPart::Brain, "brain", 11).with_capture()];
+        let live = serve_online_with(
+            &cfg,
+            &workloads,
+            &trace,
+            vec![ThreadPoolBackend::with_workers(
+                platform.clone(),
+                power,
+                workers,
+            )],
+            &FlightRecorder::modeled(1, 1 << 12),
+        );
+        assert_eq!(live.events, reference.events, "{workers} workers");
+        assert_eq!(live.windows, reference.windows, "{workers} workers");
+        assert_eq!(
+            live.window_misses, reference.window_misses,
+            "{workers} workers"
+        );
+
+        let w = &workloads[0];
+        let mut compared = 0usize;
+        for slot in 0..w.frame_count() {
+            for thread in 0..w.demand_at(slot).len() {
+                if let Some(captured) = w.captured(slot, thread) {
+                    let direct = w
+                        .encode_direct(slot, thread)
+                        .expect("profiled tile encodes")
+                        .bytes;
+                    assert_eq!(
+                        captured, direct,
+                        "{workers} workers: frame {slot} tile {thread}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(
+            compared,
+            w.captured_tiles(),
+            "{workers} workers: every captured tile compared"
+        );
+        assert!(compared > 0, "{workers} workers: live run encoded tiles");
+    }
+}
+
 #[test]
 fn suggested_rho_is_the_geometric_mean() {
     assert_eq!(suggested_host_speed_factor(&[]), None);
