@@ -4,7 +4,7 @@
 //! The queue of users is always full (paper §IV-B2): users request
 //! videos drawn from the profiled suite, the scheduler admits as many
 //! as the 32 cores sustain at 24 fps, and every 1/FPS slot each
-//! admitted user's current frame tiles execute on their assigned cores.
+//! admitted user's current frame tiles are placed on cores and run.
 //! Admission and reporting live here; the slot loop itself is the
 //! backend-generic [`medvt_runtime::LoopDriver`], run to completion
 //! ([`LoopDriver::run`](medvt_runtime::LoopDriver::run)) — [`ServerSim`]

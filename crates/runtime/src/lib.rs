@@ -18,10 +18,10 @@
 //!   `core::server`/`mpsoc::simulate_slot`), pricing work units
 //!   without running them;
 //! * [`ThreadPoolBackend`] — runs real work units on a pool of
-//!   persistent per-core worker threads (FIFO queues, scoped
-//!   borrow-friendly submission, one barrier per run of slots),
-//!   honouring the core of every placed [`WorkUnit`], with the *same*
-//!   analytical accounting;
+//!   persistent worker threads (borrow-friendly batches, any idle
+//!   worker claims the next unit in slot order, one barrier per run of
+//!   slots), pricing every placed [`WorkUnit`] on its core with the
+//!   *same* analytical accounting;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
 //!   stepped GOP by GOP with per-user accounting and membership deltas
@@ -40,9 +40,9 @@
 //!
 //! # Example
 //!
-//! Run one slot of placed work on a 4-worker pool: each unit's job
-//! runs on the worker its core names, and the slot is priced by the
-//! same analytical model as [`SimBackend`]:
+//! Run one slot of placed work on a 4-worker pool: any idle worker
+//! runs the next unit's job, and the slot is priced per placed core by
+//! the same analytical model as [`SimBackend`]:
 //!
 //! ```
 //! use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};

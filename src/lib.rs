@@ -15,7 +15,7 @@
 //! | [`analyze`] | `medvt-analyze` | texture/motion classification, content-aware re-tiling, baseline tiler |
 //! | [`mpsoc`] | `medvt-mpsoc` | 32-core Xeon platform model, DVFS, power/energy |
 //! | [`sched`] | `medvt-sched` | workload LUT, Algorithm 2 allocator |
-//! | [`runtime`] | `medvt-runtime` | placement-aware execution: per-core worker pool, sim/thread-pool backends, server loop |
+//! | [`runtime`] | `medvt-runtime` | placement-aware execution: work-conserving worker pool, sim/thread-pool backends, server loop |
 //! | [`telemetry`] | `medvt-telemetry` | flight-recorder observability: typed events, lock-free rings, counters/histograms, trace export |
 //! | [`admission`] | `medvt-admission` | live admission control: request queue, shard policies, GOP-boundary admit/evict |
 //! | [`core`] | `medvt-core` | the full pipeline, baseline \[19\], multi-user server (batch, online, live) on either backend |
