@@ -20,7 +20,7 @@ use medvt::encoder::{
 };
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt::frame::{Frame, FrameKind, Rect, Resolution, Tiling};
-use medvt::motion::{MotionVector, SearchWindow};
+use medvt::motion::{MotionLevel, MotionVector, SearchWindow};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -316,6 +316,127 @@ fn default_qp_still_bones_intra_tile_matches_golden() {
     assert_eq!(outcome.stats, GOLDEN_BONES_INTRA_STATS);
 }
 
+/// The three `live_inter` clips as the end-to-end benchmark renders
+/// them: 320×240 at 24 fps, seeds 2018, 2019 and 2020.
+fn live_inter_clips() -> [PhantomVideo; 3] {
+    let clip = |part, motion: Option<MotionPattern>, k: u64| {
+        let builder = PhantomVideo::builder(part)
+            .resolution(Resolution::new(320, 240))
+            .fps(24.0)
+            .seed(2018 + k);
+        match motion {
+            Some(m) => builder.motion(m),
+            None => builder,
+        }
+        .build()
+    };
+    [
+        clip(
+            BodyPart::Cardiac,
+            Some(MotionPattern::Pan { dx: 2.0, dy: 1.0 }),
+            0,
+        ),
+        clip(
+            BodyPart::Brain,
+            Some(MotionPattern::Pan { dx: 1.0, dy: 0.0 }),
+            1,
+        ),
+        clip(BodyPart::LungChest, None, 2),
+    ]
+}
+
+/// Frame 1 of `video` as a P frame predicted from frame 0, over the
+/// 4×4 tiling at `TileConfig::default()` (hexagon-h, W64) — the live
+/// path's search shape, where every tile of the frame's outer ring
+/// searches candidates that reach off the frame. Returns the FNV of
+/// all 16 tiles' bytes, their summed stats and the four corner tiles'
+/// dominant vectors (top-left, top-right, bottom-left, bottom-right).
+fn encode_live_inter_frame(video: &PhantomVideo) -> (u64, TileStats, [MotionVector; 4]) {
+    let frame = Rect::frame(320, 240);
+    let plan = FramePlan::uniform(frame, 4, 4, TileConfig::default());
+    let encoded = encode_frame(
+        &video.render(1),
+        &[&video.render(0)],
+        FrameKind::Predicted,
+        1,
+        &plan,
+        &EncoderConfig::default(),
+        false,
+    );
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, &encoded.bytes);
+    let mvs = &encoded.dominant_mvs;
+    (
+        hash,
+        encoded.stats.total(),
+        [mvs[0], mvs[3], mvs[12], mvs[15]],
+    )
+}
+
+/// The W64 windows of the live path at every frame edge and corner,
+/// on each `live_inter` clip.
+#[test]
+fn live_inter_frames_at_w64_match_golden() {
+    for (k, video) in live_inter_clips().iter().enumerate() {
+        let (hash, stats, corners) = encode_live_inter_frame(video);
+        if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+            println!("live_inter_{k}_hash = {hash:#018x}\n{corners:?}\n{stats:#?}");
+        }
+        let (want_hash, want_stats, want_corners) = &GOLDEN_LIVE_INTER[k];
+        assert_eq!(hash, *want_hash, "clip {k}");
+        assert_eq!(stats, *want_stats, "clip {k}");
+        assert_eq!(corners, *want_corners, "clip {k}");
+    }
+}
+
+/// A two-reference B tile in the top-left corner of a small panning
+/// frame (anatomy, not the flat vignette, fills it) under each of the
+/// four bio-medical policy variants: the policy's narrowed windows
+/// (W16, W64, W8, W32 out of a W64 tile window) and two reference
+/// windows per tile, both reaching off every frame edge.
+#[test]
+fn corner_b_tile_under_every_biomed_variant_matches_golden() {
+    let video = PhantomVideo::builder(BodyPart::Cardiac)
+        .resolution(Resolution::new(96, 64))
+        .motion(MotionPattern::Pan { dx: 3.0, dy: 2.0 })
+        .seed(77)
+        .build();
+    let (past, cur, future) = (video.render(0), video.render(1), video.render(2));
+    let direction = MotionVector::new(-3, -2);
+    let variants = [
+        SearchSpec::biomed_first(MotionLevel::Low),
+        SearchSpec::biomed_first(MotionLevel::High),
+        SearchSpec::biomed_subsequent(MotionLevel::Low, direction),
+        SearchSpec::biomed_subsequent(MotionLevel::High, direction),
+    ];
+    for (i, search) in variants.into_iter().enumerate() {
+        let tcfg = TileConfig {
+            search,
+            ..TileConfig::default()
+        };
+        let outcome = encode_tile(
+            &cur,
+            &[&past, &future],
+            FrameKind::BiPredicted,
+            Rect::new(0, 0, 48, 32),
+            &tcfg,
+            &EncoderConfig::default(),
+        );
+        let mut hash = FNV_OFFSET;
+        fnv1a(&mut hash, &outcome.bytes);
+        if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+            println!(
+                "biomed_b_{i}_hash = {hash:#018x}\n{:?}\n{:#?}",
+                outcome.dominant_mv, outcome.stats
+            );
+        }
+        let (want_hash, want_mv, want_stats) = &GOLDEN_BIOMED_B[i];
+        assert_eq!(hash, *want_hash, "{search:?}");
+        assert_eq!(outcome.dominant_mv, *want_mv, "{search:?}");
+        assert_eq!(outcome.stats, *want_stats, "{search:?}");
+    }
+}
+
 // Captured from the seed kernels (per-pixel clamped SAD, HashMap memo,
 // mutexed DCT basis, allocating encode loop) before the fast paths
 // landed. The optimized kernels must reproduce them bit for bit.
@@ -390,3 +511,124 @@ const GOLDEN_BONES_INTRA_STATS: TileStats = TileStats {
     intra_blocks: 300,
     inter_blocks: 0,
 };
+// Captured on the commit before motion search read one reference
+// window per tile (every off-frame candidate gathered its own clamped
+// patch, motion compensation copied the prediction). The summed stats
+// carry an empty rect: `FrameStats::total` starts from the default.
+const GOLDEN_LIVE_INTER: [(u64, TileStats, [MotionVector; 4]); 3] = [
+    (
+        0x4ad42d37ab78b360,
+        TileStats {
+            rect: Rect::new(0, 0, 0, 0),
+            bits: 5133,
+            luma_ssd: 132530,
+            luma_samples: 76800,
+            sad_samples: 1095040,
+            transform_samples: 115200,
+            intra_blocks: 208,
+            inter_blocks: 112,
+        },
+        [
+            MotionVector::new(0, 0),
+            MotionVector::new(2, 0),
+            MotionVector::new(1, -2),
+            MotionVector::new(-1, -2),
+        ],
+    ),
+    (
+        0x78287d837e54562a,
+        TileStats {
+            rect: Rect::new(0, 0, 0, 0),
+            bits: 4863,
+            luma_ssd: 111351,
+            luma_samples: 76800,
+            sad_samples: 1047424,
+            transform_samples: 115200,
+            intra_blocks: 182,
+            inter_blocks: 138,
+        },
+        [
+            MotionVector::new(0, 0),
+            MotionVector::new(-1, 2),
+            MotionVector::new(1, 2),
+            MotionVector::new(2, 2),
+        ],
+    ),
+    (
+        0x7b9ea2e1aecbc354,
+        TileStats {
+            rect: Rect::new(0, 0, 0, 0),
+            bits: 4691,
+            luma_ssd: 118300,
+            luma_samples: 76800,
+            sad_samples: 1013632,
+            transform_samples: 115200,
+            intra_blocks: 193,
+            inter_blocks: 127,
+        },
+        [
+            MotionVector::new(0, 0),
+            MotionVector::new(-1, -2),
+            MotionVector::new(2, -1),
+            MotionVector::new(0, 1),
+        ],
+    ),
+];
+const GOLDEN_BIOMED_B: [(u64, MotionVector, TileStats); 4] = [
+    (
+        0x3ad2432d8c9d9a34,
+        MotionVector::new(3, 1),
+        TileStats {
+            rect: Rect::new(0, 0, 48, 32),
+            bits: 132,
+            luma_ssd: 2587,
+            luma_samples: 1536,
+            sad_samples: 57344,
+            transform_samples: 2304,
+            intra_blocks: 3,
+            inter_blocks: 3,
+        },
+    ),
+    (
+        0x995868cd523e597b,
+        MotionVector::new(3, 2),
+        TileStats {
+            rect: Rect::new(0, 0, 48, 32),
+            bits: 127,
+            luma_ssd: 2842,
+            luma_samples: 1536,
+            sad_samples: 76800,
+            transform_samples: 2304,
+            intra_blocks: 3,
+            inter_blocks: 3,
+        },
+    ),
+    (
+        0x86ad1385be9d372b,
+        MotionVector::new(-1, 0),
+        TileStats {
+            rect: Rect::new(0, 0, 48, 32),
+            bits: 117,
+            luma_ssd: 2834,
+            luma_samples: 1536,
+            sad_samples: 23040,
+            transform_samples: 2304,
+            intra_blocks: 3,
+            inter_blocks: 3,
+        },
+    ),
+    (
+        0xad9cd24f41042380,
+        MotionVector::new(-3, 0),
+        TileStats {
+            rect: Rect::new(0, 0, 48, 32),
+            bits: 117,
+            luma_ssd: 1882,
+            luma_samples: 1536,
+            sad_samples: 48128,
+            transform_samples: 2304,
+            intra_blocks: 3,
+            inter_blocks: 3,
+        },
+    ),
+];
