@@ -16,7 +16,10 @@
 
 use crate::block::ResidualScratch;
 use crate::intra::IntraRefs;
+use crate::tile::MAX_REFS;
 use medvt_motion::MotionVector;
+#[cfg(doc)]
+use medvt_motion::RefWindow;
 
 /// All reusable buffers one encoding thread needs.
 ///
@@ -33,8 +36,10 @@ pub struct EncScratch {
     pub(crate) intra_pred: Vec<u8>,
     /// Trial prediction buffer for intra mode decision.
     pub(crate) mode_tmp: Vec<u8>,
-    /// Motion-compensated prediction of the current block.
-    pub(crate) inter_pred: Vec<u8>,
+    /// Gathered reference windows of an edge tile, one per reference
+    /// (see [`RefWindow::around`]): at most `(tile.w + 2r)·(tile.h + 2r)`
+    /// bytes each, reused by every later edge tile.
+    pub(crate) ref_windows: [Vec<u8>; MAX_REFS],
     /// Luma intra reference edges.
     pub(crate) luma_refs: IntraRefs,
     /// Prediction of the current chroma block.

@@ -13,8 +13,12 @@ use crate::intra::{IntraRefs, MAX_SIDE};
 use crate::scratch::EncScratch;
 use crate::stats::TileStats;
 use medvt_frame::{Frame, FrameKind, Plane, Rect};
-use medvt_motion::{CostMetric, MotionVector, SearchContext};
+use medvt_motion::{MotionVector, RefWindow, SearchContext};
 use std::cell::RefCell;
+
+/// Reference frames a tile may predict from: the block header codes
+/// the reference index in one bit.
+pub(crate) const MAX_REFS: usize = 2;
 
 /// Everything produced by encoding one tile.
 #[derive(Debug, Clone)]
@@ -89,8 +93,9 @@ pub fn encode_tile(
 /// # Panics
 ///
 /// Panics when the tile is unaligned, outside the frame, or `refs` is
-/// empty for an inter frame kind, and when `ecfg.block_size` is above
-/// 64 (the bound [`EncoderConfig::validate`] enforces).
+/// empty for an inter frame kind or holds more than two frames, and
+/// when `ecfg.block_size` is above 64 (the bound
+/// [`EncoderConfig::validate`] enforces).
 pub fn encode_tile_with_scratch(
     original: &Frame,
     refs: &[&Frame],
@@ -121,6 +126,11 @@ pub fn encode_tile_with_scratch(
     if kind.is_inter() {
         assert!(!refs.is_empty(), "inter frame requires reference frames");
     }
+    assert!(
+        refs.len() <= MAX_REFS,
+        "{} reference frames, at most {MAX_REFS}",
+        refs.len()
+    );
 
     let mut stats = TileStats::new(tile);
     let mut writer = BitWriter::new();
@@ -137,7 +147,7 @@ pub fn encode_tile_with_scratch(
         orig_block,
         intra_pred,
         mode_tmp,
-        inter_pred,
+        ref_windows,
         luma_refs,
         chroma_pred,
         inter_mvs,
@@ -145,6 +155,17 @@ pub fn encode_tile_with_scratch(
         mv_ys,
     } = scratch;
     inter_mvs.clear();
+
+    // One reference window per reference: every block search of the
+    // tile and its luma motion compensation read from it. Only a tile
+    // within the search radius of a frame edge gathers one.
+    let mut window_bufs = ref_windows.iter_mut();
+    let windows: [Option<RefWindow<'_>>; MAX_REFS] = std::array::from_fn(|i| {
+        let buf = window_bufs.next().expect("one buffer per reference");
+        refs.get(i)
+            .filter(|_| inter)
+            .map(|r| RefWindow::around(r.y(), tile, tcfg.window, buf))
+    });
 
     let bs = ecfg.block_size;
     let tile_local = Rect::frame(tile.w, tile.h);
@@ -168,13 +189,12 @@ pub fn encode_tile_with_scratch(
             // Inter candidate.
             let mut inter_choice: Option<(usize, MotionVector, u64, u64)> = None;
             if inter {
-                for (ref_idx, reference) in refs.iter().enumerate() {
-                    let ctx = SearchContext::new(
+                for (ref_idx, &window) in windows.iter().flatten().enumerate() {
+                    let ctx = SearchContext::windowed(
                         original.y(),
-                        reference.y(),
+                        window,
                         abs_block,
                         tcfg.window,
-                        CostMetric::Sad,
                         prev_mv,
                     );
                     let r = tcfg.search.search(&ctx);
@@ -199,16 +219,12 @@ pub fn encode_tile_with_scratch(
                 }
             };
 
-            let prediction: &Vec<u8> = if use_inter {
+            let prediction = if use_inter {
                 let (ref_idx, mv, _, _) = inter_choice.expect("inter chosen");
-                let reference = refs[ref_idx];
-                reference.y().copy_block_clamped_into(
-                    abs_block.x as isize + mv.x as isize,
-                    abs_block.y as isize + mv.y as isize,
-                    bw,
-                    bh,
-                    inter_pred,
-                );
+                let window = windows[ref_idx].expect("inter tiles have a window per reference");
+                let prediction = window
+                    .span(&abs_block, mv)
+                    .expect("the chosen vector lies in the tile's window");
                 // Header: inter flag, ref index, MV difference.
                 writer.write_bit(true);
                 if refs.len() > 1 {
@@ -220,12 +236,12 @@ pub fn encode_tile_with_scratch(
                 prev_mv = mv;
                 inter_mvs.push(mv);
                 stats.inter_blocks += 1;
-                inter_pred
+                prediction
             } else {
                 writer.write_bit(false);
                 writer.write_bits(intra_mode.index(), 2);
                 stats.intra_blocks += 1;
-                intra_pred
+                (&intra_pred[..], bw)
             };
 
             // Luma residual (8x8 transforms always fit: bw/bh are
@@ -233,7 +249,7 @@ pub fn encode_tile_with_scratch(
             // place.
             let coded = code_residual_strided(
                 (orig_block, bw),
-                (prediction, bw),
+                prediction,
                 (&mut recon_y.samples_mut()[by * tile.w + bx..], tile.w),
                 bw,
                 bh,

@@ -12,7 +12,9 @@
 //! checks the same property at tile granularity: per-tile allocations
 //! must not scale with the number of blocks in the tile — also at a QP
 //! where the chroma blocks survive, on intra tiles (stride-0 DC chroma
-//! prediction) and on inter ones. A third runs every `SearchSpec`
+//! prediction) and on inter ones, and for edge tiles at the W64 search
+//! window, whose reference window is gathered once per tile into a
+//! buffer the next edge tile reuses. A third runs every `SearchSpec`
 //! variant, the bio-medical policy's nested narrowed context included,
 //! on a warm thread and must see zero allocations.
 
@@ -499,6 +501,58 @@ fn surviving_chroma_and_dc_chroma_allocate_per_tile_not_per_block() {
              for 4 blocks, {large} for 64"
         );
     }
+}
+
+/// Edge P tiles at the live path's W64 window: a tile within the
+/// search radius of a frame edge gathers one reference window per tile
+/// into `EncScratch`, so its allocations do not scale with its blocks,
+/// and a second edge tile of the same size finds the window buffer
+/// already grown.
+#[test]
+fn edge_tiles_at_w64_gather_one_reused_window_per_tile() {
+    let video = PhantomVideo::builder(BodyPart::Brain)
+        .resolution(Resolution::new(192, 128))
+        .motion(MotionPattern::Pan { dx: 2.0, dy: 1.0 })
+        .seed(9)
+        .build();
+    let (f0, f1) = (video.render(0), video.render(1));
+    let refs: Vec<&Frame> = vec![&f0];
+    let tcfg = TileConfig {
+        qp: Qp::new(32).unwrap(),
+        ..TileConfig::default()
+    };
+    assert_eq!(tcfg.window, SearchWindow::W64);
+    let ecfg = EncoderConfig::default();
+    let kind = FrameKind::Predicted;
+
+    let mut scratch = EncScratch::new();
+    let mut measure =
+        |tile| warm_tile_allocations(&f1, &refs, kind, tile, &tcfg, &ecfg, &mut scratch);
+    let small = measure(Rect::new(0, 0, 32, 32)); // 4 blocks
+    let large = measure(Rect::new(0, 0, 128, 128)); // 64 blocks
+    assert!(
+        large <= small + 24,
+        "per-tile allocations scale with block count: {small} allocs for 4 blocks, \
+         {large} for 64"
+    );
+
+    // A fresh scratch: the first edge tile grows the window buffer, the
+    // second one, in the opposite corner, allocates exactly what its
+    // own warm re-encode does.
+    let mut scratch = EncScratch::new();
+    let mut encode = |tile| {
+        let before = alloc_events();
+        encode_tile_with_scratch(&f1, &refs, kind, tile, &tcfg, &ecfg, &mut scratch);
+        alloc_events() - before
+    };
+    let second_tile = Rect::new(128, 64, 64, 64);
+    encode(Rect::new(0, 0, 64, 64));
+    let first_encode = encode(second_tile);
+    let warm_encode = encode(second_tile);
+    assert_eq!(
+        first_encode, warm_encode,
+        "a second edge tile of the same size must reuse the window buffer"
+    );
 }
 
 #[test]

@@ -5,9 +5,15 @@
 //! edge clamping, matching unrestricted motion vectors over padded
 //! reference pictures in HEVC.
 //!
-//! Motion search scores every candidate by SAD: `SearchContext` calls
-//! [`sad_upto`] directly. [`satd`] has no search caller; it is kept as a
-//! standalone measure of post-transform cost.
+//! Motion search scores every candidate by SAD, but not through
+//! [`sad_upto`]: a [`crate::SearchContext`] reads the reference through
+//! a [`crate::RefWindow`] and scores each candidate inside it with one
+//! strided [`simd::block_sad`] call on the tier it resolved when it was
+//! built. The encoder gives every inter tile one window per reference,
+//! gathered once with edge replication when the tile lies within the
+//! search radius of a frame edge, so no candidate of a live search
+//! reaches the clamped path below. [`satd`] has no search caller; it is
+//! kept as a standalone measure of post-transform cost.
 //!
 //! Two access patterns back both metrics:
 //!
@@ -21,11 +27,14 @@
 //! * the **clamped path** for candidates that reach off the frame,
 //!   and it is the only one: the edge-replicated reference patch is
 //!   gathered row-wise into a stack buffer
-//!   ([`Plane::gather_block_clamped`], the same gather motion
-//!   compensation uses) and the same kernels run on it. The
-//!   per-sample [`Plane::get_clamped`] form survives only in
-//!   `tests/kernel_differential.rs`, as the executable specification
-//!   every tier must match.
+//!   ([`Plane::gather_block_clamped`], the same gather a tile's
+//!   reference window and chroma motion compensation use) and the same
+//!   kernels run on it. Three callers still reach it: a search context
+//!   over a bare plane ([`crate::SearchContext::new`], whose candidates
+//!   off the plane fall back to it), [`satd`], and the public [`sad`] /
+//!   [`sad_upto`]. The per-sample [`Plane::get_clamped`] form survives
+//!   only in `tests/kernel_differential.rs`, as the executable
+//!   specification every tier must match.
 //!
 //! [`sad_upto`] additionally takes an exclusive `bound` and may stop
 //! early once the partial sum reaches it (tested every four rows).
@@ -114,9 +123,22 @@ pub fn sad_upto(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector, 
             bound,
         );
     }
-    // Off-frame candidate: gather the clamped reference patch and run
-    // the same kernel on it. Blocks beyond the patch size are walked
-    // in patch-sized pieces against what is left of the bound.
+    clamped_sad_upto(t, cur, reference, block, mv, bound)
+}
+
+/// The clamped path of [`sad_upto`] on tier `t`, for a non-empty
+/// `block` inside `cur`: the edge-replicated reference patch is
+/// gathered into a stack buffer and the same kernel runs on it. Blocks
+/// beyond the patch size are walked in patch-sized pieces against what
+/// is left of the bound.
+pub(crate) fn clamped_sad_upto(
+    t: simd::DispatchTier,
+    cur: &Plane,
+    reference: &Plane,
+    block: &Rect,
+    mv: MotionVector,
+    bound: u64,
+) -> u64 {
     let mut patch = [0u8; CLAMPED_PATCH * CLAMPED_PATCH];
     let mut acc = 0u64;
     for sy in (0..block.h).step_by(CLAMPED_PATCH) {

@@ -78,5 +78,5 @@ pub use algorithms::HexOrientation;
 pub use biomed::{GopPhase, MotionLevel};
 pub use cost::{sad, sad_upto, satd, CostMetric};
 pub use mv::{MotionAxis, MotionVector};
-pub use search::{Best, SearchContext, SearchResult, SearchWindow};
+pub use search::{Best, RefWindow, SearchContext, SearchResult, SearchWindow};
 pub use spec::SearchSpec;

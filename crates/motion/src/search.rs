@@ -1,11 +1,13 @@
 //! Search framework: windows, contexts, the running best and results,
 //! shared by every algorithm [`crate::SearchSpec`] names.
 
-use crate::cost::{sad_upto, CostMetric};
+use crate::cost::simd::{self, DispatchTier};
+use crate::cost::{clamped_sad_upto, CostMetric};
 use crate::MotionVector;
 use medvt_frame::{Plane, Rect};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
+use std::fmt;
 
 /// A square search window of `size x size` samples centered on the
 /// collocated block, i.e. motion components are clamped to
@@ -151,9 +153,146 @@ fn memo_release(buf: MemoBuf) {
     let _ = MEMO_POOL.try_with(|pool| pool.borrow_mut().push(buf));
 }
 
-/// Everything an algorithm needs to search one block: the two planes,
-/// the block geometry, the window and a starting predictor. Candidates
-/// are scored by SAD.
+/// The reference samples a search reads: the frame rectangle
+/// `[x0, x0 + width) × [y0, y0 + height)`, stored row-major.
+///
+/// A window is either a whole reference plane ([`RefWindow::plane`],
+/// origin 0), whose candidates that reach off the plane read its
+/// edge-replicated samples, or a gathered window
+/// ([`RefWindow::around`]) that holds the edge-replicated samples of
+/// one tile's search range and nothing beyond it.
+///
+/// # Examples
+///
+/// ```
+/// use medvt_frame::{Plane, Rect};
+/// use medvt_motion::{RefWindow, SearchWindow};
+///
+/// let reference = Plane::filled(64, 48, 9);
+/// let w16 = SearchWindow::W16; // ±8
+/// let mut buf = Vec::new();
+/// // In frame: the window is the plane itself, nothing is copied.
+/// let inside = RefWindow::around(&reference, Rect::new(16, 16, 16, 16), w16, &mut buf);
+/// assert_eq!(inside.origin(), (0, 0));
+/// // At the frame corner: the range `tile ± 8` is gathered once.
+/// let corner = RefWindow::around(&reference, Rect::new(0, 0, 16, 16), w16, &mut buf);
+/// assert_eq!(corner.origin(), (-8, -8));
+/// assert_eq!(corner.size(), (32, 32));
+/// ```
+#[derive(Clone, Copy)]
+pub struct RefWindow<'a> {
+    samples: &'a [u8],
+    x0: isize,
+    y0: isize,
+    width: usize,
+    height: usize,
+    /// The plane itself when the window is a whole reference plane:
+    /// candidates beyond it fall back to edge clamping.
+    plane: Option<&'a Plane>,
+}
+
+impl<'a> RefWindow<'a> {
+    /// The whole `reference` plane at origin 0. Candidates that reach
+    /// off it read clamped edge samples.
+    pub fn plane(reference: &'a Plane) -> Self {
+        RefWindow {
+            samples: reference.samples(),
+            x0: 0,
+            y0: 0,
+            width: reference.width(),
+            height: reference.height(),
+            plane: Some(reference),
+        }
+    }
+
+    /// The window every block of `area` searches within `±r`,
+    /// `r = window.radius()`: the frame rectangle `[area.x − r,
+    /// area.right() + r) × [area.y − r, area.bottom() + r)`. When that
+    /// rectangle lies inside `reference` the window is the plane itself
+    /// (no copy); otherwise its edge-replicated samples are gathered
+    /// once into `buf`, which grows to `(area.w + 2r)·(area.h + 2r)`
+    /// bytes and is reused by the next call.
+    pub fn around(
+        reference: &'a Plane,
+        area: Rect,
+        window: SearchWindow,
+        buf: &'a mut Vec<u8>,
+    ) -> Self {
+        let r = window.radius() as usize;
+        let (x0, y0) = (area.x as isize - r as isize, area.y as isize - r as isize);
+        let (width, height) = (area.w + 2 * r, area.h + 2 * r);
+        if x0 >= 0
+            && y0 >= 0
+            && x0 as usize + width <= reference.width()
+            && y0 as usize + height <= reference.height()
+        {
+            return RefWindow::plane(reference);
+        }
+        reference.copy_block_clamped_into(x0, y0, width, height, buf);
+        RefWindow {
+            samples: buf,
+            x0,
+            y0,
+            width,
+            height,
+            plane: None,
+        }
+    }
+
+    /// Frame coordinates of the window's first sample.
+    pub fn origin(&self) -> (isize, isize) {
+        (self.x0, self.y0)
+    }
+
+    /// Width and height in samples.
+    pub fn size(&self) -> (usize, usize) {
+        (self.width, self.height)
+    }
+
+    /// `true` when the window holds every sample of `block` displaced
+    /// by up to `±radius`.
+    fn covers(&self, block: &Rect, radius: i16) -> bool {
+        let r = radius as isize;
+        block.x as isize - r >= self.x0
+            && block.y as isize - r >= self.y0
+            && block.right() as isize + r <= self.x0 + self.width as isize
+            && block.bottom() as isize + r <= self.y0 + self.height as isize
+    }
+
+    /// The samples of `block` displaced by `mv` as a strided view
+    /// `(samples, stride)`: row `i` is `samples[i * stride..][..block.w]`.
+    /// `None` when the displaced block is not entirely inside the
+    /// window.
+    #[inline]
+    pub fn span(&self, block: &Rect, mv: MotionVector) -> Option<(&'a [u8], usize)> {
+        let x = block.x as isize + mv.x as isize - self.x0;
+        let y = block.y as isize + mv.y as isize - self.y0;
+        if x >= 0
+            && y >= 0
+            && x as usize + block.w <= self.width
+            && y as usize + block.h <= self.height
+        {
+            let samples: &'a [u8] = self.samples;
+            Some((&samples[y as usize * self.width + x as usize..], self.width))
+        } else {
+            None
+        }
+    }
+}
+
+impl fmt::Debug for RefWindow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RefWindow")
+            .field("origin", &self.origin())
+            .field("size", &self.size())
+            .field("whole_plane", &self.plane.is_some())
+            .finish()
+    }
+}
+
+/// Everything an algorithm needs to search one block: the current
+/// plane, the reference window, the block geometry, the search window
+/// and a starting predictor. Candidates are scored by SAD.
 ///
 /// The context memoizes candidate costs, so the number of *distinct*
 /// candidates evaluated — the standard complexity measure for
@@ -163,13 +302,32 @@ fn memo_release(buf: MemoBuf) {
 /// per candidate, no hashing), recycled through a thread-local pool so
 /// constructing a context in a steady-state encode loop does not
 /// allocate.
+///
+/// # The reference window
+///
+/// Every candidate whose displaced block lies inside the context's
+/// [`RefWindow`] costs one strided [`simd::block_sad`] call straight on
+/// the window's samples. A gathered window must hold `block ± r`
+/// (`r` the search window's radius), so every in-window candidate lies
+/// inside it; [`SearchContext::windowed`] panics on one that does not,
+/// rather than clamp at the window's own border. Only a whole-plane
+/// window — what [`SearchContext::new`] builds — has candidates beyond
+/// it; they take the clamped path of [`crate::cost`].
+///
+/// # One tier per context
+///
+/// The SIMD tier is resolved once, when the context is built: a
+/// [`simd::with_tier`] override in force then governs every candidate
+/// of the search, the policy's narrowed contexts included, whatever
+/// override is in force while the search runs.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     cur: &'a Plane,
-    reference: &'a Plane,
+    reference: RefWindow<'a>,
     block: Rect,
     window: SearchWindow,
     predictor: MotionVector,
+    tier: DispatchTier,
     evaluations: Cell<u64>,
     memo: RefCell<MemoBuf>,
 }
@@ -181,8 +339,9 @@ impl Drop for SearchContext<'_> {
 }
 
 impl<'a> SearchContext<'a> {
-    /// Creates a search context. `_metric` selects nothing: SAD is the
-    /// one search metric (see [`CostMetric`]).
+    /// Creates a search context over the whole `reference` plane.
+    /// `_metric` selects nothing: SAD is the one search metric (see
+    /// [`CostMetric`]).
     ///
     /// # Panics
     ///
@@ -195,9 +354,43 @@ impl<'a> SearchContext<'a> {
         _metric: CostMetric,
         predictor: MotionVector,
     ) -> Self {
+        Self::windowed(cur, RefWindow::plane(reference), block, window, predictor)
+    }
+
+    /// Creates a search context reading the reference through
+    /// `reference` (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `block` is not fully inside `cur`, and when
+    /// `reference` is a gathered window that does not hold `block`
+    /// displaced by up to `±window.radius()`.
+    pub fn windowed(
+        cur: &'a Plane,
+        reference: RefWindow<'a>,
+        block: Rect,
+        window: SearchWindow,
+        predictor: MotionVector,
+    ) -> Self {
+        Self::build(cur, reference, block, window, predictor, simd::tier())
+    }
+
+    fn build(
+        cur: &'a Plane,
+        reference: RefWindow<'a>,
+        block: Rect,
+        window: SearchWindow,
+        predictor: MotionVector,
+        tier: DispatchTier,
+    ) -> Self {
         assert!(
             cur.bounds().contains_rect(&block),
             "block {block} outside current plane"
+        );
+        assert!(
+            reference.plane.is_some() || reference.covers(&block, window.radius()),
+            "reference window {reference:?} does not cover block {block} ± {}",
+            window.radius()
         );
         Self {
             cur,
@@ -205,6 +398,7 @@ impl<'a> SearchContext<'a> {
             block,
             window,
             predictor,
+            tier,
             evaluations: Cell::new(0),
             memo: RefCell::new(memo_acquire(window.size() + 1)),
         }
@@ -238,9 +432,10 @@ impl<'a> SearchContext<'a> {
         self.evaluations.get()
     }
 
-    /// A derived context over the same planes/block with a different
-    /// window (used by policy algorithms that shrink the window); the
-    /// evaluation counter starts at zero.
+    /// A derived context over the same planes, block, reference window
+    /// and tier with a different search window (used by policy
+    /// algorithms that shrink the window); the evaluation counter
+    /// starts at zero.
     pub(crate) fn narrowed(&self, window: SearchWindow) -> SearchContext<'a> {
         self.narrowed_with_predictor(window, self.predictor)
     }
@@ -252,14 +447,45 @@ impl<'a> SearchContext<'a> {
         window: SearchWindow,
         predictor: MotionVector,
     ) -> SearchContext<'a> {
-        SearchContext::new(
+        SearchContext::build(
             self.cur,
             self.reference,
             self.block,
             window,
-            CostMetric::Sad,
             predictor,
+            self.tier,
         )
+    }
+
+    /// SAD of candidate `mv` under the `*_upto` contract of
+    /// [`crate::cost`]: one strided kernel call when the displaced
+    /// block lies in the reference window, the clamped path otherwise
+    /// (reachable only for a whole-plane window, see the type docs).
+    #[inline]
+    fn sad_upto(&self, mv: MotionVector, bound: u64) -> u64 {
+        let b = &self.block;
+        if b.is_empty() {
+            return 0;
+        }
+        match self.reference.span(b, mv) {
+            Some((reference, stride)) => simd::block_sad(
+                self.tier,
+                self.cur.span_from(b.x, b.y),
+                self.cur.width(),
+                reference,
+                stride,
+                b.w,
+                b.h,
+                bound,
+            ),
+            None => {
+                let plane = self
+                    .reference
+                    .plane
+                    .expect("a gathered window holds every in-window candidate");
+                clamped_sad_upto(self.tier, self.cur, plane, b, mv, bound)
+            }
+        }
     }
 
     /// Cost of candidate `mv`, or `None` when it falls outside the
@@ -276,7 +502,7 @@ impl<'a> SearchContext<'a> {
     ///
     /// Distinct candidates are still counted exactly once in
     /// [`SearchContext::evaluations`], terminated or not.
-    pub(crate) fn try_cost_upto(&self, mv: MotionVector, bound: u64) -> Option<u64> {
+    pub fn try_cost_upto(&self, mv: MotionVector, bound: u64) -> Option<u64> {
         if !self.window.contains(mv) {
             return None;
         }
@@ -291,7 +517,7 @@ impl<'a> SearchContext<'a> {
             // still reaches.
             TAG_LOWER if cached >= bound => Some(cached),
             _ => {
-                let c = sad_upto(self.cur, self.reference, &self.block, mv, bound);
+                let c = self.sad_upto(mv, bound);
                 if c < bound {
                     memo.set(idx, TAG_EXACT, c);
                 } else {

@@ -375,6 +375,200 @@ proptest! {
     }
 }
 
+/// Motion search over one reference window per tile
+/// (`RefWindow::around`): every in-window candidate's windowed cost
+/// against [`spec::sad`], the windowed search against the bare-plane
+/// one, and the coverage check at context construction.
+mod window {
+    use super::{assert_upto_contract, bounds_around, plane, spec, tiers, Lcg};
+    use medvt_frame::{Plane, Rect};
+    use medvt_motion::cost::simd;
+    use medvt_motion::{
+        CostMetric, HexOrientation, MotionLevel, MotionVector, RefWindow, SearchContext,
+        SearchSpec, SearchWindow,
+    };
+    use proptest::prelude::*;
+
+    /// Tiles of `w x h` in every corner, on the middle of every edge
+    /// and in the middle of a `pw x ph` plane.
+    fn tiles(pw: usize, ph: usize, w: usize, h: usize) -> Vec<Rect> {
+        let (xs, ys) = ([0, (pw - w) / 2, pw - w], [0, (ph - h) / 2, ph - h]);
+        ys.iter()
+            .flat_map(|&y| xs.iter().map(move |&x| Rect::new(x, y, w, h)))
+            .collect()
+    }
+
+    /// The blocks a tile's encode would search: its four corner blocks
+    /// of `bw x bh` (clipped to the tile) and the whole tile.
+    fn blocks(tile: Rect, bw: usize, bh: usize) -> Vec<Rect> {
+        let (bw, bh) = (bw.min(tile.w), bh.min(tile.h));
+        let (x1, y1) = (tile.right() - bw, tile.bottom() - bh);
+        vec![
+            Rect::new(tile.x, tile.y, bw, bh),
+            Rect::new(x1, tile.y, bw, bh),
+            Rect::new(tile.x, y1, bw, bh),
+            Rect::new(x1, y1, bw, bh),
+            tile,
+        ]
+    }
+
+    /// A smooth reference and a current plane showing it moved by
+    /// `(dx, dy)` plus a little noise, so searches walk towards a
+    /// match that may lie off the frame.
+    fn moving_pair(pw: usize, ph: usize, dx: isize, dy: isize, seed: u64) -> (Plane, Plane) {
+        let noise = plane(pw, ph, seed);
+        let mut reference = Plane::new(pw, ph);
+        for row in 0..ph {
+            for col in 0..pw {
+                let (x, y) = (col as f64, row as f64);
+                let v = 128.0 + 90.0 * (x / 5.0).sin() * (y / 7.0).cos() + (x + 2.0 * y) / 4.0;
+                reference.set(col, row, v.clamp(0.0, 255.0) as u8);
+            }
+        }
+        let mut cur = Plane::new(pw, ph);
+        for row in 0..ph {
+            for col in 0..pw {
+                let v = reference.get_clamped(col as isize - dx, row as isize - dy);
+                cur.set(col, row, v.saturating_add(noise.get(col, row) % 5));
+            }
+        }
+        (cur, reference)
+    }
+
+    /// Every search `zero_alloc` enumerates.
+    fn specs() -> Vec<SearchSpec> {
+        let mut specs = vec![
+            SearchSpec::Full,
+            SearchSpec::ThreeStep,
+            SearchSpec::Diamond,
+            SearchSpec::Cross,
+            SearchSpec::OneAtATime,
+            SearchSpec::Hexagon(HexOrientation::Horizontal),
+            SearchSpec::Hexagon(HexOrientation::Vertical),
+            SearchSpec::Hexagon(HexOrientation::Rotating),
+            SearchSpec::Tz,
+        ];
+        for level in [MotionLevel::Low, MotionLevel::High] {
+            specs.push(SearchSpec::biomed_first(level));
+            specs.push(SearchSpec::biomed_subsequent(
+                level,
+                MotionVector::new(-3, 1),
+            ));
+        }
+        specs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Each in-window candidate of blocks touching every edge and
+        /// corner of a ragged plane costs exactly `spec::sad` through
+        /// the tile's window, and keeps the `*_upto` contract at the
+        /// bounds around that cost, on every tier — blocks wider than
+        /// the clamped path's 32-sample patch included.
+        #[test]
+        fn windowed_costs_match_reference_on_every_tier(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let (pw, ph) = (70 + rng.below(30) as usize, 60 + rng.below(25) as usize);
+            let cur = plane(pw, ph, seed);
+            let reference = plane(pw, ph, seed.wrapping_add(1));
+            let mut buf = Vec::new();
+            for (window, tw, th, bw, bh) in [
+                (SearchWindow::W8, 24, 16, 8, 8),
+                (SearchWindow::W16, 40, 24, 16, 16),
+                (SearchWindow::W8, 56, 48, 40, 36),
+            ] {
+                let r = window.radius();
+                for tile in tiles(pw, ph, tw, th) {
+                    let win = RefWindow::around(&reference, tile, window, &mut buf);
+                    for block in blocks(tile, bw, bh) {
+                        let case = format!("seed {seed} plane {pw}x{ph} tile {tile} block {block} r {r}");
+                        let candidates = (-r..=r).flat_map(|y| (-r..=r).map(move |x| MotionVector::new(x, y)));
+                        let exact: Vec<u64> = candidates
+                            .clone()
+                            .map(|mv| spec::sad(&cur, &reference, &block, mv))
+                            .collect();
+                        for t in tiers() {
+                            // One fresh context per bound, so no memo
+                            // entry answers for the kernel.
+                            for k in 0..bounds_around(0).len() {
+                                let ctx = simd::with_tier(t, || {
+                                    SearchContext::windowed(&cur, win, block, window, MotionVector::ZERO)
+                                });
+                                for (mv, &exact) in candidates.clone().zip(&exact) {
+                                    let bound = bounds_around(exact)[k];
+                                    let got = ctx.try_cost_upto(mv, bound).expect("in-window candidate");
+                                    assert_upto_contract(
+                                        got,
+                                        exact,
+                                        bound,
+                                        &format!("{case} tier {} mv {mv:?} bound {bound}", t.name()),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Every search returns the same result — vector, cost and
+        /// distinct evaluations — over its tile's window as over the
+        /// bare reference plane, on every tier.
+        #[test]
+        fn windowed_search_matches_the_bare_plane_search(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let (pw, ph) = (72 + rng.below(24) as usize, 56 + rng.below(24) as usize);
+            let (dx, dy) = (rng.below(13) as isize - 6, rng.below(13) as isize - 6);
+            let (cur, reference) = moving_pair(pw, ph, dx, dy, seed);
+            let mut buf = Vec::new();
+            for window in [SearchWindow::W16, SearchWindow::W32] {
+                for tile in tiles(pw, ph, 32, 24) {
+                    let win = RefWindow::around(&reference, tile, window, &mut buf);
+                    for block in blocks(tile, 16, 16) {
+                        for spec in specs() {
+                            for t in tiers() {
+                                let predictor = MotionVector::new(dx as i16 / 2, 0);
+                                let (windowed, bare) = simd::with_tier(t, || {
+                                    let windowed = SearchContext::windowed(&cur, win, block, window, predictor);
+                                    let bare = SearchContext::new(&cur, &reference, block, window, CostMetric::Sad, predictor);
+                                    (spec.search(&windowed), spec.search(&bare))
+                                });
+                                prop_assert_eq!(
+                                    windowed,
+                                    bare,
+                                    "seed {} plane {}x{} shift ({}, {}) tile {} block {} {:?} tier {}",
+                                    seed, pw, ph, dx, dy, tile, block, spec, t.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A window gathered for a smaller search window than the
+    /// context's does not hold `block ± r`: the context refuses it
+    /// instead of clamping at the window's own border.
+    #[test]
+    #[should_panic(expected = "does not cover")]
+    fn a_window_short_of_the_search_radius_is_rejected() {
+        let cur = plane(64, 48, 1);
+        let reference = plane(64, 48, 2);
+        let tile = Rect::new(0, 0, 32, 16);
+        let mut buf = Vec::new();
+        let win = RefWindow::around(&reference, tile, SearchWindow::W8, &mut buf);
+        SearchContext::windowed(
+            &cur,
+            win,
+            Rect::new(16, 0, 16, 16),
+            SearchWindow::W16,
+            MotionVector::ZERO,
+        );
+    }
+}
+
 mod intra {
     use super::{simd, tiers, Lcg};
     use medvt_encoder::{IntraMode, IntraRefs};
