@@ -536,21 +536,32 @@ fn edge_tiles_at_w64_gather_one_reused_window_per_tile() {
          {large} for 64"
     );
 
-    // A fresh scratch: the first edge tile grows the window buffer, the
-    // second one, in the opposite corner, allocates exactly what its
-    // own warm re-encode does.
+    // A fresh scratch warmed on an interior tile, whose W64 range lies
+    // inside the frame so it reads the plane itself: the first edge
+    // tile then allocates its window buffer once, and a second edge
+    // tile of the same size, in the opposite corner, allocates exactly
+    // what its own warm re-encode does.
     let mut scratch = EncScratch::new();
     let mut encode = |tile| {
         let before = alloc_events();
         encode_tile_with_scratch(&f1, &refs, kind, tile, &tcfg, &ecfg, &mut scratch);
         alloc_events() - before
     };
-    let second_tile = Rect::new(128, 64, 64, 64);
-    encode(Rect::new(0, 0, 64, 64));
-    let first_encode = encode(second_tile);
-    let warm_encode = encode(second_tile);
+    let interior = Rect::new(64, 32, 64, 64);
+    encode(interior);
+    encode(interior);
+    let (first, second) = (Rect::new(0, 0, 64, 64), Rect::new(128, 64, 64, 64));
+    let first_cold = encode(first);
+    let first_warm = encode(first);
     assert_eq!(
-        first_encode, warm_encode,
+        first_cold,
+        first_warm + 1,
+        "the first edge tile must allocate its window buffer, once"
+    );
+    let second_cold = encode(second);
+    let second_warm = encode(second);
+    assert_eq!(
+        second_cold, second_warm,
         "a second edge tile of the same size must reuse the window buffer"
     );
 }
