@@ -159,13 +159,13 @@ pub fn encode_tile_with_scratch(
     // One reference window per reference: every block search of the
     // tile and its luma motion compensation read from it. Only a tile
     // within the search radius of a frame edge gathers one.
-    let mut window_bufs = ref_windows.iter_mut();
-    let windows: [Option<RefWindow<'_>>; MAX_REFS] = std::array::from_fn(|i| {
-        let buf = window_bufs.next().expect("one buffer per reference");
+    let window = |i: usize, buf| {
         refs.get(i)
             .filter(|_| inter)
             .map(|r| RefWindow::around(r.y(), tile, tcfg.window, buf))
-    });
+    };
+    let [buf0, buf1] = ref_windows;
+    let windows = [window(0, buf0), window(1, buf1)];
 
     let bs = ecfg.block_size;
     let tile_local = Rect::frame(tile.w, tile.h);
