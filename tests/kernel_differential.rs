@@ -30,9 +30,11 @@
 //! `simd::block_sad` against `spec::sad` on every width it
 //! has a body for and the widths that fall through, at every stride
 //! shape its callers use (plane stride, packed, 0); `sad` and `satd`
-//! with motion vectors off every edge and corner of the reference; and the
-//! encoder's intra predictions and mode decision against a textbook
-//! restatement of the four modes kept in this file.
+//! with motion vectors off every edge and corner of the reference;
+//! motion search over a tile's reference window against the spec and
+//! against the same search over the bare plane; and the encoder's
+//! intra predictions and mode decision against a textbook restatement
+//! of the four modes kept in this file.
 //!
 //! Tiers are pinned with `cost::simd::with_tier`, so on an AVX2 host a
 //! single run exercises all three code paths; on an older host the
