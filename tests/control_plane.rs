@@ -6,11 +6,11 @@
 //! platforms.
 
 use medvt::admission::{
-    preset_catalogue, serve_online, serve_online_reference, synthesize_trace, CostPlan, EventKind,
-    OnlineConfig, ShardPolicy, TraceConfig,
+    serve_online, serve_online_reference, synthesize_trace, CostPlan, EventKind, OnlineConfig,
+    ShardPolicy, TraceConfig,
 };
 use medvt::core::{Approach, ServerConfig, ServerSim};
-use medvt::mpsoc::{CostModel, DvfsPolicy, Platform, PowerModel};
+use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
 
 mod common;
@@ -107,12 +107,18 @@ fn optimized_controller_replays_the_reference_decision_stream() {
 
 /// One big.LITTLE socket, one big-only and one LITTLE-only cluster:
 /// three shards of three capacities (5.8 / 4.0 / 1.8 reference cores).
+/// The platform names go into each `ShardReport::label`, so into the
+/// report hash.
 fn hetero_shards() -> Vec<SimBackend> {
-    preset_catalogue(&CostModel::default())
-        .into_iter()
-        .filter(|p| p.name.contains("LITTLE") || p.name.ends_with("-cluster"))
-        .map(|p| SimBackend::new(p.platform, p.power))
-        .collect()
+    let classes = Platform::big_little().classes().to_vec();
+    [
+        Platform::with_classes("big.LITTLE socket", 1, classes.clone(), 50e-6),
+        Platform::with_classes("big cluster", 1, vec![classes[0].clone()], 50e-6),
+        Platform::with_classes("LITTLE cluster", 1, vec![classes[1].clone()], 50e-6),
+    ]
+    .into_iter()
+    .map(|p| SimBackend::new(p, PowerModel::default()))
+    .collect()
 }
 
 /// FNV-1a of a report's `Debug` rendering with the wall-clock timings

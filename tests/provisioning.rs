@@ -24,7 +24,7 @@ use medvt::admission::{
     ProvisionOutcome, ProvisionPolicy, ProvisionPreset, ShardPolicy, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
-use medvt::mpsoc::{CostModel, Platform, PowerModel};
+use medvt::mpsoc::{CostModel, FrequencySet, Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
 use medvt::telemetry::NoopRecorder;
 use proptest::prelude::*;
@@ -259,6 +259,21 @@ fn sweep_trace() -> Vec<UserRequest> {
     })
 }
 
+/// `n` one-socket Xeon shards, the fleet the budgeted golden serves.
+/// The platform name goes into each `ShardReport::label`.
+fn xeon_socket_shards(n: usize) -> Vec<SimBackend> {
+    let socket = Platform::new(
+        "Xeon E5-2667 socket",
+        1,
+        8,
+        FrequencySet::xeon_e5_2667(),
+        10e-6,
+    );
+    (0..n)
+        .map(|_| SimBackend::new(socket.clone(), PowerModel::default()))
+        .collect()
+}
+
 /// Every policy's fleet for `forecast` under `budget`, in the order
 /// cheapest-fit, fastest-fit, qos-aware.
 fn rent_each_policy(
@@ -318,8 +333,8 @@ fn provisioning_matches_recorded_goldens() {
         }
     }
 
-    // A budgeted, degrading run on the qos-aware 24-credit fleet: the
-    // replayed ledger's totals, bit for bit.
+    // A budgeted, degrading run on the qos-aware 24-credit fleet (six
+    // Xeon sockets): the replayed ledger's totals, bit for bit.
     let budgeted = OnlineConfig {
         headroom: 0.6,
         cost: CostPlan {
@@ -335,8 +350,7 @@ fn provisioning_matches_recorded_goldens() {
         0x405c_4de9_bd37_a6f2,
         "forecast {budgeted_forecast}"
     ); // 113.217…
-    let fleet = &rent_each_policy(&catalogue, forecast, 24)[2];
-    let report = serve_online(&budgeted, &tiers, &trace, fleet.sim_shards(&catalogue));
+    let report = serve_online(&budgeted, &tiers, &trace, xeon_socket_shards(6));
     let cost = replay_cost(&budgeted, &tiers, &trace, &report);
     assert_eq!(cost.windows, 24);
     assert_eq!(cost.downgrades, 3);
