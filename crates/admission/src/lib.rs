@@ -30,14 +30,12 @@
 //! transcoding on heterogeneous cloud workers) motivates the queueing
 //! half: Poisson arrivals, heavy-tailed session lengths
 //! ([`synthesize_trace`]), deadline classes and admission against a
-//! measured capacity model rather than a wish. Its cost half lives in
-//! the provisioning layer: [`provision_fleet`] rents a priced platform
-//! mix ([`preset_catalogue`]) for a forecast load under one of the
-//! three [`ProvisionPolicy`] rules (cheapest, fastest, or most
-//! capacity per credit), [`CostPlan`] lets [`serve_online`] admit
-//! against per-window budget headroom, and evicted users re-enter the
-//! queue one [`DeadlineClass`] lower instead of being dropped
-//! (`degrade_on_evict`).
+//! measured capacity model rather than a wish. Its cost half is
+//! serving-side: [`CostPlan`] lets [`serve_online`] admit against
+//! per-window budget headroom, evicted users re-enter the queue one
+//! [`DeadlineClass`] lower instead of being dropped
+//! (`degrade_on_evict`), and [`replay_cost`] audits the spend ledger
+//! from the decision stream.
 //!
 //! Decisions read only the analytical accounting shared by every
 //! execution backend, so one trace replays the **identical**
@@ -80,22 +78,19 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
-mod provision;
+mod cost;
 mod reference;
 mod request;
 mod serve;
 mod shard;
 mod trace;
 
-pub use provision::{
-    forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, CostReport,
-    ProvisionOutcome, ProvisionPolicy, ProvisionPreset,
-};
+pub use cost::{replay_cost, CostPlan, CostReport};
 pub use reference::serve_online_reference;
 pub use request::{DeadlineClass, RequestQueue, UserRequest};
 pub use serve::{
-    serve_online, serve_online_with, staggered_slot, AdmissionEvent, CostPlan, EventKind,
-    OnlineConfig, OnlineReport, ShardReport, Workload,
+    serve_online, serve_online_with, staggered_slot, AdmissionEvent, EventKind, OnlineConfig,
+    OnlineReport, ShardReport, Workload,
 };
 pub use shard::{ShardPolicy, Sharder};
 pub use trace::{synthesize_trace, TraceConfig};

@@ -17,7 +17,7 @@
 //! "improve" this module: its value is staying byte-for-byte faithful
 //! to the old decision procedure, against which `serve_online` is
 //! compared by its unit tests, `tests/control_plane.rs` and
-//! `tests/provisioning.rs`.
+//! `tests/cost_plan.rs`.
 
 use crate::request::{AdmitDecision, RequestQueue, UserRequest};
 use crate::serve::{

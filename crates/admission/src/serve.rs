@@ -42,6 +42,7 @@
 //! budgets and degradation are pinned by recorded goldens — both in
 //! the `control_plane` integration tests.
 
+use crate::cost::CostPlan;
 use crate::request::{AdmitDecision, RequestQueue, UserRequest};
 use crate::shard::{ShardPolicy, Sharder};
 use medvt_mpsoc::DvfsPolicy;
@@ -103,70 +104,6 @@ pub trait Workload {
     }
 }
 
-/// Cost policy of an online run: how admitted demand is billed, how
-/// much the operator will spend per GOP window, and whether eviction
-/// degrades users instead of dropping them.
-///
-/// A request is admitted only when *both* a shard fits its demand and
-/// billing it keeps the window spend within budget (`spend + demand ×
-/// rate ≤ budget`). The check is demand-monotone like the capacity
-/// probe, so the admission scan may stop once the smallest queued
-/// demand is over budget. Budget refusals are not offered to a
-/// `RoundRobin` rotation (the shard never saw the request).
-///
-/// Under the default ([`CostPlan::unlimited`]) neither mechanism can
-/// act: no spend exceeds an infinite budget and with
-/// `degrade_on_evict` off the eviction path never re-queues, so the
-/// decision stream stays bit-identical to
-/// [`serve_online_reference`](crate::serve_online_reference) — the
-/// provisioning extension of the sim-vs-pool invariant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostPlan {
-    /// Credits billed per admitted reference core per GOP window —
-    /// the serving-side price of capacity (see
-    /// `medvt_mpsoc::CostModel` for where the rate comes from).
-    pub credits_per_core_window: f64,
-    /// Spend ceiling per GOP window, in credits. `f64::INFINITY`
-    /// never refuses an admission.
-    pub budget_credits_per_window: f64,
-    /// When `true`, an evicted user re-enters the queue at the
-    /// next-lower [`DeadlineClass`](crate::DeadlineClass) (emitting
-    /// [`EventKind::Downgrade`]) instead of being dropped; a
-    /// best-effort eviction stays final.
-    pub degrade_on_evict: bool,
-}
-
-impl CostPlan {
-    /// No budget, no degradation — the cost-oblivious default whose
-    /// decisions are bit-identical to the frozen reference controller.
-    pub const fn unlimited() -> Self {
-        Self {
-            credits_per_core_window: 0.0,
-            budget_credits_per_window: f64::INFINITY,
-            degrade_on_evict: false,
-        }
-    }
-
-    /// `true` when the budget is finite, i.e. it can refuse an
-    /// admission.
-    pub fn is_budgeted(&self) -> bool {
-        self.budget_credits_per_window.is_finite()
-    }
-
-    /// `true` when billing `demand` more cores on top of `spend` would
-    /// exceed the window budget. No spend exceeds the default infinite
-    /// budget, so the ledger needs no "is a budget set" switch.
-    fn over_budget(&self, spend: f64, demand: f64) -> bool {
-        spend + demand * self.credits_per_core_window > self.budget_credits_per_window + 1e-9
-    }
-}
-
-impl Default for CostPlan {
-    fn default() -> Self {
-        Self::unlimited()
-    }
-}
-
 /// Online serving configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
@@ -210,8 +147,8 @@ impl OnlineConfig {
     /// A user's admission unit (Algorithm 2 line 1): `workload`'s
     /// steady per-slot demand summed over its tiles, in fractional
     /// cores at [`fps`](Self::fps), padded by
-    /// [`headroom`](Self::headroom). Admission, billing, provisioning
-    /// forecasts and the spend replay all weigh a user by this number.
+    /// [`headroom`](Self::headroom). Admission, billing and the spend
+    /// replay all weigh a user by this number.
     pub fn padded_demand(&self, workload: &impl Workload) -> f64 {
         workload.steady_demand().iter().sum::<f64>() * self.fps * self.headroom
     }

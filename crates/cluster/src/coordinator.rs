@@ -241,7 +241,7 @@ pub fn run_cluster_with<R: Recorder>(
     let capacities: Vec<f64> = cfg
         .nodes
         .iter()
-        .map(|n| n.platform.core_speeds().iter().sum())
+        .map(|n| n.platform.speed_capacity())
         .collect();
     let started = Instant::now();
 

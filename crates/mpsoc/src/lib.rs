@@ -17,9 +17,6 @@
 //! * [`FreqLevel`] / [`FrequencySet`] — the DVFS ladder with a V/f map;
 //! * [`PowerModel`] — `P = P_static + C_eff·V²·f` per core, calibrated
 //!   to the E5-2667 envelope, overridable per core class;
-//! * [`CostModel`] — rental pricing per GOP window derived from the
-//!   power model plus a speed-factor capacity premium, quantized to
-//!   whole credits (the provisioning layer's cost view);
 //! * [`simulate_slot`] — executes one 1/FPS scheduling interval across
 //!   all cores under a [`DvfsPolicy`], producing per-core plans,
 //!   deadline slack/misses, DVFS transition-bound flags and energy,
@@ -67,11 +64,9 @@
 mod freq;
 mod platform;
 mod power;
-mod pricing;
 mod slot;
 
 pub use freq::{FreqLevel, FrequencySet};
 pub use platform::{CoreClass, Platform};
 pub use power::PowerModel;
-pub use pricing::CostModel;
 pub use slot::{plan_core_on, record_slot_events, simulate_slot, CorePlan, DvfsPolicy, SlotReport};

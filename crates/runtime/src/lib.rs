@@ -15,13 +15,13 @@
 //! * [`ExecutionBackend`] — the slot-execution trait: one slot at a
 //!   time, or a run of a GOP's slots at once;
 //! * [`SimBackend`] — the analytical slot model (extracted from
-//!   `core::server`/`mpsoc::simulate_slot`), pricing work units
+//!   `core::server`/`mpsoc::simulate_slot`), accounting work units
 //!   without running them;
 //! * [`ThreadPoolBackend`] — runs real work units on a pool of
 //!   persistent worker threads (borrow-friendly batches, any idle
 //!   worker claims the next unit in slot order, one barrier per run of
-//!   slots), pricing every placed [`WorkUnit`] on its core with the
-//!   *same* analytical accounting;
+//!   slots), accounting every placed [`WorkUnit`] on its core with the
+//!   *same* analytical model;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
 //!   stepped GOP by GOP with per-user accounting and membership deltas

@@ -15,7 +15,7 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    /// Creates a backend over `platform` with `power` pricing (core
+    /// Creates a backend over `platform` with the `power` model (core
     /// classes with their own power model override it per core).
     pub fn new(platform: Platform, power: PowerModel) -> Self {
         let cores = platform.total_cores();

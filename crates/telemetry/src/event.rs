@@ -148,12 +148,6 @@ pub enum EventKind {
         /// Segment index within the job.
         segment: u32,
     },
-    /// The provisioning layer rented one instance of a priced platform
-    /// preset for the serving fleet (control track).
-    Provisioned {
-        /// Index into the provisioning catalogue.
-        preset: u32,
-    },
 }
 
 impl EventKind {
@@ -169,7 +163,6 @@ impl EventKind {
             EventKind::LeaseExpired { .. } => 10,
             EventKind::LeaseRequeued { .. } => 11,
             EventKind::SegmentReassembled { .. } => 12,
-            EventKind::Provisioned { .. } => 13,
         }
     }
 
@@ -185,7 +178,6 @@ impl EventKind {
             EventKind::LeaseExpired { .. } => "lease_expired",
             EventKind::LeaseRequeued { .. } => "lease_requeued",
             EventKind::SegmentReassembled { .. } => "segment_reassembled",
-            EventKind::Provisioned { .. } => "provisioned",
         }
     }
 
@@ -199,7 +191,6 @@ impl EventKind {
             | EventKind::LeaseExpired { segment }
             | EventKind::LeaseRequeued { segment }
             | EventKind::SegmentReassembled { segment } => u64::from(segment),
-            EventKind::Provisioned { preset } => u64::from(preset),
             EventKind::SlotCore {
                 core,
                 busy_ns,
@@ -230,7 +221,6 @@ impl EventKind {
             10 => EventKind::LeaseExpired { segment: user },
             11 => EventKind::LeaseRequeued { segment: user },
             12 => EventKind::SegmentReassembled { segment: user },
-            13 => EventKind::Provisioned { preset: user },
             _ => EventKind::Decision {
                 kind: Decision::ALL.into_iter().find(|d| d.tag() == tag)?,
                 user,
@@ -320,7 +310,6 @@ mod tests {
             EventKind::LeaseExpired { segment: u32::MAX },
             EventKind::LeaseRequeued { segment: 0 },
             EventKind::SegmentReassembled { segment: 9_999 },
-            EventKind::Provisioned { preset: 4 },
             decision(Decision::Downgrade, 2_000_000),
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
@@ -360,5 +349,7 @@ mod tests {
     #[test]
     fn unknown_tag_decodes_to_none() {
         assert_eq!(Event::decode([0xFFu64 << 56, 0, 0]), None);
+        // 13: retired (fleet provisioning), do not reuse
+        assert_eq!(Event::decode([13u64 << 56, 4, 0]), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Provisioning-layer conservation and parity tests.
+//! Serving-side cost tests: conservation, parity and the spend audit.
 //!
 //! The degrade-on-evict path re-enters evicted users into the request
 //! queue one deadline class lower, which makes user accounting easy to
@@ -15,21 +15,18 @@
 //!   optimized controller must stay bit-identical to the frozen
 //!   reference controller, and a budgeted + degrading run must replay
 //!   the same decision stream on analytical and thread-pool shards.
-//! * **rental policy** — at equal spend the QoS-aware fleet dominates
-//!   the cost-first and speed-first strawmen.
+//! * **spend audit** — a budgeted, degrading run's `replay_cost`
+//!   totals match recorded literals bit for bit.
 
 use medvt::admission::{
-    forecast_demand_cores, preset_catalogue, provision_fleet, replay_cost, serve_online,
-    serve_online_reference, synthesize_trace, AdmissionEvent, CostPlan, EventKind, OnlineConfig,
-    ProvisionOutcome, ProvisionPolicy, ProvisionPreset, ShardPolicy, TraceConfig, UserRequest,
+    replay_cost, serve_online, serve_online_reference, synthesize_trace, AdmissionEvent, CostPlan,
+    EventKind, OnlineConfig, ShardPolicy, TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
-use medvt::mpsoc::{CostModel, FrequencySet, Platform, PowerModel};
+use medvt::mpsoc::{FrequencySet, Platform, PowerModel};
 use medvt::runtime::{SimBackend, ThreadPoolBackend};
-use medvt::telemetry::NoopRecorder;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use ProvisionPolicy::{CheapestFit, FastestFit, QosAware};
 
 mod common;
 use common::{live_online_config, synthetic_profile as profile};
@@ -246,8 +243,8 @@ fn budgeted_degrading_decisions_are_backend_independent() {
 
 const SWEEP_HORIZON: usize = 192;
 
-/// The overload trace the rental-policy tests size fleets for: arrivals
-/// far above the service rate, heavy-tailed sessions.
+/// An overload trace: arrivals far above the service rate,
+/// heavy-tailed sessions.
 fn sweep_trace() -> Vec<UserRequest> {
     synthesize_trace(&TraceConfig {
         horizon_slots: SWEEP_HORIZON,
@@ -259,82 +256,15 @@ fn sweep_trace() -> Vec<UserRequest> {
     })
 }
 
-/// `n` one-socket Xeon shards, the fleet the budgeted golden serves.
-/// The platform name goes into each `ShardReport::label`.
-fn xeon_socket_shards(n: usize) -> Vec<SimBackend> {
-    let socket = Platform::new(
-        "Xeon E5-2667 socket",
-        1,
-        8,
-        FrequencySet::xeon_e5_2667(),
-        10e-6,
-    );
-    (0..n)
-        .map(|_| SimBackend::new(socket.clone(), PowerModel::default()))
-        .collect()
-}
-
-/// Every policy's fleet for `forecast` under `budget`, in the order
-/// cheapest-fit, fastest-fit, qos-aware.
-fn rent_each_policy(
-    catalogue: &[ProvisionPreset],
-    forecast: f64,
-    budget: u64,
-) -> Vec<ProvisionOutcome> {
-    [CheapestFit, FastestFit, QosAware]
-        .into_iter()
-        .map(|policy| provision_fleet(policy, catalogue, forecast, budget, NoopRecorder))
-        .collect()
-}
-
-/// The seed-77 sweep's forecast, every policy's fleet at budgets 12,
-/// 24 and 36, and a budgeted run's replayed spend, against literals
-/// recorded before the provisioning policies became one type: the
-/// rental loop, the tie-break rules and the padded-demand arithmetic
-/// may be restructured, but no pick, credit or float bit may move.
+/// A budgeted, degrading run on six Xeon sockets over the seed-77
+/// sweep: the replayed ledger's totals against recorded literals. The
+/// padded-demand arithmetic and the ledger may be restructured, but
+/// no credit or float bit may move.
 #[test]
-fn provisioning_matches_recorded_goldens() {
+fn replay_cost_matches_recorded_goldens() {
     let tiers = tier_profiles();
     let trace = sweep_trace();
     let cfg = live_online_config(SWEEP_HORIZON);
-    let catalogue = preset_catalogue(&CostModel::default());
-    let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
-    assert_eq!(
-        forecast.to_bits(),
-        0x406b_2000_0000_0000,
-        "forecast {forecast}"
-    ); // 217.0
-
-    // (budget, policy, chosen, spent credits, capacity bits).
-    let recorded: [(u64, &str, &[usize], u64, u64); 9] = [
-        (12, "cheapest-fit", &[3; 12], 12, 0x4035_9999_9999_999b),
-        (12, "fastest-fit", &[4; 2], 12, 0x4033_3333_3333_3333),
-        (12, "qos-aware", &[0; 3], 12, 0x4038_0000_0000_0000),
-        (24, "cheapest-fit", &[3; 24], 24, 0x4045_9999_9999_9998),
-        (24, "fastest-fit", &[4; 4], 24, 0x4043_3333_3333_3333),
-        (24, "qos-aware", &[0; 6], 24, 0x4048_0000_0000_0000),
-        (36, "cheapest-fit", &[3; 36], 36, 0x4050_3333_3333_3330),
-        (36, "fastest-fit", &[4; 6], 36, 0x404c_cccc_cccc_cccd),
-        (36, "qos-aware", &[0; 9], 36, 0x4052_0000_0000_0000),
-    ];
-    for (budget, outcomes) in [12, 24, 36].into_iter().zip(recorded.chunks(3)) {
-        let got = rent_each_policy(&catalogue, forecast, budget);
-        for (fleet, &(b, policy, chosen, spent, capacity_bits)) in got.iter().zip(outcomes) {
-            assert_eq!(b, budget);
-            assert_eq!(fleet.policy, policy);
-            assert_eq!(fleet.chosen, chosen, "{policy} at budget {budget}");
-            assert_eq!(fleet.spent_credits, spent, "{policy} at budget {budget}");
-            assert_eq!(
-                fleet.capacity_cores.to_bits(),
-                capacity_bits,
-                "{policy} at budget {budget}: capacity {}",
-                fleet.capacity_cores
-            );
-        }
-    }
-
-    // A budgeted, degrading run on the qos-aware 24-credit fleet (six
-    // Xeon sockets): the replayed ledger's totals, bit for bit.
     let budgeted = OnlineConfig {
         headroom: 0.6,
         cost: CostPlan {
@@ -344,13 +274,15 @@ fn provisioning_matches_recorded_goldens() {
         },
         ..cfg
     };
-    let budgeted_forecast = forecast_demand_cores(&budgeted, &tiers, &trace);
-    assert_eq!(
-        budgeted_forecast.to_bits(),
-        0x405c_4de9_bd37_a6f2,
-        "forecast {budgeted_forecast}"
-    ); // 113.217…
-    let report = serve_online(&budgeted, &tiers, &trace, xeon_socket_shards(6));
+    let socket = Platform::new(
+        "Xeon E5-2667 socket",
+        1,
+        8,
+        FrequencySet::xeon_e5_2667(),
+        10e-6,
+    );
+    let shards = vec![SimBackend::new(socket, PowerModel::default()); 6];
+    let report = serve_online(&budgeted, &tiers, &trace, shards);
     let cost = replay_cost(&budgeted, &tiers, &trace, &report);
     assert_eq!(cost.windows, 24);
     assert_eq!(cost.downgrades, 3);
@@ -366,53 +298,4 @@ fn provisioning_matches_recorded_goldens() {
         0x4016_f4de_9bd3_7a6f,
         "{cost:?}"
     );
-}
-
-/// Capacity per credit is what deadline-meeting buys: on an overload
-/// trace (arrivals far above the service rate, heavy-tailed sessions)
-/// the QoS-aware fleet never meets fewer deadlines than either greedy
-/// strawman's at equal spend, and serves strictly more users somewhere.
-/// The budgets are multiples of 12, the lcm of the catalogue prices
-/// {4, 3, 2, 1, 6}, so the greedy policies spend exactly the budget and
-/// the points are cost-comparable.
-#[test]
-fn qos_aware_dominates_cheapest_fit_at_equal_spend() {
-    let tiers = tier_profiles();
-    let trace = sweep_trace();
-    let cfg = live_online_config(SWEEP_HORIZON);
-    let catalogue = preset_catalogue(&CostModel::default());
-    let forecast = forecast_demand_cores(&cfg, &tiers, &trace);
-    // (credits spent, users admitted, on-time rate) on `policy`'s fleet.
-    let serve = |policy: ProvisionPolicy, budget: u64| {
-        let fleet = provision_fleet(policy, &catalogue, forecast, budget, NoopRecorder);
-        let report = serve_online(&cfg, &tiers, &trace, fleet.sim_shards(&catalogue));
-        (
-            fleet.spent_credits,
-            report.admissions,
-            report.on_time_rate(),
-        )
-    };
-    let budgets = [12, 24, 36];
-    let qos = budgets.map(|budget| serve(QosAware, budget));
-    for strawman in [CheapestFit, FastestFit] {
-        let label = strawman.label();
-        let (mut equal_spend_points, mut served_more_somewhere) = (0, false);
-        for (budget, (qos_spent, qos_admitted, qos_on_time)) in budgets.into_iter().zip(qos) {
-            let (spent, admitted, on_time) = serve(strawman, budget);
-            if qos_spent != spent {
-                continue;
-            }
-            equal_spend_points += 1;
-            assert!(
-                qos_on_time >= on_time - 1e-9,
-                "budget {budget}: qos-aware on-time {qos_on_time} trails {label} {on_time}"
-            );
-            served_more_somewhere |= qos_admitted > admitted;
-        }
-        assert!(equal_spend_points > 0, "no equal-spend point vs {label}");
-        assert!(
-            served_more_somewhere,
-            "qos-aware must serve strictly more users than {label} somewhere at equal spend"
-        );
-    }
 }
