@@ -506,17 +506,54 @@ mod tests {
         assert_eq!(Approach::Baseline.label(), "work [19]");
     }
 
+    /// A `gops`-GOP profile whose per-tile cost moves from frame to
+    /// frame within a GOP and whose GOP means step from GOP to GOP, so
+    /// every per-GOP replan sees a new estimate.
+    fn varying_profile(name: &str, tiles: usize, tile_secs: f64, gops: usize) -> VideoProfile {
+        let mut p = profile(name, tiles, tile_secs);
+        let template = p.frames[0].clone();
+        p.frames = (0..gops * GOP_SLOTS)
+            .map(|poc| {
+                let mut frame = template.clone();
+                frame.poc = poc;
+                let gop_scale = (1 + poc / GOP_SLOTS % 3) as f64;
+                for (i, t) in frame.tiles.iter_mut().enumerate() {
+                    t.fmax_secs *= (1 + (poc + i) % 4) as f64 * gop_scale / 6.0;
+                    t.cycles = (t.fmax_secs * 3.6e9) as u64;
+                }
+                frame
+            })
+            .collect();
+        p
+    }
+
     #[test]
     fn thread_pool_backend_reports_identical_statistics() {
         use medvt_runtime::ThreadPoolBackend;
-        let profiles = vec![profile("v", 6, SLOT / 8.0)];
+        let varying = vec![
+            varying_profile("a", 6, SLOT / 8.0, 3),
+            varying_profile("b", 3, SLOT / 5.0, 3),
+        ];
+        // The fixture's GOP means really differ, so `PerGop` replans
+        // move placements between GOPs.
+        let gop_mean = |g: usize| {
+            let frames = &varying[0].frames[g * GOP_SLOTS..(g + 1) * GOP_SLOTS];
+            frames.iter().map(|f| f.total_secs()).sum::<f64>() / GOP_SLOTS as f64
+        };
+        assert!(gop_mean(0) < gop_mean(1) && gop_mean(1) < gop_mean(2));
         let s = sim();
-        for approach in [Approach::Proposed, Approach::Baseline] {
-            let analytical = s.serve_max(&profiles, approach);
-            let mut pool =
-                ThreadPoolBackend::with_workers(s.config().platform.clone(), s.config().power, 4);
-            let real = s.serve_max_on(&mut pool, &profiles, approach);
-            assert_eq!(analytical, real, "backends must account identically");
+        for profiles in [vec![profile("v", 6, SLOT / 8.0)], varying] {
+            for approach in [Approach::Proposed, Approach::Baseline] {
+                let analytical = s.serve_max(&profiles, approach);
+                assert!(analytical.users_served > profiles.len(), "{analytical:?}");
+                let mut pool = ThreadPoolBackend::with_workers(
+                    s.config().platform.clone(),
+                    s.config().power,
+                    4,
+                );
+                let real = s.serve_max_on(&mut pool, &profiles, approach);
+                assert_eq!(analytical, real, "backends must account identically");
+            }
         }
     }
 }
