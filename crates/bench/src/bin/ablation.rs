@@ -16,7 +16,7 @@ use medvt_bench::{pipeline_config, write_artifact, Scale};
 use medvt_core::{
     profile_video, ContentAwareController, MePolicy, UniformMeController, VideoProfile,
 };
-use medvt_encoder::{CostModel, EncoderConfig, Qp, SearchSpec, VideoEncoder};
+use medvt_encoder::{EncoderConfig, Qp, SearchSpec, VideoEncoder};
 use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt_frame::VideoClip;
 use medvt_motion::HexOrientation;
@@ -151,7 +151,4 @@ fn main() {
 
     let path = write_artifact("ablation", &(rows, dvfs_rows));
     println!("artifact: {}", path.display());
-
-    // Ensure the cost model used matches the experiment scale.
-    let _ = CostModel::default();
 }

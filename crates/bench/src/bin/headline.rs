@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p medvt-bench --bin headline`
 
-use medvt_bench::{backend_from_env, baseline_profiles, proposed_profiles, write_artifact, Scale};
+use medvt_bench::{baseline_profiles, proposed_profiles, write_artifact, Scale};
 use medvt_core::{Approach, MePolicy, ServerConfig, ServerSim, UniformMeController};
 use medvt_encoder::{EncoderConfig, Qp, SearchSpec, VideoEncoder};
 use medvt_frame::synth::{BodyPart, MotionPattern, PhantomVideo};
@@ -16,7 +16,6 @@ use serde::Serialize;
 
 #[derive(Debug, Serialize)]
 struct Headline {
-    backend: String,
     me_speedup_vs_tz: f64,
     user_ratio: f64,
     power_savings_pct_at_max_common_users: f64,
@@ -25,11 +24,10 @@ struct Headline {
 }
 
 fn main() {
-    // Both knobs are read before the minutes of work, so a mistyped
+    // The scale is read before the minutes of work, so a mistyped
     // value stops the run at once.
     let scale = Scale::from_env();
     let sim = ServerSim::new(ServerConfig::default());
-    let (backend_name, mut backend) = backend_from_env(sim.config());
 
     // Claim 1: ME speedup on a representative tiling (4x3).
     eprintln!("measuring ME speedup…");
@@ -53,9 +51,9 @@ fn main() {
     eprintln!("profiling suites…");
     let prop_profiles = proposed_profiles(scale);
     let base_profiles = baseline_profiles(scale);
-    eprintln!("serving on the `{backend_name}` backend…");
-    let prop = sim.serve_max_on(&mut backend, &prop_profiles, Approach::Proposed);
-    let base = sim.serve_max_on(&mut backend, &base_profiles, Approach::Baseline);
+    eprintln!("serving…");
+    let prop = sim.serve_max(&prop_profiles, Approach::Proposed);
+    let base = sim.serve_max(&base_profiles, Approach::Baseline);
     let ratio = prop.users_served as f64 / base.users_served.max(1) as f64;
     let common = base.users_served.clamp(1, 12);
     let savings = sim
@@ -75,7 +73,6 @@ fn main() {
     );
 
     let artifact = Headline {
-        backend: backend_name.to_string(),
         me_speedup_vs_tz: speedup,
         user_ratio: ratio,
         power_savings_pct_at_max_common_users: savings,

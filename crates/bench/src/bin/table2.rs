@@ -4,13 +4,12 @@
 //!
 //! Run: `cargo run --release -p medvt-bench --bin table2`
 
-use medvt_bench::{backend_from_env, baseline_profiles, proposed_profiles, write_artifact, Scale};
+use medvt_bench::{baseline_profiles, proposed_profiles, write_artifact, Scale};
 use medvt_core::{Approach, ServerConfig, ServerReport, ServerSim};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
 struct Table2 {
-    backend: String,
     proposed: ServerReport,
     baseline: ServerReport,
     user_ratio: f64,
@@ -35,19 +34,18 @@ fn print_block(r: &ServerReport) {
 }
 
 fn main() {
-    // Both knobs are read before the minutes of profiling, so a
+    // The scale is read before the minutes of profiling, so a
     // mistyped value stops the run at once.
     let scale = Scale::from_env();
     let sim = ServerSim::new(ServerConfig::default());
-    let (backend_name, mut backend) = backend_from_env(sim.config());
     eprintln!("profiling the 10-video suite (proposed)…");
     let prop_profiles = proposed_profiles(scale);
     eprintln!("profiling the 10-video suite (baseline [19])…");
     let base_profiles = baseline_profiles(scale);
 
-    eprintln!("serving on the `{backend_name}` backend…");
-    let proposed = sim.serve_max_on(&mut backend, &prop_profiles, Approach::Proposed);
-    let baseline = sim.serve_max_on(&mut backend, &base_profiles, Approach::Baseline);
+    eprintln!("serving…");
+    let proposed = sim.serve_max(&prop_profiles, Approach::Proposed);
+    let baseline = sim.serve_max(&base_profiles, Approach::Baseline);
 
     println!("\nTable II — PSNR, bitrate and number of served users");
     println!(
@@ -73,7 +71,6 @@ fn main() {
     );
 
     let artifact = Table2 {
-        backend: backend_name.to_string(),
         proposed,
         baseline,
         user_ratio: ratio,

@@ -1,7 +1,7 @@
 //! Shared harness for the experiment binaries that regenerate the
 //! paper's tables and figures.
 //!
-//! The binaries honour three environment variables; values match
+//! The binaries honour two environment variables; values match
 //! case-insensitively, and a value that is not listed here stops the
 //! binary with a non-zero exit instead of falling back to the default:
 //!
@@ -10,28 +10,17 @@
 //!   reduced geometry that preserves every trend in seconds.
 //! * `MEDVT_OUT=dir` — where JSON result artifacts are written
 //!   (default `target/experiments`).
-//! * `MEDVT_BACKEND=sim|pool` — which execution backend serves the
-//!   frame slots: the analytical model (default) or the per-core
-//!   thread-pool backend. Both report identical statistics by
-//!   construction. Profile replay carries no per-tile closures
-//!   (`DemandSource::work_for` is `None`), so under `pool` the slots
-//!   flow through the worker-pool backend's queueing and carry state
-//!   but no tile is re-encoded. Real closures
-//!   (`medvt_core::LiveWorkload`) and measured-vs-modeled wall time are
-//!   the end-to-end benchmark's `live_inter`/`live_intra` workloads
-//!   (`benchmark/`), asserted by `tests/live_transcode.rs`.
 
 #![warn(unreachable_pub)]
 
 use medvt_analyze::AnalyzerConfig;
 use medvt_core::{
     profile_video, Baseline19Controller, BaselineConfig, ContentAwareController, PipelineConfig,
-    ServerConfig, VideoProfile,
+    VideoProfile,
 };
 use medvt_encoder::EncoderConfig;
 use medvt_frame::synth::{medical_suite, PhantomConfig, PhantomVideo};
 use medvt_frame::{Resolution, VideoClip};
-use medvt_runtime::{ExecutionBackend, SimBackend, ThreadPoolBackend};
 use medvt_sched::{LutBank, WorkloadLut};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -65,15 +54,6 @@ fn parse_scale(value: &str) -> Result<Scale, String> {
         "quick" => Ok(Scale::Quick),
         "full" => Ok(Scale::Full),
         _ => Err(format!("unknown scale {value:?}, expected quick or full")),
-    }
-}
-
-/// The artifact label of the backend `value` names.
-fn parse_backend(value: &str) -> Result<&'static str, String> {
-    match value.to_ascii_lowercase().as_str() {
-        "sim" => Ok("sim"),
-        "pool" => Ok("pool"),
-        _ => Err(format!("unknown backend {value:?}, expected sim or pool")),
     }
 }
 
@@ -215,18 +195,6 @@ pub fn baseline_profiles(scale: Scale) -> Vec<VideoProfile> {
         .collect()
 }
 
-/// The execution backend selected by `MEDVT_BACKEND` (default `sim`),
-/// with its label for artifacts; exits on an unknown value.
-pub fn backend_from_env(cfg: &ServerConfig) -> (&'static str, Box<dyn ExecutionBackend>) {
-    let label = env_choice("MEDVT_BACKEND", "sim", parse_backend);
-    let backend: Box<dyn ExecutionBackend> = if label == "pool" {
-        Box::new(ThreadPoolBackend::new(cfg.platform.clone(), cfg.power))
-    } else {
-        Box::new(SimBackend::new(cfg.platform.clone(), cfg.power))
-    };
-    (label, backend)
-}
-
 /// Writes a JSON artifact under `MEDVT_OUT` (default
 /// `target/experiments`) and returns its path.
 pub fn write_artifact<T: Serialize>(name: &str, value: &T) -> PathBuf {
@@ -258,18 +226,10 @@ mod tests {
             assert_eq!(parse_scale(full), Ok(Scale::Full));
         }
         assert_eq!(parse_scale("Quick"), Ok(Scale::Quick));
-        for pool in ["pool", "POOL", "Pool"] {
-            assert_eq!(parse_backend(pool), Ok("pool"));
-        }
-        assert_eq!(parse_backend("SIM"), Ok("sim"));
         // A near miss must not run the default under the wrong name.
         for bad in ["fulll", "paper", ""] {
             let err = parse_scale(bad).unwrap_err();
             assert!(err.contains("quick") && err.contains("full"), "{err}");
-        }
-        for bad in ["threadpool", "pool ", ""] {
-            let err = parse_backend(bad).unwrap_err();
-            assert!(err.contains("sim") && err.contains("pool"), "{err}");
         }
     }
 

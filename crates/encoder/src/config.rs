@@ -139,8 +139,6 @@ pub struct EncoderConfig {
     /// Intra period in GOPs: an I-frame opens every `intra_period_gops`
     /// GOPs, default 4.
     pub intra_period_gops: usize,
-    /// Chroma QP offset relative to luma.
-    pub chroma_qp_offset: i32,
     /// Encode chroma planes (disable for luma-only experiments).
     pub chroma: bool,
 }
@@ -183,7 +181,6 @@ impl Default for EncoderConfig {
             block_size: 16,
             gop_size: 8,
             intra_period_gops: 4,
-            chroma_qp_offset: 0,
             chroma: true,
         }
     }

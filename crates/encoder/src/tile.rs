@@ -138,7 +138,6 @@ pub fn encode_tile_with_scratch(
     let mut recon_u = Plane::new(tile.w / 2, tile.h / 2);
     let mut recon_v = Plane::new(tile.w / 2, tile.h / 2);
     let lambda = tcfg.qp.lambda();
-    let chroma_qp = tcfg.qp.offset(ecfg.chroma_qp_offset);
     let mut prev_mv = MotionVector::ZERO;
 
     // Split the scratch into independent per-buffer borrows once.
@@ -304,7 +303,7 @@ pub fn encode_tile_with_scratch(
                         cw,
                         ch,
                         4,
-                        chroma_qp,
+                        tcfg.qp,
                         &mut writer,
                         residual,
                     );

@@ -320,10 +320,6 @@ impl FrameSource for PhantomVideo {
             _ => Some(self.render(index)),
         }
     }
-
-    fn len_hint(&self) -> Option<usize> {
-        self.config.frames
-    }
 }
 
 /// Vignette weight: 1 inside `inner`, hermite falloff to 0 at `outer`.
@@ -425,7 +421,6 @@ mod tests {
             .build();
         assert!(v.frame(2).is_some());
         assert!(v.frame(3).is_none());
-        assert_eq!(v.len_hint(), Some(3));
     }
 
     #[test]

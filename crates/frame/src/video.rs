@@ -19,10 +19,6 @@ pub trait FrameSource {
     /// Produces frame number `index` (display order), or `None` past the
     /// end of finite sources.
     fn frame(&mut self, index: usize) -> Option<Frame>;
-
-    /// Total number of frames for finite sources, `None` for unbounded
-    /// generators.
-    fn len_hint(&self) -> Option<usize>;
 }
 
 /// An in-memory video clip: decoded master material ready to transcode.
@@ -163,10 +159,6 @@ impl FrameSource for VideoClip {
     fn frame(&mut self, index: usize) -> Option<Frame> {
         self.frames.get(index).cloned()
     }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.frames.len())
-    }
 }
 
 impl<'a> IntoIterator for &'a VideoClip {
@@ -225,7 +217,6 @@ mod tests {
             24.0,
             vec![Frame::flat(res(), 1), Frame::flat(res(), 2)],
         );
-        assert_eq!(clip.len_hint(), Some(2));
         assert_eq!(clip.frame(0).unwrap().y().get(0, 0), 1);
         assert_eq!(clip.frame(1).unwrap().y().get(0, 0), 2);
         assert!(clip.frame(2).is_none());

@@ -143,46 +143,6 @@ pub trait ExecutionBackend {
     }
 }
 
-impl<B: ExecutionBackend + ?Sized> ExecutionBackend for Box<B> {
-    fn cores(&self) -> usize {
-        (**self).cores()
-    }
-
-    fn core_speeds(&self) -> Vec<f64> {
-        (**self).core_speeds()
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
-
-    fn executes_work(&self) -> bool {
-        (**self).executes_work()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
-    fn execute_slot<'scope>(
-        &mut self,
-        policy: DvfsPolicy,
-        slot_secs: f64,
-        work: Vec<WorkUnit<'scope>>,
-    ) -> SlotOutcome {
-        (**self).execute_slot(policy, slot_secs, work)
-    }
-
-    fn execute_run<'scope>(
-        &mut self,
-        policy: DvfsPolicy,
-        slot_secs: f64,
-        slots: Vec<Vec<WorkUnit<'scope>>>,
-    ) -> (Vec<SlotReport>, f64) {
-        (**self).execute_run(policy, slot_secs, slots)
-    }
-}
-
 impl<B: ExecutionBackend + ?Sized> ExecutionBackend for &mut B {
     fn cores(&self) -> usize {
         (**self).cores()

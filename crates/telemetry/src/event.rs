@@ -237,8 +237,9 @@ pub struct Event {
     pub track: u16,
     /// Modeled slot index the event belongs to.
     pub slot: u32,
-    /// Wall-clock nanoseconds since recorder start; 0 when unset or
-    /// after [`normalized`](crate::normalized).
+    /// Wall-clock nanoseconds since recorder start; 0 when unset, as on
+    /// every event of a [`FlightRecorder::modeled`](crate::FlightRecorder::modeled)
+    /// recorder.
     pub wall_ns: u64,
     /// The event payload.
     pub kind: EventKind,

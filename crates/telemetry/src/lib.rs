@@ -21,9 +21,10 @@
 //!   silently discarded.
 //! * **Model-time determinism.** Every event carries the modeled slot
 //!   index; wall-clock nanoseconds ride along in a separate field that
-//!   [`normalized`] strips. Sim and thread-pool backends therefore
-//!   emit *identical* normalized event streams on the same trace —
-//!   the repo's decision-parity invariant extended to telemetry.
+//!   a [`FlightRecorder::modeled`] recorder never stamps. Sim and
+//!   thread-pool backends therefore emit *identical* modeled event
+//!   streams on the same trace — the repo's decision-parity invariant
+//!   extended to telemetry.
 //!
 //! Aggregates live in [`Metrics`] (counters keyed by [`CounterId`],
 //! base-2 log-bucketed [`Histogram`]s keyed by [`HistId`]) and are
@@ -45,7 +46,5 @@ pub use export::chrome_trace;
 pub use metrics::{
     CounterId, CounterSnapshot, HistId, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
 };
-pub use recorder::{
-    normalized, FlightRecorder, NoopRecorder, Recorder, RingStat, TelemetrySnapshot,
-};
+pub use recorder::{FlightRecorder, NoopRecorder, Recorder, RingStat, TelemetrySnapshot};
 pub use ring::EventRing;

@@ -71,8 +71,8 @@ impl<R: Recorder + ?Sized> Recorder for &R {
 /// the cached stamp, so a burst of per-core events costs one clock
 /// read. The stamp cache is racy-by-design (any worker may take the
 /// slot's stamp first), which is fine for a flight recorder — the
-/// deterministic ordering lives in `(track, slot)`, and the normalized
-/// comparison view strips wall stamps entirely.
+/// deterministic ordering lives in `(track, slot)`, and a
+/// [`FlightRecorder::modeled`] recorder stamps nothing at all.
 #[derive(Debug)]
 pub struct FlightRecorder {
     rings: Vec<EventRing>,
@@ -101,8 +101,8 @@ impl FlightRecorder {
     }
 
     /// Same geometry, but events are *not* stamped with wall-clock
-    /// time: the stream is pure model time, byte-identical across
-    /// backends without normalization.
+    /// time: every event keeps `wall_ns == 0`, so the stream is pure
+    /// model time, byte-identical across backends.
     pub fn modeled(shard_rings: usize, capacity: usize) -> Self {
         let mut r = FlightRecorder::new(shard_rings, capacity);
         r.wall_clock = false;
@@ -153,12 +153,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Retained events with wall-clock fields stripped — the
-    /// deterministic, backend-independent view (see [`normalized`]).
-    pub fn normalized_events(&self) -> Vec<Event> {
-        normalized(&self.events())
-    }
-
     /// Total events recorded across all rings (including overwritten).
     pub fn recorded(&self) -> u64 {
         self.rings.iter().map(|r| r.recorded()).sum()
@@ -204,14 +198,6 @@ impl Recorder for FlightRecorder {
     fn absorb(&self, metrics: &Metrics) {
         self.metrics.absorb(metrics);
     }
-}
-
-/// Strips wall-clock fields from an event stream, leaving the pure
-/// model-time view. Two backends replaying the same trace must produce
-/// identical normalized streams — the repo's sim-vs-pool bit-identity
-/// invariant extended to telemetry.
-pub fn normalized(events: &[Event]) -> Vec<Event> {
-    events.iter().map(|&e| Event { wall_ns: 0, ..e }).collect()
 }
 
 /// Per-ring retention statistics.
@@ -260,16 +246,18 @@ mod tests {
     }
 
     #[test]
-    fn modeled_recorder_streams_are_already_normalized() {
+    fn modeled_recorder_stamps_no_wall_clock() {
         let rec = FlightRecorder::modeled(1, 8);
         rec.record(Event::new(0, 5, EventKind::Replan { users: 3 }));
+        rec.record(Event::new(0, 6, EventKind::GopBoundary));
+        rec.record(Event::new(CONTROL_TRACK, 6, EventKind::GopBoundary));
         let events = rec.events();
-        assert_eq!(events, normalized(&events));
-        assert_eq!(events[0].wall_ns, 0);
+        assert_eq!(events.len(), 3);
+        assert!(events.iter().all(|e| e.wall_ns == 0), "{events:?}");
     }
 
     #[test]
-    fn wall_clock_recorder_stamps_and_normalizer_strips() {
+    fn wall_clock_recorder_stamps_events() {
         let rec = FlightRecorder::new(1, 8);
         // Busy-wait so the monotonic stamp is nonzero even on coarse
         // clocks.
@@ -280,7 +268,6 @@ mod tests {
         rec.record(Event::new(0, 5, EventKind::GopBoundary));
         let events = rec.events();
         assert!(events[0].wall_ns > 0);
-        assert_eq!(normalized(&events)[0].wall_ns, 0);
     }
 
     #[test]

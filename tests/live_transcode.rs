@@ -95,8 +95,8 @@ fn live_path_matches_model_and_direct_encoding() {
         "rings must retain the whole run"
     );
     assert_eq!(
-        live_rec.normalized_events(),
-        reference_rec.normalized_events(),
+        live_rec.events(),
+        reference_rec.events(),
         "real encodes on the pool must not change the telemetry stream"
     );
 

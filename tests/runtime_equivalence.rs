@@ -221,7 +221,7 @@ mod placement_traces {
         let report = driver.into_report().modeled_only();
         assert_eq!(rec.dropped(), 0, "ring must retain the whole stream");
         let mut hash = 0xcbf29ce484222325;
-        for event in rec.normalized_events() {
+        for event in rec.events() {
             for word in event.encode() {
                 fnv1a(&mut hash, &word.to_le_bytes());
             }

@@ -1,6 +1,6 @@
 //! Telemetry regression tests: attaching a flight recorder must not
 //! change a single serving decision, sim and pool shards must emit
-//! identical normalized event streams, the recorder's counters must
+//! identical modeled event streams, the recorder's counters must
 //! agree with the report they observed, and the serialized
 //! `OnlineReport`/`ControllerTiming` schema — now a view over
 //! telemetry metrics — must stay byte-compatible with the
@@ -122,7 +122,7 @@ fn recorder_counters_agree_with_the_report() {
 }
 
 #[test]
-fn sim_and_pool_emit_identical_normalized_event_streams() {
+fn sim_and_pool_emit_identical_modeled_event_streams() {
     let profiles = mixed_profiles();
     let trace = trace();
     let cfg = config();
@@ -133,8 +133,8 @@ fn sim_and_pool_emit_identical_normalized_event_streams() {
     let pool = serve_online_with(&cfg, &profiles, &trace, pool_shards(), &rec_pool);
 
     assert_eq!(sim.events, pool.events, "decision parity");
-    let sim_events = rec_sim.normalized_events();
-    let pool_events = rec_pool.normalized_events();
+    let sim_events = rec_sim.events();
+    let pool_events = rec_pool.events();
     assert!(!sim_events.is_empty(), "streams must be non-trivial");
     assert!(
         sim_events
