@@ -370,3 +370,131 @@ fn pool_and_sim_drivers_agree_on_misaligned_windows() {
     let total: f64 = pool.window_times.iter().map(|w| w.wall_secs).sum();
     assert!((total - pool.wall_secs).abs() <= 1e-9 * pool.wall_secs);
 }
+
+/// The driver's per-slot and per-window accounting, pinned to literals
+/// recorded before it was flattened: on a quad core, user 1's two
+/// threads sit on cores 0 and 2 with user 2's thread on core 1 between
+/// them, steady user 1 and varying user 2 share core 0, user 2 leaves
+/// and re-joins inside the window ending at 40, user 3 departs for good
+/// mid-window, and the run ends at a window boundary (60) in the middle
+/// of a GOP.
+mod driver_accounting {
+    use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
+    use medvt::runtime::{
+        DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend, UserLoopStats,
+    };
+    use medvt::sched::Placement;
+
+    /// Exact binary fractions of a second (slot = 1/24 s):
+    ///
+    /// * 1 — two tiles of 1/128, promised steady;
+    /// * 2 — two tiles alternating 1/128 and 3/128 per slot;
+    /// * 3 — one tile, 3/64 (over a slot) at slots 18 and 19 of every
+    ///   40, 1/64 otherwise: its carry crosses the window end at 20;
+    /// * anyone else — one steady tile of 1/128.
+    struct Pin;
+
+    impl DemandSource for Pin {
+        fn demand_at(&self, user: usize, slot: usize) -> Vec<f64> {
+            let d = |k: f64| k / 128.0;
+            match user {
+                1 => vec![d(1.0); 2],
+                2 => vec![
+                    if slot.is_multiple_of(2) {
+                        d(1.0)
+                    } else {
+                        d(3.0)
+                    };
+                    2
+                ],
+                3 => vec![if matches!(slot % 40, 18 | 19) {
+                    d(6.0)
+                } else {
+                    d(2.0)
+                }],
+                _ => vec![d(1.0)],
+            }
+        }
+
+        fn steady(&self, user: usize) -> bool {
+            !matches!(user, 2 | 3)
+        }
+    }
+
+    fn stats_words(s: &UserLoopStats) -> [u64; 6] {
+        [
+            s.user as u64,
+            s.energy_j.to_bits(),
+            s.windows as u64,
+            s.window_misses as u64,
+            s.consecutive_window_misses as u64,
+            s.active_slots as u64,
+        ]
+    }
+
+    #[test]
+    fn driver_accounting_matches_its_golden() {
+        let place = |user, thread, core| Placement {
+            user,
+            thread,
+            core,
+            secs: 1.0 / 64.0,
+        };
+        let initial = vec![
+            place(1, 0, 0),
+            place(2, 0, 1),
+            place(1, 1, 2),
+            place(2, 1, 0),
+            place(3, 0, 3),
+        ];
+        let cfg = ServerLoopConfig {
+            fps: 24.0,
+            slots: 0,
+            policy: DvfsPolicy::StretchToDeadline,
+            replan: ReplanPolicy::Static,
+            gop_slots: 8,
+            window_slots: Some(20),
+        };
+        let backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
+        let mut driver = LoopDriver::new(backend, cfg, vec![1, 2, 3], initial);
+        let mut streaks = Vec::new();
+        driver.advance(&Pin, 20);
+        streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        driver.advance(&Pin, 4);
+        driver.update_membership(&[], &[2]);
+        driver.advance(&Pin, 8);
+        driver.update_membership(&[2], &[]);
+        driver.advance(&Pin, 8);
+        streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        driver.advance(&Pin, 4);
+        driver.update_membership(&[5], &[3]);
+        driver.advance(&Pin, 16);
+        streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        let departed = stats_words(driver.user_stats(3).expect("user 3 ran"));
+        let report = driver.into_report();
+        let users: Vec<[u64; 6]> = report.users.iter().map(stats_words).collect();
+        let totals = [
+            report.energy_j.to_bits(),
+            report.miss_slots as u64,
+            report.windows as u64,
+            report.window_misses as u64,
+            report.active_core_slots as u64,
+            report.slots as u64,
+        ];
+        // Window 20 misses on user 3's core alone; window 40 misses
+        // users 1-3 (shared-core fate after the re-placements); window
+        // 60 is on time for everyone, departed user 3 included.
+        assert_eq!(streaks, [vec![3], vec![1, 2, 3], vec![]]);
+        assert_eq!(departed, [3, 0x402815b7c9ca5d2c, 3, 2, 0, 44]);
+        assert_eq!(
+            users,
+            [
+                [1, 0x402d9e49f86b5f41, 3, 1, 0, 60],
+                [2, 0x40395cc81174e837, 3, 1, 0, 52],
+                [3, 0x402815b7c9ca5d2c, 3, 2, 0, 44],
+                [5, 0x4000f0e642c5b750, 1, 0, 0, 16],
+            ]
+        );
+        assert_eq!(totals, [0x404c2a72dd743ea4, 8, 10, 2, 160, 60]);
+    }
+}
