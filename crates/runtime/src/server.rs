@@ -24,6 +24,14 @@
 //! [`LoopDriver::set_membership`], ascending id once
 //! [`LoopDriver::update_membership`] is used.
 //!
+//! What a slot costs follows from its placements: each time they (or
+//! the membership) change the driver builds a placement plan — each
+//! placed user once with its row in a dense per-user stats table, and
+//! the placements' by-core order — and each slot then asks the source
+//! for one `demand_at` vector per placed user (none for a
+//! [`DemandSource::steady`] one after its first) and accounts it with
+//! flat scans over that plan.
+//!
 //! `core::ServerSim` wraps this loop with profile-driven admission and
 //! Table II reporting; real-execution servers feed it closures through
 //! [`DemandSource::work_for`].
@@ -33,7 +41,7 @@ use medvt_mpsoc::{DvfsPolicy, SlotReport};
 use medvt_sched::{place_threads_on, Placement, UserDemand};
 use medvt_telemetry::{CounterId, Event, EventKind, HistId, Metrics, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Per-user, per-slot demand (and optionally real work) for the loop.
@@ -53,13 +61,17 @@ pub trait DemandSource {
     }
 
     /// True when `user`'s demand never varies across slots — a promise
-    /// that `demand_at(user, s)` returns the identical vector for
-    /// every `s`. The driver then estimates the user's GOP demand once,
-    /// when it joins, and never again. Purely an optimization hint:
-    /// sources with per-slot variation (video profiles) keep the
-    /// default `false` and are re-estimated each boundary, which
+    /// that `demand_at(user, s)` returns the identical vector, bit for
+    /// bit, for every `s`. The driver relies on it twice: it estimates
+    /// the user's GOP demand once, when it joins, and never again; and
+    /// it fetches the user's `demand_at` vector once per placement or
+    /// membership change and reuses it for every slot after, so a
+    /// source that answers `true` for a varying user is priced on a
+    /// stale vector.
+    /// Sources with per-slot variation (video profiles) keep the
+    /// default `false`: they are re-estimated each boundary, which
     /// re-places nothing when every estimate comes back bitwise
-    /// unchanged.
+    /// unchanged, and asked for their demand once per slot.
     fn steady(&self, _user: usize) -> bool {
         false
     }
@@ -356,12 +368,31 @@ fn unestimated(user: usize) -> UserDemand {
     }
 }
 
-/// What accounting needs from one slot's planned work.
-struct SlotPlan {
-    /// The (core, user, cost) of every unit with positive cost, in
-    /// placement order: the slot's active users and what energy
-    /// attribution splits.
-    submitted: Vec<(usize, usize, f64)>,
+/// A placed user as the per-slot path sees it.
+#[derive(Debug)]
+struct PlanMember {
+    user: usize,
+    /// The user's row in the driver's per-user stats table.
+    row: usize,
+    /// [`Mark::Steady`] when the plan was built: `demand` is fetched
+    /// once and reused every slot after.
+    steady: bool,
+    /// `demand_at(user, slot)` of the slot planned last; `None` before
+    /// the first fetch.
+    demand: Option<Vec<f64>>,
+}
+
+/// What the per-slot path needs from the placements, rebuilt only when
+/// they change: each placed user once, and the placements' order for
+/// energy attribution.
+#[derive(Debug, Default)]
+struct PlacementPlan {
+    /// Placed users in order of their first placement.
+    members: Vec<PlanMember>,
+    /// Each placement's index into `members`, in placement order.
+    member_of: Vec<usize>,
+    /// Placement indices stably sorted by core.
+    by_core: Vec<usize>,
 }
 
 /// An in-flight server-loop run: run to completion with
@@ -401,6 +432,7 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     /// How each member's estimate is kept current, in `admitted` order.
     marks: Vec<Mark>,
     placements: Vec<Placement>,
+    plan: PlacementPlan,
     /// Membership changed: visit the placer at the next slot, GOP
     /// boundary or not, whatever the policy.
     replan_pending: bool,
@@ -414,8 +446,19 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     slot: usize,
     window_len: usize,
     active_in_window: Vec<bool>,
-    window_user_cores: BTreeMap<usize, BTreeSet<usize>>,
-    users: BTreeMap<usize, UserLoopStats>,
+    /// The (row, core) of every placement that submitted work in the
+    /// window, once per run; grouped by row at the window end.
+    window_cells: Vec<(usize, usize)>,
+    /// Per-user accounting, one row per user ever placed (rows without
+    /// an active slot are not reported).
+    rows: Vec<UserLoopStats>,
+    /// `1 +` the last slot counted in each row's `active_slots`.
+    row_stamps: Vec<usize>,
+    /// Each user's row, read when a plan is built, by
+    /// [`LoopDriver::user_stats`] and for the report's id order.
+    row_of: BTreeMap<usize, usize>,
+    /// Per-core submitted cost of the slot being accounted.
+    totals: Vec<f64>,
     energy_j: f64,
     miss_slots: usize,
     windows: usize,
@@ -472,7 +515,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         // Members handed in without placements are placed at the first
         // slot, whatever the policy.
         let unplaced = initial.is_empty() && !admitted.is_empty();
-        Self {
+        let mut driver = Self {
             backend,
             recorder,
             track,
@@ -485,14 +528,18 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             // Handed-in placements were not computed from estimates.
             dirty: !initial.is_empty(),
             placements: initial,
+            plan: PlacementPlan::default(),
             replan_pending: unplaced,
             miss_streaks: BTreeSet::new(),
             meter: Metrics::new(),
             slot: 0,
             window_len: cfg.window_len(),
             active_in_window: vec![false; cores],
-            window_user_cores: BTreeMap::new(),
-            users: BTreeMap::new(),
+            window_cells: Vec::new(),
+            rows: Vec::new(),
+            row_stamps: Vec::new(),
+            row_of: BTreeMap::new(),
+            totals: vec![0.0; cores],
             energy_j: 0.0,
             miss_slots: 0,
             windows: 0,
@@ -502,13 +549,18 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_wall_acc: 0.0,
             window_modeled_acc: 0.0,
             window_times: Vec::new(),
-        }
+        };
+        driver.build_plan();
+        driver
     }
 
     /// Running per-user accounting for `user` (None before its first
     /// scheduled slot).
     pub fn user_stats(&self, user: usize) -> Option<&UserLoopStats> {
-        self.users.get(&user)
+        self.row_of
+            .get(&user)
+            .map(|&row| &self.rows[row])
+            .filter(|stats| stats.active_slots > 0)
     }
 
     /// Replaces the admitted set, keeping the caller's order — equal
@@ -615,7 +667,12 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             active_core_slots: self.active_core_slots,
             slots: self.slot,
             wall_secs: self.wall_secs,
-            users: self.users.into_values().collect(),
+            users: self
+                .row_of
+                .values()
+                .map(|&row| self.rows[row])
+                .filter(|stats| stats.active_slots > 0)
+                .collect(),
             window_times: self.window_times,
             controller: ControllerTiming::from_metrics(&self.meter),
         }
@@ -702,6 +759,47 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         true
     }
 
+    /// Rebuilds the placement plan from `placements` and the members'
+    /// marks, giving first-placed users a stats row. Demand vectors are
+    /// fetched afresh at the next planned slot.
+    fn build_plan(&mut self) {
+        let mut members: Vec<PlanMember> = Vec::new();
+        let mut member_index: HashMap<usize, usize> = HashMap::new();
+        let mut member_of = Vec::with_capacity(self.placements.len());
+        for p in &self.placements {
+            let m = *member_index.entry(p.user).or_insert_with(|| {
+                let row = *self.row_of.entry(p.user).or_insert_with(|| {
+                    self.rows.push(UserLoopStats {
+                        user: p.user,
+                        ..Default::default()
+                    });
+                    self.row_stamps.push(0);
+                    self.rows.len() - 1
+                });
+                members.push(PlanMember {
+                    user: p.user,
+                    row,
+                    steady: false,
+                    demand: None,
+                });
+                members.len() - 1
+            });
+            member_of.push(m);
+        }
+        for (user, &mark) in self.admitted.iter().zip(&self.marks) {
+            if let Some(&m) = member_index.get(user) {
+                members[m].steady = mark == Mark::Steady;
+            }
+        }
+        let mut by_core: Vec<usize> = (0..self.placements.len()).collect();
+        by_core.sort_by_key(|&i| self.placements[i].core);
+        self.plan = PlacementPlan {
+            members,
+            member_of,
+            by_core,
+        };
+    }
+
     /// Executes a run of `len` slots: thread allocation once per GOP
     /// (paper §III-D2) or on a pending membership change — a run
     /// starts wherever either can happen — then the run's work units
@@ -726,6 +824,11 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             let replanned = self.refresh_placements(source, slot_secs);
             self.meter
                 .observe(HistId::PlacementNs, t0.elapsed().as_nanos() as u64);
+            // A re-marked member may have turned steady or stopped
+            // being so, so a membership change rebuilds the plan too.
+            if replanned || self.replan_pending {
+                self.build_plan();
+            }
             if replanned {
                 self.meter.add(CounterId::Replans, 1);
                 if R::ENABLED {
@@ -740,45 +843,48 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             }
             self.replan_pending = false;
         }
-        let mut slots = Vec::with_capacity(len);
-        let mut plans = Vec::with_capacity(len);
-        for slot in self.slot..self.slot + len {
-            let (work, plan) = self.plan_slot(source, slot);
-            slots.push(work);
-            plans.push(plan);
+        // Each slot's per-placement costs, slot after slot.
+        let n = self.placements.len();
+        let mut costs = Vec::with_capacity(len * n);
+        let slots: Vec<_> = (self.slot..self.slot + len)
+            .map(|slot| self.plan_slot(source, slot, &mut costs))
+            .collect();
+        // Runs never cross a window boundary: a placement that worked in
+        // any of the run's slots worked in this window.
+        for (i, (p, &m)) in self.placements.iter().zip(&self.plan.member_of).enumerate() {
+            if costs[i..].iter().step_by(n).any(|&c| c > 0.0) {
+                self.window_cells.push((self.plan.members[m].row, p.core));
+            }
         }
         let (reports, wall_secs) = self.backend.execute_run(self.cfg.policy, slot_secs, slots);
         self.wall_secs += wall_secs;
         self.window_wall_acc += wall_secs;
-        for (report, plan) in reports.iter().zip(plans) {
-            self.account_slot(report, plan);
+        for (k, report) in reports.iter().enumerate() {
+            self.account_slot(report, &costs[k * n..(k + 1) * n]);
         }
     }
 
-    /// `slot`'s work units under the current placements, and what
-    /// accounting needs to know about them.
+    /// `slot`'s work units under the current placements; their costs
+    /// are appended to `costs` in placement order.
     fn plan_slot<'s>(
         &mut self,
         source: &'s impl DemandSource,
         slot: usize,
-    ) -> (Vec<WorkUnit<'s>>, SlotPlan) {
+        costs: &mut Vec<f64>,
+    ) -> Vec<WorkUnit<'s>> {
+        for m in &mut self.plan.members {
+            if !m.steady || m.demand.is_none() {
+                m.demand = Some(source.demand_at(m.user, slot));
+            }
+        }
         // Placement vectors cover the maximum tile count of the
         // window; frames with fewer tiles simply have no work for
         // the higher thread indices.
         let mut work: Vec<WorkUnit<'_>> = Vec::with_capacity(self.placements.len());
-        let mut plan = SlotPlan {
-            submitted: Vec::with_capacity(self.placements.len()),
-        };
-        for p in &self.placements {
-            let demand = source.demand_at(p.user, slot);
+        for (p, &m) in self.placements.iter().zip(&self.plan.member_of) {
+            let demand = self.plan.members[m].demand.as_deref().unwrap_or_default();
             let cost = demand.get(p.thread).copied().unwrap_or(0.0);
-            if cost > 0.0 {
-                plan.submitted.push((p.core, p.user, cost));
-                self.window_user_cores
-                    .entry(p.user)
-                    .or_default()
-                    .insert(p.core);
-            }
+            costs.push(cost);
             // Jobs are only materialized for backends that run them;
             // analytical backends price the cost and would drop the
             // closure unexecuted.
@@ -795,13 +901,14 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 job,
             });
         }
-        (work, plan)
+        work
     }
 
-    /// Books the current slot's analytical `report`: energy, modeled
-    /// window time, per-user accounting and, at a window's last slot,
-    /// the framerate check. The run's wall time is already booked.
-    fn account_slot(&mut self, report: &SlotReport, mut plan: SlotPlan) {
+    /// Books the current slot's analytical `report` given its
+    /// per-placement `costs`: energy, modeled window time, per-user
+    /// accounting and, at a window's last slot, the framerate check.
+    /// The run's wall time is already booked.
+    fn account_slot(&mut self, report: &SlotReport, costs: &[f64]) {
         self.meter.add(CounterId::SlotsExecuted, 1);
         if report.transition_bound_cores > 0 {
             self.meter.add(
@@ -828,26 +935,27 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         }
         // Per-user accounting: active slots, and each core's slot
         // energy split proportional to the users' submitted cost.
-        let mut active: Vec<usize> = plan.submitted.iter().map(|&(_, u, _)| u).collect();
-        active.sort_unstable();
-        active.dedup();
-        for u in active {
-            let stats = self.users.entry(u).or_insert(UserLoopStats {
-                user: u,
-                ..Default::default()
-            });
-            stats.active_slots += 1;
-        }
-        let mut totals = vec![0.0f64; report.cores.len()];
-        for &(core, _, cost) in &plan.submitted {
-            totals[core] += cost;
+        let stamp = self.slot + 1;
+        self.totals.fill(0.0);
+        for ((p, &m), &cost) in self.placements.iter().zip(&self.plan.member_of).zip(costs) {
+            if cost > 0.0 {
+                let row = self.plan.members[m].row;
+                if self.row_stamps[row] != stamp {
+                    self.row_stamps[row] = stamp;
+                    self.rows[row].active_slots += 1;
+                }
+                self.totals[p.core] += cost;
+            }
         }
         // Core by core, each core's users in placement order; every
         // cost is positive, so every total used is too.
-        plan.submitted.sort_by_key(|&(core, _, _)| core);
-        for (core, u, cost) in plan.submitted {
-            if let Some(stats) = self.users.get_mut(&u) {
-                stats.energy_j += report.energy_j_per_core[core] * cost / totals[core];
+        for &i in &self.plan.by_core {
+            let cost = costs[i];
+            if cost > 0.0 {
+                let core = self.placements[i].core;
+                let row = self.plan.members[self.plan.member_of[i]].row;
+                self.rows[row].energy_j +=
+                    report.energy_j_per_core[core] * cost / self.totals[core];
             }
         }
         // One-second framerate check (paper §III-D2): a core misses
@@ -876,24 +984,23 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             }
             self.window_wall_acc = 0.0;
             self.window_modeled_acc = 0.0;
-            for (&u, cores) in &self.window_user_cores {
-                let Some(stats) = self.users.get_mut(&u) else {
-                    continue;
-                };
+            self.window_cells.sort_unstable();
+            for cells in self.window_cells.chunk_by(|a, b| a.0 == b.0) {
+                let stats = &mut self.rows[cells[0].0];
                 stats.windows += 1;
-                let missed = cores
+                let missed = cells
                     .iter()
-                    .any(|&k| report.cores[k].carry_fmax_secs > 1e-9);
+                    .any(|&(_, k)| report.cores[k].carry_fmax_secs > 1e-9);
                 if missed {
                     stats.window_misses += 1;
                     stats.consecutive_window_misses += 1;
-                    self.miss_streaks.insert(u);
+                    self.miss_streaks.insert(stats.user);
                 } else {
                     stats.consecutive_window_misses = 0;
-                    self.miss_streaks.remove(&u);
+                    self.miss_streaks.remove(&stats.user);
                 }
             }
-            self.window_user_cores.clear();
+            self.window_cells.clear();
         }
         self.slot += 1;
     }
