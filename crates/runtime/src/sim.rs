@@ -12,6 +12,9 @@ pub struct SimBackend {
     power: PowerModel,
     prev_freqs: Vec<FreqLevel>,
     carry: Vec<f64>,
+    /// Per-core load of the slot being priced: carry plus submitted
+    /// cost.
+    loads: Vec<f64>,
 }
 
 impl SimBackend {
@@ -25,6 +28,7 @@ impl SimBackend {
             power,
             prev_freqs,
             carry: vec![0.0; cores],
+            loads: vec![0.0; cores],
         }
     }
 
@@ -48,8 +52,8 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn reset(&mut self) {
-        self.prev_freqs = self.platform.core_fmins();
-        self.carry = vec![0.0; self.cores()];
+        self.prev_freqs.copy_from_slice(&self.platform.core_fmins());
+        self.carry.fill(0.0);
     }
 
     fn execute_slot<'scope>(
@@ -58,15 +62,15 @@ impl ExecutionBackend for SimBackend {
         slot_secs: f64,
         work: Vec<WorkUnit<'scope>>,
     ) -> SlotOutcome {
-        let mut loads = self.carry.clone();
+        self.loads.copy_from_slice(&self.carry);
         for unit in &work {
-            loads[unit.core] += unit.cost_fmax_secs;
+            self.loads[unit.core] += unit.cost_fmax_secs;
         }
         let report = simulate_slot(
             &self.platform,
             &self.power,
             policy,
-            &loads,
+            &self.loads,
             &self.prev_freqs,
             slot_secs,
         );
