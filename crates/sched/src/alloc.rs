@@ -331,7 +331,7 @@ fn place(threads: &mut [Placement], speeds: &[f64], demand_frac: f64, slot_secs:
         let best_core = select_core(&core_loads, speeds, &candidates, slot_secs, cap, th.secs);
         th.core = best_core;
         core_loads[best_core] += th.secs;
-        max_norm = max_norm.max(core_loads[best_core] / speeds[best_core]);
+        max_norm = max_norm.max(finish(core_loads[best_core], speeds[best_core]));
     }
     core_loads
 }
@@ -363,7 +363,9 @@ fn candidate_set(speeds: &[f64], demand_frac: f64) -> Vec<usize> {
 /// least. (Spilling by pre-placement load instead can push a large
 /// thread onto an idle slow core when a partially loaded fast core
 /// would finish sooner.) Ties break to the first candidate in
-/// recruitment order (fastest, then lowest id).
+/// recruitment order (fastest, then lowest id), so the scan stops at
+/// the first fitting core that lands exactly on the cap: a later core
+/// could only tie it.
 fn select_core(
     core_loads: &[f64],
     speeds: &[f64],
@@ -375,18 +377,32 @@ fn select_core(
     let mut best_fit: Option<(usize, f64)> = None;
     let mut spill: (usize, f64) = (candidates[0], f64::INFINITY);
     for &k in candidates {
-        let with = (core_loads[k] + secs) / speeds[k];
+        let with = finish(core_loads[k] + secs, speeds[k]);
         if with < spill.1 {
             spill = (k, with);
         }
         if with <= slot_secs + 1e-12 {
             let dist = (cap - with).abs();
+            if dist == 0.0 {
+                return k;
+            }
             if best_fit.is_none_or(|(_, d)| dist < d) {
                 best_fit = Some((k, dist));
             }
         }
     }
     best_fit.map_or(spill.0, |(k, _)| k)
+}
+
+/// `load / speed`, without the division on a reference-speed core
+/// (`x / 1.0 == x` bit for bit).
+#[inline]
+fn finish(load: f64, speed: f64) -> f64 {
+    if speed == 1.0 {
+        load
+    } else {
+        load / speed
+    }
 }
 
 #[cfg(test)]
