@@ -264,31 +264,29 @@ impl Platform {
         &self.classes[self.class_index_of(core)]
     }
 
+    /// The class of every core, in core-id order: the socket-major
+    /// layout walked once instead of a [`Platform::class_of`] lookup
+    /// per core.
+    pub(crate) fn core_classes(&self) -> impl Iterator<Item = &CoreClass> {
+        (0..self.sockets).flat_map(move |_| {
+            self.classes
+                .iter()
+                .flat_map(|class| std::iter::repeat_n(class, class.cores_per_socket))
+        })
+    }
+
     /// Per-core speed factors, indexed by core id — what speed-aware
     /// placement normalizes loads with.
     pub fn core_speeds(&self) -> Vec<f64> {
-        let mut speeds = Vec::with_capacity(self.total_cores());
-        for _ in 0..self.sockets {
-            for class in &self.classes {
-                speeds.extend(std::iter::repeat_n(
-                    class.speed_factor,
-                    class.cores_per_socket,
-                ));
-            }
-        }
-        speeds
+        self.core_classes()
+            .map(|class| class.speed_factor)
+            .collect()
     }
 
     /// Per-core minimum operating points, indexed by core id — the
     /// cold-start DVFS state of each core's own ladder.
     pub fn core_fmins(&self) -> Vec<FreqLevel> {
-        let mut fmins = Vec::with_capacity(self.total_cores());
-        for _ in 0..self.sockets {
-            for class in &self.classes {
-                fmins.extend(std::iter::repeat_n(class.fmin(), class.cores_per_socket));
-            }
-        }
-        fmins
+        self.core_classes().map(CoreClass::fmin).collect()
     }
 
     /// Effective capacity in reference cores: the sum of all cores'
@@ -357,6 +355,23 @@ mod tests {
         assert!(!p.is_heterogeneous());
         assert!(p.core_speeds().iter().all(|&s| s == 1.0));
         assert!((p.speed_capacity() - 32.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn layout_walk_yields_class_of_every_core() {
+        let sockets = Platform::new("4x64", 4, 64, FrequencySet::xeon_e5_2667(), 10e-6);
+        for p in [
+            Platform::quad_core(),
+            Platform::big_little(),
+            sockets.socket_view(2),
+            sockets,
+        ] {
+            let walked: Vec<&CoreClass> = p.core_classes().collect();
+            assert_eq!(walked.len(), p.total_cores(), "{}", p.name);
+            for (k, class) in walked.into_iter().enumerate() {
+                assert!(std::ptr::eq(class, p.class_of(k)), "{} core {k}", p.name);
+            }
+        }
     }
 
     #[test]

@@ -230,8 +230,7 @@ pub fn simulate_slot(
     let mut energy = 0.0;
     let mut misses = 0;
     let mut transition_bound = 0;
-    for (k, &load) in loads.iter().enumerate() {
-        let class = platform.class_of(k);
+    for ((k, &load), class) in loads.iter().enumerate().zip(platform.core_classes()) {
         let plan = plan_core_on(
             class,
             platform.dvfs_transition_secs,
