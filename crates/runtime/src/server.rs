@@ -25,12 +25,14 @@
 //! [`LoopDriver::update_membership`] is used.
 //!
 //! What a slot costs follows from its placements: each time they (or
-//! the membership) change the driver builds a placement plan — each
-//! placed user once with its row in a dense per-user stats table, and
-//! the placements' by-core order — and each slot then asks the source
-//! for one `demand_at` vector per placed user (none for a
-//! [`DemandSource::steady`] one after its first) and accounts it with
-//! flat scans over that plan.
+//! the membership) change the driver rebuilds, in its own buffers, a
+//! placement plan — each placement's member, each placed member once,
+//! and the placements' by-core order. A member keeps, from its join to
+//! its leaving, its row in a dense per-user stats table and its last
+//! `demand_at` vector. Each slot asks the source for one vector per
+//! placed member — a [`DemandSource::steady`] member's only once per
+//! join, whatever the placements do meanwhile — and accounts the slot
+//! with flat scans over the plan.
 //!
 //! `core::ServerSim` wraps this loop with profile-driven admission and
 //! Table II reporting; real-execution servers feed it closures through
@@ -41,7 +43,7 @@ use medvt_mpsoc::{DvfsPolicy, SlotReport};
 use medvt_sched::{place_threads_on, Placement, UserDemand};
 use medvt_telemetry::{CounterId, Event, EventKind, HistId, Metrics, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Per-user, per-slot demand (and optionally real work) for the loop.
@@ -64,10 +66,10 @@ pub trait DemandSource {
     /// that `demand_at(user, s)` returns the identical vector, bit for
     /// bit, for every `s`. The driver relies on it twice: it estimates
     /// the user's GOP demand once, when it joins, and never again; and
-    /// it fetches the user's `demand_at` vector once per placement or
-    /// membership change and reuses it for every slot after, so a
-    /// source that answers `true` for a varying user is priced on a
-    /// stale vector.
+    /// it fetches the user's `demand_at` vector once per join, not once
+    /// per placement change, and reuses it for every slot until the
+    /// user leaves or is re-added, so a source that answers `true` for
+    /// a varying user is priced on a stale vector.
     /// Sources with per-slot variation (video profiles) keep the
     /// default `false`: they are re-estimated each boundary, which
     /// re-places nothing when every estimate comes back bitwise
@@ -368,31 +370,40 @@ fn unestimated(user: usize) -> UserDemand {
     }
 }
 
-/// A placed user as the per-slot path sees it.
+/// What the per-slot path keeps of a member from one plan to the next.
 #[derive(Debug)]
-struct PlanMember {
-    user: usize,
+struct Member {
     /// The user's row in the driver's per-user stats table.
     row: usize,
-    /// [`Mark::Steady`] when the plan was built: `demand` is fetched
-    /// once and reused every slot after.
-    steady: bool,
-    /// `demand_at(user, slot)` of the slot planned last; `None` before
-    /// the first fetch.
+    /// `demand_at(user, slot)` of the slot planned last — for a
+    /// [`Mark::Steady`] member, of its first planned slot since it
+    /// joined; `None` before that fetch.
     demand: Option<Vec<f64>>,
 }
 
-/// What the per-slot path needs from the placements, rebuilt only when
-/// they change: each placed user once, and the placements' order for
-/// energy attribution.
+/// What the per-slot path needs from the placements, rebuilt (into the
+/// same buffers) only when they change: each placed member once, and
+/// the placements' order for energy attribution.
 #[derive(Debug, Default)]
 struct PlacementPlan {
-    /// Placed users in order of their first placement.
-    members: Vec<PlanMember>,
-    /// Each placement's index into `members`, in placement order.
+    /// Indices into `admitted` of the placed members, ascending.
+    placed: Vec<usize>,
+    /// Each placement's index into `admitted`, in placement order.
     member_of: Vec<usize>,
-    /// Placement indices stably sorted by core.
+    /// Placement indices sorted by core, in placement order within a
+    /// core.
     by_core: Vec<usize>,
+}
+
+/// `user`'s index in `admitted`: a binary search when the members are
+/// id-sorted (always, once [`LoopDriver::update_membership`] is used),
+/// a scan otherwise.
+fn member_index(admitted: &[usize], sorted: bool, user: usize) -> Option<usize> {
+    if sorted {
+        admitted.binary_search(&user).ok()
+    } else {
+        admitted.iter().position(|&u| u == user)
+    }
 }
 
 /// An in-flight server-loop run: run to completion with
@@ -431,6 +442,9 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     demands: Vec<UserDemand>,
     /// How each member's estimate is kept current, in `admitted` order.
     marks: Vec<Mark>,
+    /// Each member's stats row and last fetched demand, in `admitted`
+    /// order.
+    members: Vec<Member>,
     placements: Vec<Placement>,
     plan: PlacementPlan,
     /// Membership changed: visit the placer at the next slot, GOP
@@ -454,7 +468,7 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     rows: Vec<UserLoopStats>,
     /// `1 +` the last slot counted in each row's `active_slots`.
     row_stamps: Vec<usize>,
-    /// Each user's row, read when a plan is built, by
+    /// Each user's row, read when the user joins, by
     /// [`LoopDriver::user_stats`] and for the report's id order.
     row_of: BTreeMap<usize, usize>,
     /// Per-core submitted cost of the slot being accounted.
@@ -478,7 +492,8 @@ impl<B: ExecutionBackend> LoopDriver<B> {
     ///
     /// # Panics
     ///
-    /// Panics when `fps` or `gop_slots` is not positive.
+    /// Panics when `fps` or `gop_slots` is not positive, or an initial
+    /// placement's user is not in `admitted`.
     pub fn new(
         backend: B,
         cfg: ServerLoopConfig,
@@ -496,7 +511,8 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     ///
     /// # Panics
     ///
-    /// Panics when `fps` or `gop_slots` is not positive.
+    /// Panics when `fps` or `gop_slots` is not positive, or an initial
+    /// placement's user is not in `admitted`.
     pub fn with_recorder(
         mut backend: B,
         cfg: ServerLoopConfig,
@@ -524,6 +540,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             executes_work,
             demands: admitted.iter().copied().map(unestimated).collect(),
             marks: vec![Mark::Fresh; admitted.len()],
+            members: Vec::new(),
             admitted,
             // Handed-in placements were not computed from estimates.
             dirty: !initial.is_empty(),
@@ -550,6 +567,9 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_modeled_acc: 0.0,
             window_times: Vec::new(),
         };
+        driver.members = (0..driver.admitted.len())
+            .map(|i| driver.joined(driver.admitted[i]))
+            .collect();
         driver.build_plan();
         driver
     }
@@ -571,6 +591,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     pub fn set_membership(&mut self, admitted: Vec<usize>) {
         self.demands = admitted.iter().copied().map(unestimated).collect();
         self.marks = vec![Mark::Fresh; admitted.len()];
+        self.members = admitted.iter().map(|&u| self.joined(u)).collect();
         self.admitted = admitted;
         self.dirty = true;
         self.replan_pending = true;
@@ -598,17 +619,23 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 self.admitted.remove(i);
                 self.demands.remove(i);
                 self.marks.remove(i);
+                self.members.remove(i);
                 self.dirty = true;
             }
             self.miss_streaks.remove(&u);
         }
         for &u in add {
             match self.admitted.binary_search(&u) {
-                Ok(i) => self.marks[i] = Mark::Fresh,
+                Ok(i) => {
+                    self.marks[i] = Mark::Fresh;
+                    self.members[i].demand = None;
+                }
                 Err(i) => {
                     self.admitted.insert(i, u);
                     self.demands.insert(i, unestimated(u));
                     self.marks.insert(i, Mark::Fresh);
+                    let member = self.joined(u);
+                    self.members.insert(i, member);
                     self.dirty = true;
                 }
             }
@@ -759,45 +786,43 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         true
     }
 
-    /// Rebuilds the placement plan from `placements` and the members'
-    /// marks, giving first-placed users a stats row. Demand vectors are
-    /// fetched afresh at the next planned slot.
-    fn build_plan(&mut self) {
-        let mut members: Vec<PlanMember> = Vec::new();
-        let mut member_index: HashMap<usize, usize> = HashMap::new();
-        let mut member_of = Vec::with_capacity(self.placements.len());
-        for p in &self.placements {
-            let m = *member_index.entry(p.user).or_insert_with(|| {
-                let row = *self.row_of.entry(p.user).or_insert_with(|| {
-                    self.rows.push(UserLoopStats {
-                        user: p.user,
-                        ..Default::default()
-                    });
-                    self.row_stamps.push(0);
-                    self.rows.len() - 1
-                });
-                members.push(PlanMember {
-                    user: p.user,
-                    row,
-                    steady: false,
-                    demand: None,
-                });
-                members.len() - 1
+    /// A joining member: its stats row (created on the user's first
+    /// join) and no demand fetched yet.
+    fn joined(&mut self, user: usize) -> Member {
+        let row = *self.row_of.entry(user).or_insert_with(|| {
+            self.rows.push(UserLoopStats {
+                user,
+                ..Default::default()
             });
-            member_of.push(m);
+            self.row_stamps.push(0);
+            self.rows.len() - 1
+        });
+        Member { row, demand: None }
+    }
+
+    /// Rebuilds the placement plan from `placements` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a placement's user is not a member.
+    fn build_plan(&mut self) {
+        let sorted = self.admitted.is_sorted();
+        let plan = &mut self.plan;
+        plan.member_of.clear();
+        for p in &self.placements {
+            let i = member_index(&self.admitted, sorted, p.user)
+                .unwrap_or_else(|| panic!("user {} is placed but not admitted", p.user));
+            plan.member_of.push(i);
         }
-        for (user, &mark) in self.admitted.iter().zip(&self.marks) {
-            if let Some(&m) = member_index.get(user) {
-                members[m].steady = mark == Mark::Steady;
-            }
-        }
-        let mut by_core: Vec<usize> = (0..self.placements.len()).collect();
-        by_core.sort_by_key(|&i| self.placements[i].core);
-        self.plan = PlacementPlan {
-            members,
-            member_of,
-            by_core,
-        };
+        plan.placed.clear();
+        plan.placed.extend_from_slice(&plan.member_of);
+        plan.placed.sort_unstable();
+        plan.placed.dedup();
+        plan.by_core.clear();
+        plan.by_core.extend(0..self.placements.len());
+        let placements = &self.placements;
+        plan.by_core
+            .sort_unstable_by_key(|&i| (placements[i].core, i));
     }
 
     /// Executes a run of `len` slots: thread allocation once per GOP
@@ -824,8 +849,8 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             let replanned = self.refresh_placements(source, slot_secs);
             self.meter
                 .observe(HistId::PlacementNs, t0.elapsed().as_nanos() as u64);
-            // A re-marked member may have turned steady or stopped
-            // being so, so a membership change rebuilds the plan too.
+            // A membership change moves members' indices, so it
+            // rebuilds the plan even when the placements stand.
             if replanned || self.replan_pending {
                 self.build_plan();
             }
@@ -853,7 +878,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         // any of the run's slots worked in this window.
         for (i, (p, &m)) in self.placements.iter().zip(&self.plan.member_of).enumerate() {
             if costs[i..].iter().step_by(n).any(|&c| c > 0.0) {
-                self.window_cells.push((self.plan.members[m].row, p.core));
+                self.window_cells.push((self.members[m].row, p.core));
             }
         }
         let (reports, wall_secs) = self.backend.execute_run(self.cfg.policy, slot_secs, slots);
@@ -872,9 +897,10 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         slot: usize,
         costs: &mut Vec<f64>,
     ) -> Vec<WorkUnit<'s>> {
-        for m in &mut self.plan.members {
-            if !m.steady || m.demand.is_none() {
-                m.demand = Some(source.demand_at(m.user, slot));
+        for &i in &self.plan.placed {
+            let member = &mut self.members[i];
+            if self.marks[i] != Mark::Steady || member.demand.is_none() {
+                member.demand = Some(source.demand_at(self.admitted[i], slot));
             }
         }
         // Placement vectors cover the maximum tile count of the
@@ -882,7 +908,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         // the higher thread indices.
         let mut work: Vec<WorkUnit<'_>> = Vec::with_capacity(self.placements.len());
         for (p, &m) in self.placements.iter().zip(&self.plan.member_of) {
-            let demand = self.plan.members[m].demand.as_deref().unwrap_or_default();
+            let demand = self.members[m].demand.as_deref().unwrap_or_default();
             let cost = demand.get(p.thread).copied().unwrap_or(0.0);
             costs.push(cost);
             // Jobs are only materialized for backends that run them;
@@ -939,7 +965,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         self.totals.fill(0.0);
         for ((p, &m), &cost) in self.placements.iter().zip(&self.plan.member_of).zip(costs) {
             if cost > 0.0 {
-                let row = self.plan.members[m].row;
+                let row = self.members[m].row;
                 if self.row_stamps[row] != stamp {
                     self.row_stamps[row] = stamp;
                     self.rows[row].active_slots += 1;
@@ -953,7 +979,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             let cost = costs[i];
             if cost > 0.0 {
                 let core = self.placements[i].core;
-                let row = self.plan.members[self.plan.member_of[i]].row;
+                let row = self.members[self.plan.member_of[i]].row;
                 self.rows[row].energy_j +=
                     report.energy_j_per_core[core] * cost / self.totals[core];
             }
