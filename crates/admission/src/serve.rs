@@ -712,14 +712,16 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
 
     /// Phase 3: evictions under sustained deadline misses. Only users
     /// whose *latest* window missed can be over their tolerance, and
-    /// the drivers index exactly those.
+    /// the drivers index exactly those; a user's streak is read from
+    /// its own shard only.
     fn evict(&mut self) {
         let mut evicting: Vec<usize> = Vec::new();
-        for d in &self.drivers {
+        for (s, d) in self.drivers.iter().enumerate() {
             for u in d.miss_streaks() {
                 let over = self.active.get(&u).is_some_and(|a| {
-                    d.user_stats(u)
-                        .is_some_and(|s| s.consecutive_window_misses >= a.miss_tolerance)
+                    a.shard == s
+                        && d.user_stats(u)
+                            .is_some_and(|s| s.consecutive_window_misses >= a.miss_tolerance)
                 });
                 if over {
                     evicting.push(u);
@@ -1600,6 +1602,56 @@ mod tests {
         let plain = serve_online(&cfg(240), &[Lying], &trace, quad_shards(1));
         assert_eq!(plain.admissions, 1);
         assert_eq!(plain.evictions, 1);
+    }
+
+    #[test]
+    fn streak_sets_hold_only_members_of_their_shard() {
+        // Two quad shards, 5-slot GOPs inside 24-slot windows, and the
+        // lying profile, which misses every window: users leave
+        // mid-window by departing and by eviction, and evicted users
+        // come back a class lower, on either shard.
+        let trace: Vec<UserRequest> = (0..8)
+            .map(|user| UserRequest {
+                user,
+                arrival_slot: 5 * (user / 3),
+                profile: 0,
+                class: DeadlineClass::Strict,
+                departure_slot: (user % 2 == 0).then_some(13 + 11 * user),
+            })
+            .collect();
+        let degrading = OnlineConfig {
+            gop_slots: 5,
+            cost: CostPlan {
+                degrade_on_evict: true,
+                ..CostPlan::unlimited()
+            },
+            ..cfg(240)
+        };
+        let mut c = Controller::new(&degrading, &[Lying], &trace, quad_shards(2), NoopRecorder);
+        let mut streaks = 0;
+        while c.slot < degrading.horizon_slots {
+            for (s, d) in c.drivers.iter().enumerate() {
+                for u in d.miss_streaks() {
+                    streaks += 1;
+                    assert!(
+                        c.active.get(&u).is_some_and(|a| a.shard == s),
+                        "user {u} streaks on shard {s} at slot {}",
+                        c.slot
+                    );
+                }
+            }
+            let clock = c.open_boundary();
+            c.ingest(c.slot + 1);
+            c.depart();
+            c.evict();
+            c.admit();
+            c.advance(clock);
+        }
+        let report = c.finish();
+        assert!(streaks > 0);
+        assert!(report.departures > 0);
+        assert!(report.evictions > 0);
+        assert!(report.admissions > report.evictions);
     }
 
     #[test]

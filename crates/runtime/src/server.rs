@@ -32,7 +32,8 @@
 //! `demand_at` vector. Each slot asks the source for one vector per
 //! placed member — a [`DemandSource::steady`] member's only once per
 //! join, whatever the placements do meanwhile — and accounts the slot
-//! with flat scans over the plan.
+//! with flat scans over the plan. At a window's end only members enter
+//! the miss-streak set ([`LoopDriver::miss_streaks`]).
 //!
 //! `core::ServerSim` wraps this loop with profile-driven admission and
 //! Table II reporting; real-execution servers feed it closures through
@@ -646,7 +647,8 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     }
 
     /// Members currently on a consecutive-window-miss streak, in id
-    /// order — the candidates an eviction scan needs to look at.
+    /// order — the candidates an eviction scan needs to look at. A user
+    /// that left mid-window is not listed, whatever that window did.
     pub fn miss_streaks(&self) -> impl Iterator<Item = usize> + '_ {
         self.miss_streaks.iter().copied()
     }
@@ -1011,6 +1013,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             self.window_wall_acc = 0.0;
             self.window_modeled_acc = 0.0;
             self.window_cells.sort_unstable();
+            let sorted = self.admitted.is_sorted();
             for cells in self.window_cells.chunk_by(|a, b| a.0 == b.0) {
                 let stats = &mut self.rows[cells[0].0];
                 stats.windows += 1;
@@ -1020,7 +1023,11 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 if missed {
                     stats.window_misses += 1;
                     stats.consecutive_window_misses += 1;
-                    self.miss_streaks.insert(stats.user);
+                    // A member that left mid-window still counts the
+                    // window in its row, but only members streak.
+                    if member_index(&self.admitted, sorted, stats.user).is_some() {
+                        self.miss_streaks.insert(stats.user);
+                    }
                 } else {
                     stats.consecutive_window_misses = 0;
                     self.miss_streaks.remove(&stats.user);
@@ -1301,6 +1308,33 @@ mod tests {
         let report = driver.into_report();
         assert_eq!(report.user(0).expect("user 0 ran").active_slots, 16);
         assert_eq!(report.user(1).expect("user 1 ran").active_slots, 8);
+    }
+
+    #[test]
+    fn a_member_removed_mid_window_does_not_streak() {
+        // Two users of four double-slot tiles overload every core, so
+        // every core still carries at the window's last slot. User 1
+        // leaves at slot 8, a GOP boundary inside the 24-slot window.
+        let source = FlatSource {
+            tiles: 4,
+            secs: SLOT * 2.0,
+        };
+        let mut driver = LoopDriver::new(
+            quad(),
+            cfg(0, ReplanPolicy::PerGop { headroom: 1.0 }),
+            vec![0, 1],
+            vec![],
+        );
+        driver.advance(&source, 8);
+        driver.update_membership(&[], &[1]);
+        driver.advance(&source, 16);
+        // The leaver's row still counts the window it worked in...
+        let left = driver.user_stats(1).expect("user 1 worked");
+        assert_eq!((left.windows, left.window_misses), (1, 1));
+        // ...but only the member streaks.
+        assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
+        driver.advance(&source, 24);
+        assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
     }
 
     #[test]
