@@ -464,7 +464,7 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     /// The (row, core) of every placement that submitted work in the
     /// window, once per run; grouped by row at the window end.
     window_cells: Vec<(usize, usize)>,
-    /// Per-user accounting, one row per user ever placed (rows without
+    /// Per-user accounting, one row per user that ever joined (rows without
     /// an active slot are not reported).
     rows: Vec<UserLoopStats>,
     /// `1 +` the last slot counted in each row's `active_slots`.
