@@ -32,9 +32,10 @@
 //! shape its callers use (plane stride, packed, 0); `sad` and `satd`
 //! with motion vectors off every edge and corner of the reference;
 //! motion search over a tile's reference window against the spec and
-//! against the same search over the bare plane; and the encoder's
-//! intra predictions and mode decision against a textbook restatement
-//! of the four modes kept in this file.
+//! against the same search over the bare plane, and every search
+//! against a golden of its results on three kinds of window; and the
+//! encoder's intra predictions and mode decision against a textbook
+//! restatement of the four modes kept in this file.
 //!
 //! Tiers are pinned with `cost::simd::with_tier`, so on an AVX2 host a
 //! single run exercises all three code paths; on an older host the
@@ -547,6 +548,87 @@ mod window {
                     }
                 }
             }
+        }
+    }
+
+    /// FNV-1a over `bytes`, continuing from `hash`.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+        hash
+    }
+
+    /// FNV-1a of `(mv, cost, evaluations)` of every search in
+    /// [`specs`], for square blocks of side 8, 16 and 32 at `origin(w)`
+    /// and a zero and a non-zero predictor, each context built by
+    /// `context` on tier `t`.
+    fn search_hash<'a>(
+        t: simd::DispatchTier,
+        origin: impl Fn(usize) -> (usize, usize),
+        context: impl Fn(Rect, MotionVector) -> SearchContext<'a>,
+    ) -> u64 {
+        let mut hash = 0xcbf29ce484222325;
+        for w in [8usize, 16, 32] {
+            let (x, y) = origin(w);
+            for predictor in [MotionVector::ZERO, MotionVector::new(-4, 2)] {
+                for spec in specs() {
+                    let r = simd::with_tier(t, || {
+                        spec.search(&context(Rect::new(x, y, w, w), predictor))
+                    });
+                    hash = fnv1a(hash, &r.mv.x.to_le_bytes());
+                    hash = fnv1a(hash, &r.mv.y.to_le_bytes());
+                    hash = fnv1a(hash, &r.cost.to_le_bytes());
+                    hash = fnv1a(hash, &r.evaluations.to_le_bytes());
+                }
+            }
+        }
+        hash
+    }
+
+    /// Search golden: every search's vector, cost and distinct
+    /// evaluations, recorded as literals before the search's candidate
+    /// path was rewritten, on a 112x96 pair moved by (5, −3) at W32
+    /// over three windows — one gathered for a corner tile, one an
+    /// interior tile's range inside the plane (the plane itself), and
+    /// the bare plane under a bottom-right corner block, whose
+    /// candidates reach off the frame.
+    #[test]
+    fn every_search_matches_its_golden_on_every_window_kind() {
+        let (pw, ph) = (112usize, 96usize);
+        let (cur, reference) = moving_pair(pw, ph, 5, -3, 48);
+        let window = SearchWindow::W32;
+        let (corner, interior) = (Rect::new(0, 0, 32, 32), Rect::new(40, 32, 32, 32));
+        let (mut corner_buf, mut interior_buf) = (Vec::new(), Vec::new());
+        let gathered = RefWindow::around(&reference, corner, window, &mut corner_buf);
+        assert_eq!(gathered.origin(), (-16, -16));
+        let in_frame = RefWindow::around(&reference, interior, window, &mut interior_buf);
+        assert_eq!(in_frame.origin(), (0, 0));
+        const GOLDEN: [u64; 3] = [0x4e1640f45cd6584f, 0xe5119a7152f39fea, 0x5e54e8986f719de6];
+        for t in tiers() {
+            let got = [
+                search_hash(
+                    t,
+                    |_| (corner.x, corner.y),
+                    |block, p| SearchContext::windowed(&cur, gathered, block, window, p),
+                ),
+                search_hash(
+                    t,
+                    |_| (interior.x, interior.y),
+                    |block, p| SearchContext::windowed(&cur, in_frame, block, window, p),
+                ),
+                search_hash(
+                    t,
+                    |w| (pw - w, ph - w),
+                    |block, p| {
+                        SearchContext::new(&cur, &reference, block, window, CostMetric::Sad, p)
+                    },
+                ),
+            ];
+            if std::env::var("MEDVT_PRINT_HASHES").is_ok() {
+                println!("search golden, tier {}: {got:#018x?}", t.name());
+            }
+            assert_eq!(got, GOLDEN, "tier {}", t.name());
         }
     }
 
