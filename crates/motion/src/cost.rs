@@ -6,12 +6,14 @@
 //! reference pictures in HEVC.
 //!
 //! Motion search scores every candidate by SAD, but not through
-//! [`sad_upto`]: a [`crate::SearchContext`] reads the reference through
-//! a [`crate::RefWindow`] and scores each candidate inside it with one
-//! strided [`simd::block_sad`] call on the tier it resolved when it was
-//! built. The encoder gives every inter tile one window per reference,
-//! gathered once with edge replication when the tile lies within the
-//! search radius of a frame edge, so no candidate of a live search
+//! [`sad_upto`]: a [`crate::SearchContext`] resolves the reference
+//! samples of its block's whole search range and [`simd::block_sad`]'s
+//! body for its tier and width once, when it is built, and scores each
+//! candidate with one call of that body at an offset. The encoder gives
+//! every inter tile one window per reference, gathered once with edge
+//! replication when the tile lies within the search radius of a frame
+//! edge; a context over a bare plane gathers its own block's range
+//! when that range reaches off the plane. No candidate of a search
 //! reaches the clamped path below. [`satd`] has no search caller; it is
 //! kept as a standalone measure of post-transform cost.
 //!
@@ -29,10 +31,8 @@
 //!   gathered row-wise into a stack buffer
 //!   ([`Plane::gather_block_clamped`], the same gather a tile's
 //!   reference window and chroma motion compensation use) and the same
-//!   kernels run on it. Three callers still reach it: a search context
-//!   over a bare plane ([`crate::SearchContext::new`], whose candidates
-//!   off the plane fall back to it), [`satd`], and the public [`sad`] /
-//!   [`sad_upto`]. The per-sample [`Plane::get_clamped`] form survives
+//!   kernels run on it. Two callers reach it: [`satd`], and the public
+//!   [`sad`] / [`sad_upto`]. The per-sample [`Plane::get_clamped`] form survives
 //!   only in `tests/kernel_differential.rs`, as the executable
 //!   specification every tier must match.
 //!
@@ -131,7 +131,7 @@ pub fn sad_upto(cur: &Plane, reference: &Plane, block: &Rect, mv: MotionVector, 
 /// gathered into a stack buffer and the same kernel runs on it. Blocks
 /// beyond the patch size are walked in patch-sized pieces against what
 /// is left of the bound.
-pub(crate) fn clamped_sad_upto(
+fn clamped_sad_upto(
     t: simd::DispatchTier,
     cur: &Plane,
     reference: &Plane,

@@ -10,8 +10,11 @@
 //! SAD is block-granular: [`block_sad`] takes two strided operands and
 //! runs the whole `w x h` block inside one kernel call (one dispatch,
 //! one `psadbw` accumulator held in a register across rows, one
-//! horizontal reduction per four rows). Motion search and the clamped
-//! off-frame candidates call it; a stride of 0 replays one row. SATD
+//! horizontal reduction per four rows); a stride of 0 replays one row.
+//! Its body for one tier and width is a plain function pointer
+//! (`sad_body`): a search context resolves it once and calls it on
+//! every candidate, without `block_sad`'s checks or dispatch; the
+//! clamped off-frame path and the public metrics call `block_sad`. SATD
 //! stays 4x4-granular (`satd4`).
 //!
 //! # The bit-exactness contract
@@ -198,35 +201,142 @@ pub fn block_sad(
         (h - 1) * ref_stride + w <= reference.len(),
         "reference operand shorter than {h} rows of {w} at stride {ref_stride}"
     );
-    #[cfg(target_arch = "x86_64")]
-    if t != DispatchTier::Scalar {
-        let (c, r) = (cur.as_ptr(), reference.as_ptr());
-        // SAFETY: the two length asserts above guarantee that both
-        // operands hold `w` readable bytes at `row * stride` for every
-        // `row < h`, which is all a block body reads (its `W` is `w`).
-        // SSE2 is part of the x86_64 baseline, so the bodies run on
-        // every host whichever of the two SIMD tiers the caller names.
-        unsafe {
-            match w {
-                32 => return block_sad_sse2::<32>(c, cur_stride, r, ref_stride, h, bound),
-                16 => return block_sad_sse2::<16>(c, cur_stride, r, ref_stride, h, bound),
-                8 => return block_sad_sse2::<8>(c, cur_stride, r, ref_stride, h, bound),
-                _ => {}
-            }
-        }
-    }
     // The row kernels jump straight to the named tier's instructions,
     // and `t` is whatever a caller of this public function wrote.
     let t = if t.available() { t } else { tier() };
+    // SAFETY: `t` is available, and the two length asserts above
+    // guarantee that both operands hold `w` readable bytes at
+    // `row * stride` for every `row < h`, all a body reads.
+    unsafe {
+        sad_body(t, w)(
+            cur.as_ptr(),
+            cur_stride,
+            reference.as_ptr(),
+            ref_stride,
+            w,
+            h,
+            bound,
+        )
+    }
+}
+
+/// A whole-block SAD body: `(cur, cur_stride, reference, ref_stride,
+/// w, h, bound)`, the [`block_sad`] of two strided `w x h` operands
+/// under the same `*_upto` contract, without its checks.
+///
+/// # Safety
+///
+/// For every `row < h`, both pointers must be valid for reads of `w`
+/// bytes at `row * stride`, and the body must come from [`sad_body`]
+/// for this `w` on a tier the host can execute.
+pub(crate) type SadBody = unsafe fn(*const u8, usize, *const u8, usize, usize, usize, u64) -> u64;
+
+/// The body [`block_sad`] runs for blocks `w` wide on tier `t`,
+/// resolved once so a caller scoring many candidates of one block —
+/// a [`crate::SearchContext`] — pays no dispatch per candidate. The x86
+/// tiers run the SSE2 block body at widths 8, 16 and 32 (SSE2 is part
+/// of the x86_64 baseline); every other width, and the scalar tier,
+/// run a per-row loop on `t`'s row kernel, testing the bound every row.
+pub(crate) fn sad_body(t: DispatchTier, w: usize) -> SadBody {
+    if w == 0 {
+        return sad_empty;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if t != DispatchTier::Scalar {
+        match w {
+            32 => return block_sad_sse2::<32>,
+            16 => return block_sad_sse2::<16>,
+            8 => return block_sad_sse2::<8>,
+            _ => {}
+        }
+    }
+    match t {
+        #[cfg(target_arch = "x86_64")]
+        DispatchTier::Sse2 => sad_rows_sse2,
+        #[cfg(target_arch = "x86_64")]
+        DispatchTier::Avx2 => sad_rows_avx2,
+        _ => sad_rows_scalar,
+    }
+}
+
+/// The body of a zero-width block: it reads nothing.
+unsafe fn sad_empty(
+    _: *const u8,
+    _: usize,
+    _: *const u8,
+    _: usize,
+    _: usize,
+    _: usize,
+    _: u64,
+) -> u64 {
+    0
+}
+
+/// The per-row loop of a [`SadBody`] on tier `t`'s row kernel.
+///
+/// # Safety
+///
+/// As [`SadBody`]; `w > 0` and `t` available.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn sad_rows(
+    t: DispatchTier,
+    cur: *const u8,
+    cur_stride: usize,
+    reference: *const u8,
+    ref_stride: usize,
+    w: usize,
+    h: usize,
+    bound: u64,
+) -> u64 {
     let mut acc = 0u64;
     for row in 0..h {
-        let (c, r) = (row * cur_stride, row * ref_stride);
-        acc += row_sad(t, &cur[c..c + w], &reference[r..r + w]);
+        let c = std::slice::from_raw_parts(cur.add(row * cur_stride), w);
+        let r = std::slice::from_raw_parts(reference.add(row * ref_stride), w);
+        acc += row_sad(t, c, r);
         if acc >= bound {
             return acc;
         }
     }
     acc
+}
+
+unsafe fn sad_rows_scalar(
+    c: *const u8,
+    cs: usize,
+    r: *const u8,
+    rs: usize,
+    w: usize,
+    h: usize,
+    bound: u64,
+) -> u64 {
+    sad_rows(DispatchTier::Scalar, c, cs, r, rs, w, h, bound)
+}
+
+#[cfg(target_arch = "x86_64")]
+unsafe fn sad_rows_sse2(
+    c: *const u8,
+    cs: usize,
+    r: *const u8,
+    rs: usize,
+    w: usize,
+    h: usize,
+    bound: u64,
+) -> u64 {
+    sad_rows(DispatchTier::Sse2, c, cs, r, rs, w, h, bound)
+}
+
+#[cfg(target_arch = "x86_64")]
+unsafe fn sad_rows_avx2(
+    c: *const u8,
+    cs: usize,
+    r: *const u8,
+    rs: usize,
+    w: usize,
+    h: usize,
+    bound: u64,
+) -> u64 {
+    sad_rows(DispatchTier::Avx2, c, cs, r, rs, w, h, bound)
 }
 
 /// Σ|coeff| of the 4x4 Hadamard transform of the residual between two
@@ -419,8 +529,9 @@ mod x86 {
     }
 
     /// Whole-block SAD of two strided `W x h` operands (`W` of 8, 16
-    /// or 32): the `psadbw` lane sums stay in one register across rows
-    /// and are reduced — and tested against `bound` — every four rows.
+    /// or 32, the `w` argument unread): the `psadbw` lane sums stay in
+    /// one register across rows and are reduced — and tested against
+    /// `bound` — every four rows.
     ///
     /// # Safety
     ///
@@ -432,6 +543,7 @@ mod x86 {
         cur_stride: usize,
         reference: *const u8,
         ref_stride: usize,
+        _w: usize,
         h: usize,
         bound: u64,
     ) -> u64 {

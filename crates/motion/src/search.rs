@@ -2,7 +2,7 @@
 //! shared by every algorithm [`crate::SearchSpec`] names.
 
 use crate::cost::simd::{self, DispatchTier};
-use crate::cost::{clamped_sad_upto, CostMetric};
+use crate::cost::CostMetric;
 use crate::MotionVector;
 use medvt_frame::{Plane, Rect};
 use serde::{Deserialize, Serialize};
@@ -88,69 +88,55 @@ struct MemoSlot {
 const TAG_LOWER: u8 = 1;
 const TAG_EXACT: u8 = 2;
 
-/// Flat per-window candidate memo, recycled through a thread-local
-/// pool so steady-state block searches allocate nothing.
+/// A context's pooled buffers: the flat per-window candidate memo and,
+/// for a whole plane that does not hold `block ± r`, that range's
+/// edge-replicated samples. Recycled through a thread-local pool so
+/// steady-state block searches allocate nothing.
 #[derive(Debug, Default)]
-struct MemoBuf {
+struct SearchBuf {
     gen: u32,
-    slots: Vec<MemoSlot>,
+    /// Cells, so the context reads and writes its memo through `&self`
+    /// without a borrow per candidate.
+    slots: Vec<Cell<MemoSlot>>,
+    patch: Vec<u8>,
 }
 
-impl MemoBuf {
-    /// Prepares the buffer for a window of side length `side`:
+impl SearchBuf {
+    /// Prepares the memo for a window of side length `side`:
     /// guarantees capacity and invalidates previous entries by bumping
     /// the generation stamp (no O(side²) clear).
     fn begin(&mut self, side: usize) {
         let need = side * side;
         if self.slots.len() < need {
-            self.slots.resize(need, MemoSlot::default());
+            self.slots.resize(need, Cell::default());
         }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Generation wrapped: stale stamps could collide, so clear
             // once every 2^32 contexts.
-            self.slots.fill(MemoSlot::default());
+            self.slots.fill(Cell::default());
             self.gen = 1;
         }
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> (u8, u64) {
-        let s = self.slots[idx];
-        if s.gen == self.gen {
-            (s.tag, s.value)
-        } else {
-            (0, 0)
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize, tag: u8, value: u64) {
-        self.slots[idx] = MemoSlot {
-            gen: self.gen,
-            tag,
-            value,
-        };
     }
 }
 
 thread_local! {
-    /// Recycled memo buffers; a stack because policy algorithms nest
+    /// Recycled search buffers; a stack because policy algorithms nest
     /// narrowed contexts inside their parent's lifetime.
-    static MEMO_POOL: RefCell<Vec<MemoBuf>> = const { RefCell::new(Vec::new()) };
+    static BUF_POOL: RefCell<Vec<SearchBuf>> = const { RefCell::new(Vec::new()) };
 }
 
-fn memo_acquire(side: usize) -> MemoBuf {
-    let mut buf = MEMO_POOL
+fn buf_acquire(side: usize) -> SearchBuf {
+    let mut buf = BUF_POOL
         .with(|pool| pool.borrow_mut().pop())
         .unwrap_or_default();
     buf.begin(side);
     buf
 }
 
-fn memo_release(buf: MemoBuf) {
+fn buf_release(buf: SearchBuf) {
     // Ignore failures during thread teardown.
-    let _ = MEMO_POOL.try_with(|pool| pool.borrow_mut().push(buf));
+    let _ = BUF_POOL.try_with(|pool| pool.borrow_mut().push(buf));
 }
 
 /// The reference samples a search reads: the frame rectangle
@@ -303,16 +289,22 @@ impl fmt::Debug for RefWindow<'_> {
 /// constructing a context in a steady-state encode loop does not
 /// allocate.
 ///
-/// # The reference window
+/// # One candidate path
 ///
-/// Every candidate whose displaced block lies inside the context's
-/// [`RefWindow`] costs one strided [`simd::block_sad`] call straight on
-/// the window's samples. A gathered window must hold `block ± r`
-/// (`r` the search window's radius), so every in-window candidate lies
-/// inside it; [`SearchContext::windowed`] panics on one that does not,
-/// rather than clamp at the window's own border. Only a whole-plane
-/// window — what [`SearchContext::new`] builds — has candidates beyond
-/// it; they take the clamped path of [`crate::cost`].
+/// Building a context resolves everything a candidate's cost depends
+/// on but the candidate: the SAD body for the tier and block width
+/// ([`simd::block_sad`]'s, without its checks), and the reference
+/// samples of `block ± r` (`r` the search window's radius) as a base
+/// and a stride. Every in-window candidate of every [`crate::SearchSpec`]
+/// is then one offset from that base and one call of that body.
+///
+/// A gathered [`RefWindow`] must hold `block ± r`; [`SearchContext::windowed`]
+/// panics on one that does not, rather than clamp at the window's own
+/// border. A whole-plane window — what [`SearchContext::new`] builds —
+/// is read in place when `block ± r` lies inside the plane; otherwise
+/// the context gathers that range's edge-replicated samples once, into
+/// a pooled buffer, so candidates off the plane cost what the clamped
+/// path of [`crate::cost`] would.
 ///
 /// # One tier per context
 ///
@@ -328,13 +320,23 @@ pub struct SearchContext<'a> {
     window: SearchWindow,
     predictor: MotionVector,
     tier: DispatchTier,
+    /// The SAD body for `tier` and `block.w`.
+    sad: simd::SadBody,
+    /// First sample of `block` in `cur`.
+    cur_base: *const u8,
+    /// Reference sample of candidate `(−r, −r)`, i.e. frame sample
+    /// `(block.x − r, block.y − r)`, in `reference`'s samples or in
+    /// `buf.patch`; every in-window candidate's block lies within
+    /// `stride`-strided rows from it.
+    ref_base: *const u8,
+    stride: usize,
     evaluations: Cell<u64>,
-    memo: RefCell<MemoBuf>,
+    buf: SearchBuf,
 }
 
 impl Drop for SearchContext<'_> {
     fn drop(&mut self) {
-        memo_release(std::mem::take(self.memo.get_mut()));
+        buf_release(std::mem::take(&mut self.buf));
     }
 }
 
@@ -387,11 +389,29 @@ impl<'a> SearchContext<'a> {
             cur.bounds().contains_rect(&block),
             "block {block} outside current plane"
         );
+        let r = window.radius() as usize;
+        let covered = reference.covers(&block, window.radius());
         assert!(
-            reference.plane.is_some() || reference.covers(&block, window.radius()),
-            "reference window {reference:?} does not cover block {block} ± {}",
-            window.radius()
+            covered || reference.plane.is_some(),
+            "reference window {reference:?} does not cover block {block} ± {r}"
         );
+        let mut buf = buf_acquire(2 * r + 1);
+        let (x, y) = (block.x as isize - r as isize, block.y as isize - r as isize);
+        let (ref_base, stride) = match reference.plane {
+            Some(plane) if !covered => {
+                let width = block.w + 2 * r;
+                plane.copy_block_clamped_into(x, y, width, block.h + 2 * r, &mut buf.patch);
+                (buf.patch.as_ptr(), width)
+            }
+            _ => {
+                let offset = (y - reference.y0) * reference.width as isize + (x - reference.x0);
+                // Not dereferenced for an empty block (its body reads
+                // nothing), so wrapping arithmetic keeps even that case
+                // defined.
+                let base = reference.samples.as_ptr().wrapping_offset(offset);
+                (base, reference.width)
+            }
+        };
         Self {
             cur,
             reference,
@@ -399,17 +419,16 @@ impl<'a> SearchContext<'a> {
             window,
             predictor,
             tier,
+            sad: simd::sad_body(tier, block.w),
+            cur_base: cur
+                .samples()
+                .as_ptr()
+                .wrapping_add(block.y * cur.width() + block.x),
+            ref_base,
+            stride,
             evaluations: Cell::new(0),
-            memo: RefCell::new(memo_acquire(window.size() + 1)),
+            buf,
         }
-    }
-
-    /// Flat memo index of an in-window candidate.
-    #[inline]
-    fn slot_index(&self, mv: MotionVector) -> usize {
-        let r = self.window.radius() as isize;
-        let side = 2 * r as usize + 1;
-        (mv.y as isize + r) as usize * side + (mv.x as isize + r) as usize
     }
 
     /// The block being matched.
@@ -457,37 +476,6 @@ impl<'a> SearchContext<'a> {
         )
     }
 
-    /// SAD of candidate `mv` under the `*_upto` contract of
-    /// [`crate::cost`]: one strided kernel call when the displaced
-    /// block lies in the reference window, the clamped path otherwise
-    /// (reachable only for a whole-plane window, see the type docs).
-    #[inline]
-    fn sad_upto(&self, mv: MotionVector, bound: u64) -> u64 {
-        let b = &self.block;
-        if b.is_empty() {
-            return 0;
-        }
-        match self.reference.span(b, mv) {
-            Some((reference, stride)) => simd::block_sad(
-                self.tier,
-                self.cur.span_from(b.x, b.y),
-                self.cur.width(),
-                reference,
-                stride,
-                b.w,
-                b.h,
-                bound,
-            ),
-            None => {
-                let plane = self
-                    .reference
-                    .plane
-                    .expect("a gathered window holds every in-window candidate");
-                clamped_sad_upto(self.tier, self.cur, plane, b, mv, bound)
-            }
-        }
-    }
-
     /// Cost of candidate `mv`, or `None` when it falls outside the
     /// window. Repeated queries of the same candidate are served from
     /// cache and counted once. With an early-termination `bound` (pass
@@ -502,27 +490,49 @@ impl<'a> SearchContext<'a> {
     ///
     /// Distinct candidates are still counted exactly once in
     /// [`SearchContext::evaluations`], terminated or not.
+    #[inline]
     pub fn try_cost_upto(&self, mv: MotionVector, bound: u64) -> Option<u64> {
-        if !self.window.contains(mv) {
+        let r = self.window.radius() as isize;
+        let (x, y) = ((mv.x as isize + r) as usize, (mv.y as isize + r) as usize);
+        let side = 2 * r as usize + 1;
+        // One unsigned compare per axis rejects both sides of the window.
+        if x >= side || y >= side {
             return None;
         }
-        let idx = self.slot_index(mv);
-        let mut memo = self.memo.borrow_mut();
-        let (tag, cached) = memo.get(idx);
+        // SAFETY: `x, y < side`, and `begin` grew the memo to `side²`.
+        let slot = unsafe { self.buf.slots.get_unchecked(y * side + x) };
+        let MemoSlot { gen, tag, value } = slot.get();
+        let tag = if gen == self.buf.gen { tag } else { 0 };
         match tag {
-            TAG_EXACT => Some(cached),
+            TAG_EXACT => Some(value),
             // A stored lower bound came from an earlier early exit, so
             // it is >= the bound active then; running bests only
             // decrease, so it also rejects against any later bound it
             // still reaches.
-            TAG_LOWER if cached >= bound => Some(cached),
+            TAG_LOWER if value >= bound => Some(value),
             _ => {
-                let c = self.sad_upto(mv, bound);
-                if c < bound {
-                    memo.set(idx, TAG_EXACT, c);
-                } else {
-                    memo.set(idx, TAG_LOWER, c);
-                }
+                // SAFETY: `build` resolved `sad` for this tier and
+                // width, and `ref_base` so that the `w x h` block at
+                // offset `(x, y)`, `x, y <= 2r`, lies inside the
+                // reference samples (see the field docs); `cur_base`
+                // starts `block` inside `cur`.
+                let c = unsafe {
+                    (self.sad)(
+                        self.cur_base,
+                        self.cur.width(),
+                        self.ref_base.add(y * self.stride + x),
+                        self.stride,
+                        self.block.w,
+                        self.block.h,
+                        bound,
+                    )
+                };
+                let tag_now = if c < bound { TAG_EXACT } else { TAG_LOWER };
+                slot.set(MemoSlot {
+                    gen: self.buf.gen,
+                    tag: tag_now,
+                    value: c,
+                });
                 if tag == 0 {
                     self.evaluations.set(self.evaluations.get() + 1);
                 }
