@@ -29,11 +29,18 @@
 //!
 //! # Mode decision in one pass
 //!
-//! [`IntraRefs::best_mode_into`] walks the original block once, row by
-//! row, and accumulates the exact SAD of all four modes side by side:
-//! DC is one level, horizontal the broadcast `l[y]`, vertical the top
-//! row, and planar the row the recurrence just produced. Only the
-//! winner ends up in the caller's `best` buffer.
+//! [`IntraRefs::score_modes`] walks the original block once, row by
+//! row, in place in its frame, and accumulates the exact SAD of all
+//! four modes side by side: DC is one level, horizontal the broadcast
+//! `l[y]`, vertical the top row, and planar the row the recurrence just
+//! produced. Planar's rows are kept; any other winner's prediction is
+//! built only once it has won.
+//!
+//! The pass takes a bound: in a P block, the SAD at which intra can no
+//! longer beat the inter cost already found ([`IntraRefs::sad_bound`]).
+//! Every four rows it stops once every mode's partial SAD has reached
+//! it. Partial SADs only grow, so a stopped block is one whose full
+//! pass would have lost to inter too.
 
 use medvt_frame::{Plane, Rect};
 #[cfg(target_arch = "x86_64")]
@@ -66,6 +73,19 @@ impl IntraMode {
         IntraMode::Horizontal,
         IntraMode::Vertical,
     ];
+
+    /// The first strict minimum of `sads` (one SAD per mode, in
+    /// [`IntraMode::ALL`] order): the decided mode and its SAD. A later
+    /// mode wins only when strictly better.
+    pub fn first_min(sads: [u64; 4]) -> (IntraMode, u64) {
+        let mut winner = (IntraMode::Dc, sads[0]);
+        for (mode, sad) in IntraMode::ALL.into_iter().zip(sads) {
+            if sad < winner.1 {
+                winner = (mode, sad);
+            }
+        }
+        winner
+    }
 
     /// Mode index used in the bitstream header (2 bits).
     pub const fn index(&self) -> u32 {
@@ -213,7 +233,7 @@ impl IntraRefs {
         match mode {
             IntraMode::Dc => {}
             IntraMode::Planar => {
-                self.planar_pass(w, h, out, None);
+                self.planar_pass(w, h, out, None, u64::MAX);
             }
             IntraMode::Horizontal => {
                 for (row, &edge) in out.chunks_exact_mut(w).zip(&self.left) {
@@ -248,9 +268,9 @@ impl IntraRefs {
     /// [`IntraMode::ALL`] order and a later mode wins only when strictly
     /// better.
     ///
-    /// One pass over `original` scores all four modes (module docs).
-    /// Planar's rows are built in `tmp` and swapped into `best` if
-    /// planar wins; any other winner is one fill of `best`. A
+    /// One unbounded [`IntraRefs::score_modes`] pass scores all four
+    /// modes. Planar's rows are built in `tmp` and swapped into `best`
+    /// if planar wins; any other winner is one fill of `best`. A
     /// directional mode whose edge is missing predicts the DC level
     /// everywhere, ties DC exactly and so never wins.
     ///
@@ -267,17 +287,11 @@ impl IntraRefs {
         best: &mut Vec<u8>,
         tmp: &mut Vec<u8>,
     ) -> (IntraMode, u64) {
-        self.assert_geometry(w, h);
         assert_eq!(original.len(), w * h, "original buffer mismatch");
-        tmp.clear();
-        tmp.resize(w * h, 0);
-        let sads = self.score_modes(original, w, h, tmp);
-        let mut winner = (IntraMode::Dc, sads[0]);
-        for (mode, sad) in IntraMode::ALL.into_iter().zip(sads) {
-            if sad < winner.1 {
-                winner = (mode, sad);
-            }
-        }
+        let sads = self
+            .score_modes((original, w), w, h, tmp, u64::MAX)
+            .expect("an unbounded pass runs to the end");
+        let winner = IntraMode::first_min(sads);
         match winner.0 {
             IntraMode::Planar => std::mem::swap(best, tmp),
             mode => self.predict_into(mode, w, h, best),
@@ -285,13 +299,42 @@ impl IntraRefs {
         winner
     }
 
-    /// The fused pass: writes planar's prediction into `planar` and
-    /// returns the exact SAD of every mode against `original`, in
-    /// [`IntraMode::ALL`] order. On the x86 tiers a block whose width
-    /// is 8, 16, 32 or 64 and whose planar divisor is a power of two
-    /// runs the SSE2 body; every other block, and the scalar tier, the
-    /// portable pass.
-    fn score_modes(&self, original: &[u8], w: usize, h: usize, planar: &mut [u8]) -> [u64; 4] {
+    /// The fused mode-decision pass (module docs) over the `w x h`
+    /// original `(samples, stride)`, anchored at the block's top-left
+    /// sample — a frame plane read in place, or a packed block at
+    /// stride `w`. Returns the exact SAD of every mode, in
+    /// [`IntraMode::ALL`] order, with planar's prediction in `planar`
+    /// (resized to `w * h`).
+    ///
+    /// The pass may stop at a four-row boundary once every mode's
+    /// partial SAD is at least `bound`, and then returns `None`: no
+    /// mode's full SAD is below `bound`, and `planar` holds only part
+    /// of a prediction. `u64::MAX` never stops.
+    ///
+    /// On the x86 tiers a block whose width is 8, 16, 32 or 64 and
+    /// whose planar divisor is a power of two runs the SSE2 body; every
+    /// other block, and the scalar tier, the portable pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w x h` is empty, has a side above 64, or is not the
+    /// geometry of the block the references were gathered for, and
+    /// when `original` does not hold `h` rows of `w` at `stride`.
+    pub fn score_modes(
+        &self,
+        original: (&[u8], usize),
+        w: usize,
+        h: usize,
+        planar: &mut Vec<u8>,
+        bound: u64,
+    ) -> Option<[u64; 4]> {
+        self.assert_geometry(w, h);
+        let (samples, stride) = original;
+        assert!(
+            stride >= w && (h - 1) * stride + w <= samples.len(),
+            "original shorter than {h} rows of {w} at stride {stride}"
+        );
+        planar.resize(w * h, 0);
         #[cfg(target_arch = "x86_64")]
         if simd::tier() != simd::DispatchTier::Scalar && (2 * w * h).is_power_of_two() {
             let shift = (2 * w * h).trailing_zeros();
@@ -299,15 +342,38 @@ impl IntraRefs {
             // requirement of the bodies.
             unsafe {
                 match w {
-                    8 => return x86::score_modes_sse2::<8>(self, shift, original, planar),
-                    16 => return x86::score_modes_sse2::<16>(self, shift, original, planar),
-                    32 => return x86::score_modes_sse2::<32>(self, shift, original, planar),
-                    64 => return x86::score_modes_sse2::<64>(self, shift, original, planar),
+                    8 => return x86::score_modes_sse2::<8>(self, shift, original, planar, bound),
+                    16 => return x86::score_modes_sse2::<16>(self, shift, original, planar, bound),
+                    32 => return x86::score_modes_sse2::<32>(self, shift, original, planar, bound),
+                    64 => return x86::score_modes_sse2::<64>(self, shift, original, planar, bound),
                     _ => {}
                 }
             }
         }
-        self.planar_pass(w, h, planar, Some(original))
+        self.planar_pass(w, h, planar, Some(original), bound)
+    }
+
+    /// The least SAD whose intra cost `sad + overhead`, added in `f64`
+    /// as the mode decision adds it, reaches `cost`; `u64::MAX` when
+    /// `cost` is not finite. A block whose every mode's SAD is at least
+    /// this bound cannot cost less than `cost`, so it is the bound of a
+    /// [`IntraRefs::score_modes`] pass that only has to find out whether
+    /// intra beats an inter cost (a tie goes to inter).
+    pub fn sad_bound(cost: f64, overhead: f64) -> u64 {
+        if !cost.is_finite() {
+            return u64::MAX;
+        }
+        // `s as f64 + overhead` never decreases as `s` grows (rounding
+        // is monotone), so walk from the real-valued answer to the
+        // least integer that reaches `cost`.
+        let mut s = (cost - overhead).ceil().max(0.0) as u64;
+        while s > 0 && (s - 1) as f64 + overhead >= cost {
+            s -= 1;
+        }
+        while (s as f64) + overhead < cost {
+            s += 1;
+        }
+        s
     }
 
     /// Planar's per-column state at row 0 (module docs).
@@ -333,15 +399,24 @@ impl IntraRefs {
     }
 
     /// Writes planar's `w x h` prediction into `out` by the column-step
-    /// recurrence. With `original`, also returns the exact SAD of every
-    /// mode against it, in [`IntraMode::ALL`] order (zeros without).
-    fn planar_pass(&self, w: usize, h: usize, out: &mut [u8], original: Option<&[u8]>) -> [u64; 4] {
+    /// recurrence. With `original` (`(samples, stride)`), also returns
+    /// the exact SAD of every mode against it, in [`IntraMode::ALL`]
+    /// order (zeros without), or `None` once every partial SAD reaches
+    /// `bound` at a four-row boundary ([`IntraRefs::score_modes`]).
+    fn planar_pass(
+        &self,
+        w: usize,
+        h: usize,
+        out: &mut [u8],
+        original: Option<(&[u8], usize)>,
+        bound: u64,
+    ) -> Option<[u64; 4]> {
         let divisor = 2 * (w * h) as u32;
         if divisor.is_power_of_two() {
             let shift = divisor.trailing_zeros();
-            self.planar_rows(w, h, out, original, |v| v >> shift)
+            self.planar_rows(w, h, out, original, bound, |v| v >> shift)
         } else {
-            self.planar_rows(w, h, out, original, |v| v / divisor)
+            self.planar_rows(w, h, out, original, bound, |v| v / divisor)
         }
     }
 
@@ -351,9 +426,10 @@ impl IntraRefs {
         w: usize,
         h: usize,
         out: &mut [u8],
-        original: Option<&[u8]>,
+        original: Option<(&[u8], usize)>,
+        bound: u64,
         scale: impl Fn(u32) -> u32,
-    ) -> [u64; 4] {
+    ) -> Option<[u64; 4]> {
         let mut cols = self.planar_columns();
         let (base, step, weight) = (&mut cols.base[..w], &cols.step[..w], &cols.weight[..w]);
         let (top, left, dc) = (&self.top[..w], &self.left[..h], self.dc);
@@ -364,17 +440,23 @@ impl IntraRefs {
                 *p = scale(*b + k * lu) as u8;
                 *b = b.wrapping_add(s);
             }
-            if let Some(original) = original {
-                let orig = &original[y * w..][..w];
+            if let Some((original, stride)) = original {
+                let orig = &original[y * stride..][..w];
                 for ((&o, &p), &t) in orig.iter().zip(&*row).zip(top) {
                     dc_sad += u32::from(o.abs_diff(dc));
                     planar_sad += u32::from(o.abs_diff(p));
                     hor_sad += u32::from(o.abs_diff(l));
                     ver_sad += u32::from(o.abs_diff(t));
                 }
+                if y % 4 == 3 {
+                    let least = dc_sad.min(planar_sad).min(hor_sad).min(ver_sad);
+                    if u64::from(least) >= bound {
+                        return None;
+                    }
+                }
             }
         }
-        [dc_sad, planar_sad, hor_sad, ver_sad].map(u64::from)
+        Some([dc_sad, planar_sad, hor_sad, ver_sad].map(u64::from))
     }
 }
 
@@ -399,9 +481,9 @@ mod x86 {
     /// multiplies the weight (below `2¹²`) by the left sample exactly,
     /// then signed and unsigned saturating packs that are exact on
     /// values in `0..=255`, and four `psadbw` per 16 samples. Same
-    /// bytes and SADs as the portable pass. Every load and store goes
-    /// through a slice of exactly the bytes it touches, so the bounds
-    /// checks of safe indexing guard it.
+    /// bytes, SADs and stopping rows as the portable pass. Every load
+    /// and store goes through a slice of exactly the bytes it touches,
+    /// so the bounds checks of safe indexing guard it.
     ///
     /// # Safety
     ///
@@ -409,21 +491,22 @@ mod x86 {
     ///
     /// # Panics
     ///
-    /// Panics when the references are not `W` wide, or `original` or
-    /// `planar` is shorter than the block.
+    /// Panics when the references are not `W` wide, or `original` (at
+    /// its stride) or `planar` is shorter than the block.
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn score_modes_sse2<const W: usize>(
         refs: &IntraRefs,
         shift: u32,
-        original: &[u8],
+        (original, stride): (&[u8], usize),
         planar: &mut [u8],
-    ) -> [u64; 4] {
+        bound: u64,
+    ) -> Option<[u64; 4]> {
         const { assert!(W == 8 || W == 16 || W == 32 || W == 64) };
         let cols = refs.planar_columns();
         let (top, left) = (&refs.top[..], &refs.left[..]);
         assert_eq!(top.len(), W, "references gathered for another width");
         let h = left.len();
-        let (original, planar) = (&original[..W * h], &mut planar[..W * h]);
+        let planar = &mut planar[..W * h];
         let zero = _mm_setzero_si128();
         let lane =
             |a: &[u32; MAX_SIDE], j: usize| _mm_loadu_si128(a[4 * j..4 * j + 4].as_ptr().cast());
@@ -454,7 +537,7 @@ mod x86 {
         for (y, &l) in left.iter().enumerate() {
             let l32 = _mm_set1_epi32(i32::from(l));
             let l8 = live(_mm_set1_epi8(l as i8));
-            let (orig, pred) = (&original[y * W..][..W], &mut planar[y * W..][..W]);
+            let (orig, pred) = (&original[y * stride..][..W], &mut planar[y * W..][..W]);
             // Planar's eight samples of columns `8g..8g + 8` as i16,
             // stepping their `base` to the next row.
             let mut eight = |g: usize| {
@@ -484,7 +567,20 @@ mod x86 {
                     *sad = _mm_add_epi64(*sad, _mm_sad_epu8(o, prediction));
                 }
             }
+            if y % 4 == 3 {
+                let [a, b, c, d] = total(sads);
+                if a.min(b).min(c).min(d) >= bound {
+                    return None;
+                }
+            }
         }
+        Some(total(sads))
+    }
+
+    /// The four SADs from their two-lane `psadbw` accumulators.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn total(sads: [__m128i; 4]) -> [u64; 4] {
         sads.map(|v| _mm_cvtsi128_si64(_mm_add_epi64(v, _mm_unpackhi_epi64(v, v))) as u64)
     }
 }

@@ -30,12 +30,12 @@ use medvt_motion::RefWindow;
 pub struct EncScratch {
     /// Residual/transform/quantization intermediates.
     pub(crate) residual: ResidualScratch,
-    /// Original samples of the current block.
-    pub(crate) orig_block: Vec<u8>,
-    /// Winning intra prediction of the current block.
+    /// Prediction of the current block when a non-planar intra mode
+    /// wins.
     pub(crate) intra_pred: Vec<u8>,
-    /// Trial prediction buffer for intra mode decision.
-    pub(crate) mode_tmp: Vec<u8>,
+    /// Planar's prediction of the current block, built by the intra
+    /// mode-decision pass.
+    pub(crate) planar: Vec<u8>,
     /// Gathered reference windows of an edge tile, one per reference
     /// (see [`RefWindow::around`]): at most `(tile.w + 2r)·(tile.h + 2r)`
     /// bytes each, reused by every later edge tile.

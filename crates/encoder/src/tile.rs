@@ -9,7 +9,7 @@
 use crate::bits::{se_len, BitWriter};
 use crate::block::code_residual_strided;
 use crate::config::{EncoderConfig, TileConfig};
-use crate::intra::{IntraRefs, MAX_SIDE};
+use crate::intra::{IntraMode, IntraRefs, MAX_SIDE};
 use crate::scratch::EncScratch;
 use crate::stats::TileStats;
 use medvt_frame::{Frame, FrameKind, Plane, Rect};
@@ -143,9 +143,8 @@ pub fn encode_tile_with_scratch(
     // Split the scratch into independent per-buffer borrows once.
     let EncScratch {
         residual,
-        orig_block,
         intra_pred,
-        mode_tmp,
+        planar,
         ref_windows,
         luma_refs,
         chroma_pred,
@@ -166,6 +165,8 @@ pub fn encode_tile_with_scratch(
     let [buf0, buf1] = ref_windows;
     let windows = [window(0, buf0), window(1, buf1)];
 
+    let luma = original.y();
+    let intra_overhead = lambda * (1 + 2) as f64; // mode flag + intra mode index
     let bs = ecfg.block_size;
     let tile_local = Rect::frame(tile.w, tile.h);
     let mut by = 0;
@@ -176,78 +177,78 @@ pub fn encode_tile_with_scratch(
             let bw = bs.min(tile.w - bx);
             let abs_block = Rect::new(tile.x + bx, tile.y + by, bw, bh);
             let rel_block = Rect::new(bx, by, bw, bh);
-            original.y().copy_rect_into(&abs_block, orig_block);
+            // The original block, read in place in its frame.
+            let orig_block = (luma.span_from(abs_block.x, abs_block.y), luma.width());
 
-            // Intra candidate (always available).
-            luma_refs.regather(&recon_y, &rel_block, &tile_local);
-            let (intra_mode, intra_sad) =
-                luma_refs.best_mode_into(orig_block, bw, bh, intra_pred, mode_tmp);
-            let intra_header_bits = 1 + 2; // mode flag + intra mode index
-            let intra_cost = intra_sad as f64 + lambda * intra_header_bits as f64;
-
-            // Inter candidate.
-            let mut inter_choice: Option<(usize, MotionVector, u64, u64)> = None;
-            if inter {
-                for (ref_idx, &window) in windows.iter().flatten().enumerate() {
-                    let ctx = SearchContext::windowed(
-                        original.y(),
-                        window,
-                        abs_block,
-                        tcfg.window,
-                        prev_mv,
-                    );
-                    let r = tcfg.search.search(&ctx);
-                    stats.sad_samples += r.evaluations * abs_block.area() as u64;
-                    let better = inter_choice
-                        .as_ref()
-                        .is_none_or(|&(_, _, cost, _)| r.cost < cost);
-                    if better {
-                        inter_choice = Some((ref_idx, r.mv, r.cost, r.evaluations));
-                    }
+            // Inter candidate first: its cost bounds the intra pass.
+            let mut inter_choice: Option<(usize, MotionVector, u64)> = None;
+            for (ref_idx, &window) in windows.iter().flatten().enumerate() {
+                let ctx = SearchContext::windowed(luma, window, abs_block, tcfg.window, prev_mv);
+                let r = tcfg.search.search(&ctx);
+                stats.sad_samples += r.evaluations * abs_block.area() as u64;
+                if inter_choice.is_none_or(|(_, _, cost)| r.cost < cost) {
+                    inter_choice = Some((ref_idx, r.mv, r.cost));
                 }
             }
-
-            let use_inter = match inter_choice {
-                None => false,
-                Some((_, mv, sad, _)) => {
-                    let mvd = mv - prev_mv;
-                    let header =
-                        1 + u64::from(refs.len() > 1) + se_len(mvd.x as i32) + se_len(mvd.y as i32);
-                    let inter_cost = sad as f64 + lambda * header as f64;
-                    inter_cost <= intra_cost
-                }
-            };
-
-            let prediction = if use_inter {
-                let (ref_idx, mv, _, _) = inter_choice.expect("inter chosen");
-                let window = windows[ref_idx].expect("inter tiles have a window per reference");
-                let prediction = window
-                    .span(&abs_block, mv)
-                    .expect("the chosen vector lies in the tile's window");
-                // Header: inter flag, ref index, MV difference.
-                writer.write_bit(true);
-                if refs.len() > 1 {
-                    writer.write_bit(ref_idx == 1);
-                }
+            let inter_cost = inter_choice.map(|(_, mv, sad)| {
                 let mvd = mv - prev_mv;
-                writer.write_se(mvd.x as i32);
-                writer.write_se(mvd.y as i32);
-                prev_mv = mv;
-                inter_mvs.push(mv);
-                stats.inter_blocks += 1;
-                prediction
-            } else {
-                writer.write_bit(false);
-                writer.write_bits(intra_mode.index(), 2);
-                stats.intra_blocks += 1;
-                (&intra_pred[..], bw)
+                let header =
+                    1 + u64::from(refs.len() > 1) + se_len(mvd.x as i32) + se_len(mvd.y as i32);
+                sad as f64 + lambda * header as f64
+            });
+
+            // Intra candidate (always available), scored only as far as
+            // it can still beat inter: `None` once it cannot.
+            luma_refs.regather(&recon_y, &rel_block, &tile_local);
+            let bound = inter_cost.map_or(u64::MAX, |c| IntraRefs::sad_bound(c, intra_overhead));
+            let intra = luma_refs
+                .score_modes(orig_block, bw, bh, planar, bound)
+                .map(IntraMode::first_min)
+                .filter(|&(_, sad)| inter_cost.is_none_or(|c| sad as f64 + intra_overhead < c));
+
+            // The inter candidate, kept only when it won.
+            let inter_choice = inter_choice.filter(|_| intra.is_none());
+
+            let prediction = match (intra, inter_choice) {
+                (Some((mode, _)), _) => {
+                    writer.write_bit(false);
+                    writer.write_bits(mode.index(), 2);
+                    stats.intra_blocks += 1;
+                    // Planar's rows are the pass's own; any other
+                    // winner is built now that it has won.
+                    if mode == IntraMode::Planar {
+                        (&planar[..], bw)
+                    } else {
+                        luma_refs.predict_into(mode, bw, bh, intra_pred);
+                        (&intra_pred[..], bw)
+                    }
+                }
+                (None, Some((ref_idx, mv, _))) => {
+                    let window = windows[ref_idx].expect("inter tiles have a window per reference");
+                    let prediction = window
+                        .span(&abs_block, mv)
+                        .expect("the chosen vector lies in the tile's window");
+                    // Header: inter flag, ref index, MV difference.
+                    writer.write_bit(true);
+                    if refs.len() > 1 {
+                        writer.write_bit(ref_idx == 1);
+                    }
+                    let mvd = mv - prev_mv;
+                    writer.write_se(mvd.x as i32);
+                    writer.write_se(mvd.y as i32);
+                    prev_mv = mv;
+                    inter_mvs.push(mv);
+                    stats.inter_blocks += 1;
+                    prediction
+                }
+                (None, None) => unreachable!("an unbounded intra pass always decides"),
             };
 
             // Luma residual (8x8 transforms always fit: bw/bh are
             // multiples of 8 given grid alignment), reconstructed in
             // place.
             let coded = code_residual_strided(
-                (orig_block, bw),
+                orig_block,
                 prediction,
                 (&mut recon_y.samples_mut()[by * tile.w + bx..], tile.w),
                 bw,
@@ -276,22 +277,21 @@ pub fn encode_tile_with_scratch(
                     // Chroma intra is DC straight from the chroma recon
                     // edges: one row of it, repeated (stride 0).
                     let dc_row;
-                    let prediction = if use_inter {
-                        let (ref_idx, mv, _, _) = inter_choice.expect("inter chosen");
-                        let rf = refs[ref_idx];
-                        let plane = if plane_idx == 0 { rf.u() } else { rf.v() };
-                        plane.copy_block_clamped_into(
-                            c_abs.x as isize + (mv.x / 2) as isize,
-                            c_abs.y as isize + (mv.y / 2) as isize,
-                            cw,
-                            ch,
-                            chroma_pred,
-                        );
-                        (&chroma_pred[..], cw)
-                    } else {
-                        let c_tile = Rect::frame(c_stride, tile.h / 2);
-                        dc_row = [IntraRefs::dc_level(recon_c, &c_rel, &c_tile); MAX_SIDE / 2];
-                        (&dc_row[..cw], 0)
+                    let prediction = match inter_choice {
+                        Some((ref_idx, mv, _)) => {
+                            let rf = refs[ref_idx];
+                            let plane = if plane_idx == 0 { rf.u() } else { rf.v() };
+                            let (x, y) = (
+                                c_abs.x as isize + (mv.x / 2) as isize,
+                                c_abs.y as isize + (mv.y / 2) as isize,
+                            );
+                            block_view(plane, x, y, cw, ch, chroma_pred)
+                        }
+                        None => {
+                            let c_tile = Rect::frame(c_stride, tile.h / 2);
+                            dc_row = [IntraRefs::dc_level(recon_c, &c_rel, &c_tile); MAX_SIDE / 2];
+                            (&dc_row[..cw], 0)
+                        }
                     };
                     let coded_c = code_residual_strided(
                         (orig_c.span_from(c_abs.x, c_abs.y), orig_c.width()),
@@ -325,6 +325,25 @@ pub fn encode_tile_with_scratch(
         recon_v,
         dominant_mv,
     }
+}
+
+/// The `w x h` block of `plane` at `(x, y)` as a strided view
+/// `(samples, stride)`: the plane itself when the block lies inside it,
+/// otherwise its edge-replicated samples gathered into `buf` — the rule
+/// [`RefWindow::around`] applies to a tile's luma search range.
+fn block_view<'p>(
+    plane: &'p Plane,
+    x: isize,
+    y: isize,
+    w: usize,
+    h: usize,
+    buf: &'p mut Vec<u8>,
+) -> (&'p [u8], usize) {
+    if x >= 0 && y >= 0 && x as usize + w <= plane.width() && y as usize + h <= plane.height() {
+        return (plane.span_from(x as usize, y as usize), plane.width());
+    }
+    plane.copy_block_clamped_into(x, y, w, h, buf);
+    (&buf[..], w)
 }
 
 /// Component-wise median of the block motion vectors.

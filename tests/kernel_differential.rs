@@ -843,6 +843,101 @@ mod intra {
             prop_assert!(wins.iter().all(|&n| n > 0), "seed {seed}: every mode must win somewhere, got {wins:?}");
             prop_assert!(ties >= 16, "seed {seed}: the flat-edge cases must tie, got {ties}");
         }
+
+        /// The bounded mode-decision pass, reading its original in
+        /// place in a plane, on every tier: block widths 8, 16, 32 and
+        /// 64, heights with and without a power-of-two planar divisor
+        /// (the SSE2 body and the portable pass), and every combination
+        /// of available edges. Unbounded, it returns the SAD of every
+        /// restated mode and planar's rows. Against a threshold cost it
+        /// either returns exactly that, or stops — and then the full
+        /// pass's best SAD plus the intra overhead `3λ` is at least the
+        /// threshold, so intra could not have won. The thresholds
+        /// include the full intra cost itself (a tie goes to inter),
+        /// the costs either side of it, and ones the first four rows
+        /// already reach.
+        #[test]
+        fn a_stopped_intra_pass_could_not_have_won(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg::new(seed);
+            let noisy = Plane::from_vec(SIDE, SIDE, rng.bytes(SIDE * SIDE)).expect("square plane");
+            let mut frame = Plane::from_vec(SIDE, SIDE, rng.bytes(SIDE * SIDE)).expect("square plane");
+            let mut refs = IntraRefs::default();
+            let (mut full_planar, mut planar) = (Vec::new(), vec![3u8; 5]);
+            let (mut stops, mut completions) = (0u32, 0u32);
+            for w in [8usize, 16, 32, 64] {
+                for h in [8usize, 16, 24, 64] {
+                    for (has_top, has_left) in [(false, false), (true, false), (false, true), (true, true)] {
+                        let block = Rect::new(1 + rng.below(40) as usize, 1 + rng.below(40) as usize, w, h);
+                        let tile = tile_for(&block, has_top, has_left);
+                        refs.regather(&noisy, &block, &tile);
+                        // The original: a noisy copy of one mode's
+                        // prediction, written into `frame` at an origin
+                        // of its own and read there at the plane stride.
+                        let copied = spec_predict(&noisy, &block, &tile, IntraMode::ALL[rng.below(4) as usize]);
+                        let amplitude = 1 + rng.below(24) as i16;
+                        let (ox, oy) = (rng.below((SIDE - w) as u64) as usize, rng.below((SIDE - h) as u64) as usize);
+                        for (i, &p) in copied.iter().enumerate() {
+                            let noise = rng.below(2 * amplitude as u64 + 1) as i16 - amplitude;
+                            frame.set(ox + i % w, oy + i / w, (p as i16 + noise).clamp(0, 255) as u8);
+                        }
+                        let original = (frame.span_from(ox, oy), SIDE);
+                        let packed: Vec<u8> = (0..w * h).map(|i| frame.get(ox + i % w, oy + i / w)).collect();
+                        let want = IntraMode::ALL.map(|m| plain_sad(&packed, &spec_predict(&noisy, &block, &tile, m)));
+                        let (_, best) = IntraMode::first_min(want);
+                        let overhead = 3.0 * [0.0, 0.57, 5.3, 97.1][rng.below(4) as usize];
+                        let full_cost = best as f64 + overhead;
+                        let thresholds = [
+                            full_cost,
+                            full_cost - 1.0,
+                            full_cost + 1.0,
+                            full_cost - 0.25,
+                            (best / 2) as f64 + overhead,
+                            overhead,
+                            0.0,
+                            f64::INFINITY,
+                        ];
+                        for t in tiers() {
+                            let case = format!(
+                                "seed {seed} tier {} {w}x{h} top {has_top} left {has_left} overhead {overhead}",
+                                t.name()
+                            );
+                            let full = simd::with_tier(t, || {
+                                refs.score_modes(original, w, h, &mut full_planar, u64::MAX)
+                            });
+                            prop_assert_eq!(full, Some(want), "{}", case);
+                            prop_assert_eq!(
+                                &full_planar,
+                                &spec_predict(&noisy, &block, &tile, IntraMode::Planar),
+                                "planar rows: {}", case
+                            );
+                            for threshold in thresholds {
+                                let bound = IntraRefs::sad_bound(threshold, overhead);
+                                if threshold.is_finite() {
+                                    prop_assert!(bound as f64 + overhead >= threshold, "{}: bound {} below {}", case, bound, threshold);
+                                    prop_assert!(bound == 0 || (bound - 1) as f64 + overhead < threshold, "{}: bound {} not the least", case, bound);
+                                }
+                                let got = simd::with_tier(t, || refs.score_modes(original, w, h, &mut planar, bound));
+                                match got {
+                                    Some(sads) => {
+                                        completions += 1;
+                                        prop_assert_eq!(sads, want, "{} threshold {}", case, threshold);
+                                        prop_assert_eq!(&planar, &full_planar, "{} threshold {}", case, threshold);
+                                    }
+                                    None => {
+                                        stops += 1;
+                                        prop_assert!(
+                                            full_cost >= threshold,
+                                            "{}: stopped under threshold {} though intra costs {}", case, threshold, full_cost
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert!(stops > 0 && completions > 0, "seed {seed}: {stops} stops, {completions} completions");
+        }
     }
 }
 
