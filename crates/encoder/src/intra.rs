@@ -354,19 +354,21 @@ impl IntraRefs {
     }
 
     /// The least SAD whose intra cost `sad + overhead`, added in `f64`
-    /// as the mode decision adds it, reaches `cost`; `u64::MAX` when
-    /// `cost` is not finite. A block whose every mode's SAD is at least
-    /// this bound cannot cost less than `cost`, so it is the bound of a
+    /// as the mode decision adds it, reaches `cost`; `u64::MAX` (a pass
+    /// that never stops) when that is not below `u64::MAX` or either
+    /// argument is NaN. A block whose every mode's SAD is at least this
+    /// bound cannot cost less than `cost`, so it is the bound of a
     /// [`IntraRefs::score_modes`] pass that only has to find out whether
     /// intra beats an inter cost (a tie goes to inter).
     pub fn sad_bound(cost: f64, overhead: f64) -> u64 {
-        if !cost.is_finite() {
+        let estimate = (cost - overhead).ceil();
+        if estimate.is_nan() || estimate >= u64::MAX as f64 {
             return u64::MAX;
         }
         // `s as f64 + overhead` never decreases as `s` grows (rounding
         // is monotone), so walk from the real-valued answer to the
         // least integer that reaches `cost`.
-        let mut s = (cost - overhead).ceil().max(0.0) as u64;
+        let mut s = estimate.max(0.0) as u64;
         while s > 0 && (s - 1) as f64 + overhead >= cost {
             s -= 1;
         }
@@ -675,6 +677,18 @@ mod tests {
         let (mode, sad) = refs.best_mode_into(&original, 4, 4, &mut pred, &mut tmp);
         assert_eq!(mode, IntraMode::Horizontal);
         assert_eq!(sad, 0);
+    }
+
+    #[test]
+    fn sad_bound_is_the_least_sad_reaching_the_cost() {
+        assert_eq!(IntraRefs::sad_bound(10.5, 3.0), 8);
+        assert_eq!(IntraRefs::sad_bound(11.0, 3.0), 8);
+        assert_eq!(IntraRefs::sad_bound(11.000001, 3.0), 9);
+        assert_eq!(IntraRefs::sad_bound(2.0, 3.0), 0);
+        for cost in [f64::INFINITY, f64::NAN, 1e30] {
+            assert_eq!(IntraRefs::sad_bound(cost, 3.0), u64::MAX, "{cost}");
+        }
+        assert_eq!(IntraRefs::sad_bound(10.0, f64::NAN), u64::MAX);
     }
 
     #[test]
