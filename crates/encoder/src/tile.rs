@@ -285,7 +285,8 @@ pub fn encode_tile_with_scratch(
                                 c_abs.x as isize + (mv.x / 2) as isize,
                                 c_abs.y as isize + (mv.y / 2) as isize,
                             );
-                            block_view(plane, x, y, cw, ch, chroma_pred)
+                            // In place unless it reaches off the plane.
+                            plane.view_or_gather(x, y, cw, ch, chroma_pred)
                         }
                         None => {
                             let c_tile = Rect::frame(c_stride, tile.h / 2);
@@ -325,25 +326,6 @@ pub fn encode_tile_with_scratch(
         recon_v,
         dominant_mv,
     }
-}
-
-/// The `w x h` block of `plane` at `(x, y)` as a strided view
-/// `(samples, stride)`: the plane itself when the block lies inside it,
-/// otherwise its edge-replicated samples gathered into `buf` — the rule
-/// [`RefWindow::around`] applies to a tile's luma search range.
-fn block_view<'p>(
-    plane: &'p Plane,
-    x: isize,
-    y: isize,
-    w: usize,
-    h: usize,
-    buf: &'p mut Vec<u8>,
-) -> (&'p [u8], usize) {
-    if x >= 0 && y >= 0 && x as usize + w <= plane.width() && y as usize + h <= plane.height() {
-        return (plane.span_from(x as usize, y as usize), plane.width());
-    }
-    plane.copy_block_clamped_into(x, y, w, h, buf);
-    (&buf[..], w)
 }
 
 /// Component-wise median of the block motion vectors.

@@ -206,6 +206,50 @@ impl Plane {
         }
     }
 
+    /// `true` when the `w x h` block at `(x, y)` lies entirely inside
+    /// the plane.
+    #[inline]
+    pub fn holds_block(&self, x: isize, y: isize, w: usize, h: usize) -> bool {
+        x >= 0 && y >= 0 && x as usize + w <= self.width && y as usize + h <= self.height
+    }
+
+    /// The `w x h` block at `(x, y)` as a strided view `(samples,
+    /// stride)`: row `i` is `samples[i * stride..][..w]`. The plane
+    /// itself when it holds the block (see [`Plane::holds_block`]);
+    /// otherwise the block's edge-replicated samples, gathered into
+    /// `buf` by [`Plane::copy_block_clamped_into`] at stride `w`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use medvt_frame::Plane;
+    ///
+    /// let p = Plane::from_vec(3, 2, vec![1, 2, 3, 4, 5, 6]).unwrap();
+    /// let mut buf = Vec::new();
+    /// // Inside: the plane's own rows, nothing copied.
+    /// assert_eq!(p.view_or_gather(1, 0, 2, 2, &mut buf), (&[2, 3, 4, 5, 6][..], 3));
+    /// assert!(buf.is_empty());
+    /// // Off the right edge: gathered with the edge column replicated.
+    /// assert_eq!(p.view_or_gather(2, 0, 2, 2, &mut buf), (&[3, 3, 6, 6][..], 2));
+    /// ```
+    pub fn view_or_gather<'p>(
+        &'p self,
+        x: isize,
+        y: isize,
+        w: usize,
+        h: usize,
+        buf: &'p mut Vec<u8>,
+    ) -> (&'p [u8], usize) {
+        if self.holds_block(x, y, w, h) {
+            let start = y as usize * self.width + x as usize;
+            // An empty block on the bottom edge starts past the last
+            // sample.
+            return (self.data.get(start..).unwrap_or_default(), self.width);
+        }
+        self.copy_block_clamped_into(x, y, w, h, buf);
+        (buf, w)
+    }
+
     /// Copies a `w x h` block whose top-left corner may lie outside the
     /// plane into `out`; out-of-bounds samples replicate the nearest
     /// edge sample — the access pattern of motion compensation with
@@ -403,6 +447,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn view_or_gather_reads_in_place_inside_and_clamps_outside() {
+        let mut p = Plane::new(8, 6);
+        for (i, s) in p.samples_mut().iter_mut().enumerate() {
+            *s = (i * 37 % 251) as u8;
+        }
+        let mut buf = Vec::new();
+        let mut gathered = Vec::new();
+        for (w, h) in [(1usize, 1usize), (4, 3), (8, 6), (11, 9), (3, 0), (0, 2)] {
+            for y in -3isize..=7 {
+                for x in -3isize..=9 {
+                    let (samples, stride) = p.view_or_gather(x, y, w, h, &mut buf);
+                    if w * h > 0 {
+                        let in_place = p.samples().as_ptr_range().contains(&samples.as_ptr());
+                        assert_eq!(in_place, p.holds_block(x, y, w, h), "{w}x{h} at ({x}, {y})");
+                    }
+                    let rows: Vec<u8> = (0..h)
+                        .flat_map(|i| &samples[i * stride..][..w])
+                        .copied()
+                        .collect();
+                    p.copy_block_clamped_into(x, y, w, h, &mut gathered);
+                    assert_eq!(rows, gathered, "{w}x{h} block at ({x}, {y})");
+                }
+            }
+        }
+        // An empty block on the bottom edge is held and views nothing.
+        assert!(p.holds_block(5, 6, 3, 0));
+        assert_eq!(p.view_or_gather(5, 6, 3, 0, &mut buf), (&[][..], 8));
     }
 
     #[test]

@@ -207,11 +207,9 @@ impl<'a> RefWindow<'a> {
         let r = window.radius() as usize;
         let (x0, y0) = (area.x as isize - r as isize, area.y as isize - r as isize);
         let (width, height) = (area.w + 2 * r, area.h + 2 * r);
-        if x0 >= 0
-            && y0 >= 0
-            && x0 as usize + width <= reference.width()
-            && y0 as usize + height <= reference.height()
-        {
+        // The window keeps the whole plane (origin 0) rather than a
+        // view of the range, so a search may still clamp beyond it.
+        if reference.holds_block(x0, y0, width, height) {
             return RefWindow::plane(reference);
         }
         reference.copy_block_clamped_into(x0, y0, width, height, buf);
@@ -301,10 +299,10 @@ impl fmt::Debug for RefWindow<'_> {
 /// A gathered [`RefWindow`] must hold `block ± r`; [`SearchContext::windowed`]
 /// panics on one that does not, rather than clamp at the window's own
 /// border. A whole-plane window — what [`SearchContext::new`] builds —
-/// is read in place when `block ± r` lies inside the plane; otherwise
-/// the context gathers that range's edge-replicated samples once, into
-/// a pooled buffer, so candidates off the plane cost what the clamped
-/// path of [`crate::cost`] would.
+/// is read through [`Plane::view_or_gather`]: in place when `block ± r`
+/// lies inside the plane; otherwise the context gathers that range's
+/// edge-replicated samples once, into a pooled buffer, so candidates
+/// off the plane cost what the clamped path of [`crate::cost`] would.
 ///
 /// # One tier per context
 ///
@@ -390,24 +388,22 @@ impl<'a> SearchContext<'a> {
             "block {block} outside current plane"
         );
         let r = window.radius() as usize;
-        let covered = reference.covers(&block, window.radius());
         assert!(
-            covered || reference.plane.is_some(),
+            reference.plane.is_some() || reference.covers(&block, window.radius()),
             "reference window {reference:?} does not cover block {block} ± {r}"
         );
         let mut buf = buf_acquire(2 * r + 1);
         let (x, y) = (block.x as isize - r as isize, block.y as isize - r as isize);
         let (ref_base, stride) = match reference.plane {
-            Some(plane) if !covered => {
-                let width = block.w + 2 * r;
-                plane.copy_block_clamped_into(x, y, width, block.h + 2 * r, &mut buf.patch);
-                (buf.patch.as_ptr(), width)
+            Some(plane) => {
+                let (samples, stride) =
+                    plane.view_or_gather(x, y, block.w + 2 * r, block.h + 2 * r, &mut buf.patch);
+                (samples.as_ptr(), stride)
             }
-            _ => {
+            None => {
                 let offset = (y - reference.y0) * reference.width as isize + (x - reference.x0);
-                // Not dereferenced for an empty block (its body reads
-                // nothing), so wrapping arithmetic keeps even that case
-                // defined.
+                // Pointer arithmetic only: an empty block's base may
+                // lie past the samples, and its body reads nothing.
                 let base = reference.samples.as_ptr().wrapping_offset(offset);
                 (base, reference.width)
             }
@@ -515,12 +511,14 @@ impl<'a> SearchContext<'a> {
                 // width, and `ref_base` so that the `w x h` block at
                 // offset `(x, y)`, `x, y <= 2r`, lies inside the
                 // reference samples (see the field docs); `cur_base`
-                // starts `block` inside `cur`.
+                // starts `block` inside `cur`. The offset is wrapping
+                // because an empty block's last row of candidates may
+                // start past the samples; its body reads nothing.
                 let c = unsafe {
                     (self.sad)(
                         self.cur_base,
                         self.cur.width(),
-                        self.ref_base.add(y * self.stride + x),
+                        self.ref_base.wrapping_add(y * self.stride + x),
                         self.stride,
                         self.block.w,
                         self.block.h,
@@ -801,6 +799,37 @@ mod tests {
         assert_eq!(best.mv, exact_best.0);
         assert_eq!(best.cost, exact_best.1);
         assert_eq!(ctx.evaluations(), verify.evaluations());
+    }
+
+    /// A zero-height block scores 0 at every candidate — in place, in a
+    /// gathered window and in a bare-plane patch — although its last
+    /// row of candidates starts past the reference samples.
+    #[test]
+    fn empty_block_at_the_plane_corner_costs_nothing_everywhere() {
+        let (cur, reference) = planes();
+        let window = SearchWindow::W8;
+        let mut buf = Vec::new();
+        let cases = [
+            // Plane holds block ± r: read in place.
+            (Rect::new(40, 60, 16, 0), RefWindow::plane(&reference)),
+            // Bottom-right corner: the range is gathered into the patch.
+            (Rect::new(48, 64, 16, 0), RefWindow::plane(&reference)),
+            // A gathered tile window around the same corner block.
+            (
+                Rect::new(48, 64, 16, 0),
+                RefWindow::around(&reference, Rect::new(48, 48, 16, 16), window, &mut buf),
+            ),
+        ];
+        for (block, win) in cases {
+            let ctx = SearchContext::windowed(&cur, win, block, window, MotionVector::ZERO);
+            for dy in -4i16..=4 {
+                for dx in -4i16..=4 {
+                    let mv = MotionVector::new(dx, dy);
+                    assert_eq!(ctx.try_cost_upto(mv, u64::MAX), Some(0), "{block} {mv:?}");
+                }
+            }
+            assert_eq!(ctx.evaluations(), 81);
+        }
     }
 
     #[test]
