@@ -555,14 +555,13 @@ fn edge_tiles_at_w64_gather_one_reused_window_per_tile() {
     );
 
     // A fresh scratch warmed on an interior tile, whose W64 range lies
-    // inside the frame so it reads the plane itself, and whose chroma
-    // motion compensation reads the chroma planes in place: the first
-    // edge tile then allocates its window buffer once, plus at most
-    // once each the two per-block buffers the interior tile may never
-    // have needed — the gather of a chroma block off the plane, and a
-    // non-planar intra winner's prediction. A second edge tile of the
-    // same size, in the opposite corner, allocates exactly what its own
-    // warm re-encode does.
+    // inside the frame so it reads the plane itself. Every chroma block
+    // of that tile is read in place and every intra winner of it is
+    // planar, so the first edge tile allocates three buffers once
+    // each: its window, the gather of a chroma block off the plane,
+    // and a non-planar intra winner's prediction. A second edge tile
+    // of the same size, in the opposite corner, allocates exactly what
+    // its own warm re-encode does.
     let mut scratch = EncScratch::new();
     let mut encode = |tile| {
         let before = alloc_events();
@@ -575,10 +574,11 @@ fn edge_tiles_at_w64_gather_one_reused_window_per_tile() {
     let (first, second) = (Rect::new(0, 0, 64, 64), Rect::new(128, 64, 64, 64));
     let first_cold = encode(first);
     let first_warm = encode(first);
-    assert!(
-        (first_warm + 1..=first_warm + 3).contains(&first_cold),
-        "the first edge tile must allocate its window buffer once and at most two \
-         per-block buffers once each: {first_cold} allocs cold, {first_warm} warm"
+    assert_eq!(
+        first_cold,
+        first_warm + 3,
+        "the first edge tile must allocate its window, chroma gather and intra \
+         prediction buffers, once each"
     );
     let second_cold = encode(second);
     let second_warm = encode(second);
