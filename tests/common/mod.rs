@@ -1,10 +1,13 @@
 //! Fixtures shared by the root integration tests: a synthetic
-//! scheduling profile and the live-transcoding scenario.
+//! scheduling profile, the live-transcoding scenario and the
+//! executable specification of the admission controller ([`spec`]).
 //!
 //! Each test binary compiles this module on its own and uses only some
 //! of it, hence the `dead_code` allowance.
 
 #![allow(dead_code)]
+
+pub mod spec;
 
 use medvt::admission::{CostPlan, OnlineConfig, ShardPolicy};
 use medvt::analyze::AnalyzerConfig;

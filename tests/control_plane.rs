@@ -6,15 +6,31 @@
 //! platforms.
 
 use medvt::admission::{
-    serve_online, serve_online_reference, synthesize_trace, CostPlan, EventKind, OnlineConfig,
-    ShardPolicy, TraceConfig,
+    serve_online, serve_online_reference, synthesize_trace, CostPlan, DeadlineClass, EventKind,
+    OnlineConfig, OnlineReport, ShardPolicy, Sharder, TraceConfig, UserRequest, Workload,
 };
 use medvt::core::{Approach, ServerConfig, ServerSim};
 use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
 
 mod common;
+use common::spec::{serve_spec, StatelessChooser};
 use common::synthetic_profile as profile;
+
+const POLICIES: [ShardPolicy; 3] = [
+    ShardPolicy::LeastLoaded,
+    ShardPolicy::RoundRobin,
+    ShardPolicy::ContentAffinity,
+];
+
+/// `report` without its wall-clock timings and its replan count: what
+/// the frozen reference must match, since it re-places at every
+/// boundary.
+fn decided(report: &OnlineReport) -> OnlineReport {
+    let mut r = report.modeled_only();
+    r.controller.replans = 0;
+    r
+}
 
 const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;
@@ -65,10 +81,14 @@ fn optimized_controller_replays_the_reference_decision_stream() {
         };
         let fast = serve_online(&cfg, &profiles, &trace, xeon_shards());
         let slow = serve_online_reference(&cfg, &profiles, &trace, xeon_shards());
+        let spec = serve_spec(&cfg, &profiles, &trace, xeon_shards()).report;
         assert_eq!(
             fast.events, slow.events,
             "{policy:?}: decision streams must be bit-identical"
         );
+        assert_eq!(spec.events, slow.events, "{policy:?}: spec events");
+        assert_eq!(decided(&spec), decided(&slow), "{policy:?}: spec report");
+        assert_eq!(spec, fast.modeled_only(), "{policy:?}: spec vs controller");
         // Strip the controller cost block entirely: wall times differ
         // by construction and the fast path legitimately skips no-op
         // replans, while everything decision-visible must match.
@@ -105,6 +125,195 @@ fn optimized_controller_replays_the_reference_decision_stream() {
     }
 }
 
+/// Flat or lying synthetic workloads on quad-core shards: the fixture
+/// that drives every decision kind through one short trace.
+mod every_kind {
+    use super::*;
+
+    const SLOT: f64 = 1.0 / 24.0;
+
+    /// `tiles` tiles of `secs` each, every slot; `lying` workloads
+    /// report a quarter-slot per tile at admission but need a slot and
+    /// a half, so they miss every window once admitted.
+    pub(super) struct Mix {
+        tiles: usize,
+        secs: f64,
+        class: &'static str,
+        lying: bool,
+    }
+
+    impl Workload for Mix {
+        fn steady_demand(&self) -> Vec<f64> {
+            if self.lying {
+                vec![SLOT / 4.0; self.tiles]
+            } else {
+                vec![self.secs; self.tiles]
+            }
+        }
+        fn demand_at(&self, _slot: usize) -> Vec<f64> {
+            vec![self.secs; self.tiles]
+        }
+        fn content_class(&self) -> &str {
+            self.class
+        }
+        fn steady(&self) -> bool {
+            // The lying workload is slot-invariant too, but stays on
+            // the re-estimated path so both refresh modes run.
+            !self.lying
+        }
+    }
+
+    /// Busy (~1.92 admission cores: two fit a quad shard), light,
+    /// huge (fits no quad shard) and lying (claims one core, needs
+    /// six).
+    pub(super) fn workloads() -> [Mix; 4] {
+        let flat = |tiles, secs, class| Mix {
+            tiles,
+            secs,
+            class,
+            lying: false,
+        };
+        [
+            flat(2, SLOT / 24.0 * 20.0, "busy"),
+            flat(1, SLOT / 8.0, "light"),
+            flat(8, SLOT, "huge"),
+            Mix {
+                tiles: 4,
+                secs: SLOT * 1.5,
+                class: "chaos",
+                lying: true,
+            },
+        ]
+    }
+
+    pub(super) fn trace() -> Vec<UserRequest> {
+        let request = |user, arrival_slot, profile, departure_slot| UserRequest {
+            user,
+            arrival_slot,
+            profile,
+            class: DeadlineClass::Standard,
+            departure_slot,
+        };
+        let mut trace = vec![
+            request(0, 0, 0, Some(48)), // busy, departs while active
+            request(1, 0, 0, None),     // busy
+            request(2, 1, 0, None),     // busy — waits behind the first two
+            request(3, 2, 1, Some(20)), // light, may abandon
+            request(8, 1, 0, Some(5)),  // busy, gone before its first boundary
+            request(4, 9, 2, None),     // huge → rejected
+            UserRequest {
+                class: DeadlineClass::Strict,
+                ..request(5, 9, 3, None)
+            }, // lying → evicted
+            request(6, 30, 1, None),    // light, late
+            request(7, 60, 0, Some(70)), // busy, abandons if stuck
+        ];
+        trace.sort_by_key(|r| r.arrival_slot);
+        trace
+    }
+
+    pub(super) fn quad_shards() -> Vec<SimBackend> {
+        (0..2)
+            .map(|_| SimBackend::new(Platform::quad_core(), PowerModel::default()))
+            .collect()
+    }
+}
+
+#[test]
+fn every_decision_kind_replays_the_spec() {
+    // Admits, waits, voluntary departures, queue abandons, outright
+    // rejects, and the eviction of a lying, non-steady workload —
+    // degraded back into the queue when the plan says so.
+    let workloads = every_kind::workloads();
+    let trace = every_kind::trace();
+    for policy in POLICIES {
+        for degrade_on_evict in [false, true] {
+            let cfg = OnlineConfig {
+                shard_policy: policy,
+                horizon_slots: 120,
+                cost: CostPlan {
+                    degrade_on_evict,
+                    ..CostPlan::unlimited()
+                },
+                ..Default::default()
+            };
+            let cell = format!("{policy:?}, degrade {degrade_on_evict}");
+            let fast = serve_online(&cfg, &workloads, &trace, every_kind::quad_shards());
+            let spec = serve_spec(&cfg, &workloads, &trace, every_kind::quad_shards()).report;
+            if !degrade_on_evict {
+                let slow =
+                    serve_online_reference(&cfg, &workloads, &trace, every_kind::quad_shards());
+                assert_eq!(spec.events, slow.events, "{cell}: spec events");
+                assert_eq!(decided(&spec), decided(&slow), "{cell}: spec report");
+            }
+            assert_eq!(fast.events, spec.events, "{cell}: decision stream");
+            assert_eq!(fast.modeled_only(), spec, "{cell}: report");
+            for kind in [
+                EventKind::Admit,
+                EventKind::Evict,
+                EventKind::Reject,
+                EventKind::Depart,
+                EventKind::Abandon,
+            ] {
+                assert!(
+                    spec.events.iter().any(|e| e.kind == kind),
+                    "{cell} must exercise {kind:?}"
+                );
+            }
+            assert_eq!(
+                spec.events.iter().any(|e| e.kind == EventKind::Downgrade),
+                degrade_on_evict,
+                "{cell}: downgrades happen exactly when degrading"
+            );
+        }
+    }
+}
+
+#[test]
+fn attached_picks_match_stateless_picks() {
+    // Replay one admit/release trace through the tracked chooser and
+    // the spec's stateless one under every policy: decisions must be
+    // identical call for call.
+    let caps = vec![8.0, 2.0, 5.8, 8.0];
+    // (demand, class, optional (shard, demand) released beforehand).
+    type Step = (f64, &'static str, Option<(usize, f64)>);
+    let trace: [Step; 8] = [
+        (1.0, "brain", None),
+        (2.5, "cardiac", None),
+        (1.0, "spine", Some((0, 1.0))),
+        (6.0, "brain", None),
+        (0.5, "cardiac", Some((2, 0.5))),
+        (3.0, "spine", None),
+        (9.0, "brain", None), // fits nowhere
+        (1.5, "cardiac", None),
+    ];
+    for policy in POLICIES {
+        let mut stateless = StatelessChooser::new(policy);
+        let mut tracked = Sharder::new(policy, caps.clone());
+        let mut loads = vec![0.0f64; caps.len()];
+        for &(demand, class, release) in &trace {
+            if let Some((shard, d)) = release {
+                loads[shard] -= d;
+                tracked.release_load(shard, d);
+            }
+            let a = stateless.pick(&loads, &caps, demand, class);
+            let b = tracked.pick(demand, class);
+            assert_eq!(a, b, "{policy:?} diverged on demand {demand}");
+            assert_eq!(
+                tracked.any_fits(demand),
+                loads
+                    .iter()
+                    .zip(&caps)
+                    .any(|(&l, &c)| l + demand <= c + 1e-9)
+            );
+            if let Some(shard) = a {
+                loads[shard] += demand;
+                tracked.admit_load(shard, demand);
+            }
+        }
+    }
+}
+
 /// One big.LITTLE socket, one big-only and one LITTLE-only cluster:
 /// three shards of three capacities (5.8 / 4.0 / 1.8 reference cores).
 /// The platform names go into each `ShardReport::label`, so into the
@@ -120,6 +329,9 @@ fn hetero_shards() -> Vec<SimBackend> {
     .map(|p| SimBackend::new(p, PowerModel::default()))
     .collect()
 }
+
+/// A fresh set of shards, once per controller run.
+type Fleet = fn() -> Vec<SimBackend>;
 
 /// FNV-1a of a report's `Debug` rendering with the wall-clock timings
 /// zeroed: the decision log, every tally, per-shard accounting and the
@@ -180,6 +392,7 @@ fn cost_plans_replay_their_recorded_decision_streams() {
         degrade_on_evict,
     };
     let mut hashes = Vec::new();
+    let mut spec_hashes = Vec::new();
     for policy in [
         ShardPolicy::LeastLoaded,
         ShardPolicy::RoundRobin,
@@ -187,7 +400,8 @@ fn cost_plans_replay_their_recorded_decision_streams() {
     ] {
         // Budgets sit at three quarters of each fleet's capacity.
         for (unlimited, degrade) in [(true, false), (false, false), (false, true)] {
-            for (fleet, budget) in [(xeon_shards(), 24.0), (hetero_shards(), 8.7)] {
+            let fleets: [(Fleet, f64); 2] = [(xeon_shards, 24.0), (hetero_shards, 8.7)];
+            for (fleet, budget) in fleets {
                 let cfg = OnlineConfig {
                     horizon_slots: 192,
                     headroom: 0.6,
@@ -195,7 +409,7 @@ fn cost_plans_replay_their_recorded_decision_streams() {
                     cost: plan(if unlimited { f64::INFINITY } else { budget }, degrade),
                     ..Default::default()
                 };
-                let report = serve_online(&cfg, &profiles, &trace, fleet);
+                let report = serve_online(&cfg, &profiles, &trace, fleet());
                 let cell = format!(
                     "{policy:?}, budget {}, degrade {degrade}",
                     cfg.cost.budget_credits_per_window
@@ -218,6 +432,9 @@ fn cost_plans_replay_their_recorded_decision_streams() {
                     "{cell}: downgrades happen exactly when degrading"
                 );
                 hashes.push(report_hash(&report));
+                spec_hashes.push(report_hash(
+                    &serve_spec(&cfg, &profiles, &trace, fleet()).report,
+                ));
             }
         }
     }
@@ -227,6 +444,7 @@ fn cost_plans_replay_their_recorded_decision_streams() {
         }
     }
     assert_eq!(hashes, GOLDEN_REPORT_HASHES);
+    assert_eq!(spec_hashes, GOLDEN_REPORT_HASHES, "the spec");
 }
 
 #[test]

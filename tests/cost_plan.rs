@@ -29,6 +29,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 mod common;
+use common::spec::{ledger_bits, serve_spec};
 use common::{live_online_config, synthetic_profile as profile};
 
 const HORIZON: usize = 144;
@@ -194,6 +195,14 @@ proptest! {
             prop_assert!(!cfg.cost.is_budgeted());
             let fast = serve_online(&cfg, &tiers, &trace, bl_shards());
             let slow = serve_online_reference(&cfg, &tiers, &trace, bl_shards());
+            let spec = serve_spec(&cfg, &tiers, &trace, bl_shards()).report;
+            let draw = format!("{shard_policy:?}, arrivals {arrivals}, seed {seed}");
+            prop_assert_eq!(&spec.events, &slow.events, "{}: spec events", draw);
+            let mut decided = [spec, slow.modeled_only()];
+            for r in &mut decided {
+                r.controller.replans = 0;
+            }
+            prop_assert_eq!(&decided[0], &decided[1], "{}: spec report", draw);
             prop_assert_eq!(&fast.events, &slow.events);
             prop_assert_eq!(fast.windows, slow.windows);
             prop_assert_eq!(fast.window_misses, slow.window_misses);
@@ -282,8 +291,10 @@ fn replay_cost_matches_recorded_goldens() {
         10e-6,
     );
     let shards = vec![SimBackend::new(socket, PowerModel::default()); 6];
-    let report = serve_online(&budgeted, &tiers, &trace, shards);
+    let report = serve_online(&budgeted, &tiers, &trace, shards.clone());
     let cost = replay_cost(&budgeted, &tiers, &trace, &report);
+    let spec = serve_spec(&budgeted, &tiers, &trace, shards).ledger;
+    assert_eq!(ledger_bits(&spec), ledger_bits(&cost), "the spec's ledger");
     assert_eq!(cost.windows, 24);
     assert_eq!(cost.downgrades, 3);
     assert!(cost.within_budget);
