@@ -29,9 +29,8 @@ use std::collections::BTreeMap;
 ///
 /// Under the default ([`CostPlan::unlimited`]) neither mechanism can
 /// act: no spend exceeds an infinite budget and with
-/// `degrade_on_evict` off the eviction path never re-queues, so the
-/// decision stream stays bit-identical to
-/// [`serve_online_reference`](crate::serve_online_reference).
+/// `degrade_on_evict` off the eviction path never re-queues, so
+/// admission is Algorithm 2 line 1 against shard capacity alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPlan {
     /// Credits billed per admitted reference core per GOP window —
@@ -48,8 +47,8 @@ pub struct CostPlan {
 }
 
 impl CostPlan {
-    /// No budget, no degradation — the cost-oblivious default whose
-    /// decisions are bit-identical to the frozen reference controller.
+    /// No budget, no degradation — the cost-oblivious default: only
+    /// shard capacity limits admission.
     pub const fn unlimited() -> Self {
         Self {
             credits_per_core_window: 0.0,

@@ -79,14 +79,12 @@
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 mod cost;
-mod reference;
 mod request;
 mod serve;
 mod shard;
 mod trace;
 
 pub use cost::{replay_cost, CostPlan, CostReport};
-pub use reference::serve_online_reference;
 pub use request::{DeadlineClass, RequestQueue, UserRequest};
 pub use serve::{
     serve_online, serve_online_with, staggered_slot, AdmissionEvent, EventKind, OnlineConfig,

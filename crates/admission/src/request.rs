@@ -230,20 +230,10 @@ impl RequestQueue {
     /// keeps it in place for the next boundary, `Reject` drops it
     /// (returned in the second list). The relative order of waiting
     /// requests is preserved — waiters are simply left untouched.
-    pub(crate) fn try_admit<F>(
-        &mut self,
-        mut decide: F,
-    ) -> (Vec<(UserRequest, usize)>, Vec<UserRequest>)
-    where
-        F: FnMut(&UserRequest) -> AdmitDecision,
-    {
-        self.try_admit_while(|request| Some(decide(request)))
-    }
-
-    /// [`try_admit`](Self::try_admit) with an early stop: `decide`
-    /// returning `None` ends the scan, leaving that request and every
-    /// later one untouched. The caller is responsible for `None` being
-    /// sound — i.e. every unscanned request would have decided `Wait`.
+    ///
+    /// `None` ends the scan early, leaving that request and every later
+    /// one untouched. The caller is responsible for `None` being sound
+    /// — i.e. every unscanned request would have decided `Wait`.
     pub(crate) fn try_admit_while<F>(
         &mut self,
         mut decide: F,
@@ -295,12 +285,12 @@ mod tests {
             q.push(req(u, u, None));
         }
         // Admit evens, keep odds waiting.
-        let (admitted, rejected) = q.try_admit(|r| {
-            if r.user % 2 == 0 {
+        let (admitted, rejected) = q.try_admit_while(|r| {
+            Some(if r.user % 2 == 0 {
                 AdmitDecision::Admit(r.user / 2)
             } else {
                 AdmitDecision::Wait
-            }
+            })
         });
         assert_eq!(rejected.len(), 0);
         assert_eq!(
@@ -311,6 +301,27 @@ mod tests {
             vec![(0, 0), (2, 1)]
         );
         assert_eq!(q.iter().map(|r| r.user).collect::<Vec<_>>(), vec![1, 3]);
+    }
+
+    #[test]
+    fn a_stop_verdict_leaves_the_rest_of_the_queue_unscanned() {
+        let mut q = RequestQueue::with_departure_bound(128);
+        for u in 0..4 {
+            q.push(req(u, 0, None));
+        }
+        let mut scanned = Vec::new();
+        let (admitted, rejected) = q.try_admit_while(|r| {
+            scanned.push(r.user);
+            match r.user {
+                0 => Some(AdmitDecision::Admit(0)),
+                1 => Some(AdmitDecision::Reject),
+                _ => None,
+            }
+        });
+        assert_eq!(scanned, [0, 1, 2]);
+        assert_eq!(admitted.len(), 1);
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(q.iter().map(|r| r.user).collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]
@@ -332,12 +343,12 @@ mod tests {
         q.push(req(1, 0, Some(5)));
         // Admit user 0 before its departure passes: its index entry
         // goes stale and must be skipped, not double-drained.
-        let (admitted, _) = q.try_admit(|r| {
-            if r.user == 0 {
+        let (admitted, _) = q.try_admit_while(|r| {
+            Some(if r.user == 0 {
                 AdmitDecision::Admit(0)
             } else {
                 AdmitDecision::Wait
-            }
+            })
         });
         assert_eq!(admitted.len(), 1);
         let gone = q.drain_departed(5);
@@ -383,7 +394,7 @@ mod tests {
     fn reject_drops_request() {
         let mut q = RequestQueue::with_departure_bound(128);
         q.push(req(7, 0, None));
-        let (admitted, rejected) = q.try_admit(|_| AdmitDecision::Reject);
+        let (admitted, rejected) = q.try_admit_while(|_| Some(AdmitDecision::Reject));
         assert!(admitted.is_empty());
         assert_eq!(rejected.len(), 1);
         assert!(q.is_empty());
@@ -442,9 +453,9 @@ mod tests {
         assert_eq!(q.iter().map(|r| r.user).collect::<Vec<_>>(), [0, 4]);
         assert_eq!(q.len(), 2);
         let mut scanned = Vec::new();
-        let (admitted, rejected) = q.try_admit(|r| {
+        let (admitted, rejected) = q.try_admit_while(|r| {
             scanned.push(r.user);
-            AdmitDecision::Admit(0)
+            Some(AdmitDecision::Admit(0))
         });
         assert_eq!(scanned, [0, 4], "scan must never surface a hole");
         assert_eq!(admitted.len(), 2);

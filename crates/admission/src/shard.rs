@@ -174,7 +174,6 @@ impl Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::StatelessSharder;
 
     const CAP8: [f64; 4] = [8.0; 4];
 
@@ -221,58 +220,6 @@ mod tests {
         s.admit_load(home, 8.0);
         let fallback = s.pick(1.0, "cardiac").expect("fallback");
         assert_ne!(fallback, home);
-    }
-
-    #[test]
-    fn attached_picks_match_stateless_picks() {
-        // Replay one admit/release trace through the tracked chooser
-        // and the reference controller's stateless one under every
-        // policy: decisions must be identical call for call.
-        let caps = vec![8.0, 2.0, 5.8, 8.0];
-        // (demand, class, optional (shard, demand) released beforehand).
-        type Step = (f64, &'static str, Option<(usize, f64)>);
-        let trace: [Step; 8] = [
-            (1.0, "brain", None),
-            (2.5, "cardiac", None),
-            (1.0, "spine", Some((0, 1.0))),
-            (6.0, "brain", None),
-            (0.5, "cardiac", Some((2, 0.5))),
-            (3.0, "spine", None),
-            (9.0, "brain", None), // fits nowhere
-            (1.5, "cardiac", None),
-        ];
-        for policy in [
-            ShardPolicy::LeastLoaded,
-            ShardPolicy::RoundRobin,
-            ShardPolicy::ContentAffinity,
-        ] {
-            let mut stateless = StatelessSharder::new(policy);
-            let mut tracked = Sharder::new(policy, caps.clone());
-            let mut loads = vec![0.0f64; caps.len()];
-            for &(demand, class, release) in &trace {
-                if let Some((shard, d)) = release {
-                    loads[shard] -= d;
-                    tracked.release_load(shard, d);
-                }
-                let a = stateless.pick(&loads, &caps, demand, class);
-                let b = tracked.pick(demand, class);
-                assert_eq!(a, b, "{policy:?} diverged on demand {demand}");
-                assert_eq!(
-                    tracked.any_fits(demand),
-                    loads
-                        .iter()
-                        .zip(&caps)
-                        .any(|(&l, &c)| l + demand <= c + 1e-9)
-                );
-                if let Some(shard) = a {
-                    loads[shard] += demand;
-                    tracked.admit_load(shard, demand);
-                }
-            }
-            for (x, y) in loads.iter().zip(&tracked.loads) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! members' padded GOP estimates, run only when a member joined or
 //! left or an estimate's bits moved since the last run. Members are
 //! placed in the order the driver holds them (equal threads tie-break
-//! by it): the caller's order after [`LoopDriver::new`] /
-//! [`LoopDriver::set_membership`], ascending id once
-//! [`LoopDriver::update_membership`] is used.
+//! by it): the caller's order after [`LoopDriver::new`], ascending id
+//! once [`LoopDriver::update_membership`] is used.
 //!
 //! What a slot costs follows from its placements: each time they (or
 //! the membership) change the driver rebuilds, in its own buffers, a
@@ -584,36 +583,27 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             .filter(|stats| stats.active_slots > 0)
     }
 
-    /// Replaces the admitted set, keeping the caller's order — equal
-    /// threads tie-break by it. Placements are recomputed on the next
-    /// executed slot (under any [`ReplanPolicy`] — stale placements
-    /// would keep running departed users). Intended for GOP
-    /// boundaries, the paper's re-allocation points.
-    pub fn set_membership(&mut self, admitted: Vec<usize>) {
-        self.demands = admitted.iter().copied().map(unestimated).collect();
-        self.marks = vec![Mark::Fresh; admitted.len()];
-        self.members = admitted.iter().map(|&u| self.joined(u)).collect();
-        self.admitted = admitted;
-        self.dirty = true;
-        self.replan_pending = true;
-    }
-
-    /// Applies a membership *delta*, keeping members in ascending id
-    /// (a caller-ordered set is id-sorted on first use). Leavers go,
-    /// joiners are estimated at the next executed slot, and re-adding
-    /// a member only asks for a fresh estimate of it. Unchanged
-    /// GOP boundaries then reuse the previous placement: free when
-    /// every member is [`DemandSource::steady`], one demand
+    /// Applies a membership *delta*, keeping members in ascending id.
+    /// Leavers go, joiners are estimated at the next executed slot, and
+    /// re-adding a member only asks for a fresh estimate of it.
+    /// Unchanged GOP boundaries then reuse the previous placement: free
+    /// when every member is [`DemandSource::steady`], one demand
     /// re-estimate per other member otherwise.
     ///
-    /// The resulting placements are those of
-    /// [`set_membership`](Self::set_membership) with the same final
-    /// id-sorted member set.
+    /// Members handed to [`LoopDriver::new`] out of id order are sorted
+    /// by the first delta, which re-estimates and re-places all of them
+    /// as if they had just joined. Intended for GOP boundaries, the
+    /// paper's re-allocation points.
     pub fn update_membership(&mut self, add: &[usize], remove: &[usize]) {
         if !self.admitted.is_sorted() {
-            let mut sorted = std::mem::take(&mut self.admitted);
-            sorted.sort_unstable();
-            self.set_membership(sorted);
+            self.admitted.sort_unstable();
+            self.demands = self.admitted.iter().copied().map(unestimated).collect();
+            self.marks = vec![Mark::Fresh; self.admitted.len()];
+            self.members = (0..self.admitted.len())
+                .map(|i| self.joined(self.admitted[i]))
+                .collect();
+            self.dirty = true;
+            self.replan_pending = true;
         }
         for &u in remove {
             if let Ok(i) = self.admitted.binary_search(&u) {
@@ -1335,45 +1325,6 @@ mod tests {
         assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
         driver.advance(&source, 24);
         assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
-    }
-
-    #[test]
-    fn set_membership_and_equivalent_deltas_report_identically() {
-        // The same admit/evict schedule as whole id-sorted sets and as
-        // deltas: same members in the same order at every boundary, so
-        // the same placements, accounting and replan count.
-        let source = FlatSource {
-            tiles: 3,
-            secs: SLOT / 5.0,
-        };
-        let schedule: [(usize, &[usize], &[usize]); 3] =
-            [(8, &[1, 2], &[]), (24, &[3], &[0]), (40, &[], &[1, 3])];
-        let run = |deltas: bool| {
-            let mut driver = LoopDriver::new(
-                quad(),
-                cfg(48, ReplanPolicy::PerGop { headroom: 1.1 }),
-                vec![0],
-                vec![],
-            );
-            let mut members = vec![0usize];
-            for done in (0..48).step_by(8) {
-                if let Some(&(_, add, remove)) = schedule.iter().find(|step| step.0 == done) {
-                    if deltas {
-                        driver.update_membership(add, remove);
-                    } else {
-                        members.retain(|u| !remove.contains(u));
-                        members.extend_from_slice(add);
-                        members.sort_unstable();
-                        driver.set_membership(members.clone());
-                    }
-                }
-                driver.advance(&source, 8);
-            }
-            driver.into_report().modeled_only()
-        };
-        let whole = run(false);
-        assert_eq!(whole.controller.replans, 4, "slot 0 and three changes");
-        assert_eq!(whole, run(true));
     }
 
     /// Demand that moves every GOP, so each boundary re-places.

@@ -1,13 +1,13 @@
-//! Control-plane regression tests: the optimized GOP-boundary
-//! controller must replay the frozen pre-refactor baseline's decision
-//! stream bit for bit, cost-constrained and degrading runs — which the
-//! cost-oblivious baseline cannot replay — must match recorded goldens,
-//! and batch admission must account for core speeds on heterogeneous
-//! platforms.
+//! Control-plane regression tests: the GOP-boundary controller must
+//! replay the executable specification (`common::spec`) bit for bit,
+//! its tracked shard chooser must pick as the specification's stateless
+//! one does, cost-constrained and degrading runs must match recorded
+//! goldens, and batch admission must account for core speeds on
+//! heterogeneous platforms.
 
 use medvt::admission::{
-    serve_online, serve_online_reference, synthesize_trace, CostPlan, DeadlineClass, EventKind,
-    OnlineConfig, OnlineReport, ShardPolicy, Sharder, TraceConfig, UserRequest, Workload,
+    serve_online, synthesize_trace, CostPlan, DeadlineClass, EventKind, OnlineConfig, ShardPolicy,
+    Sharder, TraceConfig, UserRequest, Workload,
 };
 use medvt::core::{Approach, ServerConfig, ServerSim};
 use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
@@ -22,15 +22,6 @@ const POLICIES: [ShardPolicy; 3] = [
     ShardPolicy::RoundRobin,
     ShardPolicy::ContentAffinity,
 ];
-
-/// `report` without its wall-clock timings and its replan count: what
-/// the frozen reference must match, since it re-places at every
-/// boundary.
-fn decided(report: &OnlineReport) -> OnlineReport {
-    let mut r = report.modeled_only();
-    r.controller.replans = 0;
-    r
-}
 
 const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;
@@ -69,59 +60,32 @@ fn saturating_trace() -> Vec<medvt::admission::UserRequest> {
 fn optimized_controller_replays_the_reference_decision_stream() {
     let profiles = mixed_profiles();
     let trace = saturating_trace();
-    for policy in [
-        ShardPolicy::LeastLoaded,
-        ShardPolicy::RoundRobin,
-        ShardPolicy::ContentAffinity,
-    ] {
+    for policy in POLICIES {
         let cfg = OnlineConfig {
             horizon_slots: 192,
             shard_policy: policy,
             ..Default::default()
         };
         let fast = serve_online(&cfg, &profiles, &trace, xeon_shards());
-        let slow = serve_online_reference(&cfg, &profiles, &trace, xeon_shards());
         let spec = serve_spec(&cfg, &profiles, &trace, xeon_shards()).report;
         assert_eq!(
-            fast.events, slow.events,
+            fast.events, spec.events,
             "{policy:?}: decision streams must be bit-identical"
         );
-        assert_eq!(spec.events, slow.events, "{policy:?}: spec events");
-        assert_eq!(decided(&spec), decided(&slow), "{policy:?}: spec report");
-        assert_eq!(spec, fast.modeled_only(), "{policy:?}: spec vs controller");
-        // Strip the controller cost block entirely: wall times differ
-        // by construction and the fast path legitimately skips no-op
-        // replans, while everything decision-visible must match.
-        let strip = |report: &medvt::admission::OnlineReport| {
-            let mut r = report.clone();
-            r.controller = medvt::runtime::ControllerTiming::default();
-            r
-        };
+        // Only the wall-clock timings may differ: the decision,
+        // boundary and replan counters, every tally and the per-shard
+        // accounting must match.
         assert_eq!(
-            strip(&fast),
-            strip(&slow),
+            fast.modeled_only(),
+            spec,
             "{policy:?}: modeled reports must be bit-identical"
         );
-        assert!(
-            fast.controller.replans <= slow.controller.replans,
-            "{policy:?}: the fast path must not replan more often"
-        );
-        // The counters the throughput metric divides by must agree —
-        // otherwise "decisions per second" compares different work.
-        assert_eq!(fast.controller.decisions, slow.controller.decisions);
-        assert_eq!(fast.controller.boundaries, slow.controller.boundaries);
-        assert!(
-            fast.events.iter().any(|e| e.kind == EventKind::Admit),
-            "{policy:?}: trace must exercise admission"
-        );
-        assert!(
-            fast.events.iter().any(|e| e.kind == EventKind::Abandon),
-            "{policy:?}: a saturating trace must exercise abandons"
-        );
-        assert!(
-            fast.events.iter().any(|e| e.kind == EventKind::Depart),
-            "{policy:?}: trace must exercise departures"
-        );
+        for kind in [EventKind::Admit, EventKind::Abandon, EventKind::Depart] {
+            assert!(
+                fast.events.iter().any(|e| e.kind == kind),
+                "{policy:?}: a saturating trace must exercise {kind:?}"
+            );
+        }
     }
 }
 
@@ -240,12 +204,6 @@ fn every_decision_kind_replays_the_spec() {
             let cell = format!("{policy:?}, degrade {degrade_on_evict}");
             let fast = serve_online(&cfg, &workloads, &trace, every_kind::quad_shards());
             let spec = serve_spec(&cfg, &workloads, &trace, every_kind::quad_shards()).report;
-            if !degrade_on_evict {
-                let slow =
-                    serve_online_reference(&cfg, &workloads, &trace, every_kind::quad_shards());
-                assert_eq!(spec.events, slow.events, "{cell}: spec events");
-                assert_eq!(decided(&spec), decided(&slow), "{cell}: spec report");
-            }
             assert_eq!(fast.events, spec.events, "{cell}: decision stream");
             assert_eq!(fast.modeled_only(), spec, "{cell}: report");
             for kind in [

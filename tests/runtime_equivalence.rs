@@ -185,7 +185,6 @@ mod placement_traces {
     /// One step of a membership script, applied at a GOP boundary.
     pub(super) enum Step {
         Update(&'static [usize], &'static [usize]),
-        Set(&'static [usize]),
         /// No call at all: the driver crosses the boundary on its own.
         Coast,
     }
@@ -197,7 +196,6 @@ mod placement_traces {
         ) {
             match self {
                 Step::Update(add, remove) => driver.update_membership(add, remove),
-                Step::Set(members) => driver.set_membership(members.to_vec()),
                 Step::Coast => {}
             }
         }
@@ -283,36 +281,11 @@ fn placement_traces_match_their_recorded_hashes() {
         ],
     );
 
-    // (iii) The same, with `set_membership` handing over the
-    // current members reordered (9 before 1: equal estimates, so
-    // only the order differs) and deltas resuming after it. No first
-    // delta after a handover removes a member: the delta engine of
-    // the recorded code seeds itself from the members *before*
-    // applying that delta's removals, and keeps placing the leaver.
-    let handover = driver_hash(
-        &[5, 2],
-        &[
-            Step::Update(&[9, 7], &[]),
-            Step::Update(&[1], &[5]),
-            Step::Set(&[9, 2, 7, 1]),
-            Step::Update(&[4], &[]),
-            Step::Update(&[], &[]),
-            Step::Set(&[4, 1, 9]),
-            Step::Update(&[2], &[]),
-            Step::Update(&[], &[4]),
-        ],
-    );
-
     assert_eq!(
-        [per_gop, fixed, deltas, handover],
-        [
-            0x7c87bcfcabe3a89c,
-            0xa546d412ce31ed53,
-            0x6b1573c0763851b4,
-            0xc7128c9f85bdca87
-        ],
+        [per_gop, fixed, deltas],
+        [0x7c87bcfcabe3a89c, 0xa546d412ce31ed53, 0x6b1573c0763851b4],
         "placement-determined accounting moved: \
-         {per_gop:#018x} {fixed:#018x} {deltas:#018x} {handover:#018x}"
+         {per_gop:#018x} {fixed:#018x} {deltas:#018x}"
     );
 }
 
@@ -338,7 +311,7 @@ fn pool_and_sim_drivers_agree_on_misaligned_windows() {
             (Step::Update(&[9, 7], &[]), 11),
             (Step::Coast, 3),
             (Step::Update(&[1], &[5]), 13),
-            (Step::Set(&[9, 2, 7, 1]), 7),
+            (Step::Update(&[4], &[9]), 7),
             (Step::Update(&[], &[2]), 16),
         ];
         for (step, slots) in script {
