@@ -15,9 +15,8 @@
 //! 4. `admit` — queued users whose Algorithm 2 line 1 core demand fits
 //!    a shard chosen by the [`ShardPolicy`], *and* whose billing keeps
 //!    the window spend within the [`CostPlan`] budget, are admitted;
-//! 5. `advance` — each shard's [`LoopDriver`](medvt_runtime::LoopDriver)
-//!    applies its membership *delta*
-//!    ([`update_membership`](medvt_runtime::LoopDriver::update_membership);
+//! 5. `advance` — each shard's [`LoopDriver`] applies its membership
+//!    *delta* ([`update_membership`](LoopDriver::update_membership);
 //!    the driver re-places its threads only when a member or an
 //!    estimate changed) and every shard advances one GOP in lockstep.
 //!
@@ -414,8 +413,7 @@ pub fn serve_online<W: Workload, B: ExecutionBackend>(
 /// [`serve_online`] with a telemetry [`Recorder`] attached: shard
 /// drivers stamp their events with their shard index as the track, the
 /// controller stamps queue-side events (abandon/reject/downgrade,
-/// queue depth, boundary passes) with
-/// [`CONTROL_TRACK`](medvt_telemetry::CONTROL_TRACK), and every
+/// queue depth, boundary passes) with [`CONTROL_TRACK`], and every
 /// counter/histogram is folded into the recorder when the run ends.
 ///
 /// Pass `&FlightRecorder` (a `Copy` recorder) to capture, or

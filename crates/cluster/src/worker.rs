@@ -1,6 +1,6 @@
 //! Worker nodes: threads that transcode leased segments on their own
 //! `Platform` through a per-assignment
-//! [`LoopDriver`](medvt_runtime::LoopDriver) server loop.
+//! [`LoopDriver`] server loop.
 //!
 //! A worker is deliberately dumb: it owns no lease state. It drains
 //! [`WorkerCommand`]s, answers every `Encode` with a

@@ -334,7 +334,8 @@ fn median_mv(mvs: &[MotionVector]) -> MotionVector {
     median_mv_with(mvs, &mut Vec::new(), &mut Vec::new())
 }
 
-/// [`median_mv`] with caller-owned sort buffers.
+/// Component-wise median of the block motion vectors, sorted in the
+/// caller-owned buffers `xs` and `ys`.
 fn median_mv_with(mvs: &[MotionVector], xs: &mut Vec<i16>, ys: &mut Vec<i16>) -> MotionVector {
     if mvs.is_empty() {
         return MotionVector::ZERO;

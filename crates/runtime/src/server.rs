@@ -415,8 +415,7 @@ fn member_index(admitted: &[usize], sorted: bool, user: usize) -> Option<usize> 
 /// carries all cross-slot state: placements, the deadline-window
 /// bookkeeping and the per-user accounting.
 ///
-/// Telemetry: the driver is generic over a
-/// [`Recorder`](medvt_telemetry::Recorder) (default
+/// Telemetry: the driver is generic over a [`Recorder`] (default
 /// [`NoopRecorder`] — zero cost, statically dispatched away). Cheap
 /// counters/histograms are always maintained in a local [`Metrics`]
 /// registry; typed events (GOP boundary, replan, per-core slot
