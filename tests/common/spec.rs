@@ -62,6 +62,13 @@ pub fn ledger_bits(ledger: &CostReport) -> (usize, u64, u64, usize) {
     )
 }
 
+/// Every shard policy, in declaration order.
+pub const POLICIES: [ShardPolicy; 3] = [
+    ShardPolicy::LeastLoaded,
+    ShardPolicy::RoundRobin,
+    ShardPolicy::ContentAffinity,
+];
+
 /// Fit tolerance of every capacity and budget comparison.
 const EPS: f64 = 1e-9;
 

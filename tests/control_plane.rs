@@ -6,22 +6,16 @@
 //! heterogeneous platforms.
 
 use medvt::admission::{
-    serve_online, synthesize_trace, CostPlan, DeadlineClass, EventKind, OnlineConfig, ShardPolicy,
-    Sharder, TraceConfig, UserRequest, Workload,
+    serve_online, synthesize_trace, CostPlan, DeadlineClass, EventKind, OnlineConfig, Sharder,
+    TraceConfig, UserRequest, Workload,
 };
 use medvt::core::{Approach, ServerConfig, ServerSim};
 use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
 
 mod common;
-use common::spec::{serve_spec, StatelessChooser};
+use common::spec::{serve_spec, StatelessChooser, POLICIES};
 use common::synthetic_profile as profile;
-
-const POLICIES: [ShardPolicy; 3] = [
-    ShardPolicy::LeastLoaded,
-    ShardPolicy::RoundRobin,
-    ShardPolicy::ContentAffinity,
-];
 
 const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;
@@ -351,11 +345,7 @@ fn cost_plans_replay_their_recorded_decision_streams() {
     };
     let mut hashes = Vec::new();
     let mut spec_hashes = Vec::new();
-    for policy in [
-        ShardPolicy::LeastLoaded,
-        ShardPolicy::RoundRobin,
-        ShardPolicy::ContentAffinity,
-    ] {
+    for policy in POLICIES {
         // Budgets sit at three quarters of each fleet's capacity.
         for (unlimited, degrade) in [(true, false), (false, false), (false, true)] {
             let fleets: [(Fleet, f64); 2] = [(xeon_shards, 24.0), (hetero_shards, 8.7)];

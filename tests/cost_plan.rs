@@ -26,7 +26,7 @@
 
 use medvt::admission::{
     replay_cost, serve_online, synthesize_trace, AdmissionEvent, CostPlan, EventKind, OnlineConfig,
-    ShardPolicy, TraceConfig, UserRequest,
+    TraceConfig, UserRequest,
 };
 use medvt::core::VideoProfile;
 use medvt::mpsoc::{FrequencySet, Platform, PowerModel};
@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
-use common::spec::{ledger_bits, serve_spec};
+use common::spec::{ledger_bits, serve_spec, POLICIES};
 use common::{live_online_config, synthetic_profile as profile};
 
 const HORIZON: usize = 144;
@@ -44,12 +44,6 @@ const HORIZON: usize = 144;
 /// (fps, slots per GOP): GOPs aligned with the one-second window, then
 /// 5-slot GOPs in a 24-slot window and 8-slot GOPs in a 30-slot one.
 const FPS_GOPS: [(f64, usize); 3] = [(24.0, 8), (24.0, 5), (30.0, 8)];
-
-const POLICIES: [ShardPolicy; 3] = [
-    ShardPolicy::LeastLoaded,
-    ShardPolicy::RoundRobin,
-    ShardPolicy::ContentAffinity,
-];
 
 /// The three cost plans, named: unlimited, a `budget` of credits per
 /// window at one credit per core, and the same budget degrading
