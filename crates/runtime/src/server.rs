@@ -1062,19 +1062,29 @@ mod tests {
         }
     }
 
+    /// `u`'s current run of missed windows on `driver`.
+    fn streak<B: ExecutionBackend>(driver: &LoopDriver<B>, u: usize) -> usize {
+        driver
+            .user_stats(u)
+            .map_or(0, |s| s.consecutive_window_misses)
+    }
+
     #[test]
     fn light_load_meets_every_window() {
         let source = FlatSource {
             tiles: 4,
             secs: SLOT / 16.0,
         };
-        let report = LoopDriver::new(
+        let mut driver = LoopDriver::new(
             quad(),
             cfg(48, ReplanPolicy::PerGop { headroom: 1.1 }),
             vec![0],
             vec![],
-        )
-        .run(&source);
+        );
+        driver.advance(&source, 48);
+        assert_eq!(streak(&driver, 0), 0);
+        assert_eq!(driver.miss_streaks().count(), 0);
+        let report = driver.into_report();
         assert_eq!(report.miss_slots, 0);
         assert_eq!(report.window_misses, 0);
         assert!(report.windows > 0);
@@ -1127,13 +1137,20 @@ mod tests {
             tiles: 4,
             secs: SLOT / 2.0,
         };
-        let report = LoopDriver::new(
+        let mut driver = LoopDriver::new(
             quad(),
             cfg(48, ReplanPolicy::PerGop { headroom: 1.0 }),
             vec![0, 1, 2, 3],
             vec![],
-        )
-        .run(&source);
+        );
+        driver.advance(&source, 48);
+        // Sustained overload: both windows miss for every member, and
+        // each one's streak counts them — the signal eviction keys on.
+        for u in 0..4 {
+            assert_eq!(streak(&driver, u), 2, "user {u}");
+        }
+        assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let report = driver.into_report();
         assert!(report.miss_slots > 0);
         assert!(report.window_misses > 0);
         assert!(report.on_time_rate() < 1.0);
@@ -1320,10 +1337,38 @@ mod tests {
         // The leaver's row still counts the window it worked in...
         let left = driver.user_stats(1).expect("user 1 worked");
         assert_eq!((left.windows, left.window_misses), (1, 1));
+        assert_eq!(streak(&driver, 1), 1);
         // ...but only the member streaks.
         assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
         driver.advance(&source, 24);
         assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn a_member_rejoining_resumes_its_miss_streak() {
+        // Every window misses, as above. User 1 leaves after one missed
+        // window, sits out the next and re-joins for a third.
+        let source = FlatSource {
+            tiles: 4,
+            secs: SLOT * 2.0,
+        };
+        let mut driver = LoopDriver::new(
+            quad(),
+            cfg(0, ReplanPolicy::PerGop { headroom: 1.0 }),
+            vec![0, 1],
+            vec![],
+        );
+        driver.advance(&source, 24);
+        assert_eq!([streak(&driver, 0), streak(&driver, 1)], [1, 1]);
+        driver.update_membership(&[], &[1]);
+        driver.advance(&source, 24);
+        // The leaver keeps its count, off the members' streak set.
+        assert_eq!([streak(&driver, 0), streak(&driver, 1)], [2, 1]);
+        assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
+        driver.update_membership(&[1], &[]);
+        driver.advance(&source, 24);
+        assert_eq!([streak(&driver, 0), streak(&driver, 1)], [3, 2]);
+        assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0, 1]);
     }
 
     /// Demand that moves every GOP, so each boundary re-places.

@@ -142,9 +142,9 @@ mod placement_traces {
         }
     }
 
-    /// Energy and deadline accounting of a report — everything the
+    /// Energy and deadline totals of a report — everything the
     /// placements determine, nothing the replan *count* does.
-    fn hash_report(hash: &mut u64, report: &LoopReport) {
+    fn hash_totals(hash: &mut u64, report: &LoopReport) {
         fnv1a(hash, &report.energy_j.to_bits().to_le_bytes());
         for n in [
             report.miss_slots,
@@ -154,6 +154,10 @@ mod placement_traces {
         ] {
             fnv1a(hash, &(n as u64).to_le_bytes());
         }
+    }
+
+    /// The report's per-user rows, hashed on after its totals.
+    fn hash_users(hash: &mut u64, report: &LoopReport) {
         for u in &report.users {
             fnv1a(hash, &(u.user as u64).to_le_bytes());
             fnv1a(hash, &u.energy_j.to_bits().to_le_bytes());
@@ -167,7 +171,7 @@ mod placement_traces {
         replan: ReplanPolicy,
         admitted: &[usize],
         initial: &[Placement],
-    ) -> u64 {
+    ) -> (u64, u64) {
         let report = LoopDriver::new(
             backend(),
             cfg(72, replan),
@@ -178,8 +182,10 @@ mod placement_traces {
         .modeled_only();
         assert!(report.energy_j > 0.0);
         let mut hash = 0xcbf29ce484222325;
-        hash_report(&mut hash, &report);
-        hash
+        hash_totals(&mut hash, &report);
+        let totals = hash;
+        hash_users(&mut hash, &report);
+        (totals, hash)
     }
 
     /// One step of a membership script, applied at a GOP boundary.
@@ -201,7 +207,7 @@ mod placement_traces {
         }
     }
 
-    pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> u64 {
+    pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> (u64, u64) {
         let rec = FlightRecorder::modeled(1, 1 << 12);
         let mut driver = LoopDriver::with_recorder(
             backend(),
@@ -224,8 +230,10 @@ mod placement_traces {
                 fnv1a(&mut hash, &word.to_le_bytes());
             }
         }
-        hash_report(&mut hash, &report);
-        hash
+        hash_totals(&mut hash, &report);
+        let totals = hash;
+        hash_users(&mut hash, &report);
+        (totals, hash)
     }
 }
 
@@ -237,9 +245,14 @@ fn placement_traces_match_their_recorded_hashes() {
 
     // (i) Closed-membership batch runs. Members arrive in *non-id*
     // order; placing them id-sorted instead moves the first hash.
-    let per_gop = batch_hash(
+    let (per_gop, per_gop_users) = batch_hash(
         ReplanPolicy::PerGop { headroom: 1.1 },
         &[7, 5, 2, 9, 1],
+        &[],
+    );
+    let (sorted, _) = batch_hash(
+        ReplanPolicy::PerGop { headroom: 1.1 },
+        &[1, 2, 5, 7, 9],
         &[],
     );
     // Static keeps hand-made initial placements for the whole run:
@@ -261,13 +274,13 @@ fn placement_traces_match_their_recorded_hashes() {
         place(2, 1, 2),
         place(2, 2, 3),
     ];
-    let fixed = batch_hash(ReplanPolicy::Static, &[7, 5, 2], &initial);
+    let (fixed, fixed_users) = batch_hash(ReplanPolicy::Static, &[7, 5, 2], &initial);
 
     // (ii) Delta-driven serving from a caller-ordered start: joins,
     // leaves, the varying member 7, steady members 1/9, empty
     // deltas over changed and unchanged estimates, an unknown
     // leaver and a re-added member.
-    let deltas = driver_hash(
+    let (deltas, deltas_users) = driver_hash(
         &[5, 2],
         &[
             Step::Update(&[9, 7], &[]),
@@ -283,9 +296,19 @@ fn placement_traces_match_their_recorded_hashes() {
 
     assert_eq!(
         [per_gop, fixed, deltas],
-        [0x7c87bcfcabe3a89c, 0xa546d412ce31ed53, 0x6b1573c0763851b4],
+        [0xa7089b69a9eeabc8, 0x00bdf6496510d54e, 0x17fdeed8f0f0c81c],
         "placement-determined accounting moved: \
          {per_gop:#018x} {fixed:#018x} {deltas:#018x}"
+    );
+    assert_eq!(
+        sorted, 0xafd3dc07024a69bc,
+        "id-sorted start: {sorted:#018x}"
+    );
+    assert_eq!(
+        [per_gop_users, fixed_users, deltas_users],
+        [0x7c87bcfcabe3a89c, 0xa546d412ce31ed53, 0x6b1573c0763851b4],
+        "per-user accounting moved: \
+         {per_gop_users:#018x} {fixed_users:#018x} {deltas_users:#018x}"
     );
 }
 
@@ -357,6 +380,16 @@ mod driver_accounting {
         DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend, UserLoopStats,
     };
     use medvt::sched::Placement;
+
+    /// Every user the script ever admits.
+    const USERS: [usize; 4] = [1, 2, 3, 5];
+
+    /// `u`'s current run of missed windows on `driver`.
+    fn streak(driver: &LoopDriver<SimBackend>, u: usize) -> usize {
+        driver
+            .user_stats(u)
+            .map_or(0, |s| s.consecutive_window_misses)
+    }
 
     /// Exact binary fractions of a second (slot = 1/24 s):
     ///
@@ -431,18 +464,22 @@ mod driver_accounting {
         let backend = SimBackend::new(Platform::quad_core(), PowerModel::default());
         let mut driver = LoopDriver::new(backend, cfg, vec![1, 2, 3], initial);
         let mut streaks = Vec::new();
+        let mut counts = Vec::new();
         driver.advance(&Pin, 20);
         streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        counts.push(USERS.map(|u| streak(&driver, u)));
         driver.advance(&Pin, 4);
         driver.update_membership(&[], &[2]);
         driver.advance(&Pin, 8);
         driver.update_membership(&[2], &[]);
         driver.advance(&Pin, 8);
         streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        counts.push(USERS.map(|u| streak(&driver, u)));
         driver.advance(&Pin, 4);
         driver.update_membership(&[5], &[3]);
         driver.advance(&Pin, 16);
         streaks.push(driver.miss_streaks().collect::<Vec<_>>());
+        counts.push(USERS.map(|u| streak(&driver, u)));
         let departed = stats_words(driver.user_stats(3).expect("user 3 ran"));
         let report = driver.into_report();
         let users: Vec<[u64; 6]> = report.users.iter().map(stats_words).collect();
@@ -458,6 +495,8 @@ mod driver_accounting {
         // users 1-3 (shared-core fate after the re-placements); window
         // 60 is on time for everyone, departed user 3 included.
         assert_eq!(streaks, [vec![3], vec![1, 2, 3], vec![]]);
+        // User 3 missed both windows it worked in before the last.
+        assert_eq!(counts, [[0, 0, 1, 0], [1, 1, 2, 0], [0, 0, 0, 0]]);
         assert_eq!(departed, [3, 0x402815b7c9ca5d2c, 3, 2, 0, 44]);
         assert_eq!(
             users,
