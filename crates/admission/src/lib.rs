@@ -22,7 +22,7 @@
 //! | Algorithm 2 line 1 per-user core demand | [`OnlineConfig::padded_demand`]: [`Workload::steady_demand`] × FPS × headroom, the admission unit |
 //! | lines 2–3 maximize admitted users under `N_c` | GOP-boundary FIFO admission against per-socket capacity ([`serve_online`] step 4) |
 //! | §III-D2 re-allocation at each GOP | shard membership pushed into `runtime::LoopDriver`, which re-runs the speed-aware `sched::place_threads_on` per socket |
-//! | "framerate … checked every second" | per-user window accounting (`runtime::UserLoopStats`); sustained misses trigger eviction by [`DeadlineClass`] tolerance |
+//! | "framerate … checked every second" | each user's run of missed windows (`runtime::LoopDriver::miss_streak`); sustained misses trigger eviction by [`DeadlineClass`] tolerance |
 //! | 4-socket Xeon evaluation server (§IV-A) | one shard per socket (`Platform::socket_view`), placed by a pluggable [`ShardPolicy`] |
 //! | always-full queue of §IV-B2 | a special case of [`TraceConfig`] (arrival rate ≫ service rate) |
 //!

@@ -9,7 +9,7 @@
 //!    gave up are abandoned);
 //! 3. `evict` — users whose consecutive missed one-second windows
 //!    exceed their [`DeadlineClass`](crate::DeadlineClass) tolerance
-//!    are removed — read from the runtime's per-user accounting; under
+//!    are removed — read from the runtime's per-user miss streak; under
 //!    [`CostPlan::degrade_on_evict`] the evicted user re-enters the
 //!    queue one deadline class lower instead of being dropped;
 //! 4. `admit` — queued users whose Algorithm 2 line 1 core demand fits
@@ -717,11 +717,10 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         let mut evicting: Vec<usize> = Vec::new();
         for (s, d) in self.drivers.iter().enumerate() {
             for u in d.miss_streaks() {
-                let over = self.active.get(&u).is_some_and(|a| {
-                    a.shard == s
-                        && d.user_stats(u)
-                            .is_some_and(|s| s.consecutive_window_misses >= a.miss_tolerance)
-                });
+                let over = self
+                    .active
+                    .get(&u)
+                    .is_some_and(|a| a.shard == s && d.miss_streak(u) >= a.miss_tolerance);
                 if over {
                     evicting.push(u);
                 }

@@ -171,9 +171,6 @@ pub struct SlotReport {
     pub slot_secs: f64,
     /// Total energy over the slot, joules.
     pub energy_j: f64,
-    /// Per-core energy over the slot, joules (sums to `energy_j`) —
-    /// what per-user energy attribution in the server loop splits up.
-    pub energy_j_per_core: Vec<f64>,
     /// Cores that failed to finish their load.
     pub deadline_misses: usize,
     /// Cores whose slot was entirely consumed by DVFS transition
@@ -226,7 +223,6 @@ pub fn simulate_slot(
         "one previous frequency per core required"
     );
     let mut cores = Vec::with_capacity(loads.len());
-    let mut core_energy = Vec::with_capacity(loads.len());
     let mut energy = 0.0;
     let mut misses = 0;
     let mut transition_bound = 0;
@@ -240,7 +236,6 @@ pub fn simulate_slot(
             prev_freqs[k],
         );
         let e = plan.energy_j(class.power().unwrap_or(power), slot_secs);
-        core_energy.push(e);
         energy += e;
         if !plan.met_deadline() {
             misses += 1;
@@ -254,7 +249,6 @@ pub fn simulate_slot(
         cores,
         slot_secs,
         energy_j: energy,
-        energy_j_per_core: core_energy,
         deadline_misses: misses,
         transition_bound_cores: transition_bound,
     }
@@ -519,8 +513,12 @@ mod tests {
         assert_eq!(report.active_cores(), 3);
         assert!(report.cores[3].carry_fmax_secs > 0.0);
         assert!(report.power_w() > 0.0);
-        assert_eq!(report.energy_j_per_core.len(), 4);
-        let sum: f64 = report.energy_j_per_core.iter().sum();
+        let sum: f64 = report
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(k, c)| c.energy_j(p.class_of(k).power().unwrap_or(&m), SLOT))
+            .sum();
         assert!((sum - report.energy_j).abs() < 1e-12);
     }
 
@@ -607,7 +605,8 @@ mod tests {
         assert!(little_ladder.contains(&report.cores[4].freq));
         // The LITTLE class's lighter power model prices its idle cores
         // below the big class's idle cores.
-        assert!(report.energy_j_per_core[5] < report.energy_j_per_core[1]);
+        let energy = |k: usize| report.cores[k].energy_j(p.class_of(k).power().unwrap_or(&m), SLOT);
+        assert!(energy(5) < energy(1));
     }
 
     #[test]

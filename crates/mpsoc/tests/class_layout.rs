@@ -75,7 +75,9 @@ fn simulate_slot_plans_each_core_on_its_class() {
                 let e = plan.energy_j(class.power().unwrap_or(&power), SLOT);
                 assert_eq!(report.cores[k], plan, "{} core {k}", p.name);
                 assert_eq!(
-                    report.energy_j_per_core[k].to_bits(),
+                    report.cores[k]
+                        .energy_j(class.power().unwrap_or(&power), SLOT)
+                        .to_bits(),
                     e.to_bits(),
                     "{} core {k}",
                     p.name

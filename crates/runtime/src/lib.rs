@@ -24,9 +24,9 @@
 //!   *same* analytical model;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
-//!   stepped GOP by GOP with per-user accounting and membership deltas
-//!   as the per-socket shard loop under `medvt-admission`'s online
-//!   serving and each `medvt-cluster` worker.
+//!   stepped GOP by GOP with membership deltas and each user's miss
+//!   streak as the per-socket shard loop under `medvt-admission`'s
+//!   online serving and each `medvt-cluster` worker.
 //!
 //! # Mapping to the paper's Algorithm 2
 //!
@@ -84,7 +84,7 @@ mod threadpool;
 pub use backend::{ExecutionBackend, SlotOutcome, WorkUnit};
 pub use server::{
     ControllerTiming, DemandSource, LoopDriver, LoopReport, ReplanPolicy, ServerLoopConfig,
-    UserLoopStats, WindowTiming,
+    WindowTiming,
 };
 pub use sim::SimBackend;
 pub use threadpool::ThreadPoolBackend;

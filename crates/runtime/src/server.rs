@@ -12,9 +12,10 @@
 //! * [`LoopDriver::run`] — the closed-membership batch run used by
 //!   `core::ServerSim` (admission settled up front);
 //! * explicit stepping behind online serving: an admission controller
-//!   advances the loop GOP by GOP ([`LoopDriver::advance`]), reads the
-//!   per-user accounting ([`UserLoopStats`]) and applies membership
-//!   deltas at GOP boundaries with [`LoopDriver::update_membership`].
+//!   advances the loop GOP by GOP ([`LoopDriver::advance`]), reads
+//!   members' miss streaks ([`LoopDriver::miss_streak`]) and applies
+//!   membership deltas at GOP boundaries with
+//!   [`LoopDriver::update_membership`].
 //!
 //! There is one placer: [`place_threads_on`] from scratch over the
 //! members' padded GOP estimates, run only when a member joined or
@@ -25,14 +26,19 @@
 //!
 //! What a slot costs follows from its placements: each time they (or
 //! the membership) change the driver rebuilds, in its own buffers, a
-//! placement plan — each placement's member, each placed member once,
-//! and the placements' by-core order. A member keeps, from its join to
-//! its leaving, its row in a dense per-user stats table and its last
+//! placement plan — each placement's member and each placed member
+//! once. A member keeps, from its join to its leaving, its last
 //! `demand_at` vector. Each slot asks the source for one vector per
 //! placed member — a [`DemandSource::steady`] member's only once per
-//! join, whatever the placements do meanwhile — and accounts the slot
-//! with flat scans over the plan. At a window's end only members enter
-//! the miss-streak set ([`LoopDriver::miss_streaks`]).
+//! join, whatever the placements do meanwhile.
+//!
+//! Per user the driver keeps one number, what eviction reads: the run
+//! of consecutively missed windows of each user whose latest window
+//! missed. The count outlives a leaving, so a re-joining user resumes
+//! it; at a window's end only members enter the miss-streak set
+//! ([`LoopDriver::miss_streaks`]). Driver state is thus bounded by the
+//! members plus the users that left mid-streak, not by every user ever
+//! served.
 //!
 //! `core::ServerSim` wraps this loop with profile-driven admission and
 //! Table II reporting; real-execution servers feed it closures through
@@ -182,33 +188,6 @@ impl ServerLoopConfig {
     }
 }
 
-/// Per-user accounting over a run — what an admission controller
-/// observes to evict under sustained deadline misses.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct UserLoopStats {
-    /// User identifier.
-    pub user: usize,
-    /// Energy attributed to this user, joules: each core's slot energy
-    /// split across that core's users proportional to submitted cost.
-    /// The split is approximate at carry boundaries — work carried
-    /// from an earlier slot is charged to whoever submits on that core
-    /// in the slot that drains it (shared-core fate, like window
-    /// misses), and stays unattributed only when nothing is submitted
-    /// there at all.
-    pub energy_j: f64,
-    /// Deadline windows in which the user had work scheduled.
-    pub windows: usize,
-    /// Of those, windows where a core running this user's threads
-    /// ended with unfinished work (shared-core fate: co-located users
-    /// miss together).
-    pub window_misses: usize,
-    /// Current run of consecutively missed windows (reset by an
-    /// on-time window) — the sustained-miss signal eviction keys on.
-    pub consecutive_window_misses: usize,
-    /// Slots in which the user had positive demand.
-    pub active_slots: usize,
-}
-
 /// Measured-vs-modeled timing of one deadline window — the
 /// validation quantity behind live serving (does the analytical model
 /// the placement math trusts predict real execution?).
@@ -278,8 +257,6 @@ pub struct LoopReport {
     pub slots: usize,
     /// Wall-clock seconds spent executing real work (pool backends).
     pub wall_secs: f64,
-    /// Per-user accounting, sorted by user id.
-    pub users: Vec<UserLoopStats>,
     /// Measured vs. modeled time of every deadline window, in window
     /// order — including a trailing partial window when the run ended
     /// (or was observed) mid-window, so the totals reconcile with
@@ -308,14 +285,6 @@ impl LoopReport {
         } else {
             1.0 - self.window_misses as f64 / self.windows as f64
         }
-    }
-
-    /// The accounting row for `user`, if it ever had work.
-    pub fn user(&self, user: usize) -> Option<&UserLoopStats> {
-        self.users
-            .binary_search_by_key(&user, |u| u.user)
-            .ok()
-            .map(|i| &self.users[i])
     }
 
     /// Total measured wall seconds over completed deadline windows.
@@ -370,29 +339,14 @@ fn unestimated(user: usize) -> UserDemand {
     }
 }
 
-/// What the per-slot path keeps of a member from one plan to the next.
-#[derive(Debug)]
-struct Member {
-    /// The user's row in the driver's per-user stats table.
-    row: usize,
-    /// `demand_at(user, slot)` of the slot planned last — for a
-    /// [`Mark::Steady`] member, of its first planned slot since it
-    /// joined; `None` before that fetch.
-    demand: Option<Vec<f64>>,
-}
-
 /// What the per-slot path needs from the placements, rebuilt (into the
-/// same buffers) only when they change: each placed member once, and
-/// the placements' order for energy attribution.
+/// same buffers) only when they change.
 #[derive(Debug, Default)]
 struct PlacementPlan {
     /// Indices into `admitted` of the placed members, ascending.
     placed: Vec<usize>,
     /// Each placement's index into `admitted`, in placement order.
     member_of: Vec<usize>,
-    /// Placement indices sorted by core, in placement order within a
-    /// core.
-    by_core: Vec<usize>,
 }
 
 /// `user`'s index in `admitted`: a binary search when the members are
@@ -413,7 +367,7 @@ fn member_index(admitted: &[usize], sorted: bool, user: usize) -> Option<usize> 
 /// The driver owns its backend (`&mut B` also implements
 /// [`ExecutionBackend`], so borrowing callers pass a reborrow) and
 /// carries all cross-slot state: placements, the deadline-window
-/// bookkeeping and the per-user accounting.
+/// bookkeeping and the users' miss streaks.
 ///
 /// Telemetry: the driver is generic over a [`Recorder`] (default
 /// [`NoopRecorder`] — zero cost, statically dispatched away). Cheap
@@ -441,9 +395,10 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     demands: Vec<UserDemand>,
     /// How each member's estimate is kept current, in `admitted` order.
     marks: Vec<Mark>,
-    /// Each member's stats row and last fetched demand, in `admitted`
-    /// order.
-    members: Vec<Member>,
+    /// Each member's `demand_at(user, slot)` of the slot planned last
+    /// — for a [`Mark::Steady`] member, of its first planned slot since
+    /// it joined; `None` before that fetch. In `admitted` order.
+    fetched: Vec<Option<Vec<f64>>>,
     placements: Vec<Placement>,
     plan: PlacementPlan,
     /// Membership changed: visit the placer at the next slot, GOP
@@ -455,23 +410,17 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     /// Members currently on a consecutive-window-miss streak — lets
     /// eviction scans skip users that are on time.
     miss_streaks: BTreeSet<usize>,
+    /// Each user's run of consecutively missed windows, kept only while
+    /// its latest window missed — leavers included, so a re-joining
+    /// user resumes its count.
+    streaks: BTreeMap<usize, usize>,
     meter: Metrics,
     slot: usize,
     window_len: usize,
     active_in_window: Vec<bool>,
-    /// The (row, core) of every placement that submitted work in the
-    /// window, once per run; grouped by row at the window end.
+    /// The (user, core) of every placement that submitted work in the
+    /// window, once per run; grouped by user at the window end.
     window_cells: Vec<(usize, usize)>,
-    /// Per-user accounting, one row per user that ever joined (rows without
-    /// an active slot are not reported).
-    rows: Vec<UserLoopStats>,
-    /// `1 +` the last slot counted in each row's `active_slots`.
-    row_stamps: Vec<usize>,
-    /// Each user's row, read when the user joins, by
-    /// [`LoopDriver::user_stats`] and for the report's id order.
-    row_of: BTreeMap<usize, usize>,
-    /// Per-core submitted cost of the slot being accounted.
-    totals: Vec<f64>,
     energy_j: f64,
     miss_slots: usize,
     windows: usize,
@@ -539,7 +488,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             executes_work,
             demands: admitted.iter().copied().map(unestimated).collect(),
             marks: vec![Mark::Fresh; admitted.len()],
-            members: Vec::new(),
+            fetched: vec![None; admitted.len()],
             admitted,
             // Handed-in placements were not computed from estimates.
             dirty: !initial.is_empty(),
@@ -547,15 +496,12 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             plan: PlacementPlan::default(),
             replan_pending: unplaced,
             miss_streaks: BTreeSet::new(),
+            streaks: BTreeMap::new(),
             meter: Metrics::new(),
             slot: 0,
             window_len: cfg.window_len(),
             active_in_window: vec![false; cores],
             window_cells: Vec::new(),
-            rows: Vec::new(),
-            row_stamps: Vec::new(),
-            row_of: BTreeMap::new(),
-            totals: vec![0.0; cores],
             energy_j: 0.0,
             miss_slots: 0,
             windows: 0,
@@ -566,20 +512,15 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_modeled_acc: 0.0,
             window_times: Vec::new(),
         };
-        driver.members = (0..driver.admitted.len())
-            .map(|i| driver.joined(driver.admitted[i]))
-            .collect();
         driver.build_plan();
         driver
     }
 
-    /// Running per-user accounting for `user` (None before its first
-    /// scheduled slot).
-    pub fn user_stats(&self, user: usize) -> Option<&UserLoopStats> {
-        self.row_of
-            .get(&user)
-            .map(|&row| &self.rows[row])
-            .filter(|stats| stats.active_slots > 0)
+    /// `user`'s run of consecutively missed windows, reset by an
+    /// on-time one: what eviction compares against its tolerance. A
+    /// user that leaves keeps its count and resumes it on re-joining.
+    pub fn miss_streak(&self, user: usize) -> usize {
+        self.streaks.get(&user).copied().unwrap_or(0)
     }
 
     /// Applies a membership *delta*, keeping members in ascending id.
@@ -598,9 +539,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             self.admitted.sort_unstable();
             self.demands = self.admitted.iter().copied().map(unestimated).collect();
             self.marks = vec![Mark::Fresh; self.admitted.len()];
-            self.members = (0..self.admitted.len())
-                .map(|i| self.joined(self.admitted[i]))
-                .collect();
+            self.fetched = vec![None; self.admitted.len()];
             self.dirty = true;
             self.replan_pending = true;
         }
@@ -609,7 +548,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
                 self.admitted.remove(i);
                 self.demands.remove(i);
                 self.marks.remove(i);
-                self.members.remove(i);
+                self.fetched.remove(i);
                 self.dirty = true;
             }
             self.miss_streaks.remove(&u);
@@ -618,14 +557,13 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             match self.admitted.binary_search(&u) {
                 Ok(i) => {
                     self.marks[i] = Mark::Fresh;
-                    self.members[i].demand = None;
+                    self.fetched[i] = None;
                 }
                 Err(i) => {
                     self.admitted.insert(i, u);
                     self.demands.insert(i, unestimated(u));
                     self.marks.insert(i, Mark::Fresh);
-                    let member = self.joined(u);
-                    self.members.insert(i, member);
+                    self.fetched.insert(i, None);
                     self.dirty = true;
                 }
             }
@@ -685,12 +623,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             active_core_slots: self.active_core_slots,
             slots: self.slot,
             wall_secs: self.wall_secs,
-            users: self
-                .row_of
-                .values()
-                .map(|&row| self.rows[row])
-                .filter(|stats| stats.active_slots > 0)
-                .collect(),
             window_times: self.window_times,
             controller: ControllerTiming::from_metrics(&self.meter),
         }
@@ -777,20 +709,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         true
     }
 
-    /// A joining member: its stats row (created on the user's first
-    /// join) and no demand fetched yet.
-    fn joined(&mut self, user: usize) -> Member {
-        let row = *self.row_of.entry(user).or_insert_with(|| {
-            self.rows.push(UserLoopStats {
-                user,
-                ..Default::default()
-            });
-            self.row_stamps.push(0);
-            self.rows.len() - 1
-        });
-        Member { row, demand: None }
-    }
-
     /// Rebuilds the placement plan from `placements` in place.
     ///
     /// # Panics
@@ -809,11 +727,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         plan.placed.extend_from_slice(&plan.member_of);
         plan.placed.sort_unstable();
         plan.placed.dedup();
-        plan.by_core.clear();
-        plan.by_core.extend(0..self.placements.len());
-        let placements = &self.placements;
-        plan.by_core
-            .sort_unstable_by_key(|&i| (placements[i].core, i));
     }
 
     /// Executes a run of `len` slots: thread allocation once per GOP
@@ -867,16 +780,16 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             .collect();
         // Runs never cross a window boundary: a placement that worked in
         // any of the run's slots worked in this window.
-        for (i, (p, &m)) in self.placements.iter().zip(&self.plan.member_of).enumerate() {
+        for (i, p) in self.placements.iter().enumerate() {
             if costs[i..].iter().step_by(n).any(|&c| c > 0.0) {
-                self.window_cells.push((self.members[m].row, p.core));
+                self.window_cells.push((p.user, p.core));
             }
         }
         let (reports, wall_secs) = self.backend.execute_run(self.cfg.policy, slot_secs, slots);
         self.wall_secs += wall_secs;
         self.window_wall_acc += wall_secs;
-        for (k, report) in reports.iter().enumerate() {
-            self.account_slot(report, &costs[k * n..(k + 1) * n]);
+        for report in &reports {
+            self.account_slot(report);
         }
     }
 
@@ -889,9 +802,8 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         costs: &mut Vec<f64>,
     ) -> Vec<WorkUnit<'s>> {
         for &i in &self.plan.placed {
-            let member = &mut self.members[i];
-            if self.marks[i] != Mark::Steady || member.demand.is_none() {
-                member.demand = Some(source.demand_at(self.admitted[i], slot));
+            if self.marks[i] != Mark::Steady || self.fetched[i].is_none() {
+                self.fetched[i] = Some(source.demand_at(self.admitted[i], slot));
             }
         }
         // Placement vectors cover the maximum tile count of the
@@ -899,7 +811,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         // the higher thread indices.
         let mut work: Vec<WorkUnit<'_>> = Vec::with_capacity(self.placements.len());
         for (p, &m) in self.placements.iter().zip(&self.plan.member_of) {
-            let demand = self.members[m].demand.as_deref().unwrap_or_default();
+            let demand = self.fetched[m].as_deref().unwrap_or_default();
             let cost = demand.get(p.thread).copied().unwrap_or(0.0);
             costs.push(cost);
             // Jobs are only materialized for backends that run them;
@@ -921,11 +833,11 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         work
     }
 
-    /// Books the current slot's analytical `report` given its
-    /// per-placement `costs`: energy, modeled window time, per-user
-    /// accounting and, at a window's last slot, the framerate check.
-    /// The run's wall time is already booked.
-    fn account_slot(&mut self, report: &SlotReport, costs: &[f64]) {
+    /// Books the current slot's analytical `report`: energy, modeled
+    /// window time and, at a window's last slot, the framerate check
+    /// and the users' miss streaks. The run's wall time is already
+    /// booked.
+    fn account_slot(&mut self, report: &SlotReport) {
         self.meter.add(CounterId::SlotsExecuted, 1);
         if report.transition_bound_cores > 0 {
             self.meter.add(
@@ -948,31 +860,6 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         for (k, core) in report.cores.iter().enumerate() {
             if core.busy_secs > 0.0 {
                 self.active_in_window[k] = true;
-            }
-        }
-        // Per-user accounting: active slots, and each core's slot
-        // energy split proportional to the users' submitted cost.
-        let stamp = self.slot + 1;
-        self.totals.fill(0.0);
-        for ((p, &m), &cost) in self.placements.iter().zip(&self.plan.member_of).zip(costs) {
-            if cost > 0.0 {
-                let row = self.members[m].row;
-                if self.row_stamps[row] != stamp {
-                    self.row_stamps[row] = stamp;
-                    self.rows[row].active_slots += 1;
-                }
-                self.totals[p.core] += cost;
-            }
-        }
-        // Core by core, each core's users in placement order; every
-        // cost is positive, so every total used is too.
-        for &i in &self.plan.by_core {
-            let cost = costs[i];
-            if cost > 0.0 {
-                let core = self.placements[i].core;
-                let row = self.members[self.plan.member_of[i]].row;
-                self.rows[row].energy_j +=
-                    report.energy_j_per_core[core] * cost / self.totals[core];
             }
         }
         // One-second framerate check (paper §III-D2): a core misses
@@ -1004,22 +891,20 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             self.window_cells.sort_unstable();
             let sorted = self.admitted.is_sorted();
             for cells in self.window_cells.chunk_by(|a, b| a.0 == b.0) {
-                let stats = &mut self.rows[cells[0].0];
-                stats.windows += 1;
+                let user = cells[0].0;
                 let missed = cells
                     .iter()
                     .any(|&(_, k)| report.cores[k].carry_fmax_secs > 1e-9);
                 if missed {
-                    stats.window_misses += 1;
-                    stats.consecutive_window_misses += 1;
-                    // A member that left mid-window still counts the
-                    // window in its row, but only members streak.
-                    if member_index(&self.admitted, sorted, stats.user).is_some() {
-                        self.miss_streaks.insert(stats.user);
+                    *self.streaks.entry(user).or_default() += 1;
+                    // A member that left mid-window still extends its
+                    // count, but only members enter the set.
+                    if member_index(&self.admitted, sorted, user).is_some() {
+                        self.miss_streaks.insert(user);
                     }
                 } else {
-                    stats.consecutive_window_misses = 0;
-                    self.miss_streaks.remove(&stats.user);
+                    self.streaks.remove(&user);
+                    self.miss_streaks.remove(&user);
                 }
             }
             self.window_cells.clear();
@@ -1064,9 +949,7 @@ mod tests {
 
     /// `u`'s current run of missed windows on `driver`.
     fn streak<B: ExecutionBackend>(driver: &LoopDriver<B>, u: usize) -> usize {
-        driver
-            .user_stats(u)
-            .map_or(0, |s| s.consecutive_window_misses)
+        driver.miss_streak(u)
     }
 
     #[test]
@@ -1090,15 +973,6 @@ mod tests {
         assert!(report.windows > 0);
         assert!(report.energy_j > 0.0);
         assert!((report.on_time_rate() - 1.0).abs() < 1e-12);
-        // Per-user accounting: the single user owns every attributed
-        // joule and meets every one of its windows.
-        let u = report.user(0).expect("user 0 accounted");
-        assert_eq!(u.windows, 2);
-        assert_eq!(u.window_misses, 0);
-        assert_eq!(u.consecutive_window_misses, 0);
-        assert_eq!(u.active_slots, 48);
-        assert!(u.energy_j > 0.0);
-        assert!(u.energy_j <= report.energy_j + 1e-12);
     }
 
     #[test]
@@ -1154,13 +1028,6 @@ mod tests {
         assert!(report.miss_slots > 0);
         assert!(report.window_misses > 0);
         assert!(report.on_time_rate() < 1.0);
-        // Sustained overload: every user accumulates consecutive
-        // missed windows — the signal eviction keys on.
-        for u in 0..4 {
-            let stats = report.user(u).expect("accounted");
-            assert!(stats.window_misses > 0, "user {u} should miss");
-            assert_eq!(stats.consecutive_window_misses, stats.window_misses);
-        }
     }
 
     #[test]
@@ -1249,7 +1116,6 @@ mod tests {
         // single active core (the fps-derived default would give none).
         assert_eq!(report.windows, 4);
         assert_eq!(report.window_misses, 0);
-        assert_eq!(report.user(0).expect("accounted").windows, 4);
     }
 
     #[test]
@@ -1311,9 +1177,7 @@ mod tests {
         driver.update_membership(&[], &[1]);
         driver.advance(&source, 8);
         assert_eq!(driver.admitted, [0]);
-        let report = driver.into_report();
-        assert_eq!(report.user(0).expect("user 0 ran").active_slots, 16);
-        assert_eq!(report.user(1).expect("user 1 ran").active_slots, 8);
+        assert!(driver.placements.iter().all(|p| p.user == 0));
     }
 
     #[test]
@@ -1334,9 +1198,7 @@ mod tests {
         driver.advance(&source, 8);
         driver.update_membership(&[], &[1]);
         driver.advance(&source, 16);
-        // The leaver's row still counts the window it worked in...
-        let left = driver.user_stats(1).expect("user 1 worked");
-        assert_eq!((left.windows, left.window_misses), (1, 1));
+        // The leaver's count still takes the window it worked in...
         assert_eq!(streak(&driver, 1), 1);
         // ...but only the member streaks.
         assert_eq!(driver.miss_streaks().collect::<Vec<_>>(), [0]);
@@ -1485,7 +1347,8 @@ mod tests {
         };
         let report =
             LoopDriver::new(quad(), cfg(8, ReplanPolicy::Static), vec![0], vec![]).run(&source);
-        assert_eq!(report.user(0).expect("user 0 ran").active_slots, 8);
+        // A core runs user 0 in every slot.
+        assert!(report.active_core_slots >= 8);
         assert_eq!(report.controller.replans, 1);
     }
 }

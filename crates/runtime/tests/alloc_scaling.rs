@@ -89,7 +89,6 @@ fn window_allocations(members: usize) -> u64 {
     let made = alloc_events() - before;
     let report = driver.into_report();
     assert_eq!(report.window_misses, 0, "{members} members stay on time");
-    assert_eq!(report.users.len(), members);
     made
 }
 

@@ -28,7 +28,7 @@
 //! admission compares them against capacity and budget at a 1e-9
 //! tolerance. The shards are the real `LoopDriver`s: each boundary's
 //! leavers and joiners reach them through `update_membership`, and an
-//! eviction reads only `miss_streaks` and `user_stats` of the user's
+//! eviction reads only `miss_streaks` and `miss_streak` of the user's
 //! own shard.
 
 use medvt::admission::{
@@ -311,10 +311,7 @@ pub fn serve_spec<W: Workload, B: ExecutionBackend>(
         let evicting: Vec<usize> = active
             .iter()
             .filter(|(&u, a)| {
-                streaks[a.shard].contains(&u)
-                    && drivers[a.shard]
-                        .user_stats(u)
-                        .is_some_and(|s| s.consecutive_window_misses >= a.tolerance)
+                streaks[a.shard].contains(&u) && drivers[a.shard].miss_streak(u) >= a.tolerance
             })
             .map(|(&u, _)| u)
             .collect();

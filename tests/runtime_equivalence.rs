@@ -156,22 +156,11 @@ mod placement_traces {
         }
     }
 
-    /// The report's per-user rows, hashed on after its totals.
-    fn hash_users(hash: &mut u64, report: &LoopReport) {
-        for u in &report.users {
-            fnv1a(hash, &(u.user as u64).to_le_bytes());
-            fnv1a(hash, &u.energy_j.to_bits().to_le_bytes());
-            for n in [u.windows, u.window_misses, u.active_slots] {
-                fnv1a(hash, &(n as u64).to_le_bytes());
-            }
-        }
-    }
-
     pub(super) fn batch_hash(
         replan: ReplanPolicy,
         admitted: &[usize],
         initial: &[Placement],
-    ) -> (u64, u64) {
+    ) -> u64 {
         let report = LoopDriver::new(
             backend(),
             cfg(72, replan),
@@ -183,9 +172,7 @@ mod placement_traces {
         assert!(report.energy_j > 0.0);
         let mut hash = 0xcbf29ce484222325;
         hash_totals(&mut hash, &report);
-        let totals = hash;
-        hash_users(&mut hash, &report);
-        (totals, hash)
+        hash
     }
 
     /// One step of a membership script, applied at a GOP boundary.
@@ -207,7 +194,7 @@ mod placement_traces {
         }
     }
 
-    pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> (u64, u64) {
+    pub(super) fn driver_hash(start: &[usize], script: &[Step]) -> u64 {
         let rec = FlightRecorder::modeled(1, 1 << 12);
         let mut driver = LoopDriver::with_recorder(
             backend(),
@@ -231,9 +218,7 @@ mod placement_traces {
             }
         }
         hash_totals(&mut hash, &report);
-        let totals = hash;
-        hash_users(&mut hash, &report);
-        (totals, hash)
+        hash
     }
 }
 
@@ -245,12 +230,12 @@ fn placement_traces_match_their_recorded_hashes() {
 
     // (i) Closed-membership batch runs. Members arrive in *non-id*
     // order; placing them id-sorted instead moves the first hash.
-    let (per_gop, per_gop_users) = batch_hash(
+    let per_gop = batch_hash(
         ReplanPolicy::PerGop { headroom: 1.1 },
         &[7, 5, 2, 9, 1],
         &[],
     );
-    let (sorted, _) = batch_hash(
+    let sorted = batch_hash(
         ReplanPolicy::PerGop { headroom: 1.1 },
         &[1, 2, 5, 7, 9],
         &[],
@@ -274,13 +259,13 @@ fn placement_traces_match_their_recorded_hashes() {
         place(2, 1, 2),
         place(2, 2, 3),
     ];
-    let (fixed, fixed_users) = batch_hash(ReplanPolicy::Static, &[7, 5, 2], &initial);
+    let fixed = batch_hash(ReplanPolicy::Static, &[7, 5, 2], &initial);
 
     // (ii) Delta-driven serving from a caller-ordered start: joins,
     // leaves, the varying member 7, steady members 1/9, empty
     // deltas over changed and unchanged estimates, an unknown
     // leaver and a re-added member.
-    let (deltas, deltas_users) = driver_hash(
+    let deltas = driver_hash(
         &[5, 2],
         &[
             Step::Update(&[9, 7], &[]),
@@ -303,12 +288,6 @@ fn placement_traces_match_their_recorded_hashes() {
     assert_eq!(
         sorted, 0xafd3dc07024a69bc,
         "id-sorted start: {sorted:#018x}"
-    );
-    assert_eq!(
-        [per_gop_users, fixed_users, deltas_users],
-        [0x7c87bcfcabe3a89c, 0xa546d412ce31ed53, 0x6b1573c0763851b4],
-        "per-user accounting moved: \
-         {per_gop_users:#018x} {fixed_users:#018x} {deltas_users:#018x}"
     );
 }
 
@@ -376,9 +355,7 @@ fn pool_and_sim_drivers_agree_on_misaligned_windows() {
 /// of a GOP.
 mod driver_accounting {
     use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
-    use medvt::runtime::{
-        DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend, UserLoopStats,
-    };
+    use medvt::runtime::{DemandSource, LoopDriver, ReplanPolicy, ServerLoopConfig, SimBackend};
     use medvt::sched::Placement;
 
     /// Every user the script ever admits.
@@ -386,9 +363,7 @@ mod driver_accounting {
 
     /// `u`'s current run of missed windows on `driver`.
     fn streak(driver: &LoopDriver<SimBackend>, u: usize) -> usize {
-        driver
-            .user_stats(u)
-            .map_or(0, |s| s.consecutive_window_misses)
+        driver.miss_streak(u)
     }
 
     /// Exact binary fractions of a second (slot = 1/24 s):
@@ -425,17 +400,6 @@ mod driver_accounting {
         fn steady(&self, user: usize) -> bool {
             !matches!(user, 2 | 3)
         }
-    }
-
-    fn stats_words(s: &UserLoopStats) -> [u64; 6] {
-        [
-            s.user as u64,
-            s.energy_j.to_bits(),
-            s.windows as u64,
-            s.window_misses as u64,
-            s.consecutive_window_misses as u64,
-            s.active_slots as u64,
-        ]
     }
 
     #[test]
@@ -480,9 +444,7 @@ mod driver_accounting {
         driver.advance(&Pin, 16);
         streaks.push(driver.miss_streaks().collect::<Vec<_>>());
         counts.push(USERS.map(|u| streak(&driver, u)));
-        let departed = stats_words(driver.user_stats(3).expect("user 3 ran"));
         let report = driver.into_report();
-        let users: Vec<[u64; 6]> = report.users.iter().map(stats_words).collect();
         let totals = [
             report.energy_j.to_bits(),
             report.miss_slots as u64,
@@ -497,16 +459,6 @@ mod driver_accounting {
         assert_eq!(streaks, [vec![3], vec![1, 2, 3], vec![]]);
         // User 3 missed both windows it worked in before the last.
         assert_eq!(counts, [[0, 0, 1, 0], [1, 1, 2, 0], [0, 0, 0, 0]]);
-        assert_eq!(departed, [3, 0x402815b7c9ca5d2c, 3, 2, 0, 44]);
-        assert_eq!(
-            users,
-            [
-                [1, 0x402d9e49f86b5f41, 3, 1, 0, 60],
-                [2, 0x40395cc81174e837, 3, 1, 0, 52],
-                [3, 0x402815b7c9ca5d2c, 3, 2, 0, 44],
-                [5, 0x4000f0e642c5b750, 1, 0, 0, 16],
-            ]
-        );
         assert_eq!(totals, [0x404c2a72dd743ea4, 8, 10, 2, 160, 60]);
     }
 }
