@@ -1,15 +1,20 @@
 //! A persistent, work-conserving worker pool that runs one batch of
-//! borrow-friendly jobs at a time.
+//! borrow-friendly jobs at a time, on the calling thread and its
+//! workers.
 //!
-//! [`WorkerPool::run`] hands the pool a batch of jobs in submission
-//! order. It wakes at most one worker per job, once, and each woken
-//! worker claims the next unclaimed job with one `fetch_add` on the
-//! batch's cursor until the batch is empty: no worker idles while a
-//! job of the batch waits. A worker therefore starts its own jobs in
-//! increasing submission order, whichever jobs it ends up with.
+//! A pool of `n` executors is the thread that calls
+//! [`WorkerPool::run`] plus `n − 1` persistent workers. `run` hands a
+//! batch of jobs in submission order to at most `min(jobs, n) − 1`
+//! workers, waking each once, then claims jobs itself: every executor
+//! claims the next unclaimed job with one `fetch_add` on the batch's
+//! cursor until the batch is empty, so no executor idles while a job
+//! of the batch waits. An executor therefore starts its own jobs in
+//! increasing submission order, whichever jobs it ends up with. The
+//! caller parks only while the last jobs on workers finish, and a
+//! one-executor pool spawns no thread at all.
 //!
-//! Jobs may borrow from the caller's stack: `run` returns only after
-//! every job of the batch finished, which is what makes the
+//! Jobs may borrow from the caller's stack: `run` returns or unwinds
+//! only after every job of the batch finished, which is what makes the
 //! lifetime-erasing transmute in `run` sound. Completion and panic
 //! tracking live in each batch, so concurrent runs on one pool
 //! neither wait on each other's jobs nor see each other's panics.
@@ -29,7 +34,7 @@ struct Batch {
     jobs: Box<[UnsafeCell<Option<Job>>]>,
     /// Index of the next unclaimed job.
     next: AtomicUsize,
-    /// Jobs not yet finished; the worker that takes it to zero wakes
+    /// Jobs not yet finished; the executor that takes it to zero wakes
     /// `caller`.
     remaining: AtomicUsize,
     panicked: AtomicBool,
@@ -41,7 +46,8 @@ struct Batch {
 unsafe impl Sync for Batch {}
 
 impl Batch {
-    /// Claims and runs jobs until the cursor passes the last one.
+    /// Claims and runs jobs until the cursor passes the last one. A
+    /// job's panic is caught and recorded, so this never unwinds.
     fn work(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -55,6 +61,9 @@ impl Batch {
                     self.panicked.store(true, Ordering::Relaxed);
                 }
             }
+            // When the caller itself finishes the last job, this
+            // leaves it an unpark token: its next `park` may return at
+            // once, which every `park` loop tolerates.
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 self.caller.unpark();
             }
@@ -62,7 +71,7 @@ impl Batch {
     }
 }
 
-/// The persistent worker pool.
+/// The persistent worker pool: the calling thread plus its workers.
 pub(crate) struct WorkerPool {
     senders: Vec<Sender<Arc<Batch>>>,
     handles: Vec<JoinHandle<()>>,
@@ -71,15 +80,16 @@ pub(crate) struct WorkerPool {
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.senders.len())
+            .field("executors", &(self.senders.len() + 1))
             .finish_non_exhaustive()
     }
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `workers` persistent threads (at least one).
-    pub(crate) fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+    /// A pool of `executors` (at least one): whichever thread calls
+    /// [`run`](Self::run), plus `executors − 1` persistent threads.
+    pub(crate) fn new(executors: usize) -> Self {
+        let workers = executors.max(1) - 1;
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -98,13 +108,15 @@ impl WorkerPool {
         Self { senders, handles }
     }
 
-    /// Runs every job of `jobs` on the pool and returns once all of
+    /// Runs every job of `jobs` on the calling thread and at most
+    /// `min(jobs, executors) − 1` workers, and returns once all of
     /// them finished. Jobs may borrow from the caller; an empty batch
     /// returns at once without waking a worker.
     ///
     /// # Panics
     ///
-    /// Panics when any job of *this* batch panicked.
+    /// Panics when any job of *this* batch panicked, once every job of
+    /// the batch finished.
     pub(crate) fn run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if jobs.is_empty() {
             return;
@@ -115,10 +127,13 @@ impl WorkerPool {
         let jobs = jobs
             .into_iter()
             .map(|job| {
-                // SAFETY: `run` returns only once `remaining` hit zero,
-                // i.e. after every job was called and so dropped;
-                // borrows with lifetime 'env, which outlives the call,
-                // are live for each job's whole execution.
+                // SAFETY: `run` neither returns nor unwinds before
+                // `remaining` hit zero, i.e. before every job was
+                // called and so dropped: the workers' jobs and the
+                // caller's own claims alike run inside `Batch::work`'s
+                // `catch_unwind`, and the only panic below comes after
+                // the wait. Borrows with lifetime 'env, which outlives
+                // the call, are live for each job's whole execution.
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
                 UnsafeCell::new(Some(job))
@@ -131,17 +146,24 @@ impl WorkerPool {
             panicked: AtomicBool::new(false),
             caller,
         });
-        for tx in self.senders.iter().take(batch.jobs.len()) {
+        for tx in self.senders.iter().take(batch.jobs.len() - 1) {
             // Cannot fail: a worker catches every job's panic and
             // exits only when the pool drops its sender.
             let _ = tx.send(Arc::clone(&batch));
         }
+        batch.work();
         while batch.remaining.load(Ordering::Acquire) != 0 {
             std::thread::park();
         }
         if batch.panicked.load(Ordering::Relaxed) {
             panic!("a pool job panicked");
         }
+    }
+
+    /// The ids of the pool's own threads, in spawn order.
+    #[cfg(test)]
+    pub(crate) fn worker_ids(&self) -> Vec<std::thread::ThreadId> {
+        self.handles.iter().map(|h| h.thread().id()).collect()
     }
 }
 
@@ -154,26 +176,37 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The pool worker running the caller, from its thread name
-/// (`medvt-worker-{w}`); `None` off the pool.
-#[cfg(test)]
-pub(crate) fn current_worker() -> Option<usize> {
-    std::thread::current()
-        .name()?
-        .strip_prefix("medvt-worker-")?
-        .parse()
-        .ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Mutex;
-    use std::time::Duration;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     /// Boxes `f` as a job that may borrow from the test's stack.
     fn job<'env>(f: impl FnOnce() + Send + 'env) -> Box<dyn FnOnce() + Send + 'env> {
         Box::new(f)
+    }
+
+    /// The threads allowed to run a job of `pool.run` called from this
+    /// thread: the caller first, then the pool's workers.
+    fn executors(pool: &WorkerPool) -> Vec<ThreadId> {
+        let mut ids = vec![std::thread::current().id()];
+        ids.extend(pool.worker_ids());
+        ids
+    }
+
+    /// Spins until `cond` holds; false if it did not within 10 s.
+    fn wait_until(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
     }
 
     #[test]
@@ -195,34 +228,39 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let pool = WorkerPool::new(3);
+        let executors = executors(&pool);
         let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let off_pool = AtomicBool::new(false);
+        let stray = AtomicBool::new(false);
         pool.run(
             runs.iter()
                 .map(|runs| {
-                    let off_pool = &off_pool;
+                    let (stray, executors) = (&stray, &executors);
                     job(move || {
                         runs.fetch_add(1, Ordering::SeqCst);
-                        if !matches!(current_worker(), Some(0..=2)) {
-                            off_pool.store(true, Ordering::SeqCst);
+                        if !executors.contains(&std::thread::current().id()) {
+                            stray.store(true, Ordering::SeqCst);
                         }
                     })
                 })
                 .collect(),
         );
         assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
-        assert!(!off_pool.into_inner(), "a job ran off the pool");
+        assert!(
+            !stray.into_inner(),
+            "a job ran on neither the caller nor a pool worker"
+        );
     }
 
     #[test]
-    fn each_worker_starts_jobs_in_submission_order() {
+    fn each_executor_starts_jobs_in_submission_order() {
         let pool = WorkerPool::new(2);
+        let executors = executors(&pool);
         let log = Mutex::new(Vec::new());
         pool.run(
             (0..64)
                 .map(|i| {
                     let log = &log;
-                    job(move || log.lock().unwrap().push((current_worker(), i)))
+                    job(move || log.lock().unwrap().push((std::thread::current().id(), i)))
                 })
                 .collect(),
         );
@@ -230,43 +268,158 @@ mod tests {
         let mut all: Vec<usize> = log.iter().map(|&(_, i)| i).collect();
         all.sort_unstable();
         assert_eq!(all, (0..64).collect::<Vec<_>>());
-        for worker in 0..2 {
+        assert!(log.iter().all(|r| executors.contains(&r.0)));
+        for executor in &executors {
             let started: Vec<usize> = log
                 .iter()
-                .filter(|r| r.0 == Some(worker))
+                .filter(|r| r.0 == *executor)
                 .map(|r| r.1)
                 .collect();
             assert!(
                 started.windows(2).all(|w| w[0] < w[1]),
-                "worker {worker} started {started:?}"
+                "{executor:?} started {started:?}"
             );
         }
     }
 
     #[test]
+    fn a_one_executor_pool_runs_every_job_on_the_caller() {
+        let pool = WorkerPool::new(1);
+        assert!(pool.worker_ids().is_empty(), "spawned a thread");
+        let caller = std::thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        pool.run(
+            (0..16)
+                .map(|i| {
+                    let ran = &ran;
+                    job(move || ran.lock().unwrap().push((std::thread::current().id(), i)))
+                })
+                .collect(),
+        );
+        let ran = ran.into_inner().unwrap();
+        assert_eq!(ran, (0..16).map(|i| (caller, i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_run_uses_at_most_min_jobs_executors_threads_the_caller_among_them() {
+        // Each job waits until min(k, n) jobs have started, so the run
+        // finishes only once that many executors each hold a job: a
+        // pool that woke too few workers, or left the caller idle,
+        // times out instead.
+        for n in 1..=4 {
+            let pool = WorkerPool::new(n);
+            assert_eq!(pool.worker_ids().len(), n - 1);
+            let executors = executors(&pool);
+            for k in 1..=6 {
+                let busy = k.min(n);
+                let started = AtomicUsize::new(0);
+                let timed_out = AtomicBool::new(false);
+                let ran = Mutex::new(HashSet::new());
+                pool.run(
+                    (0..k)
+                        .map(|_| {
+                            let (started, timed_out, ran) = (&started, &timed_out, &ran);
+                            job(move || {
+                                ran.lock().unwrap().insert(std::thread::current().id());
+                                started.fetch_add(1, Ordering::SeqCst);
+                                if !wait_until(|| started.load(Ordering::SeqCst) >= busy) {
+                                    timed_out.store(true, Ordering::SeqCst);
+                                }
+                            })
+                        })
+                        .collect(),
+                );
+                let ran = ran.into_inner().unwrap();
+                assert!(!timed_out.into_inner(), "n = {n}, k = {k}: timed out");
+                assert_eq!(ran.len(), busy, "n = {n}, k = {k}: {ran:?}");
+                assert!(ran.contains(&executors[0]), "n = {n}, k = {k}: caller idle");
+                assert!(ran.iter().all(|id| executors.contains(id)));
+            }
+        }
+    }
+
+    /// Runs two jobs on a two-executor pool: one panics on the caller
+    /// (or on the worker) while the other, on the other thread, still
+    /// reads a value on this test's stack. `run` must unwind only
+    /// after the reading job's last act.
+    fn panic_waits_for_a_borrowing_job(panic_on_caller: bool) {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let value = [7u64; 64];
+        let borrowing = AtomicBool::new(false);
+        let panicking = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let (value, borrowing, panicking, finished) = (&value, &borrowing, &panicking, &finished);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(
+                (0..2)
+                    .map(|_| {
+                        job(move || {
+                            // Neither job can finish before the other
+                            // started, so the two run on both threads.
+                            let on_caller = std::thread::current().id() == caller;
+                            if on_caller == panic_on_caller {
+                                assert!(wait_until(|| borrowing.load(Ordering::SeqCst)));
+                                panicking.store(true, Ordering::SeqCst);
+                                panic!("the panicking job");
+                            }
+                            borrowing.store(true, Ordering::SeqCst);
+                            assert!(wait_until(|| panicking.load(Ordering::SeqCst)));
+                            std::thread::sleep(Duration::from_millis(20));
+                            let sum: u64 = std::hint::black_box(value).iter().sum();
+                            assert_eq!(sum, 7 * 64);
+                            finished.store(true, Ordering::SeqCst);
+                        })
+                    })
+                    .collect(),
+            );
+        }));
+        assert!(outcome.is_err(), "the panic did not reach the caller");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "run unwound while a job still borrowed the caller's stack"
+        );
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_for_a_worker_borrowing_its_stack() {
+        panic_waits_for_a_borrowing_job(true);
+    }
+
+    #[test]
+    fn a_panic_on_a_worker_waits_for_the_caller_borrowing_its_stack() {
+        panic_waits_for_a_borrowing_job(false);
+    }
+
+    #[test]
     fn empty_run_returns_at_once() {
-        // The only worker is held by another run's job until the empty
-        // run returns: an empty run that waited on a worker would make
-        // that job time out.
-        let pool = Arc::new(WorkerPool::new(1));
-        let (started_tx, started) = channel();
-        let (release, released) = channel::<()>();
-        let busy = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                let mut on_time = false;
-                let flag = &mut on_time;
-                pool.run(vec![job(move || {
-                    started_tx.send(()).unwrap();
-                    *flag = released.recv_timeout(Duration::from_secs(2)).is_ok();
-                })]);
-                on_time
-            })
-        };
-        started.recv().unwrap();
-        pool.run(Vec::new());
-        release.send(()).unwrap();
-        assert!(busy.join().unwrap(), "the empty run waited on a worker");
+        // Both executors of another run, its caller and the pool's one
+        // worker, are held until the empty run returns: an empty run
+        // that waited on a worker would make those jobs time out.
+        let pool = WorkerPool::new(2);
+        let started = AtomicUsize::new(0);
+        let released = AtomicBool::new(false);
+        let on_time = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run(
+                    (0..2)
+                        .map(|_| {
+                            job(|| {
+                                started.fetch_add(1, Ordering::SeqCst);
+                                if wait_until(|| released.load(Ordering::SeqCst)) {
+                                    on_time.fetch_add(1, Ordering::SeqCst);
+                                }
+                            })
+                        })
+                        .collect(),
+                )
+            });
+            assert!(wait_until(|| started.load(Ordering::SeqCst) == 2));
+            pool.run(Vec::new());
+            released.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(on_time.into_inner(), 2, "the empty run waited on a worker");
     }
 
     #[test]

@@ -112,15 +112,15 @@ impl ExecutionBackend for ThreadPoolBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::current_worker;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     const SLOT: f64 = 1.0 / 24.0;
 
-    /// A (worker, user, item) record of where a job ran.
-    type Ran = (Option<usize>, usize, usize);
+    /// A (thread, user, item) record of where a job ran.
+    type Ran = (ThreadId, usize, usize);
 
     /// A job that appends where it ran, tagged `(user, item)`, to `log`.
     fn recording_job(
@@ -128,7 +128,18 @@ mod tests {
         user: usize,
         item: usize,
     ) -> Box<dyn FnOnce() + Send + '_> {
-        Box::new(move || log.lock().unwrap().push((current_worker(), user, item)))
+        Box::new(move || {
+            let ran = (std::thread::current().id(), user, item);
+            log.lock().unwrap().push(ran);
+        })
+    }
+
+    /// The threads that may run a unit `backend` executes for this
+    /// thread: the caller first, then the pool's workers.
+    fn executors(backend: &ThreadPoolBackend) -> Vec<ThreadId> {
+        let mut ids = vec![std::thread::current().id()];
+        ids.extend(backend.pool.worker_ids());
+        ids
     }
 
     #[test]
@@ -216,9 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn each_worker_starts_slot_k_before_slot_k_plus_1() {
+    fn each_executor_starts_slot_k_before_slot_k_plus_1() {
         let mut backend =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
+        let executors = executors(&backend);
         let log = Mutex::new(Vec::new());
         let slots: Vec<Vec<WorkUnit<'_>>> = (0..3)
             .map(|slot| {
@@ -237,23 +249,25 @@ mod tests {
         assert_eq!(reports.len(), 3);
         let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 24);
-        for worker in 0..4 {
+        assert!(log.iter().all(|r| executors.contains(&r.0)));
+        for executor in &executors {
             let started: Vec<(usize, usize)> = log
                 .iter()
-                .filter(|r| r.0 == Some(worker))
+                .filter(|r| r.0 == *executor)
                 .map(|r| (r.1, r.2))
                 .collect();
             assert!(
                 started.windows(2).all(|w| w[0] < w[1]),
-                "worker {worker} started {started:?}"
+                "{executor:?} started {started:?}"
             );
         }
     }
 
     #[test]
-    fn every_unit_runs_once_on_a_pool_worker() {
+    fn every_unit_runs_once_on_the_caller_or_a_pool_worker() {
         let mut b =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
+        let executors = executors(&b);
         let log = Mutex::new(Vec::new());
         let units: Vec<WorkUnit<'_>> = (0..8)
             .map(|i| WorkUnit {
@@ -269,9 +283,9 @@ mod tests {
         let mut log = log.into_inner().unwrap();
         log.sort_unstable_by_key(|r| r.2);
         assert_eq!(log.len(), 8);
-        for (i, &(worker, user, item)) in log.iter().enumerate() {
+        for (i, &(ran_on, user, item)) in log.iter().enumerate() {
             assert_eq!((user, item), (3, i));
-            assert!(matches!(worker, Some(0..=3)), "thread {item} on {worker:?}");
+            assert!(executors.contains(&ran_on), "thread {item} on {ran_on:?}");
         }
     }
 }
