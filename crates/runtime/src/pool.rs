@@ -197,9 +197,9 @@ mod tests {
         ids
     }
 
-    /// Spins until `cond` holds; false if it did not within 10 s.
-    fn wait_until(cond: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(10);
+    /// Spins until `cond` holds; false if it did not within `limit`.
+    fn wait_for(limit: Duration, cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + limit;
         while !cond() {
             if Instant::now() > deadline {
                 return false;
@@ -207,6 +207,11 @@ mod tests {
             std::thread::yield_now();
         }
         true
+    }
+
+    /// Spins until `cond` holds; false if it did not within 10 s.
+    fn wait_until(cond: impl Fn() -> bool) -> bool {
+        wait_for(Duration::from_secs(10), cond)
     }
 
     #[test]
@@ -343,17 +348,21 @@ mod tests {
     /// reads a value on this test's stack. `run` must unwind only
     /// after the reading job's last act.
     fn panic_waits_for_a_borrowing_job(panic_on_caller: bool) {
-        let pool = WorkerPool::new(2);
         let caller = std::thread::current().id();
         let value = [7u64; 64];
         let borrowing = AtomicBool::new(false);
         let panicking = AtomicBool::new(false);
+        let returned = AtomicBool::new(false);
         let finished = AtomicBool::new(false);
-        let (value, borrowing, panicking, finished) = (&value, &borrowing, &panicking, &finished);
+        // Declared after what its jobs borrow, so that even a `run`
+        // that unwound early is joined before those values drop.
+        let pool = WorkerPool::new(2);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             pool.run(
                 (0..2)
                     .map(|_| {
+                        let (value, borrowing, panicking, returned, finished) =
+                            (&value, &borrowing, &panicking, &returned, &finished);
                         job(move || {
                             // Neither job can finish before the other
                             // started, so the two run on both threads.
@@ -361,11 +370,17 @@ mod tests {
                             if on_caller == panic_on_caller {
                                 assert!(wait_until(|| borrowing.load(Ordering::SeqCst)));
                                 panicking.store(true, Ordering::SeqCst);
-                                panic!("the panicking job");
+                                // Unwinds without the panic hook, whose
+                                // output could outlast the hold below.
+                                std::panic::resume_unwind(Box::new("the panicking job"));
                             }
                             borrowing.store(true, Ordering::SeqCst);
                             assert!(wait_until(|| panicking.load(Ordering::SeqCst)));
-                            std::thread::sleep(Duration::from_millis(20));
+                            // Holds the borrow for 300 ms, or until a
+                            // defective `run` has already returned.
+                            wait_for(Duration::from_millis(300), || {
+                                returned.load(Ordering::SeqCst)
+                            });
                             let sum: u64 = std::hint::black_box(value).iter().sum();
                             assert_eq!(sum, 7 * 64);
                             finished.store(true, Ordering::SeqCst);
@@ -374,9 +389,11 @@ mod tests {
                     .collect(),
             );
         }));
+        let finished_on_return = finished.load(Ordering::SeqCst);
+        returned.store(true, Ordering::SeqCst);
         assert!(outcome.is_err(), "the panic did not reach the caller");
         assert!(
-            finished.load(Ordering::SeqCst),
+            finished_on_return,
             "run unwound while a job still borrowed the caller's stack"
         );
     }
