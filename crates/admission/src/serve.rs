@@ -97,7 +97,7 @@ pub trait Workload {
     /// Real work for tile-thread `thread` of the frame shown at
     /// `slot`, when the workload carries any — e.g.
     /// `medvt_core::LiveWorkload`, which encodes the tile for real on
-    /// the worker assigned by the placement. Cost-only workloads
+    /// whichever pool executor claims it. Cost-only workloads
     /// (profile replay, the default) return `None`.
     ///
     /// Admission/eviction decisions never depend on this: they read

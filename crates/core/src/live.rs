@@ -7,8 +7,8 @@
 //! [`VideoProfile`] (the analytical demand the admission controller
 //! and Algorithm 2 reason about) with the rendered frames of the same
 //! clip, and hands the serving runtime one closure per placed tile
-//! thread that **re-encodes that tile for real** on whichever worker
-//! the placement chose.
+//! thread that **re-encodes that tile for real** on whichever pool
+//! executor (the serving thread or a worker) claims it.
 //!
 //! Invariants this adapter is built around:
 //!
@@ -22,10 +22,10 @@
 //!   from the previous *original* frame, not the reconstruction — so
 //!   every (frame, tile) encode is independent of scheduling order and
 //!   byte-identical to calling [`medvt_encoder::encode_tile`] directly
-//!   with the same arguments, no matter which worker runs it or what
-//!   `EncScratch` state that worker carries from earlier tiles.
+//!   with the same arguments, no matter which executor runs it or what
+//!   `EncScratch` state that thread carries from earlier tiles.
 //! * **Scratch reuse.** The closures run [`medvt_encoder::encode_tile`],
-//!   which draws its per-block buffers from the worker thread's
+//!   which draws its per-block buffers from the executing thread's
 //!   persistent thread-local [`medvt_encoder::EncScratch`]; steady-state
 //!   live serving allocates only per-tile outputs.
 
@@ -114,7 +114,7 @@ impl LiveWorkload {
     }
 
     /// Encodes tile `thread` of the frame shown at `slot` on the
-    /// calling thread — exactly the work a pool worker performs for
+    /// calling thread — exactly the work a pool executor performs for
     /// the same (slot, thread), and therefore byte-identical to it.
     /// `None` when the frame has no such tile.
     pub fn encode_direct(&self, slot: usize, thread: usize) -> Option<TileOutcome> {

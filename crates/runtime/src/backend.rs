@@ -11,10 +11,11 @@
 //! * [`SimBackend`](crate::SimBackend) prices each slot analytically
 //!   from the costs (the paper's evaluation model);
 //! * [`ThreadPoolBackend`](crate::ThreadPoolBackend) additionally runs
-//!   a run's closures on its worker pool, which any idle worker claims
-//!   in slot order behind one barrier, while keeping the *same*
-//!   per-slot analytical energy/deadline accounting so both backends
-//!   report identical statistics for identical workloads.
+//!   a run's closures on the calling thread and its pool's workers,
+//!   any idle one claiming the next in slot order behind one barrier,
+//!   while keeping the *same* per-slot analytical energy/deadline
+//!   accounting so both backends report identical statistics for
+//!   identical workloads.
 //!
 //! Backends are stateful across slots: they own the per-core DVFS
 //! operating points and the deadline-miss carry (Algorithm 2 lines
@@ -35,7 +36,8 @@ pub struct WorkUnit<'scope> {
     pub cost_fmax_secs: f64,
     /// The actual work, when the caller has any (`None` for replayed
     /// profiles). Sim backends ignore it; pool backends run it on
-    /// whichever worker claims it first.
+    /// whichever executor (the calling thread or a pool worker) claims
+    /// it first.
     pub job: Option<Box<dyn FnOnce() + Send + 'scope>>,
 }
 

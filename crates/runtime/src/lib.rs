@@ -17,11 +17,11 @@
 //! * [`SimBackend`] — the analytical slot model (extracted from
 //!   `core::server`/`mpsoc::simulate_slot`), accounting work units
 //!   without running them;
-//! * [`ThreadPoolBackend`] — runs real work units on a pool of
-//!   persistent worker threads (borrow-friendly batches, any idle
-//!   worker claims the next unit in slot order, one barrier per run of
-//!   slots), accounting every placed [`WorkUnit`] on its core with the
-//!   *same* analytical model;
+//! * [`ThreadPoolBackend`] — runs real work units on `n` executors:
+//!   the calling thread plus `n − 1` persistent workers
+//!   (borrow-friendly batches, any idle executor claims the next unit
+//!   in slot order, one barrier per run of slots), accounting every
+//!   placed [`WorkUnit`] on its core with the *same* analytical model;
 //! * [`LoopDriver`] — the backend-generic multi-user frame-slot loop:
 //!   run to completion by `core::ServerSim` ([`LoopDriver::run`]), or
 //!   stepped GOP by GOP with membership deltas and each user's miss
@@ -40,9 +40,10 @@
 //!
 //! # Example
 //!
-//! Run one slot of placed work on a 4-worker pool: any idle worker
-//! runs the next unit's job, and the slot is priced per placed core by
-//! the same analytical model as [`SimBackend`]:
+//! Run one slot of placed work on 4 executors, the calling thread
+//! and 3 pool workers: any idle executor runs the next unit's job, and
+//! the slot is priced per placed core by the same analytical model as
+//! [`SimBackend`]:
 //!
 //! ```
 //! use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel};

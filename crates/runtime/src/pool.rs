@@ -160,10 +160,14 @@ impl WorkerPool {
         }
     }
 
-    /// The ids of the pool's own threads, in spawn order.
+    /// The threads that may run a job of a `run` called from this
+    /// thread: this thread first, then the pool's workers.
     #[cfg(test)]
-    pub(crate) fn worker_ids(&self) -> Vec<std::thread::ThreadId> {
-        self.handles.iter().map(|h| h.thread().id()).collect()
+    pub(crate) fn executors(&self) -> Vec<std::thread::ThreadId> {
+        let caller = std::thread::current().id();
+        std::iter::once(caller)
+            .chain(self.handles.iter().map(|h| h.thread().id()))
+            .collect()
     }
 }
 
@@ -181,20 +185,11 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::Mutex;
-    use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
     /// Boxes `f` as a job that may borrow from the test's stack.
     fn job<'env>(f: impl FnOnce() + Send + 'env) -> Box<dyn FnOnce() + Send + 'env> {
         Box::new(f)
-    }
-
-    /// The threads allowed to run a job of `pool.run` called from this
-    /// thread: the caller first, then the pool's workers.
-    fn executors(pool: &WorkerPool) -> Vec<ThreadId> {
-        let mut ids = vec![std::thread::current().id()];
-        ids.extend(pool.worker_ids());
-        ids
     }
 
     /// Spins until `cond` holds; false if it did not within `limit`.
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let pool = WorkerPool::new(3);
-        let executors = executors(&pool);
+        let executors = pool.executors();
         let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         let stray = AtomicBool::new(false);
         pool.run(
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn each_executor_starts_jobs_in_submission_order() {
         let pool = WorkerPool::new(2);
-        let executors = executors(&pool);
+        let executors = pool.executors();
         let log = Mutex::new(Vec::new());
         pool.run(
             (0..64)
@@ -290,8 +285,8 @@ mod tests {
     #[test]
     fn a_one_executor_pool_runs_every_job_on_the_caller() {
         let pool = WorkerPool::new(1);
-        assert!(pool.worker_ids().is_empty(), "spawned a thread");
         let caller = std::thread::current().id();
+        assert_eq!(pool.executors(), [caller], "spawned a thread");
         let ran = Mutex::new(Vec::new());
         pool.run(
             (0..16)
@@ -313,8 +308,8 @@ mod tests {
         // times out instead.
         for n in 1..=4 {
             let pool = WorkerPool::new(n);
-            assert_eq!(pool.worker_ids().len(), n - 1);
-            let executors = executors(&pool);
+            let executors = pool.executors();
+            assert_eq!(executors.len(), n);
             for k in 1..=6 {
                 let busy = k.min(n);
                 let started = AtomicUsize::new(0);

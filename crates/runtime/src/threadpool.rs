@@ -1,17 +1,19 @@
-//! The real-execution backend: a persistent worker pool that runs the
-//! tile work units Algorithm 2 placed, with the placement's accounting.
+//! The real-execution backend: the calling thread and a persistent
+//! worker pool run the tile work units Algorithm 2 placed, with the
+//! placement's accounting.
 //!
 //! Placement decides the accounting, not the OS thread: energy, DVFS,
 //! carry and deadline verdicts come from the same analytical slot
 //! model as [`SimBackend`], so swapping backends never changes
 //! reported statistics, only whether the work physically happens. Any
-//! idle worker runs the next unit of the run, whatever core the unit
-//! was placed on.
+//! idle executor — the thread that called the run, or one of the
+//! pool's workers — runs the next unit of the run, whatever core the
+//! unit was placed on.
 //!
 //! A run of slots is one dispatch: every unit of every slot goes to
-//! the pool as one batch in slot order, so each worker starts slot k's
-//! units before slot k+1's, and the only barrier is the end of the
-//! run. Accounting stays per slot.
+//! the pool as one batch in slot order, so each executor starts slot
+//! k's units before slot k+1's, and the only barrier is the end of
+//! the run. Accounting stays per slot.
 
 use crate::backend::{ExecutionBackend, SlotOutcome, WorkUnit};
 use crate::pool::WorkerPool;
@@ -20,7 +22,8 @@ use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel, SlotReport};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-/// Executes placed work units on a persistent worker pool.
+/// Executes placed work units on the calling thread and a persistent
+/// worker pool.
 #[derive(Debug)]
 pub struct ThreadPoolBackend {
     pool: WorkerPool,
@@ -28,16 +31,19 @@ pub struct ThreadPoolBackend {
 }
 
 impl ThreadPoolBackend {
-    /// A backend with one worker per platform core, capped at the
-    /// host's available parallelism.
+    /// A backend with one executor per platform core, capped at the
+    /// host's available parallelism. The thread that executes a run is
+    /// one of the executors, so the pool spawns one thread fewer.
     pub fn new(platform: Platform, power: PowerModel) -> Self {
         let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let workers = platform.total_cores().min(host);
-        Self::with_workers(platform, power, workers)
+        let executors = platform.total_cores().min(host);
+        Self::with_workers(platform, power, executors)
     }
 
-    /// A backend with an explicit worker count, independent of the
-    /// number of modeled cores.
+    /// A backend with an explicit executor count (at least one),
+    /// independent of the number of modeled cores: the thread that
+    /// executes a run plus `workers − 1` pool threads, so
+    /// `with_workers(1)` spawns none and runs every unit on the caller.
     pub fn with_workers(platform: Platform, power: PowerModel, workers: usize) -> Self {
         Self {
             pool: WorkerPool::new(workers),
@@ -93,8 +99,8 @@ impl ExecutionBackend for ThreadPoolBackend {
             .filter_map(|unit| unit.job.take())
             .collect();
         let ran_any = !jobs.is_empty();
-        // In slot order, so each worker starts slot k's units before
-        // slot k+1's; the batch is the run's only barrier.
+        // In slot order, so each executor starts slot k's units
+        // before slot k+1's; the batch is the run's only barrier.
         self.pool.run(jobs);
         let wall_secs = if ran_any {
             t0.elapsed().as_secs_f64()
@@ -132,14 +138,6 @@ mod tests {
             let ran = (std::thread::current().id(), user, item);
             log.lock().unwrap().push(ran);
         })
-    }
-
-    /// The threads that may run a unit `backend` executes for this
-    /// thread: the caller first, then the pool's workers.
-    fn executors(backend: &ThreadPoolBackend) -> Vec<ThreadId> {
-        let mut ids = vec![std::thread::current().id()];
-        ids.extend(backend.pool.worker_ids());
-        ids
     }
 
     #[test]
@@ -187,9 +185,9 @@ mod tests {
 
     #[test]
     fn idle_worker_claims_work_placed_on_a_busy_core() {
-        // Every unit is placed on core 0. Job 0 holds its worker for
+        // Every unit is placed on core 0. Job 0 holds its executor for
         // up to 2 s waiting for another job to start, which happens
-        // only if the other worker takes work placed on core 0.
+        // only if the other executor takes work placed on core 0.
         let mut backend =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 2);
         let started = AtomicUsize::new(0);
@@ -222,7 +220,7 @@ mod tests {
         assert_eq!(started.into_inner(), 4);
         assert!(
             overlapped.into_inner(),
-            "no other job started while job 0 held its worker"
+            "no other job started while job 0 held its executor"
         );
     }
 
@@ -230,7 +228,7 @@ mod tests {
     fn each_executor_starts_slot_k_before_slot_k_plus_1() {
         let mut backend =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        let executors = executors(&backend);
+        let executors = backend.pool.executors();
         let log = Mutex::new(Vec::new());
         let slots: Vec<Vec<WorkUnit<'_>>> = (0..3)
             .map(|slot| {
@@ -267,7 +265,7 @@ mod tests {
     fn every_unit_runs_once_on_the_caller_or_a_pool_worker() {
         let mut b =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        let executors = executors(&b);
+        let executors = b.pool.executors();
         let log = Mutex::new(Vec::new());
         let units: Vec<WorkUnit<'_>> = (0..8)
             .map(|i| WorkUnit {

@@ -3,9 +3,9 @@
 //! on the 32-core Xeon platform with both the proposed scheduler and
 //! the baseline [19], comparing throughput and power.
 //!
-//! Serving hands `ThreadPoolBackend` each GOP's slots as one run: its
-//! workers claim the run's tile threads in slot order, while Algorithm
-//! 2's placement prices them (the analytical `SimBackend` reports
+//! Serving hands `ThreadPoolBackend` each GOP's slots as one run: the
+//! serving thread and the pool's workers claim the run's tile threads
+//! in slot order, while Algorithm 2's placement prices them (the analytical `SimBackend` reports
 //! identical numbers).
 //!
 //! Run: `cargo run --release --example multi_user_server`
