@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 /// billing it keeps the window spend within budget (`spend + demand ×
 /// rate ≤ budget`). The check is demand-monotone like the capacity
 /// probe, so the admission scan may stop once the smallest queued
-/// demand is over budget. Budget refusals are not offered to a
-/// `RoundRobin` rotation (the shard never saw the request).
+/// demand is over budget.
 ///
 /// Under the default ([`CostPlan::unlimited`]) neither mechanism can
 /// act: no spend exceeds an infinite budget and with
@@ -55,12 +54,6 @@ impl CostPlan {
             budget_credits_per_window: f64::INFINITY,
             degrade_on_evict: false,
         }
-    }
-
-    /// `true` when the budget is finite, i.e. it can refuse an
-    /// admission.
-    pub fn is_budgeted(&self) -> bool {
-        self.budget_credits_per_window.is_finite()
     }
 
     /// `true` when billing `demand` more cores on top of `spend` would

@@ -23,7 +23,7 @@
 //! | lines 2–3 maximize admitted users under `N_c` | GOP-boundary FIFO admission against per-socket capacity ([`serve_online`] step 4) |
 //! | §III-D2 re-allocation at each GOP | shard membership pushed into `runtime::LoopDriver`, which re-runs the speed-aware `sched::place_threads_on` per socket |
 //! | "framerate … checked every second" | each user's run of missed windows (`runtime::LoopDriver::miss_streak`); sustained misses trigger eviction by [`DeadlineClass`] tolerance |
-//! | 4-socket Xeon evaluation server (§IV-A) | one shard per socket (`Platform::socket_view`), placed by a pluggable [`ShardPolicy`] |
+//! | 4-socket Xeon evaluation server (§IV-A) | one shard per socket (`Platform::socket_view`); a user lands on the least-utilized [`Sharder`] pick it fits |
 //! | always-full queue of §IV-B2 | a special case of [`TraceConfig`] (arrival rate ≫ service rate) |
 //!
 //! The related cloud-transcoding work (Li et al., on-demand
@@ -45,7 +45,7 @@
 //! # Example
 //!
 //! ```
-//! use medvt_admission::{serve_online, OnlineConfig, ShardPolicy, TraceConfig, Workload};
+//! use medvt_admission::{serve_online, OnlineConfig, TraceConfig, Workload};
 //! use medvt_admission::synthesize_trace;
 //! use medvt_mpsoc::{Platform, PowerModel};
 //! use medvt_runtime::SimBackend;
@@ -57,9 +57,6 @@
 //!     }
 //!     fn demand_at(&self, _slot: usize) -> Vec<f64> {
 //!         self.steady_demand()
-//!     }
-//!     fn content_class(&self) -> &str {
-//!         "brain"
 //!     }
 //! }
 //!

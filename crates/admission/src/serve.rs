@@ -13,8 +13,9 @@
 //!    [`CostPlan::degrade_on_evict`] the evicted user re-enters the
 //!    queue one deadline class lower instead of being dropped;
 //! 4. `admit` — queued users whose Algorithm 2 line 1 core demand fits
-//!    a shard chosen by the [`ShardPolicy`], *and* whose billing keeps
-//!    the window spend within the [`CostPlan`] budget, are admitted;
+//!    some shard, *and* whose billing keeps the window spend within the
+//!    [`CostPlan`] budget, are admitted to the least-utilized shard
+//!    they fit;
 //! 5. `advance` — each shard's [`LoopDriver`] applies its membership
 //!    *delta* ([`update_membership`](LoopDriver::update_membership);
 //!    the driver re-places its threads only when a member or an
@@ -33,17 +34,15 @@
 //! the active population and the queue depth: departures pop from a
 //! slot-ordered set, evictions read the runtime's miss-streak sets,
 //! and the admission scan stops at its first request once the
-//! smallest queued demand fits no shard or is over budget
-//! (`RoundRobin` under a finite budget excepted: it walks the whole
-//! queue).
+//! smallest queued demand fits no shard or is over budget.
 //!
 //! None of these shortcuts may change a decision. The root integration
 //! tests hold an executable specification of this controller
 //! (`tests/common/spec.rs`): a whole-queue FIFO scan, a shard chooser
 //! that recomputes every pick from the loads, and member sets rebuilt
 //! at every boundary. `serve_online` must replay it bit for bit, events
-//! and modeled report alike, under every [`ShardPolicy`] and
-//! [`CostPlan`] and with GOPs aligned to the one-second window or not
+//! and modeled report alike, under every [`CostPlan`] and with GOPs
+//! aligned to the one-second window or not
 //! (`tests/cost_plan.rs`, `tests/control_plane.rs`).
 
 use crate::cost::CostPlan;
@@ -77,9 +76,12 @@ pub trait Workload {
     /// Per-tile demand of the frame shown at `slot`.
     fn demand_at(&self, slot: usize) -> Vec<f64>;
 
-    /// Content (texture/body-part) class — the affinity key of
-    /// [`ShardPolicy::ContentAffinity`].
-    fn content_class(&self) -> &str;
+    // Vestige: `benchmark/src/control.rs:94` and `benchmark/src/live.rs:636`
+    // implement this method; no decision reads it.
+    /// Content (texture/body-part) class. Default: empty.
+    fn content_class(&self) -> &str {
+        ""
+    }
 
     /// `true` when `demand_at` is slot-invariant — the controller then
     /// skips re-estimating this workload's demand at every boundary.
@@ -121,7 +123,10 @@ pub struct OnlineConfig {
     pub headroom: f64,
     /// DVFS policy for the shard backends.
     pub policy: DvfsPolicy,
-    /// How admitted users are assigned to sockets.
+    // Vestige: `benchmark/src/control.rs:110` and `benchmark/src/live.rs:158`
+    // set this field.
+    /// How admitted users are assigned to sockets: always the
+    /// least-utilized shard they fit.
     pub shard_policy: ShardPolicy,
     /// Base eviction threshold in consecutive missed windows; each
     /// user's class tolerance multiplies it.
@@ -214,7 +219,7 @@ impl ShardReport {
 /// Aggregate outcome of an online serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineReport {
-    /// Shard policy label.
+    /// Shard policy label: always `"least-loaded"`.
     pub shard_policy: String,
     /// Slots served.
     pub horizon_slots: usize,
@@ -582,7 +587,7 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             cfg,
             trace,
             demand_of: workloads.iter().map(|w| cfg.padded_demand(w)).collect(),
-            sharder: Sharder::new(cfg.shard_policy, capacities.clone()),
+            sharder: Sharder::new(capacities.clone()),
             capacities,
             labels,
             source: TraceSource {
@@ -752,38 +757,31 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
 
     /// Phase 4: admissions — Algorithm 2 line 1 as a FIFO scan. Each
     /// queued request, in arrival order, is rejected when its demand
-    /// fits no shard at any load, and otherwise admitted iff its
-    /// billing keeps the budget and the [`ShardPolicy`] picks a shard
-    /// it fits; loads and spend only grow within a boundary.
+    /// fits no shard at any load, and otherwise admitted to the
+    /// least-utilized shard it fits iff its billing keeps the budget;
+    /// loads and spend only grow within a boundary.
     ///
     /// The scan stops at the first request once the smallest demand
     /// still waiting fits no shard or is over budget: both are
-    /// demand-monotone, so every later request would wait, and
-    /// `skip_all` replays their offers on a `RoundRobin` rotation. A
-    /// request that leaves the queue leaves the demand index inside the
-    /// scan, so the probe reads the true minimum of what still waits.
-    /// The stop is not armed while a never-fitting request waits, whose
-    /// Reject must not be deferred, nor for `RoundRobin` under a finite
-    /// budget: a budget-refused request waits without being offered to
-    /// the rotation — the shard never saw it — so the unscanned tail
-    /// would over-advance the cursor.
+    /// demand-monotone, so every later request would wait. A request
+    /// that leaves the queue leaves the demand index inside the scan,
+    /// so the probe reads the true minimum of what still waits. The
+    /// stop is not armed while a never-fitting request waits, whose
+    /// Reject must not be deferred.
     fn admit(&mut self) {
-        let considered = self.queue.len();
-        self.meter.add(CounterId::Decisions, considered as u64);
+        self.meter
+            .add(CounterId::Decisions, self.queue.len() as u64);
         let Self {
             queue,
             queued,
             sharder,
             window_spend,
             demand_of,
-            source,
             cfg,
             ..
         } = self;
         let plan = cfg.cost;
-        let may_stop = !queued.holds_never_fitting()
-            && (cfg.shard_policy != ShardPolicy::RoundRobin || !plan.is_budgeted());
-        let mut scanned = 0usize;
+        let may_stop = !queued.holds_never_fitting();
         let (admitted, rejected) = queue.try_admit_while(|request| {
             if may_stop {
                 let least = queued.min_demand().expect("the scanned request is queued");
@@ -791,7 +789,6 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
                     return None;
                 }
             }
-            scanned += 1;
             let demand = demand_of[request.profile];
             if queued.never_fits(demand) {
                 queued.dequeue(demand);
@@ -800,8 +797,7 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             if plan.over_budget(*window_spend, demand) {
                 return Some(AdmitDecision::Wait);
             }
-            let class = source.workloads[request.profile].content_class();
-            Some(match sharder.pick(demand, class) {
+            Some(match sharder.pick(demand) {
                 Some(shard) => {
                     // Reserve, bill and unindex immediately so later
                     // queue entries see the updated load, spend and
@@ -814,7 +810,6 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
                 None => AdmitDecision::Wait,
             })
         });
-        sharder.skip_all(considered - scanned);
         for request in rejected {
             self.emit(EventKind::Reject, request.user, None);
         }
@@ -971,7 +966,6 @@ mod tests {
     struct Flat {
         tiles: usize,
         secs: f64,
-        class: &'static str,
     }
 
     impl Workload for Flat {
@@ -981,23 +975,18 @@ mod tests {
         fn demand_at(&self, _slot: usize) -> Vec<f64> {
             vec![self.secs; self.tiles]
         }
-        fn content_class(&self) -> &str {
-            self.class
-        }
     }
 
     /// ~1.92 admission cores with headroom: two fit a quad-core shard.
     const BUSY: Flat = Flat {
         tiles: 2,
         secs: SLOT / 24.0 * 20.0,
-        class: "busy",
     };
 
     /// Eight cores before headroom: fits no quad-core shard.
     const HUGE: Flat = Flat {
         tiles: 8,
         secs: SLOT,
-        class: "huge",
     };
 
     /// Claims one core at admission but needs six per slot: misses
@@ -1010,9 +999,6 @@ mod tests {
         }
         fn demand_at(&self, _slot: usize) -> Vec<f64> {
             vec![SLOT * 1.5; 4]
-        }
-        fn content_class(&self) -> &str {
-            "chaos"
         }
     }
 
@@ -1045,7 +1031,6 @@ mod tests {
         let workloads = [Flat {
             tiles: 2,
             secs: SLOT / 8.0,
-            class: "brain",
         }];
         let trace = vec![request(0, 0, Some(48)), request(1, 10, None)];
         let report = serve_online(&cfg(96), &workloads, &trace, quad_shards(2));
@@ -1137,21 +1122,12 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_spreads_round_robin_blocks() {
-        // 4 heavy users (≈2.3 cores each) on two 4-core shards: least-
-        // loaded fits two per shard; blind rotation repeatedly offers
-        // a full shard while the other has room.
+    fn least_loaded_spreads_heavy_users_across_shards() {
+        // 4 heavy users (≈1.92 cores each) on two 4-core shards: least-
+        // loaded fits two per shard.
         let workloads = [BUSY];
         let trace: Vec<UserRequest> = (0..4).map(|u| request(u, 0, None)).collect();
-        let ll = serve_online(
-            &OnlineConfig {
-                shard_policy: ShardPolicy::LeastLoaded,
-                ..cfg(48)
-            },
-            &workloads,
-            &trace,
-            quad_shards(2),
-        );
+        let ll = serve_online(&cfg(48), &workloads, &trace, quad_shards(2));
         assert_eq!(ll.admissions, 4);
         assert_eq!(ll.shards[0].peak_users, 2);
         assert_eq!(ll.shards[1].peak_users, 2);
@@ -1162,7 +1138,6 @@ mod tests {
         let workloads = [Flat {
             tiles: 1,
             secs: SLOT / 8.0,
-            class: "x",
         }];
         // Boundaries at 0 and 8 only: slot 15 arrives after the last
         // one (still within the horizon), slot 16 is outside it.
@@ -1218,7 +1193,6 @@ mod tests {
         let workloads = [Flat {
             tiles: 2,
             secs: SLOT / 8.0,
-            class: "brain",
         }];
         let platform = Platform::xeon_e5_2667_quad();
         let shards: Vec<SimBackend> = (0..platform.sockets)
@@ -1282,62 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotation_ignores_unrelated_rejects_under_a_budget() {
-        // Three quad shards, a 4-credit budget at 1 credit per core:
-        // users 0 and 1 (~1.92 cores each) spend it at slot 0, users 2
-        // and 3 wait on credits — refused by the budget, so never
-        // offered to the rotation — until user 0 departs at 24. An
-        // oversized request that arrives at slot 4 and is rejected at
-        // the next boundary shares nothing with them: every other
-        // decision, shard included, must be the same with and without.
-        let workloads = [BUSY, HUGE];
-        let users = vec![
-            request(0, 0, Some(24)),
-            request(1, 0, None),
-            request(2, 0, None),
-            request(3, 0, None),
-        ];
-        let mut with_reject = users.clone();
-        with_reject.push(UserRequest {
-            profile: 1,
-            ..request(4, 4, None)
-        });
-        let cfg = OnlineConfig {
-            shard_policy: ShardPolicy::RoundRobin,
-            cost: CostPlan {
-                credits_per_core_window: 1.0,
-                budget_credits_per_window: 4.0,
-                degrade_on_evict: false,
-            },
-            ..cfg(96)
-        };
-        let plain = serve_online(&cfg, &workloads, &users, quad_shards(3));
-        let noisy = serve_online(&cfg, &workloads, &with_reject, quad_shards(3));
-        let reject = AdmissionEvent {
-            slot: 8,
-            user: 4,
-            shard: None,
-            kind: EventKind::Reject,
-        };
-        assert!(noisy.events.contains(&reject));
-        let others: Vec<AdmissionEvent> = noisy
-            .events
-            .iter()
-            .copied()
-            .filter(|e| *e != reject)
-            .collect();
-        assert_eq!(plain.events, others);
-        // The rotation stood at shard 2 after the two slot-0 admits and
-        // no budget-refused request may move it.
-        let admit2 = plain
-            .events
-            .iter()
-            .find(|e| e.user == 2 && e.kind == EventKind::Admit)
-            .expect("user 2 admitted once credits free up");
-        assert_eq!((admit2.slot, admit2.shard), (24, Some(2)));
-    }
-
-    #[test]
     fn budget_stop_admits_light_requests_queued_behind_heavy_ones() {
         // At 1 credit per core-window a 1-credit budget refuses every
         // heavy request (~1.92 cores) but holds both light ones (~0.14
@@ -1349,7 +1267,6 @@ mod tests {
             Flat {
                 tiles: 1,
                 secs: SLOT / 8.0,
-                class: "light",
             },
         ];
         let light = |user| UserRequest {
@@ -1364,26 +1281,23 @@ mod tests {
             request(4, 0, None),
             light(5),
         ];
-        for shard_policy in [ShardPolicy::LeastLoaded, ShardPolicy::ContentAffinity] {
-            let capped = OnlineConfig {
-                shard_policy,
-                cost: CostPlan {
-                    credits_per_core_window: 1.0,
-                    budget_credits_per_window: 1.0,
-                    degrade_on_evict: false,
-                },
-                ..cfg(16)
-            };
-            let report = serve_online(&capped, &workloads, &trace, quad_shards(2));
-            let admits: Vec<(usize, usize)> = report
-                .events
-                .iter()
-                .filter(|e| e.kind == EventKind::Admit)
-                .map(|e| (e.slot, e.user))
-                .collect();
-            assert_eq!(admits, [(0, 2), (0, 5)], "{shard_policy:?}");
-            assert_eq!(report.queued_at_end, 4, "{shard_policy:?}: heavy ones wait");
-        }
+        let capped = OnlineConfig {
+            cost: CostPlan {
+                credits_per_core_window: 1.0,
+                budget_credits_per_window: 1.0,
+                degrade_on_evict: false,
+            },
+            ..cfg(16)
+        };
+        let report = serve_online(&capped, &workloads, &trace, quad_shards(2));
+        let admits: Vec<(usize, usize)> = report
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Admit)
+            .map(|e| (e.slot, e.user))
+            .collect();
+        assert_eq!(admits, [(0, 2), (0, 5)]);
+        assert_eq!(report.queued_at_end, 4, "heavy ones wait");
     }
 
     #[test]
@@ -1394,7 +1308,6 @@ mod tests {
         let workloads = [Flat {
             tiles: 1,
             secs: SLOT / 8.0,
-            class: "x",
         }];
         serve_online(
             &cfg(48),
@@ -1525,7 +1438,6 @@ mod tests {
         let workloads = [Flat {
             tiles: 1,
             secs: SLOT / 8.0,
-            class: "x",
         }];
         let report = serve_online(&cfg(0), &workloads, &[], quad_shards(2));
         assert_eq!(report.admissions, 0);

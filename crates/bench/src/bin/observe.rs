@@ -22,8 +22,8 @@
 //! experiment binaries.
 
 use medvt_admission::{
-    serve_online, serve_online_with, synthesize_trace, OnlineConfig, OnlineReport, ShardPolicy,
-    TraceConfig, UserRequest, Workload,
+    serve_online, serve_online_with, synthesize_trace, OnlineConfig, OnlineReport, TraceConfig,
+    UserRequest, Workload,
 };
 use medvt_bench::write_artifact;
 use medvt_mpsoc::{DvfsPolicy, FrequencySet, Platform, PowerModel};
@@ -57,7 +57,6 @@ const RING_CAPACITY: usize = 1 << 12;
 struct SteadyTier {
     tiles: usize,
     secs: f64,
-    class: &'static str,
 }
 
 impl Workload for SteadyTier {
@@ -66,9 +65,6 @@ impl Workload for SteadyTier {
     }
     fn demand_at(&self, _slot: usize) -> Vec<f64> {
         vec![self.secs; self.tiles]
-    }
-    fn content_class(&self) -> &str {
-        self.class
     }
     fn steady(&self) -> bool {
         true
@@ -81,17 +77,14 @@ fn tiers() -> Vec<SteadyTier> {
         SteadyTier {
             tiles: 1,
             secs: unit,
-            class: "brain",
         },
         SteadyTier {
             tiles: 2,
             secs: unit,
-            class: "spine",
         },
         SteadyTier {
             tiles: 4,
             secs: unit,
-            class: "cardiac",
         },
     ]
 }
@@ -115,9 +108,9 @@ fn online_config() -> OnlineConfig {
         horizon_slots: HORIZON,
         headroom: HEADROOM,
         policy: DvfsPolicy::StretchToDeadline,
-        shard_policy: ShardPolicy::LeastLoaded,
         evict_miss_windows: 1,
         cost: medvt_admission::CostPlan::unlimited(),
+        ..OnlineConfig::default()
     }
 }
 

@@ -39,7 +39,7 @@ use crate::lease::LeasePool;
 use crate::message::{Assignment, LeaseFailure, SegmentResult, WorkerCommand};
 use crate::reassembly::Reassembler;
 use crate::worker::{run_worker, WorkerRole};
-use medvt_admission::{ShardPolicy, Sharder, Workload};
+use medvt_admission::Sharder;
 use medvt_core::LiveWorkload;
 use medvt_encoder::plan_segments;
 use medvt_mpsoc::{DvfsPolicy, Platform};
@@ -252,8 +252,7 @@ pub fn run_cluster_with<R: Recorder>(
         cfg.lease_backoff,
         cfg.max_attempts,
     );
-    let mut sharder = Sharder::new(ShardPolicy::LeastLoaded, capacities.clone());
-    let class = workload.content_class().to_string();
+    let mut sharder = Sharder::new(capacities.clone());
 
     let mut stats: Vec<NodeRunStats> = capacities
         .iter()
@@ -371,7 +370,7 @@ pub fn run_cluster_with<R: Recorder>(
                 let Some((segment, attempt)) = pool.next_ready(now) else {
                     break;
                 };
-                let node = sharder.pick(LEASE_DEMAND, &class).expect("any_fits held");
+                let node = sharder.pick(LEASE_DEMAND).expect("any_fits held");
                 sharder.admit_load(node, LEASE_DEMAND);
                 if !pool.holds_lease(node) {
                     seen[node].clone_from(&delivered);

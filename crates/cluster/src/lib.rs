@@ -11,7 +11,7 @@
 //!
 //! | layer | piece | reused from |
 //! |---|---|---|
-//! | node selection | [`Sharder`](medvt_admission::Sharder) over per-node capacities | admission's shard policies |
+//! | node selection | [`Sharder`](medvt_admission::Sharder) over per-node capacities | admission's least-utilized shard pick |
 //! | per-node serving | a fresh single-member [`LoopDriver`](medvt_runtime::LoopDriver) per segment | runtime's server loop |
 //! | wire seam | `WorkerCommand` in, `SegmentResult` out (plain `Serialize` data) | new in this crate |
 //! | work unit | [`SegmentSpec`](medvt_encoder::SegmentSpec) (contiguous GOP range) | encoder's GOP structure |

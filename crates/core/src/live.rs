@@ -171,10 +171,6 @@ impl Workload for LiveWorkload {
         self.profile.demand_at(slot)
     }
 
-    fn content_class(&self) -> &str {
-        &self.profile.class
-    }
-
     fn work_for(&self, slot: usize, thread: usize) -> Option<Box<dyn FnOnce() + Send + '_>> {
         let idx = self.frame_index(slot);
         self.profile.frames[idx].tiles.get(thread)?;
@@ -251,7 +247,6 @@ mod tests {
             }
             assert!(w.work_for(slot, demand.len()).is_none());
         }
-        assert_eq!(w.content_class(), "brain");
     }
 
     #[test]

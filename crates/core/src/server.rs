@@ -39,8 +39,7 @@ impl DemandSource for ProfileSource<'_> {
 }
 
 /// A profiled video is an admissible online workload: the steady
-/// demand is what the LUT reports to Algorithm 2 at admission time,
-/// and the body-part class is the content-affinity shard key.
+/// demand is what the LUT reports to Algorithm 2 at admission time.
 impl Workload for VideoProfile {
     fn steady_demand(&self) -> Vec<f64> {
         VideoProfile::steady_demand(self)
@@ -48,10 +47,6 @@ impl Workload for VideoProfile {
 
     fn demand_at(&self, slot: usize) -> Vec<f64> {
         VideoProfile::demand_at(self, slot)
-    }
-
-    fn content_class(&self) -> &str {
-        &self.class
     }
 }
 

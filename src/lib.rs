@@ -17,7 +17,7 @@
 //! | [`sched`] | `medvt-sched` | workload LUT, Algorithm 2 allocator |
 //! | [`runtime`] | `medvt-runtime` | placement-aware execution: work-conserving worker pool, sim/thread-pool backends, server loop |
 //! | [`telemetry`] | `medvt-telemetry` | flight-recorder observability: typed events, lock-free rings, counters/histograms, trace export |
-//! | [`admission`] | `medvt-admission` | live admission control: request queue, shard policies, GOP-boundary admit/evict |
+//! | [`admission`] | `medvt-admission` | live admission control: request queue, least-utilized sharding, GOP-boundary admit/evict |
 //! | [`core`] | `medvt-core` | the full pipeline, baseline \[19\], multi-user server (batch, online, live) on either backend |
 //! | [`cluster`] | `medvt-cluster` | coordinator/worker cluster serving: segment leasing, fault-tolerant reassembly, heterogeneous fleets |
 //!

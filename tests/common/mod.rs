@@ -9,7 +9,7 @@
 
 pub mod spec;
 
-use medvt::admission::{CostPlan, OnlineConfig, ShardPolicy};
+use medvt::admission::{CostPlan, OnlineConfig};
 use medvt::analyze::AnalyzerConfig;
 use medvt::core::{
     profile_video, ContentAwareController, FrameReport, LiveWorkload, PipelineConfig, TileReport,
@@ -23,7 +23,7 @@ use medvt::sched::WorkloadLut;
 
 /// Synthetic profile for controlled scheduling/admission experiments:
 /// 8 frames of `tiles` uniform tiles costing `tile_secs` f_max-seconds
-/// each, under body-part `class` (the content-affinity key).
+/// each, under body-part `class`.
 pub fn synthetic_profile(name: &str, class: &str, tiles: usize, tile_secs: f64) -> VideoProfile {
     let tile_reports: Vec<TileReport> = (0..tiles)
         .map(|i| TileReport {
@@ -103,9 +103,9 @@ pub fn live_online_config(horizon_slots: usize) -> OnlineConfig {
         horizon_slots,
         headroom: 1.15,
         policy: DvfsPolicy::RaceToIdle,
-        shard_policy: ShardPolicy::LeastLoaded,
         evict_miss_windows: 1,
         cost: CostPlan::unlimited(),
+        ..OnlineConfig::default()
     }
 }
 

@@ -33,7 +33,7 @@
 
 use medvt::admission::{
     staggered_slot, AdmissionEvent, CostPlan, CostReport, DeadlineClass, EventKind, OnlineConfig,
-    OnlineReport, ShardPolicy, ShardReport, UserRequest, Workload,
+    OnlineReport, ShardReport, UserRequest, Workload,
 };
 use medvt::runtime::{
     ControllerTiming, DemandSource, ExecutionBackend, LoopDriver, LoopReport, ReplanPolicy,
@@ -62,13 +62,6 @@ pub fn ledger_bits(ledger: &CostReport) -> (usize, u64, u64, usize) {
     )
 }
 
-/// Every shard policy, in declaration order.
-pub const POLICIES: [ShardPolicy; 3] = [
-    ShardPolicy::LeastLoaded,
-    ShardPolicy::RoundRobin,
-    ShardPolicy::ContentAffinity,
-];
-
 /// Fit tolerance of every capacity and budget comparison.
 const EPS: f64 = 1e-9;
 
@@ -91,75 +84,17 @@ fn downgrade(class: DeadlineClass) -> Option<DeadlineClass> {
     }
 }
 
-/// FNV-1a of a content class: the affinity key, stable across runs.
-fn class_hash(class: &str) -> u64 {
-    class.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn fits(load: f64, capacity: f64, demand: f64) -> bool {
-    load + demand <= capacity + EPS
-}
-
-/// The stateless shard chooser: it keeps only the round-robin rotation
-/// and reads the caller's loads afresh at every pick.
-#[derive(Debug)]
-pub struct StatelessChooser {
-    policy: ShardPolicy,
-    rotation: usize,
-}
-
-impl StatelessChooser {
-    /// A chooser for `policy`, its rotation at shard 0.
-    pub fn new(policy: ShardPolicy) -> Self {
-        Self {
-            policy,
-            rotation: 0,
-        }
-    }
-
-    /// The least-utilized shard `demand` fits; the first on a tie.
-    fn least_loaded(loads: &[f64], capacities: &[f64], demand: f64) -> Option<usize> {
-        loads
-            .iter()
-            .zip(capacities)
-            .enumerate()
-            .filter(|(_, (&load, &capacity))| fits(load, capacity, demand))
-            .min_by(|(_, (a, ca)), (_, (b, cb))| (*a / *ca).total_cmp(&(*b / *cb)))
-            .map(|(shard, _)| shard)
-    }
-
-    /// The shard a user of `demand` cores and content `class` lands on
-    /// given the shards' current `loads`, or `None` when the policy
-    /// finds no room. Round-robin offers each call the next shard in
-    /// rotation and nothing else; content affinity tries the class's
-    /// home shard first and falls back to least-loaded.
-    pub fn pick(
-        &mut self,
-        loads: &[f64],
-        capacities: &[f64],
-        demand: f64,
-        class: &str,
-    ) -> Option<usize> {
-        let n = loads.len();
-        match self.policy {
-            ShardPolicy::LeastLoaded => Self::least_loaded(loads, capacities, demand),
-            ShardPolicy::RoundRobin => {
-                let shard = self.rotation % n;
-                self.rotation += 1;
-                fits(loads[shard], capacities[shard], demand).then_some(shard)
-            }
-            ShardPolicy::ContentAffinity => {
-                let home = (class_hash(class) % n as u64) as usize;
-                if fits(loads[home], capacities[home], demand) {
-                    Some(home)
-                } else {
-                    Self::least_loaded(loads, capacities, demand)
-                }
-            }
-        }
-    }
+/// The least-utilized shard `demand` fits given the shards' current
+/// `loads`, the first on a tie; `None` when it fits nowhere. It keeps
+/// no state: utilization is divided afresh at every pick.
+pub fn least_utilized(loads: &[f64], capacities: &[f64], demand: f64) -> Option<usize> {
+    loads
+        .iter()
+        .zip(capacities)
+        .enumerate()
+        .filter(|(_, (&load, &capacity))| load + demand <= capacity + EPS)
+        .min_by(|(_, (a, ca)), (_, (b, cb))| (*a / *ca).total_cmp(&(*b / *cb)))
+        .map(|(shard, _)| shard)
 }
 
 /// An admitted user as the specification tracks it.
@@ -244,7 +179,6 @@ pub fn serve_spec<W: Workload, B: ExecutionBackend>(
 
     let mut queue: Vec<UserRequest> = Vec::new();
     let mut active: BTreeMap<usize, Active> = BTreeMap::new();
-    let mut chooser = StatelessChooser::new(cfg.shard_policy);
     let mut loads = vec![0.0f64; n];
     let mut spend = 0.0f64;
     let mut events: Vec<AdmissionEvent> = Vec::new();
@@ -337,9 +271,9 @@ pub fn serve_spec<W: Workload, B: ExecutionBackend>(
 
         // 4. Admit: scan the whole queue in FIFO order. A demand above
         // every shard's capacity is rejected; one whose bill overruns
-        // the budget waits without being offered to a shard; the rest
-        // are offered to the chooser and, when it finds room, reserved
-        // and billed before the next request is looked at.
+        // the budget waits; the rest go to the least-utilized shard they
+        // fit, when there is one, reserved and billed before the next
+        // request is looked at.
         timing.decisions += queue.len() as u64;
         let mut rejected: Vec<usize> = Vec::new();
         let mut admitted: Vec<(UserRequest, usize)> = Vec::new();
@@ -351,8 +285,7 @@ pub fn serve_spec<W: Workload, B: ExecutionBackend>(
             } else if spend + demand * rate > budget + EPS {
                 waiting.push(request);
             } else {
-                let class = workloads[request.profile].content_class();
-                match chooser.pick(&loads, &capacities, demand, class) {
+                match least_utilized(&loads, &capacities, demand) {
                     Some(shard) => {
                         loads[shard] += demand;
                         spend += demand * rate;

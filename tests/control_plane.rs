@@ -14,7 +14,7 @@ use medvt::mpsoc::{DvfsPolicy, Platform, PowerModel};
 use medvt::runtime::SimBackend;
 
 mod common;
-use common::spec::{serve_spec, StatelessChooser, POLICIES};
+use common::spec::{least_utilized, serve_spec};
 use common::synthetic_profile as profile;
 
 const SLOT: f64 = 1.0 / 24.0;
@@ -54,32 +54,29 @@ fn saturating_trace() -> Vec<medvt::admission::UserRequest> {
 fn optimized_controller_replays_the_reference_decision_stream() {
     let profiles = mixed_profiles();
     let trace = saturating_trace();
-    for policy in POLICIES {
-        let cfg = OnlineConfig {
-            horizon_slots: 192,
-            shard_policy: policy,
-            ..Default::default()
-        };
-        let fast = serve_online(&cfg, &profiles, &trace, xeon_shards());
-        let spec = serve_spec(&cfg, &profiles, &trace, xeon_shards()).report;
-        assert_eq!(
-            fast.events, spec.events,
-            "{policy:?}: decision streams must be bit-identical"
+    let cfg = OnlineConfig {
+        horizon_slots: 192,
+        ..Default::default()
+    };
+    let fast = serve_online(&cfg, &profiles, &trace, xeon_shards());
+    let spec = serve_spec(&cfg, &profiles, &trace, xeon_shards()).report;
+    assert_eq!(
+        fast.events, spec.events,
+        "decision streams must be bit-identical"
+    );
+    // Only the wall-clock timings may differ: the decision, boundary
+    // and replan counters, every tally and the per-shard accounting
+    // must match.
+    assert_eq!(
+        fast.modeled_only(),
+        spec,
+        "modeled reports must be bit-identical"
+    );
+    for kind in [EventKind::Admit, EventKind::Abandon, EventKind::Depart] {
+        assert!(
+            fast.events.iter().any(|e| e.kind == kind),
+            "a saturating trace must exercise {kind:?}"
         );
-        // Only the wall-clock timings may differ: the decision,
-        // boundary and replan counters, every tally and the per-shard
-        // accounting must match.
-        assert_eq!(
-            fast.modeled_only(),
-            spec,
-            "{policy:?}: modeled reports must be bit-identical"
-        );
-        for kind in [EventKind::Admit, EventKind::Abandon, EventKind::Depart] {
-            assert!(
-                fast.events.iter().any(|e| e.kind == kind),
-                "{policy:?}: a saturating trace must exercise {kind:?}"
-            );
-        }
     }
 }
 
@@ -96,7 +93,6 @@ mod every_kind {
     pub(super) struct Mix {
         tiles: usize,
         secs: f64,
-        class: &'static str,
         lying: bool,
     }
 
@@ -111,9 +107,6 @@ mod every_kind {
         fn demand_at(&self, _slot: usize) -> Vec<f64> {
             vec![self.secs; self.tiles]
         }
-        fn content_class(&self) -> &str {
-            self.class
-        }
         fn steady(&self) -> bool {
             // The lying workload is slot-invariant too, but stays on
             // the re-estimated path so both refresh modes run.
@@ -125,20 +118,18 @@ mod every_kind {
     /// huge (fits no quad shard) and lying (claims one core, needs
     /// six).
     pub(super) fn workloads() -> [Mix; 4] {
-        let flat = |tiles, secs, class| Mix {
+        let flat = |tiles, secs| Mix {
             tiles,
             secs,
-            class,
             lying: false,
         };
         [
-            flat(2, SLOT / 24.0 * 20.0, "busy"),
-            flat(1, SLOT / 8.0, "light"),
-            flat(8, SLOT, "huge"),
+            flat(2, SLOT / 24.0 * 20.0),
+            flat(1, SLOT / 8.0),
+            flat(8, SLOT),
             Mix {
                 tiles: 4,
                 secs: SLOT * 1.5,
-                class: "chaos",
                 lying: true,
             },
         ]
@@ -184,84 +175,72 @@ fn every_decision_kind_replays_the_spec() {
     // degraded back into the queue when the plan says so.
     let workloads = every_kind::workloads();
     let trace = every_kind::trace();
-    for policy in POLICIES {
-        for degrade_on_evict in [false, true] {
-            let cfg = OnlineConfig {
-                shard_policy: policy,
-                horizon_slots: 120,
-                cost: CostPlan {
-                    degrade_on_evict,
-                    ..CostPlan::unlimited()
-                },
-                ..Default::default()
-            };
-            let cell = format!("{policy:?}, degrade {degrade_on_evict}");
-            let fast = serve_online(&cfg, &workloads, &trace, every_kind::quad_shards());
-            let spec = serve_spec(&cfg, &workloads, &trace, every_kind::quad_shards()).report;
-            assert_eq!(fast.events, spec.events, "{cell}: decision stream");
-            assert_eq!(fast.modeled_only(), spec, "{cell}: report");
-            for kind in [
-                EventKind::Admit,
-                EventKind::Evict,
-                EventKind::Reject,
-                EventKind::Depart,
-                EventKind::Abandon,
-            ] {
-                assert!(
-                    spec.events.iter().any(|e| e.kind == kind),
-                    "{cell} must exercise {kind:?}"
-                );
-            }
-            assert_eq!(
-                spec.events.iter().any(|e| e.kind == EventKind::Downgrade),
+    for degrade_on_evict in [false, true] {
+        let cfg = OnlineConfig {
+            horizon_slots: 120,
+            cost: CostPlan {
                 degrade_on_evict,
-                "{cell}: downgrades happen exactly when degrading"
+                ..CostPlan::unlimited()
+            },
+            ..Default::default()
+        };
+        let cell = format!("degrade {degrade_on_evict}");
+        let fast = serve_online(&cfg, &workloads, &trace, every_kind::quad_shards());
+        let spec = serve_spec(&cfg, &workloads, &trace, every_kind::quad_shards()).report;
+        assert_eq!(fast.events, spec.events, "{cell}: decision stream");
+        assert_eq!(fast.modeled_only(), spec, "{cell}: report");
+        for kind in [
+            EventKind::Admit,
+            EventKind::Evict,
+            EventKind::Reject,
+            EventKind::Depart,
+            EventKind::Abandon,
+        ] {
+            assert!(
+                spec.events.iter().any(|e| e.kind == kind),
+                "{cell} must exercise {kind:?}"
             );
         }
+        assert_eq!(
+            spec.events.iter().any(|e| e.kind == EventKind::Downgrade),
+            degrade_on_evict,
+            "{cell}: downgrades happen exactly when degrading"
+        );
     }
 }
 
 #[test]
 fn attached_picks_match_stateless_picks() {
     // Replay one admit/release trace through the tracked chooser and
-    // the spec's stateless one under every policy: decisions must be
-    // identical call for call.
+    // the spec's stateless one: decisions must be identical call for
+    // call.
     let caps = vec![8.0, 2.0, 5.8, 8.0];
-    // (demand, class, optional (shard, demand) released beforehand).
-    type Step = (f64, &'static str, Option<(usize, f64)>);
+    // (demand, optional (shard, demand) released beforehand).
+    type Step = (f64, Option<(usize, f64)>);
     let trace: [Step; 8] = [
-        (1.0, "brain", None),
-        (2.5, "cardiac", None),
-        (1.0, "spine", Some((0, 1.0))),
-        (6.0, "brain", None),
-        (0.5, "cardiac", Some((2, 0.5))),
-        (3.0, "spine", None),
-        (9.0, "brain", None), // fits nowhere
-        (1.5, "cardiac", None),
+        (1.0, None),
+        (2.5, None),
+        (1.0, Some((0, 1.0))),
+        (6.0, None),
+        (0.5, Some((2, 0.5))),
+        (3.0, None),
+        (9.0, None), // fits nowhere
+        (1.5, None),
     ];
-    for policy in POLICIES {
-        let mut stateless = StatelessChooser::new(policy);
-        let mut tracked = Sharder::new(policy, caps.clone());
-        let mut loads = vec![0.0f64; caps.len()];
-        for &(demand, class, release) in &trace {
-            if let Some((shard, d)) = release {
-                loads[shard] -= d;
-                tracked.release_load(shard, d);
-            }
-            let a = stateless.pick(&loads, &caps, demand, class);
-            let b = tracked.pick(demand, class);
-            assert_eq!(a, b, "{policy:?} diverged on demand {demand}");
-            assert_eq!(
-                tracked.any_fits(demand),
-                loads
-                    .iter()
-                    .zip(&caps)
-                    .any(|(&l, &c)| l + demand <= c + 1e-9)
-            );
-            if let Some(shard) = a {
-                loads[shard] += demand;
-                tracked.admit_load(shard, demand);
-            }
+    let mut tracked = Sharder::new(caps.clone());
+    let mut loads = vec![0.0f64; caps.len()];
+    for &(demand, release) in &trace {
+        if let Some((shard, d)) = release {
+            loads[shard] -= d;
+            tracked.release_load(shard, d);
+        }
+        let a = least_utilized(&loads, &caps, demand);
+        let b = tracked.pick(demand);
+        assert_eq!(a, b, "diverged on demand {demand}");
+        assert_eq!(tracked.any_fits(demand), a.is_some());
+        if let Some(shard) = a {
+            loads[shard] += demand;
+            tracked.admit_load(shard, demand);
         }
     }
 }
@@ -296,30 +275,17 @@ fn report_hash(report: &medvt::admission::OnlineReport) -> u64 {
         })
 }
 
-/// `report_hash` of every (shard policy, cost plan, fleet) cell, in
-/// loop order: policy outermost, then plan, then fleet. Recorded from
-/// the controller as it stood before it was restructured into phases;
-/// regenerate with `MEDVT_PRINT_HASHES=1` only for an intended change
-/// of decisions.
-const GOLDEN_REPORT_HASHES: [u64; 18] = [
+/// `report_hash` of every (cost plan, fleet) cell, in loop order: plan
+/// outermost, then fleet. Recorded from the controller as it stood
+/// before it was restructured into phases; regenerate with
+/// `MEDVT_PRINT_HASHES=1` only for an intended change of decisions.
+const GOLDEN_REPORT_HASHES: [u64; 6] = [
     0x86e6ccbde09deb74,
     0x0652963bd915d328,
     0xa78ba915190dd143,
     0x0c57f49ff6e51247,
     0x78fd3f1bbe082aae,
     0x470d51bfeb2ac86f,
-    0xba163cb67de1128a,
-    0xcd647770242a6ed2,
-    0xe359f5d7bb4aa1f8,
-    0x63d542320e436377,
-    0x291d636f89c03c2b,
-    0xfaa9a2483934caee,
-    0x4ef5d59e7a7871c8,
-    0xc0bcf4b3d4b33e02,
-    0x4f1f9f578cb9ee84,
-    0xafbc9161774b88e0,
-    0x64c308bf1e0a409d,
-    0x619bc7fb58c82692,
 ];
 
 #[test]
@@ -345,45 +311,42 @@ fn cost_plans_replay_their_recorded_decision_streams() {
     };
     let mut hashes = Vec::new();
     let mut spec_hashes = Vec::new();
-    for policy in POLICIES {
-        // Budgets sit at three quarters of each fleet's capacity.
-        for (unlimited, degrade) in [(true, false), (false, false), (false, true)] {
-            let fleets: [(Fleet, f64); 2] = [(xeon_shards, 24.0), (hetero_shards, 8.7)];
-            for (fleet, budget) in fleets {
-                let cfg = OnlineConfig {
-                    horizon_slots: 192,
-                    headroom: 0.6,
-                    shard_policy: policy,
-                    cost: plan(if unlimited { f64::INFINITY } else { budget }, degrade),
-                    ..Default::default()
-                };
-                let report = serve_online(&cfg, &profiles, &trace, fleet());
-                let cell = format!(
-                    "{policy:?}, budget {}, degrade {degrade}",
-                    cfg.cost.budget_credits_per_window
+    // Budgets sit at three quarters of each fleet's capacity.
+    for (unlimited, degrade) in [(true, false), (false, false), (false, true)] {
+        let fleets: [(Fleet, f64); 2] = [(xeon_shards, 24.0), (hetero_shards, 8.7)];
+        for (fleet, budget) in fleets {
+            let cfg = OnlineConfig {
+                horizon_slots: 192,
+                headroom: 0.6,
+                cost: plan(if unlimited { f64::INFINITY } else { budget }, degrade),
+                ..Default::default()
+            };
+            let report = serve_online(&cfg, &profiles, &trace, fleet());
+            let cell = format!(
+                "budget {}, degrade {degrade}",
+                cfg.cost.budget_credits_per_window
+            );
+            for kind in [
+                EventKind::Admit,
+                EventKind::Evict,
+                EventKind::Reject,
+                EventKind::Depart,
+                EventKind::Abandon,
+            ] {
+                assert!(
+                    report.events.iter().any(|e| e.kind == kind),
+                    "{cell}: trace must exercise {kind:?}"
                 );
-                for kind in [
-                    EventKind::Admit,
-                    EventKind::Evict,
-                    EventKind::Reject,
-                    EventKind::Depart,
-                    EventKind::Abandon,
-                ] {
-                    assert!(
-                        report.events.iter().any(|e| e.kind == kind),
-                        "{cell}: trace must exercise {kind:?}"
-                    );
-                }
-                assert_eq!(
-                    report.events.iter().any(|e| e.kind == EventKind::Downgrade),
-                    degrade,
-                    "{cell}: downgrades happen exactly when degrading"
-                );
-                hashes.push(report_hash(&report));
-                spec_hashes.push(report_hash(
-                    &serve_spec(&cfg, &profiles, &trace, fleet()).report,
-                ));
             }
+            assert_eq!(
+                report.events.iter().any(|e| e.kind == EventKind::Downgrade),
+                degrade,
+                "{cell}: downgrades happen exactly when degrading"
+            );
+            hashes.push(report_hash(&report));
+            spec_hashes.push(report_hash(
+                &serve_spec(&cfg, &profiles, &trace, fleet()).report,
+            ));
         }
     }
     if std::env::var("MEDVT_PRINT_HASHES").is_ok() {

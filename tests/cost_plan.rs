@@ -11,8 +11,8 @@
 //!   `Admit` requires the user to be queued — catching duplication and
 //!   loss), bounded by the deadline ladder's depth, and that the final
 //!   census reconciles with the report's counters.
-//! * **parity** — under every shard policy and every cost plan
-//!   (unlimited, budgeted, budgeted and degrading), with GOPs aligned
+//! * **parity** — under every cost plan (unlimited, budgeted,
+//!   budgeted and degrading), with GOPs aligned
 //!   to the one-second window or not, the controller replays the
 //!   executable specification (`common::spec`) bit for bit, and a
 //!   budgeted + degrading run replays the same decision stream on
@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
-use common::spec::{ledger_bits, serve_spec, POLICIES};
+use common::spec::{ledger_bits, serve_spec};
 use common::{live_online_config, synthetic_profile as profile};
 
 const HORIZON: usize = 144;
@@ -246,9 +246,9 @@ proptest! {
     }
 
     /// The draws of `every_cost_plan_replays_the_spec`: the controller
-    /// and the specification on one random trace under every shard
-    /// policy, cost plan and (fps, GOP) pair, at a drawn headroom that
-    /// ranges from overcommitted (evictions, downgrades) to honest.
+    /// and the specification on one random trace under every cost plan
+    /// and (fps, GOP) pair, at a drawn headroom that ranges from
+    /// overcommitted (evictions, downgrades) to honest.
     fn parity_draws(
         arrivals in 0.3f64..1.4,
         seed in 0u64..400,
@@ -257,36 +257,33 @@ proptest! {
     ) {
         let tiers = tier_profiles();
         let trace = trace_for(arrivals, seed);
-        for shard_policy in POLICIES {
-            for (plan, cost) in plans(budget) {
-                for (fps, gop_slots) in FPS_GOPS {
-                    let cfg = OnlineConfig {
-                        fps,
-                        gop_slots,
-                        horizon_slots: HORIZON,
-                        headroom,
-                        shard_policy,
-                        cost,
-                        ..Default::default()
-                    };
-                    let draw = format!(
-                        "{shard_policy:?}, {plan} plan at budget {budget}, fps {fps}, \
-                         gop_slots {gop_slots}, headroom {headroom}, arrivals {arrivals}, \
-                         seed {seed}"
-                    );
-                    let fast = serve_online(&cfg, &tiers, &trace, bl_shards());
-                    let spec = serve_spec(&cfg, &tiers, &trace, bl_shards());
-                    prop_assert_eq!(&fast.events, &spec.report.events, "{}", draw);
-                    prop_assert_eq!(&fast.modeled_only(), &spec.report, "{}", draw);
-                    prop_assert_eq!(
-                        ledger_bits(&replay_cost(&cfg, &tiers, &trace, &fast)),
-                        ledger_bits(&spec.ledger),
-                        "{}: spend ledger",
-                        draw
-                    );
-                    PARITY_READMISSIONS
-                        .fetch_add(readmissions(&spec.report.events), Ordering::Relaxed);
-                }
+        for (plan, cost) in plans(budget) {
+            for (fps, gop_slots) in FPS_GOPS {
+                let cfg = OnlineConfig {
+                    fps,
+                    gop_slots,
+                    horizon_slots: HORIZON,
+                    headroom,
+                    cost,
+                    ..Default::default()
+                };
+                let draw = format!(
+                    "{plan} plan at budget {budget}, fps {fps}, \
+                     gop_slots {gop_slots}, headroom {headroom}, arrivals {arrivals}, \
+                     seed {seed}"
+                );
+                let fast = serve_online(&cfg, &tiers, &trace, bl_shards());
+                let spec = serve_spec(&cfg, &tiers, &trace, bl_shards());
+                prop_assert_eq!(&fast.events, &spec.report.events, "{}", draw);
+                prop_assert_eq!(&fast.modeled_only(), &spec.report, "{}", draw);
+                prop_assert_eq!(
+                    ledger_bits(&replay_cost(&cfg, &tiers, &trace, &fast)),
+                    ledger_bits(&spec.ledger),
+                    "{}: spend ledger",
+                    draw
+                );
+                PARITY_READMISSIONS
+                    .fetch_add(readmissions(&spec.report.events), Ordering::Relaxed);
             }
         }
     }
@@ -295,8 +292,8 @@ proptest! {
 /// The controller replays the executable specification bit for bit —
 /// events, the whole modeled report (decision, boundary and replan
 /// counters included) and the spend ledger `replay_cost` audits — on
-/// 24 random traces under every shard policy, cost plan and (fps, GOP)
-/// pair. Some downgraded user must be re-admitted somewhere among the
+/// 24 random traces under every cost plan and (fps, GOP) pair. Some
+/// downgraded user must be re-admitted somewhere among the
 /// draws, so the degrading path is not vacuous.
 #[test]
 fn every_cost_plan_replays_the_spec() {

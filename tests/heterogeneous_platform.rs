@@ -4,7 +4,7 @@
 //! asymmetric cores, and the placement invariants must hold for
 //! arbitrary speed mixes.
 
-use medvt::admission::{serve_online, DeadlineClass, OnlineConfig, ShardPolicy, UserRequest};
+use medvt::admission::{serve_online, DeadlineClass, OnlineConfig, UserRequest};
 use medvt::core::VideoProfile;
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{
@@ -137,7 +137,6 @@ fn online_serving_on_big_little_sockets() {
         .collect();
     let cfg = OnlineConfig {
         horizon_slots: 96,
-        shard_policy: ShardPolicy::LeastLoaded,
         ..OnlineConfig::default()
     };
     let report = serve_online(&cfg, &profiles, &trace, shards);

@@ -1,10 +1,9 @@
 //! Integration tests for the online admission-control subsystem:
-//! backend-independent decision streams and shard-policy behaviour on
-//! the paper's 4-socket Xeon model.
+//! backend-independent decision streams and capacity bounds on the
+//! paper's 4-socket Xeon model.
 
 use medvt::admission::{
-    serve_online, synthesize_trace, EventKind, OnlineConfig, OnlineReport, ShardPolicy,
-    TraceConfig, UserRequest,
+    serve_online, synthesize_trace, EventKind, OnlineConfig, OnlineReport, TraceConfig, UserRequest,
 };
 use medvt::core::{ServerConfig, ServerSim, VideoProfile};
 use medvt::mpsoc::{Platform, PowerModel};
@@ -20,8 +19,7 @@ const SLOT: f64 = 1.0 / 24.0;
 const HEADROOM: f64 = 1.15;
 
 /// Per-tile cost whose headroom-padded size divides the slot exactly
-/// (4 per core): packing never overloads, so both shard policies run
-/// at a perfect on-time rate and differ only in admission throughput.
+/// (4 per core): packing never overloads.
 const UNIT: f64 = SLOT * 0.25 / HEADROOM;
 
 /// A light/heavy user mix on the paper's evaluation server: light
@@ -38,12 +36,11 @@ fn xeon_sim() -> ServerSim {
 }
 
 /// Serves `trace` online on the paper's 4-socket Xeon, one analytical
-/// shard per socket, over `horizon_slots` under `shard_policy`.
+/// shard per socket, over `horizon_slots`.
 fn serve_on_xeon_sockets(
     profiles: &[VideoProfile],
     trace: &[UserRequest],
     horizon_slots: usize,
-    shard_policy: ShardPolicy,
 ) -> OnlineReport {
     let platform = Platform::xeon_e5_2667_quad();
     let shards: Vec<SimBackend> = (0..platform.sockets)
@@ -51,7 +48,6 @@ fn serve_on_xeon_sockets(
         .collect();
     let cfg = OnlineConfig {
         horizon_slots,
-        shard_policy,
         ..OnlineConfig::default()
     };
     serve_online(&cfg, profiles, trace, shards)
@@ -72,14 +68,13 @@ fn trace() -> Vec<UserRequest> {
 fn sim_and_pool_backends_replay_identical_decisions() {
     let profiles = mixed_profiles();
     let requests = trace();
-    let analytical = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::LeastLoaded);
+    let analytical = serve_on_xeon_sockets(&profiles, &requests, 192);
     let platform = Platform::xeon_e5_2667_quad();
     let shards: Vec<ThreadPoolBackend> = (0..platform.sockets)
         .map(|s| ThreadPoolBackend::with_workers(platform.socket_view(s), PowerModel::default(), 2))
         .collect();
     let online = OnlineConfig {
         horizon_slots: 192,
-        shard_policy: ShardPolicy::LeastLoaded,
         ..OnlineConfig::default()
     };
     let real = serve_online(&online, &profiles, &requests, shards);
@@ -109,43 +104,6 @@ fn sim_and_pool_backends_replay_identical_decisions() {
 }
 
 #[test]
-fn least_loaded_sustains_more_users_than_round_robin_at_equal_on_time_rate() {
-    let profiles = mixed_profiles();
-    let requests = trace();
-    let ll = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::LeastLoaded);
-    let rr = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::RoundRobin);
-    // Admission headroom keeps both runs feasible: identical (perfect)
-    // on-time rates…
-    assert!(ll.windows > 0 && rr.windows > 0);
-    assert!((ll.on_time_rate() - rr.on_time_rate()).abs() < 1e-12);
-    assert_eq!(ll.window_misses, 0);
-    // …but blind rotation leaves capacity stranded whenever its
-    // designated shard is full, so it sustains strictly fewer
-    // concurrent users than least-loaded packing.
-    assert!(
-        ll.avg_concurrent_users > rr.avg_concurrent_users,
-        "least-loaded {:.2} must beat round-robin {:.2}",
-        ll.avg_concurrent_users,
-        rr.avg_concurrent_users
-    );
-}
-
-#[test]
-fn content_affinity_keeps_classes_on_their_home_socket() {
-    let profiles = mixed_profiles();
-    let requests = trace();
-    let report = serve_on_xeon_sockets(&profiles, &requests, 192, ShardPolicy::ContentAffinity);
-    assert!(report.admissions > 0);
-    // Affinity is a preference, not a cage: every admission lands on a
-    // real socket and the run stays feasible.
-    assert!(report
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::Admit)
-        .all(|e| e.shard.is_some_and(|s| s < 4)));
-}
-
-#[test]
 fn online_and_batch_serving_agree_on_capacity_order() {
     // The online path must not admit more steady-state users than the
     // batch admission bound for the same profile set.
@@ -162,7 +120,7 @@ fn online_and_batch_serving_agree_on_capacity_order() {
             departure_slot: None,
         })
         .collect();
-    let online = serve_on_xeon_sockets(&profiles, &requests, 96, ShardPolicy::LeastLoaded);
+    let online = serve_on_xeon_sockets(&profiles, &requests, 96);
     assert!(online.peak_concurrent_users > 0);
     assert!(
         online.peak_concurrent_users <= batch.users_served,

@@ -7,7 +7,7 @@
 //! pre-telemetry form.
 
 use medvt::admission::{
-    serve_online, serve_online_with, synthesize_trace, OnlineConfig, ShardPolicy, TraceConfig,
+    serve_online, serve_online_with, synthesize_trace, OnlineConfig, TraceConfig,
 };
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{ControllerTiming, SimBackend, ThreadPoolBackend};
@@ -48,7 +48,6 @@ fn pool_shards() -> Vec<ThreadPoolBackend> {
 fn config() -> OnlineConfig {
     OnlineConfig {
         horizon_slots: 96,
-        shard_policy: ShardPolicy::LeastLoaded,
         ..Default::default()
     }
 }
