@@ -1,10 +1,10 @@
-//! Whole-frame encoding: serial or scoped-thread per-tile encoding of
-//! a [`FramePlan`] and reconstruction stitching.
+//! Whole-frame encoding: serial or fanned-out ([`par_map`]) per-tile
+//! encoding of a [`FramePlan`] and reconstruction stitching.
 
 use crate::config::{EncoderConfig, TileConfig};
 use crate::stats::FrameStats;
 use crate::tile::{encode_tile, TileOutcome};
-use medvt_frame::{Frame, FrameKind, Rect, Tiling};
+use medvt_frame::{par_map, Frame, FrameKind, Rect, Tiling};
 use medvt_motion::MotionVector;
 
 /// The tiling and per-tile configurations for one frame — what the
@@ -74,9 +74,10 @@ pub struct EncodedFrame {
 
 /// Encodes one frame according to `plan`.
 ///
-/// With `parallel` set, each tile is encoded on its own scoped thread.
-/// Tile encoding is deterministic and tiles are independent, so both
-/// paths produce bit-identical frames. Placing tile work on cores is
+/// With `parallel` set, the tiles are spread over the host's cores by
+/// [`par_map`]: the calling thread encodes tiles too, and one available
+/// CPU spawns no thread. Tile encoding is deterministic and tiles are
+/// independent, so both paths produce bit-identical frames. Placing tile work on cores is
 /// the runtime's job (`medvt_runtime::ExecutionBackend`), not the
 /// codec's.
 ///
@@ -98,23 +99,20 @@ pub fn encode_frame(
         original.y().bounds(),
         "frame plan must partition this frame"
     );
-    let tiles = plan.tiling.iter().zip(&plan.configs);
-    let outcomes: Vec<TileOutcome> = if parallel && plan.tiling.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = tiles
-                .map(|(&tile, cfg)| {
-                    s.spawn(move || encode_tile(original, refs, kind, tile, cfg, ecfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tile thread panicked"))
-                .collect()
-        })
+    let tile = |k: usize| {
+        encode_tile(
+            original,
+            refs,
+            kind,
+            plan.tiling.tiles()[k],
+            &plan.configs[k],
+            ecfg,
+        )
+    };
+    let outcomes: Vec<TileOutcome> = if parallel {
+        par_map(plan.tiling.len(), tile)
     } else {
-        tiles
-            .map(|(&tile, cfg)| encode_tile(original, refs, kind, tile, cfg, ecfg))
-            .collect()
+        (0..plan.tiling.len()).map(tile).collect()
     };
 
     // Stitch tile reconstructions into the frame reconstruction.

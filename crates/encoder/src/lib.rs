@@ -17,8 +17,9 @@
 //!   ([`SearchSpec`], re-exported from `medvt-motion`, where it is
 //!   defined and run);
 //! * independent tile encoding ([`encode_tile`]) and frame-level
-//!   parallelism on scoped threads ([`encode_frame`]); which core runs
-//!   a tile is the runtime's decision, not the codec's;
+//!   parallelism over the host's cores ([`encode_frame`], through
+//!   [`medvt_frame::par_map`]); which core runs a served tile is the
+//!   runtime's decision, not the codec's;
 //! * [`FramePlan`] — a validated [`medvt_frame::Tiling`] plus one
 //!   [`TileConfig`] per tile; the partition rules live in the tiling,
 //!   so the codec never re-checks them;

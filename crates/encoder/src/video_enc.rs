@@ -96,7 +96,9 @@ impl VideoEncoder {
         }
     }
 
-    /// Enables scoped-thread parallel tile encoding.
+    /// Spreads each frame's tiles over the host's cores
+    /// ([`medvt_frame::par_map`], through [`encode_frame`]); the calling
+    /// thread encodes tiles too. The stream is bit-identical either way.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
@@ -110,8 +112,8 @@ impl VideoEncoder {
     /// Encodes `clip` under `controller`, returning per-frame stats.
     ///
     /// Frames are processed in GOP coding order; statistics come back
-    /// in display order. Tiles are encoded serially, or on scoped
-    /// threads when [`VideoEncoder::parallel`] is set; both produce
+    /// in display order. Tiles are encoded serially, or over the
+    /// host's cores when [`VideoEncoder::parallel`] is set; both produce
     /// bit-identical streams.
     pub fn encode_clip(
         &self,

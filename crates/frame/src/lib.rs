@@ -18,7 +18,9 @@
 //!   experiment tables;
 //! * [`synth`] — deterministic phantom bio-medical videos substituting
 //!   the paper's anonymized clinical material;
-//! * [`io`] — Y4M and PGM/PPM interchange.
+//! * [`io`] — Y4M and PGM/PPM interchange;
+//! * [`par_map`] — the one scoped fan-out of pure per-index work over
+//!   the host's cores (phantom set-up, parallel tile encoding).
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@
 
 mod error;
 mod frame;
+mod par;
 mod plane;
 mod rect;
 mod tiling;
@@ -66,6 +69,7 @@ pub mod synth;
 
 pub use error::FrameError;
 pub use frame::{Frame, FrameKind, Resolution};
+pub use par::par_map;
 pub use plane::Plane;
 pub use rect::Rect;
 pub use stats::RegionStats;

@@ -7,7 +7,7 @@
 //! dark, flat surroundings.
 
 use crate::synth::noise::ValueNoise;
-use crate::Plane;
+use crate::{par_map, Plane};
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
@@ -70,6 +70,11 @@ impl std::fmt::Display for BodyPart {
 /// ~1.35x that radius. `seed` selects a reproducible texture
 /// realization; `texture_gain` in `[0, 2]` scales texture contrast.
 ///
+/// Every sample is a pure function of its coordinates, so the canvas is
+/// rendered in bands of rows spread over the host's cores
+/// ([`par_map`]); the samples do not depend on how the bands were
+/// spread.
+///
 /// # Panics
 ///
 /// Panics if any dimension or radius is zero.
@@ -90,28 +95,37 @@ pub fn render_canvas(
         content_rx > 0.0 && content_ry > 0.0,
         "content radii must be positive"
     );
-    let mut plane = Plane::filled(width, height, 16);
     let noise = ValueNoise::new(seed);
     let cx = width as f64 / 2.0;
     let cy = height as f64 / 2.0;
     let rx = content_rx;
     let ry = content_ry;
-    for row in 0..height {
-        for col in 0..width {
-            let x = col as f64;
-            let y = row as f64;
-            let nx = (x - cx) / rx;
-            let ny = (y - cy) / ry;
-            let r2 = nx * nx + ny * ny;
-            let base = intensity(part, nx, ny, r2, x, y, &noise, texture_gain);
-            // Soft falloff outside the anatomy keeps borders dark & flat.
-            let falloff = smoothstep(1.35, 0.95, r2.sqrt());
-            let v = 16.0 + base * falloff;
-            plane.set(col, row, v.clamp(0.0, 255.0) as u8);
+    let band = |b: usize| {
+        let rows = b * BAND_ROWS..((b + 1) * BAND_ROWS).min(height);
+        let mut samples = Vec::with_capacity(rows.len() * width);
+        for row in rows {
+            for col in 0..width {
+                let x = col as f64;
+                let y = row as f64;
+                let nx = (x - cx) / rx;
+                let ny = (y - cy) / ry;
+                let r2 = nx * nx + ny * ny;
+                let base = intensity(part, nx, ny, r2, x, y, &noise, texture_gain);
+                // Soft falloff outside the anatomy keeps borders dark & flat.
+                let falloff = smoothstep(1.35, 0.95, r2.sqrt());
+                let v = 16.0 + base * falloff;
+                samples.push(v.clamp(0.0, 255.0) as u8);
+            }
         }
-    }
-    plane
+        samples
+    };
+    let samples = par_map(height.div_ceil(BAND_ROWS), band).concat();
+    Plane::from_vec(width, height, samples).expect("bands cover the canvas row by row")
 }
+
+/// Canvas rows per [`par_map`] item: enough work to amortize a claim,
+/// few enough that the last band does not leave a core idle for long.
+const BAND_ROWS: usize = 16;
 
 /// Luma contribution (above black level) of `part` at normalized
 /// anatomy coordinates `(nx, ny)` / absolute canvas coordinates `(x, y)`.

@@ -10,7 +10,7 @@
 use crate::synth::anatomy::{render_canvas, BodyPart};
 use crate::synth::motion::{MotionPattern, ViewTransform};
 use crate::synth::noise::speckle;
-use crate::{Frame, FrameSource, Plane, Resolution, VideoClip};
+use crate::{par_map, Frame, FrameSource, Plane, Resolution, VideoClip};
 use serde::{Deserialize, Serialize};
 
 /// Full parameterization of a phantom video.
@@ -291,15 +291,20 @@ impl PhantomVideo {
         Frame::from_planes(y_plane, u, v).expect("derived chroma geometry is valid")
     }
 
-    /// Materializes the first `n` frames into a [`VideoClip`].
+    /// Materializes the first `n` frames (at most the video's length
+    /// when it is finite) into a [`VideoClip`].
+    ///
+    /// Frames are rendered on the host's cores ([`par_map`]), each by
+    /// [`render`](Self::render), and pushed in display order, so the
+    /// clip does not depend on how the frames were spread.
     pub fn capture(&self, n: usize) -> VideoClip {
         let mut clip = VideoClip::new(self.config.resolution, self.config.fps);
         let limit = match self.config.frames {
             Some(total) => n.min(total),
             None => n,
         };
-        for t in 0..limit {
-            clip.push(self.render(t));
+        for frame in par_map(limit, |t| self.render(t)) {
+            clip.push(frame);
         }
         clip
     }
