@@ -77,9 +77,9 @@ pub struct EncodedFrame {
 /// With `parallel` set, the tiles are spread over the host's cores by
 /// [`par_map`]: the calling thread encodes tiles too, and one available
 /// CPU spawns no thread. Tile encoding is deterministic and tiles are
-/// independent, so both paths produce bit-identical frames. Placing tile work on cores is
-/// the runtime's job (`medvt_runtime::ExecutionBackend`), not the
-/// codec's.
+/// independent, so both paths produce bit-identical frames. Placing
+/// served tile work on cores is the runtime's job
+/// (`medvt_runtime::ExecutionBackend`), not the codec's.
 ///
 /// # Panics
 ///
