@@ -44,9 +44,6 @@ fn host_executors() -> usize {
 /// [`par_map`] on at most `executors` executors, the caller included.
 fn par_map_on<T: Send>(executors: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let executors = executors.min(n);
-    if executors <= 1 {
-        return (0..n).map(f).collect();
-    }
     // The cursor only hands out indices; results come back through
     // `join`, which orders every worker's writes before the caller's
     // reads, so the claim needs no stronger ordering.
@@ -62,7 +59,9 @@ fn par_map_on<T: Send>(executors: usize, n: usize, f: impl Fn(usize) -> T + Sync
         }
     };
     // A panic on the caller or a worker leaves the scope only after
-    // every spawned executor has been joined.
+    // every spawned executor has been joined. With one executor (or
+    // none, when `n` is 0) nothing is spawned and the caller claims
+    // every index itself.
     let parts = std::thread::scope(|s| {
         let workers: Vec<_> = (1..executors).map(|_| s.spawn(claim)).collect();
         let mut parts = vec![claim()];

@@ -225,6 +225,12 @@ impl PhantomVideo {
         &self.config
     }
 
+    /// The anatomy canvas every frame samples: the output frame plus a
+    /// margin on every side, rendered once by [`new`](Self::new).
+    pub fn canvas(&self) -> &Plane {
+        &self.canvas
+    }
+
     /// Bilinearly samples the canvas at fractional coordinates.
     #[inline]
     fn sample_canvas(&self, x: f64, y: f64) -> f64 {

@@ -16,7 +16,7 @@
 //! only reason to regenerate the constants: run the test with
 //! `MEDVT_PRINT_HASHES=1` and paste the printed table.
 
-use medvt::frame::synth::{render_canvas, BodyPart, MotionPattern, PhantomVideo};
+use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
 use medvt::frame::Resolution;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -122,20 +122,6 @@ fn cases() -> Vec<Case> {
 
 /// `[canvas, Y, U, V]` hashes of one case.
 fn hashes(c: &Case) -> [u64; 4] {
-    // The canvas `PhantomVideo::new` renders: the output frame plus a
-    // margin on every side, anatomy radii at 26 % of the frame.
-    let margin = (c.res.width.max(c.res.height) / 4).max(16);
-    let canvas = render_canvas(
-        c.part,
-        c.res.width + 2 * margin,
-        c.res.height + 2 * margin,
-        c.res.width as f64 * 0.26,
-        c.res.height as f64 * 0.26,
-        c.seed,
-        1.0,
-    );
-    let mut out = [FNV_OFFSET; 4];
-    fnv1a(&mut out[0], canvas.samples());
     let mut builder = PhantomVideo::builder(c.part)
         .resolution(c.res)
         .fps(FPS)
@@ -143,7 +129,10 @@ fn hashes(c: &Case) -> [u64; 4] {
     if let Some(m) = c.motion {
         builder = builder.motion(m);
     }
-    let clip = builder.build().capture(FRAMES);
+    let video = builder.build();
+    let mut out = [FNV_OFFSET; 4];
+    fnv1a(&mut out[0], video.canvas().samples());
+    let clip = video.capture(FRAMES);
     assert_eq!(clip.len(), FRAMES, "{}: captured frames", c.name);
     for frame in clip.frames() {
         fnv1a(&mut out[1], frame.y().samples());
