@@ -6,10 +6,13 @@
 //! each plane's hash running over its frames in display order. The
 //! cases restate the benchmark's clips (320x240 @ 24 fps, 33 frames,
 //! seed 2018 + k for the k-th clip of a workload): `live_inter`'s
-//! three, `live_intra`'s two and `cluster_failover`'s one. Three more
-//! cover the motion patterns those leave out or only take by default
-//! (rotate, breathe, pan-pause) on a canvas whose height is not a
-//! multiple of 16.
+//! three, `live_intra`'s two and `cluster_failover`'s one. Six more
+//! run on a canvas whose height is not a multiple of 16: three cover
+//! the motion patterns those leave out or only take by default (rotate,
+//! breathe, pan-pause), three the views that shift the canvas by whole
+//! samples — a still view, a whole-sample pan that runs past the canvas
+//! margin (so border samples are clamped reads) and a half-sample pan
+//! whose frames alternate between whole and fractional shifts.
 //!
 //! Rendering is a pure function of the configuration, however the work
 //! is spread over threads. An intended change of the phantoms is the
@@ -117,6 +120,28 @@ fn cases() -> Vec<Case> {
             ODD_RES,
             9,
         ),
+        case(
+            "still_odd",
+            BodyPart::Bones,
+            Some(MotionPattern::Still),
+            ODD_RES,
+            10,
+        ),
+        // Margin 50: from frame 17 on, the view reads past the canvas edge.
+        case(
+            "pan_past_margin",
+            BodyPart::SpinalCord,
+            Some(MotionPattern::Pan { dx: 3.0, dy: -2.0 }),
+            ODD_RES,
+            11,
+        ),
+        case(
+            "pan_half_sample",
+            BodyPart::Brain,
+            Some(MotionPattern::Pan { dx: 0.5, dy: 0.25 }),
+            ODD_RES,
+            12,
+        ),
     ]
 }
 
@@ -142,9 +167,10 @@ fn hashes(c: &Case) -> [u64; 4] {
     out
 }
 
-/// `(case, [canvas, Y, U, V])`, recorded before phantom rendering was
-/// spread over threads.
-const GOLDEN: [(&str, [u64; 4]); 9] = [
+/// `(case, [canvas, Y, U, V])`. The first nine rows were recorded
+/// before phantom rendering was spread over threads, the last three
+/// before whole-sample views stopped going through the bilinear blend.
+const GOLDEN: [(&str, [u64; 4]); 12] = [
     (
         "live_inter/0",
         [
@@ -224,6 +250,33 @@ const GOLDEN: [(&str, [u64; 4]); 9] = [
             0xc02a35f1926ae650,
             0xb2743bd12f1d05a1,
             0x55aa62f02e5128ff,
+        ],
+    ),
+    (
+        "still_odd",
+        [
+            0x9deba8bc3c043b9a,
+            0x1422f9e97830da1b,
+            0x8e5f38824764d21a,
+            0x1c04bc6cb37fb9d3,
+        ],
+    ),
+    (
+        "pan_past_margin",
+        [
+            0x9dff7c0b35a4e37c,
+            0xb6a0effc9b9b32de,
+            0xa988c71ef214cade,
+            0x7203b43d9d88a149,
+        ],
+    ),
+    (
+        "pan_half_sample",
+        [
+            0x028ae62e191fb0e7,
+            0x63d945c44853a966,
+            0xffb5f7ac8fc33305,
+            0x732dc34a7644c981,
         ],
     ),
 ];
