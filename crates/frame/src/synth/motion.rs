@@ -131,6 +131,19 @@ impl ViewTransform {
         let sy = (px * sin + py * cos) * inv_s + cy;
         (sx, sy)
     }
+
+    /// The content shift `(tx, ty)` when the view neither rotates nor
+    /// scales and translates by whole samples, else `None`.
+    ///
+    /// For such a view [`source_of`](Self::source_of) returns
+    /// `(x − tx, y − ty)` exactly (every term is a small integer), so
+    /// bilinear sampling there has zero fractional weights and equals
+    /// the canvas sample at that position, to the bit.
+    pub(crate) fn whole_sample_shift(&self) -> Option<(isize, isize)> {
+        let whole = |v: f64| v.fract() == 0.0;
+        (self.angle_rad == 0.0 && self.scale == 1.0 && whole(self.tx) && whole(self.ty))
+            .then_some((self.tx as isize, self.ty as isize))
+    }
 }
 
 impl Default for ViewTransform {
@@ -242,6 +255,42 @@ mod tests {
         let (rx, ry) = fwd.source_of(qx, qy, cx, cy);
         assert!((rx - px).abs() < 1e-9, "rx={rx}");
         assert!((ry - py).abs() < 1e-9, "ry={ry}");
+    }
+
+    #[test]
+    fn whole_sample_frames_are_unrotated_unscaled_integer_shifts() {
+        let whole = |p: MotionPattern, t: usize| p.at(t).whole_sample_shift();
+        // Still: every frame, no shift.
+        assert!((0..50).all(|t| whole(MotionPattern::Still, t) == Some((0, 0))));
+        // Whole-sample pans: every frame, shifted by t·(dx, dy).
+        let pan = MotionPattern::Pan { dx: 3.0, dy: -2.0 };
+        assert!((0..50).all(|t| whole(pan, t) == Some((3 * t as isize, -2 * t as isize))));
+        // A quarter-sample pan: only every fourth frame.
+        let quarter = MotionPattern::Pan { dx: 0.5, dy: 0.25 };
+        let on: Vec<usize> = (0..13).filter(|&t| whole(quarter, t).is_some()).collect();
+        assert_eq!(on, [0, 4, 8, 12]);
+        assert_eq!(whole(quarter, 8), Some((4, 2)));
+        // Pan-pause at half a sample per frame: whole where an even
+        // number of moving frames has passed, held through a pause.
+        let pp = MotionPattern::PanPause {
+            dx: 0.5,
+            dy: 0.0,
+            move_frames: 3,
+            pause_frames: 2,
+        };
+        let on: Vec<usize> = (0..10).filter(|&t| whole(pp, t).is_some()).collect();
+        assert_eq!(on, [0, 2, 6, 8, 9]);
+        // Rotation and breathing: within a clip's 33 frames, only the
+        // identity frame 0.
+        let rotate = MotionPattern::Rotate { deg_per_frame: 0.4 };
+        let breathe = MotionPattern::Breathe {
+            amplitude: 0.025,
+            period: 96.0,
+        };
+        for p in [rotate, breathe] {
+            let on: Vec<usize> = (0..33).filter(|&t| whole(p, t).is_some()).collect();
+            assert_eq!(on, [0], "{p:?}");
+        }
     }
 
     #[test]

@@ -249,10 +249,10 @@ impl PhantomVideo {
         top + (bot - top) * fy
     }
 
-    /// Renders frame `t` (display order). Pure function of `t`.
-    pub fn render(&self, t: usize) -> Frame {
+    /// The luma plane of frame `t`, with `sample(col, row)` giving the
+    /// canvas value the view shows at each output sample.
+    fn render_luma(&self, t: usize, sample: impl Fn(usize, usize) -> f64) -> Plane {
         let res = self.config.resolution;
-        let view: ViewTransform = self.motion.at(t);
         let cx = res.width as f64 / 2.0;
         let cy = res.height as f64 / 2.0;
         let inv_hw = 2.0 / res.width as f64;
@@ -267,21 +267,50 @@ impl PhantomVideo {
             for (col, out) in out_row.iter_mut().enumerate() {
                 let x = col as f64;
                 let yf = row as f64;
-                let (sx, sy) = view.source_of(x, yf, cx, cy);
-                let sample = self.sample_canvas(sx + self.margin as f64, sy + self.margin as f64);
                 // Elliptical vignette in *output* space: corners stay
                 // dark and static regardless of content motion.
                 let nx = (x - cx) * inv_hw;
                 let ny = (yf - cy) * inv_hh;
                 let r = (nx * nx + ny * ny).sqrt();
                 let w = vignette_weight(r, inner, outer);
-                let mut v = 16.0 + (sample - 16.0) * w;
+                let mut v = 16.0 + (sample(col, row) - 16.0) * w;
                 if amp > 0.0 && w > 0.0 {
                     v += amp * w * speckle(seed, t as u64, col as u32, row as u32);
                 }
                 *out = v.clamp(0.0, 255.0) as u8;
             }
         }
+        y_plane
+    }
+
+    /// Renders frame `t` (display order). Pure function of `t`.
+    ///
+    /// Each luma sample is the canvas seen through the frame's view
+    /// ([`MotionPattern::at`]), bilinearly interpolated, then vignetted
+    /// and speckled. A view that neither rotates nor scales and shifts
+    /// by whole samples maps every output sample exactly onto a canvas
+    /// sample, where the blend's weights are all zero; such frames read
+    /// the canvas sample directly, which is the blend's value to the bit.
+    pub fn render(&self, t: usize) -> Frame {
+        let res = self.config.resolution;
+        let view: ViewTransform = self.motion.at(t);
+        let cx = res.width as f64 / 2.0;
+        let cy = res.height as f64 / 2.0;
+        let margin = self.margin as f64;
+        let y_plane = match view.whole_sample_shift() {
+            Some((tx, ty)) => {
+                let (ox, oy) = (self.margin as isize - tx, self.margin as isize - ty);
+                self.render_luma(t, |col, row| {
+                    self.canvas
+                        .get_clamped(col as isize + ox, row as isize + oy)
+                        as f64
+                })
+            }
+            None => self.render_luma(t, |col, row| {
+                let (sx, sy) = view.source_of(col as f64, row as f64, cx, cy);
+                self.sample_canvas(sx + margin, sy + margin)
+            }),
+        };
         // Chroma: faint structure-correlated tint around neutral, so
         // chroma coding is exercised without dominating bitrate.
         let half = y_plane.halved();
