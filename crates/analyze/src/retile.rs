@@ -11,7 +11,9 @@
 //! and then handles border remainders. This reconstruction grows the
 //! four *sides* (left/right/top/bottom), which yields the same ring
 //! structure on center-weighted medical content while guaranteeing the
-//! result is an exact, 8-aligned partition — see DESIGN.md.
+//! result is an exact, 8-aligned partition, which `Tiling::new` checks
+//! once (ARCHITECTURE.md, "Where things are decided": tile geometry per
+//! GOP).
 
 use crate::motion_probe::probe_motion;
 use crate::texture::{measure_texture, TextureClass};

@@ -1,6 +1,6 @@
 //! Ablation study: how much each design choice of the paper
-//! contributes, isolated one at a time (the extension benches DESIGN.md
-//! §8 calls for).
+//! contributes, isolated one at a time (one of the six paper-artifact
+//! binaries, ARCHITECTURE.md "Experiment surface").
 //!
 //! Dimensions:
 //! 1. **Re-tiling** — content-aware ring tiling vs uniform 4×3 grid,
@@ -56,9 +56,7 @@ fn profile_proposed(scale: Scale) -> VideoProfile {
 fn row_uniform(scale: Scale, label: &str, policy: MePolicy) -> AblationRow {
     let cost = medvt_bench::cost_model(scale);
     let mut ctl = UniformMeController::new(4, 3, Qp::new(32).expect("valid"), policy);
-    let stats = VideoEncoder::new(EncoderConfig::default())
-        .parallel(true)
-        .encode_clip(&clip(scale), &mut ctl);
+    let stats = VideoEncoder::new(EncoderConfig::default()).encode_clip(&clip(scale), &mut ctl);
     let cycles: u64 = stats
         .frames
         .iter()

@@ -39,9 +39,7 @@ fn main() {
         .capture(scale.me_frames().min(33));
     let run = |policy| {
         let mut ctl = UniformMeController::new(4, 3, Qp::new(32).expect("valid"), policy);
-        VideoEncoder::new(EncoderConfig::default())
-            .parallel(true)
-            .encode_clip(&clip, &mut ctl)
+        VideoEncoder::new(EncoderConfig::default()).encode_clip(&clip, &mut ctl)
     };
     let tz = run(MePolicy::Fixed(SearchSpec::Tz));
     let proposed_me = run(MePolicy::Proposed);

@@ -62,9 +62,7 @@ struct Table1 {
 
 fn encode(clip: &VideoClip, cols: usize, rows: usize, policy: MePolicy) -> SequenceStats {
     let mut ctl = UniformMeController::new(cols, rows, Qp::new(32).expect("valid"), policy);
-    VideoEncoder::new(EncoderConfig::default())
-        .parallel(true)
-        .encode_clip(clip, &mut ctl)
+    VideoEncoder::new(EncoderConfig::default()).encode_clip(clip, &mut ctl)
 }
 
 fn main() {

@@ -5,7 +5,8 @@
 //! the same stored video produce identical workloads. The multi-user
 //! server therefore profiles each distinct video **once** per approach
 //! and schedules any number of users from the profiles — the modelling
-//! substitute for the paper's live 32-core runs (see DESIGN.md).
+//! substitute for the paper's live 32-core runs (ARCHITECTURE.md, "The
+//! serving data flow").
 
 use crate::pipeline::{FrameReport, TranscodeController};
 use medvt_encoder::{EncoderConfig, VideoEncoder};
@@ -91,20 +92,20 @@ impl VideoProfile {
 }
 
 /// Profiles `clip` through `controller`, consuming it frame by frame
-/// with the workspace encoder. `parallel` encodes each frame's tiles on
-/// scoped threads; the profile is the same either way (tile encoding
-/// is deterministic), only the wall-clock cost of producing it moves.
+/// with the workspace encoder, which spreads each frame's tiles over
+/// the host's cores ([`VideoEncoder`]); the profile does not depend on
+/// how they were spread.
 pub fn profile_video(
     name: impl Into<String>,
     class: impl Into<String>,
     clip: &VideoClip,
     controller: &mut dyn TranscodeController,
     encoder: &EncoderConfig,
-    parallel: bool,
+    // Vestige: tiles always fan out; `benchmark/src/live.rs:213` passes
+    // this, and the next `[benchmark]` PR drops it.
+    _parallel: bool,
 ) -> VideoProfile {
-    let stats = VideoEncoder::new(*encoder)
-        .parallel(parallel)
-        .encode_clip(clip, controller);
+    let stats = VideoEncoder::new(*encoder).encode_clip(clip, controller);
     let mut frames = controller.drain_reports();
     frames.sort_by_key(|r| r.poc);
     VideoProfile {

@@ -1,5 +1,6 @@
-//! Whole-frame encoding: serial or fanned-out ([`par_map`]) per-tile
-//! encoding of a [`FramePlan`] and reconstruction stitching.
+//! Whole-frame encoding: per-tile encoding of a [`FramePlan`], fanned
+//! out over the host's cores ([`par_map`]), and reconstruction
+//! stitching.
 
 use crate::config::{EncoderConfig, TileConfig};
 use crate::stats::FrameStats;
@@ -74,12 +75,14 @@ pub struct EncodedFrame {
 
 /// Encodes one frame according to `plan`.
 ///
-/// With `parallel` set, the tiles are spread over the host's cores by
-/// [`par_map`]: the calling thread encodes tiles too, and one available
-/// CPU spawns no thread. Tile encoding is deterministic and tiles are
-/// independent, so both paths produce bit-identical frames. Placing
-/// served tile work on cores is the runtime's job
-/// (`medvt_runtime::ExecutionBackend`), not the codec's.
+/// The tiles are spread over the host's cores by [`par_map`]: the
+/// calling thread encodes tiles too, and a single tile or a single
+/// available CPU runs everything on the caller and spawns no thread.
+/// Tiles are independent and tile encoding is deterministic, so the
+/// frame is the serial fold of [`encode_tile`] over the tiles, to the
+/// bit, however they were spread. Placing served tile work on cores is
+/// the runtime's job (`medvt_runtime::ExecutionBackend`), not the
+/// codec's.
 ///
 /// # Panics
 ///
@@ -92,14 +95,13 @@ pub fn encode_frame(
     poc: usize,
     plan: &FramePlan,
     ecfg: &EncoderConfig,
-    parallel: bool,
 ) -> EncodedFrame {
     assert_eq!(
         plan.tiling.frame(),
         original.y().bounds(),
         "frame plan must partition this frame"
     );
-    let tile = |k: usize| {
+    let outcomes: Vec<TileOutcome> = par_map(plan.tiling.len(), |k| {
         encode_tile(
             original,
             refs,
@@ -108,12 +110,7 @@ pub fn encode_frame(
             &plan.configs[k],
             ecfg,
         )
-    };
-    let outcomes: Vec<TileOutcome> = if parallel {
-        par_map(plan.tiling.len(), tile)
-    } else {
-        (0..plan.tiling.len()).map(tile).collect()
-    };
+    });
 
     // Stitch tile reconstructions into the frame reconstruction.
     let mut recon = Frame::black(original.resolution());
@@ -179,7 +176,6 @@ mod tests {
             0,
             &plan,
             &EncoderConfig::default(),
-            false,
         );
         assert_eq!(encoded.stats.tiles.len(), 4);
         let psnr = frame_psnr(&f, &encoded.recon);
@@ -187,34 +183,6 @@ mod tests {
         assert!(!encoded.bytes.is_empty());
         // Stats PSNR must agree with the stitched reconstruction PSNR.
         assert!((encoded.stats.psnr() - psnr).abs() < 0.5);
-    }
-
-    #[test]
-    fn parallel_and_serial_encode_identically() {
-        let f = frame();
-        for (grid, qp) in [(2, 32), (4, 27)] {
-            let plan = FramePlan::uniform(
-                f.y().bounds(),
-                grid,
-                grid,
-                TileConfig::with_qp(Qp::new(qp).unwrap()),
-            );
-            let encode = |parallel| {
-                encode_frame(
-                    &f,
-                    &[],
-                    FrameKind::Intra,
-                    0,
-                    &plan,
-                    &EncoderConfig::default(),
-                    parallel,
-                )
-            };
-            let (a, b) = (encode(false), encode(true));
-            assert_eq!(a.bytes, b.bytes, "{grid}x{grid} bitstream");
-            assert_eq!(a.recon, b.recon, "{grid}x{grid} recon");
-            assert_eq!(a.stats, b.stats, "{grid}x{grid} stats");
-        }
     }
 
     #[test]
@@ -238,7 +206,6 @@ mod tests {
             0,
             &plan,
             &EncoderConfig::default(),
-            false,
         );
     }
 }

@@ -74,11 +74,11 @@ impl EncodeController for UniformController {
     }
 }
 
-/// Drives GOP-structured encoding of whole sequences.
+/// Drives GOP-structured encoding of whole sequences; each frame's
+/// tiles are spread over the host's cores by [`encode_frame`].
 #[derive(Debug, Clone)]
 pub struct VideoEncoder {
     config: EncoderConfig,
-    parallel: bool,
 }
 
 impl VideoEncoder {
@@ -90,18 +90,7 @@ impl VideoEncoder {
     /// [`EncoderConfig::validate`]).
     pub fn new(config: EncoderConfig) -> Self {
         config.validate().expect("invalid encoder configuration");
-        Self {
-            config,
-            parallel: false,
-        }
-    }
-
-    /// Spreads each frame's tiles over the host's cores
-    /// ([`medvt_frame::par_map`], through [`encode_frame`]); the calling
-    /// thread encodes tiles too. The stream is bit-identical either way.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
+        Self { config }
     }
 
     /// The encoder configuration.
@@ -112,9 +101,9 @@ impl VideoEncoder {
     /// Encodes `clip` under `controller`, returning per-frame stats.
     ///
     /// Frames are processed in GOP coding order; statistics come back
-    /// in display order. Tiles are encoded serially, or over the
-    /// host's cores when [`VideoEncoder::parallel`] is set; both produce
-    /// bit-identical streams.
+    /// in display order. Each frame's tiles are encoded over the host's
+    /// cores ([`encode_frame`]); the stream does not depend on how they
+    /// were spread.
     pub fn encode_clip(
         &self,
         clip: &VideoClip,
@@ -254,7 +243,7 @@ impl VideoEncoder {
             prev_anchor,
         };
         let plan = controller.plan(&ctx);
-        encode_frame(frame, refs, kind, poc, &plan, &self.config, self.parallel)
+        encode_frame(frame, refs, kind, poc, &plan, &self.config)
     }
 }
 
@@ -383,17 +372,5 @@ mod tests {
         let empty = VideoClip::new(Resolution::new(96, 64), 24.0);
         let stats = encode_uniform(&empty, 1, 1, tcfg(32), EncoderConfig::default());
         assert!(stats.frames.is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_serial_over_sequence() {
-        let clip = clip(9);
-        let mut c1 = UniformController::new(2, 2, tcfg(32));
-        let serial = VideoEncoder::new(EncoderConfig::default()).encode_clip(&clip, &mut c1);
-        let mut c2 = UniformController::new(2, 2, tcfg(32));
-        let parallel = VideoEncoder::new(EncoderConfig::default())
-            .parallel(true)
-            .encode_clip(&clip, &mut c2);
-        assert_eq!(serial, parallel);
     }
 }

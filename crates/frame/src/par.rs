@@ -2,8 +2,9 @@
 //!
 //! [`par_map`] spreads `f(0..n)` over the host's cores and returns the
 //! results in index order. It is how phantom set-up (canvas bands and
-//! captured frames) and parallel tile encoding use every core; the
-//! serving path's worker pool lives in `medvt-runtime`.
+//! captured frames) and every frame's tile encoding
+//! (`medvt_encoder::encode_frame`) use every core; the serving path's
+//! worker pool lives in `medvt-runtime`.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

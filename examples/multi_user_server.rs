@@ -1,7 +1,9 @@
-//! Multi-user telemedicine server: profile the medical suite with
-//! parallel tile encoding, then serve an always-full queue of doctors
-//! on the 32-core Xeon platform with both the proposed scheduler and
-//! the baseline [19], comparing throughput and power.
+//! Multi-user telemedicine server: profile the medical suite (each
+//! frame's tiles spread over the host's cores, as every encode does;
+//! `profile_video`'s last argument is ignored), then serve an
+//! always-full queue of doctors on the 32-core Xeon platform with both
+//! the proposed scheduler and the baseline [19], comparing throughput
+//! and power.
 //!
 //! Serving hands `ThreadPoolBackend` each GOP's slots as one run: the
 //! serving thread and the pool's workers claim the run's tile threads

@@ -39,9 +39,7 @@ fn main() {
     let mut controller = ContentAwareController::new(config, WorkloadLut::new());
 
     // 3. Encode with the Random Access GOP-8 structure.
-    let stats = VideoEncoder::new(EncoderConfig::default())
-        .parallel(true)
-        .encode_clip(&clip, &mut controller);
+    let stats = VideoEncoder::new(EncoderConfig::default()).encode_clip(&clip, &mut controller);
 
     println!("encoded:  PSNR {:.2} dB", stats.mean_psnr());
     println!("          bitrate {:.3} Mbit/s", stats.bitrate_mbps());

@@ -50,7 +50,7 @@ fn encode_sequence(plan: &FramePlan, ecfg: &EncoderConfig) -> (u64, u64) {
             None => (FrameKind::Intra, vec![]),
             Some(r) => (FrameKind::Predicted, vec![r]),
         };
-        let encoded = encode_frame(&frame, &refs, kind, poc, plan, ecfg, false);
+        let encoded = encode_frame(&frame, &refs, kind, poc, plan, ecfg);
         fnv1a(&mut byte_hash, &encoded.bytes);
         for mv in &encoded.dominant_mvs {
             fnv1a(&mut mv_hash, &mv.x.to_le_bytes());
@@ -150,16 +150,7 @@ fn encode_single_tile(kind: FrameKind, qp: u8) -> (u64, TileStats) {
     let outcome = match kind {
         FrameKind::Intra => encode_tile(&video.render(0), &[], kind, tile, &tcfg, &ecfg),
         _ => {
-            let past = encode_frame(
-                &video.render(0),
-                &[],
-                FrameKind::Intra,
-                0,
-                &plan,
-                &ecfg,
-                false,
-            )
-            .recon;
+            let past = encode_frame(&video.render(0), &[], FrameKind::Intra, 0, &plan, &ecfg).recon;
             let future = encode_frame(
                 &video.render(2),
                 &[&past],
@@ -167,7 +158,6 @@ fn encode_single_tile(kind: FrameKind, qp: u8) -> (u64, TileStats) {
                 2,
                 &plan,
                 &ecfg,
-                false,
             )
             .recon;
             encode_tile(
@@ -361,7 +351,6 @@ fn encode_live_inter_frame(video: &PhantomVideo) -> (u64, TileStats, [MotionVect
         1,
         &plan,
         &EncoderConfig::default(),
-        false,
     );
     let mut hash = FNV_OFFSET;
     fnv1a(&mut hash, &encoded.bytes);

@@ -60,7 +60,7 @@ fn tiles_are_independent_units() {
     let ecfg = EncoderConfig::default();
     let psnr_of = |cols: usize, rows: usize| {
         let plan = FramePlan::uniform(frame.y().bounds(), cols, rows, tcfg(27));
-        let out = encode_frame(frame, &[], FrameKind::Intra, 0, &plan, &ecfg, false);
+        let out = encode_frame(frame, &[], FrameKind::Intra, 0, &plan, &ecfg);
         frame_psnr(frame, &out.recon)
     };
     let single = psnr_of(1, 1);
@@ -122,7 +122,6 @@ fn validated_tiling_round_trips_through_encoder() {
         0,
         &plan,
         &EncoderConfig::default(),
-        true,
     );
     assert_eq!(out.stats.tiles.len(), 4);
     assert!(out.stats.psnr() > 30.0);

@@ -1,28 +1,60 @@
-//! Where work runs must not change what it produces: parallel tile
-//! encoding matches the serial path bit for bit, and the control
-//! plane's placement decisions match their recorded hashes.
+//! Where work runs must not change what it produces: a frame whose
+//! tiles are spread over the host's cores is the serial fold of its
+//! tiles bit for bit, and the control plane's placement decisions
+//! match their recorded hashes.
 
 use medvt::core::{ContentAwareController, PipelineConfig};
-use medvt::encoder::{EncoderConfig, VideoEncoder};
+use medvt::encoder::{
+    encode_frame, encode_tile, EncodeController, EncodedFrame, EncoderConfig, FramePlan,
+    FramePlanContext, FrameStats, GopStructure,
+};
 use medvt::frame::synth::{BodyPart, MotionPattern, PhantomVideo};
-use medvt::frame::Resolution;
+use medvt::frame::{Frame, FrameKind, Rect, Resolution};
 use medvt::sched::WorkloadLut;
 
-fn clip(frames: usize) -> medvt::frame::VideoClip {
-    PhantomVideo::builder(BodyPart::Cardiac)
+/// `encode_frame`'s contract restated serially: each tile encoded in
+/// tile order on the calling thread, reconstructions stitched into a
+/// black frame, stats, dominant vectors and bytes concatenated.
+fn serial_fold(
+    original: &Frame,
+    refs: &[&Frame],
+    kind: FrameKind,
+    poc: usize,
+    plan: &FramePlan,
+    ecfg: &EncoderConfig,
+) -> EncodedFrame {
+    let mut recon = Frame::black(original.resolution());
+    let mut stats = FrameStats { poc, tiles: vec![] };
+    let (mut dominant_mvs, mut bytes) = (vec![], vec![]);
+    for (tile, config) in plan.tiling().iter().zip(plan.configs()) {
+        let outcome = encode_tile(original, refs, kind, *tile, config, ecfg);
+        let c_rect = Rect::new(tile.x / 2, tile.y / 2, tile.w / 2, tile.h / 2);
+        recon.y_mut().write_rect(tile, outcome.recon_y.samples());
+        recon.u_mut().write_rect(&c_rect, outcome.recon_u.samples());
+        recon.v_mut().write_rect(&c_rect, outcome.recon_v.samples());
+        stats.tiles.push(outcome.stats);
+        dominant_mvs.push(outcome.dominant_mv);
+        bytes.extend_from_slice(&outcome.bytes);
+    }
+    EncodedFrame {
+        recon,
+        stats,
+        dominant_mvs,
+        bytes,
+    }
+}
+
+/// An IDR and one random-access GOP (its P anchor and seven B frames)
+/// planned by the content-aware pipeline, whose tiles are non-uniform:
+/// every frame `encode_frame` fans out equals the serial fold of its
+/// tiles in bitstream, reconstruction, stats and dominant motion.
+#[test]
+fn encode_frame_matches_serial_tile_fold() {
+    let video = PhantomVideo::builder(BodyPart::Cardiac)
         .resolution(Resolution::new(256, 192))
         .motion(MotionPattern::Pan { dx: 1.0, dy: 0.5 })
         .seed(41)
-        .build()
-        .capture(frames)
-}
-
-/// A whole clip through the content-aware pipeline, whose tiles are
-/// non-uniform, produces identical per-tile bits and PSNR with
-/// parallel and serial tile encoding.
-#[test]
-fn pool_clip_matches_serial_bits_and_psnr() {
-    let clip = clip(9);
+        .build();
     let cfg = PipelineConfig {
         analyzer: medvt::analyze::AnalyzerConfig {
             min_tile_width: 32,
@@ -31,19 +63,55 @@ fn pool_clip_matches_serial_bits_and_psnr() {
         },
         ..Default::default()
     };
-    let encode = |parallel| {
-        let mut ctl = ContentAwareController::new(cfg, WorkloadLut::new());
-        VideoEncoder::new(EncoderConfig::default())
-            .parallel(parallel)
-            .encode_clip(&clip, &mut ctl)
-    };
-    let serial = encode(false);
-    assert_eq!(
-        serial,
-        encode(true),
-        "sequence stats must match bit for bit"
-    );
-    assert!(serial.mean_psnr() > 30.0);
+    let mut ctl = ContentAwareController::new(cfg, WorkloadLut::new());
+    let ecfg = EncoderConfig::default();
+    let gop = GopStructure::random_access(ecfg.gop_size);
+    // (display offset, kind, reference offsets, GOP-first-coded).
+    let mut order = vec![(0, FrameKind::Intra, vec![], true)];
+    for (i, e) in gop.entries().iter().enumerate() {
+        order.push((e.offset, e.kind, e.ref_offsets.clone(), i == 0));
+    }
+    let mut recons: Vec<Option<Frame>> = vec![None; ecfg.gop_size + 1];
+    let (mut kinds, mut non_uniform) = (vec![], false);
+    for (poc, kind, ref_offsets, gop_first_coded) in order {
+        let frame = video.render(poc);
+        let refs: Vec<&Frame> = ref_offsets
+            .iter()
+            .map(|&r| recons[r].as_ref().expect("reference coded before use"))
+            .collect();
+        let plan = ctl.plan(&FramePlanContext {
+            poc,
+            kind,
+            gop_start: 0,
+            offset_in_gop: poc,
+            gop_first_coded,
+            frame: &frame,
+            prev_anchor: recons[0].as_ref(),
+        });
+        let tiles = plan.tiling().tiles();
+        non_uniform |= tiles.iter().any(|t| (t.w, t.h) != (tiles[0].w, tiles[0].h));
+        let fanned = encode_frame(&frame, &refs, kind, poc, &plan, &ecfg);
+        let serial = serial_fold(&frame, &refs, kind, poc, &plan, &ecfg);
+        assert_eq!(fanned.bytes, serial.bytes, "poc {poc}: bitstream");
+        assert_eq!(fanned.recon, serial.recon, "poc {poc}: reconstruction");
+        assert_eq!(fanned.stats, serial.stats, "poc {poc}: stats");
+        assert_eq!(
+            fanned.dominant_mvs, serial.dominant_mvs,
+            "poc {poc}: motion"
+        );
+        assert!(fanned.stats.psnr() > 30.0, "poc {poc}: stitched recon");
+        ctl.frame_done(poc, &fanned.stats, &fanned.dominant_mvs);
+        kinds.push(kind);
+        recons[poc] = Some(fanned.recon);
+    }
+    for kind in [
+        FrameKind::Intra,
+        FrameKind::Predicted,
+        FrameKind::BiPredicted,
+    ] {
+        assert!(kinds.contains(&kind), "{kind:?} frames covered");
+    }
+    assert!(non_uniform, "the content-aware tiling is non-uniform");
 }
 
 /// FNV-1a goldens of what *placement* decides, recorded before the
