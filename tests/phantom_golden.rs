@@ -6,13 +6,15 @@
 //! each plane's hash running over its frames in display order. The
 //! cases restate the benchmark's clips (320x240 @ 24 fps, 33 frames,
 //! seed 2018 + k for the k-th clip of a workload): `live_inter`'s
-//! three, `live_intra`'s two and `cluster_failover`'s one. Six more
+//! three, `live_intra`'s two and `cluster_failover`'s one. Seven more
 //! run on a canvas whose height is not a multiple of 16: three cover
 //! the motion patterns those leave out or only take by default (rotate,
 //! breathe, pan-pause), three the views that shift the canvas by whole
 //! samples — a still view, a whole-sample pan that runs past the canvas
 //! margin (so border samples are clamped reads) and a half-sample pan
-//! whose frames alternate between whole and fractional shifts.
+//! whose frames alternate between whole and fractional shifts — and one
+//! a deep breath whose trough (scale 0.4) reads past the margin on all
+//! four sides, so both axes of an unrotated view clamp.
 //!
 //! Rendering is a pure function of the configuration, however the work
 //! is spread over threads. An intended change of the phantoms is the
@@ -142,6 +144,18 @@ fn cases() -> Vec<Case> {
             ODD_RES,
             12,
         ),
+        // Trough at frame 18 (scale 0.4): the view reads past the
+        // 50-sample margin on all four sides.
+        case(
+            "breathe_past_margin",
+            BodyPart::LungChest,
+            Some(MotionPattern::Breathe {
+                amplitude: 0.6,
+                period: 24.0,
+            }),
+            ODD_RES,
+            13,
+        ),
     ]
 }
 
@@ -168,9 +182,10 @@ fn hashes(c: &Case) -> [u64; 4] {
 }
 
 /// `(case, [canvas, Y, U, V])`. The first nine rows were recorded
-/// before phantom rendering was spread over threads, the last three
-/// before whole-sample views stopped going through the bilinear blend.
-const GOLDEN: [(&str, [u64; 4]); 12] = [
+/// before phantom rendering was spread over threads, the next three
+/// before whole-sample views stopped going through the bilinear blend,
+/// the last before unrotated views were sampled by column and row.
+const GOLDEN: [(&str, [u64; 4]); 13] = [
     (
         "live_inter/0",
         [
@@ -277,6 +292,15 @@ const GOLDEN: [(&str, [u64; 4]); 12] = [
             0x63d945c44853a966,
             0xffb5f7ac8fc33305,
             0x732dc34a7644c981,
+        ],
+    ),
+    (
+        "breathe_past_margin",
+        [
+            0xbc4a7ef69bb56d12,
+            0x9489eb3f94eb600b,
+            0xbea46f46f837cfff,
+            0x145d7b7c219478f4,
         ],
     ),
 ];
