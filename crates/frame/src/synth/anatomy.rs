@@ -75,6 +75,12 @@ impl std::fmt::Display for BodyPart {
 /// ([`par_map`]); the samples do not depend on how the bands were
 /// spread.
 ///
+/// A sample is `16 + intensity · falloff`, and the falloff is exactly 0
+/// beyond 1.35 normalized radii — most of a phantom's canvas. There the
+/// anatomy (up to three octaves of value noise) is not computed: every
+/// body part's intensity is finite and at least 0, so `intensity · 0`
+/// is ±0 and the sample is the black level 16, to the bit.
+///
 /// # Panics
 ///
 /// Panics if any dimension or radius is zero.
@@ -110,9 +116,14 @@ pub fn render_canvas(
                 let nx = (x - cx) / rx;
                 let ny = (y - cy) / ry;
                 let r2 = nx * nx + ny * ny;
-                let base = intensity(part, nx, ny, r2, x, y, &noise, texture_gain);
                 // Soft falloff outside the anatomy keeps borders dark & flat.
                 let falloff = smoothstep(1.35, 0.95, r2.sqrt());
+                if falloff == 0.0 {
+                    // `16 + intensity · 0`, without computing the anatomy.
+                    samples.push(16);
+                    continue;
+                }
+                let base = intensity(part, nx, ny, r2, x, y, &noise, texture_gain);
                 let v = 16.0 + base * falloff;
                 samples.push(v.clamp(0.0, 255.0) as u8);
             }
@@ -129,6 +140,10 @@ const BAND_ROWS: usize = 16;
 
 /// Luma contribution (above black level) of `part` at normalized
 /// anatomy coordinates `(nx, ny)` / absolute canvas coordinates `(x, y)`.
+///
+/// Finite and at least 0 for every part: each branch ends in
+/// `.max(0.0)` or is `0.0`. [`render_canvas`] relies on it to skip the
+/// samples whose falloff is zero.
 #[allow(clippy::too_many_arguments)]
 fn intensity(
     part: BodyPart,
@@ -305,6 +320,50 @@ mod tests {
             s_rough.stddev,
             s_flat.stddev
         );
+    }
+
+    /// The canvas formula with the anatomy computed at every sample.
+    fn every_sample_canvas(
+        part: BodyPart,
+        (width, height): (usize, usize),
+        (rx, ry): (f64, f64),
+        seed: u64,
+        gain: f64,
+    ) -> Vec<u8> {
+        let noise = ValueNoise::new(seed);
+        let cx = width as f64 / 2.0;
+        let cy = height as f64 / 2.0;
+        let mut samples = Vec::with_capacity(width * height);
+        for row in 0..height {
+            for col in 0..width {
+                let (x, y) = (col as f64, row as f64);
+                let nx = (x - cx) / rx;
+                let ny = (y - cy) / ry;
+                let r2 = nx * nx + ny * ny;
+                let base = intensity(part, nx, ny, r2, x, y, &noise, gain);
+                let falloff = smoothstep(1.35, 0.95, r2.sqrt());
+                samples.push((16.0 + base * falloff).clamp(0.0, 255.0) as u8);
+            }
+        }
+        samples
+    }
+
+    #[test]
+    fn skipping_the_zero_falloff_changes_no_sample() {
+        // A phantom's 4:3 canvas with its margin (radii 0.26 of the
+        // output frame), and an odd canvas of 101 rows (not a whole
+        // number of bands) whose anatomy is taller than wide.
+        let geometries = [
+            ((240, 200), (41.6, 31.2), 2018, 1.0),
+            ((150, 101), (30.0, 41.5), 3, 1.7),
+        ];
+        for (size, radii, seed, gain) in geometries {
+            for part in BodyPart::ALL {
+                let got = render_canvas(part, size.0, size.1, radii.0, radii.1, seed, gain);
+                let want = every_sample_canvas(part, size, radii, seed, gain);
+                assert_eq!(got.samples(), &want[..], "{part} at {size:?}");
+            }
+        }
     }
 
     #[test]
