@@ -120,6 +120,14 @@ impl ViewTransform {
     /// `(x, y)` is the output sample, `(cx, cy)` the frame center. The
     /// content is rotated/scaled about the center and shifted by
     /// `(tx, ty)`, so the source position applies the inverse.
+    ///
+    /// At `angle_rad == 0.0` the map is separable to the bit: `sx`
+    /// depends on `x` only and `sy` on `y` only, so `source_of(x, y)`
+    /// is `(source_of(x, 0).0, source_of(0, y).1)` exactly. There `cos`
+    /// is 1.0 and `sin` is ±0.0, so the cross terms `py · sin` and
+    /// `px · sin` are ±0.0, and adding one changes nothing but,
+    /// possibly, the sign of a zero, which `· inv_s + c` (with `c > 0`)
+    /// then erases.
     #[inline]
     pub(crate) fn source_of(&self, x: f64, y: f64, cx: f64, cy: f64) -> (f64, f64) {
         // Undo translation first, then rotate/scale back about center.
@@ -155,6 +163,7 @@ impl Default for ViewTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn still_is_identity_forever() {
@@ -290,6 +299,37 @@ mod tests {
         for p in [rotate, breathe] {
             let on: Vec<usize> = (0..33).filter(|&t| whole(p, t).is_some()).collect();
             assert_eq!(on, [0], "{p:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn unrotated_source_of_is_separable_to_the_bit(
+            scale in 0.3f64..3.0,
+            tx in -40.0f64..40.0,
+            ty in -40.0f64..40.0,
+            half_w in 8usize..400,
+            half_h in 8usize..300,
+            negative_zero in 0u8..2,
+        ) {
+            let angle_rad = if negative_zero == 1 { -0.0 } else { 0.0 };
+            let (cx, cy) = (half_w as f64, half_h as f64);
+            // Fractional shifts, and whole ones with which `x == cx + tx`
+            // puts the sample on the center column (`px == 0`).
+            for (tx, ty) in [(tx, ty), (tx.round(), ty.round()), (0.0, 0.0)] {
+                let view = ViewTransform { angle_rad, scale, tx, ty };
+                let xs = (0..2 * half_w).step_by(7).chain([half_w, (cx + tx) as usize]);
+                for x in xs.map(|x| x as f64) {
+                    let ys = (0..2 * half_h).step_by(5).chain([half_h, (cy + ty) as usize]);
+                    for y in ys.map(|y| y as f64) {
+                        let (sx, sy) = view.source_of(x, y, cx, cy);
+                        let col = view.source_of(x, 0.0, cx, cy).0;
+                        let row = view.source_of(0.0, y, cx, cy).1;
+                        prop_assert_eq!(sx.to_bits(), col.to_bits(), "x {} y {} {:?}", x, y, view);
+                        prop_assert_eq!(sy.to_bits(), row.to_bits(), "x {} y {} {:?}", x, y, view);
+                    }
+                }
+            }
         }
     }
 

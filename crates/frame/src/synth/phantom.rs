@@ -234,19 +234,17 @@ impl PhantomVideo {
     /// Bilinearly samples the canvas at fractional coordinates.
     #[inline]
     fn sample_canvas(&self, x: f64, y: f64) -> f64 {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let xi = x0 as isize;
-        let yi = y0 as isize;
-        let s00 = self.canvas.get_clamped(xi, yi) as f64;
-        let s10 = self.canvas.get_clamped(xi + 1, yi) as f64;
-        let s01 = self.canvas.get_clamped(xi, yi + 1) as f64;
-        let s11 = self.canvas.get_clamped(xi + 1, yi + 1) as f64;
-        let top = s00 + (s10 - s00) * fx;
-        let bot = s01 + (s11 - s01) * fx;
-        top + (bot - top) * fy
+        let (x0, x1, fx) = axis_taps(x, self.canvas.width());
+        let (top, bot, fy) = self.row_taps(y);
+        blend(top[x0], top[x1], bot[x0], bot[x1], fx, fy)
+    }
+
+    /// The two canvas rows the blend reads at row coordinate `y`, and
+    /// the weight of the second.
+    #[inline]
+    fn row_taps(&self, y: f64) -> (&[u8], &[u8], f64) {
+        let (y0, y1, fy) = axis_taps(y, self.canvas.height());
+        (self.canvas.row(y0), self.canvas.row(y1), fy)
     }
 
     /// The luma plane of frame `t`, with `sample(col, row)` giving the
@@ -287,29 +285,51 @@ impl PhantomVideo {
     ///
     /// Each luma sample is the canvas seen through the frame's view
     /// ([`MotionPattern::at`]), bilinearly interpolated, then vignetted
-    /// and speckled. A view that neither rotates nor scales and shifts
-    /// by whole samples maps every output sample exactly onto a canvas
-    /// sample, where the blend's weights are all zero; such frames read
-    /// the canvas sample directly, which is the blend's value to the bit.
+    /// and speckled. Two kinds of view take a shorter road to the same
+    /// bits:
+    ///
+    /// - A view that neither rotates nor scales and shifts by whole
+    ///   samples maps every output sample exactly onto a canvas sample,
+    ///   where the blend's weights are all zero; such frames read the
+    ///   canvas sample directly, which is the blend's value to the bit.
+    /// - Any other unrotated view is separable to the bit: with the
+    ///   angle at 0 the rotation's cross terms are ±0.0, so a sample's
+    ///   canvas column depends on its output column only and its canvas
+    ///   row on its output row only. Such frames compute each column's
+    ///   and each row's clamped taps and fraction once, and every
+    ///   sample is four loads and the blend a rotating view runs.
     pub fn render(&self, t: usize) -> Frame {
         let res = self.config.resolution;
         let view: ViewTransform = self.motion.at(t);
         let cx = res.width as f64 / 2.0;
         let cy = res.height as f64 / 2.0;
         let margin = self.margin as f64;
-        let y_plane = match view.whole_sample_shift() {
-            Some((tx, ty)) => {
-                let (ox, oy) = (self.margin as isize - tx, self.margin as isize - ty);
-                self.render_luma(t, |col, row| {
-                    self.canvas
-                        .get_clamped(col as isize + ox, row as isize + oy)
-                        as f64
+        let y_plane = if let Some((tx, ty)) = view.whole_sample_shift() {
+            let (ox, oy) = (self.margin as isize - tx, self.margin as isize - ty);
+            self.render_luma(t, |col, row| {
+                self.canvas
+                    .get_clamped(col as isize + ox, row as isize + oy) as f64
+            })
+        } else if view.angle_rad == 0.0 {
+            let cols: Vec<_> = (0..res.width)
+                .map(|col| {
+                    let sx = view.source_of(col as f64, 0.0, cx, cy).0;
+                    axis_taps(sx + margin, self.canvas.width())
                 })
-            }
-            None => self.render_luma(t, |col, row| {
+                .collect();
+            let rows: Vec<_> = (0..res.height)
+                .map(|row| self.row_taps(view.source_of(0.0, row as f64, cx, cy).1 + margin))
+                .collect();
+            self.render_luma(t, |col, row| {
+                let (x0, x1, fx) = cols[col];
+                let (top, bot, fy) = rows[row];
+                blend(top[x0], top[x1], bot[x0], bot[x1], fx, fy)
+            })
+        } else {
+            self.render_luma(t, |col, row| {
                 let (sx, sy) = view.source_of(col as f64, row as f64, cx, cy);
                 self.sample_canvas(sx + margin, sy + margin)
-            }),
+            })
         };
         // Chroma: faint structure-correlated tint around neutral, so
         // chroma coding is exercised without dominating bitrate.
@@ -360,6 +380,31 @@ impl FrameSource for PhantomVideo {
             _ => Some(self.render(index)),
         }
     }
+}
+
+/// The taps of one axis of the bilinear blend at canvas coordinate `v`:
+/// the sample indices below and above `v`, each clamped to `0..len`
+/// (edge samples replicate), and the weight `v − ⌊v⌋` of the upper one.
+#[inline]
+fn axis_taps(v: f64, len: usize) -> (usize, usize, f64) {
+    let v0 = v.floor();
+    let i = v0 as isize;
+    let last = len as isize - 1;
+    (
+        i.clamp(0, last) as usize,
+        (i + 1).clamp(0, last) as usize,
+        v - v0,
+    )
+}
+
+/// The bilinear blend of the four taps around a canvas position: `sCR`
+/// is column tap `C`, row tap `R`; `fx` and `fy` weigh the second taps.
+#[inline]
+fn blend(s00: u8, s10: u8, s01: u8, s11: u8, fx: f64, fy: f64) -> f64 {
+    let (s00, s10, s01, s11) = (s00 as f64, s10 as f64, s01 as f64, s11 as f64);
+    let top = s00 + (s10 - s00) * fx;
+    let bot = s01 + (s11 - s01) * fx;
+    top + (bot - top) * fy
 }
 
 /// Vignette weight: 1 inside `inner`, hermite falloff to 0 at `outer`.
@@ -519,6 +564,54 @@ mod tests {
             max_err = max_err.max((a - b).abs());
         }
         assert!(max_err <= 6, "shifted content mismatch {max_err}");
+    }
+
+    #[test]
+    fn unrotated_views_match_the_per_sample_transform() {
+        let res = Resolution::new(96, 72);
+        let (cx, cy) = (48.0, 36.0);
+        let views = [
+            // Trough at frame 18 (scale 0.4) reads past the 24-sample
+            // margin on all four sides.
+            (
+                BodyPart::Cardiac,
+                MotionPattern::Breathe {
+                    amplitude: 0.6,
+                    period: 24.0,
+                },
+            ),
+            (
+                BodyPart::LungChest,
+                MotionPattern::Pan {
+                    dx: 0.37,
+                    dy: -1.21,
+                },
+            ),
+            (
+                BodyPart::LigamentTendon,
+                MotionPattern::PanPause {
+                    dx: 0.5,
+                    dy: 0.25,
+                    move_frames: 3,
+                    pause_frames: 2,
+                },
+            ),
+        ];
+        for (part, motion) in views {
+            let v = PhantomVideo::builder(part)
+                .resolution(res)
+                .motion(motion)
+                .build();
+            let margin = v.margin as f64;
+            for t in 0..24 {
+                let view = v.motion.at(t);
+                let per_sample = v.render_luma(t, |col, row| {
+                    let (sx, sy) = view.source_of(col as f64, row as f64, cx, cy);
+                    v.sample_canvas(sx + margin, sy + margin)
+                });
+                assert_eq!(v.render(t).y(), &per_sample, "{motion:?} frame {t}");
+            }
+        }
     }
 
     #[test]
