@@ -115,35 +115,39 @@ impl ViewTransform {
         ty: 0.0,
     };
 
-    /// Maps an *output* pixel back to *canvas* coordinates.
+    /// The map from an *output* pixel back to *canvas* coordinates.
     ///
-    /// `(x, y)` is the output sample, `(cx, cy)` the frame center. The
-    /// content is rotated/scaled about the center and shifted by
-    /// `(tx, ty)`, so the source position applies the inverse.
+    /// `(cx, cy)` is the frame center; the returned function takes the
+    /// output sample `(x, y)`. The content is rotated/scaled about the
+    /// center and shifted by `(tx, ty)`, so the source position applies
+    /// the inverse. The rotation's `sin_cos` and the inverse scale are
+    /// evaluated once, here, not once per sample.
     ///
     /// At `angle_rad == 0.0` the map is separable to the bit: `sx`
-    /// depends on `x` only and `sy` on `y` only, so `source_of(x, y)`
-    /// is `(source_of(x, 0).0, source_of(0, y).1)` exactly. There `cos`
-    /// is 1.0 and `sin` is ±0.0, so the cross terms `py · sin` and
-    /// `px · sin` are ±0.0, and adding one changes nothing but,
-    /// possibly, the sign of a zero, which `· inv_s + c` (with `c > 0`)
-    /// then erases.
+    /// depends on `x` only and `sy` on `y` only, so `source(x, y)` is
+    /// `(source(x, 0).0, source(0, y).1)` exactly. There `cos` is 1.0
+    /// and `sin` is ±0.0, so the cross terms `py · sin` and `px · sin`
+    /// are ±0.0, and adding one changes nothing but, possibly, the sign
+    /// of a zero, which `· inv_s + c` (with `c > 0`) then erases.
     #[inline]
-    pub(crate) fn source_of(&self, x: f64, y: f64, cx: f64, cy: f64) -> (f64, f64) {
-        // Undo translation first, then rotate/scale back about center.
-        let px = x - self.tx - cx;
-        let py = y - self.ty - cy;
+    pub(crate) fn source_of(&self, cx: f64, cy: f64) -> impl Fn(f64, f64) -> (f64, f64) {
         let (sin, cos) = (-self.angle_rad).sin_cos();
         let inv_s = 1.0 / self.scale;
-        let sx = (px * cos - py * sin) * inv_s + cx;
-        let sy = (px * sin + py * cos) * inv_s + cy;
-        (sx, sy)
+        let (tx, ty) = (self.tx, self.ty);
+        move |x, y| {
+            // Undo translation first, then rotate/scale back about center.
+            let px = x - tx - cx;
+            let py = y - ty - cy;
+            let sx = (px * cos - py * sin) * inv_s + cx;
+            let sy = (px * sin + py * cos) * inv_s + cy;
+            (sx, sy)
+        }
     }
 
     /// The content shift `(tx, ty)` when the view neither rotates nor
     /// scales and translates by whole samples, else `None`.
     ///
-    /// For such a view [`source_of`](Self::source_of) returns
+    /// For such a view the map [`source_of`](Self::source_of) returns
     /// `(x − tx, y − ty)` exactly (every term is a small integer), so
     /// bilinear sampling there has zero fractional weights and equals
     /// the canvas sample at that position, to the bit.
@@ -229,7 +233,7 @@ mod tests {
             ty: -2.0,
             ..ViewTransform::IDENTITY
         };
-        let (sx, sy) = t.source_of(10.0, 10.0, 50.0, 50.0);
+        let (sx, sy) = t.source_of(50.0, 50.0)(10.0, 10.0);
         assert!((sx - 7.0).abs() < 1e-12);
         assert!((sy - 12.0).abs() < 1e-12);
     }
@@ -240,7 +244,7 @@ mod tests {
             angle_rad: 0.7,
             ..ViewTransform::IDENTITY
         };
-        let (sx, sy) = t.source_of(50.0, 50.0, 50.0, 50.0);
+        let (sx, sy) = t.source_of(50.0, 50.0)(50.0, 50.0);
         assert!((sx - 50.0).abs() < 1e-9);
         assert!((sy - 50.0).abs() < 1e-9);
     }
@@ -261,7 +265,7 @@ mod tests {
         let qx = ((px - cx) * cos - (py - cy) * sin) * fwd.scale + cx + fwd.tx;
         let qy = ((px - cx) * sin + (py - cy) * cos) * fwd.scale + cy + fwd.ty;
         // …then source_of must map q back to p.
-        let (rx, ry) = fwd.source_of(qx, qy, cx, cy);
+        let (rx, ry) = fwd.source_of(cx, cy)(qx, qy);
         assert!((rx - px).abs() < 1e-9, "rx={rx}");
         assert!((ry - py).abs() < 1e-9, "ry={ry}");
     }
@@ -318,13 +322,13 @@ mod tests {
             // puts the sample on the center column (`px == 0`).
             for (tx, ty) in [(tx, ty), (tx.round(), ty.round()), (0.0, 0.0)] {
                 let view = ViewTransform { angle_rad, scale, tx, ty };
+                let source = view.source_of(cx, cy);
                 let xs = (0..2 * half_w).step_by(7).chain([half_w, (cx + tx) as usize]);
                 for x in xs.map(|x| x as f64) {
                     let ys = (0..2 * half_h).step_by(5).chain([half_h, (cy + ty) as usize]);
                     for y in ys.map(|y| y as f64) {
-                        let (sx, sy) = view.source_of(x, y, cx, cy);
-                        let col = view.source_of(x, 0.0, cx, cy).0;
-                        let row = view.source_of(0.0, y, cx, cy).1;
+                        let (sx, sy) = source(x, y);
+                        let (col, row) = (source(x, 0.0).0, source(0.0, y).1);
                         prop_assert_eq!(sx.to_bits(), col.to_bits(), "x {} y {} {:?}", x, y, view);
                         prop_assert_eq!(sy.to_bits(), row.to_bits(), "x {} y {} {:?}", x, y, view);
                     }

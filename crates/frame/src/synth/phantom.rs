@@ -234,9 +234,18 @@ impl PhantomVideo {
     /// Bilinearly samples the canvas at fractional coordinates.
     #[inline]
     fn sample_canvas(&self, x: f64, y: f64) -> f64 {
-        let (x0, x1, fx) = axis_taps(x, self.canvas.width());
-        let (top, bot, fy) = self.row_taps(y);
-        blend(top[x0], top[x1], bot[x0], bot[x1], fx, fy)
+        let x0 = x.floor();
+        let y0 = y.floor();
+        let xi = x0 as isize;
+        let yi = y0 as isize;
+        blend(
+            self.canvas.get_clamped(xi, yi),
+            self.canvas.get_clamped(xi + 1, yi),
+            self.canvas.get_clamped(xi, yi + 1),
+            self.canvas.get_clamped(xi + 1, yi + 1),
+            x - x0,
+            y - y0,
+        )
     }
 
     /// The two canvas rows the blend reads at row coordinate `y`, and
@@ -301,8 +310,7 @@ impl PhantomVideo {
     pub fn render(&self, t: usize) -> Frame {
         let res = self.config.resolution;
         let view: ViewTransform = self.motion.at(t);
-        let cx = res.width as f64 / 2.0;
-        let cy = res.height as f64 / 2.0;
+        let source = view.source_of(res.width as f64 / 2.0, res.height as f64 / 2.0);
         let margin = self.margin as f64;
         let y_plane = if let Some((tx, ty)) = view.whole_sample_shift() {
             let (ox, oy) = (self.margin as isize - tx, self.margin as isize - ty);
@@ -313,12 +321,12 @@ impl PhantomVideo {
         } else if view.angle_rad == 0.0 {
             let cols: Vec<_> = (0..res.width)
                 .map(|col| {
-                    let sx = view.source_of(col as f64, 0.0, cx, cy).0;
+                    let sx = source(col as f64, 0.0).0;
                     axis_taps(sx + margin, self.canvas.width())
                 })
                 .collect();
             let rows: Vec<_> = (0..res.height)
-                .map(|row| self.row_taps(view.source_of(0.0, row as f64, cx, cy).1 + margin))
+                .map(|row| self.row_taps(source(0.0, row as f64).1 + margin))
                 .collect();
             self.render_luma(t, |col, row| {
                 let (x0, x1, fx) = cols[col];
@@ -327,7 +335,7 @@ impl PhantomVideo {
             })
         } else {
             self.render_luma(t, |col, row| {
-                let (sx, sy) = view.source_of(col as f64, row as f64, cx, cy);
+                let (sx, sy) = source(col as f64, row as f64);
                 self.sample_canvas(sx + margin, sy + margin)
             })
         };
@@ -569,7 +577,6 @@ mod tests {
     #[test]
     fn unrotated_views_match_the_per_sample_transform() {
         let res = Resolution::new(96, 72);
-        let (cx, cy) = (48.0, 36.0);
         let views = [
             // Trough at frame 18 (scale 0.4) reads past the 24-sample
             // margin on all four sides.
@@ -604,9 +611,9 @@ mod tests {
                 .build();
             let margin = v.margin as f64;
             for t in 0..24 {
-                let view = v.motion.at(t);
+                let source = v.motion.at(t).source_of(48.0, 36.0);
                 let per_sample = v.render_luma(t, |col, row| {
-                    let (sx, sy) = view.source_of(col as f64, row as f64, cx, cy);
+                    let (sx, sy) = source(col as f64, row as f64);
                     v.sample_canvas(sx + margin, sy + margin)
                 });
                 assert_eq!(v.render(t).y(), &per_sample, "{motion:?} frame {t}");
