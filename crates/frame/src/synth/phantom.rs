@@ -234,6 +234,8 @@ impl PhantomVideo {
     /// Bilinearly samples the canvas at fractional coordinates.
     #[inline]
     fn sample_canvas(&self, x: f64, y: f64) -> f64 {
+        // The taps `axis_taps` computes, clamped by `get_clamped`: going
+        // through `axis_taps` here ran 5–10 % slower per rotating frame.
         let x0 = x.floor();
         let y0 = y.floor();
         let xi = x0 as isize;
@@ -246,14 +248,6 @@ impl PhantomVideo {
             x - x0,
             y - y0,
         )
-    }
-
-    /// The two canvas rows the blend reads at row coordinate `y`, and
-    /// the weight of the second.
-    #[inline]
-    fn row_taps(&self, y: f64) -> (&[u8], &[u8], f64) {
-        let (y0, y1, fy) = axis_taps(y, self.canvas.height());
-        (self.canvas.row(y0), self.canvas.row(y1), fy)
     }
 
     /// The luma plane of frame `t`, with `sample(col, row)` giving the
@@ -326,7 +320,11 @@ impl PhantomVideo {
                 })
                 .collect();
             let rows: Vec<_> = (0..res.height)
-                .map(|row| self.row_taps(source(0.0, row as f64).1 + margin))
+                .map(|row| {
+                    let sy = source(0.0, row as f64).1;
+                    let (y0, y1, fy) = axis_taps(sy + margin, self.canvas.height());
+                    (self.canvas.row(y0), self.canvas.row(y1), fy)
+                })
                 .collect();
             self.render_luma(t, |col, row| {
                 let (x0, x1, fx) = cols[col];
