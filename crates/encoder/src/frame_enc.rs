@@ -1,6 +1,6 @@
 //! Whole-frame encoding: per-tile encoding of a [`FramePlan`], fanned
-//! out over the host's cores ([`par_map`]), and reconstruction
-//! stitching.
+//! out over the host's cores on the shared worker pool ([`par_map`]),
+//! and reconstruction stitching.
 
 use crate::config::{EncoderConfig, TileConfig};
 use crate::stats::FrameStats;
@@ -77,7 +77,9 @@ pub struct EncodedFrame {
 ///
 /// The tiles are spread over the host's cores by [`par_map`]: the
 /// calling thread encodes tiles too, and a single tile or a single
-/// available CPU runs everything on the caller and spawns no thread.
+/// available CPU runs everything on the caller. The shared pool's
+/// workers persist, so every frame's tiles run on the same threads and
+/// each keeps its tile scratch warm.
 /// Tiles are independent and tile encoding is deterministic, so the
 /// frame is the serial fold of [`encode_tile`] over the tiles, to the
 /// bit, however they were spread. Placing served tile work on cores is

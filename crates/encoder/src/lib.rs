@@ -18,10 +18,10 @@
 //!   defined and run);
 //! * independent tile encoding ([`encode_tile`]) and one frame path that
 //!   fans each frame's tiles out over the host's cores ([`encode_frame`],
-//!   through [`medvt_frame::par_map`]; a single tile or a single CPU
-//!   runs them on the caller), bit-identical to the serial fold of its
-//!   tiles; which core runs a served tile is the runtime's decision,
-//!   not the codec's;
+//!   through [`medvt_frame::par_map`] on the shared persistent pool; a
+//!   single tile or a single CPU runs them on the caller), bit-identical
+//!   to the serial fold of its tiles; which core runs a served tile is
+//!   the runtime's decision, not the codec's;
 //! * [`FramePlan`] — a validated [`medvt_frame::Tiling`] plus one
 //!   [`TileConfig`] per tile; the partition rules live in the tiling,
 //!   so the codec never re-checks them;

@@ -19,8 +19,12 @@
 //! * [`synth`] — deterministic phantom bio-medical videos substituting
 //!   the paper's anonymized clinical material;
 //! * [`io`] — Y4M and PGM/PPM interchange;
-//! * [`par_map`] — the one scoped fan-out of pure per-index work over
-//!   the host's cores (phantom set-up, parallel tile encoding).
+//! * [`WorkerPool`] — the workspace's one executor: persistent
+//!   workers plus the calling thread claiming a batch's jobs from one
+//!   cursor; [`par_map`] maps pure per-index work on one shared pool
+//!   of [`host_executors`] executors (phantom set-up, parallel tile
+//!   encoding), and `medvt-runtime`'s `ThreadPoolBackend` serves on a
+//!   pool of its own.
 //!
 //! # Examples
 //!
@@ -50,6 +54,7 @@ mod error;
 mod frame;
 mod par;
 mod plane;
+mod pool;
 mod rect;
 mod tiling;
 mod video;
@@ -69,8 +74,9 @@ pub mod synth;
 
 pub use error::FrameError;
 pub use frame::{Frame, FrameKind, Resolution};
-pub use par::par_map;
+pub use par::{host_executors, par_map};
 pub use plane::Plane;
+pub use pool::WorkerPool;
 pub use rect::Rect;
 pub use stats::RegionStats;
 pub use tiling::{Tiling, TilingError};

@@ -1,29 +1,31 @@
-//! One scoped fan-out for pure per-index work.
-//!
-//! [`par_map`] spreads `f(0..n)` over the host's cores and returns the
-//! results in index order. It is how phantom set-up (canvas bands and
-//! captured frames) and every frame's tile encoding
-//! (`medvt_encoder::encode_frame`) use every core; the serving path's
-//! worker pool lives in `medvt-runtime`.
+//! The shared pool: [`par_map`] is [`WorkerPool::map`] on one pool of
+//! [`host_executors`] executors, built on first use. Phantom set-up
+//! and every frame's tile encoding fan out through it; the serving
+//! path's `ThreadPoolBackend` runs its own pool of the same type.
 
+use crate::WorkerPool;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Returns `[f(0), f(1), …, f(n − 1)]`, computed on
-/// `min(n, available_parallelism)` executors.
+/// `min(n, host_executors())` executors of the shared pool.
 ///
 /// The calling thread is one of the executors, so a single item or a
-/// single available CPU runs everything on the caller and spawns no
-/// thread. Executors claim the next unclaimed index from one shared
+/// single available CPU runs everything on the caller. The pool's
+/// workers persist: consecutive calls run on one fixed set of threads,
+/// so a worker's thread-local state (the encoder's tile scratch) stays
+/// warm. Executors claim the next unclaimed index from one shared
 /// cursor until every index is taken. `f` must not depend on which
 /// thread runs it or in which order: the result is then the serial
 /// map's, whatever the schedule.
 ///
+/// An item may call `par_map` itself, and threads may call it at once:
+/// each caller works its own batch (see [`WorkerPool`]).
+///
 /// # Panics
 ///
-/// Panics with the payload of a panicking `f`, once every executor has
-/// finished.
+/// Panics with the payload of the first panicking `f`, once every item
+/// has finished.
 ///
 /// # Examples
 ///
@@ -32,57 +34,22 @@ use std::sync::OnceLock;
 /// assert_eq!(squares, [0, 1, 4, 9, 16]);
 /// ```
 pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    par_map_on(host_executors(), n, f)
+    host_pool().map(n, f)
 }
 
-/// The number of executors [`par_map`] may use: the CPUs this process
-/// may run on, read once.
-fn host_executors() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+/// The CPUs this process may run on, read once: the executor count of
+/// the pool behind [`par_map`] (the first call of either builds it),
+/// and the cap on `medvt_runtime::ThreadPoolBackend::new`'s executors.
+pub fn host_executors() -> usize {
+    host_pool().executors()
 }
 
-/// [`par_map`] on at most `executors` executors, the caller included.
-fn par_map_on<T: Send>(executors: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let executors = executors.min(n);
-    // The cursor only hands out indices; results come back through
-    // `join`, which orders every worker's writes before the caller's
-    // reads, so the claim needs no stronger ordering.
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, f(i)));
-        }
-    };
-    // A panic on the caller or a worker leaves the scope only after
-    // every spawned executor has been joined. With one executor (or
-    // none, when `n` is 0) nothing is spawned and the caller claims
-    // every index itself.
-    let parts = std::thread::scope(|s| {
-        let workers: Vec<_> = (1..executors).map(|_| s.spawn(claim)).collect();
-        let mut parts = vec![claim()];
-        for worker in workers {
-            parts.push(
-                worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        parts
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, value) in parts.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("the cursor hands out every index once"))
-        .collect()
+/// Never dropped: its workers live as long as the process.
+fn host_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        WorkerPool::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    })
 }
 
 #[cfg(test)]
@@ -90,129 +57,92 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
-    /// Spins until `cond` holds; false if it did not within `limit`.
-    fn wait_for(limit: Duration, cond: impl Fn() -> bool) -> bool {
+    /// Spins until `cond` holds or `limit` passed.
+    fn wait_for(limit: Duration, cond: impl Fn() -> bool) {
         let deadline = Instant::now() + limit;
-        while !cond() {
-            if Instant::now() > deadline {
-                return false;
-            }
+        while !cond() && Instant::now() < deadline {
             std::thread::yield_now();
         }
-        true
-    }
-
-    fn wait_until(cond: impl Fn() -> bool) -> bool {
-        wait_for(Duration::from_secs(10), cond)
-    }
-
-    fn item(i: usize) -> (usize, String) {
-        (i * i + 3, format!("item {i}"))
     }
 
     #[test]
-    fn equals_the_serial_map_at_every_executor_count() {
-        for executors in [1, 2, 3, 8] {
-            for n in [0, 1, 2, 3, 33] {
-                let serial: Vec<_> = (0..n).map(item).collect();
-                assert_eq!(
-                    par_map_on(executors, n, item),
-                    serial,
-                    "{executors} executors, n = {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn one_executor_runs_every_item_on_the_caller() {
-        let caller = std::thread::current().id();
-        for n in [0, 1, 2, 3, 33] {
-            let ids = par_map_on(1, n, |_| std::thread::current().id());
-            assert_eq!(ids.len(), n);
-            assert!(ids.iter().all(|&id| id == caller), "n = {n}");
-        }
-        // A single item spawns nothing however many executors exist.
-        for executors in [2, 3, 8] {
-            assert_eq!(
-                par_map_on(executors, 1, |_| std::thread::current().id()),
-                [caller]
-            );
-        }
-    }
-
-    #[test]
-    fn uses_at_most_the_host_executors_and_the_caller() {
-        let caller = std::thread::current().id();
-        let ids: HashSet<ThreadId> = par_map(64, |_| std::thread::current().id())
-            .into_iter()
+    fn a_par_map_item_that_calls_par_map_finishes() {
+        let nested = par_map(6, |i| par_map(5, |j| 10 * i + j));
+        let serial: Vec<Vec<usize>> = (0..6)
+            .map(|i| (0..5).map(|j| 10 * i + j).collect())
             .collect();
-        assert!(ids.len() <= host_executors(), "{} threads", ids.len());
-        if host_executors() == 1 {
-            assert_eq!(ids, HashSet::from([caller]), "one CPU spawned a thread");
+        assert_eq!(nested, serial);
+    }
+
+    #[test]
+    fn consecutive_calls_run_on_one_fixed_set_of_threads() {
+        // Each item holds its executor until every executor of the call
+        // started one (or 2 s passed), so each call spreads over all of
+        // them: a fan-out that spawned threads per call would show more
+        // distinct threads over the calls than the pool has executors.
+        let executors = host_executors();
+        let mut seen = HashSet::new();
+        for _ in 0..3 {
+            let started = AtomicUsize::new(0);
+            let ids: Vec<ThreadId> = par_map(executors, |_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                wait_for(Duration::from_secs(2), || {
+                    started.load(Ordering::SeqCst) >= executors
+                });
+                std::thread::current().id()
+            });
+            seen.extend(ids);
+        }
+        assert!(seen.len() <= executors, "{} threads", seen.len());
+        if executors == 1 {
+            assert_eq!(seen, HashSet::from([std::thread::current().id()]));
         }
     }
 
-    /// Maps two items on two executors: one panics on the caller (or
-    /// on the worker) while the other, on the other thread, still
-    /// reads a value on this test's stack. `par_map` must unwind only
-    /// after the reading item's last act.
-    fn panic_waits_for_the_other_executor(panic_on_caller: bool) {
-        let caller = std::thread::current().id();
-        let value = [7u64; 64];
-        let reading = AtomicBool::new(false);
-        let panicking = AtomicBool::new(false);
-        let returned = AtomicBool::new(false);
-        let finished = AtomicBool::new(false);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            par_map_on(2, 2, |_| {
-                // Neither item can finish before the other started, so
-                // the two run on both executors.
-                let on_caller = std::thread::current().id() == caller;
-                if on_caller == panic_on_caller {
-                    assert!(wait_until(|| reading.load(Ordering::SeqCst)));
-                    panicking.store(true, Ordering::SeqCst);
-                    // Unwinds without the panic hook, whose output
-                    // could outlast the hold below.
-                    std::panic::resume_unwind(Box::new("the panicking item"));
-                }
-                reading.store(true, Ordering::SeqCst);
-                assert!(wait_until(|| panicking.load(Ordering::SeqCst)));
-                // Holds on for 300 ms, or until a defective `par_map`
-                // has already unwound.
-                wait_for(Duration::from_millis(300), || {
-                    returned.load(Ordering::SeqCst)
-                });
-                let sum: u64 = std::hint::black_box(&value).iter().sum();
-                assert_eq!(sum, 7 * 64);
-                finished.store(true, Ordering::SeqCst);
-            })
-        }));
-        let finished_on_return = finished.load(Ordering::SeqCst);
-        returned.store(true, Ordering::SeqCst);
-        let payload = outcome.expect_err("the panic did not reach the caller");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"the panicking item"),
-            "the caller sees the item's own payload"
-        );
-        assert!(
-            finished_on_return,
-            "par_map unwound while another executor was still running"
-        );
-    }
-
     #[test]
-    fn a_panic_on_the_caller_waits_for_the_worker() {
-        panic_waits_for_the_other_executor(true);
-    }
-
-    #[test]
-    fn a_panic_on_a_worker_waits_for_the_caller() {
-        panic_waits_for_the_other_executor(false);
+    fn concurrent_callers_get_their_own_results_and_panics() {
+        // Two threads map at once, ten rounds: one maps squares, the
+        // other a batch whose item 3 panics with its own message.
+        let both = Barrier::new(2);
+        std::thread::scope(|s| {
+            let panicking = s.spawn(|| {
+                (0..10)
+                    .map(|round| {
+                        both.wait();
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            par_map(8, |i| {
+                                if i == 3 {
+                                    std::panic::resume_unwind(Box::new(format!("round {round}")));
+                                }
+                                i
+                            })
+                        }));
+                        let payload = outcome.err()?.downcast::<String>().ok()?;
+                        Some(*payload)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            // Asserted only after both threads finished every round, so
+            // a failure cannot leave the other thread at the barrier.
+            let squares: Vec<Vec<usize>> = (0..10)
+                .map(|_| {
+                    both.wait();
+                    par_map(64, |i| i * i)
+                })
+                .collect();
+            let messages = panicking.join().expect("the panicking caller");
+            assert!(squares
+                .iter()
+                .all(|s| *s == (0..64).map(|i| i * i).collect::<Vec<_>>()));
+            let expected: Vec<_> = (0..10)
+                .map(|round| Some(format!("round {round}")))
+                .collect();
+            assert_eq!(messages, expected);
+        });
     }
 }

@@ -1,6 +1,6 @@
-//! A persistent, work-conserving worker pool that runs one batch of
-//! borrow-friendly jobs at a time, on the calling thread and its
-//! workers.
+//! The workspace's one executor: a persistent, work-conserving worker
+//! pool that runs one batch of borrow-friendly jobs at a time, on the
+//! calling thread and its workers.
 //!
 //! A pool of `n` executors is the thread that calls
 //! [`WorkerPool::run`] plus `n − 1` persistent workers. `run` hands a
@@ -11,7 +11,8 @@
 //! of the batch waits. An executor therefore starts its own jobs in
 //! increasing submission order, whichever jobs it ends up with. The
 //! caller parks only while the last jobs on workers finish, and a
-//! one-executor pool spawns no thread at all.
+//! one-executor pool spawns no thread at all. [`WorkerPool::map`] is a
+//! run of one job per index that returns each job's value.
 //!
 //! Jobs may borrow from the caller's stack: `run` returns or unwinds
 //! only after every job of the batch finished, which is what makes the
@@ -19,31 +20,30 @@
 //! tracking live in each batch, so concurrent runs on one pool
 //! neither wait on each other's jobs nor see each other's panics.
 
-use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One run's jobs with its claim cursor and completion counter,
-/// shared by the caller and the workers it woke.
+/// One run's jobs with its claim cursor, completion counter and first
+/// panic, shared by the caller and the workers it woke. No lock is
+/// held while a job runs, so none is ever poisoned.
 struct Batch {
-    jobs: Box<[UnsafeCell<Option<Job>>]>,
+    /// Slot `i` is locked once, by the executor whose claim returned `i`.
+    jobs: Box<[Mutex<Option<Job>>]>,
     /// Index of the next unclaimed job.
     next: AtomicUsize,
     /// Jobs not yet finished; the executor that takes it to zero wakes
     /// `caller`.
     remaining: AtomicUsize,
-    panicked: AtomicBool,
+    /// The payload of the first job that panicked.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     caller: Thread,
 }
-
-// SAFETY: job slot `i` is only touched by the one thread whose
-// `fetch_add` on `next` returned `i`; every other field is `Sync`.
-unsafe impl Sync for Batch {}
 
 impl Batch {
     /// Claims and runs jobs until the cursor passes the last one. A
@@ -54,11 +54,11 @@ impl Batch {
             let Some(slot) = self.jobs.get(i) else {
                 return;
             };
-            // SAFETY: this thread claimed index `i`, so it alone
-            // touches the slot (see `impl Sync for Batch`).
-            if let Some(job) = unsafe { (*slot.get()).take() } {
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    self.panicked.store(true, Ordering::Relaxed);
+            let job = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            if let Some(job) = job {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                    let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                    first.get_or_insert(payload);
                 }
             }
             // When the caller itself finishes the last job, this
@@ -72,23 +72,24 @@ impl Batch {
 }
 
 /// The persistent worker pool: the calling thread plus its workers.
-pub(crate) struct WorkerPool {
+///
+/// Nesting and concurrency are sound by construction. The caller of a
+/// run claims from its own batch until the cursor passes the last job,
+/// so it can finish the batch alone, and then waits only for jobs that
+/// another executor claimed and is running. A job that starts a run
+/// (on any pool) is that inner batch's caller; concurrent callers each
+/// work their own batch, and a worker that reaches a batch whose jobs
+/// were all claimed moves on at once.
+#[derive(Debug)]
+pub struct WorkerPool {
     senders: Vec<Sender<Arc<Batch>>>,
     handles: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("executors", &(self.senders.len() + 1))
-            .finish_non_exhaustive()
-    }
 }
 
 impl WorkerPool {
     /// A pool of `executors` (at least one): whichever thread calls
     /// [`run`](Self::run), plus `executors − 1` persistent threads.
-    pub(crate) fn new(executors: usize) -> Self {
+    pub fn new(executors: usize) -> Self {
         let workers = executors.max(1) - 1;
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -108,6 +109,11 @@ impl WorkerPool {
         Self { senders, handles }
     }
 
+    /// The number of executors: the caller of a run plus the workers.
+    pub fn executors(&self) -> usize {
+        self.senders.len() + 1
+    }
+
     /// Runs every job of `jobs` on the calling thread and at most
     /// `min(jobs, executors) − 1` workers, and returns once all of
     /// them finished. Jobs may borrow from the caller; an empty batch
@@ -115,9 +121,9 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Panics when any job of *this* batch panicked, once every job of
-    /// the batch finished.
-    pub(crate) fn run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+    /// Re-raises the payload of the first job of *this* batch that
+    /// panicked, once every job of the batch finished.
+    pub fn run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if jobs.is_empty() {
             return;
         }
@@ -131,19 +137,19 @@ impl WorkerPool {
                 // `remaining` hit zero, i.e. before every job was
                 // called and so dropped: the workers' jobs and the
                 // caller's own claims alike run inside `Batch::work`'s
-                // `catch_unwind`, and the only panic below comes after
+                // `catch_unwind`, and the only unwind below comes after
                 // the wait. Borrows with lifetime 'env, which outlives
                 // the call, are live for each job's whole execution.
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-                UnsafeCell::new(Some(job))
+                Mutex::new(Some(job))
             })
             .collect();
         let batch = Arc::new(Batch {
             jobs,
             next: AtomicUsize::new(0),
             remaining,
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
             caller,
         });
         for tx in self.senders.iter().take(batch.jobs.len() - 1) {
@@ -155,18 +161,35 @@ impl WorkerPool {
         while batch.remaining.load(Ordering::Acquire) != 0 {
             std::thread::park();
         }
-        if batch.panicked.load(Ordering::Relaxed) {
-            panic!("a pool job panicked");
+        let panic = batch
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
     }
 
-    /// The threads that may run a job of a `run` called from this
-    /// thread: this thread first, then the pool's workers.
-    #[cfg(test)]
-    pub(crate) fn executors(&self) -> Vec<std::thread::ThreadId> {
-        let caller = std::thread::current().id();
-        std::iter::once(caller)
-            .chain(self.handles.iter().map(|h| h.thread().id()))
+    /// Returns `[f(0), f(1), …, f(n − 1)]`: a [`run`](Self::run) of one
+    /// job per index, each writing only its own result slot.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run): with the payload of the first panicking
+    /// `f`, once every item finished.
+    pub fn map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let f = &f;
+        let slots = results.iter_mut().enumerate();
+        self.run(
+            slots
+                .map(|(i, slot)| Box::new(move || *slot = Some(f(i))) as _)
+                .collect(),
+        );
+        results
+            .into_iter()
+            .map(|slot| slot.expect("a run calls every job"))
             .collect()
     }
 }
@@ -184,12 +207,21 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
     /// Boxes `f` as a job that may borrow from the test's stack.
     fn job<'env>(f: impl FnOnce() + Send + 'env) -> Box<dyn FnOnce() + Send + 'env> {
         Box::new(f)
+    }
+
+    /// The threads that may run a job of a run called from this thread:
+    /// this thread first, then the pool's workers.
+    fn executor_ids(pool: &WorkerPool) -> Vec<ThreadId> {
+        std::iter::once(std::thread::current().id())
+            .chain(pool.handles.iter().map(|h| h.thread().id()))
+            .collect()
     }
 
     /// Spins until `cond` holds; false if it did not within `limit`.
@@ -228,7 +260,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let pool = WorkerPool::new(3);
-        let executors = pool.executors();
+        let executors = executor_ids(&pool);
         let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         let stray = AtomicBool::new(false);
         pool.run(
@@ -254,7 +286,7 @@ mod tests {
     #[test]
     fn each_executor_starts_jobs_in_submission_order() {
         let pool = WorkerPool::new(2);
-        let executors = pool.executors();
+        let executors = executor_ids(&pool);
         let log = Mutex::new(Vec::new());
         pool.run(
             (0..64)
@@ -286,7 +318,7 @@ mod tests {
     fn a_one_executor_pool_runs_every_job_on_the_caller() {
         let pool = WorkerPool::new(1);
         let caller = std::thread::current().id();
-        assert_eq!(pool.executors(), [caller], "spawned a thread");
+        assert_eq!(executor_ids(&pool), [caller], "spawned a thread");
         let ran = Mutex::new(Vec::new());
         pool.run(
             (0..16)
@@ -308,8 +340,9 @@ mod tests {
         // times out instead.
         for n in 1..=4 {
             let pool = WorkerPool::new(n);
-            let executors = pool.executors();
+            let executors = executor_ids(&pool);
             assert_eq!(executors.len(), n);
+            assert_eq!(pool.executors(), n);
             for k in 1..=6 {
                 let busy = k.min(n);
                 let started = AtomicUsize::new(0);
@@ -341,7 +374,8 @@ mod tests {
     /// Runs two jobs on a two-executor pool: one panics on the caller
     /// (or on the worker) while the other, on the other thread, still
     /// reads a value on this test's stack. `run` must unwind only
-    /// after the reading job's last act.
+    /// after the reading job's last act, with the panicking job's own
+    /// payload.
     fn panic_waits_for_a_borrowing_job(panic_on_caller: bool) {
         let caller = std::thread::current().id();
         let value = [7u64; 64];
@@ -386,7 +420,12 @@ mod tests {
         }));
         let finished_on_return = finished.load(Ordering::SeqCst);
         returned.store(true, Ordering::SeqCst);
-        assert!(outcome.is_err(), "the panic did not reach the caller");
+        let payload = outcome.expect_err("the panic did not reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"the panicking job"),
+            "the caller sees the job's own payload"
+        );
         assert!(
             finished_on_return,
             "run unwound while a job still borrowed the caller's stack"
@@ -435,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pool job panicked")]
+    #[should_panic(expected = "boom")]
     fn job_panic_propagates_to_run() {
         let pool = WorkerPool::new(2);
         pool.run(vec![job(|| panic!("boom"))]);
@@ -466,5 +505,35 @@ mod tests {
         );
         assert_eq!(count.load(Ordering::SeqCst), 16, "run A ran all jobs");
         assert!(b.join().expect("thread B"), "run B saw its own panic");
+    }
+
+    fn item(i: usize) -> (usize, String) {
+        (i * i + 3, format!("item {i}"))
+    }
+
+    #[test]
+    fn map_equals_the_serial_map_at_every_executor_count() {
+        for executors in [1, 2, 3, 8] {
+            let pool = WorkerPool::new(executors);
+            for n in [0, 1, 2, 3, 33] {
+                let serial: Vec<_> = (0..n).map(item).collect();
+                assert_eq!(pool.map(n, item), serial, "{executors} executors, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_map_item_that_maps_on_the_same_pool_finishes() {
+        // Every outer item runs an inner batch on the pool whose
+        // executors are busy with the outer batch: each inner caller
+        // must finish its batch without a free worker.
+        for executors in [1, 2] {
+            let pool = WorkerPool::new(executors);
+            let nested = pool.map(6, |i| pool.map(5, |j| 10 * i + j));
+            let serial: Vec<Vec<usize>> = (0..6)
+                .map(|i| (0..5).map(|j| 10 * i + j).collect())
+                .collect();
+            assert_eq!(nested, serial, "{executors} executors");
+        }
     }
 }

@@ -71,7 +71,7 @@ impl std::fmt::Display for BodyPart {
 /// realization; `texture_gain` in `[0, 2]` scales texture contrast.
 ///
 /// Every sample is a pure function of its coordinates, so the canvas is
-/// rendered in bands of rows spread over the host's cores
+/// rendered in bands of rows spread over the shared pool's executors
 /// ([`par_map`]); the samples do not depend on how the bands were
 /// spread.
 ///
@@ -134,8 +134,9 @@ pub fn render_canvas(
     Plane::from_vec(width, height, samples).expect("bands cover the canvas row by row")
 }
 
-/// Canvas rows per [`par_map`] item: enough work to amortize a claim,
-/// few enough that the last band does not leave a core idle for long.
+/// Canvas rows per [`par_map`] item: enough work to amortize a claim
+/// and its boxed job, few enough that the last band does not leave a
+/// core idle for long.
 const BAND_ROWS: usize = 16;
 
 /// Luma contribution (above black level) of `part` at normalized

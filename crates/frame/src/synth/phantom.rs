@@ -355,9 +355,10 @@ impl PhantomVideo {
     /// Materializes the first `n` frames (at most the video's length
     /// when it is finite) into a [`VideoClip`].
     ///
-    /// Frames are rendered on the host's cores ([`par_map`]), each by
-    /// [`render`](Self::render), and pushed in display order, so the
-    /// clip does not depend on how the frames were spread.
+    /// Frames are rendered on the shared pool's executors
+    /// ([`par_map`]), each by [`render`](Self::render), and pushed in
+    /// display order, so the clip does not depend on how the frames
+    /// were spread.
     pub fn capture(&self, n: usize) -> VideoClip {
         let mut clip = VideoClip::new(self.config.resolution, self.config.fps);
         let limit = match self.config.frames {

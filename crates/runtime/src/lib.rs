@@ -18,7 +18,8 @@
 //!   `core::server`/`mpsoc::simulate_slot`), accounting work units
 //!   without running them;
 //! * [`ThreadPoolBackend`] — runs real work units on `n` executors:
-//!   the calling thread plus `n − 1` persistent workers
+//!   the calling thread plus `n − 1` persistent workers of its own
+//!   `medvt_frame::WorkerPool`, the workspace's one executor
 //!   (borrow-friendly batches, any idle executor claims the next unit
 //!   in slot order, one barrier per run of slots), accounting every
 //!   placed [`WorkUnit`] on its core with the *same* analytical model;
@@ -77,7 +78,6 @@
 #![warn(missing_debug_implementations)]
 
 mod backend;
-mod pool;
 mod server;
 mod sim;
 mod threadpool;

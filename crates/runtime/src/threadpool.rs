@@ -2,6 +2,9 @@
 //! worker pool run the tile work units Algorithm 2 placed, with the
 //! placement's accounting.
 //!
+//! The pool is the backend's own [`WorkerPool`], the type behind
+//! `medvt_frame::par_map` too: one claim loop and one panic path.
+//!
 //! Placement decides the accounting, not the OS thread: energy, DVFS,
 //! carry and deadline verdicts come from the same analytical slot
 //! model as [`SimBackend`], so swapping backends never changes
@@ -16,14 +19,16 @@
 //! the run. Accounting stays per slot.
 
 use crate::backend::{ExecutionBackend, SlotOutcome, WorkUnit};
-use crate::pool::WorkerPool;
 use crate::sim::SimBackend;
+use medvt_frame::{host_executors, WorkerPool};
 use medvt_mpsoc::{DvfsPolicy, Platform, PowerModel, SlotReport};
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
-/// Executes placed work units on the calling thread and a persistent
-/// worker pool.
+/// Executes placed work units on the calling thread and the workers
+/// of its own [`WorkerPool`].
+///
+/// A unit's job that panics reaches the caller of the run with its own
+/// payload, once every job of the run finished.
 #[derive(Debug)]
 pub struct ThreadPoolBackend {
     pool: WorkerPool,
@@ -32,11 +37,11 @@ pub struct ThreadPoolBackend {
 
 impl ThreadPoolBackend {
     /// A backend with one executor per platform core, capped at the
-    /// host's available parallelism. The thread that executes a run is
-    /// one of the executors, so the pool spawns one thread fewer.
+    /// host's available parallelism ([`host_executors`]). The thread
+    /// that executes a run is one of the executors, so the pool spawns
+    /// one thread fewer.
     pub fn new(platform: Platform, power: PowerModel) -> Self {
-        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let executors = platform.total_cores().min(host);
+        let executors = platform.total_cores().min(host_executors());
         Self::with_workers(platform, power, executors)
     }
 
@@ -118,6 +123,8 @@ impl ExecutionBackend for ThreadPoolBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::thread::ThreadId;
@@ -228,7 +235,6 @@ mod tests {
     fn each_executor_starts_slot_k_before_slot_k_plus_1() {
         let mut backend =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        let executors = backend.pool.executors();
         let log = Mutex::new(Vec::new());
         let slots: Vec<Vec<WorkUnit<'_>>> = (0..3)
             .map(|slot| {
@@ -247,7 +253,8 @@ mod tests {
         assert_eq!(reports.len(), 3);
         let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 24);
-        assert!(log.iter().all(|r| executors.contains(&r.0)));
+        let executors: HashSet<ThreadId> = log.iter().map(|r| r.0).collect();
+        assert!(executors.len() <= 4, "{} threads", executors.len());
         for executor in &executors {
             let started: Vec<(usize, usize)> = log
                 .iter()
@@ -263,27 +270,66 @@ mod tests {
 
     #[test]
     fn every_unit_runs_once_on_the_caller_or_a_pool_worker() {
+        // Over five slots the units run on at most the backend's four
+        // executors: the caller and the same persistent workers each
+        // time, not threads spawned per slot.
         let mut b =
             ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 4);
-        let executors = b.pool.executors();
-        let log = Mutex::new(Vec::new());
-        let units: Vec<WorkUnit<'_>> = (0..8)
-            .map(|i| WorkUnit {
-                user: 3,
-                thread: i,
-                core: i % 4,
-                cost_fmax_secs: 1e-4,
-                job: Some(recording_job(&log, 3, i)),
+        let mut executors = HashSet::new();
+        for _ in 0..5 {
+            let log = Mutex::new(Vec::new());
+            let units: Vec<WorkUnit<'_>> = (0..8)
+                .map(|i| WorkUnit {
+                    user: 3,
+                    thread: i,
+                    core: i % 4,
+                    cost_fmax_secs: 1e-4,
+                    job: Some(recording_job(&log, 3, i)),
+                })
+                .collect();
+            let out = b.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, units);
+            assert!(out.wall_secs > 0.0);
+            let mut log = log.into_inner().unwrap();
+            log.sort_unstable_by_key(|r| r.2);
+            assert_eq!(log.len(), 8);
+            for (i, &(ran_on, user, item)) in log.iter().enumerate() {
+                assert_eq!((user, item), (3, i));
+                executors.insert(ran_on);
+            }
+        }
+        assert!(executors.len() <= 4, "{} threads", executors.len());
+    }
+
+    #[test]
+    fn a_panicking_unit_reaches_the_caller_with_its_own_message() {
+        let mut backend =
+            ThreadPoolBackend::with_workers(Platform::quad_core(), PowerModel::default(), 2);
+        let ran = AtomicUsize::new(0);
+        let units: Vec<WorkUnit<'_>> = (0..6)
+            .map(|thread| {
+                let ran = &ran;
+                WorkUnit {
+                    user: 1,
+                    thread,
+                    core: thread % 4,
+                    cost_fmax_secs: 1e-4,
+                    job: Some(Box::new(move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        if thread == 4 {
+                            panic!("tile 4 of user 1 hit a corrupt reference");
+                        }
+                    })),
+                }
             })
             .collect();
-        let out = b.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, units);
-        assert!(out.wall_secs > 0.0);
-        let mut log = log.into_inner().unwrap();
-        log.sort_unstable_by_key(|r| r.2);
-        assert_eq!(log.len(), 8);
-        for (i, &(ran_on, user, item)) in log.iter().enumerate() {
-            assert_eq!((user, item), (3, i));
-            assert!(executors.contains(&ran_on), "thread {item} on {ran_on:?}");
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            backend.execute_slot(DvfsPolicy::StretchToDeadline, SLOT, units)
+        }));
+        let payload = outcome.expect_err("the unit's panic reached the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"tile 4 of user 1 hit a corrupt reference")
+        );
+        assert_eq!(ran.into_inner(), 6, "every unit ran before the unwind");
     }
 }

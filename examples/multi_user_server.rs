@@ -27,7 +27,7 @@ fn main() {
     let resolution = Resolution::new(320, 240);
     let frames = 33;
     let server_cfg = ServerConfig::default();
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers = medvt::frame::host_executors();
     println!(
         "profiling the 10-video medical suite at {resolution} ({frames} frames each) \
          with parallel tiles…"
