@@ -21,11 +21,14 @@
 //!    the driver re-places its threads only when a member or an
 //!    estimate changed) and every shard advances one GOP in lockstep.
 //!
-//! Every decision passes through the controller's one `emit`, which
-//! feeds the report's event stream, the telemetry counters and the
-//! flight recorder from the same value. Decisions read only the
-//! analytical accounting, so replaying one trace on `SimBackend` and
-//! `ThreadPoolBackend` shards produces identical event streams.
+//! The controller builds the [`OnlineReport`] it returns while it
+//! runs. Every decision passes through its one `emit`, which appends
+//! it to the report's event log, bumps its telemetry counter and hands
+//! it to the flight recorder; the report's decision counts are read
+//! back from those counters, so each decision is counted once.
+//! Decisions read only the analytical accounting, so replaying one
+//! trace on `SimBackend` and `ThreadPoolBackend` shards produces
+//! identical event streams.
 //!
 //! # Control-plane cost
 //!
@@ -178,7 +181,7 @@ pub struct AdmissionEvent {
 }
 
 /// Per-shard aggregate of an online run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardReport {
     /// Shard (socket) index.
     pub shard: usize,
@@ -217,7 +220,7 @@ impl ShardReport {
 }
 
 /// Aggregate outcome of an online serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OnlineReport {
     /// Shard policy label: always `"least-loaded"`.
     pub shard_policy: String,
@@ -503,10 +506,6 @@ struct Controller<'a, W, B: ExecutionBackend, R: Recorder> {
     trace: &'a [UserRequest],
     /// Padded fractional-core demand per workload index (line 1).
     demand_of: Vec<f64>,
-    /// Each shard's effective capacity (sum of core speed factors) and
-    /// backend label, for the report.
-    capacities: Vec<f64>,
-    labels: Vec<String>,
     /// The workloads and who transcodes which.
     source: TraceSource<'a, W>,
     recorder: R,
@@ -524,28 +523,21 @@ struct Controller<'a, W, B: ExecutionBackend, R: Recorder> {
     added: Vec<Vec<usize>>,
     removed: Vec<Vec<usize>>,
     shard_users: Vec<usize>,
-    tally: Tally,
-    /// Queue-side telemetry meter; `ControllerTiming` and the mean
-    /// queue wait are derived from it when the run ends.
+    /// The report under construction: each shard's label and capacity
+    /// from the start, `arrivals` as the trace cursor, `events` as the
+    /// decision log, per-shard admits and the peaks as they happen.
+    /// `finish` fills in the rest.
+    report: OnlineReport,
+    /// Active users summed over slots, for the time average.
+    active_slots: usize,
+    /// Queue-side telemetry meter; the decision counts,
+    /// `ControllerTiming` and the mean queue wait are read from it when
+    /// the run ends.
     meter: Metrics,
     /// Cost ledger: credits billed per window for the active set.
     window_spend: f64,
     /// The boundary being decided.
     slot: usize,
-}
-
-/// The decision log — every decision enters through
-/// [`Controller::emit`], and the report's per-kind tallies are a census
-/// of it — plus the running tallies it does not record.
-struct Tally {
-    events: Vec<AdmissionEvent>,
-    /// Requests ingested so far; doubles as the trace cursor.
-    arrivals: usize,
-    /// Active users summed over slots, for the time average.
-    concurrent_slot_sum: usize,
-    peak_concurrent: usize,
-    /// Peak simultaneous users per shard.
-    shard_peak: Vec<usize>,
 }
 
 impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W, B, R> {
@@ -559,11 +551,22 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         assert!(!workloads.is_empty(), "need at least one workload");
         assert!(!shards.is_empty(), "need at least one shard");
         let profile_of = profiles_of(workloads.len(), trace);
-        let capacities: Vec<f64> = shards
-            .iter()
-            .map(|b| b.core_speeds().iter().sum())
-            .collect();
-        let labels: Vec<String> = shards.iter().map(ExecutionBackend::label).collect();
+        let report = OnlineReport {
+            shard_policy: cfg.shard_policy.label().to_string(),
+            horizon_slots: cfg.horizon_slots,
+            shards: shards
+                .iter()
+                .enumerate()
+                .map(|(shard, b)| ShardReport {
+                    shard,
+                    label: b.label(),
+                    capacity_cores: b.core_speeds().iter().sum(),
+                    ..ShardReport::default()
+                })
+                .collect(),
+            ..OnlineReport::default()
+        };
+        let capacities: Vec<f64> = report.shards.iter().map(|s| s.capacity_cores).collect();
         let max_capacity = capacities.iter().copied().fold(0.0f64, f64::max);
         let loop_cfg = ServerLoopConfig {
             fps: cfg.fps,
@@ -587,9 +590,7 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             cfg,
             trace,
             demand_of: workloads.iter().map(|w| cfg.padded_demand(w)).collect(),
-            sharder: Sharder::new(capacities.clone()),
-            capacities,
-            labels,
+            sharder: Sharder::new(capacities),
             source: TraceSource {
                 workloads,
                 profile_of,
@@ -608,13 +609,8 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
             added: vec![Vec::new(); n],
             removed: vec![Vec::new(); n],
             shard_users: vec![0; n],
-            tally: Tally {
-                events: Vec::new(),
-                arrivals: 0,
-                concurrent_slot_sum: 0,
-                peak_concurrent: 0,
-                shard_peak: vec![0; n],
-            },
+            report,
+            active_slots: 0,
             meter: Metrics::new(),
             window_spend: 0.0,
             slot: 0,
@@ -629,8 +625,10 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     }
 
     /// Logs one decision taken at this boundary: the report's event
-    /// stream, the meter's counters and the flight recorder all see
-    /// it from here and nowhere else.
+    /// log, the meter's counters and the flight recorder all see it
+    /// from here and nowhere else. The meter's per-kind counter is the
+    /// decision's one count; only the shard an admit lands on is
+    /// booked on the report here.
     fn emit(&mut self, kind: EventKind, user: usize, shard: Option<usize>) {
         if let Some(counter) = kind.counter() {
             self.meter.add(counter, 1);
@@ -647,7 +645,10 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
                 user: user as u32,
             },
         );
-        self.tally.events.push(AdmissionEvent {
+        if kind == EventKind::Admit {
+            self.report.shards[shard.expect("an admit names its shard")].admitted += 1;
+        }
+        self.report.events.push(AdmissionEvent {
             slot: self.slot,
             user,
             shard,
@@ -674,11 +675,11 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     fn ingest(&mut self, end: usize) {
         let trace = self.trace;
         while let Some(request) = trace
-            .get(self.tally.arrivals)
+            .get(self.report.arrivals)
             .filter(|r| r.arrival_slot < end)
         {
             self.enqueue(request.clone());
-            self.tally.arrivals += 1;
+            self.report.arrivals += 1;
         }
     }
 
@@ -843,7 +844,8 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
     /// one GOP in lockstep.
     fn advance(&mut self, boundary_clock: Instant) {
         for (s, driver) in self.drivers.iter_mut().enumerate() {
-            self.tally.shard_peak[s] = self.tally.shard_peak[s].max(self.shard_users[s]);
+            let peak = &mut self.report.shards[s].peak_users;
+            *peak = (*peak).max(self.shard_users[s]);
             driver.update_membership(&self.added[s], &self.removed[s]);
             self.added[s].clear();
             self.removed[s].clear();
@@ -856,11 +858,15 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         for driver in &mut self.drivers {
             driver.advance(&self.source, slots);
         }
-        self.tally.concurrent_slot_sum += self.active.len() * slots;
-        self.tally.peak_concurrent = self.tally.peak_concurrent.max(self.active.len());
+        self.active_slots += self.active.len() * slots;
+        let peak = &mut self.report.peak_concurrent_users;
+        *peak = (*peak).max(self.active.len());
         self.slot += slots;
     }
 
+    /// Completes the report: the decision counts from the meter (the
+    /// counters `emit` bumped), the populations still active and queued,
+    /// the time averages, and each shard driver's own report.
     fn finish(mut self) -> OnlineReport {
         // Requests arriving after the last GOP boundary still arrived
         // within the horizon: ingest them so `arrivals`/`queued_at_end`
@@ -870,86 +876,41 @@ impl<'a, W: Workload, B: ExecutionBackend, R: Recorder + Copy> Controller<'a, W,
         // Fold the queue-side meter into the recorder (each driver
         // folds its own meter in `into_report`).
         self.recorder.absorb(&self.meter);
-        let Tally {
-            events,
-            arrivals,
-            concurrent_slot_sum,
-            peak_concurrent,
-            shard_peak,
-        } = self.tally;
-        let (mut admissions, mut evictions, mut departures) = (0usize, 0usize, 0usize);
-        let (mut abandoned, mut rejected) = (0usize, 0usize);
-        let mut shard_admitted = vec![0usize; self.drivers.len()];
-        for e in &events {
-            match e.kind {
-                EventKind::Admit => {
-                    admissions += 1;
-                    shard_admitted[e.shard.expect("an admit names its shard")] += 1;
-                }
-                EventKind::Evict => evictions += 1,
-                EventKind::Depart => departures += 1,
-                EventKind::Abandon => abandoned += 1,
-                EventKind::Reject => rejected += 1,
-                EventKind::Downgrade => {}
-            }
+        let m = &self.meter;
+        let count = |id| m.counter(id) as usize;
+        let mut r = self.report;
+        r.admissions = count(CounterId::Admits);
+        r.evictions = count(CounterId::Evicts);
+        r.departures = count(CounterId::Departs);
+        r.abandoned = count(CounterId::Abandons);
+        r.rejected = count(CounterId::Rejects);
+        r.queued_at_end = self.queue.len();
+        r.active_at_end = self.active.len();
+        if r.admissions > 0 {
+            let wait_slots_sum = m.hist(HistId::QueueWaitSlots).sum();
+            r.mean_queue_wait_slots = wait_slots_sum as f64 / r.admissions as f64;
         }
-        let mut shards = Vec::with_capacity(self.drivers.len());
-        let (mut windows, mut window_misses, mut energy_j) = (0usize, 0usize, 0.0f64);
+        if r.horizon_slots > 0 {
+            r.avg_concurrent_users = self.active_slots as f64 / r.horizon_slots as f64;
+        }
         // Placement-side cost lives in the drivers; fold it into the
         // serve-level queue/decision tallies.
-        let mut controller = ControllerTiming::from_metrics(&self.meter);
-        for (s, driver) in self.drivers.into_iter().enumerate() {
-            let r = driver.into_report();
-            windows += r.windows;
-            window_misses += r.window_misses;
-            energy_j += r.energy_j;
-            controller.placement_ns += r.controller.placement_ns;
-            controller.replans += r.controller.replans;
-            shards.push(ShardReport {
-                shard: s,
-                label: std::mem::take(&mut self.labels[s]),
-                capacity_cores: self.capacities[s],
-                admitted: shard_admitted[s],
-                peak_users: shard_peak[s],
-                energy_j: r.energy_j,
-                windows: r.windows,
-                window_misses: r.window_misses,
-                avg_active_cores: r.avg_active_cores(),
-                wall_secs: r.wall_secs,
-                window_times: r.window_times,
-            });
+        r.controller = ControllerTiming::from_metrics(m);
+        for (shard, driver) in r.shards.iter_mut().zip(self.drivers) {
+            let l = driver.into_report();
+            r.windows += l.windows;
+            r.window_misses += l.window_misses;
+            r.energy_j += l.energy_j;
+            r.controller.placement_ns += l.controller.placement_ns;
+            r.controller.replans += l.controller.replans;
+            shard.energy_j = l.energy_j;
+            shard.windows = l.windows;
+            shard.window_misses = l.window_misses;
+            shard.avg_active_cores = l.avg_active_cores();
+            shard.wall_secs = l.wall_secs;
+            shard.window_times = l.window_times;
         }
-        let wait_slots_sum = self.meter.hist(HistId::QueueWaitSlots).sum();
-        let horizon = self.cfg.horizon_slots;
-        OnlineReport {
-            shard_policy: self.cfg.shard_policy.label().to_string(),
-            horizon_slots: horizon,
-            arrivals,
-            admissions,
-            evictions,
-            departures,
-            abandoned,
-            rejected,
-            queued_at_end: self.queue.len(),
-            active_at_end: self.active.len(),
-            mean_queue_wait_slots: if admissions == 0 {
-                0.0
-            } else {
-                wait_slots_sum as f64 / admissions as f64
-            },
-            avg_concurrent_users: if horizon == 0 {
-                0.0
-            } else {
-                concurrent_slot_sum as f64 / horizon as f64
-            },
-            peak_concurrent_users: peak_concurrent,
-            windows,
-            window_misses,
-            energy_j,
-            shards,
-            events,
-            controller,
-        }
+        r
     }
 }
 
@@ -1444,5 +1405,16 @@ mod tests {
         assert_eq!(report.avg_concurrent_users, 0.0);
         assert_eq!(report.on_time_rate(), 0.0);
         assert!(report.events.is_empty());
+        // No boundary ran, so the shards' identities come from the
+        // report `Controller::new` started.
+        let shards: Vec<(usize, &str, f64)> = report
+            .shards
+            .iter()
+            .map(|s| (s.shard, s.label.as_str(), s.capacity_cores))
+            .collect();
+        assert_eq!(
+            shards,
+            [(0, "quad-core MPSoC", 4.0), (1, "quad-core MPSoC", 4.0)]
+        );
     }
 }

@@ -94,10 +94,13 @@ impl Rng {
 ///
 /// # Panics
 ///
-/// Panics when the rate or tail index is not positive, or
-/// `min_session_slots`/`profiles` is zero.
+/// Panics when the rate is not positive and finite, the tail index is
+/// not positive, or `min_session_slots`/`profiles` is zero.
 pub fn synthesize_trace(cfg: &TraceConfig) -> Vec<UserRequest> {
-    assert!(cfg.arrivals_per_slot > 0.0, "need a positive arrival rate");
+    assert!(
+        cfg.arrivals_per_slot > 0.0 && cfg.arrivals_per_slot.is_finite(),
+        "need a positive, finite arrival rate"
+    );
     assert!(cfg.tail_alpha > 0.0, "need a positive tail index");
     assert!(cfg.min_session_slots > 0, "sessions need a minimum length");
     assert!(cfg.profiles > 0, "need at least one profile");
@@ -205,5 +208,16 @@ mod tests {
             (n - expect).abs() < expect * 0.25,
             "got {n} arrivals, expected ≈{expect}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite arrival rate")]
+    fn infinite_arrival_rate_is_refused() {
+        // `∞ > 0.0`, and the normal branch of `poisson` rounds an
+        // infinite draw to `usize::MAX` arrivals in one slot.
+        synthesize_trace(&TraceConfig {
+            arrivals_per_slot: f64::INFINITY,
+            ..Default::default()
+        });
     }
 }

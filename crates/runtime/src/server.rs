@@ -241,7 +241,7 @@ impl WindowTiming {
 }
 
 /// Aggregate outcome of a server-loop run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoopReport {
     /// Total energy, joules.
     pub energy_j: f64,
@@ -421,15 +421,12 @@ pub struct LoopDriver<B: ExecutionBackend, R: Recorder = NoopRecorder> {
     /// The (user, core) of every placement that submitted work in the
     /// window, once per run; grouped by user at the window end.
     window_cells: Vec<(usize, usize)>,
-    energy_j: f64,
-    miss_slots: usize,
-    windows: usize,
-    window_misses: usize,
-    active_core_slots: usize,
-    wall_secs: f64,
+    /// The report under construction: energy, misses, windows, busy
+    /// core-slots, wall time and completed windows accumulate here;
+    /// [`LoopDriver::into_report`] adds the rest.
+    report: LoopReport,
     window_wall_acc: f64,
     window_modeled_acc: f64,
-    window_times: Vec<WindowTiming>,
 }
 
 impl<B: ExecutionBackend> LoopDriver<B> {
@@ -502,15 +499,9 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             window_len: cfg.window_len(),
             active_in_window: vec![false; cores],
             window_cells: Vec::new(),
-            energy_j: 0.0,
-            miss_slots: 0,
-            windows: 0,
-            window_misses: 0,
-            active_core_slots: 0,
-            wall_secs: 0.0,
+            report: LoopReport::default(),
             window_wall_acc: 0.0,
             window_modeled_acc: 0.0,
-            window_times: Vec::new(),
         };
         driver.build_plan();
         driver
@@ -598,9 +589,11 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         }
     }
 
-    /// Finishes the run, returning the report. The driver's meter is
-    /// folded into its recorder ([`Recorder::absorb`]; no-op when
-    /// telemetry is disabled).
+    /// Finishes the run, returning the report the slots accumulated
+    /// with what only the end knows added: the slots run, the
+    /// control-plane timing read from the driver's meter, and the
+    /// trailing window. The meter is folded into the recorder
+    /// ([`Recorder::absorb`]; no-op when telemetry is disabled).
     ///
     /// Window timing includes the trailing partial window when the
     /// run stopped mid-window — otherwise its measured/modeled seconds
@@ -609,22 +602,16 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
     pub fn into_report(mut self) -> LoopReport {
         self.recorder.absorb(&self.meter);
         if self.window_wall_acc > 0.0 || self.window_modeled_acc > 0.0 {
-            self.window_times.push(WindowTiming {
+            self.report.window_times.push(WindowTiming {
                 end_slot: self.slot,
                 wall_secs: self.window_wall_acc,
                 modeled_secs: self.window_modeled_acc,
             });
         }
         LoopReport {
-            energy_j: self.energy_j,
-            miss_slots: self.miss_slots,
-            windows: self.windows,
-            window_misses: self.window_misses,
-            active_core_slots: self.active_core_slots,
             slots: self.slot,
-            wall_secs: self.wall_secs,
-            window_times: self.window_times,
             controller: ControllerTiming::from_metrics(&self.meter),
+            ..self.report
         }
     }
 
@@ -786,7 +773,7 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
             }
         }
         let (reports, wall_secs) = self.backend.execute_run(self.cfg.policy, slot_secs, slots);
-        self.wall_secs += wall_secs;
+        self.report.wall_secs += wall_secs;
         self.window_wall_acc += wall_secs;
         for report in &reports {
             self.account_slot(report);
@@ -848,15 +835,15 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         if R::ENABLED {
             medvt_mpsoc::record_slot_events(&self.recorder, self.track, self.slot as u32, report);
         }
-        self.energy_j += report.energy_j;
+        self.report.energy_j += report.energy_j;
         // Window timing: real execution time vs. the slot model's
         // makespan (the busiest core's planned busy time — how long
         // the slot's work takes with all cores in parallel).
         self.window_modeled_acc += report.cores.iter().map(|c| c.busy_secs).fold(0.0, f64::max);
         if report.deadline_misses > 0 {
-            self.miss_slots += 1;
+            self.report.miss_slots += 1;
         }
-        self.active_core_slots += report.active_cores();
+        self.report.active_core_slots += report.active_cores();
         for (k, core) in report.cores.iter().enumerate() {
             if core.busy_secs > 0.0 {
                 self.active_in_window[k] = true;
@@ -868,14 +855,14 @@ impl<B: ExecutionBackend, R: Recorder> LoopDriver<B, R> {
         if (self.slot + 1).is_multiple_of(self.window_len) {
             for (k, active) in self.active_in_window.iter_mut().enumerate() {
                 if *active {
-                    self.windows += 1;
+                    self.report.windows += 1;
                     if report.cores[k].carry_fmax_secs > 1e-9 {
-                        self.window_misses += 1;
+                        self.report.window_misses += 1;
                     }
                 }
                 *active = false;
             }
-            self.window_times.push(WindowTiming {
+            self.report.window_times.push(WindowTiming {
                 end_slot: self.slot + 1,
                 wall_secs: self.window_wall_acc,
                 modeled_secs: self.window_modeled_acc,

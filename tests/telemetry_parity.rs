@@ -1,7 +1,7 @@
 //! Telemetry regression tests: attaching a flight recorder must not
 //! change a single serving decision, sim and pool shards must emit
-//! identical modeled event streams, the recorder's counters must
-//! agree with the report they observed, and the serialized
+//! identical modeled event streams, the decision events the recorder
+//! retains must count what the report counts, and the serialized
 //! `OnlineReport`/`ControllerTiming` schema — now a view over
 //! telemetry metrics — must stay byte-compatible with the
 //! pre-telemetry form.
@@ -11,7 +11,7 @@ use medvt::admission::{
 };
 use medvt::mpsoc::{Platform, PowerModel};
 use medvt::runtime::{ControllerTiming, SimBackend, ThreadPoolBackend};
-use medvt::telemetry::{CounterId, EventKind, FlightRecorder, HistId, Metrics};
+use medvt::telemetry::{CounterId, Decision, EventKind, FlightRecorder, HistId, Metrics};
 
 mod common;
 use common::synthetic_profile as profile;
@@ -93,20 +93,36 @@ fn attaching_a_recorder_changes_no_decisions() {
     assert!(rec.recorded() > 0, "the recorder must have captured events");
 }
 
+/// The report's decision counts are the meter's counters, so the
+/// check that means something is against the other channel: the
+/// decision events the recorder's rings retained, counted per kind.
 #[test]
-fn recorder_counters_agree_with_the_report() {
+fn recorded_decision_events_agree_with_the_report() {
     let profiles = mixed_profiles();
     let trace = trace();
     let cfg = config();
     let rec = FlightRecorder::new(platform().sockets, 1 << 14);
     let report = serve_online_with(&cfg, &profiles, &trace, sim_shards(), &rec);
 
+    assert_eq!(rec.dropped(), 0, "the census needs every event retained");
+    let decisions: Vec<Decision> = rec
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Decision { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    let census = |kind| decisions.iter().filter(|&&d| d == kind).count();
+    assert_eq!(decisions.len(), report.events.len());
+    assert_eq!(census(Decision::Admit), report.admissions);
+    assert_eq!(census(Decision::Evict), report.evictions);
+    assert_eq!(census(Decision::Depart), report.departures);
+    assert_eq!(census(Decision::Abandon), report.abandoned);
+    assert_eq!(census(Decision::Reject), report.rejected);
+    assert!(report.admissions > 0 && report.departures > 0);
+
     let m = rec.metrics();
-    assert_eq!(m.counter(CounterId::Admits) as usize, report.admissions);
-    assert_eq!(m.counter(CounterId::Evicts) as usize, report.evictions);
-    assert_eq!(m.counter(CounterId::Departs) as usize, report.departures);
-    assert_eq!(m.counter(CounterId::Abandons) as usize, report.abandoned);
-    assert_eq!(m.counter(CounterId::Rejects) as usize, report.rejected);
     assert!(m.counter(CounterId::Boundaries) > 0);
     assert!(m.counter(CounterId::SlotsExecuted) > 0);
 
